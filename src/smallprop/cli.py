@@ -52,6 +52,12 @@ def _levels(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _existing_dir(path: str, flag: str) -> Path:
+    if not Path(path).is_dir():
+        raise FileNotFoundError(f"{flag}: no such directory: {path}")
+    return Path(path)
+
+
 def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
@@ -133,8 +139,6 @@ def _resolve_profile(args) -> DetectorProfile:
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     base = SceneSpec(
         width=args.width,
         height=args.height,
@@ -145,6 +149,8 @@ def cmd_synth(args) -> int:
         n_leaves=args.leaves,
         min_visible=args.min_visible,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = []
     for i in range(args.count):
         spec = replace(base, seed=scene_seed(args.seed, i))
@@ -184,9 +190,11 @@ def _run_one(stem: str, args, grid, profile, out: Path) -> str:
 
 
 def cmd_run(args) -> int:
+    stems = list_scene_stems(_existing_dir(args.scenes, "--scenes"))
+    if args.exchange:
+        _existing_dir(args.exchange, "--exchange")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stems = list_scene_stems(args.scenes)
     grid = None
     if args.mode == "tiled":
         grid = TileGridSpec(args.tile[0], args.tile[1], args.stride[0], args.stride[1])

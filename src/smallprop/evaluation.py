@@ -17,7 +17,7 @@ import numpy as np
 
 from .annotations import GroundTruthObject, SizeCategory
 from .detector import Proposal
-from .masks import mask_iou, rle_decode
+from .masks import box_overlaps, mask_iou, require_same_canvas, rle_decode
 from .raster import RasterImage
 
 IOU_THRESHOLDS = tuple(t / 100 for t in range(50, 100, 5))
@@ -64,13 +64,19 @@ class ARReport:
 def _iou_pairs(
     gt: Sequence[GroundTruthObject], proposals: Sequence[Proposal]
 ) -> list[tuple[float, int, int]]:
-    """All positive-IoU pairs sorted by IoU desc, then gt id, then index."""
+    """All positive-IoU pairs sorted by IoU desc, then gt id, then index.
+
+    Only pairs whose bounding boxes intersect can have a positive IoU, so
+    ``mask_iou`` runs on those alone.
+    """
+    if gt and proposals:
+        require_same_canvas([g.mask for g in gt] + [p.mask for p in proposals])
+    hits = box_overlaps([g.mask.bbox for g in gt], [p.mask.bbox for p in proposals])
     pairs = []
-    for g in gt:
-        for pi, p in enumerate(proposals):
-            iou = mask_iou(g.mask, p.mask)
-            if iou > 0.0:
-                pairs.append((iou, g.instance_id, pi))
+    for gi, pi in zip(*(ix.tolist() for ix in np.nonzero(hits))):
+        iou = mask_iou(gt[gi].mask, proposals[pi].mask)
+        if iou > 0.0:
+            pairs.append((iou, gt[gi].instance_id, pi))
     pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
     return pairs
 

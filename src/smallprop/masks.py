@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,13 +70,8 @@ class BinaryMask:
     @cached_property
     def intervals(self) -> tuple[tuple[int, int], ...]:
         """Foreground [start, stop) intervals in flattened row-major order."""
-        out = []
-        pos = 0
-        for i, r in enumerate(self.runs):
-            if i % 2:
-                out.append((pos, pos + r))
-            pos += r
-        return tuple(out)
+        ends = tuple(accumulate(self.runs))
+        return tuple(zip(ends[0::2], ends[1::2]))
 
     @cached_property
     def bbox(self) -> BBox:
@@ -86,12 +82,43 @@ class BinaryMask:
         y0 = self.intervals[0][0] // w
         y1 = (self.intervals[-1][1] - 1) // w
         x0, x1 = w, 0
-        for _, c0, c1 in _row_segments(self):
+        for s, e in self.intervals:
+            row, c0 = divmod(s, w)
+            c1 = e - row * w
+            if c1 > w:
+                # crosses a row end, so it touches both canvas edges
+                return BBox(0, y0, w, y1 - y0 + 1)
             if c0 < x0:
                 x0 = c0
             if c1 > x1:
                 x1 = c1
         return BBox(x0, y0, x1 - x0, y1 - y0 + 1)
+
+
+def box_overlaps(a: Sequence[BBox], b: Sequence[BBox]) -> np.ndarray:
+    """Boolean matrix whose [i, j] entry is ``a[i].intersects(b[j])``.
+
+    Masks whose boxes do not intersect share no pixel, so their IoU is 0.0;
+    callers use this to skip ``mask_iou`` on such pairs.
+    """
+    ea = np.array([(q.x, q.y, q.x + q.w, q.y + q.h) for q in a], dtype=np.int64).reshape(-1, 4)
+    eb = np.array([(q.x, q.y, q.x + q.w, q.y + q.h) for q in b], dtype=np.int64).reshape(-1, 4)
+    ea, eb = ea[:, None, :], eb[None, :, :]
+    return (
+        (ea[..., 0] < eb[..., 2])
+        & (eb[..., 0] < ea[..., 2])
+        & (ea[..., 1] < eb[..., 3])
+        & (eb[..., 1] < ea[..., 3])
+    )
+
+
+def require_same_canvas(masks: Iterable[BinaryMask]) -> None:
+    """Raise the ValueError of ``mask_iou`` unless all masks share one canvas size."""
+    sizes = sorted({(m.width, m.height) for m in masks})
+    if len(sizes) > 1:
+        raise ValueError(
+            "mask dimensions differ: " + " vs ".join(f"{w}x{h}" for w, h in sizes)
+        )
 
 
 def _row_segments(mask: BinaryMask) -> Iterator[tuple[int, int, int]]:

@@ -11,14 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
+import numpy as np
+
 from .annotations import GroundTruthObject
 from .detector import DetectorProfile, Proposal, simulate
 from .exchange import ProposalRecord
-from .masks import BBox, crop_mask, mask_iou
+from .masks import BBox, box_overlaps, crop_mask, mask_iou, require_same_canvas
 from .synth import Scene
 from .tiling import Tile, TileGridSpec, plan_grid, remap_mask
 
 ProposalSource = Union[DetectorProfile, Sequence[ProposalRecord]]
+
+
+def _check_nms_iou(iou_threshold: float) -> None:
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError("nms_iou must lie in (0, 1]")
 
 
 @dataclass
@@ -29,8 +36,7 @@ class PipelineConfig:
     top_k: int = 100
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.nms_iou <= 1.0:
-            raise ValueError("nms_iou must lie in (0, 1]")
+        _check_nms_iou(self.nms_iou)
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
 
@@ -39,17 +45,28 @@ def nms(proposals: Sequence[Proposal], iou_threshold: float) -> list[Proposal]:
     """Greedy suppression: keep a proposal iff IoU < threshold with all kept.
 
     Candidates are visited by objectness descending, ties broken by mask area
-    descending, then insertion order; output retains that order.
+    descending, then insertion order; output retains that order. A candidate
+    is compared only with kept proposals whose bounding boxes intersect its
+    own: any other pair shares no pixel, so its IoU is 0.0, below every
+    threshold in (0, 1], and skipping it cannot change the output.
     """
+    _check_nms_iou(iou_threshold)
+    masks = [p.mask for p in proposals]
+    require_same_canvas(masks)
     order = sorted(
         range(len(proposals)),
         key=lambda i: (-proposals[i].objectness, -proposals[i].mask.area, i),
     )
+    boxes = [m.bbox for m in masks]
+    overlaps = box_overlaps(boxes, boxes)
+    is_kept = np.zeros(len(proposals), dtype=bool)
     kept: list[Proposal] = []
     for i in order:
-        cand = proposals[i]
-        if all(mask_iou(cand.mask, k.mask) < iou_threshold for k in kept):
-            kept.append(cand)
+        cand = masks[i]
+        rivals = np.flatnonzero(overlaps[i] & is_kept)
+        if all(mask_iou(cand, masks[j]) < iou_threshold for j in rivals):
+            is_kept[i] = True
+            kept.append(proposals[i])
     return kept
 
 

@@ -52,6 +52,8 @@ class SceneSpec:
             raise ValueError("xs_fraction must lie in [0, 1]")
         if self.n_apples < 0 or self.n_leaves < 0 or self.min_visible < 0:
             raise ValueError("counts must be non-negative")
+        if self.n_apples > 0xFFFF:
+            raise ValueError("n_apples must be at most 65535: instance ids are 16-bit")
 
 
 @dataclass

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from smallprop.masks import BinaryMask, mask_from_intervals
+from smallprop.masks import BinaryMask, mask_from_intervals, rle_decode
 
 M64 = (1 << 64) - 1
 
@@ -57,6 +57,20 @@ def rect_mask(w: int, h: int, x0: int, y0: int, rw: int, rh: int) -> BinaryMask:
         if a < b:
             intervals.append((y * w + a, y * w + b))
     return mask_from_intervals(w, h, intervals)
+
+
+def ref_nms(proposals, iou_threshold):
+    """All-pairs greedy NMS over decoded grids: keep iff IoU < threshold with all kept."""
+    grids = [rle_decode(p.mask) for p in proposals]
+    order = sorted(
+        range(len(proposals)),
+        key=lambda i: (-proposals[i].objectness, -int(grids[i].sum()), i),
+    )
+    kept = []
+    for i in order:
+        if all(grid_iou(grids[i], grids[j]) < iou_threshold for j in kept):
+            kept.append(i)
+    return [proposals[i] for i in kept]
 
 
 def greedy_assign(entries):

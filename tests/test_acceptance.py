@@ -30,7 +30,7 @@ from smallprop.prng import stream_seed
 from smallprop.synth import SceneSpec, generate_scene, save_scene, scene_stem
 from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask, verify_coverage
 from smallprop.masks import crop_mask
-from oracles import grid_iou, make_random_instance, oracle_report, rect_mask
+from oracles import grid_iou, make_random_instance, oracle_report, rect_mask, ref_nms
 
 
 def _cli(*argv) -> int:
@@ -158,13 +158,15 @@ def _suite_nms(rng, cases):
         n = int(rng.integers(0, 11))
         props = []
         for _ in range(n):
-            x0 = int(rng.integers(0, 24))
-            y0 = int(rng.integers(0, 24))
-            side = int(rng.integers(2, 10))
-            props.append(Proposal(rect_mask(32, 32, x0, y0, side, side),
+            # corners and sides on a 2 px lattice, so many boxes touch at an
+            # edge without overlapping; some are clipped at the canvas border
+            x0, y0 = (2 * int(v) for v in rng.integers(0, 15, 2))
+            rw, rh = (2 * int(v) for v in rng.integers(1, 7, 2))
+            props.append(Proposal(rect_mask(30, 30, x0, y0, rw, rh),
                                   float(rng.integers(0, 1001)) / 1000))
         t = float(rng.integers(2, 10)) / 10
         kept = nms(props, t)
+        assert kept == ref_nms(props, t)
         assert nms(kept, t) == kept
         for i, p in enumerate(kept):
             for q in kept[:i]:

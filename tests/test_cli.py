@@ -149,8 +149,8 @@ def test_eval_rejects_unknown_proposal_ids(tmp_path, capsys):
 
 
 def test_exchange_records_feed_run(tmp_path):
-    synth_small(tmp_path / "s", count=1)
-    stem = list_scene_stems(tmp_path / "s")[0]
+    synth_small(tmp_path / "s", count=2)
+    stem, other = list_scene_stems(tmp_path / "s")
     scene = load_scene(tmp_path / "s", stem)
     ext = tmp_path / "external"
     ext.mkdir()
@@ -163,6 +163,8 @@ def test_exchange_records_feed_run(tmp_path):
                    "--exchange", ext, "--mode", "whole") == 0
     routed = read_proposals(out / f"{stem}.jsonl")
     assert len(routed) == len(scene.objects)
+    # a scene without its own exchange file gets no proposals
+    assert read_proposals(out / f"{other}.jsonl") == []
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
@@ -179,6 +181,37 @@ def test_data_error_exit_code(tmp_path, capsys):
                    "--mode", "tiled", "--tile", "999x999", "--stride", "999x999") == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "data"
+
+
+def _data_error(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "data"
+    return err["message"]
+
+
+def test_run_rejects_missing_scenes_dir(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("run", "--scenes", tmp_path / "nope", "--out", out) == 2
+    assert "--scenes" in _data_error(capsys)
+    assert not out.exists()
+
+
+def test_run_rejects_missing_exchange_dir(tmp_path, capsys):
+    synth_small(tmp_path / "s", count=1)
+    out = tmp_path / "o"
+    assert run_cli("run", "--scenes", tmp_path / "s", "--out", out,
+                   "--exchange", tmp_path / "nope") == 2
+    assert "--exchange" in _data_error(capsys)
+    assert not out.exists()
+
+
+def test_synth_rejects_apples_beyond_16_bit_ids(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run_cli("synth", "--out", out, "--apples", 70000) == 2
+    assert "16-bit" in _data_error(capsys)
+    assert not out.exists()
 
 
 def test_detector_config_file(tmp_path):

@@ -49,6 +49,14 @@ def test_match_zero_iou_never_assigned():
     assert match([gt_from(a)], [Proposal(b, 0.9)]).pairs == ()
 
 
+def test_match_rejects_mixed_canvases():
+    # the boxes are disjoint, so only the canvas check can notice
+    gt = [GroundTruthObject.from_mask(1, rect_mask(16, 16, 0, 0, 4, 4))]
+    props = [Proposal(rect_mask(16, 20, 10, 10, 4, 4), 0.5)]
+    with pytest.raises(ValueError, match="mask dimensions differ"):
+        match(gt, props)
+
+
 def test_match_greedy_two_by_two():
     width = 200
     gt_a = gt_from(interval_mask(width, 0, 100), gid=1)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from smallprop.masks import (
     BBox,
     BinaryMask,
     MaskFormatError,
+    box_overlaps,
     crop_mask,
     embed_mask,
     mask_area,
@@ -77,6 +78,19 @@ def test_iou_both_empty_is_zero():
 def test_iou_dimension_mismatch():
     with pytest.raises(ValueError):
         mask_iou(BinaryMask(2, 2, (4,)), BinaryMask(2, 3, (6,)))
+
+
+boxes = st.builds(BBox, st.integers(-5, 20), st.integers(-5, 20), st.integers(0, 10), st.integers(0, 10))
+
+
+@given(st.lists(boxes, max_size=8), st.lists(boxes, max_size=8))
+@example([BBox(0, 0, 4, 4), BBox(0, 0, 0, 0)], [BBox(4, 0, 4, 4), BBox(3, 3, 2, 2), BBox(0, 0, 0, 0)])
+@example([], [BBox(0, 0, 4, 4)])
+def test_box_overlaps_matches_intersects(a, b):
+    # edge-adjacent boxes and zero-size boxes never intersect
+    got = box_overlaps(a, b)
+    assert got.shape == (len(a), len(b)) and got.dtype == bool
+    assert got.tolist() == [[p.intersects(q) for q in b] for p in a]
 
 
 def test_area_example():

@@ -73,6 +73,25 @@ def test_nms_tie_breaks_by_area_then_order():
     assert kept[0].mask == big
 
 
+def test_nms_rejects_threshold_outside_unit_interval():
+    # two disjoint proposals: a zero threshold used to suppress the second
+    a = rect_mask(16, 16, 0, 0, 4, 4)
+    b = rect_mask(16, 16, 10, 10, 4, 4)
+    props = [proposal(a, 0.9), proposal(b, 0.8)]
+    for t in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match=r"nms_iou must lie in \(0, 1\]"):
+            nms(props, t)
+    assert len(nms(props, 1.0)) == 2
+
+
+def test_nms_rejects_mixed_canvases():
+    # the boxes are disjoint, so only the canvas check can notice
+    a = rect_mask(16, 16, 0, 0, 4, 4)
+    b = rect_mask(16, 20, 10, 10, 4, 4)
+    with pytest.raises(ValueError, match="mask dimensions differ"):
+        nms([proposal(a, 0.9), proposal(b, 0.8)], 0.7)
+
+
 def test_whole_run_empty_ground_truth():
     scene = scene_from_labels(np.zeros((240, 320)))
     cfg = PipelineConfig(detector=preset("attentionmask"))

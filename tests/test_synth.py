@@ -100,6 +100,12 @@ def test_invalid_specs_rejected():
         SceneSpec(xs_fraction=1.5)
 
 
+def test_apple_count_fits_16_bit_instance_ids():
+    SceneSpec(n_apples=0xFFFF)
+    with pytest.raises(ValueError, match="16-bit"):
+        SceneSpec(n_apples=0x10000)
+
+
 def test_scene_files_roundtrip(tmp_path):
     scene = generate_scene(SceneSpec(width=96, height=64, n_apples=6, n_leaves=3, seed=11))
     names = save_scene(scene, tmp_path, scene_stem(11, 0))
