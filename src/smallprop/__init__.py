@@ -25,8 +25,6 @@ from .masks import (
     MaskFormatError,
     crop_mask,
     embed_mask,
-    mask_area,
-    mask_bbox,
     mask_iou,
     rle_decode,
     rle_encode,
@@ -36,7 +34,7 @@ from .pipeline import PipelineConfig, nms, run_tiled, run_whole
 from .prng import SplitMix64, prng_next, stream_seed
 from .raster import PnmFormatError, RasterImage, read_pnm, write_pnm
 from .synth import Scene, SceneSpec, generate_scene, load_scene, save_scene
-from .tiling import Tile, TileGridSpec, crop, plan_grid, remap_mask, verify_coverage
+from .tiling import Tile, TileGridSpec, plan_grid, remap_mask
 
 __all__ = [
     "ARReport",
@@ -59,7 +57,6 @@ __all__ = [
     "Tile",
     "TileGridSpec",
     "average_recall",
-    "crop",
     "crop_mask",
     "detectable_range",
     "embed_mask",
@@ -67,8 +64,6 @@ __all__ = [
     "extract_instances",
     "generate_scene",
     "load_scene",
-    "mask_area",
-    "mask_bbox",
     "mask_iou",
     "match",
     "nms",
@@ -88,7 +83,6 @@ __all__ = [
     "simulate",
     "size_category",
     "stream_seed",
-    "verify_coverage",
     "write_pnm",
     "write_proposals",
 ]

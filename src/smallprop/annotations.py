@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .masks import BinaryMask, mask_from_intervals
+from .masks import BinaryMask
 from .raster import RasterImage
 
 XS_MAX_AREA = 22.5**2  # exclusive upper bound for XS
@@ -75,29 +75,33 @@ class GroundTruthObject:
 
 
 def extract_instances(imap: InstanceMap) -> list[GroundTruthObject]:
-    """One object per distinct nonzero id, sorted by id ascending."""
-    flat = imap.labels.ravel()
-    positions = np.flatnonzero(flat)
+    """One object per distinct nonzero id, sorted by id ascending.
+
+    Each mask is ``labels[box] == id`` over the bounding box of the id.
+    """
+    labels = imap.labels
+    positions = np.flatnonzero(labels != 0)  # a bool scan is much faster than a uint16 one
     if positions.size == 0:
         return []
-    ids = flat[positions]
+    ids = labels.ravel()[positions]
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
-    positions = positions[order]
-    breaks = np.flatnonzero(np.diff(ids.astype(np.int64))) + 1
-    out = []
-    for group in np.split(positions, breaks):
-        mask = _mask_from_positions(imap.width, imap.height, group)
-        out.append(GroundTruthObject.from_mask(int(flat[group[0]]), mask))
-    return out
-
-
-def _mask_from_positions(width: int, height: int, positions: np.ndarray) -> BinaryMask:
-    """Mask from sorted flat pixel positions; consecutive positions form runs."""
-    gaps = np.flatnonzero(np.diff(positions) > 1)
-    starts = positions[np.concatenate(([0], gaps + 1))]
-    stops = positions[np.concatenate((gaps, [positions.size - 1]))] + 1
-    return mask_from_intervals(width, height, zip(starts.tolist(), stops.tolist()))
+    ys, xs = np.divmod(positions[order], imap.width)
+    starts = np.flatnonzero(np.diff(ids, prepend=0))
+    stops = np.append(starts[1:], ids.size) - 1
+    bounds = zip(
+        ids[starts].tolist(),
+        ys[starts].tolist(),
+        (ys[stops] + 1).tolist(),
+        np.minimum.reduceat(xs, starts).tolist(),
+        (np.maximum.reduceat(xs, starts) + 1).tolist(),
+    )
+    return [
+        GroundTruthObject.from_mask(
+            i, BinaryMask.from_bitmap(imap.width, imap.height, x0, y0, labels[y0:y1, x0:x1] == i)
+        )
+        for i, y0, y1, x0, x1 in bounds
+    ]
 
 
 def instance_map_from_raster(image: RasterImage) -> InstanceMap:

@@ -18,10 +18,10 @@ from pathlib import Path
 
 from . import __version__
 from .annotations import instance_map_from_raster, extract_instances
-from .detector import DetectorProfile, Proposal, preset, PRESET_LEVELS
+from .detector import ALLOWED_LEVELS, DetectorProfile, Proposal, preset, PRESET_LEVELS
 from .exchange import read_proposals, record_from_proposal, write_proposals
 from .evaluation import evaluate_dataset, match, render_overlay, report_csv, report_json, report_text
-from .pipeline import PipelineConfig, run_tiled, run_whole
+from .pipeline import PipelineConfig, record_proposal, run_tiled, run_whole
 from .raster import read_pnm, write_pnm
 from .synth import Scene, SceneSpec, generate_scene, list_scene_stems, load_scene, save_scene, scene_seed, scene_stem
 from .tiling import TileGridSpec
@@ -36,20 +36,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _size(text: str) -> tuple[int, int]:
-    """Parse WxH, e.g. 320x240."""
-    try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
-    except Exception:
-        raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
+def _checked(parse, ok, expected: str):
+    """An argparse type that parses a flag value and requires ``ok`` of it."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _levels(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except Exception:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+# invalid whatever the input, so a bad value is a usage error (exit 1)
+_size = _checked(lambda t: tuple(map(int, t.lower().split("x"))),
+                 lambda v: len(v) == 2 and min(v) >= 1, "WxH with positive sides")
+_levels = _checked(lambda t: tuple(map(int, t.split(","))),
+                   lambda v: set(v) <= set(ALLOWED_LEVELS), f"comma-separated levels from {ALLOWED_LEVELS}")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer of at least 1")
+_iou_threshold = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
 
 def _existing_dir(path: str, flag: str) -> Path:
@@ -235,31 +242,31 @@ def _load_whole_image_proposals(path: Path, stem: str, width: int, height: int) 
             raise ValueError(f"{path}: record image_id {rec.image_id!r} does not match {stem!r}")
         if rec.tile_index is not None:
             raise ValueError(f"{path}: expected whole-image records, found tile_index {rec.tile_index}")
-        if rec.width != width or rec.height != height:
-            raise ValueError(
-                f"{path}: record is {rec.width}x{rec.height}, image is {width}x{height}"
-            )
-        proposals.append(Proposal(rec.mask(), rec.objectness))
+        try:
+            proposals.append(record_proposal(rec, width, height))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return proposals
 
 
 def cmd_eval(args) -> int:
-    stems = list_scene_stems(args.scenes)
+    stems = list_scene_stems(_existing_dir(args.scenes, "--scenes"))
     known = set(stems)
-    unknown = sorted(p.stem for p in Path(args.proposals).glob("*.jsonl") if p.stem not in known)
+    proposals_dir = _existing_dir(args.proposals, "--proposals")
+    unknown = sorted(p.stem for p in proposals_dir.glob("*.jsonl") if p.stem not in known)
     if unknown:
         raise ValueError(f"proposal files without matching scenes: {', '.join(unknown)}")
     per_image = []
     for stem in stems:
         scene = load_scene(args.scenes, stem)
-        path = Path(args.proposals) / f"{stem}.jsonl"
+        path = proposals_dir / f"{stem}.jsonl"
         proposals = (
             _load_whole_image_proposals(path, stem, scene.width, scene.height)
             if path.exists()
             else []
         )
         per_image.append((scene.objects, proposals))
-    system = args.system or Path(args.proposals).name
+    system = args.system or proposals_dir.name
     report = evaluate_dataset(per_image, system=system)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -330,8 +337,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("whole", "tiled"), default="tiled")
     p.add_argument("--tile", type=_size, default=(320, 240))
     p.add_argument("--stride", type=_size, default=(160, 120))
-    p.add_argument("--nms-iou", type=float, default=0.7)
-    p.add_argument("--top-k", type=int, default=100)
+    p.add_argument("--nms-iou", type=_iou_threshold, default=0.7)
+    p.add_argument("--top-k", type=_positive_int, default=100)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--detector-config", help="key=value file overriding detector profile fields")
     p.add_argument("--levels", type=_levels)

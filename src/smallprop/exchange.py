@@ -10,7 +10,7 @@ read/write a byte-stable round trip.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .detector import Proposal
@@ -32,16 +32,15 @@ class ProposalRecord:
     objectness: float
     runs: tuple[int, ...]
     tile_index: int | None = None
+    mask: BinaryMask = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.objectness = round(float(self.objectness), 6)
         if not 0.0 <= self.objectness <= 1.0:
             raise ValueError(f"objectness {self.objectness} outside [0, 1]")
-        # constructing the mask validates the runs against width x height
-        self.runs = BinaryMask(self.width, self.height, tuple(self.runs)).runs
-
-    def mask(self) -> BinaryMask:
-        return BinaryMask(self.width, self.height, self.runs)
+        # validates the runs against width x height; the pixels are decoded on first use
+        self.mask = BinaryMask(self.width, self.height, self.runs)
+        self.runs = self.mask.runs
 
 
 def record_from_proposal(image_id: str, proposal: Proposal) -> ProposalRecord:
@@ -58,7 +57,7 @@ def format_record(record: ProposalRecord) -> str:
     parts.append(f'"width": {record.width}')
     parts.append(f'"height": {record.height}')
     parts.append(f'"objectness": {record.objectness:.6f}')
-    parts.append('"runs": [' + ", ".join(str(r) for r in record.runs) + "]")
+    parts.append('"runs": [' + ", ".join(map(str, record.runs)) + "]")
     return "{" + ", ".join(parts) + "}"
 
 

@@ -1,16 +1,20 @@
-"""Binary pixel masks with a canonical run-length encoding and exact geometry.
+"""Binary pixel masks stored as a tight bounding box plus a bitmap of that box.
 
-The encoding is normative for the proposal exchange format: runs are listed
-in row-major scan order and alternate background/foreground, with the first
-run counting background pixels (possibly zero). No other run may be zero.
+Crop, shift, embed and IoU are box arithmetic plus slices of small arrays, so
+no operation touches pixels outside the object. The run-length encoding is the
+wire format of the proposal exchange files and is normative there: runs are
+listed in row-major scan order over the full canvas and alternate
+background/foreground, with the first run counting background pixels
+(possibly zero). No other run may be zero. A mask read from runs decodes
+them on first use, and any mask encodes its runs only when asked.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, cycle
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,19 +41,25 @@ class BBox:
         )
 
 
-@dataclass(eq=True)
+_set = object.__setattr__
+
+
 class BinaryMask:
-    """Run-length-encoded binary mask, immutable after construction."""
+    """Binary mask on a width x height canvas, immutable after construction.
 
-    width: int
-    height: int
-    runs: tuple[int, ...]
+    ``bbox`` is the tight box of the foreground (zero-size at the origin for
+    an empty mask) and ``bitmap`` the read-only boolean grid of that box.
+    ``BinaryMask(width, height, runs)`` validates canonical runs at once and
+    decodes them on first use of ``bbox``, ``bitmap`` or ``area``, only over
+    the rows from the first foreground pixel to the last.
+    """
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"mask dimensions must be positive, got {self.width}x{self.height}")
-        runs = tuple(int(r) for r in self.runs)
-        self.runs = runs
+    __slots__ = ("width", "height", "_runs", "bbox", "bitmap", "area")
+
+    def __init__(self, width: int, height: int, runs: Sequence[int]) -> None:
+        if width < 1 or height < 1:
+            raise ValueError(f"mask dimensions must be positive, got {width}x{height}")
+        runs = tuple(map(int, runs))
         if not runs:
             raise MaskFormatError("runs must be non-empty")
         if min(runs) < 0:
@@ -57,42 +67,147 @@ class BinaryMask:
         if 0 in runs[1:]:
             raise MaskFormatError("zero-length run after the first")
         total = sum(runs)
-        if total != self.width * self.height:
+        if total != width * height:
             raise MaskFormatError(
-                f"runs sum to {total}, expected {self.width}x{self.height}={self.width * self.height}"
+                f"runs sum to {total}, expected {width}x{height}={width * height}"
             )
+        _set(self, "width", width)
+        _set(self, "height", height)
+        _set(self, "_runs", runs)  # valid runs are the canonical encoding
 
-    @cached_property
-    def area(self) -> int:
-        """Number of foreground pixels."""
-        return sum(self.runs[1::2])
+    def __getattr__(self, name):
+        # reached only while a slot is unset: the pixels of a mask built from
+        # runs, decoded once; a caller can reject the canvas size before that
+        if name not in ("bbox", "bitmap", "area"):
+            raise AttributeError(name)
+        _decode(self)
+        return object.__getattribute__(self, name)
 
-    @cached_property
-    def intervals(self) -> tuple[tuple[int, int], ...]:
-        """Foreground [start, stop) intervals in flattened row-major order."""
-        ends = tuple(accumulate(self.runs))
-        return tuple(zip(ends[0::2], ends[1::2]))
+    @classmethod
+    def from_bitmap(cls, width: int, height: int, x: int, y: int, bitmap) -> "BinaryMask":
+        """Mask whose pixels in the box at (x, y) are ``bitmap`` and empty elsewhere."""
+        grid = np.asarray(bitmap, dtype=bool)
+        if grid.ndim != 2 or x < 0 or y < 0 or x + grid.shape[1] > width or y + grid.shape[0] > height:
+            raise ValueError("bitmap does not fit inside the canvas")
+        return _trimmed(width, height, x, y, grid)
 
-    @cached_property
-    def bbox(self) -> BBox:
-        """Tight bounding box; zero-size at the origin for an empty mask."""
-        if not self.intervals:
-            return BBox(0, 0, 0, 0)
-        w = self.width
-        y0 = self.intervals[0][0] // w
-        y1 = (self.intervals[-1][1] - 1) // w
-        x0, x1 = w, 0
-        for s, e in self.intervals:
-            row, c0 = divmod(s, w)
-            c1 = e - row * w
-            if c1 > w:
-                # crosses a row end, so it touches both canvas edges
-                return BBox(0, y0, w, y1 - y0 + 1)
-            if c0 < x0:
-                x0 = c0
-            if c1 > x1:
-                x1 = c1
-        return BBox(x0, y0, x1 - x0, y1 - y0 + 1)
+    @property
+    def runs(self) -> tuple[int, ...]:
+        """Canonical run-length encoding over the full canvas."""
+        if self._runs is None:
+            _set(self, "_runs", _encode(self))
+        return self._runs
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BinaryMask is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BinaryMask):
+            return NotImplemented
+        return (
+            self.width == other.width
+            and self.height == other.height
+            and self.bbox == other.bbox
+            and np.array_equal(self.bitmap, other.bitmap)
+        )
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return BinaryMask, (self.width, self.height, self.runs)
+
+    def __repr__(self) -> str:
+        return f"BinaryMask(width={self.width}, height={self.height}, bbox={self.bbox}, area={self.area})"
+
+
+_NO_PIXELS = np.zeros((0, 0), dtype=bool)
+_NO_PIXELS.flags.writeable = False
+_NO_BOX = BBox(0, 0, 0, 0)
+
+
+def _place(mask, x, y, bitmap, area=None) -> BinaryMask:
+    """Set the pixels of ``mask`` to ``bitmap`` at (x, y), whose box must be tight."""
+    bitmap.flags.writeable = False
+    h, w = bitmap.shape
+    _set(mask, "bbox", BBox(x, y, w, h) if h else _NO_BOX)
+    _set(mask, "bitmap", bitmap)
+    _set(mask, "area", int(np.count_nonzero(bitmap)) if area is None else area)
+    return mask
+
+
+def _make(width, height, x, y, bitmap, area=None) -> BinaryMask:
+    mask = object.__new__(BinaryMask)
+    _set(mask, "width", width)
+    _set(mask, "height", height)
+    _set(mask, "_runs", None)
+    return _place(mask, x, y, bitmap, area)
+
+
+def _decode(mask: BinaryMask) -> None:
+    runs, width = mask._runs, mask.width
+    n = len(runs) - len(runs) % 2  # runs up to the last foreground run
+    if n == 0:
+        _place(mask, 0, 0, _NO_PIXELS, 0)
+        return
+    starts = list(accumulate(runs[:n]))[0::2]  # of the foreground runs
+    lens = runs[1:n:2]
+    cols = [p % width for p in starts]
+    x0, x1 = min(cols), max(map(operator.add, cols, lens))
+    if x1 > width:  # a run goes on past a row end, so the box spans every column
+        x0, x1 = 0, width
+    y0, y1 = starts[0] // width, (starts[-1] + lens[-1] - 1) // width + 1
+    # decode the rows y0..y1 whole, then keep the box's columns
+    local = (starts[0] - y0 * width,) + runs[1:n] + (y1 * width - starts[-1] - lens[-1],)
+    rows = b"".join(map(operator.mul, cycle((b"\0", b"\1")), local))
+    bitmap = np.frombuffer(rows, dtype=bool).reshape(y1 - y0, width)[:, x0:x1]
+    _place(mask, x0, y0, np.ascontiguousarray(bitmap), sum(lens))
+
+
+def _trimmed(width: int, height: int, x: int, y: int, bitmap: np.ndarray) -> BinaryMask:
+    """Mask of ``bitmap`` placed at (x, y), its box shrunk to the foreground."""
+    pixels = bitmap.tobytes()
+    first = pixels.find(1)
+    if first < 0:
+        return _make(width, height, 0, 0, _NO_PIXELS, 0)
+    w = bitmap.shape[1]
+    cols = bitmap.any(axis=0).tobytes()
+    r0, r1 = first // w, pixels.rfind(1) // w + 1
+    c0, c1 = cols.find(1), cols.rfind(1) + 1
+    return _make(width, height, x + c0, y + r0, bitmap[r0:r1, c0:c1].copy())
+
+
+def _part(mask, width, height, dx, dy, x0, y0, x1, y1) -> BinaryMask:
+    """Pixels of ``mask`` inside [x0, x1) x [y0, y1), moved by (dx, dy) onto a new canvas."""
+    b = mask.bbox
+    cx0, cy0 = max(b.x, x0), max(b.y, y0)
+    cx1, cy1 = min(b.x + b.w, x1), min(b.y + b.h, y1)
+    if cx0 >= cx1 or cy0 >= cy1:
+        return _make(width, height, 0, 0, _NO_PIXELS, 0)
+    if cx1 - cx0 == b.w and cy1 - cy0 == b.h:
+        return _make(width, height, b.x + dx, b.y + dy, mask.bitmap, mask.area)
+    sub = mask.bitmap[cy0 - b.y : cy1 - b.y, cx0 - b.x : cx1 - b.x]
+    return _trimmed(width, height, cx0 + dx, cy0 + dy, sub)
+
+
+def _encode(mask: BinaryMask) -> tuple[int, ...]:
+    size = mask.width * mask.height
+    if mask.area == 0:
+        return (size,)
+    b = mask.bbox
+    padded = np.zeros((b.h, b.w + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask.bitmap
+    rows, cols = np.nonzero(padded[:, 1:] - padded[:, :-1])
+    # per row: start, stop, start, stop, ... as flat canvas positions
+    offset = b.y * mask.width + b.x
+    bounds = [r * mask.width + c + offset for r, c in zip(rows.tolist(), cols.tolist())]
+    if b.w == mask.width:
+        # a run that stops at the right edge goes on where the next row starts
+        joined = set(bounds[1::2]).intersection(bounds[2::2])
+        bounds = [p for p in bounds if p not in joined]
+    runs = [q - p for p, q in zip([0] + bounds, bounds + [size])]
+    if runs[-1] == 0:
+        runs.pop()
+    return tuple(runs)
 
 
 def box_overlaps(a: Sequence[BBox], b: Sequence[BBox]) -> np.ndarray:
@@ -121,99 +236,21 @@ def require_same_canvas(masks: Iterable[BinaryMask]) -> None:
         )
 
 
-def _row_segments(mask: BinaryMask) -> Iterator[tuple[int, int, int]]:
-    """Yield (row, col_start, col_stop) foreground segments, stop exclusive."""
-    w = mask.width
-    for s, e in mask.intervals:
-        row = s // w
-        while s < e:
-            row_end = (row + 1) * w
-            stop = min(e, row_end)
-            yield row, s - row * w, stop - row * w
-            s = stop
-            row += 1
-
-
-def mask_from_intervals(
-    width: int, height: int, intervals: Iterable[tuple[int, int]]
-) -> BinaryMask:
-    """Build a mask from sorted flattened foreground intervals.
-
-    Overlapping or adjacent intervals are merged so the result is canonical.
-    """
-    merged: list[list[int]] = []
-    for s, e in intervals:
-        if e <= s:
-            continue
-        if merged and s <= merged[-1][1]:
-            if s < merged[-1][0]:
-                raise MaskFormatError("intervals must be sorted by start")
-            if e > merged[-1][1]:
-                merged[-1][1] = e
-        else:
-            merged.append([s, e])
-    size = width * height
-    runs: list[int] = []
-    pos = 0
-    for s, e in merged:
-        if s < 0 or e > size:
-            raise MaskFormatError("interval outside the mask")
-        runs.append(s - pos)
-        runs.append(e - s)
-        pos = e
-    if pos < size or not runs:
-        runs.append(size - pos)
-    return BinaryMask(width, height, tuple(runs))
-
-
 def rle_encode(bitmap) -> BinaryMask:
-    """Encode a row-major boolean grid into canonical RLE."""
+    """Mask of a full-canvas row-major boolean grid."""
     grid = np.asarray(bitmap)
     if grid.ndim != 2 or grid.size == 0:
         raise ValueError("bitmap must be a non-empty 2-d grid")
-    flat = grid.astype(bool).ravel()
-    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], change, [flat.size]))
-    runs = np.diff(bounds).tolist()
-    if flat[0]:
-        runs.insert(0, 0)
     h, w = grid.shape
-    return BinaryMask(int(w), int(h), tuple(runs))
+    return BinaryMask.from_bitmap(w, h, 0, 0, grid)
 
 
 def rle_decode(mask: BinaryMask) -> np.ndarray:
-    """Decode to a (height, width) boolean grid; exact inverse of rle_encode."""
-    runs = np.asarray(mask.runs, dtype=np.int64)
-    values = np.zeros(len(runs), dtype=bool)
-    values[1::2] = True
-    flat = np.repeat(values, runs)
-    return flat.reshape(mask.height, mask.width)
-
-
-def mask_area(mask: BinaryMask) -> int:
-    return mask.area
-
-
-def mask_bbox(mask: BinaryMask) -> BBox:
-    return mask.bbox
-
-
-def intersection_area(a: BinaryMask, b: BinaryMask) -> int:
-    """Foreground overlap in pixels, linear in the number of runs."""
-    ai = a.intervals
-    bi = b.intervals
-    i = j = 0
-    inter = 0
-    while i < len(ai) and j < len(bi):
-        s = ai[i][0] if ai[i][0] > bi[j][0] else bi[j][0]
-        e = ai[i][1] if ai[i][1] < bi[j][1] else bi[j][1]
-        if s < e:
-            inter += e - s
-        if ai[i][1] < bi[j][1]:
-            i += 1
-        else:
-            j += 1
-    return inter
+    """The (height, width) boolean grid of the full canvas; inverse of rle_encode."""
+    grid = np.zeros((mask.height, mask.width), dtype=bool)
+    b = mask.bbox
+    grid[b.y : b.y + b.h, b.x : b.x + b.w] = mask.bitmap
+    return grid
 
 
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
@@ -224,9 +261,15 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
         )
     if a.area == 0 or b.area == 0:
         return 0.0
-    if not a.bbox.intersects(b.bbox):
+    p, q = a.bbox, b.bbox
+    x0, y0 = max(p.x, q.x), max(p.y, q.y)
+    x1, y1 = min(p.x + p.w, q.x + q.w), min(p.y + p.h, q.y + q.h)
+    if x0 >= x1 or y0 >= y1:
         return 0.0
-    inter = intersection_area(a, b)
+    inter = int(np.count_nonzero(
+        a.bitmap[y0 - p.y : y1 - p.y, x0 - p.x : x1 - p.x]
+        & b.bitmap[y0 - q.y : y1 - q.y, x0 - q.x : x1 - q.x]
+    ))
     if inter == 0:
         return 0.0
     return inter / (a.area + b.area - inter)
@@ -237,20 +280,7 @@ def shift_mask(mask: BinaryMask, dx: int, dy: int) -> BinaryMask:
     if dx == 0 and dy == 0:
         return mask
     w, h = mask.width, mask.height
-    intervals = []
-    for row, c0, c1 in _row_segments(mask):
-        ny = row + dy
-        if ny < 0 or ny >= h:
-            continue
-        a = c0 + dx
-        b = c1 + dx
-        if a < 0:
-            a = 0
-        if b > w:
-            b = w
-        if a < b:
-            intervals.append((ny * w + a, ny * w + b))
-    return mask_from_intervals(w, h, intervals)
+    return _part(mask, w, h, dx, dy, -dx, -dy, w - dx, h - dy)
 
 
 def crop_mask(mask: BinaryMask, x0: int, y0: int, width: int, height: int) -> BinaryMask:
@@ -259,25 +289,11 @@ def crop_mask(mask: BinaryMask, x0: int, y0: int, width: int, height: int) -> Bi
         raise ValueError("crop window outside the mask")
     if width < 1 or height < 1:
         raise ValueError("crop window must be non-empty")
-    x1 = x0 + width
-    y1 = y0 + height
-    intervals = []
-    for row, c0, c1 in _row_segments(mask):
-        if row < y0 or row >= y1:
-            continue
-        a = c0 if c0 > x0 else x0
-        b = c1 if c1 < x1 else x1
-        if a < b:
-            intervals.append(((row - y0) * width + (a - x0), (row - y0) * width + (b - x0)))
-    return mask_from_intervals(width, height, intervals)
+    return _part(mask, width, height, -x0, -y0, x0, y0, x0 + width, y0 + height)
 
 
 def embed_mask(mask: BinaryMask, x0: int, y0: int, width: int, height: int) -> BinaryMask:
     """Place a mask at offset (x0, y0) on a larger width x height canvas."""
     if x0 < 0 or y0 < 0 or x0 + mask.width > width or y0 + mask.height > height:
         raise ValueError("embedded mask does not fit inside the target canvas")
-    intervals = [
-        ((row + y0) * width + (c0 + x0), (row + y0) * width + (c1 + x0))
-        for row, c0, c1 in _row_segments(mask)
-    ]
-    return mask_from_intervals(width, height, intervals)
+    return _part(mask, width, height, x0, y0, 0, 0, mask.width, mask.height)

@@ -71,12 +71,12 @@ def nms(proposals: Sequence[Proposal], iou_threshold: float) -> list[Proposal]:
 
 
 def _tile_gt(objects: Sequence[GroundTruthObject], tile: Tile) -> list[GroundTruthObject]:
-    """Ground truth visible inside a tile, in tile-local coordinates."""
-    tile_box = BBox(tile.x0, tile.y0, tile.w, tile.h)
+    """Ground truth visible inside a tile, in tile-local coordinates.
+
+    ``objects`` are those whose boxes intersect the tile's.
+    """
     out = []
     for obj in objects:
-        if not obj.mask.bbox.intersects(tile_box):
-            continue
         local = crop_mask(obj.mask, tile.x0, tile.y0, tile.w, tile.h)
         if local.area == 0:
             continue
@@ -87,41 +87,45 @@ def _tile_gt(objects: Sequence[GroundTruthObject], tile: Tile) -> list[GroundTru
 def _simulated_proposals(
     scene: Scene, tiles: list[Tile], profile: DetectorProfile
 ) -> list[Proposal]:
+    visible = box_overlaps(
+        [BBox(t.x0, t.y0, t.w, t.h) for t in tiles], [o.mask.bbox for o in scene.objects]
+    )
     out = []
-    for tile in tiles:
-        local_gt = _tile_gt(scene.objects, tile)
+    for tile, row in zip(tiles, visible):
+        local_gt = _tile_gt([scene.objects[i] for i in np.flatnonzero(row)], tile)
         for p in simulate(profile, tile.w, tile.h, local_gt, origin=(tile.x0, tile.y0)):
             out.append(Proposal(remap_mask(tile, p.mask, scene.width, scene.height), p.objectness))
     return out
 
 
-def _record_proposals(
-    scene: Scene, tiles: list[Tile], records: Sequence[ProposalRecord]
-) -> list[Proposal]:
-    out = []
-    for rec in records:
-        if rec.tile_index is None:
-            if rec.width != scene.width or rec.height != scene.height:
-                raise ValueError(
-                    f"whole-image record is {rec.width}x{rec.height}, "
-                    f"image is {scene.width}x{scene.height}"
-                )
-            mask = rec.mask()
-        else:
-            if not 0 <= rec.tile_index < len(tiles):
-                raise ValueError(
-                    f"unknown tile_index {rec.tile_index}; grid has {len(tiles)} tiles"
-                )
-            tile = tiles[rec.tile_index]
-            if rec.width != tile.w or rec.height != tile.h:
-                raise ValueError(
-                    f"tile record is {rec.width}x{rec.height}, tile is {tile.w}x{tile.h}"
-                )
-            mask = remap_mask(tile, rec.mask(), scene.width, scene.height)
-        if mask.area == 0:
-            raise ValueError("proposal record with an empty mask")
-        out.append(Proposal(mask, rec.objectness))
-    return out
+def record_proposal(
+    rec: ProposalRecord, width: int, height: int, tiles: Sequence[Tile] = ()
+) -> Proposal:
+    """The image-coordinate proposal of one exchange record.
+
+    A whole-image record must match the image size; a tile record must name a
+    tile of ``tiles`` and match its size, and is remapped from it.
+    """
+    if rec.tile_index is None:
+        if rec.width != width or rec.height != height:
+            raise ValueError(
+                f"whole-image record is {rec.width}x{rec.height}, image is {width}x{height}"
+            )
+        mask = rec.mask
+    else:
+        if not 0 <= rec.tile_index < len(tiles):
+            raise ValueError(
+                f"unknown tile_index {rec.tile_index}; grid has {len(tiles)} tiles"
+            )
+        tile = tiles[rec.tile_index]
+        if rec.width != tile.w or rec.height != tile.h:
+            raise ValueError(
+                f"tile record is {rec.width}x{rec.height}, tile is {tile.w}x{tile.h}"
+            )
+        mask = remap_mask(tile, rec.mask, width, height)
+    if mask.area == 0:
+        raise ValueError("proposal record with an empty mask")
+    return Proposal(mask, rec.objectness)
 
 
 def run_tiled(scene: Scene, config: PipelineConfig) -> list[Proposal]:
@@ -132,7 +136,7 @@ def run_tiled(scene: Scene, config: PipelineConfig) -> list[Proposal]:
     if isinstance(config.detector, DetectorProfile):
         raw = _simulated_proposals(scene, tiles, config.detector)
     else:
-        raw = _record_proposals(scene, tiles, config.detector)
+        raw = [record_proposal(r, scene.width, scene.height, tiles) for r in config.detector]
     kept = nms(raw, config.nms_iou)
     return kept[: config.top_k]
 

@@ -58,11 +58,6 @@ class RasterImage:
     def channels(self) -> int:
         return 1 if self.pixels.ndim == 2 else 3
 
-    @property
-    def samples(self) -> np.ndarray:
-        """Row-major flat sample buffer of length width*height*channels."""
-        return self.pixels.reshape(-1)
-
 
 def _next_token(data: bytes, pos: int, skip_leading: bool) -> tuple[bytes, int]:
     n = len(data)

@@ -1,4 +1,4 @@
-"""Overlapping tile grids: planning, image cropping, and coordinate remapping.
+"""Overlapping tile grids: planning and coordinate remapping.
 
 Grids place tile origins every stride pixels starting at 0; the final row and
 column are clamped so the last tile ends exactly at the image border, which
@@ -9,10 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .masks import BinaryMask, embed_mask
-from .raster import RasterImage
 
 
 @dataclass(eq=True)
@@ -66,14 +63,6 @@ def plan_grid(img_w: int, img_h: int, spec: TileGridSpec) -> list[Tile]:
     return tiles
 
 
-def crop(image: RasterImage, tile: Tile) -> RasterImage:
-    """Exact pixel copy of the tile region."""
-    if tile.x0 < 0 or tile.y0 < 0 or tile.x0 + tile.w > image.width or tile.y0 + tile.h > image.height:
-        raise ValueError("tile outside the image")
-    region = image.pixels[tile.y0 : tile.y0 + tile.h, tile.x0 : tile.x0 + tile.w]
-    return RasterImage(region.copy(), image.depth)
-
-
 def remap_mask(tile: Tile, local: BinaryMask, img_w: int, img_h: int) -> BinaryMask:
     """Translate a tile-local mask onto the full image canvas."""
     if local.width != tile.w or local.height != tile.h:
@@ -82,15 +71,3 @@ def remap_mask(tile: Tile, local: BinaryMask, img_w: int, img_h: int) -> BinaryM
         )
     return embed_mask(local, tile.x0, tile.y0, img_w, img_h)
 
-
-def verify_coverage(img_w: int, img_h: int, tiles: list[Tile]) -> bool:
-    """True iff every image pixel lies inside at least one tile."""
-    covered = np.zeros((img_h, img_w), dtype=bool)
-    for t in tiles:
-        x0 = max(t.x0, 0)
-        y0 = max(t.y0, 0)
-        x1 = min(t.x0 + t.w, img_w)
-        y1 = min(t.y0 + t.h, img_h)
-        if x0 < x1 and y0 < y1:
-            covered[y0:y1, x0:x1] = True
-    return bool(covered.all())

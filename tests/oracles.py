@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from smallprop.masks import BinaryMask, mask_from_intervals, rle_decode
+from smallprop.masks import BinaryMask, rle_decode
 
 M64 = (1 << 64) - 1
 
@@ -48,15 +48,43 @@ def grid_bbox(grid: np.ndarray) -> tuple[int, int, int, int]:
     )
 
 
+def grid_runs(grid) -> tuple[int, ...]:
+    """Canonical run-length encoding of a row-major grid, counted pixel by pixel."""
+    runs, value = [0], False
+    for row in grid:
+        for px in row:
+            if bool(px) != value:
+                runs.append(0)
+                value = not value
+            runs[-1] += 1
+    return tuple(runs)
+
+
 def rect_mask(w: int, h: int, x0: int, y0: int, rw: int, rh: int) -> BinaryMask:
-    """Filled rectangle clipped to the canvas."""
-    intervals = []
-    for y in range(max(y0, 0), min(y0 + rh, h)):
-        a = max(x0, 0)
-        b = min(x0 + rw, w)
-        if a < b:
-            intervals.append((y * w + a, y * w + b))
-    return mask_from_intervals(w, h, intervals)
+    """Filled rectangle clipped to the canvas, built from runs counted by hand."""
+    xa, xb = max(x0, 0), min(x0 + rw, w)
+    ya, yb = max(y0, 0), min(y0 + rh, h)
+    if xa >= xb or ya >= yb:
+        return BinaryMask(w, h, (w * h,))
+    if xb - xa == w:  # full rows join into one run
+        runs = [ya * w, (yb - ya) * w]
+    else:
+        runs = [ya * w + xa] + [xb - xa, w - (xb - xa)] * (yb - ya - 1) + [xb - xa]
+    tail = w * h - (yb - 1) * w - xb
+    return BinaryMask(w, h, tuple(runs + [tail] if tail else runs))
+
+
+def verify_coverage(img_w: int, img_h: int, tiles) -> bool:
+    """True iff every image pixel lies inside at least one tile."""
+    covered = np.zeros((img_h, img_w), dtype=bool)
+    for t in tiles:
+        x0 = max(t.x0, 0)
+        y0 = max(t.y0, 0)
+        x1 = min(t.x0 + t.w, img_w)
+        y1 = min(t.y0 + t.h, img_h)
+        if x0 < x1 and y0 < y1:
+            covered[y0:y1, x0:x1] = True
+    return bool(covered.all())
 
 
 def ref_nms(proposals, iou_threshold):

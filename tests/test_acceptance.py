@@ -28,9 +28,9 @@ from smallprop.masks import mask_iou, rle_decode, rle_encode
 from smallprop.pipeline import PipelineConfig, nms
 from smallprop.prng import stream_seed
 from smallprop.synth import SceneSpec, generate_scene, save_scene, scene_stem
-from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask, verify_coverage
+from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
 from smallprop.masks import crop_mask
-from oracles import grid_iou, make_random_instance, oracle_report, rect_mask, ref_nms
+from oracles import grid_iou, make_random_instance, oracle_report, rect_mask, ref_nms, verify_coverage
 
 
 def _cli(*argv) -> int:

@@ -174,6 +174,22 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert run_cli("frobnicate") == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tile", "0x0"),
+    ("--stride", "0x0"),
+    ("--levels", "3"),
+    ("--top-k", "0"),
+    ("--nms-iou", "0"),
+])
+def test_invalid_flag_values_are_usage_errors(tmp_path, capsys, flag, value):
+    synth_small(tmp_path / "s", count=1)
+    out = tmp_path / "o"
+    assert run_cli("run", "--scenes", tmp_path / "s", "--out", out, flag, value) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+    assert flag in lines[0] and not out.exists()
+
+
 def test_data_error_exit_code(tmp_path, capsys):
     synth_small(tmp_path / "s", count=1)
     # tile larger than the image is a data/validation failure
@@ -205,6 +221,17 @@ def test_run_rejects_missing_exchange_dir(tmp_path, capsys):
                    "--exchange", tmp_path / "nope") == 2
     assert "--exchange" in _data_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["--scenes", "--proposals"])
+def test_eval_rejects_missing_dirs(tmp_path, capsys, missing):
+    synth_small(tmp_path / "s", count=1)
+    (tmp_path / "p").mkdir()
+    dirs = {"--scenes": tmp_path / "s", "--proposals": tmp_path / "p", missing: tmp_path / "nope"}
+    out = tmp_path / "r" / "report"
+    assert run_cli("eval", *(a for kv in dirs.items() for a in kv), "--out", out) == 2
+    assert missing in _data_error(capsys)
+    assert not out.parent.exists()
 
 
 def test_synth_rejects_apples_beyond_16_bit_ids(tmp_path, capsys):

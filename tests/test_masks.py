@@ -10,15 +10,12 @@ from smallprop.masks import (
     box_overlaps,
     crop_mask,
     embed_mask,
-    mask_area,
-    mask_bbox,
-    mask_from_intervals,
     mask_iou,
     rle_decode,
     rle_encode,
     shift_mask,
 )
-from oracles import grid_bbox, grid_iou, rect_mask
+from oracles import grid_bbox, grid_iou, grid_runs, rect_mask
 
 grids = hnp.arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24)))
 
@@ -94,7 +91,7 @@ def test_box_overlaps_matches_intersects(a, b):
 
 
 def test_area_example():
-    assert mask_area(BinaryMask(2, 2, (0, 4))) == 4
+    assert BinaryMask(2, 2, (0, 4)).area == 4
 
 
 def test_shift_identity():
@@ -114,9 +111,9 @@ def test_shift_clips_at_border():
 
 
 def test_bbox_examples():
-    assert mask_bbox(rect_mask(10, 8, 2, 1, 3, 4)) == BBox(2, 1, 3, 4)
-    assert mask_bbox(BinaryMask(5, 5, (25,))) == BBox(0, 0, 0, 0)
-    assert mask_bbox(BinaryMask(3, 3, (0, 9))) == BBox(0, 0, 3, 3)
+    assert rect_mask(10, 8, 2, 1, 3, 4).bbox == BBox(2, 1, 3, 4)
+    assert BinaryMask(5, 5, (25,)).bbox == BBox(0, 0, 0, 0)
+    assert BinaryMask(3, 3, (0, 9)).bbox == BBox(0, 0, 3, 3)
 
 
 def test_crop_and_embed_roundtrip():
@@ -131,9 +128,11 @@ def test_crop_and_embed_roundtrip():
         embed_mask(m, 5, 5, 16, 12)
 
 
-def test_mask_from_intervals_merges_adjacent():
-    m = mask_from_intervals(2, 2, [(0, 2), (2, 4)])
-    assert m.runs == (0, 4)
+def test_runs_merge_across_row_end():
+    # full rows, and a run from the right edge into the next row, are one run
+    assert rle_encode([[0, 0, 0], [1, 1, 1], [1, 1, 1]]).runs == (3, 6)
+    assert rle_encode([[0, 1, 1], [1, 1, 0]]).runs == (1, 4, 1)
+    assert crop_mask(rle_encode(np.ones((3, 5), bool)), 1, 0, 3, 3).runs == (0, 9)
 
 
 @given(grids)
@@ -185,3 +184,70 @@ def test_crop_matches_bruteforce(grid, data):
     y0 = data.draw(st.integers(0, h - ch))
     part = crop_mask(rle_encode(grid), x0, y0, cw, ch)
     assert np.array_equal(rle_decode(part), grid[y0 : y0 + ch, x0 : x0 + cw])
+
+
+def _assert_matches(mask, grid):
+    """Every view of ``mask`` equals the brute-force one of its full-canvas grid."""
+    h, w = grid.shape
+    assert (mask.width, mask.height) == (w, h)
+    assert np.array_equal(rle_decode(mask), grid)
+    assert mask.area == int(grid.sum())
+    assert (mask.bbox.x, mask.bbox.y, mask.bbox.w, mask.bbox.h) == grid_bbox(grid)
+    assert mask.runs == grid_runs(grid)
+    assert BinaryMask(w, h, mask.runs) == mask
+
+
+@st.composite
+def masked_grids(draw):
+    """Random grids, some with full-width rows and pixels on every canvas edge."""
+    h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    grid = draw(hnp.arrays(np.bool_, (h, w), elements=st.booleans() | st.just(False)))
+    for y in draw(st.lists(st.integers(0, h - 1), max_size=2)):
+        grid[y, :] = True
+    if draw(st.booleans()):
+        grid[0, draw(st.integers(0, w - 1))] = grid[-1, draw(st.integers(0, w - 1))] = True
+        grid[draw(st.integers(0, h - 1)), 0] = grid[draw(st.integers(0, h - 1)), -1] = True
+    return grid
+
+
+@settings(max_examples=300)
+@given(masked_grids(), st.data())
+@example(np.zeros((3, 4), bool), None)
+@example(np.ones((3, 4), bool), None)
+@example(np.array([[0, 1, 1], [1, 1, 1], [1, 0, 0]], bool), None)
+def test_mask_ops_match_grid_oracles(grid, data):
+    h, w = grid.shape
+    mask = BinaryMask(w, h, grid_runs(grid))
+    _assert_matches(mask, grid)
+    assert mask == rle_encode(grid)
+    if data is None:
+        return
+
+    cw, ch = data.draw(st.integers(1, w)), data.draw(st.integers(1, h))
+    x0, y0 = data.draw(st.integers(0, w - cw)), data.draw(st.integers(0, h - ch))
+    _assert_matches(crop_mask(mask, x0, y0, cw, ch), grid[y0 : y0 + ch, x0 : x0 + cw])
+
+    # shifts up to a full canvas side leave the canvas entirely
+    dx, dy = data.draw(st.integers(-w, w)), data.draw(st.integers(-h, h))
+    ys, xs = np.nonzero(grid)
+    ys, xs = ys + dy, xs + dx
+    keep = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    shifted = np.zeros_like(grid)
+    shifted[ys[keep], xs[keep]] = True
+    _assert_matches(shift_mask(mask, dx, dy), shifted)
+
+    big_w, big_h = w + data.draw(st.integers(0, 4)), h + data.draw(st.integers(0, 4))
+    ex, ey = data.draw(st.integers(0, big_w - w)), data.draw(st.integers(0, big_h - h))
+    embedded = np.zeros((big_h, big_w), bool)
+    embedded[ey : ey + h, ex : ex + w] = grid
+    _assert_matches(embed_mask(mask, ex, ey, big_w, big_h), embedded)
+
+    other = data.draw(hnp.arrays(np.bool_, grid.shape) | st.just(grid))
+    assert mask_iou(mask, rle_encode(other)) == grid_iou(grid, other)
+
+    # equality compares canvas size, box and pixels
+    if (big_w, big_h) != (w, h):
+        assert embed_mask(mask, 0, 0, big_w, big_h) != mask
+    flipped = grid.copy()
+    flipped[data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] ^= True
+    assert rle_encode(flipped) != mask

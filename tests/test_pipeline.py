@@ -159,9 +159,11 @@ def test_unknown_tile_index_rejected():
 
 def test_record_dimension_mismatch_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
-    records = [ProposalRecord("img", 32, 24, 0.5, (0, 768))]
-    with pytest.raises(ValueError, match="whole-image record"):
-        run_whole(scene, PipelineConfig(detector=records))
+    # a huge declared canvas is rejected by its size, before any pixel is decoded
+    for width, height in ((32, 24), (10**12, 1)):
+        records = [ProposalRecord("img", width, height, 0.5, (0, width * height))]
+        with pytest.raises(ValueError, match="whole-image record"):
+            run_whole(scene, PipelineConfig(detector=records))
 
 
 def test_empty_record_mask_rejected():

@@ -67,5 +67,6 @@ def test_image_validation():
 
 def test_samples_layout():
     img = RasterImage(np.arange(12, dtype=np.uint8).reshape(2, 2, 3))
-    assert img.samples.tolist() == list(range(12))
+    # the PPM payload order: rows top to bottom, pixels left to right, R G B
+    assert img.pixels.tobytes() == bytes(range(12))
     assert img.width == 2 and img.height == 2 and img.channels == 3

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smallprop.masks import crop_mask, mask_iou, rle_decode, rle_encode
-from smallprop.raster import RasterImage
-from smallprop.tiling import Tile, TileGridSpec, crop, plan_grid, remap_mask, verify_coverage
-from oracles import rect_mask
+from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
+from oracles import rect_mask, verify_coverage
 
 
 def test_grid_1280x720_non_overlapping():
@@ -38,36 +37,6 @@ def test_grid_rejects_oversize_tile():
 def test_spec_rejects_stride_beyond_tile():
     with pytest.raises(ValueError):
         TileGridSpec(320, 240, 400, 120)
-
-
-def _gradient(w, h):
-    grid = (np.arange(h)[:, None] * 31 + np.arange(w)[None, :] * 7) % 256
-    return RasterImage(grid.astype(np.uint8))
-
-
-def test_crop_full_image_is_identity():
-    img = _gradient(64, 48)
-    out = crop(img, Tile(0, 0, 0, 64, 48))
-    assert np.array_equal(out.pixels, img.pixels)
-
-
-def test_crop_single_pixel():
-    img = _gradient(8, 8)
-    out = crop(img, Tile(0, 0, 0, 1, 1))
-    assert out.pixels.shape == (1, 1)
-    assert out.pixels[0, 0] == img.pixels[0, 0]
-
-
-def test_crop_matches_direct_indexing():
-    img = _gradient(640, 480)
-    tile = Tile(3, 160, 120, 320, 240)
-    out = crop(img, tile)
-    assert np.array_equal(out.pixels, img.pixels[120:360, 160:480])
-
-
-def test_crop_out_of_bounds():
-    with pytest.raises(ValueError):
-        crop(_gradient(64, 48), Tile(0, 60, 0, 16, 16))
 
 
 def test_remap_origin_tile_zero_pads():
