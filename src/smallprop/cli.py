@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -23,7 +23,7 @@ from .exchange import read_proposals, record_from_proposal, write_proposals
 from .evaluation import evaluate_dataset, match, render_overlay, report_csv, report_json, report_text
 from .pipeline import PipelineConfig, record_proposal, run_tiled, run_whole
 from .raster import read_pnm, write_pnm
-from .synth import Scene, SceneSpec, generate_scene, list_scene_stems, load_scene, save_scene, scene_seed, scene_stem
+from .synth import SceneSpec, generate_scene, list_scene_stems, load_scene, save_scene, scene_seed, scene_stem
 from .tiling import TileGridSpec
 
 
@@ -56,6 +56,7 @@ _size = _checked(lambda t: tuple(map(int, t.lower().split("x"))),
 _levels = _checked(lambda t: tuple(map(int, t.split(","))),
                    lambda v: set(v) <= set(ALLOWED_LEVELS), f"comma-separated levels from {ALLOWED_LEVELS}")
 _positive_int = _checked(int, lambda v: v >= 1, "an integer of at least 1")
+_count = _checked(int, lambda v: v >= 0, "an integer of at least 0")
 _iou_threshold = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
 
@@ -83,66 +84,16 @@ def _write_manifest(path: Path, command: str, config: dict, inputs: dict, output
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _profile_dict(profile: DetectorProfile) -> dict:
-    return {
-        "name": profile.name,
-        "levels": list(profile.levels),
-        "input_w": profile.input_w,
-        "input_h": profile.input_h,
-        "window_cells": profile.window_cells,
-        "fill_min": profile.fill_min,
-        "fill_max": profile.fill_max,
-        "jitter": profile.jitter,
-        "objectness_noise": profile.objectness_noise,
-        "seed": profile.seed,
-    }
-
-
-def _load_profile_config(path: str) -> dict:
-    """key=value detector settings; '#' starts a comment line."""
-    values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected key=value")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key == "name":
-            values[key] = val
-        elif key == "levels":
-            values[key] = tuple(int(t) for t in val.split(","))
-        elif key in ("input_w", "input_h", "jitter", "seed"):
-            values[key] = int(val)
-        elif key in ("fill_min", "fill_max", "objectness_noise"):
-            values[key] = float(val)
-        else:
-            raise ValueError(f"{path}: line {lineno}: unknown detector field {key!r}")
-    return values
+# the DetectorProfile fields set by run's override flags of the same name;
+# --input-size sets input_w and input_h
+_PROFILE_FLAGS = ("levels", "fill_min", "fill_max", "jitter", "objectness_noise", "seed")
 
 
 def _resolve_profile(args) -> DetectorProfile:
-    profile = preset(args.detector)
-    if args.detector_config:
-        profile = replace(profile, **_load_profile_config(args.detector_config))
-    overrides: dict = {}
-    if args.levels is not None:
-        overrides["levels"] = args.levels
+    overrides = {f: getattr(args, f) for f in _PROFILE_FLAGS if getattr(args, f) is not None}
     if args.input_size is not None:
         overrides["input_w"], overrides["input_h"] = args.input_size
-    for flag, field in (
-        ("fill_min", "fill_min"),
-        ("fill_max", "fill_max"),
-        ("jitter", "jitter"),
-        ("objectness_noise", "objectness_noise"),
-        ("detector_seed", "seed"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field] = value
-    return replace(profile, **overrides) if overrides else profile
+    return replace(preset(args.detector), **overrides)
 
 
 def cmd_synth(args) -> int:
@@ -200,12 +151,12 @@ def cmd_run(args) -> int:
     stems = list_scene_stems(_existing_dir(args.scenes, "--scenes"))
     if args.exchange:
         _existing_dir(args.exchange, "--exchange")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     grid = None
     if args.mode == "tiled":
         grid = TileGridSpec(args.tile[0], args.tile[1], args.stride[0], args.stride[1])
     profile = None if args.exchange else _resolve_profile(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     def work(stem: str) -> str:
         return _run_one(stem, args, grid, profile, out)
@@ -222,7 +173,7 @@ def cmd_run(args) -> int:
         "stride": list(args.stride),
         "nms_iou": args.nms_iou,
         "top_k": args.top_k,
-        "detector": _profile_dict(profile) if profile else None,
+        "detector": asdict(profile) if profile else None,
         "exchange": args.exchange,
     }
     inputs = {"scenes": args.scenes}
@@ -317,7 +268,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate deterministic synthetic scenes")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--width", type=int, default=1280)
     p.add_argument("--height", type=int, default=720)
@@ -339,15 +290,14 @@ def build_parser() -> _Parser:
     p.add_argument("--stride", type=_size, default=(160, 120))
     p.add_argument("--nms-iou", type=_iou_threshold, default=0.7)
     p.add_argument("--top-k", type=_positive_int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--detector-config", help="key=value file overriding detector profile fields")
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--levels", type=_levels)
     p.add_argument("--input-size", type=_size)
     p.add_argument("--fill-min", type=float)
     p.add_argument("--fill-max", type=float)
     p.add_argument("--jitter", type=int)
     p.add_argument("--objectness-noise", type=float)
-    p.add_argument("--detector-seed", type=int)
+    p.add_argument("--detector-seed", type=int, dest="seed")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="evaluate proposals against scene ground truth")
@@ -362,7 +312,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instances", required=True)
     p.add_argument("--proposals", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--top-k", type=int, default=100)
+    p.add_argument("--top-k", type=_positive_int, default=100)
     p.set_defaults(func=cmd_overlay)
     return parser
 

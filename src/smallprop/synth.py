@@ -107,12 +107,11 @@ def generate_scene(spec: SceneSpec) -> Scene:
     """Render a scene; identical specs produce byte-identical scenes."""
     rng = SplitMix64(spec.seed)
     w, h = spec.width, spec.height
+    shade = np.array([rng.randint(0, 18) for _ in range(h)], dtype=np.uint8)[:, None]
     img = np.empty((h, w, 3), dtype=np.uint8)
-    for y in range(h):
-        shade = rng.randint(0, 18)
-        img[y, :, 0] = 30 + shade
-        img[y, :, 1] = 66 + shade
-        img[y, :, 2] = 36 + shade // 2
+    img[:, :, 0] = 30 + shade
+    img[:, :, 1] = 66 + shade
+    img[:, :, 2] = 36 + shade // 2
     labels = np.zeros((h, w), dtype=np.uint16)
 
     xs_hi = max(min(XS_RADIUS_MAX, spec.radius_max), spec.radius_min)

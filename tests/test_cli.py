@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from smallprop.cli import main
 from smallprop.exchange import read_proposals, record_from_proposal, write_proposals
-from smallprop.detector import Proposal
+from smallprop.detector import Proposal, preset
 from smallprop.raster import read_pnm
 from smallprop.synth import list_scene_stems, load_scene
 
@@ -174,17 +175,40 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert run_cli("frobnicate") == 1
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--tile", "0x0"),
-    ("--stride", "0x0"),
-    ("--levels", "3"),
-    ("--top-k", "0"),
-    ("--nms-iou", "0"),
-])
-def test_invalid_flag_values_are_usage_errors(tmp_path, capsys, flag, value):
+def _valid_argv(tmp_path, command, out):
+    """Arguments with which ``command`` succeeds; ``out`` is its output path."""
     synth_small(tmp_path / "s", count=1)
+    scene = tmp_path / "s" / "scene_5_0000"
+    (tmp_path / "p.jsonl").write_text("")
+    return {
+        "synth": ["synth", "--out", out],
+        "run": ["run", "--scenes", tmp_path / "s", "--out", out],
+        "overlay": ["overlay", "--image", f"{scene}.ppm", "--instances", f"{scene}.pgm",
+                    "--proposals", tmp_path / "p.jsonl", "--out", out],
+    }[command]
+
+
+_BAD_FLAG_VALUES = [
+    ("run", "--tile", "0x0"),
+    ("run", "--stride", "0x0"),
+    ("run", "--levels", "3"),
+    ("run", "--top-k", "0"),
+    ("run", "--nms-iou", "0"),
+    ("run", "--jobs", "0"),
+    ("run", "--jobs", "-4"),
+    ("overlay", "--top-k", "-1"),
+    ("overlay", "--top-k", "0"),
+    ("synth", "--count", "-3"),
+]
+
+
+# a case id names its subcommand unless that is run
+@pytest.mark.parametrize("command, flag, value", _BAD_FLAG_VALUES, ids=[
+    f"{flag}-{value}" if command == "run" else f"{command}-{flag}-{value}"
+    for command, flag, value in _BAD_FLAG_VALUES])
+def test_invalid_flag_values_are_usage_errors(tmp_path, capsys, command, flag, value):
     out = tmp_path / "o"
-    assert run_cli("run", "--scenes", tmp_path / "s", "--out", out, flag, value) == 1
+    assert run_cli(*_valid_argv(tmp_path, command, out), flag, value) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
     assert flag in lines[0] and not out.exists()
@@ -197,6 +221,11 @@ def test_data_error_exit_code(tmp_path, capsys):
                    "--mode", "tiled", "--tile", "999x999", "--stride", "999x999") == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "data"
+    # so is a detector profile the preset's own checks reject; nothing is written
+    out = tmp_path / "o2"
+    assert run_cli("run", "--scenes", tmp_path / "s", "--out", out, "--jitter", -1) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "data" and "jitter" in err["message"] and not out.exists()
 
 
 def _data_error(capsys):
@@ -241,16 +270,23 @@ def test_synth_rejects_apples_beyond_16_bit_ids(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_detector_config_file(tmp_path):
+@pytest.mark.parametrize("flag, value, fields", [
+    ("--levels", "4,8", {"levels": [4, 8]}),
+    ("--input-size", "640x480", {"input_w": 640, "input_h": 480}),
+    ("--fill-min", "0.3", {"fill_min": 0.3}),
+    ("--fill-max", "0.9", {"fill_max": 0.9}),
+    ("--jitter", "3", {"jitter": 3}),
+    ("--objectness-noise", "0.25", {"objectness_noise": 0.25}),
+    ("--detector-seed", "123", {"seed": 123}),
+])
+def test_detector_override_flags_reach_manifest(tmp_path, flag, value, fields):
     synth_small(tmp_path / "s", count=1)
-    cfg = tmp_path / "det.cfg"
-    cfg.write_text("# profile overrides\njitter=3\nobjectness_noise=0.25\nseed=123\n")
     out = tmp_path / "o"
-    assert run_cli("run", "--scenes", tmp_path / "s", "--out", out,
-                   "--detector-config", cfg, "--mode", "whole") == 0
+    assert run_cli("run", "--scenes", tmp_path / "s", "--out", out, "--mode", "whole", flag, value) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    det = manifest["config"]["detector"]
-    assert det["jitter"] == 3 and det["objectness_noise"] == 0.25 and det["seed"] == 123
+    stock = json.loads(json.dumps(asdict(preset("attentionmask"))))
+    assert manifest["config"]["detector"] == {**stock, **fields} != stock
+    assert manifest["seed"] == fields.get("seed", stock["seed"])
 
 
 def test_overlay_writes_ppm(tmp_path):

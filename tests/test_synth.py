@@ -48,9 +48,14 @@ def test_random_draws_in_unit_interval():
 
 
 def test_no_apples_gives_empty_scene():
-    scene = generate_scene(SceneSpec(width=64, height=48, n_apples=0, n_leaves=0, seed=1))
+    spec = SceneSpec(width=64, height=48, n_apples=0, n_leaves=0, seed=1)
+    scene = generate_scene(spec)
     assert scene.objects == []
     assert not scene.instances.labels.any()
+    # only the background is drawn: one shade per row, from the stream's first draws
+    for y, value in enumerate(ref_splitmix64(spec.seed, spec.height)):
+        shade = value % 19  # randint(0, 18)
+        assert scene.image.pixels[y].tolist() == [[30 + shade, 66 + shade, 36 + shade // 2]] * spec.width
 
 
 def test_generation_is_deterministic():
