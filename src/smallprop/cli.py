@@ -2,8 +2,8 @@
 
 Every subcommand is deterministic given its flags and writes a manifest next
 to its outputs; identical manifests imply byte-identical outputs. Exit codes:
-0 success, 1 usage error, 2 data or validation error. Errors are emitted on
-stderr as single-line JSON.
+0 success, 1 usage error (a flag value invalid whatever the input), 2 data or
+validation error. Errors are emitted on stderr as single-line JSON.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .annotations import instance_map_from_raster, extract_instances
-from .detector import ALLOWED_LEVELS, DetectorProfile, Proposal, preset, PRESET_LEVELS
+from .detector import DetectorProfile, preset, PRESET_LEVELS
 from .exchange import read_proposals, record_from_proposal, write_proposals
 from .evaluation import evaluate_dataset, match, render_overlay, report_csv, report_json, report_text
 from .pipeline import PipelineConfig, record_proposal, run_tiled, run_whole
@@ -50,14 +50,52 @@ def _checked(parse, ok, expected: str):
     return convert
 
 
-# invalid whatever the input, so a bad value is a usage error (exit 1)
-_size = _checked(lambda t: tuple(map(int, t.lower().split("x"))),
-                 lambda v: len(v) == 2 and min(v) >= 1, "WxH with positive sides")
-_levels = _checked(lambda t: tuple(map(int, t.split(","))),
-                   lambda v: set(v) <= set(ALLOWED_LEVELS), f"comma-separated levels from {ALLOWED_LEVELS}")
+# invalid whatever the input, so a bad value is a usage error (exit 1); the
+# range checks of sizes and levels are those of the objects built from them
+_size = _checked(lambda t: tuple(map(int, t.lower().split("x"))), lambda v: len(v) == 2, "WxH")
+_levels = _checked(lambda t: tuple(map(int, t.split(","))), bool, "comma-separated integers")
 _positive_int = _checked(int, lambda v: v >= 1, "an integer of at least 1")
 _count = _checked(int, lambda v: v >= 0, "an integer of at least 0")
 _iou_threshold = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+
+
+# flag -> (destination, type) of run's detector overrides; the destination is
+# the DetectorProfile field set, but input_size sets input_w and input_h
+_PROFILE_FLAGS = {
+    "--levels": ("levels", _levels),
+    "--input-size": ("input_size", _size),
+    "--fill-min": ("fill_min", float),
+    "--fill-max": ("fill_max", float),
+    "--jitter": ("jitter", int),
+    "--objectness-noise": ("objectness_noise", float),
+    "--detector-seed": ("seed", int),
+}
+# flag -> (SceneSpec field, type) of synth's scene flags; one not given keeps
+# the field's default
+_SCENE_FLAGS = {
+    "--width": ("width", int),
+    "--height": ("height", int),
+    "--apples": ("n_apples", int),
+    "--xs-fraction": ("xs_fraction", float),
+    "--leaves": ("n_leaves", int),
+    "--radius-min": ("radius_min", float),
+    "--radius-max": ("radius_max", float),
+    "--min-visible": ("min_visible", int),
+}
+
+
+def _given(args, flags: dict) -> dict:
+    """Flag -> value of each of ``flags`` given on the command line."""
+    return {f: getattr(args, dest) for f, (dest, _) in flags.items() if getattr(args, dest) is not None}
+
+
+def _usage(flags, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, an object holding the range checks of ``flags``;
+    a value it rejects is invalid whatever the input, so a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"{', '.join(flags)}: {exc}") from None
 
 
 def _existing_dir(path: str, flag: str) -> Path:
@@ -84,29 +122,35 @@ def _write_manifest(path: Path, command: str, config: dict, inputs: dict, output
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-# the DetectorProfile fields set by run's override flags of the same name;
-# --input-size sets input_w and input_h
-_PROFILE_FLAGS = ("levels", "fill_min", "fill_max", "jitter", "objectness_noise", "seed")
+def _resolve_profile(args) -> DetectorProfile | None:
+    """The preset with the override flags given; None with --exchange, which replaces the detector."""
+    given = _given(args, _PROFILE_FLAGS)
+    if args.exchange:
+        if given:
+            raise UsageError(f"{', '.join(given)}: detector flags do not apply with --exchange")
+        return None
+    overrides = {_PROFILE_FLAGS[f][0]: v for f, v in given.items()}
+    if "input_size" in overrides:
+        overrides["input_w"], overrides["input_h"] = overrides.pop("input_size")
+    return _usage(given, replace, preset(args.detector), **overrides)
 
 
-def _resolve_profile(args) -> DetectorProfile:
-    overrides = {f: getattr(args, f) for f in _PROFILE_FLAGS if getattr(args, f) is not None}
-    if args.input_size is not None:
-        overrides["input_w"], overrides["input_h"] = args.input_size
-    return replace(preset(args.detector), **overrides)
+def _read_records(path: Path, frame: tuple[int, int] | None = None) -> list:
+    """The records of a proposal file, each of which must name the file's stem;
+    given the image size ``frame``, the whole-image proposals they hold."""
+    records = read_proposals(path)
+    try:
+        for rec in records:
+            if rec.image_id != path.stem:
+                raise ValueError(f"record image_id {rec.image_id!r} does not match {path.stem!r}")
+        return records if frame is None else [record_proposal(rec, *frame) for rec in records]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_synth(args) -> int:
-    base = SceneSpec(
-        width=args.width,
-        height=args.height,
-        n_apples=args.apples,
-        radius_min=args.radius_min,
-        radius_max=args.radius_max,
-        xs_fraction=args.xs_fraction,
-        n_leaves=args.leaves,
-        min_visible=args.min_visible,
-    )
+    given = _given(args, _SCENE_FLAGS)
+    base = _usage(given, SceneSpec, **{_SCENE_FLAGS[f][0]: v for f, v in given.items()})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -114,47 +158,33 @@ def cmd_synth(args) -> int:
         spec = replace(base, seed=scene_seed(args.seed, i))
         scene = generate_scene(spec)
         outputs.extend(save_scene(scene, out, scene_stem(args.seed, i)))
-    config = {
-        "count": args.count,
-        "width": args.width,
-        "height": args.height,
-        "apples": args.apples,
-        "radius_min": args.radius_min,
-        "radius_max": args.radius_max,
-        "xs_fraction": args.xs_fraction,
-        "leaves": args.leaves,
-        "min_visible": args.min_visible,
-        "seed": args.seed,
-    }
+    # the manifest keys are the flag names
+    config = {f[2:].replace("-", "_"): getattr(base, field) for f, (field, _) in _SCENE_FLAGS.items()}
+    config.update(count=args.count, seed=args.seed)
     _write_manifest(out / "manifest.json", "synth", config, {}, outputs, args.seed)
     return 0
 
 
 def _run_one(stem: str, args, grid, profile, out: Path) -> str:
     scene = load_scene(args.scenes, stem)
-    if profile is not None:
-        source = profile
-    else:
-        exchange_path = Path(args.exchange) / f"{stem}.jsonl"
-        source = read_proposals(exchange_path) if exchange_path.exists() else []
+    source = profile
+    if profile is None:
+        path = Path(args.exchange) / f"{stem}.jsonl"
+        source = _read_records(path) if path.exists() else []
     config = PipelineConfig(detector=source, grid=grid, nms_iou=args.nms_iou, top_k=args.top_k)
-    if args.mode == "tiled":
-        proposals = run_tiled(scene, config)
-    else:
-        proposals = run_whole(scene, config)
+    proposals = (run_tiled if args.mode == "tiled" else run_whole)(scene, config)
     name = f"{stem}.jsonl"
     write_proposals([record_from_proposal(stem, p) for p in proposals], out / name)
     return name
 
 
 def cmd_run(args) -> int:
+    # whole mode ignores the grid (run_whole uses a one-tile grid) but checks its flags
+    grid = _usage(("--tile", "--stride"), TileGridSpec, *args.tile, *args.stride)
+    profile = _resolve_profile(args)
     stems = list_scene_stems(_existing_dir(args.scenes, "--scenes"))
     if args.exchange:
         _existing_dir(args.exchange, "--exchange")
-    grid = None
-    if args.mode == "tiled":
-        grid = TileGridSpec(args.tile[0], args.tile[1], args.stride[0], args.stride[1])
-    profile = None if args.exchange else _resolve_profile(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -186,20 +216,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _load_whole_image_proposals(path: Path, stem: str, width: int, height: int) -> list[Proposal]:
-    proposals = []
-    for rec in read_proposals(path):
-        if rec.image_id != stem:
-            raise ValueError(f"{path}: record image_id {rec.image_id!r} does not match {stem!r}")
-        if rec.tile_index is not None:
-            raise ValueError(f"{path}: expected whole-image records, found tile_index {rec.tile_index}")
-        try:
-            proposals.append(record_proposal(rec, width, height))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    return proposals
-
-
 def cmd_eval(args) -> int:
     stems = list_scene_stems(_existing_dir(args.scenes, "--scenes"))
     known = set(stems)
@@ -211,11 +227,7 @@ def cmd_eval(args) -> int:
     for stem in stems:
         scene = load_scene(args.scenes, stem)
         path = proposals_dir / f"{stem}.jsonl"
-        proposals = (
-            _load_whole_image_proposals(path, stem, scene.width, scene.height)
-            if path.exists()
-            else []
-        )
+        proposals = _read_records(path, (scene.width, scene.height)) if path.exists() else []
         per_image.append((scene.objects, proposals))
     system = args.system or proposals_dir.name
     report = evaluate_dataset(per_image, system=system)
@@ -242,9 +254,7 @@ def cmd_overlay(args) -> int:
     image = read_pnm(args.image)
     imap = instance_map_from_raster(read_pnm(args.instances))
     gt = extract_instances(imap)
-    proposals = _load_whole_image_proposals(
-        Path(args.proposals), Path(args.proposals).stem, imap.width, imap.height
-    )
+    proposals = _read_records(Path(args.proposals), (imap.width, imap.height))
     ranked = sorted(proposals, key=lambda p: -p.objectness)[: args.top_k]
     overlay = render_overlay(image, gt, ranked, match(gt, ranked))
     write_pnm(overlay, args.out)
@@ -270,14 +280,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=_count, default=1)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--width", type=int, default=1280)
-    p.add_argument("--height", type=int, default=720)
-    p.add_argument("--apples", type=int, default=40)
-    p.add_argument("--xs-fraction", type=float, default=0.51)
-    p.add_argument("--leaves", type=int, default=120)
-    p.add_argument("--radius-min", type=float, default=3.0)
-    p.add_argument("--radius-max", type=float, default=24.0)
-    p.add_argument("--min-visible", type=int, default=16)
+    for flag, (dest, kind) in _SCENE_FLAGS.items():
+        p.add_argument(flag, dest=dest, type=kind)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="generate proposals for every scene")
@@ -291,13 +295,8 @@ def build_parser() -> _Parser:
     p.add_argument("--nms-iou", type=_iou_threshold, default=0.7)
     p.add_argument("--top-k", type=_positive_int, default=100)
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--levels", type=_levels)
-    p.add_argument("--input-size", type=_size)
-    p.add_argument("--fill-min", type=float)
-    p.add_argument("--fill-max", type=float)
-    p.add_argument("--jitter", type=int)
-    p.add_argument("--objectness-noise", type=float)
-    p.add_argument("--detector-seed", type=int, dest="seed")
+    for flag, (dest, kind) in _PROFILE_FLAGS.items():
+        p.add_argument(flag, dest=dest, type=kind)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="evaluate proposals against scene ground truth")
@@ -318,16 +317,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         sys.stderr.write(json.dumps({"error": "usage", "message": str(exc)}) + "\n")
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (ValueError, OSError) as exc:  # covers the mask/pnm/exchange errors
         sys.stderr.write(json.dumps({"error": "data", "message": str(exc)}) + "\n")
         return 2

@@ -90,9 +90,9 @@ def _parse_record(doc, path, lineno: int) -> ProposalRecord:
     if isinstance(objectness, bool) or not isinstance(objectness, (int, float)):
         raise ExchangeFormatError(f"{path}: line {lineno}: objectness must be a number")
     runs = doc["runs"]
-    if not isinstance(runs, list) or any(isinstance(r, bool) or not isinstance(r, int) for r in runs):
+    if not isinstance(runs, list):
         raise ExchangeFormatError(f"{path}: line {lineno}: runs must be a list of integers")
-    try:
+    try:  # BinaryMask checks the run elements
         return ProposalRecord(
             image_id, doc["width"], doc["height"], objectness, tuple(runs), tile_index
         )
@@ -111,5 +111,7 @@ def read_proposals(path) -> list[ProposalRecord]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ExchangeFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+        except RecursionError:
+            raise ExchangeFormatError(f"{path}: line {lineno}: invalid JSON (nested too deeply)") from None
         out.append(_parse_record(doc, path, lineno))
     return out

@@ -59,7 +59,9 @@ class BinaryMask:
     def __init__(self, width: int, height: int, runs: Sequence[int]) -> None:
         if width < 1 or height < 1:
             raise ValueError(f"mask dimensions must be positive, got {width}x{height}")
-        runs = tuple(map(int, runs))
+        runs = tuple(runs)
+        if not set(map(type, runs)) <= {int}:  # exact types: a bool is an int instance
+            raise MaskFormatError("runs must be integers")
         if not runs:
             raise MaskFormatError("runs must be non-empty")
         if min(runs) < 0:

@@ -104,28 +104,18 @@ def record_proposal(
     """The image-coordinate proposal of one exchange record.
 
     A whole-image record must match the image size; a tile record must name a
-    tile of ``tiles`` and match its size, and is remapped from it.
+    tile of ``tiles`` and is remapped from it, which checks the tile size.
+    ``Proposal`` rejects an empty mask.
     """
     if rec.tile_index is None:
         if rec.width != width or rec.height != height:
             raise ValueError(
                 f"whole-image record is {rec.width}x{rec.height}, image is {width}x{height}"
             )
-        mask = rec.mask
-    else:
-        if not 0 <= rec.tile_index < len(tiles):
-            raise ValueError(
-                f"unknown tile_index {rec.tile_index}; grid has {len(tiles)} tiles"
-            )
-        tile = tiles[rec.tile_index]
-        if rec.width != tile.w or rec.height != tile.h:
-            raise ValueError(
-                f"tile record is {rec.width}x{rec.height}, tile is {tile.w}x{tile.h}"
-            )
-        mask = remap_mask(tile, rec.mask, width, height)
-    if mask.area == 0:
-        raise ValueError("proposal record with an empty mask")
-    return Proposal(mask, rec.objectness)
+        return Proposal(rec.mask, rec.objectness)
+    if not 0 <= rec.tile_index < len(tiles):
+        raise ValueError(f"unknown tile_index {rec.tile_index}; grid has {len(tiles)} tiles")
+    return Proposal(remap_mask(tiles[rec.tile_index], rec.mask, width, height), rec.objectness)
 
 
 def run_tiled(scene: Scene, config: PipelineConfig) -> list[Proposal]:

@@ -2,13 +2,16 @@
 
 The benchmark's tracer wraps functions by (module, attribute) and records a
 missing one instead of failing, and its exchange set-up imports package
-names directly. A refactor that drops such a name would quietly weaken a
-benchmark guard, so it fails here instead.
+names directly. A refactor that drops such a name, or reads proposal files
+around the hooked ``cli.read_proposals``, would quietly weaken a benchmark
+guard, so it fails here instead.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from smallprop import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,3 +32,24 @@ def test_benchmark_hooks_resolve():
                 if not callable(getattr(exchange_setup, attr, None))]
     assert missing == []
     assert callable(exchange_setup.write_exchange)
+
+
+def test_traced_run_and_eval_count_every_record(tmp_path, monkeypatch):
+    # the benchmark checks that run reads as many exchange records as set-up wrote
+    tracing = _load("tracing")
+    exchange_setup = _load("exchange_setup")
+    monkeypatch.chdir(tmp_path)
+    with tracing.Tracer() as tracer:
+        tracer.phase = "synth"
+        assert cli.main(["synth", "--out", "scenes", "--count", "2", "--width", "320", "--height", "240"]) == 0
+        tracer.phase = "exchange"
+        exchange_setup.write_exchange("scenes", "exchange", 42)
+        tracer.phase = "run"
+        assert cli.main(["run", "--scenes", "scenes", "--out", "props", "--exchange", "exchange"]) == 0
+        tracer.phase = "eval"
+        assert cli.main(["eval", "--scenes", "scenes", "--proposals", "props", "--out", "report"]) == 0
+    assert tracer.missing == [] and tracer.unavailable == set()
+    in_files = sum(len(p.read_text().splitlines()) for p in (tmp_path / "exchange").glob("*.jsonl"))
+    assert tracer.phase_counters[("run", "exchange.records_read")] == in_files > 0
+    written = tracer.phase_counters[("run", "exchange.records_written")]
+    assert tracer.phase_counters[("eval", "exchange.records_read")] == written > 0

@@ -180,12 +180,25 @@ def _valid_argv(tmp_path, command, out):
     synth_small(tmp_path / "s", count=1)
     scene = tmp_path / "s" / "scene_5_0000"
     (tmp_path / "p.jsonl").write_text("")
+    (tmp_path / "ex").mkdir()
     return {
         "synth": ["synth", "--out", out],
         "run": ["run", "--scenes", tmp_path / "s", "--out", out],
+        "exchange": ["run", "--scenes", tmp_path / "s", "--out", out, "--exchange", tmp_path / "ex"],
         "overlay": ["overlay", "--image", f"{scene}.ppm", "--instances", f"{scene}.pgm",
                     "--proposals", tmp_path / "p.jsonl", "--out", out],
     }[command]
+
+
+_OVERRIDES = [
+    ("--levels", "4,8", {"levels": [4, 8]}),
+    ("--input-size", "640x480", {"input_w": 640, "input_h": 480}),
+    ("--fill-min", "0.3", {"fill_min": 0.3}),
+    ("--fill-max", "0.9", {"fill_max": 0.9}),
+    ("--jitter", "3", {"jitter": 3}),
+    ("--objectness-noise", "0.25", {"objectness_noise": 0.25}),
+    ("--detector-seed", "123", {"seed": 123}),
+]
 
 
 _BAD_FLAG_VALUES = [
@@ -199,6 +212,13 @@ _BAD_FLAG_VALUES = [
     ("overlay", "--top-k", "-1"),
     ("overlay", "--top-k", "0"),
     ("synth", "--count", "-3"),
+    # range checks held by DetectorProfile, TileGridSpec and SceneSpec
+    ("run", "--jitter", "-1"),
+    ("run", "--fill-min", "2"),
+    ("run", "--stride", "400x100"),
+    ("synth", "--width", "0"),
+    # the exchange files replace the detector, so its flags would be ignored
+    *[("exchange", flag, value) for flag, value, _ in _OVERRIDES],
 ]
 
 
@@ -221,11 +241,6 @@ def test_data_error_exit_code(tmp_path, capsys):
                    "--mode", "tiled", "--tile", "999x999", "--stride", "999x999") == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "data"
-    # so is a detector profile the preset's own checks reject; nothing is written
-    out = tmp_path / "o2"
-    assert run_cli("run", "--scenes", tmp_path / "s", "--out", out, "--jitter", -1) == 2
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "data" and "jitter" in err["message"] and not out.exists()
 
 
 def _data_error(capsys):
@@ -264,21 +279,16 @@ def test_eval_rejects_missing_dirs(tmp_path, capsys, missing):
 
 
 def test_synth_rejects_apples_beyond_16_bit_ids(tmp_path, capsys):
+    # invalid whatever the input, so a usage error
     out = tmp_path / "s"
-    assert run_cli("synth", "--out", out, "--apples", 70000) == 2
-    assert "16-bit" in _data_error(capsys)
+    assert run_cli("synth", "--out", out, "--apples", 70000) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+    assert "--apples" in lines[0] and "16-bit" in lines[0]
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value, fields", [
-    ("--levels", "4,8", {"levels": [4, 8]}),
-    ("--input-size", "640x480", {"input_w": 640, "input_h": 480}),
-    ("--fill-min", "0.3", {"fill_min": 0.3}),
-    ("--fill-max", "0.9", {"fill_max": 0.9}),
-    ("--jitter", "3", {"jitter": 3}),
-    ("--objectness-noise", "0.25", {"objectness_noise": 0.25}),
-    ("--detector-seed", "123", {"seed": 123}),
-])
+@pytest.mark.parametrize("flag, value, fields", _OVERRIDES)
 def test_detector_override_flags_reach_manifest(tmp_path, flag, value, fields):
     synth_small(tmp_path / "s", count=1)
     out = tmp_path / "o"
@@ -287,6 +297,40 @@ def test_detector_override_flags_reach_manifest(tmp_path, flag, value, fields):
     stock = json.loads(json.dumps(asdict(preset("attentionmask"))))
     assert manifest["config"]["detector"] == {**stock, **fields} != stock
     assert manifest["seed"] == fields.get("seed", stock["seed"])
+
+
+def _proposal_file_argv(tmp_path, command, name):
+    """``command`` reading the proposal file ``<dir>/<name>.jsonl`` of scene set ``s``."""
+    scene = tmp_path / "s" / "scene_5_0000"
+    return {
+        "run": ["run", "--scenes", tmp_path / "s", "--out", tmp_path / "o", "--exchange", tmp_path / "p"],
+        "eval": ["eval", "--scenes", tmp_path / "s", "--proposals", tmp_path / "p", "--out", tmp_path / "r"],
+        "overlay": ["overlay", "--image", f"{scene}.ppm", "--instances", f"{scene}.pgm",
+                    "--proposals", tmp_path / "p" / f"{name}.jsonl", "--out", tmp_path / "o.ppm"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "overlay"])
+def test_record_naming_another_scene_rejected(tmp_path, capsys, command):
+    synth_small(tmp_path / "s", count=2)
+    stem, other = list_scene_stems(tmp_path / "s")
+    obj = load_scene(tmp_path / "s", other).objects[0]
+    path = tmp_path / "p" / f"{stem}.jsonl"
+    path.parent.mkdir()
+    write_proposals([record_from_proposal(other, Proposal(obj.mask, 0.5))], path)
+    assert run_cli(*_proposal_file_argv(tmp_path, command, stem)) == 2
+    message = _data_error(capsys)
+    assert str(path) in message and repr(other) in message
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_deeply_nested_line_is_a_format_error(tmp_path, capsys, command):
+    # deep enough for json.loads to raise RecursionError
+    synth_small(tmp_path / "s", count=1)
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "scene_5_0000.jsonl").write_text("[" * 200_000 + "\n")
+    assert run_cli(*_proposal_file_argv(tmp_path, command, "scene_5_0000")) == 2
+    assert "line 1" in _data_error(capsys)
 
 
 def test_overlay_writes_ppm(tmp_path):

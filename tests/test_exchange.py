@@ -96,6 +96,10 @@ def test_malformed_json_names_line(tmp_path):
         '{"image_id": 3, "width": 2, "height": 2, "objectness": 0.5, "runs": [4]}',
         '{"image_id": "x", "width": "2", "height": 2, "objectness": 0.5, "runs": [4]}',
         '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [4.0]}',
+        '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [true, 3]}',
+        '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": ["4"]}',
+        '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [[4]]}',
+        '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [null]}',
         '[1, 2]',
     ],
 )

@@ -157,6 +157,13 @@ def test_unknown_tile_index_rejected():
         run_tiled(scene, PipelineConfig(detector=records, grid=TileGridSpec(32, 24, 16, 12)))
 
 
+def test_tile_record_size_mismatch_rejected():
+    scene = disk_scene(64, 48, [(20, 20, 8)])
+    records = [ProposalRecord("img", 16, 24, 0.5, (0, 384), tile_index=1)]
+    with pytest.raises(ValueError, match="local mask is 16x24, tile is 32x24"):
+        run_tiled(scene, PipelineConfig(detector=records, grid=TileGridSpec(32, 24, 16, 12)))
+
+
 def test_record_dimension_mismatch_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     # a huge declared canvas is rejected by its size, before any pixel is decoded
