@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from smallprop.synth import (
     list_scene_stems,
     load_scene,
     save_scene,
+    scene_seed,
     scene_stem,
 )
 from oracles import ref_splitmix64
@@ -122,3 +125,50 @@ def test_scene_files_roundtrip(tmp_path):
     assert [(o.instance_id, o.area) for o in again.objects] == [
         (o.instance_id, o.area) for o in scene.objects
     ]
+
+
+# SHA-256 over each group's scenes in order: pixels, labels, then every
+# object's (instance_id, runs). Changing any of these is a behaviour change.
+_PINNED_SCENES = {
+    "seed42_defaults": (
+        [SceneSpec(seed=scene_seed(42, i)) for i in range(30)],
+        "5c489cae0ee06265b85df13b92f111e7af891de4c69e49e5c2f996361a5c03e3",
+    ),
+    "large_cluttered": (
+        [SceneSpec(width=2560, height=1440, n_apples=320, n_leaves=960, seed=7)],
+        "61e069b90f0ac0531b15ff124ddda164ddb9ff4458ada92c821c8c370aa3a0b8",
+    ),
+    "cluttered_50x40": (
+        [SceneSpec(width=50, height=40, n_apples=12, n_leaves=i % 5, radius_min=2,
+                   radius_max=9, min_visible=4, seed=1000 + i) for i in range(50)],
+        "4db29db9725b60f6a9256e38bcfb0b67b5e3eb89baca7d826dd5fce19f09fe03",
+    ),
+    "tiny_7x5": (
+        [SceneSpec(width=7, height=5, n_apples=3, n_leaves=i % 2, radius_min=2,
+                   radius_max=4, min_visible=1, seed=2000 + i) for i in range(20)],
+        "eddf7eecfcac1b08dc22e9836bf8062c3d34af2910bd08f66f37f9e33b510bd4",
+    ),
+    "empty": (
+        [SceneSpec(width=33, height=21, n_apples=0, n_leaves=0, seed=3)],
+        "808f49a146650d6d49c3212e7734c182af99b2fe40fe8d9f9988be7553ad01c9",
+    ),
+    # radii up to 60 on a 160x120 canvas: shapes cross every edge
+    "overflowing": (
+        [SceneSpec(width=160, height=120, n_apples=40, n_leaves=10, radius_min=2,
+                   radius_max=60, xs_fraction=0.3, min_visible=1, seed=s) for s in (11, 12)],
+        "55ab23af256ba24b77a4b51e21fb162096919dc5f89d28b0dc8fa65de077c3c0",
+    ),
+}
+
+
+@pytest.mark.parametrize("group", sorted(_PINNED_SCENES))
+def test_generated_scenes_match_pinned_digest(group):
+    specs, expected = _PINNED_SCENES[group]
+    digest = hashlib.sha256()
+    for spec in specs:
+        scene = generate_scene(spec)
+        digest.update(scene.image.pixels.tobytes())
+        digest.update(scene.instances.labels.tobytes())
+        for o in scene.objects:
+            digest.update(repr((o.instance_id, o.mask.runs)).encode())
+    assert digest.hexdigest() == expected
