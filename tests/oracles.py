@@ -6,6 +6,8 @@ code path with the run-length implementations under test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from smallprop.masks import BinaryMask, rle_decode
@@ -29,6 +31,95 @@ def ref_splitmix64(seed: int, n: int) -> list[int]:
         out.append(z ^ (z >> 31))
     return out
 
+
+
+class _RefStream:
+    """random/randint/uniform over a precomputed ref_splitmix64 stream."""
+
+    def __init__(self, seed: int, n: int) -> None:
+        self._draws = iter(ref_splitmix64(seed, n))
+
+    def random(self) -> float:
+        return (next(self._draws) >> 11) * 2.0**-53
+
+    def randint(self, lo: int, hi: int) -> int:
+        return lo + next(self._draws) % (hi - lo + 1)
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + self.random() * (hi - lo)
+
+
+def _ref_draw_disk(img, labels, cx, cy, r, color, idx) -> None:
+    h, w = labels.shape
+    y0 = max(int(math.ceil(cy - r)), 0)
+    y1 = min(int(math.floor(cy + r)), h - 1)
+    for y in range(y0, y1 + 1):
+        half = math.sqrt(max(r * r - (y - cy) ** 2, 0.0))
+        x0 = max(int(math.ceil(cx - half)), 0)
+        x1 = min(int(math.floor(cx + half)), w - 1)
+        if x0 <= x1:
+            img[y, x0 : x1 + 1] = color
+            labels[y, x0 : x1 + 1] = idx
+
+
+def _ref_draw_ellipse(img, labels, cx, cy, ax, ay, color) -> None:
+    h, w = labels.shape
+    y0 = max(int(math.ceil(cy - ay)), 0)
+    y1 = min(int(math.floor(cy + ay)), h - 1)
+    for y in range(y0, y1 + 1):
+        t = 1.0 - ((y - cy) / ay) ** 2
+        half = ax * math.sqrt(max(t, 0.0))
+        x0 = max(int(math.ceil(cx - half)), 0)
+        x1 = min(int(math.floor(cx + half)), w - 1)
+        if x0 <= x1:
+            img[y, x0 : x1 + 1] = color
+            labels[y, x0 : x1 + 1] = 0
+
+
+def ref_scene(spec) -> tuple[np.ndarray, np.ndarray]:
+    """(pixels, labels) of a SceneSpec, drawn shape by shape and row by row.
+
+    Apples are disks drawn in index order, then leaves are ellipses drawn over
+    them; apples left with fewer than min_visible pixels are erased from the
+    labels. The scene makes h + 7 * (n_apples + n_leaves) draws: one shade per
+    row, then 7 per apple and 7 per leaf.
+    """
+    w, h = spec.width, spec.height
+    rng = _RefStream(spec.seed, h + 7 * (spec.n_apples + spec.n_leaves))
+    shade = np.array([rng.randint(0, 18) for _ in range(h)], dtype=np.uint8)[:, None]
+    img = np.empty((h, w, 3), dtype=np.uint8)
+    img[:, :, 0] = 30 + shade
+    img[:, :, 1] = 66 + shade
+    img[:, :, 2] = 36 + shade // 2
+    labels = np.zeros((h, w), dtype=np.uint16)
+
+    # radius bands of the XS and larger apples, and the leaf half-axis ranges
+    xs_hi = max(min(12.0, spec.radius_max), spec.radius_min)
+    big_lo = min(max(13.3, spec.radius_min), spec.radius_max)
+    for idx in range(1, spec.n_apples + 1):
+        take_xs = rng.random() < spec.xs_fraction
+        if take_xs:
+            r = rng.uniform(spec.radius_min, xs_hi)
+        else:
+            r = rng.uniform(big_lo, spec.radius_max)
+        cx = rng.uniform(0.0, float(w))
+        cy = rng.uniform(0.0, float(h))
+        color = (rng.randint(150, 215), rng.randint(35, 85), rng.randint(30, 70))
+        _ref_draw_disk(img, labels, cx, cy, r, color, idx)
+
+    for _ in range(spec.n_leaves):
+        cx = rng.uniform(0.0, float(w))
+        cy = rng.uniform(0.0, float(h))
+        ax = rng.uniform(18.0, 44.0)
+        ay = rng.uniform(8.0, 18.0)
+        color = (rng.randint(120, 200), rng.randint(45, 105), rng.randint(30, 75))
+        _ref_draw_ellipse(img, labels, cx, cy, ax, ay, color)
+
+    counts = np.bincount(labels.ravel(), minlength=spec.n_apples + 1)
+    weak = np.flatnonzero((counts > 0) & (counts < spec.min_visible))
+    if weak.size:
+        labels[np.isin(labels, weak)] = 0
+    return img, labels
 
 def grid_iou(a: np.ndarray, b: np.ndarray) -> float:
     inter = int(np.logical_and(a, b).sum())

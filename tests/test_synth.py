@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smallprop.annotations import SizeCategory
 from smallprop.masks import rle_decode
@@ -16,7 +17,7 @@ from smallprop.synth import (
     scene_seed,
     scene_stem,
 )
-from oracles import ref_splitmix64
+from oracles import ref_scene, ref_splitmix64
 
 
 def test_splitmix64_reference_vectors():
@@ -172,3 +173,27 @@ def test_generated_scenes_match_pinned_digest(group):
         for o in scene.objects:
             digest.update(repr((o.instance_id, o.mask.runs)).encode())
     assert digest.hexdigest() == expected
+
+
+scene_specs = st.builds(
+    SceneSpec,
+    width=st.integers(1, 90),
+    height=st.integers(1, 70),
+    n_apples=st.integers(0, 25),
+    radius_min=st.sampled_from([2.0, 3.0, 12.0, 13.3, 20.0]),
+    radius_max=st.sampled_from([24.0, 60.0, 120.0]),
+    xs_fraction=st.sampled_from([0.0, 0.51, 1.0]),
+    n_leaves=st.integers(0, 6),
+    min_visible=st.integers(0, 30),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene_specs)
+def test_generate_scene_matches_row_loop_oracle(spec):
+    scene = generate_scene(spec)
+    pixels, labels = ref_scene(spec)
+    assert np.array_equal(scene.image.pixels, pixels)
+    assert np.array_equal(scene.instances.labels, labels)
+    assert {o.instance_id for o in scene.objects} == set(np.unique(labels).tolist()) - {0}
