@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -14,6 +16,29 @@ def prng_next(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     z ^= z >> 31
     return z, state
+
+
+def splitmix64_block(seed: int, n: int) -> np.ndarray:
+    """The first n draws of ``SplitMix64(seed)``; draw i (from 1) mixes seed + i * golden."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(seed & MASK64)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+# random, randint and uniform map raw draws, one int or a uint64 array, to values
+def random(u):
+    """Uniform float in [0, 1) with 53 bits of precision."""
+    return (u >> 11) * 2.0**-53
+
+
+def randint(u, lo: int, hi: int):
+    """Uniform integer in [lo, hi], both ends inclusive (lo >= 0 for arrays)."""
+    return lo + u % (hi - lo + 1)
+
+
+def uniform(u, lo, hi):
+    return lo + random(u) * (hi - lo)
 
 
 def stream_seed(base: int, *keys: int) -> int:
@@ -35,14 +60,9 @@ class SplitMix64:
         return value
 
     def random(self) -> float:
-        """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return random(self.next_u64())
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], both ends inclusive."""
         if hi < lo:
             raise ValueError("empty range")
-        return lo + self.next_u64() % (hi - lo + 1)
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + self.random() * (hi - lo)
+        return randint(self.next_u64(), lo, hi)

@@ -9,14 +9,13 @@ which makes generation a pure function of the spec.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .annotations import GroundTruthObject, InstanceMap, extract_instances, instance_map_from_raster, instance_map_to_raster
-from .prng import SplitMix64, stream_seed
+from .prng import randint, random, splitmix64_block, stream_seed, uniform
 from .raster import RasterImage, read_pnm, write_pnm
 
 # Radius bands of the two mixture components. A rasterized disk of radius
@@ -27,6 +26,9 @@ LARGE_RADIUS_MIN = 13.3
 
 _LEAF_AX = (18.0, 44.0)
 _LEAF_AY = (8.0, 18.0)
+# inclusive (lo, hi) of each RGB channel
+_APPLE_RGB = ((150, 215), (35, 85), (30, 70))
+_LEAF_RGB = ((120, 200), (45, 105), (30, 75))
 
 
 @dataclass(eq=True)
@@ -76,38 +78,30 @@ class Scene:
         return self.instances.height
 
 
-def _draw_disk(img, labels, cx, cy, r, color, idx) -> None:
-    h, w = labels.shape
-    y0 = max(int(math.ceil(cy - r)), 0)
-    y1 = min(int(math.floor(cy + r)), h - 1)
-    for y in range(y0, y1 + 1):
-        half = math.sqrt(max(r * r - (y - cy) ** 2, 0.0))
-        x0 = max(int(math.ceil(cx - half)), 0)
-        x1 = min(int(math.floor(cx + half)), w - 1)
-        if x0 <= x1:
-            img[y, x0 : x1 + 1] = color
-            labels[y, x0 : x1 + 1] = idx
+def _span(c, half, size: int):
+    """Start and length of the integers in [c - half, c + half] that lie in [0, size)."""
+    start = np.maximum(np.ceil(c - half), 0).astype(np.intp)
+    return start, np.maximum(np.minimum(np.floor(c + half), size - 1).astype(np.intp) - start + 1, 0)
 
 
-def _draw_ellipse(img, labels, cx, cy, ax, ay, color) -> None:
-    h, w = labels.shape
-    y0 = max(int(math.ceil(cy - ay)), 0)
-    y1 = min(int(math.floor(cy + ay)), h - 1)
-    for y in range(y0, y1 + 1):
-        t = 1.0 - ((y - cy) / ay) ** 2
-        half = ax * math.sqrt(max(t, 0.0))
-        x0 = max(int(math.ceil(cx - half)), 0)
-        x1 = min(int(math.floor(cx + half)), w - 1)
-        if x0 <= x1:
-            img[y, x0 : x1 + 1] = color
-            labels[y, x0 : x1 + 1] = 0
+def _expand(start, length):
+    """The ranges start[i] .. start[i] + length[i] - 1, concatenated."""
+    out = np.repeat(start - (np.cumsum(length) - length), length)
+    out += np.arange(len(out))
+    return out
 
 
 def generate_scene(spec: SceneSpec) -> Scene:
-    """Render a scene; identical specs produce byte-identical scenes."""
-    rng = SplitMix64(spec.seed)
-    w, h = spec.width, spec.height
-    shade = np.array([rng.randint(0, 18) for _ in range(h)], dtype=np.uint8)[:, None]
+    """Render a scene; identical specs produce byte-identical scenes.
+
+    The scene makes h + 7 * (n_apples + n_leaves) draws: one shade per row,
+    then 7 per apple and 7 per leaf. Shapes are numbered apples 1..n_apples,
+    then leaves, and the highest shape index covering a pixel owns it.
+    """
+    w, h, n = spec.width, spec.height, spec.n_apples
+    u = splitmix64_block(spec.seed, h + 7 * (n + spec.n_leaves))
+    apple, leaf = u[h : h + 7 * n].reshape(n, 7).T, u[h + 7 * n :].reshape(-1, 7).T
+    shade = randint(u[:h], 0, 18).astype(np.uint8)[:, None]
     img = np.empty((h, w, 3), dtype=np.uint8)
     img[:, :, 0] = 30 + shade
     img[:, :, 1] = 66 + shade
@@ -116,29 +110,42 @@ def generate_scene(spec: SceneSpec) -> Scene:
 
     xs_hi = max(min(XS_RADIUS_MAX, spec.radius_max), spec.radius_min)
     big_lo = min(max(LARGE_RADIUS_MIN, spec.radius_min), spec.radius_max)
-    for idx in range(1, spec.n_apples + 1):
-        take_xs = rng.random() < spec.xs_fraction
-        if take_xs:
-            r = rng.uniform(spec.radius_min, xs_hi)
-        else:
-            r = rng.uniform(big_lo, spec.radius_max)
-        cx = rng.uniform(0.0, float(w))
-        cy = rng.uniform(0.0, float(h))
-        color = (rng.randint(150, 215), rng.randint(35, 85), rng.randint(30, 70))
-        _draw_disk(img, labels, cx, cy, r, color, idx)
+    take_xs = random(apple[0]) < spec.xs_fraction
+    r = uniform(apple[1], np.where(take_xs, spec.radius_min, big_lo), np.where(take_xs, xs_hi, spec.radius_max))
+    cx = uniform(np.concatenate([apple[2], leaf[0]]), 0.0, float(w))
+    cy = uniform(np.concatenate([apple[3], leaf[1]]), 0.0, float(h))
+    ax, ay = uniform(leaf[2], *_LEAF_AX), uniform(leaf[3], *_LEAF_AY)
 
-    for _ in range(spec.n_leaves):
-        cx = rng.uniform(0.0, float(w))
-        cy = rng.uniform(0.0, float(h))
-        ax = rng.uniform(*_LEAF_AX)
-        ay = rng.uniform(*_LEAF_AY)
-        color = (rng.randint(120, 200), rng.randint(45, 105), rng.randint(30, 75))
-        _draw_ellipse(img, labels, cx, cy, ax, ay, color)
+    # every covered row: its half-width from the row loop's float expressions
+    # (float_power is the C library's pow, as Python's ** is), then its span
+    y0, rows = _span(cy, np.concatenate([r, ay]), h)
+    shape, y = np.repeat(np.arange(len(cy)), rows), _expand(y0, rows)
+    d, k = y - cy[shape], np.searchsorted(shape, n)
+    ri, li = r[shape[:k]], shape[k:] - n
+    half = np.concatenate([
+        np.sqrt(np.maximum(ri * ri - np.float_power(d[:k], 2.0), 0.0)),
+        ax[li] * np.sqrt(np.maximum(1.0 - np.float_power(d[k:] / ay[li], 2.0), 0.0)),
+    ])
+    x0, length = _span(cx[shape], half, w)
+    pix = _expand(y * w + x0, length)
 
-    counts = np.bincount(labels.ravel(), minlength=spec.n_apples + 1)
-    weak = np.flatnonzero((counts > 0) & (counts < spec.min_visible))
-    if weak.size:
-        labels[np.isin(labels, weak)] = 0
+    # painter's order: the highest shape index covering a pixel owns it, and
+    # a shape covers a pixel at most once, so one entry per painted pixel wins
+    grid = np.zeros(h * w, dtype=np.min_scalar_type(len(cx)))
+    index = np.repeat((shape + 1).astype(grid.dtype), length)
+    np.maximum.at(grid, pix, index)
+    won = grid[pix] == index
+    pix, owner = pix[won], index[won]
+    label = np.where(owner > n, 0, owner)  # leaves hide apples but carry no label
+    weak = np.bincount(label, minlength=n + 1) < spec.min_visible
+    label[weak[label]] = 0
+    labels.reshape(-1)[pix] = label
+    flat = img.reshape(-1)
+    pix *= 3  # the first sample of each painted pixel, then the next channel's
+    for c, (apple_rgb, leaf_rgb) in enumerate(zip(_APPLE_RGB, _LEAF_RGB)):
+        color = np.concatenate([randint(apple[4 + c], *apple_rgb), randint(leaf[4 + c], *leaf_rgb)])
+        flat[pix] = color.astype(np.uint8)[owner - 1]
+        pix += 1
 
     imap = InstanceMap(labels)
     return Scene(RasterImage(img), imap, extract_instances(imap))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from smallprop.annotations import SizeCategory
 from smallprop.masks import rle_decode
-from smallprop.prng import SplitMix64, prng_next, stream_seed
+from smallprop.prng import SplitMix64, prng_next, splitmix64_block, stream_seed
 from smallprop.synth import (
     Scene,
     SceneSpec,
@@ -30,6 +30,14 @@ def test_splitmix64_reference_vectors():
 def test_splitmix64_matches_reference_stream():
     rng = SplitMix64(987654321)
     assert [rng.next_u64() for _ in range(50)] == ref_splitmix64(987654321, 50)
+
+
+@pytest.mark.parametrize("seed", [0, 987654321, 2**64 - 1, -1, -(2**70) + 3])
+@pytest.mark.parametrize("n", [0, 1, 50])
+def test_splitmix64_block_matches_reference_stream(seed, n):
+    block = splitmix64_block(seed, n)
+    assert block.dtype == np.uint64
+    assert block.tolist() == ref_splitmix64(seed, n)
 
 
 def test_distinct_seeds_distinct_outputs():
