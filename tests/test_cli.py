@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -184,7 +184,8 @@ def _valid_argv(tmp_path, command, out):
     return {
         "synth": ["synth", "--out", out],
         "run": ["run", "--scenes", tmp_path / "s", "--out", out],
-        "exchange": ["run", "--scenes", tmp_path / "s", "--out", out, "--exchange", tmp_path / "ex"],
+        "exchange": ["run", "--scenes", tmp_path / "s", "--out", out, "--exchange", tmp_path / "ex",
+                     "--mode", "whole"],
         "overlay": ["overlay", "--image", f"{scene}.ppm", "--instances", f"{scene}.pgm",
                     "--proposals", tmp_path / "p.jsonl", "--out", out],
     }[command]
@@ -218,6 +219,7 @@ _BAD_FLAG_VALUES = [
     ("run", "--stride", "400x100"),
     ("synth", "--width", "0"),
     # the exchange files replace the detector, so its flags would be ignored
+    ("exchange", "--detector", "fastmask"),
     *[("exchange", flag, value) for flag, value, _ in _OVERRIDES],
 ]
 
@@ -331,6 +333,36 @@ def test_deeply_nested_line_is_a_format_error(tmp_path, capsys, command):
     (tmp_path / "p" / "scene_5_0000.jsonl").write_text("[" * 200_000 + "\n")
     assert run_cli(*_proposal_file_argv(tmp_path, command, "scene_5_0000")) == 2
     assert "line 1" in _data_error(capsys)
+
+
+def test_truncated_scene_error_names_file(tmp_path, capsys):
+    synth_small(tmp_path / "s", count=1)
+    pgm = tmp_path / "s" / "scene_5_0000.pgm"
+    pgm.write_bytes(pgm.read_bytes()[:100])
+    assert run_cli("run", "--scenes", tmp_path / "s", "--out", tmp_path / "o") == 2
+    assert _data_error(capsys) == f"{pgm}: payload is 84 bytes, expected 38400"
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_non_ascii_proposal_file_names_file(tmp_path, capsys, command):
+    synth_small(tmp_path / "s", count=1)
+    (tmp_path / "p").mkdir()
+    path = tmp_path / "p" / "scene_5_0000.jsonl"
+    path.write_bytes(b"\xff\n")
+    assert run_cli(*_proposal_file_argv(tmp_path, command, "scene_5_0000")) == 2
+    assert _data_error(capsys) == f"{path}: line 1: non-ASCII byte 0xff"
+
+
+def test_exchange_tile_record_error_names_file(tmp_path, capsys):
+    synth_small(tmp_path / "s", count=2)
+    stem = list_scene_stems(tmp_path / "s")[0]
+    obj = load_scene(tmp_path / "s", stem).objects[0]
+    path = tmp_path / "p" / f"{stem}.jsonl"
+    path.parent.mkdir()
+    rec = record_from_proposal(stem, Proposal(obj.mask, 0.5))
+    write_proposals([replace(rec, tile_index=99)], path)
+    assert run_cli(*_proposal_file_argv(tmp_path, "run", stem), "--mode", "whole") == 2
+    assert _data_error(capsys) == f"{path}: unknown tile_index 99; grid has 1 tiles"
 
 
 def test_overlay_writes_ppm(tmp_path):

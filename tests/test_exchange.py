@@ -110,6 +110,14 @@ def test_schema_violations_rejected(tmp_path, line):
         read_proposals(path)
 
 
+def test_non_ascii_byte_names_file_and_line(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(format_record(sample_records()[0]).encode() + b"\n\xff\n")
+    with pytest.raises(ExchangeFormatError) as exc:
+        read_proposals(path)
+    assert str(exc.value) == f"{path}: line 2: non-ASCII byte 0xff"
+
+
 def test_blank_lines_skipped(tmp_path):
     path = tmp_path / "g.jsonl"
     path.write_text('\n{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [4]}\n\n')

@@ -56,6 +56,15 @@ def test_malformed_files_rejected(tmp_path, payload):
         read_pnm(path)
 
 
+def test_format_error_names_the_file(tmp_path):
+    path = tmp_path / "cut.pgm"
+    write_pnm(RasterImage(np.zeros((240, 320), np.uint16), 16), path)
+    path.write_bytes(path.read_bytes()[:100])
+    with pytest.raises(PnmFormatError) as exc:
+        read_pnm(path)
+    assert str(exc.value) == f"{path}: payload is 83 bytes, expected 153600"
+
+
 def test_image_validation():
     with pytest.raises(ValueError):
         RasterImage(np.zeros((2, 2, 3), dtype=np.uint16), 16)  # rgb must be 8-bit
