@@ -126,13 +126,14 @@ def _resolve_profile(args) -> DetectorProfile | None:
     """The preset with the override flags given; None with --exchange, which replaces the detector."""
     given = _given(args, _PROFILE_FLAGS)
     if args.exchange:
-        if given:
-            raise UsageError(f"{', '.join(given)}: detector flags do not apply with --exchange")
+        flags = ["--detector"] * (args.detector is not None) + list(given)
+        if flags:
+            raise UsageError(f"{', '.join(flags)}: detector flags do not apply with --exchange")
         return None
     overrides = {_PROFILE_FLAGS[f][0]: v for f, v in given.items()}
     if "input_size" in overrides:
         overrides["input_w"], overrides["input_h"] = overrides.pop("input_size")
-    return _usage(given, replace, preset(args.detector), **overrides)
+    return _usage(given, replace, preset(args.detector or "attentionmask"), **overrides)
 
 
 def _read_records(path: Path, frame: tuple[int, int] | None = None) -> list:
@@ -167,12 +168,15 @@ def cmd_synth(args) -> int:
 
 def _run_one(stem: str, args, grid, profile, out: Path) -> str:
     scene = load_scene(args.scenes, stem)
-    source = profile
-    if profile is None:
-        path = Path(args.exchange) / f"{stem}.jsonl"
-        source = _read_records(path) if path.exists() else []
-    config = PipelineConfig(detector=source, grid=grid, nms_iou=args.nms_iou, top_k=args.top_k)
-    proposals = (run_tiled if args.mode == "tiled" else run_whole)(scene, config)
+    path = Path(args.exchange) / f"{stem}.jsonl" if args.exchange else None
+    records = _read_records(path) if path and path.exists() else []
+    config = PipelineConfig(detector=profile or records, grid=grid, nms_iou=args.nms_iou, top_k=args.top_k)
+    try:
+        proposals = (run_tiled if args.mode == "tiled" else run_whole)(scene, config)
+    except ValueError as exc:
+        if not records:
+            raise
+        raise ValueError(f"{path}: {exc}") from None  # e.g. a record naming no tile of the grid
     name = f"{stem}.jsonl"
     write_proposals([record_from_proposal(stem, p) for p in proposals], out / name)
     return name
@@ -287,7 +291,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="generate proposals for every scene")
     p.add_argument("--scenes", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--detector", choices=sorted(PRESET_LEVELS), default="attentionmask")
+    p.add_argument("--detector", choices=sorted(PRESET_LEVELS), help="default: attentionmask")
     p.add_argument("--exchange", help="read per-image proposal JSONL from this directory instead of simulating")
     p.add_argument("--mode", choices=("whole", "tiled"), default="tiled")
     p.add_argument("--tile", type=_size, default=(320, 240))

@@ -43,9 +43,6 @@ class Assignment:
 
     pairs: tuple[tuple[int, int, float], ...]
 
-    def iou_by_gt(self) -> dict[int, float]:
-        return {gid: iou for gid, _, iou in self.pairs}
-
     def proposal_by_gt(self) -> dict[int, int]:
         return {gid: pi for gid, pi, _ in self.pairs}
 
@@ -100,18 +97,6 @@ def match(gt: Sequence[GroundTruthObject], proposals: Sequence[Proposal]) -> Ass
     Proposals are expected to be truncated to the evaluation budget already.
     """
     return Assignment(tuple(_greedy(_iou_pairs(gt, proposals))))
-
-
-def average_recall(gt: Sequence[GroundTruthObject], assignment: Assignment) -> float:
-    """Mean recall over the ten IoU thresholds for a single image."""
-    if not gt:
-        raise ValueError("average recall is undefined for empty ground truth")
-    ious = assignment.iou_by_gt()
-    recalls = [
-        sum(1 for g in gt if ious.get(g.instance_id, 0.0) >= t) / len(gt)
-        for t in IOU_THRESHOLDS
-    ]
-    return sum(recalls) / len(IOU_THRESHOLDS)
 
 
 def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[float | None, int]:

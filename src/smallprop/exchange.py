@@ -102,7 +102,12 @@ def _parse_record(doc, path, lineno: int) -> ProposalRecord:
 
 def read_proposals(path) -> list[ProposalRecord]:
     """Parse a JSONL proposal file, preserving file order."""
-    text = Path(path).read_text(encoding="ascii")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ExchangeFormatError(f"{path}: line {line}: non-ASCII byte {data[exc.start]:#x}") from None
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

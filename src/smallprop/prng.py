@@ -26,9 +26,8 @@ def splitmix64_block(seed: int, n: int) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-# random, randint and uniform map raw draws, one int or a uint64 array, to values
 def random(u):
-    """Uniform float in [0, 1) with 53 bits of precision."""
+    """Uniform float in [0, 1) with 53 bits of precision from draw(s) u (int or uint64 array)."""
     return (u >> 11) * 2.0**-53
 
 

@@ -8,6 +8,7 @@ one whitespace byte, then the raw sample payload.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,9 @@ class PnmFormatError(ValueError):
 
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+# (magic, maxval) -> per-pixel sample shape and wire dtype of the payload
+_LAYOUTS = {(b"P6", 255): ((3,), np.dtype("u1")), (b"P5", 255): ((), np.dtype("u1")),
+            (b"P5", 65535): ((), np.dtype(">u2"))}
 
 
 @dataclass(eq=False)
@@ -73,8 +77,14 @@ def _next_token(data: bytes, pos: int, skip_leading: bool) -> tuple[bytes, int]:
 
 
 def read_pnm(path) -> RasterImage:
-    """Read a P5/P6 file; raises PnmFormatError on any deviation."""
-    data = Path(path).read_bytes()
+    """Read a P5/P6 file; raises PnmFormatError, naming the file, on any deviation."""
+    try:
+        return _parse_pnm(Path(path).read_bytes())
+    except PnmFormatError as exc:
+        raise PnmFormatError(f"{path}: {exc}") from None
+
+
+def _parse_pnm(data: bytes) -> RasterImage:
     magic, pos = _next_token(data, 0, skip_leading=False)
     if magic not in (b"P5", b"P6"):
         raise PnmFormatError(f"unsupported magic {magic!r}")
@@ -90,28 +100,16 @@ def read_pnm(path) -> RasterImage:
     if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
         raise PnmFormatError("missing whitespace after maxval")
     pos += 1
+    layout = _LAYOUTS.get((magic, maxval))
+    if layout is None:
+        raise PnmFormatError(f"unsupported {magic.decode()} maxval {maxval}")
+    tail, wire = layout
     payload = data[pos:]
-    if magic == b"P6":
-        if maxval != 255:
-            raise PnmFormatError(f"unsupported P6 maxval {maxval}")
-        expected = width * height * 3
-        if len(payload) != expected:
-            raise PnmFormatError(f"payload is {len(payload)} bytes, expected {expected}")
-        px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-        return RasterImage(px.copy(), 8)
-    if maxval == 255:
-        expected = width * height
-        if len(payload) != expected:
-            raise PnmFormatError(f"payload is {len(payload)} bytes, expected {expected}")
-        px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-        return RasterImage(px.copy(), 8)
-    if maxval == 65535:
-        expected = width * height * 2
-        if len(payload) != expected:
-            raise PnmFormatError(f"payload is {len(payload)} bytes, expected {expected}")
-        px = np.frombuffer(payload, dtype=">u2").astype(np.uint16).reshape(height, width)
-        return RasterImage(px, 16)
-    raise PnmFormatError(f"unsupported P5 maxval {maxval}")
+    expected = width * height * math.prod(tail) * wire.itemsize
+    if len(payload) != expected:
+        raise PnmFormatError(f"payload is {len(payload)} bytes, expected {expected}")
+    px = np.frombuffer(payload, dtype=wire).astype(wire.newbyteorder("=")).reshape((height, width) + tail)
+    return RasterImage(px, 8 * wire.itemsize)
 
 
 def write_pnm(image: RasterImage, path) -> None:

@@ -26,8 +26,7 @@ LARGE_RADIUS_MIN = 13.3
 
 _LEAF_AX = (18.0, 44.0)
 _LEAF_AY = (8.0, 18.0)
-# inclusive (lo, hi) of each RGB channel
-_APPLE_RGB = ((150, 215), (35, 85), (30, 70))
+_APPLE_RGB = ((150, 215), (35, 85), (30, 70))  # inclusive (lo, hi) of each channel
 _LEAF_RGB = ((120, 200), (45, 105), (30, 75))
 
 
@@ -92,12 +91,9 @@ def _expand(start, length):
 
 
 def generate_scene(spec: SceneSpec) -> Scene:
-    """Render a scene; identical specs produce byte-identical scenes.
-
-    The scene makes h + 7 * (n_apples + n_leaves) draws: one shade per row,
-    then 7 per apple and 7 per leaf. Shapes are numbered apples 1..n_apples,
-    then leaves, and the highest shape index covering a pixel owns it.
-    """
+    """Render a scene; identical specs produce byte-identical scenes. Its draws are
+    one shade per row, then 7 per apple and 7 per leaf; shapes are numbered apples
+    1..n_apples, then leaves, and the highest shape index covering a pixel owns it."""
     w, h, n = spec.width, spec.height, spec.n_apples
     u = splitmix64_block(spec.seed, h + 7 * (n + spec.n_leaves))
     apple, leaf = u[h : h + 7 * n].reshape(n, 7).T, u[h + 7 * n :].reshape(-1, 7).T

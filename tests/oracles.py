@@ -259,6 +259,14 @@ def oracle_report(per_image):
     return out
 
 
+def average_recall(gt, assignment) -> float:
+    """Mean recall over the ten IoU thresholds for a single image's match() assignment."""
+    if not gt:
+        raise ValueError("average recall is undefined for empty ground truth")
+    ious = {gid: iou for gid, _, iou in assignment.pairs}
+    recalls = [sum(1 for g in gt if ious.get(g.instance_id, 0.0) >= t) / len(gt) for t in THRESHOLDS]
+    return sum(recalls) / len(THRESHOLDS)
+
 def make_random_instance(rng, with_oracle=True):
     """Random small dataset in both package and oracle representations.
 

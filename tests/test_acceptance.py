@@ -17,9 +17,7 @@ from smallprop.annotations import GroundTruthObject
 from smallprop.cli import main as cli_main
 from smallprop.detector import Proposal, detectable_range, preset
 from smallprop.evaluation import (
-    Assignment,
     IOU_THRESHOLDS,
-    average_recall,
     evaluate_dataset,
     match,
 )
@@ -60,9 +58,10 @@ def _eval_cells(scenes, props, prefix, system):
 def test_criterion_1_metric_exactness():
     t0 = time.monotonic()
     gt = [GroundTruthObject.from_mask(1, rect_mask(200, 1, 0, 0, 100, 1))]
-    assert abs(average_recall(gt, Assignment(((1, 0, 1.0),))) - 1.0) <= 1e-9
-    assert abs(average_recall(gt, Assignment(((1, 0, 0.6),))) - 0.3) <= 1e-9
-    assert abs(average_recall(gt, Assignment(((1, 0, 0.49),))) - 0.0) <= 1e-9
+    # single-image AR through the dataset evaluator, one proposal of IoU 1.0, 0.6, 0.49
+    for width, expected in ((100, 1.0), (60, 0.3), (49, 0.0)):
+        report = evaluate_dataset([(gt, [Proposal(rect_mask(200, 1, 0, 0, width, 1), 0.5)])])
+        assert abs(report.ar_at_100 - expected) <= 1e-9
     # the stated IoUs are realizable exactly with sub-rectangle proposals
     assert mask_iou(gt[0].mask, rect_mask(200, 1, 0, 0, 60, 1)) == 0.6
     assert mask_iou(gt[0].mask, rect_mask(200, 1, 0, 0, 49, 1)) == 0.49

@@ -340,7 +340,7 @@ def test_truncated_scene_error_names_file(tmp_path, capsys):
     pgm = tmp_path / "s" / "scene_5_0000.pgm"
     pgm.write_bytes(pgm.read_bytes()[:100])
     assert run_cli("run", "--scenes", tmp_path / "s", "--out", tmp_path / "o") == 2
-    assert _data_error(capsys) == f"{pgm}: payload is 84 bytes, expected 38400"
+    assert _data_error(capsys) == f"{pgm}: payload is 83 bytes, expected 38400"
 
 
 @pytest.mark.parametrize("command", ["run", "eval"])

@@ -8,7 +8,6 @@ from smallprop.detector import Proposal, preset
 from smallprop.evaluation import (
     Assignment,
     IOU_THRESHOLDS,
-    average_recall,
     evaluate_dataset,
     match,
     render_overlay,
@@ -20,7 +19,7 @@ from smallprop.masks import mask_iou, rle_decode
 from smallprop.pipeline import PipelineConfig, run_whole
 from smallprop.raster import RasterImage
 from smallprop.synth import SceneSpec, generate_scene
-from oracles import make_random_instance, oracle_report, rect_mask
+from oracles import average_recall, make_random_instance, oracle_report, rect_mask
 
 
 def interval_mask(width, start, stop):
@@ -93,15 +92,10 @@ def test_match_tie_breaks_deterministic():
 
 def test_average_recall_examples():
     gt = [gt_from(interval_mask(200, 0, 100))]
-    assert average_recall(gt, Assignment(((1, 0, 1.0),))) == 1.0
-    assert average_recall(gt, Assignment(((1, 0, 0.6),))) == 0.3
-    assert average_recall(gt, Assignment(((1, 0, 0.49),))) == 0.0
-    assert average_recall(gt, Assignment(())) == 0.0
-
-
-def test_average_recall_rejects_empty_gt():
-    with pytest.raises(ValueError):
-        average_recall([], Assignment(()))
+    for stop, expected in ((100, 1.0), (60, 0.3), (49, 0.0), (0, 0.0)):
+        props = [Proposal(interval_mask(200, 0, stop), 0.5)] if stop else []
+        assert evaluate_dataset([(gt, props)]).ar_at_100 == expected
+        assert average_recall(gt, match(gt, props)) == expected
 
 
 def test_recall_curve_non_increasing():
@@ -187,10 +181,12 @@ def test_matches_bruteforce_oracle():
 
 
 def test_raising_assigned_iou_never_lowers_ar():
-    gt = [gt_from(interval_mask(200, 0, 100), gid=g) for g in (1, 2)]
-    low = average_recall(gt, Assignment(((1, 0, 0.55), (2, 1, 0.7))))
-    high = average_recall(gt, Assignment(((1, 0, 0.8), (2, 1, 0.7))))
+    gt = [gt_from(interval_mask(200, 0, 100), 1), gt_from(interval_mask(200, 100, 200), 2)]
+    second = Proposal(interval_mask(200, 100, 170), 0.5)  # IoU 0.7
+    low = evaluate_dataset([(gt, [Proposal(interval_mask(200, 0, 55), 0.5), second])]).ar_at_100
+    high = evaluate_dataset([(gt, [Proposal(interval_mask(200, 0, 80), 0.5), second])]).ar_at_100
     assert high >= low
+    assert low == average_recall(gt, Assignment(((1, 0, 0.55), (2, 1, 0.7))))
 
 
 def test_category_restriction_partitions_matches():
