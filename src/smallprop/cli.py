@@ -126,7 +126,7 @@ def _resolve_profile(args) -> DetectorProfile | None:
     """The preset with the override flags given; None with --exchange, which replaces the detector."""
     given = _given(args, _PROFILE_FLAGS)
     if args.exchange:
-        flags = ["--detector"] * (args.detector is not None) + list(given)
+        flags = list(given) if args.detector is None else ["--detector", *given]
         if flags:
             raise UsageError(f"{', '.join(flags)}: detector flags do not apply with --exchange")
         return None

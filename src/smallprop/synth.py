@@ -102,7 +102,7 @@ def generate_scene(spec: SceneSpec) -> Scene:
     img[:, :, 0] = 30 + shade
     img[:, :, 1] = 66 + shade
     img[:, :, 2] = 36 + shade // 2
-    labels = np.zeros((h, w), dtype=np.uint16)
+    labels = np.zeros((h, w), dtype=np.uint16)  # outputs before temporaries: a smaller heap peak
 
     xs_hi = max(min(XS_RADIUS_MAX, spec.radius_max), spec.radius_min)
     big_lo = min(max(LARGE_RADIUS_MIN, spec.radius_min), spec.radius_max)

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smallprop.annotations import SizeCategory
 from smallprop.masks import rle_decode
@@ -199,6 +199,10 @@ scene_specs = st.builds(
 
 @settings(max_examples=150, deadline=None)
 @given(scene_specs)
+@example(SceneSpec(width=9, height=7, n_apples=0, n_leaves=3, seed=1))
+@example(SceneSpec(width=40, height=30, n_apples=6, n_leaves=0, xs_fraction=1.0, radius_max=120.0, seed=2))
+@example(SceneSpec(width=40, height=30, n_apples=6, n_leaves=1, xs_fraction=0.0, radius_min=14.0,
+                   radius_max=14.0, min_visible=0, seed=2**64 - 1))
 def test_generate_scene_matches_row_loop_oracle(spec):
     scene = generate_scene(spec)
     pixels, labels = ref_scene(spec)
