@@ -1,15 +1,19 @@
 import json
+import os
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smallprop import cli
 from smallprop.cli import main
-from smallprop.exchange import read_proposals, record_from_proposal, write_proposals
+from smallprop.exchange import ProposalRecord, read_proposals, record_from_proposal, write_proposals
 from smallprop.detector import Proposal, preset
+from smallprop.masks import crop_mask
 from smallprop.raster import read_pnm
 from smallprop.synth import list_scene_stems, load_scene
+from smallprop.tiling import TileGridSpec, plan_grid
 
 
 def run_cli(*argv):
@@ -93,6 +97,33 @@ def test_jobs_do_not_change_outputs(tmp_path):
     assert run_cli("run", *base, "--out", a, "--jobs", 1) == 0
     assert run_cli("run", *base, "--out", b, "--jobs", 8) == 0
     assert dir_bytes(a) == dir_bytes(b)  # manifests included
+
+
+def _write_tile_records(scene_dir, exchange_dir, grid):
+    """Each scene's ground truth cropped to each tile of ``grid``, as tile records."""
+    exchange_dir.mkdir()
+    for stem in list_scene_stems(scene_dir):
+        scene = load_scene(scene_dir, stem)
+        records = []
+        for tile in plan_grid(scene.width, scene.height, grid):
+            for i, obj in enumerate(scene.objects):
+                local = crop_mask(obj.mask, tile.x0, tile.y0, tile.w, tile.h)
+                if local.area:
+                    records.append(ProposalRecord(stem, tile.w, tile.h, (i + 1) / 64, local.runs, tile.index))
+        write_proposals(records, exchange_dir / f"{stem}.jsonl")
+
+
+def test_exchange_jobs_do_not_change_outputs(tmp_path):
+    synth_small(tmp_path / "s", count=4)
+    _write_tile_records(tmp_path / "s", tmp_path / "ex", TileGridSpec(80, 60, 40, 30))
+    base = ["--scenes", tmp_path / "s", "--exchange", tmp_path / "ex",
+            "--mode", "tiled", "--tile", "80x60", "--stride", "40x30"]
+    outs = {}
+    for jobs in (1, 2, 8):
+        assert run_cli("run", *base, "--out", tmp_path / f"j{jobs}", "--jobs", jobs) == 0
+        outs[jobs] = dir_bytes(tmp_path / f"j{jobs}")  # manifests included
+    assert outs[1] == outs[2] == outs[8]
+    assert len(outs[1]) == 5 and all(outs[1].values())
 
 
 def test_run_then_eval_perfect_proposals(tmp_path):
@@ -186,6 +217,7 @@ def _valid_argv(tmp_path, command, out):
         "run": ["run", "--scenes", tmp_path / "s", "--out", out],
         "exchange": ["run", "--scenes", tmp_path / "s", "--out", out, "--exchange", tmp_path / "ex",
                      "--mode", "whole"],
+        "whole": ["run", "--scenes", tmp_path / "s", "--out", out, "--mode", "whole"],
         "overlay": ["overlay", "--image", f"{scene}.ppm", "--instances", f"{scene}.pgm",
                     "--proposals", tmp_path / "p.jsonl", "--out", out],
     }[command]
@@ -221,6 +253,10 @@ _BAD_FLAG_VALUES = [
     # the exchange files replace the detector, so its flags would be ignored
     ("exchange", "--detector", "fastmask"),
     *[("exchange", flag, value) for flag, value, _ in _OVERRIDES],
+    # whole mode runs one tile over the image, so a grid would be ignored
+    ("whole", "--tile", "640x480"),
+    ("whole", "--stride", "50x50"),
+    ("whole", "--tile", "320x240"),
 ]
 
 
@@ -365,6 +401,52 @@ def test_exchange_tile_record_error_names_file(tmp_path, capsys):
     assert _data_error(capsys) == f"{path}: unknown tile_index 99; grid has 1 tiles"
 
 
+def _bad_record(path, stem, scene_dir):
+    obj = load_scene(scene_dir, stem).objects[0]
+    write_proposals([replace(record_from_proposal(stem, Proposal(obj.mask, 0.5)), tile_index=99)], path)
+    return f"{path}: unknown tile_index 99; grid has 1 tiles"
+
+
+def _non_ascii(path, stem, scene_dir):
+    path.write_bytes(b"\xff\n")
+    return f"{path}: line 1: non-ASCII byte 0xff"
+
+
+@pytest.mark.parametrize("corrupt", [_bad_record, _non_ascii])
+def test_worker_errors_match_serial_errors(tmp_path, capsys, corrupt):
+    synth_small(tmp_path / "s", count=4)
+    stems = list_scene_stems(tmp_path / "s")
+    ex = tmp_path / "p"
+    ex.mkdir()
+    for stem in stems:
+        write_proposals([], ex / f"{stem}.jsonl")
+    expected = corrupt(ex / f"{stems[2]}.jsonl", stems[2], tmp_path / "s")
+    for jobs in (1, 2):
+        assert run_cli(*_proposal_file_argv(tmp_path, "run", stems[2]), "--mode", "whole", "--jobs", jobs) == 2
+        assert _data_error(capsys) == expected
+
+
+_run_one = cli._run_one
+
+
+def _die_on_third_scene(stem, **kwargs):
+    if stem.endswith("_0002"):
+        os._exit(3)
+    return _run_one(stem, **kwargs)
+
+
+def test_dead_worker_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # forked workers inherit the patch; the work item pickles it by reference
+    synth_small(tmp_path / "s", count=4)
+    monkeypatch.setattr(cli, "_run_one", _die_on_third_scene)
+    assert run_cli("run", "--scenes", tmp_path / "s", "--out", tmp_path / "o", "--mode", "whole",
+                   "--jobs", 2) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "internal" and err["message"].startswith("BrokenProcessPool: ")
+
+
 def test_overlay_writes_ppm(tmp_path):
     synth_small(tmp_path / "s", count=1)
     stem = list_scene_stems(tmp_path / "s")[0]
@@ -395,3 +477,6 @@ def test_run_manifest_excludes_output_path(tmp_path):
     for out in (a, b):
         assert run_cli("run", "--scenes", tmp_path / "s", "--out", out, "--mode", "whole") == 0
     assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+    # the default grid is still recorded, so such manifests keep their bytes
+    config = json.loads((a / "manifest.json").read_text())["config"]
+    assert config["tile"] == [320, 240] and config["stride"] == [160, 120]
