@@ -2,8 +2,8 @@
 
 Every subcommand is deterministic given its flags and writes a manifest next
 to its outputs; identical manifests imply byte-identical outputs. Exit codes:
-0 success, 1 usage error (a flag value invalid whatever the input), 2 data or
-validation error. Errors are emitted on stderr as single-line JSON.
+0 success, 1 usage error (a flag value invalid whatever the input), 2 data,
+validation or internal error. Errors are emitted on stderr as single-line JSON.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -183,8 +183,12 @@ def _run_one(stem: str, args, grid, profile, out: Path) -> str:
 
 
 def cmd_run(args) -> int:
-    # whole mode ignores the grid (run_whole uses a one-tile grid) but checks its flags
-    grid = _usage(("--tile", "--stride"), TileGridSpec, *args.tile, *args.stride)
+    # whole mode runs one tile over the image, so grid flags would be ignored
+    grid_flags = _given(args, {"--tile": ("tile", _size), "--stride": ("stride", _size)})
+    if args.mode == "whole" and grid_flags:
+        raise UsageError(f"{', '.join(grid_flags)}: grid flags do not apply with --mode whole")
+    tile, stride = args.tile or (320, 240), args.stride or (160, 120)
+    grid = _usage(("--tile", "--stride"), TileGridSpec, *tile, *stride)
     profile = _resolve_profile(args)
     stems = list_scene_stems(_existing_dir(args.scenes, "--scenes"))
     if args.exchange:
@@ -192,19 +196,25 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def work(stem: str) -> str:
-        return _run_one(stem, args, grid, profile, out)
+    # scenes are independent, so workers run them in parallel and map keeps the
+    # outputs in stem order; fork, because the CLI starts no threads and a
+    # spawned worker would import numpy again
+    work = partial(_run_one, args=args, grid=grid, profile=profile, out=out)
+    workers = min(args.jobs, len(stems))
+    if workers > 1:
+        # imported only here: loading the pool's modules would slow every command's start
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
             outputs = list(pool.map(work, stems))
     else:
         outputs = [work(s) for s in stems]
 
     config = {
         "mode": args.mode,
-        "tile": list(args.tile),
-        "stride": list(args.stride),
+        "tile": list(tile),
+        "stride": list(stride),
         "nms_iou": args.nms_iou,
         "top_k": args.top_k,
         "detector": asdict(profile) if profile else None,
@@ -294,8 +304,8 @@ def build_parser() -> _Parser:
     p.add_argument("--detector", choices=sorted(PRESET_LEVELS), help="default: attentionmask")
     p.add_argument("--exchange", help="read per-image proposal JSONL from this directory instead of simulating")
     p.add_argument("--mode", choices=("whole", "tiled"), default="tiled")
-    p.add_argument("--tile", type=_size, default=(320, 240))
-    p.add_argument("--stride", type=_size, default=(160, 120))
+    p.add_argument("--tile", type=_size, help="tiled mode only; default: 320x240")
+    p.add_argument("--stride", type=_size, help="tiled mode only; default: 160x120")
     p.add_argument("--nms-iou", type=_iou_threshold, default=0.7)
     p.add_argument("--top-k", type=_positive_int, default=100)
     p.add_argument("--jobs", type=_positive_int, default=1)
@@ -331,6 +341,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:  # covers the mask/pnm/exchange errors
         sys.stderr.write(json.dumps({"error": "data", "message": str(exc)}) + "\n")
+        return 2
+    except Exception as exc:  # e.g. a worker process that died; keeps the one-line contract
+        sys.stderr.write(json.dumps({"error": "internal", "message": f"{type(exc).__name__}: {exc}"}) + "\n")
         return 2
 
 
