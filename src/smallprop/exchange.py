@@ -109,8 +109,9 @@ def read_proposals(path) -> list[ProposalRecord]:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ExchangeFormatError(f"{path}: line {line}: non-ASCII byte {data[exc.start]:#x}") from None
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    # only "\n" ends a line, as counted above; a blank line holds only JSON whitespace
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip(" \t\r"):
             continue
         try:
             doc = json.loads(line)

@@ -101,12 +101,19 @@ def test_malformed_json_names_line(tmp_path):
         '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [[4]]}',
         '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [null]}',
         '[1, 2]',
+        # only "\n" ends a line; the other breaks of str.splitlines() stay inside it
+        '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [4]}\x0c'
+        '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [4]}',
+        '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [4]}\x0b'
+        '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [4]}',
+        '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [4]}\x1c{not json}',
+        '\x0c',
     ],
 )
 def test_schema_violations_rejected(tmp_path, line):
     path = tmp_path / "bad.jsonl"
     path.write_text(line + "\n")
-    with pytest.raises(ExchangeFormatError, match="line 1"):
+    with pytest.raises(ExchangeFormatError, match="line 1:"):
         read_proposals(path)
 
 
@@ -122,6 +129,13 @@ def test_blank_lines_skipped(tmp_path):
     path = tmp_path / "g.jsonl"
     path.write_text('\n{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [4]}\n\n')
     assert len(read_proposals(path)) == 1
+
+
+def test_crlf_lines_parse(tmp_path):
+    path = tmp_path / "crlf.jsonl"
+    lines = [format_record(r) for r in sample_records()]
+    path.write_bytes(("\r\n".join(lines[:2]) + "\r\n \t\r\n" + lines[2] + "\r\n").encode())
+    assert read_proposals(path) == sample_records()
 
 
 def test_large_roundtrip_bytes(tmp_path):
