@@ -114,14 +114,15 @@ def _parse_pnm(data: bytes) -> RasterImage:
 
 def write_pnm(image: RasterImage, path) -> None:
     """Write the canonical byte representation for the image's format."""
+    payload = image.pixels
     if image.channels == 3:
         magic, maxval = b"P6", 255
-        payload = image.pixels.tobytes()
     elif image.depth == 8:
         magic, maxval = b"P5", 255
-        payload = image.pixels.tobytes()
     else:
         magic, maxval = b"P5", 65535
-        payload = image.pixels.astype(">u2").tobytes()
-    header = b"%s %d %d %d\n" % (magic, image.width, image.height, maxval)
-    Path(path).write_bytes(header + payload)
+        payload = payload.astype(">u2")
+    # written in two parts from the contiguous array, so no bytes copy is made
+    with open(path, "wb") as f:
+        f.write(b"%s %d %d %d\n" % (magic, image.width, image.height, maxval))
+        f.write(payload)
