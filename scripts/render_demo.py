@@ -10,9 +10,9 @@ import sys
 from pathlib import Path
 
 from smallprop.detector import preset
-from smallprop.evaluation import evaluate_dataset, match, render_overlay, report_text
+from smallprop.evaluation import evaluate_dataset, render_overlay, report_text
 from smallprop.exchange import record_from_proposal, write_proposals
-from smallprop.pipeline import PipelineConfig, run_tiled
+from smallprop.pipeline import run_tiled
 from smallprop.raster import write_pnm
 from smallprop.synth import SceneSpec, generate_scene, save_scene
 from smallprop.tiling import TileGridSpec
@@ -31,14 +31,13 @@ def main() -> int:
     save_scene(scene, out, "scene_demo")
 
     profile = preset("attentionmask", jitter=args.jitter, objectness_noise=0.1)
-    config = PipelineConfig(detector=profile, grid=TileGridSpec(320, 240, 160, 120))
-    proposals = run_tiled(scene, config)
+    proposals = run_tiled(scene, profile, TileGridSpec(320, 240, 160, 120))
     write_proposals(
         [record_from_proposal("scene_demo", p) for p in proposals],
         out / "scene_demo.jsonl",
     )
 
-    overlay = render_overlay(scene.image, scene.objects, proposals, match(scene.objects, proposals))
+    overlay = render_overlay(scene.image, scene.objects, proposals)
     write_pnm(overlay, out / "scene_demo_overlay.ppm")
 
     print(report_text([evaluate_dataset([(scene.objects, proposals)], system="demo")]), end="")

@@ -12,10 +12,11 @@ trails because it cannot see objects below a 32 px side.
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 
 from smallprop.detector import preset
 from smallprop.evaluation import evaluate_dataset, report_text
-from smallprop.pipeline import PipelineConfig, run_tiled, run_whole
+from smallprop.pipeline import run_tiled, run_whole
 from smallprop.synth import SceneSpec, generate_scene, scene_seed
 from smallprop.tiling import TileGridSpec
 
@@ -36,19 +37,16 @@ def main() -> int:
     print(f"generated {len(scenes)} scenes, "
           f"{sum(len(s.objects) for s in scenes)} annotated objects", file=sys.stderr)
 
-    grid = TileGridSpec(320, 240, 160, 120)
     systems = (
-        ("tiled-attentionmask", "tiled", "attentionmask"),
-        ("whole-attentionmask-4-16", "whole", "attentionmask-4-16"),
-        ("whole-attentionmask", "whole", "attentionmask"),
-        ("whole-fastmask", "whole", "fastmask"),
+        ("tiled-attentionmask", partial(run_tiled, grid=TileGridSpec(320, 240, 160, 120)), "attentionmask"),
+        ("whole-attentionmask-4-16", run_whole, "attentionmask-4-16"),
+        ("whole-attentionmask", run_whole, "attentionmask"),
+        ("whole-fastmask", run_whole, "fastmask"),
     )
     reports = []
-    for name, mode, det in systems:
+    for name, run, det in systems:
         profile = preset(det, jitter=args.jitter, objectness_noise=args.objectness_noise)
-        config = PipelineConfig(detector=profile, grid=grid)
-        runner = run_tiled if mode == "tiled" else run_whole
-        per_image = [(scene.objects, runner(scene, config)) for scene in scenes]
+        per_image = [(scene.objects, run(scene, profile)) for scene in scenes]
         reports.append(evaluate_dataset(per_image, system=name))
         print(f"evaluated {name}", file=sys.stderr)
 

@@ -20,8 +20,8 @@ from . import __version__
 from .annotations import instance_map_from_raster, extract_instances
 from .detector import DetectorProfile, preset, PRESET_LEVELS
 from .exchange import read_proposals, record_from_proposal, write_proposals
-from .evaluation import evaluate_dataset, match, render_overlay, report_csv, report_json, report_text
-from .pipeline import PipelineConfig, record_proposal, run_tiled, run_whole
+from .evaluation import evaluate_dataset, render_overlay, report_csv, report_json, report_text
+from .pipeline import record_proposal, run_tiled, run_whole
 from .raster import read_pnm, write_pnm
 from .synth import SceneSpec, generate_scene, list_scene_stems, load_scene, save_scene, scene_seed, scene_stem
 from .tiling import TileGridSpec
@@ -170,9 +170,11 @@ def _run_one(stem: str, args, grid, profile, out: Path) -> str:
     scene = load_scene(args.scenes, stem)
     path = Path(args.exchange) / f"{stem}.jsonl" if args.exchange else None
     records = _read_records(path) if path and path.exists() else []
-    config = PipelineConfig(detector=profile or records, grid=grid, nms_iou=args.nms_iou, top_k=args.top_k)
     try:
-        proposals = (run_tiled if args.mode == "tiled" else run_whole)(scene, config)
+        if args.mode == "tiled":
+            proposals = run_tiled(scene, profile or records, grid, args.nms_iou, args.top_k)
+        else:
+            proposals = run_whole(scene, profile or records, args.nms_iou, args.top_k)
     except ValueError as exc:
         if not records:
             raise
@@ -270,7 +272,7 @@ def cmd_overlay(args) -> int:
     gt = extract_instances(imap)
     proposals = _read_records(Path(args.proposals), (imap.width, imap.height))
     ranked = sorted(proposals, key=lambda p: -p.objectness)[: args.top_k]
-    overlay = render_overlay(image, gt, ranked, match(gt, ranked))
+    overlay = render_overlay(image, gt, ranked)
     write_pnm(overlay, args.out)
     config = {
         "image": args.image,

@@ -37,16 +37,6 @@ _PALETTE = (
 _MISS_COLOR = (255, 0, 0)
 
 
-@dataclass(eq=True)
-class Assignment:
-    """One-to-one pairs (gt instance_id, proposal index, iou)."""
-
-    pairs: tuple[tuple[int, int, float], ...]
-
-    def proposal_by_gt(self) -> dict[int, int]:
-        return {gid: pi for gid, pi, _ in self.pairs}
-
-
 @dataclass
 class ARReport:
     system: str
@@ -56,6 +46,17 @@ class ARReport:
     ar_s_at_100: float | None
     ar_m_at_100: float | None
     gt_counts: dict[str, int]
+
+
+# (report column, ARReport field, proposal budget, size category or None for all)
+CELLS = (
+    ("AR@10", "ar_at_10", 10, None),
+    ("AR@100", "ar_at_100", 100, None),
+    ("AR^XS@100", "ar_xs_at_100", 100, SizeCategory.XS),
+    ("AR^S@100", "ar_s_at_100", 100, SizeCategory.S),
+    ("AR^M@100", "ar_m_at_100", 100, SizeCategory.M),
+)
+_SIZES = tuple(c.value for *_, c in CELLS if c is not None)  # keys of gt_counts, in table order
 
 
 def _iou_pairs(
@@ -91,12 +92,13 @@ def _greedy(pairs) -> list[tuple[int, int, float]]:
     return out
 
 
-def match(gt: Sequence[GroundTruthObject], proposals: Sequence[Proposal]) -> Assignment:
+def match(gt: Sequence[GroundTruthObject], proposals: Sequence[Proposal]) -> tuple[tuple[int, int, float], ...]:
     """Greedily assign proposals to ground truth; zero-IoU pairs never match.
 
+    Returns the one-to-one pairs (gt instance_id, proposal index, iou).
     Proposals are expected to be truncated to the evaluation budget already.
     """
-    return Assignment(tuple(_greedy(_iou_pairs(gt, proposals))))
+    return tuple(_greedy(_iou_pairs(gt, proposals)))
 
 
 def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[float | None, int]:
@@ -135,27 +137,13 @@ def evaluate_dataset(per_image, system: str = "run") -> ARReport:
             proposals, key=lambda p: -p.objectness
         )[: max(BUDGETS)]
         prepared.append((list(gt), _iou_pairs(gt, ranked)))
-    ar10, _ = _pooled_ar(prepared, 10, None)
-    ar100, _ = _pooled_ar(prepared, 100, None)
-    by_cat = {}
+    cells = {}
     counts = {}
-    for cat in SizeCategory:
-        ar, n = _pooled_ar(prepared, 100, cat)
-        by_cat[cat] = ar
-        counts[cat.value] = n
-    return ARReport(
-        system=system,
-        ar_at_10=ar10,
-        ar_at_100=ar100,
-        ar_xs_at_100=by_cat[SizeCategory.XS],
-        ar_s_at_100=by_cat[SizeCategory.S],
-        ar_m_at_100=by_cat[SizeCategory.M],
-        gt_counts=counts,
-    )
-
-
-_COLUMNS = ("AR@10", "AR@100", "AR^XS@100", "AR^S@100", "AR^M@100")
-_FIELDS = ("ar_at_10", "ar_at_100", "ar_xs_at_100", "ar_s_at_100", "ar_m_at_100")
+    for _, field, budget, category in CELLS:
+        cells[field], n = _pooled_ar(prepared, budget, category)
+        if category is not None:
+            counts[category.value] = n
+    return ARReport(system=system, gt_counts=counts, **cells)
 
 
 def _cell(value: float | None) -> str:
@@ -165,10 +153,10 @@ def _cell(value: float | None) -> str:
 def report_text(reports: Sequence[ARReport]) -> str:
     """Aligned plain-text table, one row per system."""
     name_w = max([len("System")] + [len(r.system) for r in reports])
-    header = "System".ljust(name_w) + "".join(f"{c:>12}" for c in _COLUMNS)
+    header = "System".ljust(name_w) + "".join(f"{c:>12}" for c, *_ in CELLS)
     lines = [header]
     for r in reports:
-        cells = "".join(f"{_cell(getattr(r, f)):>12}" for f in _FIELDS)
+        cells = "".join(f"{_cell(getattr(r, f)):>12}" for _, f, *_ in CELLS)
         lines.append(r.system.ljust(name_w) + cells)
     return "\n".join(lines) + "\n"
 
@@ -178,12 +166,12 @@ def report_json(reports: Sequence[ARReport]) -> str:
     docs = []
     for r in reports:
         doc = {"system": r.system}
-        for f in _FIELDS:
+        for _, f, *_ in CELLS:
             doc[f] = getattr(r, f)
-        doc["gt_counts"] = {k: r.gt_counts.get(k, 0) for k in ("XS", "S", "M")}
+        doc["gt_counts"] = {k: r.gt_counts.get(k, 0) for k in _SIZES}
         docs.append(doc)
     payload = {
-        "columns": list(_COLUMNS),
+        "columns": [c for c, *_ in CELLS],
         "iou_thresholds": list(IOU_THRESHOLDS),
         "budgets": list(BUDGETS),
         "reports": docs,
@@ -192,13 +180,13 @@ def report_json(reports: Sequence[ARReport]) -> str:
 
 
 def report_csv(reports: Sequence[ARReport]) -> str:
-    lines = ["system,ar_at_10,ar_at_100,ar_xs_at_100,ar_s_at_100,ar_m_at_100,gt_xs,gt_s,gt_m"]
+    lines = [",".join(["system"] + [f for _, f, *_ in CELLS] + [f"gt_{k.lower()}" for k in _SIZES])]
     for r in reports:
         cells = [r.system]
-        for f in _FIELDS:
+        for _, f, *_ in CELLS:
             v = getattr(r, f)
             cells.append("" if v is None else f"{v:.6f}")
-        cells += [str(r.gt_counts.get(k, 0)) for k in ("XS", "S", "M")]
+        cells += [str(r.gt_counts.get(k, 0)) for k in _SIZES]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -221,7 +209,6 @@ def render_overlay(
     image: RasterImage,
     gt: Sequence[GroundTruthObject],
     proposals: Sequence[Proposal],
-    assignment: Assignment | None = None,
 ) -> RasterImage:
     """Draw matched proposals filled with a colored contour, misses in red.
 
@@ -230,9 +217,7 @@ def render_overlay(
     """
     if image.channels != 3:
         raise ValueError("overlay rendering needs an RGB image")
-    if assignment is None:
-        assignment = match(gt, proposals)
-    by_gt = assignment.proposal_by_gt()
+    by_gt = {gid: pi for gid, pi, _ in match(gt, proposals)}
     canvas = image.pixels.astype(np.int16)
     for obj in gt:
         if obj.instance_id in by_gt:

@@ -8,7 +8,6 @@ grid, which makes the two paths bit-compatible by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -20,25 +19,8 @@ from .masks import BBox, box_overlaps, crop_mask, mask_iou, require_same_canvas
 from .synth import Scene
 from .tiling import Tile, TileGridSpec, plan_grid, remap_mask
 
+# a simulated detector, or the exchange records of one scene
 ProposalSource = Union[DetectorProfile, Sequence[ProposalRecord]]
-
-
-def _check_nms_iou(iou_threshold: float) -> None:
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError("nms_iou must lie in (0, 1]")
-
-
-@dataclass
-class PipelineConfig:
-    detector: ProposalSource
-    grid: TileGridSpec | None = None  # None = whole-image mode
-    nms_iou: float = 0.7
-    top_k: int = 100
-
-    def __post_init__(self) -> None:
-        _check_nms_iou(self.nms_iou)
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
 
 
 def nms(proposals: Sequence[Proposal], iou_threshold: float) -> list[Proposal]:
@@ -50,7 +32,8 @@ def nms(proposals: Sequence[Proposal], iou_threshold: float) -> list[Proposal]:
     own: any other pair shares no pixel, so its IoU is 0.0, below every
     threshold in (0, 1], and skipping it cannot change the output.
     """
-    _check_nms_iou(iou_threshold)
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError("nms_iou must lie in (0, 1]")
     masks = [p.mask for p in proposals]
     require_same_canvas(masks)
     order = sorted(
@@ -118,20 +101,23 @@ def record_proposal(
     return Proposal(remap_mask(tiles[rec.tile_index], rec.mask, width, height), rec.objectness)
 
 
-def run_tiled(scene: Scene, config: PipelineConfig) -> list[Proposal]:
+def run_tiled(
+    scene: Scene, source: ProposalSource, grid: TileGridSpec, nms_iou: float = 0.7, top_k: int = 100
+) -> list[Proposal]:
     """Tile the scene, collect per-tile proposals, merge, suppress, truncate."""
-    if config.grid is None:
-        raise ValueError("tiled run requires a grid spec")
-    tiles = plan_grid(scene.width, scene.height, config.grid)
-    if isinstance(config.detector, DetectorProfile):
-        raw = _simulated_proposals(scene, tiles, config.detector)
+    if top_k < 1:
+        raise ValueError("top_k must be at least 1")
+    tiles = plan_grid(scene.width, scene.height, grid)
+    if isinstance(source, DetectorProfile):
+        raw = _simulated_proposals(scene, tiles, source)
     else:
-        raw = [record_proposal(r, scene.width, scene.height, tiles) for r in config.detector]
-    kept = nms(raw, config.nms_iou)
-    return kept[: config.top_k]
+        raw = [record_proposal(r, scene.width, scene.height, tiles) for r in source]
+    return nms(raw, nms_iou)[:top_k]
 
 
-def run_whole(scene: Scene, config: PipelineConfig) -> list[Proposal]:
+def run_whole(
+    scene: Scene, source: ProposalSource, nms_iou: float = 0.7, top_k: int = 100
+) -> list[Proposal]:
     """Single-region run: the degenerate one-tile grid over the full image."""
     whole = TileGridSpec(scene.width, scene.height, scene.width, scene.height)
-    return run_tiled(scene, replace(config, grid=whole))
+    return run_tiled(scene, source, whole, nms_iou, top_k)

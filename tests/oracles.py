@@ -259,11 +259,11 @@ def oracle_report(per_image):
     return out
 
 
-def average_recall(gt, assignment) -> float:
-    """Mean recall over the ten IoU thresholds for a single image's match() assignment."""
+def average_recall(gt, pairs) -> float:
+    """Mean recall over the ten IoU thresholds for a single image's match() pairs."""
     if not gt:
         raise ValueError("average recall is undefined for empty ground truth")
-    ious = {gid: iou for gid, _, iou in assignment.pairs}
+    ious = {gid: iou for gid, _, iou in pairs}
     recalls = [sum(1 for g in gt if ious.get(g.instance_id, 0.0) >= t) / len(gt) for t in THRESHOLDS]
     return sum(recalls) / len(THRESHOLDS)
 

@@ -23,7 +23,7 @@ from smallprop.evaluation import (
 )
 from smallprop.exchange import ProposalRecord, read_proposals, write_proposals
 from smallprop.masks import mask_iou, rle_decode, rle_encode
-from smallprop.pipeline import PipelineConfig, nms
+from smallprop.pipeline import nms
 from smallprop.prng import stream_seed
 from smallprop.synth import SceneSpec, generate_scene, save_scene, scene_stem
 from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
@@ -204,7 +204,7 @@ def _suite_ar_monotone(rng, cases):
             ious = []
             for gt, props in per_pkg:
                 ranked = sorted(props, key=lambda p: -p.objectness)[:100]
-                ious.extend(iou for _, _, iou in match(gt, ranked).pairs)
+                ious.extend(iou for _, _, iou in match(gt, ranked))
             curve = [sum(1 for v in ious if v >= t) / total for t in IOU_THRESHOLDS]
             assert all(a >= b for a, b in zip(curve, curve[1:]))
 

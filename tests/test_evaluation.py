@@ -6,7 +6,6 @@ import pytest
 from smallprop.annotations import GroundTruthObject, SizeCategory
 from smallprop.detector import Proposal, preset
 from smallprop.evaluation import (
-    Assignment,
     IOU_THRESHOLDS,
     evaluate_dataset,
     match,
@@ -16,7 +15,7 @@ from smallprop.evaluation import (
     report_text,
 )
 from smallprop.masks import mask_iou, rle_decode
-from smallprop.pipeline import PipelineConfig, run_whole
+from smallprop.pipeline import run_whole
 from smallprop.raster import RasterImage
 from smallprop.synth import SceneSpec, generate_scene
 from oracles import average_recall, make_random_instance, oracle_report, rect_mask
@@ -33,19 +32,18 @@ def gt_from(mask, gid=1):
 
 def test_match_perfect_single_pair():
     m = rect_mask(16, 16, 2, 2, 5, 5)
-    a = match([gt_from(m)], [Proposal(m, 0.9)])
-    assert a.pairs == ((1, 0, 1.0),)
+    assert match([gt_from(m)], [Proposal(m, 0.9)]) == ((1, 0, 1.0),)
 
 
 def test_match_without_proposals():
     m = rect_mask(16, 16, 2, 2, 5, 5)
-    assert match([gt_from(m)], []).pairs == ()
+    assert match([gt_from(m)], []) == ()
 
 
 def test_match_zero_iou_never_assigned():
     a = rect_mask(16, 16, 0, 0, 4, 4)
     b = rect_mask(16, 16, 10, 10, 4, 4)
-    assert match([gt_from(a)], [Proposal(b, 0.9)]).pairs == ()
+    assert match([gt_from(a)], [Proposal(b, 0.9)]) == ()
 
 
 def test_match_rejects_mixed_canvases():
@@ -71,15 +69,15 @@ def test_match_greedy_two_by_two():
     assert ious[(1, 0)] == 0.8 and ious[(2, 0)] == 0.6 and ious[(2, 1)] == 0.5
     assert ious[(1, 0)] > ious[(1, 1)] > ious[(2, 0)] > ious[(2, 1)]
     got = match([gt_a, gt_b], [p1, p2])
-    assert got.pairs == ((1, 0, 0.8), (2, 1, 0.5))
+    assert got == ((1, 0, 0.8), (2, 1, 0.5))
     # exhaustive check: greedy differs from the optimal assignment only in
     # total IoU, never in cardinality
     best_total = max(
         ious[(1, pa)] + ious[(2, pb)]
         for pa, pb in itertools.permutations((0, 1))
     )
-    greedy_total = sum(iou for _, _, iou in got.pairs)
-    assert len(got.pairs) == 2
+    greedy_total = sum(iou for _, _, iou in got)
+    assert len(got) == 2
     assert best_total >= greedy_total
 
 
@@ -87,7 +85,7 @@ def test_match_tie_breaks_deterministic():
     m = rect_mask(16, 16, 2, 2, 5, 5)
     # two identical proposals: lower index wins; two gt: lower id wins
     got = match([gt_from(m, 4), gt_from(m, 2)], [Proposal(m, 0.5), Proposal(m, 0.5)])
-    assert got.pairs == ((2, 0, 1.0), (4, 1, 1.0))
+    assert got == ((2, 0, 1.0), (4, 1, 1.0))
 
 
 def test_average_recall_examples():
@@ -150,8 +148,7 @@ def test_evaluate_no_ground_truth_at_all():
 
 def test_fastmask_sim_gives_all_zero_report():
     scenes = [generate_scene(SceneSpec(width=1280, height=720, n_apples=20, n_leaves=30, seed=s)) for s in (1, 2)]
-    cfg = PipelineConfig(detector=preset("fastmask"))
-    per_image = [(sc.objects, run_whole(sc, cfg)) for sc in scenes]
+    per_image = [(sc.objects, run_whole(sc, preset("fastmask"))) for sc in scenes]
     report = evaluate_dataset(per_image, system="fastmask")
     for cell in (report.ar_at_10, report.ar_at_100, report.ar_xs_at_100, report.ar_s_at_100, report.ar_m_at_100):
         assert cell == 0.0
@@ -186,7 +183,7 @@ def test_raising_assigned_iou_never_lowers_ar():
     low = evaluate_dataset([(gt, [Proposal(interval_mask(200, 0, 55), 0.5), second])]).ar_at_100
     high = evaluate_dataset([(gt, [Proposal(interval_mask(200, 0, 80), 0.5), second])]).ar_at_100
     assert high >= low
-    assert low == average_recall(gt, Assignment(((1, 0, 0.55), (2, 1, 0.7))))
+    assert low == average_recall(gt, ((1, 0, 0.55), (2, 1, 0.7)))
 
 
 def test_category_restriction_partitions_matches():
@@ -198,8 +195,8 @@ def test_category_restriction_partitions_matches():
     per_cat = 0
     for cat in SizeCategory:
         sub = [g for g in gt if g.category is cat]
-        per_cat += len(match(sub, props).pairs)
-    assert per_cat == len(full.pairs)
+        per_cat += len(match(sub, props))
+    assert per_cat == len(full)
 
 
 def test_report_formats():

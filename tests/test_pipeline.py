@@ -5,7 +5,7 @@ from smallprop.annotations import GroundTruthObject, extract_instances
 from smallprop.detector import Proposal, preset
 from smallprop.exchange import ProposalRecord
 from smallprop.masks import mask_iou, rle_decode
-from smallprop.pipeline import PipelineConfig, nms, run_tiled, run_whole
+from smallprop.pipeline import nms, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
 from smallprop.tiling import TileGridSpec
 from smallprop.annotations import InstanceMap
@@ -94,16 +94,15 @@ def test_nms_rejects_mixed_canvases():
 
 def test_whole_run_empty_ground_truth():
     scene = scene_from_labels(np.zeros((240, 320)))
-    cfg = PipelineConfig(detector=preset("attentionmask"))
-    assert run_whole(scene, cfg) == []
+    assert run_whole(scene, preset("attentionmask")) == []
 
 
 def test_single_tile_grid_equals_whole():
     scene = disk_scene(320, 240, [(60, 60, 14), (200, 120, 9), (280, 200, 20)])
     prof = preset("attentionmask-4-16", jitter=2, objectness_noise=0.2, seed=11)
     grid = TileGridSpec(320, 240, 320, 240)
-    tiled = run_tiled(scene, PipelineConfig(detector=prof, grid=grid))
-    whole = run_whole(scene, PipelineConfig(detector=prof))
+    tiled = run_tiled(scene, prof, grid)
+    whole = run_whole(scene, prof)
     assert tiled == whole
 
 
@@ -111,8 +110,7 @@ def test_duplicate_across_tiles_collapses_to_one():
     # one apple fully visible in both tiles of a 2-tile grid, zero jitter
     scene = disk_scene(480, 240, [(235, 120, 15)])
     prof = preset("attentionmask", jitter=0)
-    cfg = PipelineConfig(detector=prof, grid=TileGridSpec(320, 240, 160, 240))
-    out = run_tiled(scene, cfg)
+    out = run_tiled(scene, prof, TileGridSpec(320, 240, 160, 240))
     assert len(out) == 1
     assert out[0].mask == scene.objects[0].mask
 
@@ -120,13 +118,12 @@ def test_duplicate_across_tiles_collapses_to_one():
 def test_top_k_truncation():
     scene = disk_scene(320, 240, [(20 + 30 * i, 20 + 20 * j, 6) for i in range(10) for j in range(10)])
     prof = preset("attentionmask", objectness_noise=0.5, seed=3)
-    cfg = PipelineConfig(detector=prof, grid=TileGridSpec(320, 240, 320, 240), top_k=7)
-    out = run_tiled(scene, cfg)
+    out = run_tiled(scene, prof, TileGridSpec(320, 240, 320, 240), top_k=7)
     assert len(out) == 7
     scores = [p.objectness for p in out]
     assert scores == sorted(scores, reverse=True)
     # the 7 highest of the full ranking survive
-    full = run_tiled(scene, PipelineConfig(detector=prof, grid=TileGridSpec(320, 240, 320, 240), top_k=10**6))
+    full = run_tiled(scene, prof, TileGridSpec(320, 240, 320, 240), top_k=10**6)
     assert scores == [p.objectness for p in full[:7]]
 
 
@@ -134,7 +131,7 @@ def test_whole_image_records_pass_through():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     m = rect_mask(64, 48, 10, 10, 12, 12)
     records = [ProposalRecord("img", 64, 48, 0.75, m.runs)]
-    out = run_whole(scene, PipelineConfig(detector=records))
+    out = run_whole(scene, records)
     assert len(out) == 1
     assert out[0].mask == m and out[0].objectness == 0.75
 
@@ -144,7 +141,7 @@ def test_tile_records_are_remapped():
     grid = TileGridSpec(32, 24, 16, 12)
     local = rect_mask(32, 24, 2, 3, 5, 5)
     records = [ProposalRecord("img", 32, 24, 0.5, local.runs, tile_index=1)]
-    out = run_tiled(scene, PipelineConfig(detector=records, grid=grid))
+    out = run_tiled(scene, records, grid)
     assert len(out) == 1
     # tile 1 sits at (16, 0) in a row-major 3x3 grid
     assert out[0].mask.bbox.x == 18 and out[0].mask.bbox.y == 3
@@ -154,14 +151,14 @@ def test_unknown_tile_index_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     records = [ProposalRecord("img", 32, 24, 0.5, (0, 768), tile_index=99)]
     with pytest.raises(ValueError, match="tile_index"):
-        run_tiled(scene, PipelineConfig(detector=records, grid=TileGridSpec(32, 24, 16, 12)))
+        run_tiled(scene, records, TileGridSpec(32, 24, 16, 12))
 
 
 def test_tile_record_size_mismatch_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     records = [ProposalRecord("img", 16, 24, 0.5, (0, 384), tile_index=1)]
     with pytest.raises(ValueError, match="local mask is 16x24, tile is 32x24"):
-        run_tiled(scene, PipelineConfig(detector=records, grid=TileGridSpec(32, 24, 16, 12)))
+        run_tiled(scene, records, TileGridSpec(32, 24, 16, 12))
 
 
 def test_record_dimension_mismatch_rejected():
@@ -170,29 +167,28 @@ def test_record_dimension_mismatch_rejected():
     for width, height in ((32, 24), (10**12, 1)):
         records = [ProposalRecord("img", width, height, 0.5, (0, width * height))]
         with pytest.raises(ValueError, match="whole-image record"):
-            run_whole(scene, PipelineConfig(detector=records))
+            run_whole(scene, records)
 
 
 def test_empty_record_mask_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     records = [ProposalRecord("img", 64, 48, 0.5, (64 * 48,))]
     with pytest.raises(ValueError, match="empty"):
-        run_whole(scene, PipelineConfig(detector=records))
+        run_whole(scene, records)
 
 
 def test_output_scores_non_increasing():
     scene = generate_scene(SceneSpec(width=320, height=240, n_apples=25, n_leaves=10, seed=21))
     prof = preset("attentionmask", jitter=1, objectness_noise=0.4, seed=2)
-    out = run_tiled(scene, PipelineConfig(detector=prof, grid=TileGridSpec(160, 120, 80, 60)))
+    out = run_tiled(scene, prof, TileGridSpec(160, 120, 80, 60))
     scores = [p.objectness for p in out]
     assert scores == sorted(scores, reverse=True)
     assert len(out) <= 100
 
 
 def test_config_validation():
+    scene, grid = disk_scene(8, 8, []), TileGridSpec(8, 8, 8, 8)
     with pytest.raises(ValueError):
-        PipelineConfig(detector=preset("fastmask"), nms_iou=0.0)
+        run_tiled(scene, preset("fastmask"), grid, nms_iou=0.0)
     with pytest.raises(ValueError):
-        PipelineConfig(detector=preset("fastmask"), top_k=0)
-    with pytest.raises(ValueError):
-        run_tiled(disk_scene(8, 8, []), PipelineConfig(detector=preset("fastmask")))
+        run_tiled(scene, preset("fastmask"), grid, top_k=0)
