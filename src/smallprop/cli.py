@@ -17,13 +17,14 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .annotations import instance_map_from_raster, extract_instances
+from .annotations import extract_instances
 from .detector import DetectorProfile, preset, PRESET_LEVELS
 from .exchange import read_proposals, record_from_proposal, write_proposals
 from .evaluation import evaluate_dataset, render_overlay, report_csv, report_json, report_text
 from .pipeline import record_proposal, run_tiled, run_whole
 from .raster import read_pnm, write_pnm
-from .synth import SceneSpec, generate_scene, list_scene_stems, load_scene, save_scene, scene_seed, scene_stem
+from .synth import (SceneSpec, generate_scene, list_scene_stems, load_scene, read_instances, save_scene,
+                    scene_seed, scene_stem)
 from .tiling import TileGridSpec
 
 
@@ -268,8 +269,8 @@ def cmd_eval(args) -> int:
 
 def cmd_overlay(args) -> int:
     image = read_pnm(args.image)
-    imap = instance_map_from_raster(read_pnm(args.instances))
-    gt = extract_instances(imap)
+    imap = read_instances(args.instances)
+    gt = extract_instances(imap.pixels)
     proposals = _read_records(Path(args.proposals), (imap.width, imap.height))
     ranked = sorted(proposals, key=lambda p: -p.objectness)[: args.top_k]
     overlay = render_overlay(image, gt, ranked)

@@ -9,6 +9,8 @@ proposal set stays unrestricted.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -180,15 +182,14 @@ def report_json(reports: Sequence[ARReport]) -> str:
 
 
 def report_csv(reports: Sequence[ARReport]) -> str:
-    lines = [",".join(["system"] + [f for _, f, *_ in CELLS] + [f"gt_{k.lower()}" for k in _SIZES])]
+    """RFC 4180 rows, so a system name holding a comma, quote or newline is quoted."""
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(["system"] + [f for _, f, *_ in CELLS] + [f"gt_{k.lower()}" for k in _SIZES])
     for r in reports:
-        cells = [r.system]
-        for _, f, *_ in CELLS:
-            v = getattr(r, f)
-            cells.append("" if v is None else f"{v:.6f}")
-        cells += [str(r.gt_counts.get(k, 0)) for k in _SIZES]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        cells = ["" if (v := getattr(r, f)) is None else f"{v:.6f}" for _, f, *_ in CELLS]
+        rows.writerow([r.system] + cells + [r.gt_counts.get(k, 0) for k in _SIZES])
+    return out.getvalue()
 
 
 def _contour(grid: np.ndarray) -> np.ndarray:
@@ -228,4 +229,4 @@ def render_overlay(
         else:
             grid = rle_decode(obj.mask)
             canvas[_contour(grid)] = np.array(_MISS_COLOR, dtype=np.int16)
-    return RasterImage(canvas.astype(np.uint8), 8)
+    return RasterImage(canvas.astype(np.uint8))

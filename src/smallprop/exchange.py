@@ -24,6 +24,18 @@ class ExchangeFormatError(ValueError):
     """A proposal file that violates the exchange schema."""
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
+# built once: passing the hook to json.loads would build a decoder per line
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 @dataclass(eq=True)
 class ProposalRecord:
     image_id: str
@@ -114,10 +126,9 @@ def read_proposals(path) -> list[ProposalRecord]:
         if not line.strip(" \t\r"):
             continue
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ExchangeFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-        except RecursionError:
-            raise ExchangeFormatError(f"{path}: line {lineno}: invalid JSON (nested too deeply)") from None
+            doc = _DECODER.decode(line)
+        except (RecursionError, ValueError) as exc:  # a repeated key or too many digits has no msg
+            why = "nested too deeply" if isinstance(exc, RecursionError) else getattr(exc, "msg", exc)
+            raise ExchangeFormatError(f"{path}: line {lineno}: invalid JSON ({why})") from None
         out.append(_parse_record(doc, path, lineno))
     return out

@@ -1,9 +1,9 @@
 """Raster images and bit-exact PNM (PGM/PPM) input and output.
 
-Only two formats are parsed: binary PGM ("P5", 8 or 16 bit gray, 16-bit
-samples big-endian) and binary PPM ("P6", 8-bit RGB). The header is the four
-whitespace-delimited tokens `magic width height maxval` followed by exactly
-one whitespace byte, then the raw sample payload.
+Only two formats are parsed: binary PPM ("P6", 8-bit RGB) for scene images
+and binary PGM ("P5", 16-bit gray, big-endian samples) for instance maps. The
+header is the four whitespace-delimited tokens `magic width height maxval`
+followed by exactly one whitespace byte, then the raw sample payload.
 """
 
 from __future__ import annotations
@@ -21,33 +21,27 @@ class PnmFormatError(ValueError):
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 # (magic, maxval) -> per-pixel sample shape and wire dtype of the payload
-_LAYOUTS = {(b"P6", 255): ((3,), np.dtype("u1")), (b"P5", 255): ((), np.dtype("u1")),
-            (b"P5", 65535): ((), np.dtype(">u2"))}
+_LAYOUTS = {(b"P6", 255): ((3,), np.dtype("u1")), (b"P5", 65535): ((), np.dtype(">u2"))}
+# per-pixel sample shape -> (magic, maxval) and wire dtype: the formats a RasterImage holds
+_BY_TAIL = {tail: (key, wire) for key, (tail, wire) in _LAYOUTS.items()}
 
 
 @dataclass(eq=False)
 class RasterImage:
-    """Gray or RGB sample grid; pixels has shape (h, w) or (h, w, 3)."""
+    """8-bit RGB pixels of shape (h, w, 3) or 16-bit gray pixels of shape (h, w);
+    a gray raster is an instance map (pixel = instance id, 0 = background)."""
 
     pixels: np.ndarray
-    depth: int = 8
 
     def __post_init__(self) -> None:
         px = self.pixels
-        if px.ndim == 2:
-            pass
-        elif px.ndim == 3 and px.shape[2] == 3:
-            if self.depth != 8:
-                raise ValueError("RGB images must be 8-bit")
-        else:
+        if px.ndim < 2 or px.shape[2:] not in _BY_TAIL:
             raise ValueError(f"unsupported pixel shape {px.shape}")
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("image dimensions must be positive")
-        expected = {8: np.uint8, 16: np.uint16}.get(self.depth)
-        if expected is None:
-            raise ValueError(f"unsupported depth {self.depth}")
+        expected = _BY_TAIL[px.shape[2:]][1].newbyteorder("=")
         if px.dtype != expected:
-            raise ValueError(f"depth {self.depth} requires dtype {expected.__name__}, got {px.dtype}")
+            raise ValueError(f"{'RGB' if px.ndim == 3 else 'gray'} pixels must be {expected}, got {px.dtype}")
         self.pixels = np.ascontiguousarray(px)
 
     @property
@@ -109,20 +103,13 @@ def _parse_pnm(data: bytes) -> RasterImage:
     if len(payload) != expected:
         raise PnmFormatError(f"payload is {len(payload)} bytes, expected {expected}")
     px = np.frombuffer(payload, dtype=wire).astype(wire.newbyteorder("=")).reshape((height, width) + tail)
-    return RasterImage(px, 8 * wire.itemsize)
+    return RasterImage(px)
 
 
 def write_pnm(image: RasterImage, path) -> None:
     """Write the canonical byte representation for the image's format."""
-    payload = image.pixels
-    if image.channels == 3:
-        magic, maxval = b"P6", 255
-    elif image.depth == 8:
-        magic, maxval = b"P5", 255
-    else:
-        magic, maxval = b"P5", 65535
-        payload = payload.astype(">u2")
-    # written in two parts from the contiguous array, so no bytes copy is made
+    (magic, maxval), wire = _BY_TAIL[image.pixels.shape[2:]]
+    # written in two parts, and 8-bit samples without a copy of the array
     with open(path, "wb") as f:
         f.write(b"%s %d %d %d\n" % (magic, image.width, image.height, maxval))
-        f.write(payload)
+        f.write(image.pixels.astype(wire, copy=False))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotations import GroundTruthObject, InstanceMap, extract_instances, instance_map_from_raster, instance_map_to_raster
+from .annotations import GroundTruthObject, extract_instances
 from .prng import randint, random, splitmix64_block, stream_seed, uniform
 from .raster import RasterImage, read_pnm, write_pnm
 
@@ -59,13 +59,12 @@ class SceneSpec:
 
 @dataclass
 class Scene:
-    """Rendered image plus instance labels and extracted objects.
-
-    image may be None for ground-truth-only loads; instances is always set.
+    """Rendered image, its 16-bit gray instance map and the objects extracted
+    from it; image is None for ground-truth-only loads.
     """
 
     image: RasterImage | None
-    instances: InstanceMap
+    instances: RasterImage
     objects: list[GroundTruthObject]
 
     @property
@@ -143,8 +142,7 @@ def generate_scene(spec: SceneSpec) -> Scene:
         flat[pix] = color.astype(np.uint8)[owner - 1]
         pix += 1
 
-    imap = InstanceMap(labels)
-    return Scene(RasterImage(img), imap, extract_instances(imap))
+    return Scene(RasterImage(img), RasterImage(labels), extract_instances(labels))
 
 
 def scene_seed(master_seed: int, index: int) -> int:
@@ -162,16 +160,22 @@ def save_scene(scene: Scene, out_dir, stem: str) -> tuple[str, str]:
         raise ValueError("scene has no image to save")
     out = Path(out_dir)
     write_pnm(scene.image, out / f"{stem}.ppm")
-    write_pnm(instance_map_to_raster(scene.instances), out / f"{stem}.pgm")
+    write_pnm(scene.instances, out / f"{stem}.pgm")
     return f"{stem}.ppm", f"{stem}.pgm"
 
 
-def load_scene(scene_dir, stem: str, with_image: bool = False) -> Scene:
-    """Load a saved scene; objects are re-extracted from the instance map."""
-    base = Path(scene_dir)
-    imap = instance_map_from_raster(read_pnm(base / f"{stem}.pgm"))
-    image = read_pnm(base / f"{stem}.ppm") if with_image else None
-    return Scene(image, imap, extract_instances(imap))
+def read_instances(path) -> RasterImage:
+    """Read an instance map: a 16-bit gray raster, pixel = instance id, 0 = background."""
+    imap = read_pnm(path)
+    if imap.channels != 1:
+        raise ValueError(f"{path}: instance maps are 16-bit gray rasters")
+    return imap
+
+
+def load_scene(scene_dir, stem: str) -> Scene:
+    """Load a saved scene's instance map; objects are re-extracted from it."""
+    imap = read_instances(Path(scene_dir) / f"{stem}.pgm")
+    return Scene(None, imap, extract_instances(imap.pixels))
 
 
 def list_scene_stems(scene_dir) -> list[str]:

@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from smallprop.annotations import (
-    InstanceMap,
-    SizeCategory,
-    extract_instances,
-    instance_map_from_raster,
-    instance_map_to_raster,
-    size_category,
-)
+from smallprop.annotations import SizeCategory, extract_instances, size_category
 from smallprop.masks import rle_decode
-from smallprop.raster import read_pnm, write_pnm
+from smallprop.raster import RasterImage, write_pnm
+from smallprop.synth import read_instances
 
 
 def test_boundary_areas():
@@ -33,13 +27,13 @@ def test_every_area_has_exactly_one_category(area):
 
 
 def test_extract_empty_map():
-    assert extract_instances(InstanceMap(np.zeros((3, 3), np.uint16))) == []
+    assert extract_instances(np.zeros((3, 3), np.uint16)) == []
 
 
 def test_extract_single_block():
     labels = np.zeros((4, 4), np.uint16)
     labels[1:3, 1:3] = 7
-    objs = extract_instances(InstanceMap(labels))
+    objs = extract_instances(labels)
     assert len(objs) == 1
     obj = objs[0]
     assert obj.instance_id == 7
@@ -52,7 +46,7 @@ def test_extract_orders_by_id():
     labels = np.zeros((2, 4), np.uint16)
     labels[0, 3] = 3
     labels[1, 0] = 1
-    objs = extract_instances(InstanceMap(labels))
+    objs = extract_instances(labels)
     assert [o.instance_id for o in objs] == [1, 3]
 
 
@@ -61,14 +55,14 @@ def test_split_instance_stays_one_object():
     labels = np.zeros((3, 5), np.uint16)
     labels[0, 0] = 2
     labels[2, 4] = 2
-    objs = extract_instances(InstanceMap(labels))
+    objs = extract_instances(labels)
     assert len(objs) == 1
     assert objs[0].area == 2
 
 
 @given(hnp.arrays(np.uint16, st.tuples(st.integers(1, 12), st.integers(1, 12)), elements=st.integers(0, 4)))
 def test_extraction_preserves_foreground(labels):
-    objs = extract_instances(InstanceMap(labels))
+    objs = extract_instances(labels)
     assert sum(o.area for o in objs) == int((labels != 0).sum())
     for o in objs:
         assert np.array_equal(rle_decode(o.mask), labels == o.instance_id)
@@ -78,13 +72,14 @@ def test_instance_map_pgm_roundtrip(tmp_path):
     labels = np.zeros((3, 4), np.uint16)
     labels[1, 2] = 40000
     path = tmp_path / "ids.pgm"
-    write_pnm(instance_map_to_raster(InstanceMap(labels)), path)
-    again = instance_map_from_raster(read_pnm(path))
-    assert np.array_equal(again.labels, labels)
+    write_pnm(RasterImage(labels), path)
+    again = read_instances(path)
+    assert np.array_equal(again.pixels, labels)
 
 
-def test_instance_map_rejects_8bit_raster(tmp_path):
-    from smallprop.raster import RasterImage
-
-    with pytest.raises(ValueError):
-        instance_map_from_raster(RasterImage(np.zeros((2, 2), np.uint8)))
+def test_instance_map_rejects_rgb_raster(tmp_path):
+    path = tmp_path / "rgb.pgm"
+    write_pnm(RasterImage(np.zeros((2, 2, 3), np.uint8)), path)
+    with pytest.raises(ValueError) as exc:
+        read_instances(path)
+    assert str(exc.value) == f"{path}: instance maps are 16-bit gray rasters"

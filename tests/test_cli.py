@@ -379,6 +379,23 @@ def test_truncated_scene_error_names_file(tmp_path, capsys):
     assert _data_error(capsys) == f"{pgm}: payload is 83 bytes, expected 38400"
 
 
+def test_rgb_scene_instance_map_names_file(tmp_path, capsys):
+    synth_small(tmp_path / "s", count=1)
+    pgm = tmp_path / "s" / "scene_5_0000.pgm"
+    pgm.write_bytes(pgm.with_suffix(".ppm").read_bytes())  # an RGB image under the instance map's name
+    assert run_cli("run", "--scenes", tmp_path / "s", "--out", tmp_path / "o") == 2
+    assert _data_error(capsys) == f"{pgm}: instance maps are 16-bit gray rasters"
+
+
+def test_overlay_rgb_instances_names_file(tmp_path, capsys):
+    synth_small(tmp_path / "s", count=1)
+    ppm = tmp_path / "s" / "scene_5_0000.ppm"
+    (tmp_path / "p.jsonl").write_text("")
+    assert run_cli("overlay", "--image", ppm, "--instances", ppm, "--proposals", tmp_path / "p.jsonl",
+                   "--out", tmp_path / "o.ppm") == 2
+    assert _data_error(capsys) == f"{ppm}: instance maps are 16-bit gray rasters"
+
+
 @pytest.mark.parametrize("command", ["run", "eval"])
 def test_non_ascii_proposal_file_names_file(tmp_path, capsys, command):
     synth_small(tmp_path / "s", count=1)

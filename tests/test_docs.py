@@ -1,8 +1,11 @@
-"""The README's Python API table names only what the modules define."""
+"""The README names every CLI option, and its Python API table only what the modules define."""
 
+import argparse
 import importlib
 import re
 from pathlib import Path
+
+from smallprop.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,4 +28,12 @@ def test_python_api_table_names_exist():
     for modules, names in rows:
         loaded = [importlib.import_module(m) for m in modules]
         missing += [f"{'/'.join(modules)}.{n}" for n in names if not any(hasattr(m, n) for m in loaded)]
+    assert missing == []
+
+
+def test_readme_names_every_cli_option():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    named = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", README.read_text()))
+    missing = [f"{name} {opt}" for name, sub in commands.choices.items()
+               for action in sub._actions for opt in action.option_strings if opt not in named]
     assert missing == []

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -217,6 +219,13 @@ def test_report_formats():
     assert doc["budgets"] == [10, 100]
 
 
+@pytest.mark.parametrize("system", ["tiled,v2", 'say "hi"', "a\nb"])
+def test_csv_quotes_system_name(system):
+    report = evaluate_dataset([(make_three_category_image(), [])], system=system)
+    header, row = csv.reader(io.StringIO(report_csv([report])))
+    assert len(header) == len(row) == 9 and row[0] == system
+
+
 def test_absent_cells_render_as_dash_and_null():
     xs = gt_from(rect_mask(64, 64, 0, 0, 5, 5), 1)
     report = evaluate_dataset([([xs], [])], system="empty")
@@ -257,6 +266,6 @@ def test_overlay_perfect_has_no_red_and_fills_centroid():
 
 
 def test_overlay_requires_rgb():
-    gray = RasterImage(np.zeros((8, 8), np.uint8))
+    gray = RasterImage(np.zeros((8, 8), np.uint16))
     with pytest.raises(ValueError):
         render_overlay(gray, [], [])

@@ -108,13 +108,19 @@ def test_malformed_json_names_line(tmp_path):
         '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [4]}',
         '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [4]}\x1c{not json}',
         '\x0c',
+        # a repeated key would otherwise keep only its last value
+        '{"image_id": "y", "image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [4]}',
+        # beyond Python's int-string digit limit, a ValueError that is not a JSONDecodeError
+        pytest.param('{"image_id": "x", "width": ' + "1" * 5000 + ', "height": 2, "objectness": 0.5, "runs": [4]}',
+                     id="int-beyond-digit-limit"),
     ],
 )
 def test_schema_violations_rejected(tmp_path, line):
     path = tmp_path / "bad.jsonl"
     path.write_text(line + "\n")
-    with pytest.raises(ExchangeFormatError, match="line 1:"):
+    with pytest.raises(ExchangeFormatError) as exc:
         read_proposals(path)
+    assert str(exc.value).startswith(f"{path}: line 1: ")
 
 
 def test_non_ascii_byte_names_file_and_line(tmp_path):

@@ -8,7 +8,7 @@ from smallprop.masks import mask_iou, rle_decode
 from smallprop.pipeline import nms, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
 from smallprop.tiling import TileGridSpec
-from smallprop.annotations import InstanceMap
+from smallprop.raster import RasterImage
 from oracles import grid_iou, rect_mask
 
 
@@ -17,8 +17,8 @@ def proposal(mask, score):
 
 
 def scene_from_labels(labels):
-    imap = InstanceMap(np.asarray(labels, dtype=np.uint16))
-    return Scene(None, imap, extract_instances(imap))
+    labels = np.asarray(labels, dtype=np.uint16)
+    return Scene(None, RasterImage(labels), extract_instances(labels))
 
 
 def disk_scene(w, h, centers_radii, min_visible=1):

@@ -15,16 +15,8 @@ def test_ppm_roundtrip_bytes(tmp_path):
     assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
 
 
-def test_pgm8_roundtrip(tmp_path):
-    img = RasterImage(np.arange(20, dtype=np.uint8).reshape(4, 5))
-    write_pnm(img, tmp_path / "g.pgm")
-    again = read_pnm(tmp_path / "g.pgm")
-    assert again.depth == 8 and again.channels == 1
-    assert np.array_equal(again.pixels, img.pixels)
-
-
 def test_pgm16_big_endian_payload(tmp_path):
-    img = RasterImage(np.array([[0x0102, 0xFFEE]], dtype=np.uint16), 16)
+    img = RasterImage(np.array([[0x0102, 0xFFEE]], dtype=np.uint16))
     path = tmp_path / "g16.pgm"
     write_pnm(img, path)
     data = path.read_bytes()
@@ -33,37 +25,38 @@ def test_pgm16_big_endian_payload(tmp_path):
 
 
 def test_header_is_canonical(tmp_path):
-    img = RasterImage(np.zeros((2, 3), dtype=np.uint8))
+    img = RasterImage(np.zeros((2, 3), dtype=np.uint16))
     write_pnm(img, tmp_path / "z.pgm")
-    assert (tmp_path / "z.pgm").read_bytes().startswith(b"P5 3 2 255\n")
+    assert (tmp_path / "z.pgm").read_bytes().startswith(b"P5 3 2 65535\n")
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, error",
     [
-        b"P4 2 2 255\n" + b"\x00" * 4,  # unsupported magic
-        b"P5 2 2 254\n" + b"\x00" * 4,  # unsupported maxval
-        b"P6 2 2 65535\n" + b"\x00" * 24,  # 16-bit RGB
-        b"P5 2 2 255\n" + b"\x00" * 3,  # short payload
-        b"P5 320 240 65535\n" + b"\x00" * 83,  # truncated 16-bit instance map
-        b"P5 2 2 255\n" + b"\x00" * 5,  # trailing bytes
-        b"P5 2 2\n",  # truncated header
-        b"P6 x 2 255\n" + b"\x00" * 12,  # non-numeric token
+        (b"P4 2 2 255\n" + b"\x00" * 4, "unsupported magic b'P4'"),
+        (b"P5 2 2 254\n" + b"\x00" * 4, "unsupported P5 maxval 254"),
+        (b"P5 2 2 255\n" + b"\x00" * 4, "unsupported P5 maxval 255"),  # 8-bit gray
+        (b"P6 2 2 65535\n" + b"\x00" * 24, "unsupported P6 maxval 65535"),  # 16-bit RGB
+        (b"P5 2 2 65535\n" + b"\x00" * 7, "payload is 7 bytes, expected 8"),  # short payload
+        (b"P5 320 240 65535\n" + b"\x00" * 83, "payload is 83 bytes, expected 153600"),  # truncated
+        (b"P5 2 2 65535\n" + b"\x00" * 9, "payload is 9 bytes, expected 8"),  # trailing bytes
+        (b"P5 2 2\n", "truncated header"),
+        (b"P6 x 2 255\n" + b"\x00" * 12, "non-numeric header token b'x'"),
     ],
 )
-def test_malformed_files_rejected(tmp_path, payload):
+def test_malformed_files_rejected(tmp_path, payload, error):
     path = tmp_path / "bad.pnm"
     path.write_bytes(payload)
     with pytest.raises(PnmFormatError) as exc:
         read_pnm(path)
-    assert str(exc.value).startswith(f"{path}: ")  # every format error names the file
+    assert str(exc.value) == f"{path}: {error}"  # every format error names the file
 
 
 def test_image_validation():
     with pytest.raises(ValueError):
-        RasterImage(np.zeros((2, 2, 3), dtype=np.uint16), 16)  # rgb must be 8-bit
+        RasterImage(np.zeros((2, 2, 3), dtype=np.uint16))  # rgb must be 8-bit
     with pytest.raises(ValueError):
-        RasterImage(np.zeros((2, 2), dtype=np.uint8), 16)  # dtype/depth mismatch
+        RasterImage(np.zeros((2, 2), dtype=np.uint8))  # gray must be 16-bit
     with pytest.raises(ValueError):
         RasterImage(np.zeros((2, 2, 2), dtype=np.uint8))  # bad channel count
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from smallprop.annotations import SizeCategory
 from smallprop.masks import rle_decode
 from smallprop.prng import SplitMix64, prng_next, splitmix64_block, stream_seed
+from smallprop.raster import read_pnm
 from smallprop.synth import (
     Scene,
     SceneSpec,
@@ -63,7 +64,7 @@ def test_no_apples_gives_empty_scene():
     spec = SceneSpec(width=64, height=48, n_apples=0, n_leaves=0, seed=1)
     scene = generate_scene(spec)
     assert scene.objects == []
-    assert not scene.instances.labels.any()
+    assert not scene.instances.pixels.any()
     # only the background is drawn: one shade per row, from the stream's first draws
     for y, value in enumerate(ref_splitmix64(spec.seed, spec.height)):
         shade = value % 19  # randint(0, 18)
@@ -75,7 +76,7 @@ def test_generation_is_deterministic():
     a = generate_scene(spec)
     b = generate_scene(spec)
     assert a.image.pixels.tobytes() == b.image.pixels.tobytes()
-    assert a.instances.labels.tobytes() == b.instances.labels.tobytes()
+    assert a.instances.pixels.tobytes() == b.instances.pixels.tobytes()
     assert [(o.instance_id, o.mask.runs) for o in a.objects] == [
         (o.instance_id, o.mask.runs) for o in b.objects
     ]
@@ -92,14 +93,14 @@ def test_min_visible_filters_fragments():
     scene = generate_scene(spec)
     assert all(o.area >= 16 for o in scene.objects)
     # removed ids are gone from the map as well
-    present = set(np.unique(scene.instances.labels)) - {0}
+    present = set(np.unique(scene.instances.pixels)) - {0}
     assert present == {o.instance_id for o in scene.objects}
 
 
 def test_instances_are_disjoint_and_within_canvas():
     scene = generate_scene(SceneSpec(width=300, height=200, n_apples=25, n_leaves=10, seed=8))
     total = sum(o.area for o in scene.objects)
-    assert total == int((scene.instances.labels != 0).sum())
+    assert total == int((scene.instances.pixels != 0).sum())
     stack = np.zeros((200, 300), int)
     for o in scene.objects:
         stack += rle_decode(o.mask)
@@ -128,9 +129,9 @@ def test_scene_files_roundtrip(tmp_path):
     names = save_scene(scene, tmp_path, scene_stem(11, 0))
     assert names == ("scene_11_0000.ppm", "scene_11_0000.pgm")
     assert list_scene_stems(tmp_path) == ["scene_11_0000"]
-    again = load_scene(tmp_path, "scene_11_0000", with_image=True)
-    assert np.array_equal(again.instances.labels, scene.instances.labels)
-    assert np.array_equal(again.image.pixels, scene.image.pixels)
+    again = load_scene(tmp_path, "scene_11_0000")
+    assert np.array_equal(again.instances.pixels, scene.instances.pixels)
+    assert np.array_equal(read_pnm(tmp_path / "scene_11_0000.ppm").pixels, scene.image.pixels)
     assert [(o.instance_id, o.area) for o in again.objects] == [
         (o.instance_id, o.area) for o in scene.objects
     ]
@@ -177,7 +178,7 @@ def test_generated_scenes_match_pinned_digest(group):
     for spec in specs:
         scene = generate_scene(spec)
         digest.update(scene.image.pixels.tobytes())
-        digest.update(scene.instances.labels.tobytes())
+        digest.update(scene.instances.pixels.tobytes())
         for o in scene.objects:
             digest.update(repr((o.instance_id, o.mask.runs)).encode())
     assert digest.hexdigest() == expected
@@ -207,5 +208,5 @@ def test_generate_scene_matches_row_loop_oracle(spec):
     scene = generate_scene(spec)
     pixels, labels = ref_scene(spec)
     assert np.array_equal(scene.image.pixels, pixels)
-    assert np.array_equal(scene.instances.labels, labels)
+    assert np.array_equal(scene.instances.pixels, labels)
     assert {o.instance_id for o in scene.objects} == set(np.unique(labels).tolist()) - {0}
