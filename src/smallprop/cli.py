@@ -269,7 +269,12 @@ def cmd_eval(args) -> int:
 
 def cmd_overlay(args) -> int:
     image = read_pnm(args.image)
+    if image.channels != 3:
+        raise ValueError(f"{args.image}: overlay rendering needs an RGB image")
     imap = read_instances(args.instances)
+    if (image.width, image.height) != (imap.width, imap.height):
+        raise ValueError(f"{args.image} is {image.width}x{image.height}, "
+                         f"{args.instances} is {imap.width}x{imap.height}")
     gt = extract_instances(imap.pixels)
     proposals = _read_records(Path(args.proposals), (imap.width, imap.height))
     ranked = sorted(proposals, key=lambda p: -p.objectness)[: args.top_k]

@@ -5,8 +5,10 @@ no operation touches pixels outside the object. The run-length encoding is the
 wire format of the proposal exchange files and is normative there: runs are
 listed in row-major scan order over the full canvas and alternate
 background/foreground, with the first run counting background pixels
-(possibly zero). No other run may be zero. A mask read from runs decodes
-them on first use, and any mask encodes its runs only when asked.
+(possibly zero). No other run may be zero. A mask read from runs takes its
+box and area from the runs and decodes its pixels on first use; a mask moved
+whole by crop, shift or embed shares its source's pixels, also decoded on
+first use. Any mask encodes its runs only when asked.
 """
 
 from __future__ import annotations
@@ -49,12 +51,12 @@ class BinaryMask:
 
     ``bbox`` is the tight box of the foreground (zero-size at the origin for
     an empty mask) and ``bitmap`` the read-only boolean grid of that box.
-    ``BinaryMask(width, height, runs)`` validates canonical runs at once and
-    decodes them on first use of ``bbox``, ``bitmap`` or ``area``, only over
-    the rows from the first foreground pixel to the last.
+    ``BinaryMask(width, height, runs)`` validates canonical runs at once,
+    computes ``bbox`` and ``area`` from them on first use of either, and
+    decodes ``bitmap`` on its first use, only over the rows of the box.
     """
 
-    __slots__ = ("width", "height", "_runs", "bbox", "bitmap", "area")
+    __slots__ = ("width", "height", "_runs", "_src", "bbox", "bitmap", "area")
 
     def __init__(self, width: int, height: int, runs: Sequence[int]) -> None:
         if width < 1 or height < 1:
@@ -73,16 +75,20 @@ class BinaryMask:
             raise MaskFormatError(
                 f"runs sum to {total}, expected {width}x{height}={width * height}"
             )
-        _set(self, "width", width)
-        _set(self, "height", height)
-        _set(self, "_runs", runs)  # valid runs are the canonical encoding
+        _start(self, width, height, runs)  # valid runs are the canonical encoding
 
     def __getattr__(self, name):
-        # reached only while a slot is unset: the pixels of a mask built from
-        # runs, decoded once; a caller can reject the canvas size before that
-        if name not in ("bbox", "bitmap", "area"):
+        # reached only while a slot is unset, so each is computed once: the box
+        # and area of a mask built from runs (a caller can reject the canvas
+        # size before that), and the pixels of one built from runs or moved
+        if name in ("bbox", "area"):
+            _measure(self)
+        elif name == "bitmap":
+            src = self._src
+            _set(self, "bitmap", _decode(self) if src is None else src.bitmap)
+            _set(self, "_src", None)
+        else:
             raise AttributeError(name)
-        _decode(self)
         return object.__getattribute__(self, name)
 
     @classmethod
@@ -127,8 +133,17 @@ _NO_PIXELS.flags.writeable = False
 _NO_BOX = BBox(0, 0, 0, 0)
 
 
-def _place(mask, x, y, bitmap, area=None) -> BinaryMask:
-    """Set the pixels of ``mask`` to ``bitmap`` at (x, y), whose box must be tight."""
+def _start(mask, width, height, runs=None, src=None) -> BinaryMask:
+    _set(mask, "width", width)
+    _set(mask, "height", height)
+    _set(mask, "_runs", runs)
+    _set(mask, "_src", src)  # of a moved mask: the mask whose pixels it shares
+    return mask
+
+
+def _make(width, height, x, y, bitmap, area=None) -> BinaryMask:
+    """Mask whose pixels at (x, y) are ``bitmap``, whose box must be tight."""
+    mask = _start(object.__new__(BinaryMask), width, height)
     bitmap.flags.writeable = False
     h, w = bitmap.shape
     _set(mask, "bbox", BBox(x, y, w, h) if h else _NO_BOX)
@@ -137,19 +152,13 @@ def _place(mask, x, y, bitmap, area=None) -> BinaryMask:
     return mask
 
 
-def _make(width, height, x, y, bitmap, area=None) -> BinaryMask:
-    mask = object.__new__(BinaryMask)
-    _set(mask, "width", width)
-    _set(mask, "height", height)
-    _set(mask, "_runs", None)
-    return _place(mask, x, y, bitmap, area)
-
-
-def _decode(mask: BinaryMask) -> None:
+def _measure(mask: BinaryMask) -> None:
+    """Set the box and area of a mask built from runs, from the runs alone."""
     runs, width = mask._runs, mask.width
     n = len(runs) - len(runs) % 2  # runs up to the last foreground run
     if n == 0:
-        _place(mask, 0, 0, _NO_PIXELS, 0)
+        _set(mask, "bbox", _NO_BOX)
+        _set(mask, "area", 0)
         return
     starts = list(accumulate(runs[:n]))[0::2]  # of the foreground runs
     lens = runs[1:n:2]
@@ -158,11 +167,21 @@ def _decode(mask: BinaryMask) -> None:
     if x1 > width:  # a run goes on past a row end, so the box spans every column
         x0, x1 = 0, width
     y0, y1 = starts[0] // width, (starts[-1] + lens[-1] - 1) // width + 1
-    # decode the rows y0..y1 whole, then keep the box's columns
-    local = (starts[0] - y0 * width,) + runs[1:n] + (y1 * width - starts[-1] - lens[-1],)
+    _set(mask, "bbox", BBox(x0, y0, x1 - x0, y1 - y0))
+    _set(mask, "area", sum(lens))
+
+
+def _decode(mask: BinaryMask) -> np.ndarray:
+    """The bitmap of a mask built from runs: the box's rows decoded whole, then its columns kept."""
+    runs, width, b = mask._runs, mask.width, mask.bbox
+    if b.h == 0:
+        return _NO_PIXELS
+    n = len(runs) - len(runs) % 2
+    local = (runs[0] - b.y * width,) + runs[1:n] + ((b.y + b.h) * width - sum(runs[:n]),)
     rows = b"".join(map(operator.mul, cycle((b"\0", b"\1")), local))
-    bitmap = np.frombuffer(rows, dtype=bool).reshape(y1 - y0, width)[:, x0:x1]
-    _place(mask, x0, y0, np.ascontiguousarray(bitmap), sum(lens))
+    bitmap = np.ascontiguousarray(np.frombuffer(rows, dtype=bool).reshape(b.h, width)[:, b.x : b.x + b.w])
+    bitmap.flags.writeable = False
+    return bitmap
 
 
 def _trimmed(width: int, height: int, x: int, y: int, bitmap: np.ndarray) -> BinaryMask:
@@ -185,8 +204,11 @@ def _part(mask, width, height, dx, dy, x0, y0, x1, y1) -> BinaryMask:
     cx1, cy1 = min(b.x + b.w, x1), min(b.y + b.h, y1)
     if cx0 >= cx1 or cy0 >= cy1:
         return _make(width, height, 0, 0, _NO_PIXELS, 0)
-    if cx1 - cx0 == b.w and cy1 - cy0 == b.h:
-        return _make(width, height, b.x + dx, b.y + dy, mask.bitmap, mask.area)
+    if cx1 - cx0 == b.w and cy1 - cy0 == b.h:  # all of it: the same pixels, moved
+        moved = _start(object.__new__(BinaryMask), width, height, src=mask)
+        _set(moved, "bbox", BBox(b.x + dx, b.y + dy, b.w, b.h))
+        _set(moved, "area", mask.area)
+        return moved
     sub = mask.bitmap[cy0 - b.y : cy1 - b.y, cx0 - b.x : cx1 - b.x]
     return _trimmed(width, height, cx0 + dx, cy0 + dy, sub)
 

@@ -23,14 +23,19 @@ from .tiling import Tile, TileGridSpec, plan_grid, remap_mask
 ProposalSource = Union[DetectorProfile, Sequence[ProposalRecord]]
 
 
-def nms(proposals: Sequence[Proposal], iou_threshold: float) -> list[Proposal]:
+def nms(
+    proposals: Sequence[Proposal], iou_threshold: float, top_k: int | None = None
+) -> list[Proposal]:
     """Greedy suppression: keep a proposal iff IoU < threshold with all kept.
 
     Candidates are visited by objectness descending, ties broken by mask area
-    descending, then insertion order; output retains that order. A candidate
-    is compared only with kept proposals whose bounding boxes intersect its
-    own: any other pair shares no pixel, so its IoU is 0.0, below every
-    threshold in (0, 1], and skipping it cannot change the output.
+    descending, then insertion order; output retains that order. Given
+    ``top_k``, the visit stops once that many are kept: the kept list only
+    grows at its end, so they are the first ``top_k`` of the full output.
+
+    A candidate is compared only with kept proposals whose bounding boxes
+    intersect its own: any other pair shares no pixel, so its IoU is 0.0,
+    below every threshold in (0, 1], and skipping it cannot change the output.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError("nms_iou must lie in (0, 1]")
@@ -45,6 +50,8 @@ def nms(proposals: Sequence[Proposal], iou_threshold: float) -> list[Proposal]:
     is_kept = np.zeros(len(proposals), dtype=bool)
     kept: list[Proposal] = []
     for i in order:
+        if len(kept) == top_k:
+            break
         cand = masks[i]
         rivals = np.flatnonzero(overlaps[i] & is_kept)
         if all(mask_iou(cand, masks[j]) < iou_threshold for j in rivals):
@@ -112,7 +119,7 @@ def run_tiled(
         raw = _simulated_proposals(scene, tiles, source)
     else:
         raw = [record_proposal(r, scene.width, scene.height, tiles) for r in source]
-    return nms(raw, nms_iou)[:top_k]
+    return nms(raw, nms_iou, top_k)
 
 
 def run_whole(

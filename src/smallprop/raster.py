@@ -9,6 +9,8 @@ followed by exactly one whitespace byte, then the raw sample payload.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,13 +74,33 @@ def _next_token(data: bytes, pos: int, skip_leading: bool) -> tuple[bytes, int]:
 
 def read_pnm(path) -> RasterImage:
     """Read a P5/P6 file; raises PnmFormatError, naming the file, on any deviation."""
+    data = Path(path).read_bytes()
+    shape, wire, pos = _header(data, path)
+    px = np.frombuffer(data, dtype=wire, offset=pos).astype(wire.newbyteorder("=")).reshape(shape)
+    return RasterImage(px)
+
+
+def pnm_shape(path) -> tuple[int, ...]:
+    """The pixel shape of a P5/P6 file, (h, w) or (h, w, 3), with the checks and
+    errors of ``read_pnm``; only the header is read, and the payload's length
+    is taken from the file size."""
+    with open(path, "rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:  # an empty file cannot be mapped
+            return _header(b"", path)[0]
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            return _header(data, path)[0]
+
+
+def _header(data, path) -> tuple[tuple[int, ...], np.dtype, int]:
     try:
-        return _parse_pnm(Path(path).read_bytes())
+        return _parse_header(data)
     except PnmFormatError as exc:
         raise PnmFormatError(f"{path}: {exc}") from None
 
 
-def _parse_pnm(data: bytes) -> RasterImage:
+def _parse_header(data) -> tuple[tuple[int, ...], np.dtype, int]:
+    """Pixel shape, wire dtype and payload offset of a file's bytes, whose
+    payload must be exactly as long as the header says."""
     magic, pos = _next_token(data, 0, skip_leading=False)
     if magic not in (b"P5", b"P6"):
         raise PnmFormatError(f"unsupported magic {magic!r}")
@@ -98,12 +120,10 @@ def _parse_pnm(data: bytes) -> RasterImage:
     if layout is None:
         raise PnmFormatError(f"unsupported {magic.decode()} maxval {maxval}")
     tail, wire = layout
-    payload = data[pos:]
     expected = width * height * math.prod(tail) * wire.itemsize
-    if len(payload) != expected:
-        raise PnmFormatError(f"payload is {len(payload)} bytes, expected {expected}")
-    px = np.frombuffer(payload, dtype=wire).astype(wire.newbyteorder("=")).reshape((height, width) + tail)
-    return RasterImage(px)
+    if len(data) - pos != expected:
+        raise PnmFormatError(f"payload is {len(data) - pos} bytes, expected {expected}")
+    return (height, width) + tail, wire, pos
 
 
 def write_pnm(image: RasterImage, path) -> None:

@@ -10,13 +10,14 @@ which makes generation a pure function of the spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .annotations import GroundTruthObject, extract_instances
 from .prng import randint, random, splitmix64_block, stream_seed, uniform
-from .raster import RasterImage, read_pnm, write_pnm
+from .raster import RasterImage, pnm_shape, read_pnm, write_pnm
 
 # Radius bands of the two mixture components. A rasterized disk of radius
 # 12.0 covers 441 px (below the 506.25 XS bound), one of radius 13.3 covers
@@ -57,23 +58,32 @@ class SceneSpec:
             raise ValueError("n_apples must be at most 65535: instance ids are 16-bit")
 
 
-@dataclass
 class Scene:
     """Rendered image, its 16-bit gray instance map and the objects extracted
-    from it; image is None for ground-truth-only loads.
+    from it; image is None for ground-truth-only loads. ``objects`` is
+    extracted on first use.
     """
 
-    image: RasterImage | None
-    instances: RasterImage
-    objects: list[GroundTruthObject]
+    def __init__(self, image: RasterImage | None, instances: RasterImage) -> None:
+        self.image = image
+        self.instances = instances
+        self.height, self.width = instances.pixels.shape
 
-    @property
-    def width(self) -> int:
-        return self.instances.width
+    @cached_property
+    def objects(self) -> list[GroundTruthObject]:
+        return extract_instances(self.instances.pixels)
 
-    @property
-    def height(self) -> int:
-        return self.instances.height
+
+class _SavedScene(Scene):
+    """The instance map file of a saved scene, whose header gave its size; its
+    pixels are read on first use of ``instances``."""
+
+    def __init__(self, path: Path, height: int, width: int) -> None:
+        self.image, self.path, self.height, self.width = None, path, height, width
+
+    @cached_property
+    def instances(self) -> RasterImage:
+        return read_instances(self.path)
 
 
 def _span(c, half, size: int):
@@ -142,7 +152,7 @@ def generate_scene(spec: SceneSpec) -> Scene:
         flat[pix] = color.astype(np.uint8)[owner - 1]
         pix += 1
 
-    return Scene(RasterImage(img), RasterImage(labels), extract_instances(labels))
+    return Scene(RasterImage(img), RasterImage(labels))
 
 
 def scene_seed(master_seed: int, index: int) -> int:
@@ -164,18 +174,25 @@ def save_scene(scene: Scene, out_dir, stem: str) -> tuple[str, str]:
     return f"{stem}.ppm", f"{stem}.pgm"
 
 
+def _require_gray(path, shape: tuple[int, ...]) -> None:
+    if len(shape) != 2:
+        raise ValueError(f"{path}: instance maps are 16-bit gray rasters")
+
+
 def read_instances(path) -> RasterImage:
     """Read an instance map: a 16-bit gray raster, pixel = instance id, 0 = background."""
     imap = read_pnm(path)
-    if imap.channels != 1:
-        raise ValueError(f"{path}: instance maps are 16-bit gray rasters")
+    _require_gray(path, imap.pixels.shape)
     return imap
 
 
 def load_scene(scene_dir, stem: str) -> Scene:
-    """Load a saved scene's instance map; objects are re-extracted from it."""
-    imap = read_instances(Path(scene_dir) / f"{stem}.pgm")
-    return Scene(None, imap, extract_instances(imap.pixels))
+    """A saved scene. Its instance map is checked now as ``read_instances``
+    checks it, but read on first use of ``instances``."""
+    path = Path(scene_dir) / f"{stem}.pgm"
+    shape = pnm_shape(path)
+    _require_gray(path, shape)
+    return _SavedScene(path, *shape)
 
 
 def list_scene_stems(scene_dir) -> list[str]:

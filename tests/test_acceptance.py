@@ -166,6 +166,8 @@ def _suite_nms(rng, cases):
         t = float(rng.integers(2, 10)) / 10
         kept = nms(props, t)
         assert kept == ref_nms(props, t)
+        k = int(rng.integers(1, n + 2))
+        assert nms(props, t, k) == ref_nms(props, t)[:k]
         assert nms(kept, t) == kept
         for i, p in enumerate(kept):
             for q in kept[:i]:

@@ -396,6 +396,42 @@ def test_overlay_rgb_instances_names_file(tmp_path, capsys):
     assert _data_error(capsys) == f"{ppm}: instance maps are 16-bit gray rasters"
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda pgm: pgm.write_bytes(pgm.read_bytes()[:100]), "payload is 83 bytes, expected 38400"),
+    (lambda pgm: pgm.write_bytes(pgm.with_suffix(".ppm").read_bytes()), "instance maps are 16-bit gray rasters"),
+])
+def test_exchange_run_checks_scene_file(tmp_path, capsys, corrupt, message):
+    # run --exchange needs only the scene's size, but checks its file as a full read does
+    synth_small(tmp_path / "s", count=1)
+    (tmp_path / "p").mkdir()
+    pgm = tmp_path / "s" / "scene_5_0000.pgm"
+    corrupt(pgm)
+    assert run_cli(*_proposal_file_argv(tmp_path, "run", "scene_5_0000")) == 2
+    assert _data_error(capsys) == f"{pgm}: {message}"
+
+
+def test_overlay_gray_image_names_file(tmp_path, capsys):
+    synth_small(tmp_path / "s", count=1)
+    pgm = tmp_path / "s" / "scene_5_0000.pgm"
+    (tmp_path / "p.jsonl").write_text("")
+    assert run_cli("overlay", "--image", pgm, "--instances", pgm, "--proposals", tmp_path / "p.jsonl",
+                   "--out", tmp_path / "o.ppm") == 2
+    assert _data_error(capsys) == f"{pgm}: overlay rendering needs an RGB image"
+
+
+@pytest.mark.parametrize("apples", [8, 0])
+def test_overlay_size_mismatch_names_both_files(tmp_path, capsys, apples):
+    # with objects this was an internal IndexError; without, an overlay of the wrong frame
+    synth_small(tmp_path / "s", count=1, apples=apples)
+    synth_small(tmp_path / "w", count=1, width=180)
+    ppm, pgm = tmp_path / "w" / "scene_5_0000.ppm", tmp_path / "s" / "scene_5_0000.pgm"
+    (tmp_path / "p.jsonl").write_text("")
+    assert run_cli("overlay", "--image", ppm, "--instances", pgm, "--proposals", tmp_path / "p.jsonl",
+                   "--out", tmp_path / "o.ppm") == 2
+    assert _data_error(capsys) == f"{ppm} is 180x120, {pgm} is 160x120"
+    assert not (tmp_path / "o.ppm").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "eval"])
 def test_non_ascii_proposal_file_names_file(tmp_path, capsys, command):
     synth_small(tmp_path / "s", count=1)

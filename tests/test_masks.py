@@ -186,6 +186,15 @@ def test_crop_matches_bruteforce(grid, data):
     assert np.array_equal(rle_decode(part), grid[y0 : y0 + ch, x0 : x0 + cw])
 
 
+def _decoded(mask):
+    """True once ``mask`` holds its pixels: the bitmap slot is set."""
+    try:
+        object.__getattribute__(mask, "bitmap")
+    except AttributeError:
+        return False
+    return True
+
+
 def _assert_matches(mask, grid):
     """Every view of ``mask`` equals the brute-force one of its full-canvas grid."""
     h, w = grid.shape
@@ -251,3 +260,28 @@ def test_mask_ops_match_grid_oracles(grid, data):
     flipped = grid.copy()
     flipped[data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] ^= True
     assert rle_encode(flipped) != mask
+
+
+@settings(max_examples=200)
+@given(masked_grids(), st.integers(0, 3), st.integers(0, 3))
+@example(np.array([[0, 1, 1], [1, 1, 0]], bool), 1, 2)  # a run that goes on past a row end
+@example(np.array([[0, 0, 1], [1, 0, 0]], bool), 0, 0)  # its pieces leave a column empty
+@example(np.zeros((2, 3), bool), 1, 0)
+def test_run_masks_measure_and_move_before_decoding(grid, ex, ey):
+    h, w = grid.shape
+    mask = BinaryMask(w, h, grid_runs(grid))
+    box = grid_bbox(grid)
+    moved = [embed_mask(mask, ex, ey, w + ex, h + ey), crop_mask(mask, 0, 0, w, h)]
+    if mask.area:  # a box inside the canvas moves whole
+        moved.append(shift_mask(mask, -box[0], -box[1]))
+    assert (mask.bbox.x, mask.bbox.y, mask.bbox.w, mask.bbox.h) == box
+    assert mask.area == int(grid.sum())
+    for m in moved:
+        assert m.area == mask.area
+    assert not any(map(_decoded, [mask, *moved] if mask.area else [mask]))  # empty ones share no pixels
+    _assert_matches(mask, grid)
+    embedded = np.zeros((h + ey, w + ex), bool)
+    embedded[ey:, ex:] = grid
+    _assert_matches(moved[0], embedded)
+    _assert_matches(moved[1], grid)
+    assert all(m.bitmap is mask.bitmap for m in moved)

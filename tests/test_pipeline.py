@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smallprop.annotations import GroundTruthObject, extract_instances
+from smallprop.annotations import GroundTruthObject
 from smallprop.detector import Proposal, preset
 from smallprop.exchange import ProposalRecord
 from smallprop.masks import mask_iou, rle_decode
@@ -18,7 +18,7 @@ def proposal(mask, score):
 
 def scene_from_labels(labels):
     labels = np.asarray(labels, dtype=np.uint16)
-    return Scene(None, RasterImage(labels), extract_instances(labels))
+    return Scene(None, RasterImage(labels))
 
 
 def disk_scene(w, h, centers_radii, min_visible=1):

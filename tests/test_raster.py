@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smallprop.raster import PnmFormatError, RasterImage, read_pnm, write_pnm
+from smallprop.raster import PnmFormatError, RasterImage, pnm_shape, read_pnm, write_pnm
 
 
 def test_ppm_roundtrip_bytes(tmp_path):
@@ -30,26 +30,46 @@ def test_header_is_canonical(tmp_path):
     assert (tmp_path / "z.pgm").read_bytes().startswith(b"P5 3 2 65535\n")
 
 
-@pytest.mark.parametrize(
-    "payload, error",
-    [
-        (b"P4 2 2 255\n" + b"\x00" * 4, "unsupported magic b'P4'"),
-        (b"P5 2 2 254\n" + b"\x00" * 4, "unsupported P5 maxval 254"),
-        (b"P5 2 2 255\n" + b"\x00" * 4, "unsupported P5 maxval 255"),  # 8-bit gray
-        (b"P6 2 2 65535\n" + b"\x00" * 24, "unsupported P6 maxval 65535"),  # 16-bit RGB
-        (b"P5 2 2 65535\n" + b"\x00" * 7, "payload is 7 bytes, expected 8"),  # short payload
-        (b"P5 320 240 65535\n" + b"\x00" * 83, "payload is 83 bytes, expected 153600"),  # truncated
-        (b"P5 2 2 65535\n" + b"\x00" * 9, "payload is 9 bytes, expected 8"),  # trailing bytes
-        (b"P5 2 2\n", "truncated header"),
-        (b"P6 x 2 255\n" + b"\x00" * 12, "non-numeric header token b'x'"),
-    ],
-)
+MALFORMED = [
+    (b"P4 2 2 255\n" + b"\x00" * 4, "unsupported magic b'P4'"),
+    (b"P5 2 2 254\n" + b"\x00" * 4, "unsupported P5 maxval 254"),
+    (b"P5 2 2 255\n" + b"\x00" * 4, "unsupported P5 maxval 255"),  # 8-bit gray
+    (b"P6 2 2 65535\n" + b"\x00" * 24, "unsupported P6 maxval 65535"),  # 16-bit RGB
+    (b"P5 2 2 65535\n" + b"\x00" * 7, "payload is 7 bytes, expected 8"),  # short payload
+    (b"P5 320 240 65535\n" + b"\x00" * 83, "payload is 83 bytes, expected 153600"),  # truncated
+    (b"P5 2 2 65535\n" + b"\x00" * 9, "payload is 9 bytes, expected 8"),  # trailing bytes
+    (b"P5 2 2\n", "truncated header"),
+    (b"P6 x 2 255\n" + b"\x00" * 12, "non-numeric header token b'x'"),
+    (b"", "truncated header"),
+    (b"P5 2 2 65535", "missing whitespace after maxval"),
+]
+
+
+@pytest.mark.parametrize("payload, error", MALFORMED)
 def test_malformed_files_rejected(tmp_path, payload, error):
     path = tmp_path / "bad.pnm"
     path.write_bytes(payload)
     with pytest.raises(PnmFormatError) as exc:
         read_pnm(path)
     assert str(exc.value) == f"{path}: {error}"  # every format error names the file
+
+
+@pytest.mark.parametrize("payload, error", MALFORMED)
+def test_header_check_rejects_as_read_pnm(tmp_path, payload, error):
+    path = tmp_path / "bad.pnm"
+    path.write_bytes(payload)
+    with pytest.raises(PnmFormatError) as exc:
+        pnm_shape(path)
+    assert str(exc.value) == f"{path}: {error}"
+
+
+def test_header_gives_pixel_shape(tmp_path):
+    for pixels in (np.zeros((2, 3), dtype=np.uint16), np.zeros((4, 5, 3), dtype=np.uint8)):
+        write_pnm(RasterImage(pixels), tmp_path / "a.pnm")
+        assert pnm_shape(tmp_path / "a.pnm") == pixels.shape == read_pnm(tmp_path / "a.pnm").pixels.shape
+    # a header longer than a memory page
+    (tmp_path / "b.pnm").write_bytes(b"P5" + b" " * 5000 + b"2\n1 65535\n" + b"\x00\x07" * 2)
+    assert pnm_shape(tmp_path / "b.pnm") == (1, 2) == read_pnm(tmp_path / "b.pnm").pixels.shape
 
 
 def test_image_validation():
