@@ -12,7 +12,6 @@ import math
 import mmap
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -74,9 +73,16 @@ def _next_token(data: bytes, pos: int, skip_leading: bool) -> tuple[bytes, int]:
 
 def read_pnm(path) -> RasterImage:
     """Read a P5/P6 file; raises PnmFormatError, naming the file, on any deviation."""
-    data = Path(path).read_bytes()
-    shape, wire, pos = _header(data, path)
-    px = np.frombuffer(data, dtype=wire, offset=pos).astype(wire.newbyteorder("=")).reshape(shape)
+    with open(path, "rb") as f:
+        shape, wire, pos = _header(f, path)
+        # straight into the array the image keeps, its bytes swapped there:
+        # no second buffer of the payload's size
+        px = np.empty(shape, dtype=wire.newbyteorder("="))
+        f.seek(pos)
+        if f.readinto(px) != px.nbytes:
+            raise PnmFormatError(f"{path}: file shrank while it was read")
+    if not wire.isnative:
+        px.byteswap(inplace=True)
     return RasterImage(px)
 
 
@@ -85,15 +91,17 @@ def pnm_shape(path) -> tuple[int, ...]:
     errors of ``read_pnm``; only the header is read, and the payload's length
     is taken from the file size."""
     with open(path, "rb") as f:
-        if os.fstat(f.fileno()).st_size == 0:  # an empty file cannot be mapped
-            return _header(b"", path)[0]
-        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
-            return _header(data, path)[0]
+        return _header(f, path)[0]
 
 
-def _header(data, path) -> tuple[tuple[int, ...], np.dtype, int]:
+def _header(f, path) -> tuple[tuple[int, ...], np.dtype, int]:
+    """``_parse_header`` of an open file, mapped so that only the pages it reads
+    are read; its errors name the file."""
     try:
-        return _parse_header(data)
+        if os.fstat(f.fileno()).st_size == 0:  # an empty file cannot be mapped
+            return _parse_header(b"")
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            return _parse_header(data)
     except PnmFormatError as exc:
         raise PnmFormatError(f"{path}: {exc}") from None
 

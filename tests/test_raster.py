@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smallprop import raster
 from smallprop.raster import PnmFormatError, RasterImage, pnm_shape, read_pnm, write_pnm
 
 
@@ -71,6 +72,21 @@ def test_header_gives_pixel_shape(tmp_path):
     (tmp_path / "b.pnm").write_bytes(b"P5" + b" " * 5000 + b"2\n1 65535\n" + b"\x00\x07" * 2)
     assert pnm_shape(tmp_path / "b.pnm") == (1, 2) == read_pnm(tmp_path / "b.pnm").pixels.shape
 
+
+def test_file_shrinking_after_its_header_check(tmp_path, monkeypatch):
+    path = tmp_path / "g.pgm"
+    write_pnm(RasterImage(np.zeros((2, 2), dtype=np.uint16)), path)
+    checked = raster._header
+
+    def check_then_truncate(f, name):
+        found = checked(f, name)
+        path.write_bytes(path.read_bytes()[:-1])
+        return found
+
+    monkeypatch.setattr(raster, "_header", check_then_truncate)
+    with pytest.raises(PnmFormatError) as exc:
+        read_pnm(path)
+    assert str(exc.value) == f"{path}: file shrank while it was read"
 
 def test_image_validation():
     with pytest.raises(ValueError):
