@@ -67,7 +67,7 @@ class Scene:
     def __init__(self, image: RasterImage | None, instances: RasterImage) -> None:
         self.image = image
         self.instances = instances
-        self.height, self.width = instances.pixels.shape
+        self.height, self.width = instances.height, instances.width
 
     @cached_property
     def objects(self) -> list[GroundTruthObject]:
