@@ -40,7 +40,7 @@ def main() -> int:
     overlay = render_overlay(scene.image, scene.objects, proposals)
     write_pnm(overlay, out / "scene_demo_overlay.ppm")
 
-    print(report_text([evaluate_dataset([(scene.objects, proposals)], system="demo")]), end="")
+    print(report_text([evaluate_dataset([(scene.instances.pixels, proposals)], system="demo")]), end="")
     print(f"wrote {out}/scene_demo_overlay.ppm", file=sys.stderr)
     return 0
 

@@ -46,7 +46,7 @@ def main() -> int:
     reports = []
     for name, run, det in systems:
         profile = preset(det, jitter=args.jitter, objectness_noise=args.objectness_noise)
-        per_image = [(scene.objects, run(scene, profile)) for scene in scenes]
+        per_image = [(scene.instances.pixels, run(scene, profile)) for scene in scenes]
         reports.append(evaluate_dataset(per_image, system=name))
         print(f"evaluated {name}", file=sys.stderr)
 

@@ -141,10 +141,11 @@ def _read_records(path: Path, frame: tuple[int, int] | None = None) -> list:
     """The records of a proposal file, each of which must name the file's stem;
     given the image size ``frame``, the whole-image proposals they hold."""
     records = read_proposals(path)
+    stem = path.stem
     try:
         for rec in records:
-            if rec.image_id != path.stem:
-                raise ValueError(f"record image_id {rec.image_id!r} does not match {path.stem!r}")
+            if rec.image_id != stem:
+                raise ValueError(f"record image_id {rec.image_id!r} does not match {stem!r}")
         return records if frame is None else [record_proposal(rec, *frame) for rec in records]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -193,10 +194,15 @@ def cmd_run(args) -> int:
     tile, stride = args.tile or (320, 240), args.stride or (160, 120)
     grid = _usage(("--tile", "--stride"), TileGridSpec, *tile, *stride)
     profile = _resolve_profile(args)
+    # writing into an input directory would overwrite the files being read
+    out = Path(args.out)
+    inputs = [f for f, d in (("--scenes", args.scenes), ("--exchange", args.exchange))
+              if d and Path(d).resolve() == out.resolve()]
+    if inputs:
+        raise UsageError(f"--out: the same directory as {', '.join(inputs)}")
     stems = list_scene_stems(_existing_dir(args.scenes, "--scenes"))
     if args.exchange:
         _existing_dir(args.exchange, "--exchange")
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     # scenes are independent, so workers run them in parallel and map keeps the
@@ -240,14 +246,16 @@ def cmd_eval(args) -> int:
     unknown = sorted(p.stem for p in proposals_dir.glob("*.jsonl") if p.stem not in known)
     if unknown:
         raise ValueError(f"proposal files without matching scenes: {', '.join(unknown)}")
-    per_image = []
-    for stem in stems:
-        scene = load_scene(args.scenes, stem)
-        path = proposals_dir / f"{stem}.jsonl"
-        proposals = _read_records(path, (scene.width, scene.height)) if path.exists() else []
-        per_image.append((scene.objects, proposals))
+
+    def per_image():  # one scene at a time, so one instance map is held at once
+        for stem in stems:
+            scene = load_scene(args.scenes, stem)
+            path = proposals_dir / f"{stem}.jsonl"
+            proposals = _read_records(path, (scene.width, scene.height)) if path.exists() else []
+            yield scene.instances.pixels, proposals
+
     system = args.system or proposals_dir.name
-    report = evaluate_dataset(per_image, system=system)
+    report = evaluate_dataset(per_image(), system=system)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     text = report_text([report])

@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotations import GroundTruthObject, SizeCategory
+from .annotations import GroundTruthObject, SizeCategory, size_category
 from .detector import Proposal
-from .masks import box_overlaps, mask_iou, require_same_canvas, rle_decode
+from .masks import BinaryMask, box_overlaps, mask_iou, require_same_canvas, rle_decode
 from .raster import RasterImage
 
 IOU_THRESHOLDS = tuple(t / 100 for t in range(50, 100, 5))
@@ -81,6 +81,52 @@ def _iou_pairs(
     return pairs
 
 
+def _objects(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct nonzero ids of an instance grid, ascending, and their pixel counts."""
+    return np.unique(labels[labels != 0], return_counts=True)
+
+
+def _pairs_under(labels, ids, areas, proposals) -> list[tuple[float, int, int]]:
+    if not (ids.size and proposals):
+        return []
+    height, width = labels.shape
+    masks = [p.mask for p in proposals]
+    require_same_canvas([BinaryMask(width, height, (width * height,)), *masks])
+    runs = []
+    for m in masks:  # an even count per mask, so the foreground runs are the odd ones
+        runs.extend(m.runs)
+        if len(m.runs) % 2:
+            runs.append(0)
+    runs = np.array(runs, dtype=np.int64)
+    # each mask's runs sum to its canvas, so one cumsum places the canvases end to end
+    starts, lengths = np.cumsum(runs)[0::2], runs[1::2]
+    flat = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    owner, pixel = np.divmod(flat, width * height)
+    under = labels.ravel()[pixel]
+    hit = under != 0
+    n = ids.size
+    key = owner[hit] * n + np.searchsorted(ids, under[hit])  # ids compressed to the objects present
+    inter = np.bincount(key, minlength=len(masks) * n).reshape(len(masks), n)
+    pi, gi = np.nonzero(inter)
+    shared = inter[pi, gi]
+    iou = shared / (np.bincount(owner, minlength=len(masks))[pi] + areas[gi] - shared)
+    gid = ids[gi]
+    order = np.lexsort((pi, gid, -iou))
+    return list(zip(iou[order].tolist(), gid[order].tolist(), pi[order].tolist()))
+
+
+def label_iou_pairs(labels: np.ndarray, proposals: Sequence[Proposal]) -> list[tuple[float, int, int]]:
+    """``_iou_pairs(extract_instances(labels), proposals)``, from one histogram of
+    the ids under the proposals' foreground pixels.
+
+    The pixels come from each mask's runs, so no bitmap is decoded, and ids
+    are compressed to the objects present, so memory follows the proposals'
+    pixels and the objects, not the largest id. IoU is the float64 quotient of
+    the same integers ``mask_iou`` divides, so it is the same float.
+    """
+    return _pairs_under(labels, *_objects(labels), proposals)
+
+
 def _greedy(pairs) -> list[tuple[int, int, float]]:
     taken_gt: set[int] = set()
     taken_prop: set[int] = set()
@@ -107,15 +153,11 @@ def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[f
     """Dataset-pooled AR for one budget and optional category restriction."""
     total_gt = 0
     matched_ious: list[float] = []
-    for gt, pairs in per_image:
-        if category is None:
-            sel = gt
-        else:
-            sel = [g for g in gt if g.category == category]
-        total_gt += len(sel)
-        if not sel:
+    for sizes, pairs in per_image:
+        allowed = {g for g, c in sizes.items() if category in (None, c)}
+        total_gt += len(allowed)
+        if not allowed:
             continue
-        allowed = {g.instance_id for g in sel}
         sub = [p for p in pairs if p[2] < budget and p[1] in allowed]
         matched_ious.extend(iou for _, _, iou in _greedy(sub))
     if total_gt == 0:
@@ -127,18 +169,20 @@ def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[f
 
 
 def evaluate_dataset(per_image, system: str = "run") -> ARReport:
-    """Dataset-level AR report over (gt, ranked proposals) pairs per image.
+    """Dataset-level AR report over (instance grid, proposals) pairs per image,
+    read once, so they may be produced one image at a time.
 
-    Proposals are sorted by objectness descending (stable) and truncated to
-    each budget before matching; category cells with zero ground truth are
+    The ground truth is the grid's objects, as ``extract_instances`` finds
+    them. Proposals are sorted by objectness descending (stable) and truncated
+    to each budget before matching; category cells with zero ground truth are
     reported as absent rather than zero.
     """
     prepared = []
-    for gt, proposals in per_image:
-        ranked = sorted(
-            proposals, key=lambda p: -p.objectness
-        )[: max(BUDGETS)]
-        prepared.append((list(gt), _iou_pairs(gt, ranked)))
+    for labels, proposals in per_image:
+        ranked = sorted(proposals, key=lambda p: -p.objectness)[: max(BUDGETS)]
+        ids, areas = _objects(labels)
+        sizes = {g: size_category(a) for g, a in zip(ids.tolist(), areas.tolist())}
+        prepared.append((sizes, _pairs_under(labels, ids, areas, ranked)))
     cells = {}
     counts = {}
     for _, field, budget, category in CELLS:

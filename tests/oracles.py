@@ -259,6 +259,16 @@ def oracle_report(per_image):
     return out
 
 
+def label_grid(gt, width: int, height: int) -> np.ndarray:
+    """The int32 instance grid of ground-truth objects whose masks do not overlap."""
+    labels = np.zeros((height, width), np.int32)
+    for obj in gt:
+        grid = rle_decode(obj.mask)
+        assert not labels[grid].any(), "overlapping ground truth has no instance grid"
+        labels[grid] = obj.instance_id
+    return labels
+
+
 def average_recall(gt, pairs) -> float:
     """Mean recall over the ten IoU thresholds for a single image's match() pairs."""
     if not gt:
@@ -272,7 +282,8 @@ def make_random_instance(rng, with_oracle=True):
 
     Returns (per_image_pkg, per_image_oracle): up to 5 images, 10 ground-truth
     objects, and 20 proposals per image, with areas spanning all three size
-    categories. with_oracle=False skips the decoded-grid representation.
+    categories. The package form of an image is (int32 instance grid,
+    proposals). with_oracle=False skips the decoded-grid representation.
     """
     from smallprop.annotations import GroundTruthObject
     from smallprop.detector import Proposal
@@ -318,6 +329,6 @@ def make_random_instance(rng, with_oracle=True):
             props_pkg.append(Proposal(m, score))
             if with_oracle:
                 props_oracle.append((rle_decode(m), score))
-        per_pkg.append((gt_pkg, props_pkg))
+        per_pkg.append((labels, props_pkg))
         per_oracle.append((gt_oracle, props_oracle))
     return per_pkg, per_oracle

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smallprop.annotations import GroundTruthObject
+from smallprop.annotations import GroundTruthObject, extract_instances
 from smallprop.cli import main as cli_main
 from smallprop.detector import Proposal, detectable_range, preset
 from smallprop.evaluation import (
@@ -28,7 +28,8 @@ from smallprop.prng import stream_seed
 from smallprop.synth import SceneSpec, generate_scene, save_scene, scene_stem
 from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
 from smallprop.masks import crop_mask
-from oracles import grid_iou, make_random_instance, oracle_report, rect_mask, ref_nms, verify_coverage
+from oracles import (grid_iou, label_grid, make_random_instance, oracle_report, rect_mask, ref_nms,
+                     verify_coverage)
 
 
 def _cli(*argv) -> int:
@@ -60,7 +61,7 @@ def test_criterion_1_metric_exactness():
     gt = [GroundTruthObject.from_mask(1, rect_mask(200, 1, 0, 0, 100, 1))]
     # single-image AR through the dataset evaluator, one proposal of IoU 1.0, 0.6, 0.49
     for width, expected in ((100, 1.0), (60, 0.3), (49, 0.0)):
-        report = evaluate_dataset([(gt, [Proposal(rect_mask(200, 1, 0, 0, width, 1), 0.5)])])
+        report = evaluate_dataset([(label_grid(gt, 200, 1), [Proposal(rect_mask(200, 1, 0, 0, width, 1), 0.5)])])
         assert abs(report.ar_at_100 - expected) <= 1e-9
     # the stated IoUs are realizable exactly with sub-rectangle proposals
     assert mask_iou(gt[0].mask, rect_mask(200, 1, 0, 0, 60, 1)) == 0.6
@@ -201,10 +202,11 @@ def _suite_ar_monotone(rng, cases):
         if report.ar_at_10 is not None:
             assert report.ar_at_10 <= report.ar_at_100
         # pooled recall curve is non-increasing in the threshold
-        total = sum(len(gt) for gt, _ in per_pkg)
+        per_gt = [(extract_instances(labels), props) for labels, props in per_pkg]
+        total = sum(len(gt) for gt, _ in per_gt)
         if total:
             ious = []
-            for gt, props in per_pkg:
+            for gt, props in per_gt:
                 ranked = sorted(props, key=lambda p: -p.objectness)[:100]
                 ious.extend(iou for _, _, iou in match(gt, ranked))
             curve = [sum(1 for v in ious if v >= t) / total for t in IOU_THRESHOLDS]

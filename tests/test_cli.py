@@ -533,3 +533,35 @@ def test_run_manifest_excludes_output_path(tmp_path):
     # the default grid is still recorded, so such manifests keep their bytes
     config = json.loads((a / "manifest.json").read_text())["config"]
     assert config["tile"] == [320, 240] and config["stride"] == [160, 120]
+
+
+@pytest.mark.parametrize("target", ["--scenes", "--exchange"])
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+def test_run_out_may_not_be_an_input_dir(tmp_path, capsys, target, spelling):
+    # e.g. --exchange x --out x would cut each exchange file to top-k lines
+    synth_small(tmp_path / "s", count=1)
+    (stem,) = list_scene_stems(tmp_path / "s")
+    scene = load_scene(tmp_path / "s", stem)
+    (tmp_path / "x").mkdir()
+    write_proposals([record_from_proposal(stem, Proposal(o.mask, 0.5)) for o in scene.objects],
+                    tmp_path / "x" / f"{stem}.jsonl")
+    inputs = {"--scenes": tmp_path / "s", "--exchange": tmp_path / "x"}
+    before = {flag: dir_bytes(d) for flag, d in inputs.items()}
+    out = {"same": inputs[target],
+           "dotted": inputs[target] / ".." / inputs[target].name,
+           "symlink": tmp_path / "link"}[spelling]
+    if spelling == "symlink":
+        out.symlink_to(inputs[target])
+    assert run_cli("run", "--scenes", inputs["--scenes"], "--exchange", inputs["--exchange"],
+                   "--mode", "whole", "--top-k", 1, "--out", out) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+    assert "--out" in lines[0] and target in lines[0]
+    assert {flag: dir_bytes(d) for flag, d in inputs.items()} == before
+
+
+def test_run_out_beside_inputs_is_allowed(tmp_path):
+    synth_small(tmp_path / "s", count=1)
+    # a sibling whose name starts with the input's is not the input
+    assert run_cli("run", "--scenes", tmp_path / "s", "--mode", "whole", "--out", tmp_path / "s2") == 0
+    assert run_cli("run", "--scenes", tmp_path / "s", "--mode", "whole", "--out", tmp_path / "s" / "props") == 0

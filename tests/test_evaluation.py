@@ -5,22 +5,25 @@ import itertools
 import numpy as np
 import pytest
 
-from smallprop.annotations import GroundTruthObject, SizeCategory
+from smallprop import evaluation, masks
+from smallprop.annotations import GroundTruthObject, SizeCategory, extract_instances
 from smallprop.detector import Proposal, preset
 from smallprop.evaluation import (
     IOU_THRESHOLDS,
+    _iou_pairs,
     evaluate_dataset,
+    label_iou_pairs,
     match,
     render_overlay,
     report_csv,
     report_json,
     report_text,
 )
-from smallprop.masks import mask_iou, rle_decode
+from smallprop.masks import BinaryMask, mask_iou, rle_decode
 from smallprop.pipeline import run_whole
 from smallprop.raster import RasterImage
 from smallprop.synth import SceneSpec, generate_scene
-from oracles import average_recall, make_random_instance, oracle_report, rect_mask
+from oracles import average_recall, label_grid, make_random_instance, oracle_report, rect_mask
 
 
 def interval_mask(width, start, stop):
@@ -30,6 +33,11 @@ def interval_mask(width, start, stop):
 
 def gt_from(mask, gid=1):
     return GroundTruthObject.from_mask(gid, mask)
+
+
+def grid_of(gt):
+    """The instance grid of non-overlapping ground truth on its canvas."""
+    return label_grid(gt, gt[0].mask.width, gt[0].mask.height)
 
 
 def test_match_perfect_single_pair():
@@ -94,7 +102,7 @@ def test_average_recall_examples():
     gt = [gt_from(interval_mask(200, 0, 100))]
     for stop, expected in ((100, 1.0), (60, 0.3), (49, 0.0), (0, 0.0)):
         props = [Proposal(interval_mask(200, 0, stop), 0.5)] if stop else []
-        assert evaluate_dataset([(gt, props)]).ar_at_100 == expected
+        assert evaluate_dataset([(grid_of(gt), props)]).ar_at_100 == expected
         assert average_recall(gt, match(gt, props)) == expected
 
 
@@ -121,7 +129,7 @@ def make_three_category_image(width=120):
 def test_evaluate_perfect_proposals():
     gt = make_three_category_image()
     props = [Proposal(g.mask, 1.0) for g in gt]
-    report = evaluate_dataset([(gt, props)], system="perfect")
+    report = evaluate_dataset([(grid_of(gt), props)], system="perfect")
     assert report.ar_at_10 == 1.0
     assert report.ar_at_100 == 1.0
     assert report.ar_xs_at_100 == 1.0
@@ -134,7 +142,7 @@ def test_evaluate_mixed_categories():
     xs = gt_from(rect_mask(120, 60, 0, 0, 10, 10), 1)
     m = gt_from(rect_mask(120, 60, 40, 0, 40, 30), 2)
     props = [Proposal(m.mask, 0.9)]
-    report = evaluate_dataset([([xs, m], props)])
+    report = evaluate_dataset([(grid_of([xs, m]), props)])
     assert report.ar_at_100 == 0.5
     assert report.ar_xs_at_100 == 0.0
     assert report.ar_m_at_100 == 1.0
@@ -144,13 +152,13 @@ def test_evaluate_mixed_categories():
 
 def test_evaluate_no_ground_truth_at_all():
     props = [Proposal(rect_mask(32, 32, 0, 0, 4, 4), 0.5)]
-    report = evaluate_dataset([([], props)])
+    report = evaluate_dataset([(np.zeros((32, 32), np.int32), props)])
     assert report.ar_at_10 is None and report.ar_at_100 is None
 
 
 def test_fastmask_sim_gives_all_zero_report():
     scenes = [generate_scene(SceneSpec(width=1280, height=720, n_apples=20, n_leaves=30, seed=s)) for s in (1, 2)]
-    per_image = [(sc.objects, run_whole(sc, preset("fastmask"))) for sc in scenes]
+    per_image = [(sc.instances.pixels, run_whole(sc, preset("fastmask"))) for sc in scenes]
     report = evaluate_dataset(per_image, system="fastmask")
     for cell in (report.ar_at_10, report.ar_at_100, report.ar_xs_at_100, report.ar_s_at_100, report.ar_m_at_100):
         assert cell == 0.0
@@ -182,8 +190,8 @@ def test_matches_bruteforce_oracle():
 def test_raising_assigned_iou_never_lowers_ar():
     gt = [gt_from(interval_mask(200, 0, 100), 1), gt_from(interval_mask(200, 100, 200), 2)]
     second = Proposal(interval_mask(200, 100, 170), 0.5)  # IoU 0.7
-    low = evaluate_dataset([(gt, [Proposal(interval_mask(200, 0, 55), 0.5), second])]).ar_at_100
-    high = evaluate_dataset([(gt, [Proposal(interval_mask(200, 0, 80), 0.5), second])]).ar_at_100
+    low = evaluate_dataset([(grid_of(gt), [Proposal(interval_mask(200, 0, 55), 0.5), second])]).ar_at_100
+    high = evaluate_dataset([(grid_of(gt), [Proposal(interval_mask(200, 0, 80), 0.5), second])]).ar_at_100
     assert high >= low
     assert low == average_recall(gt, ((1, 0, 0.55), (2, 1, 0.7)))
 
@@ -204,7 +212,7 @@ def test_category_restriction_partitions_matches():
 def test_report_formats():
     gt = make_three_category_image()
     props = [Proposal(g.mask, 1.0) for g in gt]
-    report = evaluate_dataset([(gt, props)], system="sys1")
+    report = evaluate_dataset([(grid_of(gt), props)], system="sys1")
     text = report_text([report])
     header = text.splitlines()[0]
     assert header.split() == ["System", "AR@10", "AR@100", "AR^XS@100", "AR^S@100", "AR^M@100"]
@@ -221,14 +229,14 @@ def test_report_formats():
 
 @pytest.mark.parametrize("system", ["tiled,v2", 'say "hi"', "a\nb"])
 def test_csv_quotes_system_name(system):
-    report = evaluate_dataset([(make_three_category_image(), [])], system=system)
+    report = evaluate_dataset([(grid_of(make_three_category_image()), [])], system=system)
     header, row = csv.reader(io.StringIO(report_csv([report])))
     assert len(header) == len(row) == 9 and row[0] == system
 
 
 def test_absent_cells_render_as_dash_and_null():
     xs = gt_from(rect_mask(64, 64, 0, 0, 5, 5), 1)
-    report = evaluate_dataset([([xs], [])], system="empty")
+    report = evaluate_dataset([(grid_of([xs]), [])], system="empty")
     assert "-" in report_text([report])
     import json
 
@@ -269,3 +277,93 @@ def test_overlay_requires_rgb():
     gray = RasterImage(np.zeros((8, 8), np.uint16))
     with pytest.raises(ValueError):
         render_overlay(gray, [], [])
+
+
+def _ranked(props):
+    return sorted(props, key=lambda p: -p.objectness)[:100]
+
+
+def test_label_pairs_equal_mask_pairs_random():
+    rng = np.random.default_rng(23)
+    for _ in range(150):
+        per_pkg, _ = make_random_instance(rng, with_oracle=False)
+        for labels, props in per_pkg:
+            ranked = _ranked(props)
+            got = label_iou_pairs(labels, ranked)
+            assert got == _iou_pairs(extract_instances(labels), ranked)
+            assert all(type(v) is t for pair in got for v, t in zip(pair, (float, int, int)))
+
+
+def _pairs_both_ways(labels, props):
+    got = label_iou_pairs(labels, props)
+    assert got == _iou_pairs(extract_instances(labels), props)
+    return got
+
+
+def test_label_pairs_at_the_16_bit_id_limits():
+    labels = np.zeros((20, 30), np.uint16)
+    labels[2:8, 3:9] = 65535
+    labels[10:14, 20:30] = 1
+    props = [Proposal(rect_mask(30, 20, 3, 2, 6, 3), 0.9), Proposal(rect_mask(30, 20, 15, 10, 15, 4), 0.5)]
+    assert _pairs_both_ways(labels, props) == [(40 / 60, 1, 1), (0.5, 65535, 0)]
+
+
+def test_label_pairs_memory_does_not_follow_the_largest_id():
+    import tracemalloc
+
+    labels = np.zeros((64, 64), np.int32)
+    labels[4:20, 4:20] = 2**31 - 1
+    labels[30:40, 30:50] = 7
+    props = [Proposal(rect_mask(64, 64, 4, 4, 16, 8), 0.9), Proposal(rect_mask(64, 64, 30, 30, 20, 10), 0.8)]
+    tracemalloc.start()
+    try:
+        got = label_iou_pairs(labels, props)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [(1.0, 7, 1), (0.5, 2**31 - 1, 0)]
+    assert got == _iou_pairs(extract_instances(labels), props)
+    assert peak < 256 * 1024  # a histogram over ids up to 2**31 - 1 would take 16 GiB
+
+
+def test_label_pairs_without_objects_or_proposals():
+    labels = np.zeros((16, 16), np.int32)
+    assert _pairs_both_ways(labels, [Proposal(rect_mask(16, 16, 2, 2, 4, 4), 0.5)]) == []
+    labels[2:6, 2:6] = 3
+    assert _pairs_both_ways(labels, []) == []
+
+
+def test_label_pairs_skip_a_proposal_over_background():
+    labels = np.zeros((16, 16), np.int32)
+    labels[0:4, 0:4] = 5
+    props = [Proposal(rect_mask(16, 16, 8, 8, 6, 6), 0.9), Proposal(rect_mask(16, 16, 0, 0, 4, 2), 0.4)]
+    assert _pairs_both_ways(labels, props) == [(0.5, 5, 1)]
+
+
+def test_label_pairs_reject_mixed_canvases():
+    # the proposal's box lies inside the grid, so only the canvas check can notice
+    labels = np.zeros((16, 16), np.int32)
+    labels[0:4, 0:4] = 1
+    props = [Proposal(rect_mask(16, 20, 10, 10, 4, 4), 0.5)]
+    with pytest.raises(ValueError, match="mask dimensions differ: 16x16 vs 16x20") as got:
+        label_iou_pairs(labels, props)
+    with pytest.raises(ValueError) as want:
+        match(extract_instances(labels), props)
+    assert str(got.value) == str(want.value)
+
+
+def test_evaluate_dataset_reads_ids_not_masks(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("evaluate_dataset decoded a mask or took a mask IoU")
+
+    rng = np.random.default_rng(5)
+    per_pkg, per_oracle = make_random_instance(rng)
+    # masks read from runs, as eval reads them: their pixels are decoded on first use only
+    per_runs = [(labels, [Proposal(BinaryMask(p.mask.width, p.mask.height, p.mask.runs), p.objectness)
+                          for p in props]) for labels, props in per_pkg]
+    monkeypatch.setattr(evaluation, "mask_iou", forbidden)
+    monkeypatch.setattr(masks, "_decode", forbidden)
+    got = evaluate_dataset(iter(per_runs))  # read once, as the CLI yields it
+    ref = oracle_report(per_oracle)
+    assert [getattr(got, f) for _, f, *_ in evaluation.CELLS] == [ref[f] for _, f, *_ in evaluation.CELLS]
+    assert got.gt_counts == ref["gt_counts"]
