@@ -100,16 +100,17 @@ def _pairs_under(labels, ids, areas, proposals) -> list[tuple[float, int, int]]:
     runs = np.array(runs, dtype=np.int64)
     # each mask's runs sum to its canvas, so one cumsum places the canvases end to end
     starts, lengths = np.cumsum(runs)[0::2], runs[1::2]
-    flat = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
-    owner, pixel = np.divmod(flat, width * height)
-    under = labels.ravel()[pixel]
-    hit = under != 0
-    n = ids.size
-    key = owner[hit] * n + np.searchsorted(ids, under[hit])  # ids compressed to the objects present
-    inter = np.bincount(key, minlength=len(masks) * n).reshape(len(masks), n)
+    sizes = np.array([m.area for m in masks])
+    owner = np.repeat(np.arange(len(masks)), sizes)
+    pixel = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(owner.size)
+    pixel -= owner * (width * height)
+    # ids compressed to the objects present: background is column 0, ids[k] column k + 1
+    n = ids.size + 1
+    key = owner * n + np.searchsorted(ids, labels.ravel()[pixel], side="right")
+    inter = np.bincount(key, minlength=len(masks) * n).reshape(len(masks), n)[:, 1:]
     pi, gi = np.nonzero(inter)
     shared = inter[pi, gi]
-    iou = shared / (np.bincount(owner, minlength=len(masks))[pi] + areas[gi] - shared)
+    iou = shared / (sizes[pi] + areas[gi] - shared)
     gid = ids[gi]
     order = np.lexsort((pi, gid, -iou))
     return list(zip(iou[order].tolist(), gid[order].tolist(), pi[order].tolist()))
