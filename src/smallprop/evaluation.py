@@ -100,8 +100,8 @@ def _pairs_under(labels, ids, areas, proposals) -> list[tuple[float, int, int]]:
     runs = np.array(runs, dtype=np.int64)
     # each mask's runs sum to its canvas, so one cumsum places the canvases end to end
     starts, lengths = np.cumsum(runs)[0::2], runs[1::2]
-    sizes = np.array([m.area for m in masks])
-    owner = np.repeat(np.arange(len(masks)), sizes)
+    mask_areas = np.array([m.area for m in masks])
+    owner = np.repeat(np.arange(len(masks)), mask_areas)
     pixel = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(owner.size)
     pixel -= owner * (width * height)
     # ids compressed to the objects present: background is column 0, ids[k] column k + 1
@@ -110,7 +110,7 @@ def _pairs_under(labels, ids, areas, proposals) -> list[tuple[float, int, int]]:
     inter = np.bincount(key, minlength=len(masks) * n).reshape(len(masks), n)[:, 1:]
     pi, gi = np.nonzero(inter)
     shared = inter[pi, gi]
-    iou = shared / (sizes[pi] + areas[gi] - shared)
+    iou = shared / (mask_areas[pi] + areas[gi] - shared)
     gid = ids[gi]
     order = np.lexsort((pi, gid, -iou))
     return list(zip(iou[order].tolist(), gid[order].tolist(), pi[order].tolist()))
