@@ -279,16 +279,12 @@ def test_overlay_requires_rgb():
         render_overlay(gray, [], [])
 
 
-def _ranked(props):
-    return sorted(props, key=lambda p: -p.objectness)[:100]
-
-
 def test_label_pairs_equal_mask_pairs_random():
     rng = np.random.default_rng(23)
     for _ in range(150):
         per_pkg, _ = make_random_instance(rng, with_oracle=False)
         for labels, props in per_pkg:
-            ranked = _ranked(props)
+            ranked = sorted(props, key=lambda p: -p.objectness)[:100]
             got = label_iou_pairs(labels, ranked)
             assert got == _iou_pairs(extract_instances(labels), ranked)
             assert all(type(v) is t for pair in got for v, t in zip(pair, (float, int, int)))
