@@ -37,14 +37,12 @@ def size_category(area: int) -> SizeCategory:
 @dataclass
 class GroundTruthObject:
     instance_id: int
-    mask: BinaryMask
-    area: int
-    category: SizeCategory
+    mask: BinaryMask  # its size category is size_category(mask.area)
 
     @classmethod
     def from_mask(cls, instance_id: int, mask: BinaryMask) -> "GroundTruthObject":
-        area = mask.area
-        return cls(instance_id, mask, area, size_category(area))
+        size_category(mask.area)  # rejects an empty mask
+        return cls(instance_id, mask)
 
 
 def extract_instances(labels: np.ndarray) -> list[GroundTruthObject]:

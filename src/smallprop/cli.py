@@ -19,9 +19,9 @@ from pathlib import Path
 from . import __version__
 from .annotations import extract_instances
 from .detector import DetectorProfile, preset, PRESET_LEVELS
-from .exchange import read_proposals, record_from_proposal, write_proposals
+from .exchange import ProposalRecord, read_proposals, write_proposals
 from .evaluation import evaluate_dataset, render_overlay, report_csv, report_json, report_text
-from .pipeline import record_proposal, run_tiled, run_whole
+from .pipeline import place_proposal, run_tiled, run_whole
 from .raster import read_pnm, write_pnm
 from .synth import (SceneSpec, generate_scene, list_scene_stems, load_scene, read_instances, save_scene,
                     scene_seed, scene_stem)
@@ -99,6 +99,13 @@ def _usage(flags, build, *args, **kwargs):
         raise UsageError(f"{', '.join(flags)}: {exc}") from None
 
 
+def _out_is_not_an_input(out_dir: Path, inputs: dict) -> None:
+    """Reject an --out directory that is an input's (flag -> path or None), whose files it would overwrite."""
+    same = [f for f, d in inputs.items() if d and Path(d).resolve() == out_dir.resolve()]
+    if same:
+        raise UsageError(f"--out: the same directory as {', '.join(same)}")
+
+
 def _existing_dir(path: str, flag: str) -> Path:
     if not Path(path).is_dir():
         raise FileNotFoundError(f"{flag}: no such directory: {path}")
@@ -137,16 +144,11 @@ def _resolve_profile(args) -> DetectorProfile | None:
     return _usage(given, replace, preset(args.detector or "attentionmask"), **overrides)
 
 
-def _read_records(path: Path, frame: tuple[int, int] | None = None) -> list:
-    """The records of a proposal file, each of which must name the file's stem;
-    given the image size ``frame``, the whole-image proposals they hold."""
-    records = read_proposals(path)
-    stem = path.stem
+def _whole_image_proposals(path: Path, width: int, height: int) -> list:
+    """The proposals of a file of whole-image records for a width x height image."""
+    lines = read_proposals(path)
     try:
-        for rec in records:
-            if rec.image_id != stem:
-                raise ValueError(f"record image_id {rec.image_id!r} does not match {stem!r}")
-        return records if frame is None else [record_proposal(rec, *frame) for rec in records]
+        return [place_proposal(t, p, width, height) for t, p in lines]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -171,18 +173,19 @@ def cmd_synth(args) -> int:
 def _run_one(stem: str, args, grid, profile, out: Path) -> str:
     scene = load_scene(args.scenes, stem)
     path = Path(args.exchange) / f"{stem}.jsonl" if args.exchange else None
-    records = _read_records(path) if path and path.exists() else []
+    lines = read_proposals(path) if path and path.exists() else []
     try:
         if args.mode == "tiled":
-            proposals = run_tiled(scene, profile or records, grid, args.nms_iou, args.top_k)
+            proposals = run_tiled(scene, profile or lines, grid, args.nms_iou, args.top_k)
         else:
-            proposals = run_whole(scene, profile or records, args.nms_iou, args.top_k)
+            proposals = run_whole(scene, profile or lines, args.nms_iou, args.top_k)
     except ValueError as exc:
-        if not records:
+        if not lines:
             raise
         raise ValueError(f"{path}: {exc}") from None  # e.g. a record naming no tile of the grid
     name = f"{stem}.jsonl"
-    write_proposals([record_from_proposal(stem, p) for p in proposals], out / name)
+    records = [ProposalRecord(stem, p.mask.width, p.mask.height, p.objectness, p.mask.runs) for p in proposals]
+    write_proposals(records, out / name)
     return name
 
 
@@ -194,12 +197,8 @@ def cmd_run(args) -> int:
     tile, stride = args.tile or (320, 240), args.stride or (160, 120)
     grid = _usage(("--tile", "--stride"), TileGridSpec, *tile, *stride)
     profile = _resolve_profile(args)
-    # writing into an input directory would overwrite the files being read
     out = Path(args.out)
-    inputs = [f for f, d in (("--scenes", args.scenes), ("--exchange", args.exchange))
-              if d and Path(d).resolve() == out.resolve()]
-    if inputs:
-        raise UsageError(f"--out: the same directory as {', '.join(inputs)}")
+    _out_is_not_an_input(out, {"--scenes": args.scenes, "--exchange": args.exchange})
     stems = list_scene_stems(_existing_dir(args.scenes, "--scenes"))
     if args.exchange:
         _existing_dir(args.exchange, "--exchange")
@@ -240,6 +239,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    prefix = Path(args.out)
+    _out_is_not_an_input(prefix.parent, {"--scenes": args.scenes, "--proposals": args.proposals})
     stems = list_scene_stems(_existing_dir(args.scenes, "--scenes"))
     known = set(stems)
     proposals_dir = _existing_dir(args.proposals, "--proposals")
@@ -251,12 +252,11 @@ def cmd_eval(args) -> int:
         for stem in stems:
             scene = load_scene(args.scenes, stem)
             path = proposals_dir / f"{stem}.jsonl"
-            proposals = _read_records(path, (scene.width, scene.height)) if path.exists() else []
+            proposals = _whole_image_proposals(path, scene.width, scene.height) if path.exists() else []
             yield scene.instances.pixels, proposals
 
     system = args.system or proposals_dir.name
     report = evaluate_dataset(per_image(), system=system)
-    prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     text = report_text([report])
     outputs = []
@@ -284,7 +284,7 @@ def cmd_overlay(args) -> int:
         raise ValueError(f"{args.image} is {image.width}x{image.height}, "
                          f"{args.instances} is {imap.width}x{imap.height}")
     gt = extract_instances(imap.pixels)
-    proposals = _read_records(Path(args.proposals), (imap.width, imap.height))
+    proposals = _whole_image_proposals(Path(args.proposals), imap.width, imap.height)
     ranked = sorted(proposals, key=lambda p: -p.objectness)[: args.top_k]
     overlay = render_overlay(image, gt, ranked)
     write_pnm(overlay, args.out)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .annotations import GroundTruthObject
 from .masks import BinaryMask, shift_mask
-from .prng import SplitMix64, stream_seed
+from .prng import prng_next, randint, random, stream_seed
 
 ALLOWED_LEVELS = (4, 8, 16, 32, 64, 128)
 
@@ -132,13 +132,14 @@ def simulate(
         eff = side * scale
         if eff < s_min or eff > s_max:
             continue
-        rng = SplitMix64(stream_seed(profile.seed, origin[0], origin[1], obj.instance_id))
-        dx = rng.randint(-profile.jitter, profile.jitter)
-        dy = rng.randint(-profile.jitter, profile.jitter)
-        u = rng.random()
+        draw_dx, state = prng_next(stream_seed(profile.seed, origin[0], origin[1], obj.instance_id))
+        draw_dy, state = prng_next(state)
+        draw_noise, _ = prng_next(state)
+        dx = randint(draw_dx, -profile.jitter, profile.jitter)
+        dy = randint(draw_dy, -profile.jitter, profile.jitter)
         mask = shift_mask(obj.mask, dx, dy)
         if mask.area == 0:
             continue
-        score = (1.0 - profile.objectness_noise * u) * band_score(profile, eff)
+        score = (1.0 - profile.objectness_noise * random(draw_noise)) * band_score(profile, eff)
         out.append(Proposal(mask, score))
     return out

@@ -3,15 +3,15 @@
 The wire format is JSON lines, one record per line, keys in fixed order
 (image_id, tile_index, width, height, objectness, runs). tile_index is
 omitted for whole-image records. objectness carries exactly six decimal
-digits; record construction quantizes to the same precision, which makes
-read/write a byte-stable round trip.
+digits; the writer formats six and the reader rounds to six (negative zero
+to 0), so quantizing at the two ends makes read/write a byte-stable round trip.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .detector import Proposal
 from .masks import BinaryMask
@@ -36,29 +36,15 @@ def _unique_keys(pairs: list) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-@dataclass(eq=True)
-class ProposalRecord:
+class ProposalRecord(NamedTuple):
+    """The wire fields of one line to write."""
+
     image_id: str
     width: int
     height: int
     objectness: float
     runs: tuple[int, ...]
     tile_index: int | None = None
-    mask: BinaryMask = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.objectness = round(float(self.objectness), 6)
-        if not 0.0 <= self.objectness <= 1.0:
-            raise ValueError(f"objectness {self.objectness} outside [0, 1]")
-        # validates the runs against width x height; the pixels are decoded on first use
-        self.mask = BinaryMask(self.width, self.height, self.runs)
-        self.runs = self.mask.runs
-
-
-def record_from_proposal(image_id: str, proposal: Proposal) -> ProposalRecord:
-    """Whole-image-coordinate record for a pipeline proposal."""
-    m = proposal.mask
-    return ProposalRecord(image_id, m.width, m.height, proposal.objectness, m.runs)
 
 
 def format_record(record: ProposalRecord) -> str:
@@ -80,7 +66,7 @@ def write_proposals(records, path) -> None:
     Path(path).write_bytes(payload.encode("ascii"))
 
 
-def _parse_record(doc, path, lineno: int) -> ProposalRecord:
+def _parse_record(doc, stem: str, path, lineno: int) -> tuple[int | None, Proposal]:
     if not isinstance(doc, dict):
         raise ExchangeFormatError(f"{path}: line {lineno}: record is not an object")
     keys = set(doc)
@@ -93,6 +79,8 @@ def _parse_record(doc, path, lineno: int) -> ProposalRecord:
     image_id = doc["image_id"]
     if not isinstance(image_id, str):
         raise ExchangeFormatError(f"{path}: line {lineno}: image_id must be a string")
+    if image_id != stem:
+        raise ExchangeFormatError(f"{path}: line {lineno}: record image_id {image_id!r} does not match {stem!r}")
     tile_index = doc.get("tile_index")
     for name in ("width", "height") + (("tile_index",) if tile_index is not None else ()):
         v = doc[name]
@@ -104,22 +92,23 @@ def _parse_record(doc, path, lineno: int) -> ProposalRecord:
     runs = doc["runs"]
     if not isinstance(runs, list):
         raise ExchangeFormatError(f"{path}: line {lineno}: runs must be a list of integers")
-    try:  # BinaryMask checks the run elements
-        return ProposalRecord(
-            image_id, doc["width"], doc["height"], objectness, tuple(runs), tile_index
-        )
-    except ValueError as exc:
+    try:  # BinaryMask checks the run elements, Proposal the range and a non-empty mask
+        mask = BinaryMask(doc["width"], doc["height"], runs)
+        return tile_index, Proposal(mask, round(objectness, 6) + 0.0)  # + 0.0 turns -0.0 into 0.0
+    except (ValueError, OverflowError) as exc:  # an integer objectness past float range overflows
         raise ExchangeFormatError(f"{path}: line {lineno}: {exc}") from exc
 
 
-def read_proposals(path) -> list[ProposalRecord]:
-    """Parse a JSONL proposal file, preserving file order."""
+def read_proposals(path) -> list[tuple[int | None, Proposal]]:
+    """``(tile_index, proposal)`` per line of a JSONL proposal file, in file order;
+    every record's image_id must be the file's stem."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ExchangeFormatError(f"{path}: line {line}: non-ASCII byte {data[exc.start]:#x}") from None
+    stem = Path(path).stem
     out = []
     # only "\n" ends a line, as counted above; a blank line holds only JSON whitespace
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -130,5 +119,5 @@ def read_proposals(path) -> list[ProposalRecord]:
         except (RecursionError, ValueError) as exc:  # a repeated key or too many digits has no msg
             why = "nested too deeply" if isinstance(exc, RecursionError) else getattr(exc, "msg", exc)
             raise ExchangeFormatError(f"{path}: line {lineno}: invalid JSON ({why})") from None
-        out.append(_parse_record(doc, path, lineno))
+        out.append(_parse_record(doc, stem, path, lineno))
     return out

@@ -14,13 +14,12 @@ import numpy as np
 
 from .annotations import GroundTruthObject
 from .detector import DetectorProfile, Proposal, simulate
-from .exchange import ProposalRecord
 from .masks import BBox, box_overlaps, crop_mask, mask_iou, require_same_canvas
 from .synth import Scene
 from .tiling import Tile, TileGridSpec, plan_grid, remap_mask
 
-# a simulated detector, or the exchange records of one scene
-ProposalSource = Union[DetectorProfile, Sequence[ProposalRecord]]
+# a simulated detector, or the (tile_index, proposal) lines of one scene's exchange file
+ProposalSource = Union[DetectorProfile, Sequence[tuple[int | None, Proposal]]]
 
 
 def nms(
@@ -88,24 +87,20 @@ def _simulated_proposals(
     return out
 
 
-def record_proposal(
-    rec: ProposalRecord, width: int, height: int, tiles: Sequence[Tile] = ()
+def place_proposal(
+    tile_index: int | None, proposal: Proposal, width: int, height: int, tiles: Sequence[Tile] = ()
 ) -> Proposal:
-    """The image-coordinate proposal of one exchange record.
-
-    A whole-image record must match the image size; a tile record must name a
-    tile of ``tiles`` and is remapped from it, which checks the tile size.
-    ``Proposal`` rejects an empty mask.
-    """
-    if rec.tile_index is None:
-        if rec.width != width or rec.height != height:
-            raise ValueError(
-                f"whole-image record is {rec.width}x{rec.height}, image is {width}x{height}"
-            )
-        return Proposal(rec.mask, rec.objectness)
-    if not 0 <= rec.tile_index < len(tiles):
-        raise ValueError(f"unknown tile_index {rec.tile_index}; grid has {len(tiles)} tiles")
-    return Proposal(remap_mask(tiles[rec.tile_index], rec.mask, width, height), rec.objectness)
+    """The image-coordinate proposal of one exchange line: a whole-image one
+    (``tile_index`` None) must match the image size; a tile one must name a tile
+    of ``tiles`` and is remapped from it, which checks the tile size."""
+    m = proposal.mask
+    if tile_index is None:
+        if m.width != width or m.height != height:
+            raise ValueError(f"whole-image record is {m.width}x{m.height}, image is {width}x{height}")
+        return proposal
+    if not 0 <= tile_index < len(tiles):
+        raise ValueError(f"unknown tile_index {tile_index}; grid has {len(tiles)} tiles")
+    return Proposal(remap_mask(tiles[tile_index], m, width, height), proposal.objectness)
 
 
 def run_tiled(
@@ -118,7 +113,7 @@ def run_tiled(
     if isinstance(source, DetectorProfile):
         raw = _simulated_proposals(scene, tiles, source)
     else:
-        raw = [record_proposal(r, scene.width, scene.height, tiles) for r in source]
+        raw = [place_proposal(t, p, scene.width, scene.height, tiles) for t, p in source]
     return nms(raw, nms_iou, top_k)
 
 

@@ -19,7 +19,7 @@ def prng_next(state: int) -> tuple[int, int]:
 
 
 def splitmix64_block(seed: int, n: int) -> np.ndarray:
-    """The first n draws of ``SplitMix64(seed)``; draw i (from 1) mixes seed + i * golden."""
+    """The first n ``prng_next`` draws from seed; draw i (from 1) mixes seed + i * golden."""
     z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(seed & MASK64)
     z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
@@ -47,21 +47,3 @@ def stream_seed(base: int, *keys: int) -> int:
         s, _ = prng_next(s ^ (int(k) & MASK64))
     return s
 
-
-class SplitMix64:
-    """Stateful convenience wrapper around prng_next."""
-
-    def __init__(self, seed: int) -> None:
-        self.state = seed & MASK64
-
-    def next_u64(self) -> int:
-        value, self.state = prng_next(self.state)
-        return value
-
-    def random(self) -> float:
-        return random(self.next_u64())
-
-    def randint(self, lo: int, hi: int) -> int:
-        if hi < lo:
-            raise ValueError("empty range")
-        return randint(self.next_u64(), lo, hi)

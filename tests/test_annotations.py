@@ -37,8 +37,8 @@ def test_extract_single_block():
     assert len(objs) == 1
     obj = objs[0]
     assert obj.instance_id == 7
-    assert obj.area == 4
-    assert obj.category is SizeCategory.XS
+    assert obj.mask.area == 4
+    assert size_category(obj.mask.area) is SizeCategory.XS
     assert np.array_equal(rle_decode(obj.mask), labels == 7)
 
 
@@ -57,13 +57,13 @@ def test_split_instance_stays_one_object():
     labels[2, 4] = 2
     objs = extract_instances(labels)
     assert len(objs) == 1
-    assert objs[0].area == 2
+    assert objs[0].mask.area == 2
 
 
 @given(hnp.arrays(np.uint16, st.tuples(st.integers(1, 12), st.integers(1, 12)), elements=st.integers(0, 4)))
 def test_extraction_preserves_foreground(labels):
     objs = extract_instances(labels)
-    assert sum(o.area for o in objs) == int((labels != 0).sum())
+    assert sum(o.mask.area for o in objs) == int((labels != 0).sum())
     for o in objs:
         assert np.array_equal(rle_decode(o.mask), labels == o.instance_id)
 

@@ -7,6 +7,7 @@ around the hooked ``cli.read_proposals``, would quietly weaken a benchmark
 guard, so it fails here instead.
 """
 
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
@@ -14,6 +15,15 @@ from pathlib import Path
 from smallprop import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# SHA-256 of each file exchange_setup.write_exchange(..., 42) writes for the
+# scenes of `synth --count 2 --width 320 --height 240` (seed 42): the
+# benchmark's input, pinned so that a change to how records are written fails
+# here and not only in the benchmark's own digests
+EXCHANGE_SETUP_DIGESTS = {
+    "scene_42_0000.jsonl": "f064ddefcb4d44b33d2a673c810c474b56377ce5b59da083cd7f551114247e2d",
+    "scene_42_0001.jsonl": "90dd50665874c07c06953c3764aae0157f94210c6e6bd38677dfa5ff99c69e62",
+}
 
 
 def _load(name):
@@ -63,3 +73,12 @@ def test_traced_run_and_eval_count_every_record(tmp_path, monkeypatch):
     kept = [n for phase, n in tracer.nms_kept if phase == "run"]
     lines = [len(p.read_text().splitlines()) for p in sorted((tmp_path / "props").glob("*.jsonl"))]
     assert lines == [min(n, 100) for n in kept] and len(lines) == 2
+
+
+def test_exchange_setup_bytes_are_pinned(tmp_path, monkeypatch):
+    exchange_setup = _load("exchange_setup")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--out", "scenes", "--count", "2", "--width", "320", "--height", "240"]) == 0
+    exchange_setup.write_exchange("scenes", "exchange", 42)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "exchange").iterdir()}
+    assert digests == EXCHANGE_SETUP_DIGESTS

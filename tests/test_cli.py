@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +8,8 @@ import pytest
 
 from smallprop import cli
 from smallprop.cli import main
-from smallprop.exchange import ProposalRecord, read_proposals, record_from_proposal, write_proposals
-from smallprop.detector import Proposal, preset
+from smallprop.exchange import ProposalRecord, read_proposals, write_proposals
+from smallprop.detector import preset
 from smallprop.masks import crop_mask
 from smallprop.raster import read_pnm
 from smallprop.synth import list_scene_stems, load_scene
@@ -26,6 +26,11 @@ def synth_small(out, count=2, seed=5, width=160, height=120, **kw):
     for k, v in kw.items():
         args += [f"--{k}", v]
     assert run_cli(*args) == 0
+
+
+def whole_records(stem, objects, objectness):
+    """A whole-image record of each object's mask."""
+    return [ProposalRecord(stem, o.mask.width, o.mask.height, objectness, o.mask.runs) for o in objects]
 
 
 def dir_bytes(path, pattern="*"):
@@ -132,10 +137,7 @@ def test_run_then_eval_perfect_proposals(tmp_path):
     props.mkdir()
     for stem in list_scene_stems(tmp_path / "s"):
         scene = load_scene(tmp_path / "s", stem)
-        write_proposals(
-            [record_from_proposal(stem, Proposal(o.mask, 1.0)) for o in scene.objects],
-            props / f"{stem}.jsonl",
-        )
+        write_proposals(whole_records(stem, scene.objects, 1.0), props / f"{stem}.jsonl")
     prefix = tmp_path / "report"
     assert run_cli("eval", "--scenes", tmp_path / "s", "--proposals", props, "--out", prefix) == 0
     doc = json.loads(prefix.with_suffix(".json").read_text())
@@ -187,7 +189,7 @@ def test_exchange_records_feed_run(tmp_path):
     ext = tmp_path / "external"
     ext.mkdir()
     write_proposals(
-        [record_from_proposal(stem, Proposal(o.mask, 0.5)) for o in scene.objects],
+        whole_records(stem, scene.objects, 0.5),
         ext / f"{stem}.jsonl",
     )
     out = tmp_path / "routed"
@@ -197,6 +199,22 @@ def test_exchange_records_feed_run(tmp_path):
     assert len(routed) == len(scene.objects)
     # a scene without its own exchange file gets no proposals
     assert read_proposals(out / f"{other}.jsonl") == []
+
+
+@pytest.mark.parametrize("objectness", ["-0.0000001", "-0.0"])
+def test_negative_zero_objectness_is_written_as_zero(tmp_path, objectness):
+    # rounds to -0.0, which lies in [0, 1]; one score must have one spelling
+    synth_small(tmp_path / "s", count=1, width=64, height=48)
+    (stem,) = list_scene_stems(tmp_path / "s")
+    (tmp_path / "x").mkdir()
+    (tmp_path / "x" / f"{stem}.jsonl").write_text(
+        f'{{"image_id": "{stem}", "width": 64, "height": 48, "objectness": {objectness}, '
+        f'"runs": [100, 4, 2968]}}\n')
+    assert run_cli("run", "--scenes", tmp_path / "s", "--exchange", tmp_path / "x",
+                   "--mode", "whole", "--out", tmp_path / "o") == 0
+    assert (tmp_path / "o" / f"{stem}.jsonl").read_text() == (
+        f'{{"image_id": "{stem}", "width": 64, "height": 48, "objectness": 0.000000, '
+        f'"runs": [100, 4, 2968]}}\n')
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
@@ -355,10 +373,9 @@ def test_record_naming_another_scene_rejected(tmp_path, capsys, command):
     obj = load_scene(tmp_path / "s", other).objects[0]
     path = tmp_path / "p" / f"{stem}.jsonl"
     path.parent.mkdir()
-    write_proposals([record_from_proposal(other, Proposal(obj.mask, 0.5))], path)
+    write_proposals(whole_records(other, [obj], 0.5), path)
     assert run_cli(*_proposal_file_argv(tmp_path, command, stem)) == 2
-    message = _data_error(capsys)
-    assert str(path) in message and repr(other) in message
+    assert _data_error(capsys) == f"{path}: line 1: record image_id {other!r} does not match {stem!r}"
 
 
 @pytest.mark.parametrize("command", ["run", "eval"])
@@ -448,15 +465,15 @@ def test_exchange_tile_record_error_names_file(tmp_path, capsys):
     obj = load_scene(tmp_path / "s", stem).objects[0]
     path = tmp_path / "p" / f"{stem}.jsonl"
     path.parent.mkdir()
-    rec = record_from_proposal(stem, Proposal(obj.mask, 0.5))
-    write_proposals([replace(rec, tile_index=99)], path)
+    (rec,) = whole_records(stem, [obj], 0.5)
+    write_proposals([rec._replace(tile_index=99)], path)
     assert run_cli(*_proposal_file_argv(tmp_path, "run", stem), "--mode", "whole") == 2
     assert _data_error(capsys) == f"{path}: unknown tile_index 99; grid has 1 tiles"
 
 
 def _bad_record(path, stem, scene_dir):
     obj = load_scene(scene_dir, stem).objects[0]
-    write_proposals([replace(record_from_proposal(stem, Proposal(obj.mask, 0.5)), tile_index=99)], path)
+    write_proposals([rec._replace(tile_index=99) for rec in whole_records(stem, [obj], 0.5)], path)
     return f"{path}: unknown tile_index 99; grid has 1 tiles"
 
 
@@ -506,12 +523,12 @@ def test_overlay_writes_ppm(tmp_path):
     scene = load_scene(tmp_path / "s", stem)
     props = tmp_path / "p.jsonl"
     write_proposals(
-        [record_from_proposal(stem.replace("scene", "p"), Proposal(o.mask, 1.0)) for o in scene.objects][:2],
+        whole_records(stem.replace("scene", "p"), scene.objects[:2], 1.0),
         props,
     )
     # overlay matches ids by file, not record id; rewrite with matching stem
     write_proposals(
-        [record_from_proposal("p", Proposal(o.mask, 1.0)) for o in scene.objects],
+        whole_records("p", scene.objects, 1.0),
         tmp_path / "p.jsonl",
     )
     out = tmp_path / "overlay.ppm"
@@ -543,7 +560,7 @@ def test_run_out_may_not_be_an_input_dir(tmp_path, capsys, target, spelling):
     (stem,) = list_scene_stems(tmp_path / "s")
     scene = load_scene(tmp_path / "s", stem)
     (tmp_path / "x").mkdir()
-    write_proposals([record_from_proposal(stem, Proposal(o.mask, 0.5)) for o in scene.objects],
+    write_proposals(whole_records(stem, scene.objects, 0.5),
                     tmp_path / "x" / f"{stem}.jsonl")
     inputs = {"--scenes": tmp_path / "s", "--exchange": tmp_path / "x"}
     before = {flag: dir_bytes(d) for flag, d in inputs.items()}
@@ -558,6 +575,36 @@ def test_run_out_may_not_be_an_input_dir(tmp_path, capsys, target, spelling):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
     assert "--out" in lines[0] and target in lines[0]
     assert {flag: dir_bytes(d) for flag, d in inputs.items()} == before
+
+
+@pytest.mark.parametrize("target", ["--scenes", "--proposals"])
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+def test_eval_out_may_not_be_in_an_input_dir(tmp_path, capsys, target, spelling):
+    # e.g. --out p/manifest would replace run's p/manifest.json with the report
+    synth_small(tmp_path / "s", count=1)
+    assert run_cli("run", "--scenes", tmp_path / "s", "--mode", "whole", "--out", tmp_path / "p") == 0
+    inputs = {"--scenes": tmp_path / "s", "--proposals": tmp_path / "p"}
+    before = {flag: dir_bytes(d) for flag, d in inputs.items()}
+    out_dir = {"same": inputs[target],
+               "dotted": inputs[target] / ".." / inputs[target].name,
+               "symlink": tmp_path / "link"}[spelling]
+    if spelling == "symlink":
+        out_dir.symlink_to(inputs[target])
+    assert run_cli("eval", "--scenes", inputs["--scenes"], "--proposals", inputs["--proposals"],
+                   "--out", out_dir / "manifest") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+    assert "--out" in lines[0] and target in lines[0]
+    assert {flag: dir_bytes(d) for flag, d in inputs.items()} == before
+
+
+def test_eval_out_below_an_input_dir_is_allowed(tmp_path):
+    synth_small(tmp_path / "s", count=1)
+    assert run_cli("run", "--scenes", tmp_path / "s", "--mode", "whole", "--out", tmp_path / "p") == 0
+    assert run_cli("eval", "--scenes", tmp_path / "s", "--proposals", tmp_path / "p",
+                   "--out", tmp_path / "p" / "sub" / "report") == 0
+    assert sorted(dir_bytes(tmp_path / "p" / "sub")) == [
+        "report.csv", "report.json", "report.manifest.json", "report.txt"]
 
 
 def test_run_out_beside_inputs_is_allowed(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smallprop import evaluation, masks
-from smallprop.annotations import GroundTruthObject, SizeCategory, extract_instances
+from smallprop.annotations import GroundTruthObject, SizeCategory, extract_instances, size_category
 from smallprop.detector import Proposal, preset
 from smallprop.evaluation import (
     IOU_THRESHOLDS,
@@ -122,7 +122,7 @@ def make_three_category_image(width=120):
         gt_from(rect_mask(width, 60, 20, 0, 30, 20), 2),
         gt_from(rect_mask(width, 60, 60, 0, 40, 30), 3),
     ]
-    assert [g.category for g in gt] == [SizeCategory.XS, SizeCategory.S, SizeCategory.M]
+    assert [size_category(g.mask.area) for g in gt] == [SizeCategory.XS, SizeCategory.S, SizeCategory.M]
     return gt
 
 
@@ -204,7 +204,7 @@ def test_category_restriction_partitions_matches():
     full = match(gt, props)
     per_cat = 0
     for cat in SizeCategory:
-        sub = [g for g in gt if g.category is cat]
+        sub = [g for g in gt if size_category(g.mask.area) is cat]
         per_cat += len(match(sub, props))
     assert per_cat == len(full)
 

@@ -3,8 +3,7 @@ import pytest
 
 from smallprop.annotations import GroundTruthObject
 from smallprop.detector import Proposal, preset
-from smallprop.exchange import ProposalRecord
-from smallprop.masks import mask_iou, rle_decode
+from smallprop.masks import BinaryMask, mask_iou, rle_decode
 from smallprop.pipeline import nms, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
 from smallprop.tiling import TileGridSpec
@@ -130,8 +129,8 @@ def test_top_k_truncation():
 def test_whole_image_records_pass_through():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     m = rect_mask(64, 48, 10, 10, 12, 12)
-    records = [ProposalRecord("img", 64, 48, 0.75, m.runs)]
-    out = run_whole(scene, records)
+    lines = [(None, Proposal(m, 0.75))]
+    out = run_whole(scene, lines)
     assert len(out) == 1
     assert out[0].mask == m and out[0].objectness == 0.75
 
@@ -140,8 +139,8 @@ def test_tile_records_are_remapped():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     grid = TileGridSpec(32, 24, 16, 12)
     local = rect_mask(32, 24, 2, 3, 5, 5)
-    records = [ProposalRecord("img", 32, 24, 0.5, local.runs, tile_index=1)]
-    out = run_tiled(scene, records, grid)
+    lines = [(1, Proposal(local, 0.5))]
+    out = run_tiled(scene, lines, grid)
     assert len(out) == 1
     # tile 1 sits at (16, 0) in a row-major 3x3 grid
     assert out[0].mask.bbox.x == 18 and out[0].mask.bbox.y == 3
@@ -149,32 +148,31 @@ def test_tile_records_are_remapped():
 
 def test_unknown_tile_index_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
-    records = [ProposalRecord("img", 32, 24, 0.5, (0, 768), tile_index=99)]
+    lines = [(99, Proposal(BinaryMask(32, 24, (0, 768)), 0.5))]
     with pytest.raises(ValueError, match="tile_index"):
-        run_tiled(scene, records, TileGridSpec(32, 24, 16, 12))
+        run_tiled(scene, lines, TileGridSpec(32, 24, 16, 12))
 
 
 def test_tile_record_size_mismatch_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
-    records = [ProposalRecord("img", 16, 24, 0.5, (0, 384), tile_index=1)]
+    lines = [(1, Proposal(BinaryMask(16, 24, (0, 384)), 0.5))]
     with pytest.raises(ValueError, match="local mask is 16x24, tile is 32x24"):
-        run_tiled(scene, records, TileGridSpec(32, 24, 16, 12))
+        run_tiled(scene, lines, TileGridSpec(32, 24, 16, 12))
 
 
 def test_record_dimension_mismatch_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     # a huge declared canvas is rejected by its size, before any pixel is decoded
     for width, height in ((32, 24), (10**12, 1)):
-        records = [ProposalRecord("img", width, height, 0.5, (0, width * height))]
+        lines = [(None, Proposal(BinaryMask(width, height, (0, width * height)), 0.5))]
         with pytest.raises(ValueError, match="whole-image record"):
-            run_whole(scene, records)
+            run_whole(scene, lines)
 
 
 def test_empty_record_mask_rejected():
-    scene = disk_scene(64, 48, [(20, 20, 8)])
-    records = [ProposalRecord("img", 64, 48, 0.5, (64 * 48,))]
+    # no empty mask reaches the pipeline: the reader builds each line's Proposal, which rejects it
     with pytest.raises(ValueError, match="empty"):
-        run_whole(scene, records)
+        Proposal(BinaryMask(64, 48, (64 * 48,)), 0.5)
 
 
 def test_output_scores_non_increasing():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smallprop.annotations import SizeCategory
+from smallprop.annotations import SizeCategory, size_category
 from smallprop.masks import rle_decode
-from smallprop.prng import SplitMix64, prng_next, splitmix64_block, stream_seed
+from smallprop.prng import prng_next, randint, random, splitmix64_block, stream_seed
 from smallprop.raster import read_pnm
 from smallprop.synth import (
     Scene,
@@ -28,9 +28,17 @@ def test_splitmix64_reference_vectors():
     assert value2 == 0x6E789E6AA1B965F4
 
 
+def prng_stream(seed, n):
+    """n draws, each prng_next step fed the state of the one before."""
+    draws, state = [], seed
+    for _ in range(n):
+        value, state = prng_next(state)
+        draws.append(value)
+    return draws
+
+
 def test_splitmix64_matches_reference_stream():
-    rng = SplitMix64(987654321)
-    assert [rng.next_u64() for _ in range(50)] == ref_splitmix64(987654321, 50)
+    assert prng_stream(987654321, 50) == ref_splitmix64(987654321, 50)
 
 
 @pytest.mark.parametrize("seed", [0, 987654321, 2**64 - 1, -1, -(2**70) + 3])
@@ -53,11 +61,9 @@ def test_stream_seed_depends_on_every_key():
 
 
 def test_random_draws_in_unit_interval():
-    rng = SplitMix64(3)
-    for _ in range(100):
-        assert 0.0 <= rng.random() < 1.0
-    for _ in range(100):
-        assert -2 <= rng.randint(-2, 2) <= 2
+    draws = prng_stream(3, 200)
+    assert all(0.0 <= random(u) < 1.0 for u in draws)
+    assert {randint(u, -2, 2) for u in draws} == {-2, -1, 0, 1, 2}
 
 
 def test_no_apples_gives_empty_scene():
@@ -84,14 +90,14 @@ def test_generation_is_deterministic():
 
 def test_xs_fraction_near_target():
     scene = generate_scene(SceneSpec(n_apples=200, xs_fraction=0.51, seed=42))
-    frac = sum(1 for o in scene.objects if o.category is SizeCategory.XS) / len(scene.objects)
+    frac = sum(1 for o in scene.objects if size_category(o.mask.area) is SizeCategory.XS) / len(scene.objects)
     assert 0.40 <= frac <= 0.62
 
 
 def test_min_visible_filters_fragments():
     spec = SceneSpec(width=400, height=300, n_apples=30, n_leaves=40, min_visible=16, seed=5)
     scene = generate_scene(spec)
-    assert all(o.area >= 16 for o in scene.objects)
+    assert all(o.mask.area >= 16 for o in scene.objects)
     # removed ids are gone from the map as well
     present = set(np.unique(scene.instances.pixels)) - {0}
     assert present == {o.instance_id for o in scene.objects}
@@ -99,7 +105,7 @@ def test_min_visible_filters_fragments():
 
 def test_instances_are_disjoint_and_within_canvas():
     scene = generate_scene(SceneSpec(width=300, height=200, n_apples=25, n_leaves=10, seed=8))
-    total = sum(o.area for o in scene.objects)
+    total = sum(o.mask.area for o in scene.objects)
     assert total == int((scene.instances.pixels != 0).sum())
     stack = np.zeros((200, 300), int)
     for o in scene.objects:
@@ -132,8 +138,8 @@ def test_scene_files_roundtrip(tmp_path):
     again = load_scene(tmp_path, "scene_11_0000")
     assert np.array_equal(again.instances.pixels, scene.instances.pixels)
     assert np.array_equal(read_pnm(tmp_path / "scene_11_0000.ppm").pixels, scene.image.pixels)
-    assert [(o.instance_id, o.area) for o in again.objects] == [
-        (o.instance_id, o.area) for o in scene.objects
+    assert [(o.instance_id, o.mask.area) for o in again.objects] == [
+        (o.instance_id, o.mask.area) for o in scene.objects
     ]
 
 
