@@ -37,7 +37,7 @@ def main() -> int:
         out / "scene_demo.jsonl",
     )
 
-    overlay = render_overlay(scene.image, scene.objects, proposals)
+    overlay = render_overlay(scene.image, scene.instances.pixels, proposals)
     write_pnm(overlay, out / "scene_demo_overlay.ppm")
 
     print(report_text([evaluate_dataset([(scene.instances.pixels, proposals)], system="demo")]), end="")

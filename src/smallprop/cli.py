@@ -17,9 +17,8 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .annotations import extract_instances
 from .detector import DetectorProfile, preset, PRESET_LEVELS
-from .exchange import ProposalRecord, read_proposals, write_proposals
+from .exchange import ExchangeFormatError, ProposalRecord, read_proposals, write_proposals
 from .evaluation import evaluate_dataset, render_overlay, report_csv, report_json, report_text
 from .pipeline import place_proposal, run_tiled, run_whole
 from .raster import read_pnm, write_pnm
@@ -99,11 +98,11 @@ def _usage(flags, build, *args, **kwargs):
         raise UsageError(f"{', '.join(flags)}: {exc}") from None
 
 
-def _out_is_not_an_input(out_dir: Path, inputs: dict) -> None:
-    """Reject an --out directory that is an input's (flag -> path or None), whose files it would overwrite."""
-    same = [f for f, d in inputs.items() if d and Path(d).resolve() == out_dir.resolve()]
+def _out_is_not_an_input(out: Path, inputs: dict, kind: str = "directory") -> None:
+    """Reject an --out directory or file that is an input (flag -> path or None), which it would overwrite."""
+    same = [f for f, d in inputs.items() if d and Path(d).resolve() == out.resolve()]
     if same:
-        raise UsageError(f"--out: the same directory as {', '.join(same)}")
+        raise UsageError(f"--out: the same {kind} as {', '.join(same)}")
 
 
 def _existing_dir(path: str, flag: str) -> Path:
@@ -148,8 +147,8 @@ def _whole_image_proposals(path: Path, width: int, height: int) -> list:
     """The proposals of a file of whole-image records for a width x height image."""
     lines = read_proposals(path)
     try:
-        return [place_proposal(t, p, width, height) for t, p in lines]
-    except ValueError as exc:
+        return [place_proposal(*line, width, height) for line in lines]
+    except ExchangeFormatError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -179,10 +178,8 @@ def _run_one(stem: str, args, grid, profile, out: Path) -> str:
             proposals = run_tiled(scene, profile or lines, grid, args.nms_iou, args.top_k)
         else:
             proposals = run_whole(scene, profile or lines, args.nms_iou, args.top_k)
-    except ValueError as exc:
-        if not lines:
-            raise
-        raise ValueError(f"{path}: {exc}") from None  # e.g. a record naming no tile of the grid
+    except ExchangeFormatError as exc:  # a record that does not fit; a grid error is not the file's
+        raise ValueError(f"{path}: {exc}") from None
     name = f"{stem}.jsonl"
     records = [ProposalRecord(stem, p.mask.width, p.mask.height, p.objectness, p.mask.runs) for p in proposals]
     write_proposals(records, out / name)
@@ -276,6 +273,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_overlay(args) -> int:
+    inputs = {"image": args.image, "instances": args.instances, "proposals": args.proposals}
+    _out_is_not_an_input(Path(args.out), {f"--{k}": v for k, v in inputs.items()}, "file")
     image = read_pnm(args.image)
     if image.channels != 3:
         raise ValueError(f"{args.image}: overlay rendering needs an RGB image")
@@ -283,20 +282,12 @@ def cmd_overlay(args) -> int:
     if (image.width, image.height) != (imap.width, imap.height):
         raise ValueError(f"{args.image} is {image.width}x{image.height}, "
                          f"{args.instances} is {imap.width}x{imap.height}")
-    gt = extract_instances(imap.pixels)
     proposals = _whole_image_proposals(Path(args.proposals), imap.width, imap.height)
     ranked = sorted(proposals, key=lambda p: -p.objectness)[: args.top_k]
-    overlay = render_overlay(image, gt, ranked)
+    overlay = render_overlay(image, imap.pixels, ranked)
     write_pnm(overlay, args.out)
-    config = {
-        "image": args.image,
-        "instances": args.instances,
-        "proposals": args.proposals,
-        "top_k": args.top_k,
-    }
     _write_manifest(
-        Path(str(args.out) + ".manifest.json"), "overlay", config,
-        {k: config[k] for k in ("image", "instances", "proposals")},
+        Path(str(args.out) + ".manifest.json"), "overlay", {**inputs, "top_k": args.top_k}, inputs,
         [Path(args.out).name], None,
     )
     return 0

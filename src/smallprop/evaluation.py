@@ -17,9 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotations import GroundTruthObject, SizeCategory, size_category
+from .annotations import SizeCategory, size_category
 from .detector import Proposal
-from .masks import BinaryMask, box_overlaps, mask_iou, require_same_canvas, rle_decode
+from .masks import BinaryMask, require_same_canvas, rle_decode
+from .masks import mask_iou  # noqa: F401 - unused here; perfbench/tracing.py hooks this name
 from .raster import RasterImage
 
 IOU_THRESHOLDS = tuple(t / 100 for t in range(50, 100, 5))
@@ -61,32 +62,20 @@ CELLS = (
 _SIZES = tuple(c.value for *_, c in CELLS if c is not None)  # keys of gt_counts, in table order
 
 
-def _iou_pairs(
-    gt: Sequence[GroundTruthObject], proposals: Sequence[Proposal]
-) -> list[tuple[float, int, int]]:
-    """All positive-IoU pairs sorted by IoU desc, then gt id, then index.
-
-    Only pairs whose bounding boxes intersect can have a positive IoU, so
-    ``mask_iou`` runs on those alone.
-    """
-    if gt and proposals:
-        require_same_canvas([g.mask for g in gt] + [p.mask for p in proposals])
-    hits = box_overlaps([g.mask.bbox for g in gt], [p.mask.bbox for p in proposals])
-    pairs = []
-    for gi, pi in zip(*(ix.tolist() for ix in np.nonzero(hits))):
-        iou = mask_iou(gt[gi].mask, proposals[pi].mask)
-        if iou > 0.0:
-            pairs.append((iou, gt[gi].instance_id, pi))
-    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-    return pairs
-
-
 def _objects(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct nonzero ids of an instance grid, ascending, and their pixel counts."""
     return np.unique(labels[labels != 0], return_counts=True)
 
 
 def _pairs_under(labels, ids, areas, proposals) -> list[tuple[float, int, int]]:
+    """All positive-IoU (iou, id, proposal index) pairs of an instance grid's
+    objects ``ids`` of pixel counts ``areas``, sorted by IoU desc, id, index.
+
+    One histogram of the ids under the proposals' foreground pixels, taken from
+    their runs, so no bitmap is decoded; ids are compressed to the objects
+    present, so memory follows the pixels and the objects, not the largest id.
+    IoU is the correctly rounded quotient of integer intersection and union.
+    """
     if not (ids.size and proposals):
         return []
     height, width = labels.shape
@@ -116,18 +105,6 @@ def _pairs_under(labels, ids, areas, proposals) -> list[tuple[float, int, int]]:
     return list(zip(iou[order].tolist(), gid[order].tolist(), pi[order].tolist()))
 
 
-def label_iou_pairs(labels: np.ndarray, proposals: Sequence[Proposal]) -> list[tuple[float, int, int]]:
-    """``_iou_pairs(extract_instances(labels), proposals)``, from one histogram of
-    the ids under the proposals' foreground pixels.
-
-    The pixels come from each mask's runs, so no bitmap is decoded, and ids
-    are compressed to the objects present, so memory follows the proposals'
-    pixels and the objects, not the largest id. IoU is the float64 quotient of
-    the same integers ``mask_iou`` divides, so it is the same float.
-    """
-    return _pairs_under(labels, *_objects(labels), proposals)
-
-
 def _greedy(pairs) -> list[tuple[int, int, float]]:
     taken_gt: set[int] = set()
     taken_prop: set[int] = set()
@@ -141,13 +118,14 @@ def _greedy(pairs) -> list[tuple[int, int, float]]:
     return out
 
 
-def match(gt: Sequence[GroundTruthObject], proposals: Sequence[Proposal]) -> tuple[tuple[int, int, float], ...]:
-    """Greedily assign proposals to ground truth; zero-IoU pairs never match.
+def match(labels: np.ndarray, proposals: Sequence[Proposal]) -> tuple[tuple[int, int, float], ...]:
+    """Greedily assign proposals to the objects of an instance grid; zero-IoU
+    pairs never match.
 
-    Returns the one-to-one pairs (gt instance_id, proposal index, iou).
-    Proposals are expected to be truncated to the evaluation budget already.
+    Returns the one-to-one pairs (gt id, proposal index, iou). Proposals are
+    expected to be truncated to the evaluation budget already.
     """
-    return tuple(_greedy(_iou_pairs(gt, proposals)))
+    return tuple(_greedy(_pairs_under(labels, *_objects(labels), proposals)))
 
 
 def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[float | None, int]:
@@ -251,27 +229,23 @@ def _contour(grid: np.ndarray) -> np.ndarray:
     return grid & ~interior
 
 
-def render_overlay(
-    image: RasterImage,
-    gt: Sequence[GroundTruthObject],
-    proposals: Sequence[Proposal],
-) -> RasterImage:
+def render_overlay(image: RasterImage, labels: np.ndarray, proposals: Sequence[Proposal]) -> RasterImage:
     """Draw matched proposals filled with a colored contour, misses in red.
 
-    Each ground-truth object shows only its assigned (best-IoU) proposal;
-    unmatched objects are drawn as an unfilled red contour of their mask.
+    Objects of the instance grid ``labels`` are drawn by id ascending. Each
+    shows only its assigned (best-IoU) proposal; an unmatched one is drawn as
+    an unfilled red contour of its pixels.
     """
     if image.channels != 3:
         raise ValueError("overlay rendering needs an RGB image")
-    by_gt = {gid: pi for gid, pi, _ in match(gt, proposals)}
+    by_gt = {gid: pi for gid, pi, _ in match(labels, proposals)}
     canvas = image.pixels.astype(np.int16)
-    for obj in gt:
-        if obj.instance_id in by_gt:
-            color = np.array(_PALETTE[obj.instance_id % len(_PALETTE)], dtype=np.int16)
-            grid = rle_decode(proposals[by_gt[obj.instance_id]].mask)
+    for gid in _objects(labels)[0].tolist():
+        if gid in by_gt:
+            color = np.array(_PALETTE[gid % len(_PALETTE)], dtype=np.int16)
+            grid = rle_decode(proposals[by_gt[gid]].mask)
             canvas[grid] = (canvas[grid] + color) // 2
             canvas[_contour(grid)] = color
         else:
-            grid = rle_decode(obj.mask)
-            canvas[_contour(grid)] = np.array(_MISS_COLOR, dtype=np.int16)
+            canvas[_contour(labels == gid)] = np.array(_MISS_COLOR, dtype=np.int16)
     return RasterImage(canvas.astype(np.uint8))

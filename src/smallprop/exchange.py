@@ -21,7 +21,7 @@ _ALL_KEYS = frozenset(_REQUIRED_KEYS) | {"tile_index"}
 
 
 class ExchangeFormatError(ValueError):
-    """A proposal file that violates the exchange schema."""
+    """A proposal file that violates the exchange schema, or a record that does not fit its image."""
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -66,7 +66,7 @@ def write_proposals(records, path) -> None:
     Path(path).write_bytes(payload.encode("ascii"))
 
 
-def _parse_record(doc, stem: str, path, lineno: int) -> tuple[int | None, Proposal]:
+def _parse_record(doc, stem: str, path, lineno: int) -> tuple[int, int | None, Proposal]:
     if not isinstance(doc, dict):
         raise ExchangeFormatError(f"{path}: line {lineno}: record is not an object")
     keys = set(doc)
@@ -94,14 +94,14 @@ def _parse_record(doc, stem: str, path, lineno: int) -> tuple[int | None, Propos
         raise ExchangeFormatError(f"{path}: line {lineno}: runs must be a list of integers")
     try:  # BinaryMask checks the run elements, Proposal the range and a non-empty mask
         mask = BinaryMask(doc["width"], doc["height"], runs)
-        return tile_index, Proposal(mask, round(objectness, 6) + 0.0)  # + 0.0 turns -0.0 into 0.0
+        return lineno, tile_index, Proposal(mask, round(objectness, 6) + 0.0)  # + 0.0 turns -0.0 into 0.0
     except (ValueError, OverflowError) as exc:  # an integer objectness past float range overflows
         raise ExchangeFormatError(f"{path}: line {lineno}: {exc}") from exc
 
 
-def read_proposals(path) -> list[tuple[int | None, Proposal]]:
-    """``(tile_index, proposal)`` per line of a JSONL proposal file, in file order;
-    every record's image_id must be the file's stem."""
+def read_proposals(path) -> list[tuple[int, int | None, Proposal]]:
+    """``(line number, tile_index, proposal)`` per record of a JSONL proposal
+    file, in file order; every record's image_id must be the file's stem."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("ascii")

@@ -121,9 +121,6 @@ class BinaryMask:
 
     __hash__ = None
 
-    def __reduce__(self):
-        return BinaryMask, (self.width, self.height, self.runs)
-
     def __repr__(self) -> str:
         return f"BinaryMask(width={self.width}, height={self.height}, bbox={self.bbox}, area={self.area})"
 

@@ -14,12 +14,13 @@ import numpy as np
 
 from .annotations import GroundTruthObject
 from .detector import DetectorProfile, Proposal, simulate
+from .exchange import ExchangeFormatError
 from .masks import BBox, box_overlaps, crop_mask, mask_iou, require_same_canvas
 from .synth import Scene
 from .tiling import Tile, TileGridSpec, plan_grid, remap_mask
 
-# a simulated detector, or the (tile_index, proposal) lines of one scene's exchange file
-ProposalSource = Union[DetectorProfile, Sequence[tuple[int | None, Proposal]]]
+# a simulated detector, or the (line number, tile_index, proposal) records of one scene's exchange file
+ProposalSource = Union[DetectorProfile, Sequence[tuple[int, int | None, Proposal]]]
 
 
 def nms(
@@ -88,19 +89,26 @@ def _simulated_proposals(
 
 
 def place_proposal(
-    tile_index: int | None, proposal: Proposal, width: int, height: int, tiles: Sequence[Tile] = ()
+    lineno: int, tile_index: int | None, proposal: Proposal, width: int, height: int, tiles: Sequence[Tile] = ()
 ) -> Proposal:
-    """The image-coordinate proposal of one exchange line: a whole-image one
-    (``tile_index`` None) must match the image size; a tile one must name a tile
-    of ``tiles`` and is remapped from it, which checks the tile size."""
+    """The image-coordinate proposal of the exchange record on line ``lineno``:
+    a whole-image one (``tile_index`` None) must match the image size; a tile
+    one must name a tile of ``tiles`` and is remapped from it, which checks the
+    tile size. Without ``tiles`` only whole-image records are accepted. A record
+    that does not fit is an ``ExchangeFormatError`` naming the line."""
     m = proposal.mask
-    if tile_index is None:
-        if m.width != width or m.height != height:
-            raise ValueError(f"whole-image record is {m.width}x{m.height}, image is {width}x{height}")
-        return proposal
-    if not 0 <= tile_index < len(tiles):
-        raise ValueError(f"unknown tile_index {tile_index}; grid has {len(tiles)} tiles")
-    return Proposal(remap_mask(tiles[tile_index], m, width, height), proposal.objectness)
+    try:
+        if tile_index is None:
+            if m.width != width or m.height != height:
+                raise ValueError(f"whole-image record is {m.width}x{m.height}, image is {width}x{height}")
+            return proposal
+        if not tiles:
+            raise ValueError(f"tile_index {tile_index}: only whole-image records are accepted")
+        if not 0 <= tile_index < len(tiles):
+            raise ValueError(f"unknown tile_index {tile_index}; grid has {len(tiles)} tiles")
+        return Proposal(remap_mask(tiles[tile_index], m, width, height), proposal.objectness)
+    except ValueError as exc:
+        raise ExchangeFormatError(f"line {lineno}: {exc}") from None
 
 
 def run_tiled(
@@ -113,7 +121,7 @@ def run_tiled(
     if isinstance(source, DetectorProfile):
         raw = _simulated_proposals(scene, tiles, source)
     else:
-        raw = [place_proposal(t, p, scene.width, scene.height, tiles) for t, p in source]
+        raw = [place_proposal(*line, scene.width, scene.height, tiles) for line in source]
     return nms(raw, nms_iou, top_k)
 
 

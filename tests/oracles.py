@@ -259,6 +259,19 @@ def oracle_report(per_image):
     return out
 
 
+def ref_pairs(labels, proposals):
+    """Every positive-IoU (iou, gt id, proposal index) pair of an instance grid,
+    from decoded grids, sorted by IoU desc, then id, then index."""
+    grids = [rle_decode(p.mask) for p in proposals]
+    pairs = []
+    for gid in sorted(set(labels.ravel().tolist()) - {0}):
+        for pi, grid in enumerate(grids):
+            iou = grid_iou(labels == gid, grid)
+            if iou > 0.0:
+                pairs.append((iou, gid, pi))
+    return sorted(pairs, key=lambda t: (-t[0], t[1], t[2]))
+
+
 def label_grid(gt, width: int, height: int) -> np.ndarray:
     """The int32 instance grid of ground-truth objects whose masks do not overlap."""
     labels = np.zeros((height, width), np.int32)

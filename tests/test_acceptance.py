@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smallprop.annotations import GroundTruthObject, extract_instances
+from smallprop.annotations import GroundTruthObject
 from smallprop.cli import main as cli_main
 from smallprop.detector import Proposal, detectable_range, preset
 from smallprop.evaluation import (
@@ -202,13 +202,12 @@ def _suite_ar_monotone(rng, cases):
         if report.ar_at_10 is not None:
             assert report.ar_at_10 <= report.ar_at_100
         # pooled recall curve is non-increasing in the threshold
-        per_gt = [(extract_instances(labels), props) for labels, props in per_pkg]
-        total = sum(len(gt) for gt, _ in per_gt)
+        total = sum(len(np.unique(labels[labels != 0])) for labels, _ in per_pkg)
         if total:
             ious = []
-            for gt, props in per_gt:
+            for labels, props in per_pkg:
                 ranked = sorted(props, key=lambda p: -p.objectness)[:100]
-                ious.extend(iou for _, _, iou in match(gt, ranked))
+                ious.extend(iou for _, _, iou in match(labels, ranked))
             curve = [sum(1 for v in ious if v >= t) / total for t in IOU_THRESHOLDS]
             assert all(a >= b for a, b in zip(curve, curve[1:]))
 
@@ -287,10 +286,10 @@ def test_criterion_7_exchange_roundtrip(tmp_path):
     write_proposals(records, p1)
     again = read_proposals(p1)
     write_proposals([ProposalRecord("img", p.mask.width, p.mask.height, p.objectness, p.mask.runs, t)
-                     for t, p in again], p2)
+                     for _, t, p in again], p2)
     elapsed = time.monotonic() - t0
     assert p1.read_bytes() == p2.read_bytes()
-    assert [(t, p.objectness, p.mask.runs) for t, p in again] == [
+    assert [(t, p.objectness, p.mask.runs) for _, t, p in again] == [
         (r.tile_index, r.objectness, r.runs) for r in records]
     assert elapsed < 5.0
     _passed(7, f"10k records round-trip byte-stable ({elapsed:.2f}s)")

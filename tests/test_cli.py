@@ -468,13 +468,58 @@ def test_exchange_tile_record_error_names_file(tmp_path, capsys):
     (rec,) = whole_records(stem, [obj], 0.5)
     write_proposals([rec._replace(tile_index=99)], path)
     assert run_cli(*_proposal_file_argv(tmp_path, "run", stem), "--mode", "whole") == 2
-    assert _data_error(capsys) == f"{path}: unknown tile_index 99; grid has 1 tiles"
+    assert _data_error(capsys) == f"{path}: line 1: unknown tile_index 99; grid has 1 tiles"
+
+
+def _small_scene(tmp_path):
+    """The stem of one 64x48 scene in ``s`` and the path of its proposal file in ``p``."""
+    synth_small(tmp_path / "s", count=1, width=64, height=48, apples=4, leaves=0)
+    (stem,) = list_scene_stems(tmp_path / "s")
+    (tmp_path / "p").mkdir()
+    return stem, tmp_path / "p" / f"{stem}.jsonl"
+
+
+_WHOLE_32x24 = '{"image_id": "%s", "width": 32, "height": 24, "objectness": 0.5, "runs": [0, 4, 764]}'
+_TILE_99 = '{"image_id": "%s", "tile_index": 99, "width": 32, "height": 24, "objectness": 0.5, "runs": [0, 4, 764]}'
+
+
+@pytest.mark.parametrize("command", ["eval", "whole", "overlay"])
+def test_whole_image_size_error_names_the_line(tmp_path, capsys, command):
+    # line 2 is blank, so the bad record's line is not its index among the records
+    stem, path = _small_scene(tmp_path)
+    whole = '{"image_id": "%s", "width": 64, "height": 48, "objectness": 0.5, "runs": [0, 4, 3068]}' % stem
+    path.write_text(whole + "\n\n" + _WHOLE_32x24 % stem + "\n")
+    argv = _proposal_file_argv(tmp_path, "run" if command == "whole" else command, stem)
+    assert run_cli(*argv, *(["--mode", "whole"] if command == "whole" else [])) == 2
+    assert _data_error(capsys) == f"{path}: line 3: whole-image record is 32x24, image is 64x48"
+
+
+def test_unknown_tile_error_names_the_line(tmp_path, capsys):
+    stem, path = _small_scene(tmp_path)
+    path.write_text("\n" + _TILE_99 % stem + "\n")
+    assert run_cli(*_proposal_file_argv(tmp_path, "run", stem), "--tile", "32x24", "--stride", "32x24") == 2
+    assert _data_error(capsys) == f"{path}: line 2: unknown tile_index 99; grid has 4 tiles"
+
+
+@pytest.mark.parametrize("command", ["eval", "overlay"])
+def test_tile_record_is_rejected_where_only_whole_image_records_are_read(tmp_path, capsys, command):
+    stem, path = _small_scene(tmp_path)
+    path.write_text((_TILE_99 % stem).replace("99", "0") + "\n")
+    assert run_cli(*_proposal_file_argv(tmp_path, command, stem)) == 2
+    assert _data_error(capsys) == f"{path}: line 1: tile_index 0: only whole-image records are accepted"
+
+
+def test_scene_smaller_than_the_tile_is_not_blamed_on_the_exchange_file(tmp_path, capsys):
+    stem, path = _small_scene(tmp_path)
+    path.write_text(_TILE_99 % stem + "\n")
+    assert run_cli(*_proposal_file_argv(tmp_path, "run", stem)) == 2  # the default tile is 320x240
+    assert _data_error(capsys) == "tile 320x240 larger than image 64x48"
 
 
 def _bad_record(path, stem, scene_dir):
     obj = load_scene(scene_dir, stem).objects[0]
     write_proposals([rec._replace(tile_index=99) for rec in whole_records(stem, [obj], 0.5)], path)
-    return f"{path}: unknown tile_index 99; grid has 1 tiles"
+    return f"{path}: line 1: unknown tile_index 99; grid has 1 tiles"
 
 
 def _non_ascii(path, stem, scene_dir):
@@ -612,3 +657,27 @@ def test_run_out_beside_inputs_is_allowed(tmp_path):
     # a sibling whose name starts with the input's is not the input
     assert run_cli("run", "--scenes", tmp_path / "s", "--mode", "whole", "--out", tmp_path / "s2") == 0
     assert run_cli("run", "--scenes", tmp_path / "s", "--mode", "whole", "--out", tmp_path / "s" / "props") == 0
+
+
+@pytest.mark.parametrize("target", ["--image", "--instances", "--proposals"])
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+def test_overlay_out_may_not_be_an_input(tmp_path, capsys, target, spelling):
+    # --out img.ppm would replace the image with its overlay
+    synth_small(tmp_path / "s", count=1)
+    (stem,) = list_scene_stems(tmp_path / "s")
+    scene = load_scene(tmp_path / "s", stem)
+    write_proposals(whole_records("p", scene.objects, 0.5), tmp_path / "p.jsonl")
+    inputs = {"--image": tmp_path / "s" / f"{stem}.ppm", "--instances": tmp_path / "s" / f"{stem}.pgm",
+              "--proposals": tmp_path / "p.jsonl"}
+    before = {flag: f.read_bytes() for flag, f in inputs.items()}
+    out = {"same": inputs[target],
+           "dotted": inputs[target].parent / ".." / inputs[target].parent.name / inputs[target].name,
+           "symlink": tmp_path / "link"}[spelling]
+    if spelling == "symlink":
+        out.symlink_to(inputs[target])
+    argv = [a for flag, f in inputs.items() for a in (flag, f)]
+    assert run_cli("overlay", *argv, "--out", out) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {"error": "usage", "message": f"--out: the same file as {target}"}
+    assert {flag: f.read_bytes() for flag, f in inputs.items()} == before
+    assert not list(tmp_path.rglob("*.manifest.json"))

@@ -50,9 +50,9 @@ def test_exchange_examples_read_and_write_back(tmp_path):
     path.write_text("\n".join(examples) + "\n")
     lines = read_proposals(path)
     write_proposals([ProposalRecord("scene_42_0000", p.mask.width, p.mask.height, p.objectness, p.mask.runs, t)
-                     for t, p in lines], tmp_path / "again.jsonl")
+                     for _, t, p in lines], tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
-    (tile_index, tile_local), (whole_index, whole) = lines
+    (_, tile_index, tile_local), (_, whole_index, whole) = lines
     # "foreground at flat positions 1 and 2" of tile 3's 4x3 frame
     assert tile_index == 3 and tile_local.mask.bbox == BBox(1, 0, 2, 1)
     # "a 4x2 block whose top-left corner is at (100, 165)"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 
@@ -6,24 +7,23 @@ import numpy as np
 import pytest
 
 from smallprop import evaluation, masks
-from smallprop.annotations import GroundTruthObject, SizeCategory, extract_instances, size_category
+from smallprop.annotations import GroundTruthObject, SizeCategory, size_category
 from smallprop.detector import Proposal, preset
 from smallprop.evaluation import (
     IOU_THRESHOLDS,
-    _iou_pairs,
     evaluate_dataset,
-    label_iou_pairs,
     match,
     render_overlay,
     report_csv,
     report_json,
     report_text,
 )
-from smallprop.masks import BinaryMask, mask_iou, rle_decode
+from smallprop.masks import BinaryMask, rle_decode, shift_mask
 from smallprop.pipeline import run_whole
 from smallprop.raster import RasterImage
 from smallprop.synth import SceneSpec, generate_scene
-from oracles import average_recall, label_grid, make_random_instance, oracle_report, rect_mask
+from oracles import (average_recall, greedy_assign, label_grid, make_random_instance, oracle_report, rect_mask,
+                     ref_pairs)
 
 
 def interval_mask(width, start, stop):
@@ -42,44 +42,39 @@ def grid_of(gt):
 
 def test_match_perfect_single_pair():
     m = rect_mask(16, 16, 2, 2, 5, 5)
-    assert match([gt_from(m)], [Proposal(m, 0.9)]) == ((1, 0, 1.0),)
+    assert match(grid_of([gt_from(m)]), [Proposal(m, 0.9)]) == ((1, 0, 1.0),)
 
 
 def test_match_without_proposals():
     m = rect_mask(16, 16, 2, 2, 5, 5)
-    assert match([gt_from(m)], []) == ()
+    assert match(grid_of([gt_from(m)]), []) == ()
 
 
 def test_match_zero_iou_never_assigned():
     a = rect_mask(16, 16, 0, 0, 4, 4)
     b = rect_mask(16, 16, 10, 10, 4, 4)
-    assert match([gt_from(a)], [Proposal(b, 0.9)]) == ()
+    assert match(grid_of([gt_from(a)]), [Proposal(b, 0.9)]) == ()
 
 
 def test_match_rejects_mixed_canvases():
-    # the boxes are disjoint, so only the canvas check can notice
-    gt = [GroundTruthObject.from_mask(1, rect_mask(16, 16, 0, 0, 4, 4))]
+    # the proposal's box lies inside the grid, so only the canvas check can notice
+    labels = grid_of([gt_from(rect_mask(16, 16, 0, 0, 4, 4))])
     props = [Proposal(rect_mask(16, 20, 10, 10, 4, 4), 0.5)]
-    with pytest.raises(ValueError, match="mask dimensions differ"):
-        match(gt, props)
+    with pytest.raises(ValueError) as exc:
+        match(labels, props)
+    assert str(exc.value) == "mask dimensions differ: 16x16 vs 16x20"
 
 
 def test_match_greedy_two_by_two():
+    # objects [0, 100) and [100, 125) of one row; each proposal overlaps both
     width = 200
-    gt_a = gt_from(interval_mask(width, 0, 100), gid=1)
-    gt_b = gt_from(interval_mask(width, 20, 68), gid=2)
-    p1 = Proposal(interval_mask(width, 10, 90), 0.9)
-    p2 = Proposal(interval_mask(width, 16, 112), 0.8)
-    ious = {
-        (1, 0): mask_iou(gt_a.mask, p1.mask),
-        (1, 1): mask_iou(gt_a.mask, p2.mask),
-        (2, 0): mask_iou(gt_b.mask, p1.mask),
-        (2, 1): mask_iou(gt_b.mask, p2.mask),
-    }
-    assert ious[(1, 0)] == 0.8 and ious[(2, 0)] == 0.6 and ious[(2, 1)] == 0.5
-    assert ious[(1, 0)] > ious[(1, 1)] > ious[(2, 0)] > ious[(2, 1)]
-    got = match([gt_a, gt_b], [p1, p2])
-    assert got == ((1, 0, 0.8), (2, 1, 0.5))
+    labels = grid_of([gt_from(interval_mask(width, 0, 100), gid=1), gt_from(interval_mask(width, 100, 125), gid=2)])
+    p1 = Proposal(interval_mask(width, 0, 125), 0.9)
+    p2 = Proposal(interval_mask(width, 50, 125), 0.8)
+    ious = {(g, pi): iou for iou, g, pi in ref_pairs(labels, [p1, p2])}
+    assert ious == {(1, 0): 0.8, (1, 1): 0.4, (2, 1): 25 / 75, (2, 0): 0.2}
+    got = match(labels, [p1, p2])
+    assert got == ((1, 0, 0.8), (2, 1, 25 / 75))
     # exhaustive check: greedy differs from the optimal assignment only in
     # total IoU, never in cardinality
     best_total = max(
@@ -92,10 +87,13 @@ def test_match_greedy_two_by_two():
 
 
 def test_match_tie_breaks_deterministic():
-    m = rect_mask(16, 16, 2, 2, 5, 5)
-    # two identical proposals: lower index wins; two gt: lower id wins
-    got = match([gt_from(m, 4), gt_from(m, 2)], [Proposal(m, 0.5), Proposal(m, 0.5)])
-    assert got == ((2, 0, 1.0), (4, 1, 1.0))
+    # two equal objects under two identical proposals, every IoU 0.5: the
+    # lower id takes the lower index
+    labels = np.zeros((16, 16), np.int32)
+    labels[2:7, 2:7], labels[2:7, 7:12] = 4, 2
+    m = rect_mask(16, 16, 2, 2, 10, 5)
+    got = match(labels, [Proposal(m, 0.5), Proposal(m, 0.5)])
+    assert got == ((2, 0, 0.5), (4, 1, 0.5))
 
 
 def test_average_recall_examples():
@@ -103,7 +101,7 @@ def test_average_recall_examples():
     for stop, expected in ((100, 1.0), (60, 0.3), (49, 0.0), (0, 0.0)):
         props = [Proposal(interval_mask(200, 0, stop), 0.5)] if stop else []
         assert evaluate_dataset([(grid_of(gt), props)]).ar_at_100 == expected
-        assert average_recall(gt, match(gt, props)) == expected
+        assert average_recall(gt, match(grid_of(gt), props)) == expected
 
 
 def test_recall_curve_non_increasing():
@@ -201,11 +199,11 @@ def test_category_restriction_partitions_matches():
     # matched counts sum to the unrestricted matched count
     gt = make_three_category_image()
     props = [Proposal(g.mask, 0.5 + 0.1 * i) for i, g in enumerate(gt)]
-    full = match(gt, props)
+    full = match(grid_of(gt), props)
     per_cat = 0
     for cat in SizeCategory:
         sub = [g for g in gt if size_category(g.mask.area) is cat]
-        per_cat += len(match(sub, props))
+        per_cat += len(match(grid_of(sub), props))
     assert per_cat == len(full)
 
 
@@ -244,6 +242,8 @@ def test_absent_cells_render_as_dash_and_null():
     assert doc["reports"][0]["ar_s_at_100"] is None
 
 
+
+
 def _overlay_scene():
     scene = generate_scene(SceneSpec(width=160, height=120, n_apples=6, n_leaves=0, seed=13))
     assert scene.objects
@@ -252,7 +252,7 @@ def _overlay_scene():
 
 def test_overlay_marks_misses_red():
     scene = _overlay_scene()
-    out = render_overlay(scene.image, scene.objects, [])
+    out = render_overlay(scene.image, scene.instances.pixels, [])
     changed = np.any(out.pixels != scene.image.pixels, axis=2)
     red = np.all(out.pixels == (255, 0, 0), axis=2)
     assert changed.any()
@@ -262,7 +262,7 @@ def test_overlay_marks_misses_red():
 def test_overlay_perfect_has_no_red_and_fills_centroid():
     scene = _overlay_scene()
     props = [Proposal(o.mask, 1.0) for o in scene.objects]
-    out = render_overlay(scene.image, scene.objects, props)
+    out = render_overlay(scene.image, scene.instances.pixels, props)
     red = np.all(out.pixels == (255, 0, 0), axis=2)
     assert not red.any()
     for obj in scene.objects:
@@ -276,23 +276,29 @@ def test_overlay_perfect_has_no_red_and_fills_centroid():
 def test_overlay_requires_rgb():
     gray = RasterImage(np.zeros((8, 8), np.uint16))
     with pytest.raises(ValueError):
-        render_overlay(gray, [], [])
+        render_overlay(gray, np.zeros((8, 8), np.int32), [])
 
 
-def test_label_pairs_equal_mask_pairs_random():
+def kernel_pairs(labels, props):
+    """The full pair list of the pair kernel that eval, match and overlay share."""
+    return evaluation._pairs_under(labels, *evaluation._objects(labels), props)
+
+
+def test_label_pairs_equal_reference_pairs_random():
     rng = np.random.default_rng(23)
     for _ in range(150):
         per_pkg, _ = make_random_instance(rng, with_oracle=False)
         for labels, props in per_pkg:
             ranked = sorted(props, key=lambda p: -p.objectness)[:100]
-            got = label_iou_pairs(labels, ranked)
-            assert got == _iou_pairs(extract_instances(labels), ranked)
+            got = kernel_pairs(labels, ranked)
+            assert got == ref_pairs(labels, ranked)
             assert all(type(v) is t for pair in got for v, t in zip(pair, (float, int, int)))
+            assert match(labels, ranked) == tuple(greedy_assign(got))
 
 
 def _pairs_both_ways(labels, props):
-    got = label_iou_pairs(labels, props)
-    assert got == _iou_pairs(extract_instances(labels), props)
+    got = kernel_pairs(labels, props)
+    assert got == ref_pairs(labels, props)
     return got
 
 
@@ -313,12 +319,12 @@ def test_label_pairs_memory_does_not_follow_the_largest_id():
     props = [Proposal(rect_mask(64, 64, 4, 4, 16, 8), 0.9), Proposal(rect_mask(64, 64, 30, 30, 20, 10), 0.8)]
     tracemalloc.start()
     try:
-        got = label_iou_pairs(labels, props)
+        got = kernel_pairs(labels, props)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert got == [(1.0, 7, 1), (0.5, 2**31 - 1, 0)]
-    assert got == _iou_pairs(extract_instances(labels), props)
+    assert got == ref_pairs(labels, props)
     assert peak < 256 * 1024  # a histogram over ids up to 2**31 - 1 would take 16 GiB
 
 
@@ -341,25 +347,44 @@ def test_label_pairs_reject_mixed_canvases():
     labels = np.zeros((16, 16), np.int32)
     labels[0:4, 0:4] = 1
     props = [Proposal(rect_mask(16, 20, 10, 10, 4, 4), 0.5)]
-    with pytest.raises(ValueError, match="mask dimensions differ: 16x16 vs 16x20") as got:
-        label_iou_pairs(labels, props)
-    with pytest.raises(ValueError) as want:
-        match(extract_instances(labels), props)
-    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError) as exc:
+        kernel_pairs(labels, props)
+    assert str(exc.value) == "mask dimensions differ: 16x16 vs 16x20"
+
+
+def _forbidden(*args):
+    raise AssertionError("a mask was decoded or a mask IoU taken")
 
 
 def test_evaluate_dataset_reads_ids_not_masks(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("evaluate_dataset decoded a mask or took a mask IoU")
-
     rng = np.random.default_rng(5)
     per_pkg, per_oracle = make_random_instance(rng)
     # masks read from runs, as eval reads them: their pixels are decoded on first use only
     per_runs = [(labels, [Proposal(BinaryMask(p.mask.width, p.mask.height, p.mask.runs), p.objectness)
                           for p in props]) for labels, props in per_pkg]
-    monkeypatch.setattr(evaluation, "mask_iou", forbidden)
-    monkeypatch.setattr(masks, "_decode", forbidden)
+    monkeypatch.setattr(evaluation, "mask_iou", _forbidden)
+    monkeypatch.setattr(masks, "_decode", _forbidden)
     got = evaluate_dataset(iter(per_runs))  # read once, as the CLI yields it
     ref = oracle_report(per_oracle)
     assert [getattr(got, f) for _, f, *_ in evaluation.CELLS] == [ref[f] for _, f, *_ in evaluation.CELLS]
     assert got.gt_counts == ref["gt_counts"]
+
+
+# SHA-256 of the overlay pixels below, as rendered from extract_instances
+# objects by the mask-IoU matcher that the instance-map kernel replaced
+OVERLAY_DIGEST = "b8aab4c4b7ea8305cb0b808bb4642b4646e39f294966924da5f859268ece58bb"
+
+
+def test_match_and_overlay_take_no_mask_iou(monkeypatch):
+    scene = _overlay_scene()
+    labels = scene.instances.pixels
+    objs = scene.objects
+    # three matches, three misses and a proposal over background only
+    props = [Proposal(shift_mask(o.mask, 1, -1), 0.9) for o in objs[::2]]
+    props.append(Proposal(rect_mask(160, 120, 70, 50, 30, 20), 0.4))
+    monkeypatch.setattr(evaluation, "mask_iou", _forbidden)
+    got = match(labels, props)
+    assert got == tuple(greedy_assign(ref_pairs(labels, props)))
+    assert [g for g, _, _ in got] == [3, 5, 1]
+    out = render_overlay(scene.image, labels, props)
+    assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == OVERLAY_DIGEST

@@ -25,12 +25,14 @@ def sample_records(image_id="img"):
     ]
 
 
-def read_back(records):
-    """What the reader yields for each record: its tile index and proposal."""
-    return [(r.tile_index, Proposal(BinaryMask(r.width, r.height, r.runs), r.objectness)) for r in records]
+def read_back(records, linenos=None):
+    """What the reader yields for each record: its line number (one record a
+    line unless ``linenos`` says otherwise), tile index and proposal."""
+    return [(n, r.tile_index, Proposal(BinaryMask(r.width, r.height, r.runs), r.objectness))
+            for n, r in zip(linenos or range(1, len(records) + 1), records)]
 
 
-def as_record(image_id, tile_index, proposal):
+def as_record(image_id, lineno, tile_index, proposal):
     m = proposal.mask
     return ProposalRecord(image_id, m.width, m.height, proposal.objectness, m.runs, tile_index)
 
@@ -58,7 +60,7 @@ def test_roundtrip_identity_and_byte_stability(tmp_path):
 def test_file_order_preserved(tmp_path):
     path = tmp_path / "img.jsonl"
     write_proposals(sample_records(), path)
-    assert [(t, p.objectness) for t, p in read_proposals(path)] == [(None, 0.9), (3, 0.25), (None, 1.0)]
+    assert [(n, t, p.objectness) for n, t, p in read_proposals(path)] == [(1, None, 0.9), (2, 3, 0.25), (3, None, 1.0)]
 
 
 def test_canonical_line_format():
@@ -75,7 +77,7 @@ def test_objectness_quantized_to_wire_precision(tmp_path):
     path = tmp_path / "s.jsonl"
     write_proposals([ProposalRecord("s", 2, 2, 0.12345678, (0, 4)), ProposalRecord("s", 2, 2, 1 / 3, (0, 4))], path)
     assert '"objectness": 0.123457' in path.read_text() and '"objectness": 0.333333' in path.read_text()
-    assert [p.objectness for _, p in read_proposals(path)] == [0.123457, 0.333333]
+    assert [p.objectness for _, _, p in read_proposals(path)] == [0.123457, 0.333333]
 
 
 @settings(max_examples=300, deadline=None)
@@ -85,7 +87,7 @@ def test_writer_and_reader_quantize_alike(tmp_path_factory, x):
     path = tmp_path_factory.mktemp("q") / "q.jsonl"
     write_proposals([ProposalRecord("q", 1, 1, x, (0, 1))], path)
     assert path.read_text() == f'{{"image_id": "q", "width": 1, "height": 1, "objectness": {round(x, 6):.6f}, "runs": [0, 1]}}\n'
-    ((_, proposal),) = read_proposals(path)
+    ((_, _, proposal),) = read_proposals(path)
     assert proposal.objectness == round(x, 6)
 
 
@@ -93,7 +95,7 @@ def test_writer_and_reader_quantize_alike(tmp_path_factory, x):
 def test_negative_zero_objectness_reads_as_zero(tmp_path, objectness):
     path = tmp_path / "x.jsonl"
     path.write_text(LINE.replace("0.5", objectness) + "\n")
-    ((_, proposal),) = read_proposals(path)
+    ((_, _, proposal),) = read_proposals(path)
     assert proposal.objectness == 0.0 and math.copysign(1.0, proposal.objectness) == 1.0
 
 
@@ -182,14 +184,15 @@ def test_non_ascii_byte_names_file_and_line(tmp_path):
 def test_blank_lines_skipped(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text("\n" + LINE + "\n\n")
-    assert len(read_proposals(path)) == 1
+    ((lineno, _, _),) = read_proposals(path)
+    assert lineno == 2  # blank lines are skipped but still counted
 
 
 def test_crlf_lines_parse(tmp_path):
     path = tmp_path / "img.jsonl"
     lines = [format_record(r) for r in sample_records()]
     path.write_bytes(("\r\n".join(lines[:2]) + "\r\n \t\r\n" + lines[2] + "\r\n").encode())
-    assert read_proposals(path) == read_back(sample_records())
+    assert read_proposals(path) == read_back(sample_records(), linenos=(1, 2, 4))
 
 
 def test_large_roundtrip_bytes(tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from smallprop.annotations import GroundTruthObject
 from smallprop.detector import Proposal, preset
 from smallprop.masks import BinaryMask, mask_iou, rle_decode
-from smallprop.pipeline import nms, run_tiled, run_whole
+from smallprop.exchange import ExchangeFormatError
+from smallprop.pipeline import nms, place_proposal, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
 from smallprop.tiling import TileGridSpec
 from smallprop.raster import RasterImage
@@ -129,7 +130,7 @@ def test_top_k_truncation():
 def test_whole_image_records_pass_through():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     m = rect_mask(64, 48, 10, 10, 12, 12)
-    lines = [(None, Proposal(m, 0.75))]
+    lines = [(1, None, Proposal(m, 0.75))]
     out = run_whole(scene, lines)
     assert len(out) == 1
     assert out[0].mask == m and out[0].objectness == 0.75
@@ -139,7 +140,7 @@ def test_tile_records_are_remapped():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     grid = TileGridSpec(32, 24, 16, 12)
     local = rect_mask(32, 24, 2, 3, 5, 5)
-    lines = [(1, Proposal(local, 0.5))]
+    lines = [(1, 1, Proposal(local, 0.5))]
     out = run_tiled(scene, lines, grid)
     assert len(out) == 1
     # tile 1 sits at (16, 0) in a row-major 3x3 grid
@@ -148,25 +149,36 @@ def test_tile_records_are_remapped():
 
 def test_unknown_tile_index_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
-    lines = [(99, Proposal(BinaryMask(32, 24, (0, 768)), 0.5))]
-    with pytest.raises(ValueError, match="tile_index"):
+    lines = [(7, 99, Proposal(BinaryMask(32, 24, (0, 768)), 0.5))]
+    with pytest.raises(ExchangeFormatError) as exc:
         run_tiled(scene, lines, TileGridSpec(32, 24, 16, 12))
+    assert str(exc.value) == "line 7: unknown tile_index 99; grid has 9 tiles"
 
 
 def test_tile_record_size_mismatch_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
-    lines = [(1, Proposal(BinaryMask(16, 24, (0, 384)), 0.5))]
-    with pytest.raises(ValueError, match="local mask is 16x24, tile is 32x24"):
+    lines = [(1, 0, Proposal(BinaryMask(32, 24, (0, 768)), 0.5)), (3, 1, Proposal(BinaryMask(16, 24, (0, 384)), 0.5))]
+    with pytest.raises(ExchangeFormatError) as exc:
         run_tiled(scene, lines, TileGridSpec(32, 24, 16, 12))
+    assert str(exc.value) == "line 3: local mask is 16x24, tile is 32x24"
 
 
 def test_record_dimension_mismatch_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     # a huge declared canvas is rejected by its size, before any pixel is decoded
     for width, height in ((32, 24), (10**12, 1)):
-        lines = [(None, Proposal(BinaryMask(width, height, (0, width * height)), 0.5))]
-        with pytest.raises(ValueError, match="whole-image record"):
+        lines = [(2, None, Proposal(BinaryMask(width, height, (0, width * height)), 0.5))]
+        with pytest.raises(ExchangeFormatError) as exc:
             run_whole(scene, lines)
+        assert str(exc.value) == f"line 2: whole-image record is {width}x{height}, image is 64x48"
+
+
+def test_tile_record_without_tiles_rejected():
+    # eval and overlay place records without a grid
+    proposal = Proposal(BinaryMask(32, 24, (0, 768)), 0.5)
+    with pytest.raises(ExchangeFormatError) as exc:
+        place_proposal(4, 0, proposal, 64, 48)
+    assert str(exc.value) == "line 4: tile_index 0: only whole-image records are accepted"
 
 
 def test_empty_record_mask_rejected():
