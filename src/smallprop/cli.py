@@ -21,7 +21,7 @@ from .detector import DetectorProfile, preset, PRESET_LEVELS
 from .exchange import ExchangeFormatError, ProposalRecord, read_proposals, write_proposals
 from .evaluation import evaluate_dataset, render_overlay, report_csv, report_json, report_text
 from .pipeline import place_proposal, run_tiled, run_whole
-from .raster import read_pnm, write_pnm
+from .raster import PnmFormatError, read_pnm, write_pnm
 from .synth import (SceneSpec, generate_scene, list_scene_stems, load_scene, read_instances, save_scene,
                     scene_seed, scene_stem)
 from .tiling import TileGridSpec
@@ -98,11 +98,11 @@ def _usage(flags, build, *args, **kwargs):
         raise UsageError(f"{', '.join(flags)}: {exc}") from None
 
 
-def _out_is_not_an_input(out: Path, inputs: dict, kind: str = "directory") -> None:
+def _out_is_not_an_input(out: Path, inputs: dict, what: str = "the same directory") -> None:
     """Reject an --out directory or file that is an input (flag -> path or None), which it would overwrite."""
     same = [f for f, d in inputs.items() if d and Path(d).resolve() == out.resolve()]
     if same:
-        raise UsageError(f"--out: the same {kind} as {', '.join(same)}")
+        raise UsageError(f"--out: {what} as {', '.join(same)}")
 
 
 def _existing_dir(path: str, flag: str) -> Path:
@@ -178,8 +178,12 @@ def _run_one(stem: str, args, grid, profile, out: Path) -> str:
             proposals = run_tiled(scene, profile or lines, grid, args.nms_iou, args.top_k)
         else:
             proposals = run_whole(scene, profile or lines, args.nms_iou, args.top_k)
-    except ExchangeFormatError as exc:  # a record that does not fit; a grid error is not the file's
+    except ExchangeFormatError as exc:  # a record that does not fit
         raise ValueError(f"{path}: {exc}") from None
+    except PnmFormatError:  # the instance map, read on first use, names itself
+        raise
+    except ValueError as exc:  # a grid that does not fit the scene
+        raise ValueError(f"{scene.path}: {exc}") from None
     name = f"{stem}.jsonl"
     records = [ProposalRecord(stem, p.mask.width, p.mask.height, p.objectness, p.mask.runs) for p in proposals]
     write_proposals(records, out / name)
@@ -274,7 +278,10 @@ def cmd_eval(args) -> int:
 
 def cmd_overlay(args) -> int:
     inputs = {"image": args.image, "instances": args.instances, "proposals": args.proposals}
-    _out_is_not_an_input(Path(args.out), {f"--{k}": v for k, v in inputs.items()}, "file")
+    flags = {f"--{k}": v for k, v in inputs.items()}
+    manifest = Path(str(args.out) + ".manifest.json")
+    _out_is_not_an_input(Path(args.out), flags, "the same file")
+    _out_is_not_an_input(manifest, flags, "its manifest is the same file")
     image = read_pnm(args.image)
     if image.channels != 3:
         raise ValueError(f"{args.image}: overlay rendering needs an RGB image")
@@ -287,7 +294,7 @@ def cmd_overlay(args) -> int:
     overlay = render_overlay(image, imap.pixels, ranked)
     write_pnm(overlay, args.out)
     _write_manifest(
-        Path(str(args.out) + ".manifest.json"), "overlay", {**inputs, "top_k": args.top_k}, inputs,
+        manifest, "overlay", {**inputs, "top_k": args.top_k}, inputs,
         [Path(args.out).name], None,
     )
     return 0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .annotations import SizeCategory, size_category
 from .detector import Proposal
-from .masks import BinaryMask, require_same_canvas, rle_decode
+from .masks import BinaryMask, require_same_canvas
 from .masks import mask_iou  # noqa: F401 - unused here; perfbench/tracing.py hooks this name
 from .raster import RasterImage
 
@@ -243,9 +243,11 @@ def render_overlay(image: RasterImage, labels: np.ndarray, proposals: Sequence[P
     for gid in _objects(labels)[0].tolist():
         if gid in by_gt:
             color = np.array(_PALETTE[gid % len(_PALETTE)], dtype=np.int16)
-            grid = rle_decode(proposals[by_gt[gid]].mask)
-            canvas[grid] = (canvas[grid] + color) // 2
-            canvas[_contour(grid)] = color
+            m = proposals[by_gt[gid]].mask
+            b = m.bbox  # tight, so a foreground pixel on its edge is contour as on the canvas
+            window = canvas[b.y : b.y + b.h, b.x : b.x + b.w]
+            window[m.bitmap] = (window[m.bitmap] + color) // 2
+            window[_contour(m.bitmap)] = color
         else:
             canvas[_contour(labels == gid)] = np.array(_MISS_COLOR, dtype=np.int16)
     return RasterImage(canvas.astype(np.uint8))

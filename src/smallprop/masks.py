@@ -6,9 +6,9 @@ wire format of the proposal exchange files and is normative there: runs are
 listed in row-major scan order over the full canvas and alternate
 background/foreground, with the first run counting background pixels
 (possibly zero). No other run may be zero. A mask read from runs takes its
-box and area from the runs and decodes its pixels on first use; a mask moved
-whole by crop, shift or embed shares its source's pixels, also decoded on
-first use. Any mask encodes its runs only when asked.
+box and area from the runs when it is made and decodes its pixels on first
+use; a mask moved whole by crop, shift or embed shares its source's pixels,
+also decoded on first use. Any mask encodes its runs only when asked.
 """
 
 from __future__ import annotations
@@ -50,13 +50,15 @@ class BinaryMask:
     """Binary mask on a width x height canvas, immutable after construction.
 
     ``bbox`` is the tight box of the foreground (zero-size at the origin for
-    an empty mask) and ``bitmap`` the read-only boolean grid of that box.
-    ``BinaryMask(width, height, runs)`` validates canonical runs at once,
-    computes ``bbox`` and ``area`` from them on first use of either, and
-    decodes ``bitmap`` on its first use, only over the rows of the box.
+    an empty mask) and ``area`` its pixel count, both set when the mask is
+    made. ``BinaryMask(width, height, runs)`` validates canonical runs and
+    measures the box and area from them; ``bitmap``, the read-only boolean
+    grid of the box, is decoded on its first use, only over the rows of the box.
     """
 
-    __slots__ = ("width", "height", "_runs", "_src", "bbox", "bitmap", "area")
+    # _pixels: the bitmap once made; before that None for a mask built from
+    # runs, or the mask this one was moved from, whose bitmap it shares
+    __slots__ = ("width", "height", "bbox", "area", "_runs", "_pixels")
 
     def __init__(self, width: int, height: int, runs: Sequence[int]) -> None:
         if width < 1 or height < 1:
@@ -75,21 +77,7 @@ class BinaryMask:
             raise MaskFormatError(
                 f"runs sum to {total}, expected {width}x{height}={width * height}"
             )
-        _start(self, width, height, runs)  # valid runs are the canonical encoding
-
-    def __getattr__(self, name):
-        # reached only while a slot is unset, so each is computed once: the box
-        # and area of a mask built from runs (a caller can reject the canvas
-        # size before that), and the pixels of one built from runs or moved
-        if name in ("bbox", "area"):
-            _measure(self)
-        elif name == "bitmap":
-            src = self._src
-            _set(self, "bitmap", _decode(self) if src is None else src.bitmap)
-            _set(self, "_src", None)
-        else:
-            raise AttributeError(name)
-        return object.__getattribute__(self, name)
+        _fill(self, width, height, *_measure(runs, width), runs=runs)  # valid runs are the canonical encoding
 
     @classmethod
     def from_bitmap(cls, width: int, height: int, x: int, y: int, bitmap) -> "BinaryMask":
@@ -98,6 +86,15 @@ class BinaryMask:
         if grid.ndim != 2 or x < 0 or y < 0 or x + grid.shape[1] > width or y + grid.shape[0] > height:
             raise ValueError("bitmap does not fit inside the canvas")
         return _trimmed(width, height, x, y, grid)
+
+    @property
+    def bitmap(self) -> np.ndarray:
+        """Read-only boolean grid of the box, made on first use."""
+        pixels = self._pixels
+        if not isinstance(pixels, np.ndarray):
+            pixels = _decode(self._runs, self.width, self.bbox) if pixels is None else pixels.bitmap
+            _set(self, "_pixels", pixels)  # and so lets go of the mask it was moved from
+        return pixels
 
     @property
     def runs(self) -> tuple[int, ...]:
@@ -130,33 +127,23 @@ _NO_PIXELS.flags.writeable = False
 _NO_BOX = BBox(0, 0, 0, 0)
 
 
-def _start(mask, width, height, runs=None, src=None) -> BinaryMask:
+def _fill(mask, width, height, bbox, area, runs=None, pixels=None) -> BinaryMask:
+    """Set every slot of ``mask``; ``pixels`` is a read-only bitmap of the box,
+    the mask it was moved from, or None to decode ``runs``."""
     _set(mask, "width", width)
     _set(mask, "height", height)
+    _set(mask, "bbox", bbox)
+    _set(mask, "area", area)
     _set(mask, "_runs", runs)
-    _set(mask, "_src", src)  # of a moved mask: the mask whose pixels it shares
+    _set(mask, "_pixels", pixels)
     return mask
 
 
-def _make(width, height, x, y, bitmap, area=None) -> BinaryMask:
-    """Mask whose pixels at (x, y) are ``bitmap``, whose box must be tight."""
-    mask = _start(object.__new__(BinaryMask), width, height)
-    bitmap.flags.writeable = False
-    h, w = bitmap.shape
-    _set(mask, "bbox", BBox(x, y, w, h) if h else _NO_BOX)
-    _set(mask, "bitmap", bitmap)
-    _set(mask, "area", int(np.count_nonzero(bitmap)) if area is None else area)
-    return mask
-
-
-def _measure(mask: BinaryMask) -> None:
-    """Set the box and area of a mask built from runs, from the runs alone."""
-    runs, width = mask._runs, mask.width
+def _measure(runs: tuple[int, ...], width: int) -> tuple[BBox, int]:
+    """The box and area of valid runs on a canvas ``width`` wide, from the runs alone."""
     n = len(runs) - len(runs) % 2  # runs up to the last foreground run
     if n == 0:
-        _set(mask, "bbox", _NO_BOX)
-        _set(mask, "area", 0)
-        return
+        return _NO_BOX, 0
     starts = list(accumulate(runs[:n]))[0::2]  # of the foreground runs
     lens = runs[1:n:2]
     cols = [p % width for p in starts]
@@ -164,13 +151,11 @@ def _measure(mask: BinaryMask) -> None:
     if x1 > width:  # a run goes on past a row end, so the box spans every column
         x0, x1 = 0, width
     y0, y1 = starts[0] // width, (starts[-1] + lens[-1] - 1) // width + 1
-    _set(mask, "bbox", BBox(x0, y0, x1 - x0, y1 - y0))
-    _set(mask, "area", sum(lens))
+    return BBox(x0, y0, x1 - x0, y1 - y0), sum(lens)
 
 
-def _decode(mask: BinaryMask) -> np.ndarray:
-    """The bitmap of a mask built from runs: the box's rows decoded whole, then its columns kept."""
-    runs, width, b = mask._runs, mask.width, mask.bbox
+def _decode(runs: tuple[int, ...], width: int, b: BBox) -> np.ndarray:
+    """The bitmap of box ``b`` of valid runs: the box's rows decoded whole, then its columns kept."""
     if b.h == 0:
         return _NO_PIXELS
     n = len(runs) - len(runs) % 2
@@ -186,12 +171,15 @@ def _trimmed(width: int, height: int, x: int, y: int, bitmap: np.ndarray) -> Bin
     pixels = bitmap.tobytes()
     first = pixels.find(1)
     if first < 0:
-        return _make(width, height, 0, 0, _NO_PIXELS, 0)
+        return _fill(object.__new__(BinaryMask), width, height, _NO_BOX, 0, pixels=_NO_PIXELS)
     w = bitmap.shape[1]
     cols = bitmap.any(axis=0).tobytes()
     r0, r1 = first // w, pixels.rfind(1) // w + 1
     c0, c1 = cols.find(1), cols.rfind(1) + 1
-    return _make(width, height, x + c0, y + r0, bitmap[r0:r1, c0:c1].copy())
+    tight = bitmap[r0:r1, c0:c1].copy()
+    tight.flags.writeable = False
+    box = BBox(x + c0, y + r0, c1 - c0, r1 - r0)
+    return _fill(object.__new__(BinaryMask), width, height, box, int(np.count_nonzero(tight)), pixels=tight)
 
 
 def _part(mask, width, height, dx, dy, x0, y0, x1, y1) -> BinaryMask:
@@ -200,12 +188,10 @@ def _part(mask, width, height, dx, dy, x0, y0, x1, y1) -> BinaryMask:
     cx0, cy0 = max(b.x, x0), max(b.y, y0)
     cx1, cy1 = min(b.x + b.w, x1), min(b.y + b.h, y1)
     if cx0 >= cx1 or cy0 >= cy1:
-        return _make(width, height, 0, 0, _NO_PIXELS, 0)
+        return _trimmed(width, height, 0, 0, _NO_PIXELS)
     if cx1 - cx0 == b.w and cy1 - cy0 == b.h:  # all of it: the same pixels, moved
-        moved = _start(object.__new__(BinaryMask), width, height, src=mask)
-        _set(moved, "bbox", BBox(b.x + dx, b.y + dy, b.w, b.h))
-        _set(moved, "area", mask.area)
-        return moved
+        box = BBox(b.x + dx, b.y + dy, b.w, b.h)
+        return _fill(object.__new__(BinaryMask), width, height, box, mask.area, pixels=mask)
     sub = mask.bitmap[cy0 - b.y : cy1 - b.y, cx0 - b.x : cx1 - b.x]
     return _trimmed(width, height, cx0 + dx, cy0 + dy, sub)
 
@@ -255,23 +241,6 @@ def require_same_canvas(masks: Iterable[BinaryMask]) -> None:
         raise ValueError(
             "mask dimensions differ: " + " vs ".join(f"{w}x{h}" for w, h in sizes)
         )
-
-
-def rle_encode(bitmap) -> BinaryMask:
-    """Mask of a full-canvas row-major boolean grid."""
-    grid = np.asarray(bitmap)
-    if grid.ndim != 2 or grid.size == 0:
-        raise ValueError("bitmap must be a non-empty 2-d grid")
-    h, w = grid.shape
-    return BinaryMask.from_bitmap(w, h, 0, 0, grid)
-
-
-def rle_decode(mask: BinaryMask) -> np.ndarray:
-    """The (height, width) boolean grid of the full canvas; inverse of rle_encode."""
-    grid = np.zeros((mask.height, mask.width), dtype=bool)
-    b = mask.bbox
-    grid[b.y : b.y + b.h, b.x : b.x + b.w] = mask.bitmap
-    return grid
 
 
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:

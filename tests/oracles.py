@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from smallprop.masks import BinaryMask, rle_decode
+from smallprop.masks import BinaryMask
 
 M64 = (1 << 64) - 1
 
@@ -151,6 +151,12 @@ def grid_runs(grid) -> tuple[int, ...]:
     return tuple(runs)
 
 
+def mask_grid(mask) -> np.ndarray:
+    """The full-canvas boolean grid of a mask, decoded from its runs (the wire format)."""
+    runs = np.array(mask.runs)
+    return np.repeat(np.arange(runs.size) % 2 == 1, runs).reshape(mask.height, mask.width)
+
+
 def rect_mask(w: int, h: int, x0: int, y0: int, rw: int, rh: int) -> BinaryMask:
     """Filled rectangle clipped to the canvas, built from runs counted by hand."""
     xa, xb = max(x0, 0), min(x0 + rw, w)
@@ -180,7 +186,7 @@ def verify_coverage(img_w: int, img_h: int, tiles) -> bool:
 
 def ref_nms(proposals, iou_threshold):
     """All-pairs greedy NMS over decoded grids: keep iff IoU < threshold with all kept."""
-    grids = [rle_decode(p.mask) for p in proposals]
+    grids = [mask_grid(p.mask) for p in proposals]
     order = sorted(
         range(len(proposals)),
         key=lambda i: (-proposals[i].objectness, -int(grids[i].sum()), i),
@@ -262,7 +268,7 @@ def oracle_report(per_image):
 def ref_pairs(labels, proposals):
     """Every positive-IoU (iou, gt id, proposal index) pair of an instance grid,
     from decoded grids, sorted by IoU desc, then id, then index."""
-    grids = [rle_decode(p.mask) for p in proposals]
+    grids = [mask_grid(p.mask) for p in proposals]
     pairs = []
     for gid in sorted(set(labels.ravel().tolist()) - {0}):
         for pi, grid in enumerate(grids):
@@ -276,7 +282,7 @@ def label_grid(gt, width: int, height: int) -> np.ndarray:
     """The int32 instance grid of ground-truth objects whose masks do not overlap."""
     labels = np.zeros((height, width), np.int32)
     for obj in gt:
-        grid = rle_decode(obj.mask)
+        grid = mask_grid(obj.mask)
         assert not labels[grid].any(), "overlapping ground truth has no instance grid"
         labels[grid] = obj.instance_id
     return labels
@@ -290,6 +296,17 @@ def average_recall(gt, pairs) -> float:
     recalls = [sum(1 for g in gt if ious.get(g.instance_id, 0.0) >= t) / len(gt) for t in THRESHOLDS]
     return sum(recalls) / len(THRESHOLDS)
 
+
+def shifted(grid: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """``grid`` moved by (dx, dy), pixels that leave it dropped."""
+    h, w = grid.shape
+    out = np.zeros_like(grid)
+    out[max(dy, 0) : h + min(dy, 0), max(dx, 0) : w + min(dx, 0)] = grid[
+        max(-dy, 0) : h - max(dy, 0), max(-dx, 0) : w - max(dx, 0)
+    ]
+    return out
+
+
 def make_random_instance(rng, with_oracle=True):
     """Random small dataset in both package and oracle representations.
 
@@ -300,7 +317,6 @@ def make_random_instance(rng, with_oracle=True):
     """
     from smallprop.annotations import GroundTruthObject
     from smallprop.detector import Proposal
-    from smallprop.masks import rle_decode, rle_encode, shift_mask
 
     per_pkg = []
     per_oracle = []
@@ -320,7 +336,7 @@ def make_random_instance(rng, with_oracle=True):
         gt_oracle = []
         for gid in sorted(int(g) for g in np.unique(labels) if g):
             grid = labels == gid
-            gt_pkg.append(GroundTruthObject.from_mask(gid, rle_encode(grid)))
+            gt_pkg.append(GroundTruthObject.from_mask(gid, BinaryMask.from_bitmap(w, h, 0, 0, grid)))
             if with_oracle:
                 gt_oracle.append((gid, grid))
         props_pkg = []
@@ -329,19 +345,21 @@ def make_random_instance(rng, with_oracle=True):
             score = float(rng.integers(0, 1000)) / 1000
             if gt_oracle and rng.random() < 0.6:
                 gid = int(rng.choice([g for g, _ in gt_oracle]))
-                base = next(m for m in gt_pkg if m.instance_id == gid).mask
-                m = shift_mask(base, int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
-                if m.area == 0:
+                grid = shifted(labels == gid, int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
+                if not grid.any():
                     continue
+                m = BinaryMask.from_bitmap(w, h, 0, 0, grid)
             else:
                 rw = int(rng.integers(2, max(3, w // 2)))
                 rh = int(rng.integers(2, max(3, h // 2)))
                 x0 = int(rng.integers(0, w - rw + 1))
                 y0 = int(rng.integers(0, h - rh + 1))
                 m = rect_mask(w, h, x0, y0, rw, rh)
+                grid = np.zeros((h, w), bool)
+                grid[y0 : y0 + rh, x0 : x0 + rw] = True
             props_pkg.append(Proposal(m, score))
             if with_oracle:
-                props_oracle.append((rle_decode(m), score))
+                props_oracle.append((grid, score))
         per_pkg.append((labels, props_pkg))
         per_oracle.append((gt_oracle, props_oracle))
     return per_pkg, per_oracle

@@ -22,13 +22,13 @@ from smallprop.evaluation import (
     match,
 )
 from smallprop.exchange import ProposalRecord, read_proposals, write_proposals
-from smallprop.masks import mask_iou, rle_decode, rle_encode
+from smallprop.masks import BinaryMask, mask_iou
 from smallprop.pipeline import nms
 from smallprop.prng import stream_seed
 from smallprop.synth import SceneSpec, generate_scene, save_scene, scene_stem
 from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
 from smallprop.masks import crop_mask
-from oracles import (grid_iou, label_grid, make_random_instance, oracle_report, rect_mask, ref_nms,
+from oracles import (grid_iou, label_grid, make_random_instance, mask_grid, oracle_report, rect_mask, ref_nms,
                      verify_coverage)
 
 
@@ -140,7 +140,7 @@ def _suite_rle_roundtrip(rng, cases):
         h = int(rng.integers(1, 48))
         w = int(rng.integers(1, 48))
         grid = rng.random((h, w)) < rng.random()
-        assert np.array_equal(rle_decode(rle_encode(grid)), grid)
+        assert np.array_equal(mask_grid(BinaryMask.from_bitmap(w, h, 0, 0, grid)), grid)
 
 
 def _suite_iou(rng, cases):
@@ -149,7 +149,7 @@ def _suite_iou(rng, cases):
         w = int(rng.integers(1, 65))
         ga = rng.random((h, w)) < rng.random()
         gb = rng.random((h, w)) < rng.random()
-        a, b = rle_encode(ga), rle_encode(gb)
+        a, b = BinaryMask.from_bitmap(w, h, 0, 0, ga), BinaryMask.from_bitmap(w, h, 0, 0, gb)
         assert mask_iou(a, b) == mask_iou(b, a) == grid_iou(ga, gb)
 
 
@@ -185,14 +185,14 @@ def _suite_grid(rng, cases):
         tiles = plan_grid(img_w, img_h, spec)
         assert verify_coverage(img_w, img_h, tiles)
         grid = rng.random((img_h, img_w)) < 0.4
-        mask = rle_encode(grid)
+        mask = BinaryMask.from_bitmap(img_w, img_h, 0, 0, grid)
         tile = tiles[int(rng.integers(0, len(tiles)))]
         back = remap_mask(tile, crop_mask(mask, tile.x0, tile.y0, tile.w, tile.h), img_w, img_h)
         ref = np.zeros_like(grid)
         ref[tile.y0 : tile.y0 + tile.h, tile.x0 : tile.x0 + tile.w] = (
             grid[tile.y0 : tile.y0 + tile.h, tile.x0 : tile.x0 + tile.w]
         )
-        assert np.array_equal(rle_decode(back), ref)
+        assert np.array_equal(mask_grid(back), ref)
 
 
 def _suite_ar_monotone(rng, cases):

@@ -4,9 +4,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from smallprop.annotations import SizeCategory, extract_instances, size_category
-from smallprop.masks import rle_decode
 from smallprop.raster import RasterImage, write_pnm
 from smallprop.synth import read_instances
+from oracles import mask_grid
 
 
 def test_boundary_areas():
@@ -39,7 +39,7 @@ def test_extract_single_block():
     assert obj.instance_id == 7
     assert obj.mask.area == 4
     assert size_category(obj.mask.area) is SizeCategory.XS
-    assert np.array_equal(rle_decode(obj.mask), labels == 7)
+    assert np.array_equal(mask_grid(obj.mask), labels == 7)
 
 
 def test_extract_orders_by_id():
@@ -65,7 +65,7 @@ def test_extraction_preserves_foreground(labels):
     objs = extract_instances(labels)
     assert sum(o.mask.area for o in objs) == int((labels != 0).sum())
     for o in objs:
-        assert np.array_equal(rle_decode(o.mask), labels == o.instance_id)
+        assert np.array_equal(mask_grid(o.mask), labels == o.instance_id)
 
 
 def test_instance_map_pgm_roundtrip(tmp_path):

@@ -513,7 +513,23 @@ def test_scene_smaller_than_the_tile_is_not_blamed_on_the_exchange_file(tmp_path
     stem, path = _small_scene(tmp_path)
     path.write_text(_TILE_99 % stem + "\n")
     assert run_cli(*_proposal_file_argv(tmp_path, "run", stem)) == 2  # the default tile is 320x240
-    assert _data_error(capsys) == "tile 320x240 larger than image 64x48"
+    assert _data_error(capsys) == f"{tmp_path / 's' / stem}.pgm: tile 320x240 larger than image 64x48"
+
+
+@pytest.mark.parametrize("exchange", [False, True])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tile_larger_than_one_scene_names_that_scene(tmp_path, capsys, exchange, jobs):
+    # two scenes that fit the default 320x240 tile, then one that does not
+    synth_small(tmp_path / "s", width=640, height=480)
+    synth_small(tmp_path / "small", count=1, seed=7, width=64, height=48)
+    for f in (tmp_path / "small").glob("scene_7_0000.*"):
+        f.rename(tmp_path / "s" / f.name)
+    argv = ["run", "--scenes", tmp_path / "s", "--out", tmp_path / "out", "--jobs", jobs]
+    if exchange:
+        (tmp_path / "p").mkdir()
+        argv += ["--exchange", tmp_path / "p"]
+    assert run_cli(*argv) == 2
+    assert _data_error(capsys) == f"{tmp_path / 's' / 'scene_7_0000.pgm'}: tile 320x240 larger than image 64x48"
 
 
 def _bad_record(path, stem, scene_dir):
@@ -661,23 +677,30 @@ def test_run_out_beside_inputs_is_allowed(tmp_path):
 
 @pytest.mark.parametrize("target", ["--image", "--instances", "--proposals"])
 @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
-def test_overlay_out_may_not_be_an_input(tmp_path, capsys, target, spelling):
-    # --out img.ppm would replace the image with its overlay
+@pytest.mark.parametrize("written", ["overlay", "manifest"])
+def test_overlay_out_may_not_be_an_input(tmp_path, capsys, target, spelling, written):
+    # --out img.ppm would replace the image with its overlay, and --out q an
+    # input named q.manifest.json with the overlay's manifest
     synth_small(tmp_path / "s", count=1)
     (stem,) = list_scene_stems(tmp_path / "s")
-    scene = load_scene(tmp_path / "s", stem)
-    write_proposals(whole_records("p", scene.objects, 0.5), tmp_path / "p.jsonl")
+    objects = load_scene(tmp_path / "s", stem).objects
     inputs = {"--image": tmp_path / "s" / f"{stem}.ppm", "--instances": tmp_path / "s" / f"{stem}.pgm",
               "--proposals": tmp_path / "p.jsonl"}
-    before = {flag: f.read_bytes() for flag, f in inputs.items()}
-    out = {"same": inputs[target],
-           "dotted": inputs[target].parent / ".." / inputs[target].parent.name / inputs[target].name,
+    if written == "manifest":  # the input is named as the manifest of --out q
+        if target != "--proposals":
+            inputs[target].rename(tmp_path / "s" / "q.manifest.json")
+        inputs[target] = tmp_path / "s" / "q.manifest.json"
+    write_proposals(whole_records(inputs["--proposals"].stem, objects, 0.5), inputs["--proposals"])
+    written_path = inputs[target] if written == "overlay" else inputs[target].parent / "q"
+    out = {"same": written_path,
+           "dotted": written_path.parent / ".." / written_path.parent.name / written_path.name,
            "symlink": tmp_path / "link"}[spelling]
     if spelling == "symlink":
-        out.symlink_to(inputs[target])
+        Path(f"{out}.manifest.json" if written == "manifest" else out).symlink_to(inputs[target])
+    before = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
     argv = [a for flag, f in inputs.items() for a in (flag, f)]
     assert run_cli("overlay", *argv, "--out", out) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0]) == {"error": "usage", "message": f"--out: the same file as {target}"}
-    assert {flag: f.read_bytes() for flag, f in inputs.items()} == before
-    assert not list(tmp_path.rglob("*.manifest.json"))
+    what = "the same file" if written == "overlay" else "its manifest is the same file"
+    assert len(lines) == 1 and json.loads(lines[0]) == {"error": "usage", "message": f"--out: {what} as {target}"}
+    assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == before

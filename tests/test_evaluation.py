@@ -18,12 +18,12 @@ from smallprop.evaluation import (
     report_json,
     report_text,
 )
-from smallprop.masks import BinaryMask, rle_decode, shift_mask
+from smallprop.masks import BinaryMask, shift_mask
 from smallprop.pipeline import run_whole
 from smallprop.raster import RasterImage
 from smallprop.synth import SceneSpec, generate_scene
-from oracles import (average_recall, greedy_assign, label_grid, make_random_instance, oracle_report, rect_mask,
-                     ref_pairs)
+from oracles import (average_recall, greedy_assign, grid_runs, label_grid, make_random_instance, mask_grid,
+                     oracle_report, rect_mask, ref_pairs)
 
 
 def interval_mask(width, start, stop):
@@ -266,7 +266,7 @@ def test_overlay_perfect_has_no_red_and_fills_centroid():
     red = np.all(out.pixels == (255, 0, 0), axis=2)
     assert not red.any()
     for obj in scene.objects:
-        grid = rle_decode(obj.mask)
+        grid = mask_grid(obj.mask)
         ys, xs = np.nonzero(grid)
         cy, cx = int(np.mean(ys)), int(np.mean(xs))
         if grid[cy, cx]:  # centroid inside the mask for these blobs
@@ -277,6 +277,56 @@ def test_overlay_requires_rgb():
     gray = RasterImage(np.zeros((8, 8), np.uint16))
     with pytest.raises(ValueError):
         render_overlay(gray, np.zeros((8, 8), np.int32), [])
+
+
+def _ref_overlay(pixels, labels, proposals):
+    """The overlay drawn on the full canvas from the reference pairs: each matched
+    proposal's grid, decoded from its runs, blended and outlined; misses in red."""
+    def contour(grid):  # foreground with a 4-neighbor outside the grid or off the canvas
+        p = np.pad(grid, 1)
+        return grid & ~(p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:])
+
+    by_gt = {g: pi for g, pi, _ in greedy_assign(ref_pairs(labels, proposals))}
+    canvas = pixels.astype(int)
+    for gid in sorted(set(labels.ravel().tolist()) - {0}):
+        if gid in by_gt:
+            color = np.array(evaluation._PALETTE[gid % len(evaluation._PALETTE)])
+            grid = mask_grid(proposals[by_gt[gid]].mask)
+            canvas[grid] = (canvas[grid] + color) // 2
+            canvas[contour(grid)] = color
+        else:
+            canvas[contour(labels == gid)] = evaluation._MISS_COLOR
+    return canvas.astype(np.uint8)
+
+
+def test_overlay_matches_full_canvas_drawing_at_edges_and_holes():
+    rng = np.random.default_rng(31)
+    labels = np.zeros((20, 24), np.int32)
+    labels[:5, :6] = 3  # top-left corner
+    labels[15:, 18:] = 5  # bottom-right corner
+    labels[7:13, 8:16] = 9
+    labels[9:11, 10:14] = 0  # a hole
+    labels[8:12, :3] = 14  # left edge
+    labels[:3, 20:] = 12  # top-right corner, missed
+    holed = labels == 5
+    holed[17, 20] = False
+    props = [
+        Proposal(BinaryMask(24, 20, grid_runs(labels == 3)), 0.9),
+        Proposal(BinaryMask.from_bitmap(24, 20, 0, 0, holed), 0.8),
+        Proposal(shift_mask(BinaryMask.from_bitmap(24, 20, 0, 0, labels == 9), 1, 1), 0.7),
+        Proposal(shift_mask(BinaryMask(24, 20, grid_runs(labels == 14)), -1, 0), 0.6),
+        Proposal(rect_mask(24, 20, 20, 6, 4, 4), 0.5),  # right edge, over background only
+    ]
+    image = RasterImage(rng.integers(0, 256, (20, 24, 3), dtype=np.uint8))
+    assert [g for g, _, _ in match(labels, props)] == [3, 5, 14, 9]
+    assert np.array_equal(render_overlay(image, labels, props).pixels, _ref_overlay(image.pixels, labels, props))
+
+    for _ in range(40):  # objects cut by others, shifted and clipped at the edges, and rectangles
+        per_pkg, _ = make_random_instance(rng)
+        for labels, props in per_pkg:
+            image = RasterImage(rng.integers(0, 256, (*labels.shape, 3), dtype=np.uint8))
+            got = render_overlay(image, labels, props).pixels
+            assert np.array_equal(got, _ref_overlay(image.pixels, labels, props))
 
 
 def kernel_pairs(labels, props):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,36 +14,36 @@ from smallprop.masks import (
     crop_mask,
     embed_mask,
     mask_iou,
-    rle_decode,
-    rle_encode,
     shift_mask,
 )
-from oracles import grid_bbox, grid_iou, grid_runs, rect_mask
+import oracles
+from oracles import grid_bbox, grid_iou, grid_runs, mask_grid, rect_mask, shifted
 
 grids = hnp.arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24)))
 
 
+def _from_grid(grid) -> BinaryMask:
+    """The mask of a full-canvas row-major grid."""
+    grid = np.asarray(grid, dtype=bool)
+    return BinaryMask.from_bitmap(grid.shape[1], grid.shape[0], 0, 0, grid)
+
+
 def test_encode_all_background():
-    assert rle_encode(np.zeros((2, 2), bool)).runs == (4,)
+    assert _from_grid(np.zeros((2, 2), bool)).runs == (4,)
 
 
 def test_encode_all_foreground():
-    assert rle_encode(np.ones((2, 2), bool)).runs == (0, 4)
+    assert _from_grid(np.ones((2, 2), bool)).runs == (0, 4)
 
 
 def test_encode_checker():
-    assert rle_encode([[1, 0], [0, 1]]).runs == (0, 1, 2, 1)
-
-
-def test_encode_rejects_empty():
-    with pytest.raises(ValueError):
-        rle_encode(np.zeros((0, 3), bool))
+    assert _from_grid([[1, 0], [0, 1]]).runs == (0, 1, 2, 1)
 
 
 def test_decode_examples():
-    assert not rle_decode(BinaryMask(2, 2, (4,))).any()
-    assert rle_decode(BinaryMask(2, 2, (0, 4))).all()
-    assert rle_decode(BinaryMask(2, 2, (0, 1, 2, 1))).tolist() == [[True, False], [False, True]]
+    assert BinaryMask(2, 2, (4,)).bitmap.shape == (0, 0)
+    assert BinaryMask(2, 2, (0, 4)).bitmap.all()
+    assert BinaryMask(2, 2, (0, 1, 2, 1)).bitmap.tolist() == [[True, False], [False, True]]
 
 
 def test_corrupt_runs_rejected():
@@ -62,7 +65,7 @@ def test_iou_identity_and_disjoint():
 def test_iou_offset_squares():
     a = rect_mask(20, 20, 0, 0, 10, 10)
     b = rect_mask(20, 20, 5, 0, 10, 10)
-    expected = grid_iou(rle_decode(a), rle_decode(b))
+    expected = grid_iou(mask_grid(a), mask_grid(b))
     assert expected == 50 / 150
     assert mask_iou(a, b) == expected
 
@@ -107,7 +110,7 @@ def test_shift_clips_at_border():
     ref = np.zeros_like(grid)
     ref[:, :15] = grid[:, 5:]
     assert shifted.area == 50
-    assert np.array_equal(rle_decode(shifted), ref)
+    assert np.array_equal(mask_grid(shifted), ref)
 
 
 def test_bbox_examples():
@@ -119,7 +122,7 @@ def test_bbox_examples():
 def test_crop_and_embed_roundtrip():
     m = rect_mask(16, 12, 5, 4, 6, 5)
     part = crop_mask(m, 4, 2, 8, 8)
-    assert part.area == int(rle_decode(m)[2:10, 4:12].sum())
+    assert part.area == int(mask_grid(m)[2:10, 4:12].sum())
     back = embed_mask(part, 4, 2, 16, 12)
     assert back.area == part.area
     with pytest.raises(ValueError):
@@ -130,33 +133,33 @@ def test_crop_and_embed_roundtrip():
 
 def test_runs_merge_across_row_end():
     # full rows, and a run from the right edge into the next row, are one run
-    assert rle_encode([[0, 0, 0], [1, 1, 1], [1, 1, 1]]).runs == (3, 6)
-    assert rle_encode([[0, 1, 1], [1, 1, 0]]).runs == (1, 4, 1)
-    assert crop_mask(rle_encode(np.ones((3, 5), bool)), 1, 0, 3, 3).runs == (0, 9)
+    assert _from_grid([[0, 0, 0], [1, 1, 1], [1, 1, 1]]).runs == (3, 6)
+    assert _from_grid([[0, 1, 1], [1, 1, 0]]).runs == (1, 4, 1)
+    assert crop_mask(_from_grid(np.ones((3, 5), bool)), 1, 0, 3, 3).runs == (0, 9)
 
 
 @given(grids)
 def test_roundtrip(grid):
-    assert np.array_equal(rle_decode(rle_encode(grid)), grid)
+    assert np.array_equal(mask_grid(_from_grid(grid)), grid)
 
 
 @given(grids.flatmap(lambda g: st.tuples(st.just(g), hnp.arrays(np.bool_, g.shape))))
 def test_iou_matches_bruteforce_and_symmetry(pair):
     ga, gb = pair
-    a, b = rle_encode(ga), rle_encode(gb)
+    a, b = _from_grid(ga), _from_grid(gb)
     assert mask_iou(a, b) == grid_iou(ga, gb)
     assert mask_iou(a, b) == mask_iou(b, a)
 
 
 @given(grids)
 def test_iou_self_is_one_when_nonempty(grid):
-    m = rle_encode(grid)
+    m = _from_grid(grid)
     assert mask_iou(m, m) == (1.0 if m.area else 0.0)
 
 
 @given(grids, st.integers(-10, 10), st.integers(-10, 10))
 def test_shift_never_grows(grid, dx, dy):
-    m = rle_encode(grid)
+    m = _from_grid(grid)
     s = shift_mask(m, dx, dy)
     assert s.area <= m.area
     ref = np.zeros_like(grid)
@@ -165,12 +168,12 @@ def test_shift_never_grows(grid, dx, dy):
     ys, xs = ys + dy, xs + dx
     keep = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
     ref[ys[keep], xs[keep]] = True
-    assert np.array_equal(rle_decode(s), ref)
+    assert np.array_equal(mask_grid(s), ref)
 
 
 @given(grids)
 def test_bbox_matches_bruteforce(grid):
-    m = rle_encode(grid)
+    m = _from_grid(grid)
     assert (m.bbox.x, m.bbox.y, m.bbox.w, m.bbox.h) == grid_bbox(grid)
 
 
@@ -182,26 +185,24 @@ def test_crop_matches_bruteforce(grid, data):
     ch = data.draw(st.integers(1, h))
     x0 = data.draw(st.integers(0, w - cw))
     y0 = data.draw(st.integers(0, h - ch))
-    part = crop_mask(rle_encode(grid), x0, y0, cw, ch)
-    assert np.array_equal(rle_decode(part), grid[y0 : y0 + ch, x0 : x0 + cw])
+    part = crop_mask(_from_grid(grid), x0, y0, cw, ch)
+    assert np.array_equal(mask_grid(part), grid[y0 : y0 + ch, x0 : x0 + cw])
 
 
 def _decoded(mask):
-    """True once ``mask`` holds its pixels: the bitmap slot is set."""
-    try:
-        object.__getattribute__(mask, "bitmap")
-    except AttributeError:
-        return False
-    return True
+    """True once ``mask`` holds its pixels rather than runs or the mask it was moved from."""
+    return isinstance(mask._pixels, np.ndarray)
 
 
 def _assert_matches(mask, grid):
     """Every view of ``mask`` equals the brute-force one of its full-canvas grid."""
     h, w = grid.shape
     assert (mask.width, mask.height) == (w, h)
-    assert np.array_equal(rle_decode(mask), grid)
+    assert np.array_equal(mask_grid(mask), grid)
     assert mask.area == int(grid.sum())
     assert (mask.bbox.x, mask.bbox.y, mask.bbox.w, mask.bbox.h) == grid_bbox(grid)
+    b = mask.bbox
+    assert np.array_equal(mask.bitmap, grid[b.y : b.y + b.h, b.x : b.x + b.w])
     assert mask.runs == grid_runs(grid)
     assert BinaryMask(w, h, mask.runs) == mask
 
@@ -228,7 +229,7 @@ def test_mask_ops_match_grid_oracles(grid, data):
     h, w = grid.shape
     mask = BinaryMask(w, h, grid_runs(grid))
     _assert_matches(mask, grid)
-    assert mask == rle_encode(grid)
+    assert mask == _from_grid(grid)
     if data is None:
         return
 
@@ -252,14 +253,14 @@ def test_mask_ops_match_grid_oracles(grid, data):
     _assert_matches(embed_mask(mask, ex, ey, big_w, big_h), embedded)
 
     other = data.draw(hnp.arrays(np.bool_, grid.shape) | st.just(grid))
-    assert mask_iou(mask, rle_encode(other)) == grid_iou(grid, other)
+    assert mask_iou(mask, _from_grid(other)) == grid_iou(grid, other)
 
     # equality compares canvas size, box and pixels
     if (big_w, big_h) != (w, h):
         assert embed_mask(mask, 0, 0, big_w, big_h) != mask
     flipped = grid.copy()
     flipped[data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] ^= True
-    assert rle_encode(flipped) != mask
+    assert _from_grid(flipped) != mask
 
 
 @settings(max_examples=200)
@@ -267,21 +268,42 @@ def test_mask_ops_match_grid_oracles(grid, data):
 @example(np.array([[0, 1, 1], [1, 1, 0]], bool), 1, 2)  # a run that goes on past a row end
 @example(np.array([[0, 0, 1], [1, 0, 0]], bool), 0, 0)  # its pieces leave a column empty
 @example(np.zeros((2, 3), bool), 1, 0)
-def test_run_masks_measure_and_move_before_decoding(grid, ex, ey):
+def test_every_route_measures_when_made_and_moves_share_one_bitmap(grid, ex, ey):
     h, w = grid.shape
     mask = BinaryMask(w, h, grid_runs(grid))
     box = grid_bbox(grid)
-    moved = [embed_mask(mask, ex, ey, w + ex, h + ey), crop_mask(mask, 0, 0, w, h)]
-    if mask.area:  # a box inside the canvas moves whole
-        moved.append(shift_mask(mask, -box[0], -box[1]))
-    assert (mask.bbox.x, mask.bbox.y, mask.bbox.w, mask.bbox.h) == box
-    assert mask.area == int(grid.sum())
-    for m in moved:
-        assert m.area == mask.area
-    assert not any(map(_decoded, [mask, *moved] if mask.area else [mask]))  # empty ones share no pixels
-    _assert_matches(mask, grid)
     embedded = np.zeros((h + ey, w + ex), bool)
     embedded[ey:, ex:] = grid
+    moved = [embed_mask(mask, ex, ey, w + ex, h + ey), crop_mask(mask, 0, 0, w, h)]
+    if mask.area:  # a box inside the canvas moves whole, here a second time
+        moved.append(shift_mask(moved[0], -box[0] - ex, -box[1] - ey))
+    drawn = BinaryMask.from_bitmap(w + ex, h + ey, ex, ey, grid)
+    # no hook fills a field on first read: the box and area are plain slots set when made
+    assert not hasattr(BinaryMask, "__getattr__")
+    assert (mask.bbox.x, mask.bbox.y, mask.bbox.w, mask.bbox.h) == box
+    assert (moved[0].bbox.x, moved[0].bbox.y, moved[0].bbox.w, moved[0].bbox.h) == grid_bbox(embedded)
+    assert (drawn.bbox.x, drawn.bbox.y, drawn.bbox.w, drawn.bbox.h) == grid_bbox(embedded)
+    for m in [mask, *moved, drawn]:
+        assert m.area == int(grid.sum())
+    assert not any(map(_decoded, [mask, *moved] if mask.area else [mask]))  # empty ones share no pixels
+    assert drawn._runs is None  # and a mask drawn from a bitmap encodes no runs
+
+    # the mask moved twice is decoded first: its sources get the same bitmap and it lets go of them
+    first = moved[-1].bitmap
+    assert all(m.bitmap is first for m in [mask, *moved])
+    assert all(map(_decoded, moved))
+    _assert_matches(mask, grid)
     _assert_matches(moved[0], embedded)
     _assert_matches(moved[1], grid)
-    assert all(m.bitmap is mask.bitmap for m in moved)
+    if mask.area:
+        _assert_matches(moved[2], shifted(embedded, -box[0] - ex, -box[1] - ey))
+    _assert_matches(drawn, embedded)
+
+
+def test_oracles_take_only_the_mask_type_from_the_mask_module():
+    # the references decode runs and move grids themselves, so they share no code with what they check
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    names = [(node.module, a.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
+    modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    assert [n for m, n in names if m == "smallprop.masks"] == ["BinaryMask"]
+    assert ("smallprop", "masks") not in names and "smallprop.masks" not in modules

@@ -3,13 +3,13 @@ import pytest
 
 from smallprop.annotations import GroundTruthObject
 from smallprop.detector import Proposal, preset
-from smallprop.masks import BinaryMask, mask_iou, rle_decode
+from smallprop.masks import BinaryMask, mask_iou
 from smallprop.exchange import ExchangeFormatError
 from smallprop.pipeline import nms, place_proposal, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
 from smallprop.tiling import TileGridSpec
 from smallprop.raster import RasterImage
-from oracles import grid_iou, rect_mask
+from oracles import grid_iou, mask_grid, rect_mask
 
 
 def proposal(mask, score):
@@ -47,8 +47,8 @@ def test_nms_three_offset_squares():
     b = rect_mask(30, 10, 5, 0, 10, 10)
     c = rect_mask(30, 10, 10, 0, 10, 10)
     # brute-force pairwise IoUs justify the expected survivor set
-    assert grid_iou(rle_decode(a), rle_decode(b)) == pytest.approx(1 / 3)
-    assert grid_iou(rle_decode(a), rle_decode(c)) == 0.0
+    assert grid_iou(mask_grid(a), mask_grid(b)) == pytest.approx(1 / 3)
+    assert grid_iou(mask_grid(a), mask_grid(c)) == 0.0
     kept = nms([proposal(a, 0.9), proposal(b, 0.8), proposal(c, 0.7)], 0.3)
     assert [p.objectness for p in kept] == [0.9, 0.7]
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from smallprop.annotations import SizeCategory, size_category
-from smallprop.masks import rle_decode
 from smallprop.prng import prng_next, randint, random, splitmix64_block, stream_seed
 from smallprop.raster import read_pnm
 from smallprop.synth import (
@@ -18,7 +17,7 @@ from smallprop.synth import (
     scene_seed,
     scene_stem,
 )
-from oracles import ref_scene, ref_splitmix64
+from oracles import mask_grid, ref_scene, ref_splitmix64
 
 
 def test_splitmix64_reference_vectors():
@@ -109,7 +108,7 @@ def test_instances_are_disjoint_and_within_canvas():
     assert total == int((scene.instances.pixels != 0).sum())
     stack = np.zeros((200, 300), int)
     for o in scene.objects:
-        stack += rle_decode(o.mask)
+        stack += mask_grid(o.mask)
     assert stack.max() <= 1
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallprop.masks import crop_mask, mask_iou, rle_decode, rle_encode
+from smallprop.masks import BinaryMask, crop_mask, mask_iou
 from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
-from oracles import rect_mask, verify_coverage
+from oracles import mask_grid, rect_mask, verify_coverage
 
 
 def test_grid_1280x720_non_overlapping():
@@ -43,8 +43,8 @@ def test_remap_origin_tile_zero_pads():
     local = rect_mask(16, 12, 2, 3, 4, 4)
     out = remap_mask(Tile(0, 0, 0, 16, 12), local, 32, 24)
     ref = np.zeros((24, 32), bool)
-    ref[:12, :16] = rle_decode(local)
-    assert np.array_equal(rle_decode(out), ref)
+    ref[:12, :16] = mask_grid(local)
+    assert np.array_equal(mask_grid(out), ref)
 
 
 def test_remap_translates_by_origin():
@@ -99,12 +99,12 @@ def test_remap_roundtrip_recovers_tile_region(img_w, img_h, data):
     y0 = data.draw(st.integers(0, img_h - th))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     grid = rng.random((img_h, img_w)) < 0.4
-    global_mask = rle_encode(grid)
+    global_mask = BinaryMask.from_bitmap(img_w, img_h, 0, 0, grid)
     tile = Tile(0, x0, y0, tw, th)
     back = remap_mask(tile, crop_mask(global_mask, x0, y0, tw, th), img_w, img_h)
     ref = np.zeros_like(grid)
     ref[y0 : y0 + th, x0 : x0 + tw] = grid[y0 : y0 + th, x0 : x0 + tw]
-    assert np.array_equal(rle_decode(back), ref)
+    assert np.array_equal(mask_grid(back), ref)
 
 
 def test_even_partition_when_stride_equals_tile():
