@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import pickle
 import sys
 from dataclasses import asdict, replace
 from functools import partial
@@ -152,16 +154,85 @@ def _whole_image_proposals(path: Path, width: int, height: int) -> list:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: synth's worker count."""
+    return len(os.sched_getaffinity(0))
+
+
+def _work_share(work, items, first: int, step: int, fd: int):
+    """A forked worker: ``work`` on items first, first + step, ... in order, up
+    to the first failure, which goes back pickled as (index, exception) on the
+    pipe ``fd``. Never returns, so nothing of the parent's stack runs or
+    flushes here."""
+    code = 1
+    try:
+        with open(fd, "wb") as pipe:
+            for i in range(first, len(items), step):
+                try:
+                    work(items[i])
+                except Exception as exc:
+                    pipe.write(pickle.dumps((i, exc)))
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _for_each(work, items, workers: int) -> None:
+    """``work(item)`` for every item, in ``min(workers, len(items))`` forked
+    processes (none when that is 1); worker k takes items k, k + W, ...
+
+    Every worker is waited for, then the failure of the lowest index is
+    raised, the error a serial loop raises; a worker that died without
+    reporting one is an internal error naming its exit status. Fork, because
+    the CLI starts no threads and a spawned worker would import numpy again.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        for item in items:
+            work(item)
+        return
+    children = []  # (pid, read end of its pipe)
+    try:
+        for k in range(workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _work_share(work, items, k, workers, w)
+            os.close(w)
+            children.append((pid, r))
+    finally:
+        ends = []  # (message, exit status) of each worker
+        for pid, r in children:
+            with open(r, "rb") as pipe:
+                message = pipe.read()
+            ends.append((message, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    dead = [code for message, code in ends if code and not message]
+    if dead:
+        raise RuntimeError(f"a worker process ended with exit status {dead[0]}")
+    failures = [pickle.loads(message) for message, _ in ends if message]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+
+
+def _synth_one(index: int, base: SceneSpec, seed: int, out: Path) -> None:
+    scene = generate_scene(replace(base, seed=scene_seed(seed, index)))
+    save_scene(scene, out, scene_stem(seed, index))
+
+
 def cmd_synth(args) -> int:
     given = _given(args, _SCENE_FLAGS)
     base = _usage(given, SceneSpec, **{_SCENE_FLAGS[f][0]: v for f, v in given.items()})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for i in range(args.count):
-        spec = replace(base, seed=scene_seed(args.seed, i))
-        scene = generate_scene(spec)
-        outputs.extend(save_scene(scene, out, scene_stem(args.seed, i)))
+    # scenes are independent and no output depends on the worker count
+    _for_each(partial(_synth_one, base=base, seed=args.seed, out=out), range(args.count), _usable_cpus())
+    outputs = [f"{scene_stem(args.seed, i)}{ext}" for i in range(args.count) for ext in (".ppm", ".pgm")]
     # the manifest keys are the flag names
     config = {f[2:].replace("-", "_"): getattr(base, field) for f, (field, _) in _SCENE_FLAGS.items()}
     config.update(count=args.count, seed=args.seed)
@@ -169,7 +240,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _run_one(stem: str, args, grid, profile, out: Path) -> str:
+def _run_one(stem: str, args, grid, profile, out: Path) -> None:
     scene = load_scene(args.scenes, stem)
     path = Path(args.exchange) / f"{stem}.jsonl" if args.exchange else None
     lines = read_proposals(path) if path and path.exists() else []
@@ -184,10 +255,8 @@ def _run_one(stem: str, args, grid, profile, out: Path) -> str:
         raise
     except ValueError as exc:  # a grid that does not fit the scene
         raise ValueError(f"{scene.path}: {exc}") from None
-    name = f"{stem}.jsonl"
     records = [ProposalRecord(stem, p.mask.width, p.mask.height, p.objectness, p.mask.runs) for p in proposals]
-    write_proposals(records, out / name)
-    return name
+    write_proposals(records, out / f"{stem}.jsonl")
 
 
 def cmd_run(args) -> int:
@@ -205,20 +274,8 @@ def cmd_run(args) -> int:
         _existing_dir(args.exchange, "--exchange")
     out.mkdir(parents=True, exist_ok=True)
 
-    # scenes are independent, so workers run them in parallel and map keeps the
-    # outputs in stem order; fork, because the CLI starts no threads and a
-    # spawned worker would import numpy again
-    work = partial(_run_one, args=args, grid=grid, profile=profile, out=out)
-    workers = min(args.jobs, len(stems))
-    if workers > 1:
-        # imported only here: loading the pool's modules would slow every command's start
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            outputs = list(pool.map(work, stems))
-    else:
-        outputs = [work(s) for s in stems]
+    _for_each(partial(_run_one, args=args, grid=grid, profile=profile, out=out), stems, args.jobs)
+    outputs = [f"{stem}.jsonl" for stem in stems]
 
     config = {
         "mode": args.mode,

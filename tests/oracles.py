@@ -343,8 +343,8 @@ def make_random_instance(rng, with_oracle=True):
         props_oracle = []
         for _ in range(int(rng.integers(0, 21))):
             score = float(rng.integers(0, 1000)) / 1000
-            if gt_oracle and rng.random() < 0.6:
-                gid = int(rng.choice([g for g, _ in gt_oracle]))
+            if gt_pkg and rng.random() < 0.6:
+                gid = int(rng.choice([o.instance_id for o in gt_pkg]))
                 grid = shifted(labels == gid, int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
                 if not grid.any():
                     continue

@@ -46,12 +46,41 @@ def test_synth_count_zero_writes_manifest_only(tmp_path):
     assert doc["tool"] == "smallprop" and doc["config_hash"]
 
 
-def test_synth_is_deterministic(tmp_path):
-    synth_small(tmp_path / "a")
-    synth_small(tmp_path / "b")
-    a, b = dir_bytes(tmp_path / "a"), dir_bytes(tmp_path / "b")
-    assert a.keys() == b.keys() and len(a) == 5  # 2 scene pairs + manifest
-    assert all(a[k] == b[k] for k in a)
+def assert_no_child_left():
+    """Every worker a command forked has ended and been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_synth_is_deterministic(tmp_path, monkeypatch):
+    outs = []
+    for i, workers in enumerate((1, 2, 8, 2)):  # a repeat, and any number of usable CPUs
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        synth_small(tmp_path / str(i), count=5)
+        assert_no_child_left()
+        outs.append(dir_bytes(tmp_path / str(i)))  # manifests included
+    assert all(out == outs[0] for out in outs)
+    assert len(outs[0]) == 11 and all(outs[0].values())  # 5 scene pairs + manifest
+
+
+def test_synth_worker_error_is_the_serial_error(tmp_path, capsys, monkeypatch):
+    # scenes 2 and 3 fail, in different workers unless there is one
+    errors, written = {}, {}
+    for workers in (1, 2, 8):
+        out = tmp_path / f"w{workers}"
+        for i in (2, 3):
+            (out / f"scene_5_000{i}.ppm").mkdir(parents=True)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        assert run_cli("synth", "--out", out, "--count", 5, "--seed", 5, "--width", 64, "--height", 48) == 2
+        assert_no_child_left()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        errors[workers] = json.loads(lines[0].replace(str(out), "OUT"))
+        written[workers] = sorted(p.name for p in out.iterdir() if p.is_file())
+    assert errors[1] == errors[2] == errors[8]
+    assert errors[1]["error"] == "data" and errors[1]["message"].endswith("'OUT/scene_5_0002.ppm'")
+    # a worker stops at its first failure: the one with scenes 0, 2, 4 writes no scene 4
+    assert written[1] == written[2] == [f"scene_5_000{i}.{ext}" for i in (0, 1) for ext in ("pgm", "ppm")]
 
 
 def test_synth_scene_count_and_naming(tmp_path):
@@ -101,6 +130,7 @@ def test_jobs_do_not_change_outputs(tmp_path):
             "--mode", "tiled", "--tile", "80x60", "--stride", "40x30", "--jitter", 2]
     assert run_cli("run", *base, "--out", a, "--jobs", 1) == 0
     assert run_cli("run", *base, "--out", b, "--jobs", 8) == 0
+    assert_no_child_left()
     assert dir_bytes(a) == dir_bytes(b)  # manifests included
 
 
@@ -555,6 +585,7 @@ def test_worker_errors_match_serial_errors(tmp_path, capsys, corrupt):
     for jobs in (1, 2):
         assert run_cli(*_proposal_file_argv(tmp_path, "run", stems[2]), "--mode", "whole", "--jobs", jobs) == 2
         assert _data_error(capsys) == expected
+        assert_no_child_left()
 
 
 _run_one = cli._run_one
@@ -567,15 +598,15 @@ def _die_on_third_scene(stem, **kwargs):
 
 
 def test_dead_worker_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    # forked workers inherit the patch; the work item pickles it by reference
     synth_small(tmp_path / "s", count=4)
-    monkeypatch.setattr(cli, "_run_one", _die_on_third_scene)
+    monkeypatch.setattr(cli, "_run_one", _die_on_third_scene)  # forked workers inherit the patch
     assert run_cli("run", "--scenes", tmp_path / "s", "--out", tmp_path / "o", "--mode", "whole",
                    "--jobs", 2) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
-    assert err["error"] == "internal" and err["message"].startswith("BrokenProcessPool: ")
+    assert err == {"error": "internal", "message": "RuntimeError: a worker process ended with exit status 3"}
+    assert_no_child_left()
 
 
 def test_overlay_writes_ppm(tmp_path):

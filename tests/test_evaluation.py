@@ -336,14 +336,19 @@ def kernel_pairs(labels, props):
 
 def test_label_pairs_equal_reference_pairs_random():
     rng = np.random.default_rng(23)
+    full_boxes = others = 0
     for _ in range(150):
         per_pkg, _ = make_random_instance(rng, with_oracle=False)
         for labels, props in per_pkg:
+            full = sum(p.mask.area == p.mask.bbox.w * p.mask.bbox.h for p in props)
+            full_boxes, others = full_boxes + full, others + len(props) - full
             ranked = sorted(props, key=lambda p: -p.objectness)[:100]
             got = kernel_pairs(labels, ranked)
             assert got == ref_pairs(labels, ranked)
             assert all(type(v) is t for pair in got for v, t in zip(pair, (float, int, int)))
             assert match(labels, ranked) == tuple(greedy_assign(got))
+    # rectangles and shifted objects, some of these cut by other objects
+    assert full_boxes and others
 
 
 def _pairs_both_ways(labels, props):
