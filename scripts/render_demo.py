@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from smallprop.detector import preset
-from smallprop.evaluation import evaluate_dataset, render_overlay, report_text
+from smallprop.evaluation import evaluate_dataset, render_overlay, report_text, score_image
 from smallprop.exchange import ProposalRecord, write_proposals
 from smallprop.pipeline import run_tiled
 from smallprop.raster import write_pnm
@@ -40,7 +40,7 @@ def main() -> int:
     overlay = render_overlay(scene.image, scene.instances.pixels, proposals)
     write_pnm(overlay, out / "scene_demo_overlay.ppm")
 
-    print(report_text([evaluate_dataset([(scene.instances.pixels, proposals)], system="demo")]), end="")
+    print(report_text([evaluate_dataset([score_image(scene.instances.pixels, proposals)], system="demo")]), end="")
     print(f"wrote {out}/scene_demo_overlay.ppm", file=sys.stderr)
     return 0
 

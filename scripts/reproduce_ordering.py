@@ -15,7 +15,7 @@ from dataclasses import replace
 from functools import partial
 
 from smallprop.detector import preset
-from smallprop.evaluation import evaluate_dataset, report_text
+from smallprop.evaluation import evaluate_dataset, report_text, score_image
 from smallprop.pipeline import run_tiled, run_whole
 from smallprop.synth import SceneSpec, generate_scene, scene_seed
 from smallprop.tiling import TileGridSpec
@@ -46,8 +46,8 @@ def main() -> int:
     reports = []
     for name, run, det in systems:
         profile = preset(det, jitter=args.jitter, objectness_noise=args.objectness_noise)
-        per_image = [(scene.instances.pixels, run(scene, profile)) for scene in scenes]
-        reports.append(evaluate_dataset(per_image, system=name))
+        scored = [score_image(scene.instances.pixels, run(scene, profile)) for scene in scenes]
+        reports.append(evaluate_dataset(scored, system=name))
         print(f"evaluated {name}", file=sys.stderr)
 
     print(report_text(reports), end="")

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .detector import DetectorProfile, preset, PRESET_LEVELS
 from .exchange import ExchangeFormatError, ProposalRecord, read_proposals, write_proposals
-from .evaluation import evaluate_dataset, render_overlay, report_csv, report_json, report_text
+from .evaluation import evaluate_dataset, render_overlay, report_csv, report_json, report_text, score_image
 from .pipeline import place_proposal, run_tiled, run_whole
 from .raster import PnmFormatError, read_pnm, write_pnm
 from .synth import (SceneSpec, generate_scene, list_scene_stems, load_scene, read_instances, save_scene,
@@ -155,43 +155,48 @@ def _whole_image_proposals(path: Path, width: int, height: int) -> list:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: synth's worker count."""
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may run on, the worker count of synth and eval;
+    1 where the process cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):  # absent on macOS
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _work_share(work, items, first: int, step: int, fd: int):
     """A forked worker: ``work`` on items first, first + step, ... in order, up
-    to the first failure, which goes back pickled as (index, exception) on the
-    pipe ``fd``. Never returns, so nothing of the parent's stack runs or
-    flushes here."""
+    to the first failure. Sends back on the pipe ``fd`` one pickle of (results,
+    (index, exception) of the failure or None). Never returns, so nothing of
+    the parent's stack runs or flushes here."""
     code = 1
     try:
         with open(fd, "wb") as pipe:
+            results, failure = [], None
             for i in range(first, len(items), step):
                 try:
-                    work(items[i])
+                    results.append(work(items[i]))
                 except Exception as exc:
-                    pipe.write(pickle.dumps((i, exc)))
+                    failure = (i, exc)
                     break
+            pipe.write(pickle.dumps((results, failure)))
         code = 0
     finally:
         os._exit(code)
 
 
-def _for_each(work, items, workers: int) -> None:
-    """``work(item)`` for every item, in ``min(workers, len(items))`` forked
-    processes (none when that is 1); worker k takes items k, k + W, ...
+def _for_each(work, items, workers: int) -> list:
+    """``[work(item) for item in items]``, in ``min(workers, len(items))``
+    forked processes (none when that is 1); worker k takes items k, k + W, ...
 
     Every worker is waited for, then the failure of the lowest index is
-    raised, the error a serial loop raises; a worker that died without
-    reporting one is an internal error naming its exit status. Fork, because
-    the CLI starts no threads and a spawned worker would import numpy again.
+    raised, the error a serial loop raises; a worker that died before
+    reporting is an internal error naming its exit status. Fork, because the
+    CLI starts no threads and a spawned worker would import numpy again.
     """
     workers = min(workers, len(items))
     if workers <= 1:
-        for item in items:
-            work(item)
-        return
+        return [work(item) for item in items]
     children = []  # (pid, read end of its pipe)
     try:
         for k in range(workers):
@@ -212,12 +217,14 @@ def _for_each(work, items, workers: int) -> None:
             with open(r, "rb") as pipe:
                 message = pipe.read()
             ends.append((message, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
-    dead = [code for message, code in ends if code and not message]
+    dead = [code for _, code in ends if code]
     if dead:
         raise RuntimeError(f"a worker process ended with exit status {dead[0]}")
-    failures = [pickle.loads(message) for message, _ in ends if message]
+    shares = [pickle.loads(message) for message, _ in ends]
+    failures = [failure for _, failure in shares if failure]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
+    return [shares[i % workers][0][i // workers] for i in range(len(items))]
 
 
 def _synth_one(index: int, base: SceneSpec, seed: int, out: Path) -> None:
@@ -296,6 +303,13 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _score_one(stem: str, scenes: str, proposals_dir: Path):
+    scene = load_scene(scenes, stem)
+    path = proposals_dir / f"{stem}.jsonl"
+    proposals = _whole_image_proposals(path, scene.width, scene.height) if path.exists() else []
+    return score_image(scene.instances.pixels, proposals)
+
+
 def cmd_eval(args) -> int:
     prefix = Path(args.out)
     _out_is_not_an_input(prefix.parent, {"--scenes": args.scenes, "--proposals": args.proposals})
@@ -306,15 +320,10 @@ def cmd_eval(args) -> int:
     if unknown:
         raise ValueError(f"proposal files without matching scenes: {', '.join(unknown)}")
 
-    def per_image():  # one scene at a time, so one instance map is held at once
-        for stem in stems:
-            scene = load_scene(args.scenes, stem)
-            path = proposals_dir / f"{stem}.jsonl"
-            proposals = _whole_image_proposals(path, scene.width, scene.height) if path.exists() else []
-            yield scene.instances.pixels, proposals
-
     system = args.system or proposals_dir.name
-    report = evaluate_dataset(per_image(), system=system)
+    # scenes are scored independently; only their (sizes, pairs) come back to be pooled
+    scored = _for_each(partial(_score_one, scenes=args.scenes, proposals_dir=proposals_dir), stems, _usable_cpus())
+    report = evaluate_dataset(scored, system=system)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     text = report_text([report])
     outputs = []

@@ -147,25 +147,33 @@ def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[f
     return sum(recalls) / len(IOU_THRESHOLDS), total_gt
 
 
-def evaluate_dataset(per_image, system: str = "run") -> ARReport:
-    """Dataset-level AR report over (instance grid, proposals) pairs per image,
-    read once, so they may be produced one image at a time.
-
-    The ground truth is the grid's objects, as ``extract_instances`` finds
-    them. Proposals are sorted by objectness descending (stable) and truncated
-    to each budget before matching; category cells with zero ground truth are
-    reported as absent rather than zero.
+def score_image(
+    labels: np.ndarray, proposals: Sequence[Proposal]
+) -> tuple[dict[int, SizeCategory], list[tuple[float, int, int]]]:
+    """One image's share of a dataset report: the size category of each object
+    of the instance grid ``labels`` ({id: category}, the ground truth as
+    ``extract_instances`` finds it), and the positive-IoU (iou, id, proposal
+    index) pairs of the proposals ranked by objectness descending (stable) and
+    truncated to the largest budget.
     """
-    prepared = []
-    for labels, proposals in per_image:
-        ranked = sorted(proposals, key=lambda p: -p.objectness)[: max(BUDGETS)]
-        ids, areas = _objects(labels)
-        sizes = {g: size_category(a) for g, a in zip(ids.tolist(), areas.tolist())}
-        prepared.append((sizes, _pairs_under(labels, ids, areas, ranked)))
+    ranked = sorted(proposals, key=lambda p: -p.objectness)[: max(BUDGETS)]
+    ids, areas = _objects(labels)
+    sizes = {g: size_category(a) for g, a in zip(ids.tolist(), areas.tolist())}
+    return sizes, _pairs_under(labels, ids, areas, ranked)
+
+
+def evaluate_dataset(scored, system: str = "run") -> ARReport:
+    """Dataset-level AR report pooled over each image's ``score_image`` result.
+
+    Each budget is matched on its own, over the pairs of the proposals ranked
+    within it; category cells with zero ground truth are reported as absent
+    rather than zero.
+    """
+    scored = list(scored)
     cells = {}
     counts = {}
     for _, field, budget, category in CELLS:
-        cells[field], n = _pooled_ar(prepared, budget, category)
+        cells[field], n = _pooled_ar(scored, budget, category)
         if category is not None:
             counts[category.value] = n
     return ARReport(system=system, gt_counts=counts, **cells)

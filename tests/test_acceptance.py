@@ -19,6 +19,7 @@ from smallprop.detector import Proposal, detectable_range, preset
 from smallprop.evaluation import (
     IOU_THRESHOLDS,
     evaluate_dataset,
+    score_image,
     match,
 )
 from smallprop.exchange import ProposalRecord, read_proposals, write_proposals
@@ -61,7 +62,8 @@ def test_criterion_1_metric_exactness():
     gt = [GroundTruthObject.from_mask(1, rect_mask(200, 1, 0, 0, 100, 1))]
     # single-image AR through the dataset evaluator, one proposal of IoU 1.0, 0.6, 0.49
     for width, expected in ((100, 1.0), (60, 0.3), (49, 0.0)):
-        report = evaluate_dataset([(label_grid(gt, 200, 1), [Proposal(rect_mask(200, 1, 0, 0, width, 1), 0.5)])])
+        proposal = Proposal(rect_mask(200, 1, 0, 0, width, 1), 0.5)
+        report = evaluate_dataset([score_image(label_grid(gt, 200, 1), [proposal])])
         assert abs(report.ar_at_100 - expected) <= 1e-9
     # the stated IoUs are realizable exactly with sub-rectangle proposals
     assert mask_iou(gt[0].mask, rect_mask(200, 1, 0, 0, 60, 1)) == 0.6
@@ -70,7 +72,7 @@ def test_criterion_1_metric_exactness():
     rng = np.random.default_rng(2024)
     for _ in range(200):
         per_pkg, per_oracle = make_random_instance(rng)
-        got = evaluate_dataset(per_pkg)
+        got = evaluate_dataset(score_image(*image) for image in per_pkg)
         ref = oracle_report(per_oracle)
         assert got.ar_at_10 == ref["ar_at_10"]
         assert got.ar_at_100 == ref["ar_at_100"]
@@ -198,7 +200,7 @@ def _suite_grid(rng, cases):
 def _suite_ar_monotone(rng, cases):
     for _ in range(cases):
         per_pkg, _ = make_random_instance(rng, with_oracle=False)
-        report = evaluate_dataset(per_pkg)
+        report = evaluate_dataset(score_image(*image) for image in per_pkg)
         if report.ar_at_10 is not None:
             assert report.ar_at_10 <= report.ar_at_100
         # pooled recall curve is non-increasing in the threshold

@@ -49,6 +49,8 @@ def test_traced_run_and_eval_count_every_record(tmp_path, monkeypatch):
     tracing = _load("tracing")
     exchange_setup = _load("exchange_setup")
     monkeypatch.chdir(tmp_path)
+    # the tracer sees only its own process, so the commands fan out serially here
+    monkeypatch.setattr(cli, "_for_each", lambda work, items, workers: [work(i) for i in items])
     with tracing.Tracer() as tracer:
         tracer.phase = "synth"
         assert cli.main(["synth", "--out", "scenes", "--count", "2", "--width", "320", "--height", "240"]) == 0

@@ -1,6 +1,8 @@
 import json
 import os
+import shutil
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -607,6 +609,83 @@ def test_dead_worker_is_an_internal_error(tmp_path, capsys, monkeypatch):
     err = json.loads(lines[0])
     assert err == {"error": "internal", "message": "RuntimeError: a worker process ended with exit status 3"}
     assert_no_child_left()
+
+
+def _item_result(i):
+    """A picklable result of a size that grows with the item."""
+    return i, "x" * i, [i] * i
+
+
+def _fail_at(i, bad):
+    if i in bad:
+        raise ValueError(f"item {i}")
+    return _item_result(i)
+
+
+def _exit_at_two(i):
+    if i == 2:
+        os._exit(3)
+    return i
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 16])
+def test_for_each_is_the_serial_loop(workers):
+    for n in range(8):
+        assert cli._for_each(_item_result, range(n), workers) == [_item_result(i) for i in range(n)]
+        assert_no_child_left()
+        if n < 2:
+            continue
+        # n - 2 and n - 1 are adjacent, so in different workers whenever there are two
+        with pytest.raises(ValueError, match=f"^item {n - 2}$"):
+            cli._for_each(partial(_fail_at, bad={n - 2, n - 1}), range(n), workers)
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 16])
+def test_for_each_worker_exit_is_an_internal_error(workers):
+    with pytest.raises(RuntimeError, match="^a worker process ended with exit status 3$"):
+        cli._for_each(_exit_at_two, range(5), workers)
+    assert_no_child_left()
+
+
+def test_eval_outputs_and_errors_do_not_depend_on_workers(tmp_path, capsys, monkeypatch):
+    synth_small(tmp_path / "s", count=4)
+    stems = list_scene_stems(tmp_path / "s")
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    assert run_cli("run", "--scenes", tmp_path / "s", "--out", good, "--mode", "whole",
+                   "--detector", "attentionmask-4-16", "--jitter", 1) == 0
+    shutil.copytree(good, bad)
+    for stem in stems[1:3]:
+        (bad / f"{stem}.jsonl").write_bytes(b"\xff\n")
+    outs = {}
+    for workers in (1, 2, 8):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        out = tmp_path / f"w{workers}"
+        assert run_cli("eval", "--scenes", tmp_path / "s", "--proposals", good, "--out", out / "report") == 0
+        assert_no_child_left()
+        outs[workers] = (capsys.readouterr().out, dir_bytes(out))
+        errs = tmp_path / f"e{workers}"
+        assert run_cli("eval", "--scenes", tmp_path / "s", "--proposals", bad, "--out", errs / "report") == 2
+        assert_no_child_left()
+        assert _data_error(capsys) == f"{bad / stems[1]}.jsonl: line 1: non-ASCII byte 0xff"
+        assert not errs.exists()
+    assert outs[1] == outs[2] == outs[8]
+    stdout, reports = outs[1]
+    assert sorted(reports) == ["report.csv", "report.json", "report.manifest.json", "report.txt"]
+    assert stdout.encode() == reports["report.txt"]
+    assert json.loads(reports["report.json"])["reports"][0]["ar_at_100"] > 0
+
+
+def test_usable_cpus_without_affinity_or_fork(tmp_path, monkeypatch):
+    # os.sched_getaffinity is Linux-only, and os.fork is absent on Windows
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cpus() == (os.cpu_count() or 1)
+    synth_small(tmp_path / "a", count=3)
+    assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert cli._usable_cpus() == 1
+    synth_small(tmp_path / "b", count=3)
+    assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
 
 def test_overlay_writes_ppm(tmp_path):

@@ -12,6 +12,7 @@ from smallprop.detector import Proposal, preset
 from smallprop.evaluation import (
     IOU_THRESHOLDS,
     evaluate_dataset,
+    score_image,
     match,
     render_overlay,
     report_csv,
@@ -100,7 +101,7 @@ def test_average_recall_examples():
     gt = [gt_from(interval_mask(200, 0, 100))]
     for stop, expected in ((100, 1.0), (60, 0.3), (49, 0.0), (0, 0.0)):
         props = [Proposal(interval_mask(200, 0, stop), 0.5)] if stop else []
-        assert evaluate_dataset([(grid_of(gt), props)]).ar_at_100 == expected
+        assert evaluate_dataset([score_image(grid_of(gt), props)]).ar_at_100 == expected
         assert average_recall(gt, match(grid_of(gt), props)) == expected
 
 
@@ -127,7 +128,7 @@ def make_three_category_image(width=120):
 def test_evaluate_perfect_proposals():
     gt = make_three_category_image()
     props = [Proposal(g.mask, 1.0) for g in gt]
-    report = evaluate_dataset([(grid_of(gt), props)], system="perfect")
+    report = evaluate_dataset([score_image(grid_of(gt), props)], system="perfect")
     assert report.ar_at_10 == 1.0
     assert report.ar_at_100 == 1.0
     assert report.ar_xs_at_100 == 1.0
@@ -140,7 +141,7 @@ def test_evaluate_mixed_categories():
     xs = gt_from(rect_mask(120, 60, 0, 0, 10, 10), 1)
     m = gt_from(rect_mask(120, 60, 40, 0, 40, 30), 2)
     props = [Proposal(m.mask, 0.9)]
-    report = evaluate_dataset([(grid_of([xs, m]), props)])
+    report = evaluate_dataset([score_image(grid_of([xs, m]), props)])
     assert report.ar_at_100 == 0.5
     assert report.ar_xs_at_100 == 0.0
     assert report.ar_m_at_100 == 1.0
@@ -150,14 +151,14 @@ def test_evaluate_mixed_categories():
 
 def test_evaluate_no_ground_truth_at_all():
     props = [Proposal(rect_mask(32, 32, 0, 0, 4, 4), 0.5)]
-    report = evaluate_dataset([(np.zeros((32, 32), np.int32), props)])
+    report = evaluate_dataset([score_image(np.zeros((32, 32), np.int32), props)])
     assert report.ar_at_10 is None and report.ar_at_100 is None
 
 
 def test_fastmask_sim_gives_all_zero_report():
     scenes = [generate_scene(SceneSpec(width=1280, height=720, n_apples=20, n_leaves=30, seed=s)) for s in (1, 2)]
-    per_image = [(sc.instances.pixels, run_whole(sc, preset("fastmask"))) for sc in scenes]
-    report = evaluate_dataset(per_image, system="fastmask")
+    scored = [score_image(sc.instances.pixels, run_whole(sc, preset("fastmask"))) for sc in scenes]
+    report = evaluate_dataset(scored, system="fastmask")
     for cell in (report.ar_at_10, report.ar_at_100, report.ar_xs_at_100, report.ar_s_at_100, report.ar_m_at_100):
         assert cell == 0.0
 
@@ -166,7 +167,7 @@ def test_budget_monotonicity_random():
     rng = np.random.default_rng(7)
     for _ in range(30):
         per_pkg, _ = make_random_instance(rng)
-        report = evaluate_dataset(per_pkg)
+        report = evaluate_dataset(score_image(*image) for image in per_pkg)
         if report.ar_at_10 is not None:
             assert report.ar_at_10 <= report.ar_at_100
 
@@ -175,7 +176,7 @@ def test_matches_bruteforce_oracle():
     rng = np.random.default_rng(11)
     for _ in range(40):
         per_pkg, per_oracle = make_random_instance(rng)
-        got = evaluate_dataset(per_pkg)
+        got = evaluate_dataset(score_image(*image) for image in per_pkg)
         ref = oracle_report(per_oracle)
         assert got.ar_at_10 == ref["ar_at_10"]
         assert got.ar_at_100 == ref["ar_at_100"]
@@ -188,8 +189,8 @@ def test_matches_bruteforce_oracle():
 def test_raising_assigned_iou_never_lowers_ar():
     gt = [gt_from(interval_mask(200, 0, 100), 1), gt_from(interval_mask(200, 100, 200), 2)]
     second = Proposal(interval_mask(200, 100, 170), 0.5)  # IoU 0.7
-    low = evaluate_dataset([(grid_of(gt), [Proposal(interval_mask(200, 0, 55), 0.5), second])]).ar_at_100
-    high = evaluate_dataset([(grid_of(gt), [Proposal(interval_mask(200, 0, 80), 0.5), second])]).ar_at_100
+    low = evaluate_dataset([score_image(grid_of(gt), [Proposal(interval_mask(200, 0, 55), 0.5), second])]).ar_at_100
+    high = evaluate_dataset([score_image(grid_of(gt), [Proposal(interval_mask(200, 0, 80), 0.5), second])]).ar_at_100
     assert high >= low
     assert low == average_recall(gt, ((1, 0, 0.55), (2, 1, 0.7)))
 
@@ -210,7 +211,7 @@ def test_category_restriction_partitions_matches():
 def test_report_formats():
     gt = make_three_category_image()
     props = [Proposal(g.mask, 1.0) for g in gt]
-    report = evaluate_dataset([(grid_of(gt), props)], system="sys1")
+    report = evaluate_dataset([score_image(grid_of(gt), props)], system="sys1")
     text = report_text([report])
     header = text.splitlines()[0]
     assert header.split() == ["System", "AR@10", "AR@100", "AR^XS@100", "AR^S@100", "AR^M@100"]
@@ -227,14 +228,14 @@ def test_report_formats():
 
 @pytest.mark.parametrize("system", ["tiled,v2", 'say "hi"', "a\nb"])
 def test_csv_quotes_system_name(system):
-    report = evaluate_dataset([(grid_of(make_three_category_image()), [])], system=system)
+    report = evaluate_dataset([score_image(grid_of(make_three_category_image()), [])], system=system)
     header, row = csv.reader(io.StringIO(report_csv([report])))
     assert len(header) == len(row) == 9 and row[0] == system
 
 
 def test_absent_cells_render_as_dash_and_null():
     xs = gt_from(rect_mask(64, 64, 0, 0, 5, 5), 1)
-    report = evaluate_dataset([(grid_of([xs]), [])], system="empty")
+    report = evaluate_dataset([score_image(grid_of([xs]), [])], system="empty")
     assert "-" in report_text([report])
     import json
 
@@ -419,7 +420,7 @@ def test_evaluate_dataset_reads_ids_not_masks(monkeypatch):
                           for p in props]) for labels, props in per_pkg]
     monkeypatch.setattr(evaluation, "mask_iou", _forbidden)
     monkeypatch.setattr(masks, "_decode", _forbidden)
-    got = evaluate_dataset(iter(per_runs))  # read once, as the CLI yields it
+    got = evaluate_dataset(score_image(*image) for image in per_runs)  # read once
     ref = oracle_report(per_oracle)
     assert [getattr(got, f) for _, f, *_ in evaluation.CELLS] == [ref[f] for _, f, *_ in evaluation.CELLS]
     assert got.gt_counts == ref["gt_counts"]
