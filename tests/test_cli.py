@@ -1,9 +1,14 @@
+import ctypes
 import json
 import os
 import shutil
+import subprocess
+import sys
+import threading
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -683,7 +688,84 @@ def test_usable_cpus_without_affinity_or_fork(tmp_path, monkeypatch):
     synth_small(tmp_path / "a", count=3)
     assert_no_child_left()
     monkeypatch.delattr(os, "fork")
-    assert cli._usable_cpus() == 1
+    assert cli._usable_cpus() == (os.cpu_count() or 1)  # the fan-out, not the count, runs serially
+    synth_small(tmp_path / "b", count=3)
+    assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+
+def test_run_jobs_without_fork_is_the_serial_run(tmp_path, monkeypatch):
+    synth_small(tmp_path / "s", count=3)
+    serial, jobs = tmp_path / "serial", tmp_path / "jobs"
+    argv = ("run", "--scenes", tmp_path / "s", "--tile", "80x60", "--stride", "40x30")
+    assert run_cli(*argv, "--out", serial, "--jobs", 1) == 0
+    monkeypatch.delattr(os, "fork")  # absent on Windows
+    assert run_cli(*argv, "--out", jobs, "--jobs", 2) == 0
+    assert dir_bytes(serial) == dir_bytes(jobs)  # manifests included
+    assert len(dir_bytes(jobs)) == 4
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not (hasattr(os, "sched_setaffinity") and _has_mallopt()),
+                    reason="needs os.sched_setaffinity and the C library's mallopt")
+def test_serial_synth_faults_in_no_pages_per_scene(tmp_path):
+    # Pinned to one CPU, the child renders its default-size scenes one after
+    # another in one process. Each scene allocates about 10 MiB, which a heap
+    # that handed it back to the OS faults in again: 2,677 pages a scene.
+    cpu = min(os.sched_getaffinity(0))
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    faults = {}
+    for count in (2, 10):
+        err = tmp_path / f"err{count}"
+        with open(err, "wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "smallprop.cli", "synth", "--out", str(tmp_path / str(count)),
+                 "--count", str(count)],
+                env=env, stdout=subprocess.DEVNULL, stderr=stderr,
+                preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+            timer = threading.Timer(120, proc.kill)
+            timer.start()
+            try:
+                _, status, usage = os.wait4(proc.pid, 0)
+            finally:
+                timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, err.read_text()
+        faults[count] = usage.ru_minflt
+    assert_no_child_left()
+    assert (faults[10] - faults[2]) / 8 < 100, faults
+
+
+def test_keep_freed_memory_sets_glibc_thresholds(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    cli._keep_freed_memory()
+    # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD of glibc's <malloc.h>
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int) and mallopt.restype is ctypes.c_int
+
+
+def _no_c_library(name):
+    raise OSError("cannot load the C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: SimpleNamespace(), _no_c_library],
+                         ids=["without-mallopt", "without-library"])
+def test_synth_without_mallopt(tmp_path, monkeypatch, cdll):
+    # macOS's C library has no mallopt; a library may also fail to load
+    synth_small(tmp_path / "a", count=3)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
     synth_small(tmp_path / "b", count=3)
     assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
