@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .masks import BinaryMask
+from .masks import BinaryMask, _tight
 
 XS_MAX_AREA = 22.5**2  # exclusive upper bound for XS
 S_MAX_AREA = 32**2  # inclusive upper bound for S
@@ -49,7 +49,8 @@ def extract_instances(labels: np.ndarray) -> list[GroundTruthObject]:
     """One object per distinct nonzero id of a 2-D grid of instance ids (0 =
     background, ids need not be contiguous), sorted by id ascending.
 
-    Each mask is ``labels[box] == id`` over the bounding box of the id.
+    Each mask is ``labels[box] == id`` over the bounding box of the id, made
+    with the box and pixel count that sorting the ids gives.
     """
     height, width = labels.shape
     positions = np.flatnonzero(labels != 0)  # a bool scan is much faster than a uint16 one
@@ -67,11 +68,10 @@ def extract_instances(labels: np.ndarray) -> list[GroundTruthObject]:
         (ys[stops] + 1).tolist(),
         np.minimum.reduceat(xs, starts).tolist(),
         (np.maximum.reduceat(xs, starts) + 1).tolist(),
+        (stops - starts + 1).tolist(),
     )
+    # the box of each id is tight and its pixel count is its area, so nothing is trimmed or counted again
     return [
-        GroundTruthObject.from_mask(
-            i, BinaryMask.from_bitmap(width, height, x0, y0, labels[y0:y1, x0:x1] == i)
-        )
-        for i, y0, y1, x0, x1 in bounds
+        GroundTruthObject(i, _tight(width, height, x0, y0, labels[y0:y1, x0:x1] == i, area))
+        for i, y0, y1, x0, x1, area in bounds
     ]
-

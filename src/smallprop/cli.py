@@ -23,6 +23,7 @@ from . import __version__
 from .detector import DetectorProfile, preset, PRESET_LEVELS
 from .exchange import ExchangeFormatError, ProposalRecord, read_proposals, write_proposals
 from .evaluation import evaluate_dataset, render_overlay, report_csv, report_json, report_text, score_image
+from .masks import encode_runs
 from .pipeline import place_proposal, run_tiled, run_whole
 from .raster import PnmFormatError, read_pnm, write_pnm
 from .synth import (SceneSpec, generate_scene, list_scene_stems, load_scene, read_instances, save_scene,
@@ -261,7 +262,8 @@ def _run_one(stem: str, args, grid, profile, out: Path) -> None:
         raise
     except ValueError as exc:  # a grid that does not fit the scene
         raise ValueError(f"{scene.path}: {exc}") from None
-    records = [ProposalRecord(stem, p.mask.width, p.mask.height, p.objectness, p.mask.runs) for p in proposals]
+    runs = encode_runs([p.mask for p in proposals])
+    records = [ProposalRecord(stem, p.mask.width, p.mask.height, p.objectness, r) for p, r in zip(proposals, runs)]
     write_proposals(records, out / f"{stem}.jsonl")
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .annotations import GroundTruthObject
-from .masks import BinaryMask, shift_mask
+from .masks import BBox, BinaryMask, shift_mask
 from .prng import prng_next, randint, random, stream_seed
 
 ALLOWED_LEVELS = (4, 8, 16, 32, 64, 128)
@@ -105,6 +105,46 @@ def band_score(profile: DetectorProfile, side: float) -> float:
     return best
 
 
+def _decider(profile: DetectorProfile, region_w: int, region_h: int):
+    """The per-object decision of the simulated detector on regions of this size.
+
+    The returned ``decide(box, origin, instance_id)`` takes an object's tight
+    box in the region (only its size is read) and the region's origin in the
+    image. It returns None if the box's longer side, rescaled by
+    min(input_w/region_w, input_h/region_h), lies outside the profile's
+    detectable range. Otherwise it returns the jitter (dx, dy) and the
+    objectness, drawn from a stream keyed by (seed, origin, instance_id) in
+    the order dx, dy, noise. The band score of each distinct rescaled side is
+    computed once.
+    """
+    if region_w < 1 or region_h < 1:
+        raise ValueError("region must have positive area")
+    scale = min(profile.input_w / region_w, profile.input_h / region_h)
+    s_min, s_max = detectable_range(profile)
+    jitter, noise = profile.jitter, profile.objectness_noise
+    scores: dict[float, float] = {}
+    # stream_seed(seed, *origin) of each region: an object's stream is that one keyed by its id
+    regions: dict[tuple[int, int], int] = {}
+
+    def decide(box: BBox, origin: tuple[int, int], instance_id: int) -> tuple[int, int, float] | None:
+        eff = (box.w if box.w > box.h else box.h) * scale
+        if eff < s_min or eff > s_max:
+            return None
+        region = regions.get(origin)
+        if region is None:
+            region = regions[origin] = stream_seed(profile.seed, *origin)
+        draw_dx, state = prng_next(stream_seed(region, instance_id))
+        draw_dy, state = prng_next(state)
+        draw_noise, _ = prng_next(state)
+        score = scores.get(eff)
+        if score is None:
+            score = scores[eff] = band_score(profile, eff)
+        dx, dy = randint(draw_dx, -jitter, jitter), randint(draw_dy, -jitter, jitter)
+        return dx, dy, (1.0 - noise * random(draw_noise)) * score
+
+    return decide
+
+
 def simulate(
     profile: DetectorProfile,
     region_w: int,
@@ -121,25 +161,14 @@ def simulate(
     instance_id); draw order is dx, dy, noise. The whole function is a pure
     function of its arguments.
     """
-    if region_w < 1 or region_h < 1:
-        raise ValueError("region must have positive area")
-    scale = min(profile.input_w / region_w, profile.input_h / region_h)
-    s_min, s_max = detectable_range(profile)
+    decide = _decider(profile, region_w, region_h)
     out = []
     for obj in gt:
-        box = obj.mask.bbox
-        side = box.w if box.w > box.h else box.h
-        eff = side * scale
-        if eff < s_min or eff > s_max:
+        emission = decide(obj.mask.bbox, origin, obj.instance_id)
+        if emission is None:
             continue
-        draw_dx, state = prng_next(stream_seed(profile.seed, origin[0], origin[1], obj.instance_id))
-        draw_dy, state = prng_next(state)
-        draw_noise, _ = prng_next(state)
-        dx = randint(draw_dx, -profile.jitter, profile.jitter)
-        dy = randint(draw_dy, -profile.jitter, profile.jitter)
+        dx, dy, score = emission
         mask = shift_mask(obj.mask, dx, dy)
-        if mask.area == 0:
-            continue
-        score = (1.0 - profile.objectness_noise * random(draw_noise)) * band_score(profile, eff)
-        out.append(Proposal(mask, score))
+        if mask.area:
+            out.append(Proposal(mask, score))
     return out

@@ -14,6 +14,7 @@ also decoded on first use. Any mask encodes its runs only when asked.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, cycle
 from typing import Iterable, Sequence
@@ -100,7 +101,7 @@ class BinaryMask:
     def runs(self) -> tuple[int, ...]:
         """Canonical run-length encoding over the full canvas."""
         if self._runs is None:
-            _set(self, "_runs", _encode(self))
+            _encode([self], self.width, self.height)
         return self._runs
 
     def __setattr__(self, name, value):
@@ -166,6 +167,13 @@ def _decode(runs: tuple[int, ...], width: int, b: BBox) -> np.ndarray:
     return bitmap
 
 
+def _tight(width: int, height: int, x: int, y: int, bitmap: np.ndarray, area: int) -> BinaryMask:
+    """Mask whose box at (x, y) is exactly ``bitmap``, a tight grid of ``area``
+    pixels that the mask now owns and makes read-only."""
+    bitmap.flags.writeable = False
+    return _fill(object.__new__(BinaryMask), width, height, BBox(x, y, *bitmap.shape[::-1]), area, pixels=bitmap)
+
+
 def _trimmed(width: int, height: int, x: int, y: int, bitmap: np.ndarray) -> BinaryMask:
     """Mask of ``bitmap`` placed at (x, y), its box shrunk to the foreground."""
     pixels = bitmap.tobytes()
@@ -177,9 +185,7 @@ def _trimmed(width: int, height: int, x: int, y: int, bitmap: np.ndarray) -> Bin
     r0, r1 = first // w, pixels.rfind(1) // w + 1
     c0, c1 = cols.find(1), cols.rfind(1) + 1
     tight = bitmap[r0:r1, c0:c1].copy()
-    tight.flags.writeable = False
-    box = BBox(x + c0, y + r0, c1 - c0, r1 - r0)
-    return _fill(object.__new__(BinaryMask), width, height, box, int(np.count_nonzero(tight)), pixels=tight)
+    return _tight(width, height, x + c0, y + r0, tight, int(np.count_nonzero(tight)))
 
 
 def _part(mask, width, height, dx, dy, x0, y0, x1, y1) -> BinaryMask:
@@ -196,25 +202,62 @@ def _part(mask, width, height, dx, dy, x0, y0, x1, y1) -> BinaryMask:
     return _trimmed(width, height, cx0 + dx, cy0 + dy, sub)
 
 
-def _encode(mask: BinaryMask) -> tuple[int, ...]:
-    size = mask.width * mask.height
-    if mask.area == 0:
-        return (size,)
-    b = mask.bbox
-    padded = np.zeros((b.h, b.w + 2), dtype=np.int8)
-    padded[:, 1:-1] = mask.bitmap
-    rows, cols = np.nonzero(padded[:, 1:] - padded[:, :-1])
-    # per row: start, stop, start, stop, ... as flat canvas positions
-    offset = b.y * mask.width + b.x
-    bounds = [r * mask.width + c + offset for r, c in zip(rows.tolist(), cols.tolist())]
-    if b.w == mask.width:
-        # a run that stops at the right edge goes on where the next row starts
-        joined = set(bounds[1::2]).intersection(bounds[2::2])
-        bounds = [p for p in bounds if p not in joined]
-    runs = [q - p for p, q in zip([0] + bounds, bounds + [size])]
-    if runs[-1] == 0:
-        runs.pop()
-    return tuple(runs)
+def encode_runs(masks: Sequence[BinaryMask]) -> list[tuple[int, ...]]:
+    """The canonical runs of each of ``masks``, all on one canvas, made in one
+    pass over their pixels; each mask keeps its runs, so none is encoded twice."""
+    todo = [m for m in masks if m._runs is None]
+    require_same_canvas(todo)
+    if todo:
+        _encode(todo, todo[0].width, todo[0].height)
+    return [m._runs for m in masks]
+
+
+def _encode(masks: list[BinaryMask], width: int, height: int) -> None:
+    """Set the runs of masks on a width x height canvas.
+
+    The masks' bitmaps are laid end to end, each between two background
+    pixels, with a background pixel after each row unless the box is as wide
+    as the canvas: then its rows follow each other as on the canvas, and a
+    run goes on into the next row. So one diff finds every run's start and
+    stop. Mask k is placed on the k-th of canvases stacked one row apart,
+    which keeps the masks' positions apart.
+    """
+    for m in masks:
+        if m.area == 0:
+            _set(m, "_runs", (width * height,))
+    masks = [m for m in masks if m.area]
+    if not masks:
+        return
+    stride = width * (height + 1)
+    boxes = [m.bbox for m in masks]
+    pads = [b.w + (b.w < width) for b in boxes]
+    starts = list(accumulate((b.h * p + 2 for b, p in zip(boxes, pads)), initial=0))
+    rows = np.zeros(starts[-1], dtype=np.int8)
+    for m, b, p, start in zip(masks, boxes, pads, starts):
+        rows[start + 1 : start + 1 + b.h * p].reshape(-1, p)[:, : b.w] = m.bitmap
+    flips = np.flatnonzero(rows[1:] != rows[:-1])  # before pixel f + 1, the f - start-th of its bitmap
+    # per flip: its mask's first laid-out pixel, laid-out row width, and
+    # canvas position less that pixel's index; one mask needs no lookup,
+    # which would make BinaryMask.runs about 1.5 times as slow
+    if len(masks) == 1:
+        start, padded, offset = 0, pads[0], boxes[0].y * width + boxes[0].x
+    else:
+        table = np.array(
+            [(start, p, k * stride + b.y * width + b.x - start)
+             for k, (b, p, start) in enumerate(zip(boxes, pads, starts))],
+            dtype=np.int64,
+        )
+        start, padded, offset = table[np.searchsorted(starts[1:], flips, side="right")].T
+    bounds = flips + (flips - start) // padded * (width - padded) + offset  # start, stop, start, stop, ...
+    gaps = (bounds[1:] - bounds[:-1]).tolist()
+    bounds = bounds.tolist()
+    cuts = [0, *(bisect_left(bounds, k * stride) for k in range(1, len(masks))), len(bounds)]
+    for k, (m, i, j) in enumerate(zip(masks, cuts, cuts[1:])):
+        tail = k * stride + width * height - bounds[j - 1]
+        runs = [bounds[i] - k * stride, *gaps[i : j - 1]]
+        if tail:
+            runs.append(tail)
+        _set(m, "_runs", tuple(runs))
 
 
 def box_overlaps(a: Sequence[BBox], b: Sequence[BBox]) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from smallprop.annotations import SizeCategory, extract_instances, size_category
 from smallprop.raster import RasterImage, write_pnm
 from smallprop.synth import read_instances
-from oracles import mask_grid
+from oracles import grid_bbox, mask_grid
 
 
 def test_boundary_areas():
@@ -83,3 +83,26 @@ def test_instance_map_rejects_rgb_raster(tmp_path):
     with pytest.raises(ValueError) as exc:
         read_instances(path)
     assert str(exc.value) == f"{path}: instance maps are 16-bit gray rasters"
+
+
+def test_extracted_masks_match_the_pixel_oracle():
+    # sparse, non-contiguous ids; ids on the borders, 1-pixel objects and ids split in two
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        h, w = int(rng.integers(1, 16)), int(rng.integers(1, 16))
+        labels = np.zeros((h, w), np.uint16)
+        ids = rng.choice(np.arange(1, 65535), size=int(rng.integers(0, 7)), replace=False)
+        for i in ids:
+            for _ in range(int(rng.integers(1, 3))):  # a second blob splits the id
+                x0, y0 = int(rng.integers(0, w)), int(rng.integers(0, h))
+                x1, y1 = int(rng.integers(x0 + 1, w + 1)), int(rng.integers(y0 + 1, h + 1))
+                labels[y0:y1, x0:x1] = i
+        labels[rng.integers(0, h), rng.integers(0, w)] = 65535  # a 1-pixel object, or none if overdrawn
+        objs = extract_instances(labels)
+        assert [o.instance_id for o in objs] == sorted(set(labels.ravel().tolist()) - {0})
+        for o in objs:
+            grid = labels == o.instance_id
+            assert (o.mask.bbox.x, o.mask.bbox.y, o.mask.bbox.w, o.mask.bbox.h) == grid_bbox(grid)
+            assert o.mask.area == int(grid.sum())
+            assert np.array_equal(mask_grid(o.mask), grid)
+            assert not o.mask.bitmap.flags.writeable

@@ -13,6 +13,7 @@ from smallprop.masks import (
     box_overlaps,
     crop_mask,
     embed_mask,
+    encode_runs,
     mask_iou,
     shift_mask,
 )
@@ -307,3 +308,53 @@ def test_oracles_take_only_the_mask_type_from_the_mask_module():
     modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
     assert [n for m, n in names if m == "smallprop.masks"] == ["BinaryMask"]
     assert ("smallprop", "masks") not in names and "smallprop.masks" not in modules
+
+
+def _mask_set(rng, width, height):
+    """Grids of up to six masks on one canvas: random boxes of random fill,
+    full-width bands, single pixels, empty masks and boxes on a canvas edge."""
+    grids = []
+    for _ in range(int(rng.integers(0, 7))):
+        grid = np.zeros((height, width), bool)
+        kind = int(rng.integers(0, 5))
+        if kind == 0:  # full canvas width: runs join across rows
+            y0 = int(rng.integers(0, height))
+            grid[y0 : int(rng.integers(y0 + 1, height + 1))] = True
+            grid &= rng.random(grid.shape) < 0.9
+        elif kind == 1:
+            grid[int(rng.integers(0, height)), int(rng.integers(0, width))] = True
+        elif kind == 2:
+            pass
+        else:
+            x0, y0 = int(rng.integers(0, width)), int(rng.integers(0, height))
+            x1, y1 = int(rng.integers(x0 + 1, width + 1)), int(rng.integers(y0 + 1, height + 1))
+            if kind == 4:  # stretched to a random edge
+                edge = int(rng.integers(0, 4))
+                x0, y0, x1, y1 = (0, y0, x1, y1) if edge == 0 else (x0, 0, x1, y1) if edge == 1 else (
+                    (x0, y0, width, y1) if edge == 2 else (x0, y0, x1, height))
+            grid[y0:y1, x0:x1] = rng.random((y1 - y0, x1 - x0)) < rng.random()
+        grids.append(grid)
+    return grids
+
+
+def test_encode_runs_matches_the_pixel_oracle():
+    rng = np.random.default_rng(20)
+    for trial in range(400):
+        width, height = int(rng.integers(1, 14)), int(rng.integers(1, 9))
+        if trial % 5 == 0:
+            height = 1  # a W x 1 canvas: every mask is full-height
+        grids = _mask_set(rng, width, height)
+        want = [grid_runs(g) for g in grids]
+        assert encode_runs([_from_grid(g) for g in grids]) == want
+        # a mask encoded alone has the same runs, and a mask made from runs keeps them
+        assert [_from_grid(g).runs for g in grids] == want
+        made = [BinaryMask(width, height, r) for r in want]
+        assert encode_runs(made) == want and all(m.runs is r for m, r in zip(made, want))
+
+
+def test_encode_runs_of_no_masks_and_of_mixed_canvases():
+    assert encode_runs([]) == []
+    full = _from_grid(np.ones((2, 3), bool))
+    assert encode_runs([full, full]) == [(0, 6), (0, 6)]
+    with pytest.raises(ValueError, match="mask dimensions differ: 3x2 vs 3x3"):
+        encode_runs([_from_grid(np.ones((2, 3), bool)), _from_grid(np.ones((3, 3), bool))])

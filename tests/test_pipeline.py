@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from smallprop import pipeline
 from smallprop.annotations import GroundTruthObject
-from smallprop.detector import Proposal, preset
-from smallprop.masks import BinaryMask, mask_iou
+from smallprop.detector import PRESET_LEVELS, Proposal, band_score, detectable_range, preset, simulate
+from smallprop.masks import BBox, BinaryMask, crop_mask, mask_iou, shift_mask
+from smallprop.prng import prng_next, randint, random, stream_seed
 from smallprop.exchange import ExchangeFormatError
 from smallprop.pipeline import nms, place_proposal, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
-from smallprop.tiling import TileGridSpec
+from smallprop.tiling import TileGridSpec, plan_grid, remap_mask
 from smallprop.raster import RasterImage
 from oracles import grid_iou, mask_grid, rect_mask
 
@@ -202,3 +204,79 @@ def test_config_validation():
         run_tiled(scene, preset("fastmask"), grid, nms_iou=0.0)
     with pytest.raises(ValueError):
         run_tiled(scene, preset("fastmask"), grid, top_k=0)
+
+
+def _region_decision(profile, region_w, region_h, obj, origin):
+    """The simulated detector's emission for one object of a region, written
+    out from its definition: the band filter on the rescaled longer side, then
+    dx, dy and noise drawn from the (seed, x0, y0, id) stream, then the score."""
+    box = obj.mask.bbox
+    eff = max(box.w, box.h) * min(profile.input_w / region_w, profile.input_h / region_h)
+    s_min, s_max = detectable_range(profile)
+    if eff < s_min or eff > s_max:
+        return None
+    draw_dx, state = prng_next(stream_seed(profile.seed, origin[0], origin[1], obj.instance_id))
+    draw_dy, state = prng_next(state)
+    draw_noise, _ = prng_next(state)
+    mask = shift_mask(obj.mask, randint(draw_dx, -profile.jitter, profile.jitter),
+                      randint(draw_dy, -profile.jitter, profile.jitter))
+    if mask.area == 0:
+        return None
+    return Proposal(mask, (1.0 - profile.objectness_noise * random(draw_noise)) * band_score(profile, eff))
+
+
+def _per_region_reference(scene, tiles, profile):
+    """The raw proposals of a tiled run, composed from the public per-region
+    API: each tile's ground truth cropped to it, ``simulate`` on the tile, each
+    proposal remapped to the image. ``simulate`` must agree with the decision
+    written out in ``_region_decision``. Also counts the objects whose box
+    meets a tile but whose crop to it is empty, and the proposals of objects
+    wholly inside a tile that the jitter carried partly out of it."""
+    raw, empty_crops, pushed_out = [], 0, 0
+    areas = {o.instance_id: o.mask.area for o in scene.objects}
+    for tile in tiles:
+        origin = (tile.x0, tile.y0)
+        gt = []
+        for obj in scene.objects:
+            if obj.mask.bbox.intersects(BBox(tile.x0, tile.y0, tile.w, tile.h)):
+                local = crop_mask(obj.mask, tile.x0, tile.y0, tile.w, tile.h)
+                if local.area:
+                    gt.append(GroundTruthObject.from_mask(obj.instance_id, local))
+                else:
+                    empty_crops += 1
+        decided = [_region_decision(profile, tile.w, tile.h, g, origin) for g in gt]
+        simulated = simulate(profile, tile.w, tile.h, gt, origin)
+        assert [(p.mask, p.objectness) for p in simulated] == [(p.mask, p.objectness) for p in decided if p]
+        for p in simulated:
+            raw.append(Proposal(remap_mask(tile, p.mask, scene.width, scene.height), p.objectness))
+        for g, p in zip(gt, decided):
+            if p and g.mask.area == areas[g.instance_id] and p.mask.area < g.mask.area:
+                pushed_out += 1
+    return raw, empty_crops, pushed_out
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_LEVELS))
+def test_tiled_simulation_is_the_per_region_composition(name, monkeypatch):
+    # small scenes under a 32x24 grid at stride 16x12: most objects cut a tile edge
+    raw_of_run = []
+    monkeypatch.setattr(pipeline, "nms", lambda raw, iou, top_k: raw_of_run.append(raw) or [])
+    grid = TileGridSpec(32, 24, 16, 12)
+    emitted = empty_crops = pushed_out = 0
+    for seed in range(4):
+        scene = generate_scene(SceneSpec(width=96, height=64, n_apples=24, radius_min=2, radius_max=12,
+                                         n_leaves=6, min_visible=1, seed=seed))
+        tiles = plan_grid(scene.width, scene.height, grid)
+        for jitter in (0, 2, 5):
+            for noise in (0.0, 0.3):
+                profile = preset(name, jitter=jitter, objectness_noise=noise, seed=seed)
+                run_tiled(scene, profile, grid)
+                got = raw_of_run.pop()
+                want, empty, pushed = _per_region_reference(scene, tiles, profile)
+                assert [p.objectness for p in got] == [p.objectness for p in want]
+                for p, q in zip(got, want):
+                    assert p.mask == q.mask and p.mask.area == q.mask.area
+                emitted += len(got)
+                empty_crops += empty
+                pushed_out += pushed
+    assert emitted > 100
+    assert empty_crops > 0 and pushed_out > 0
