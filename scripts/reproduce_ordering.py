@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
+
 from smallprop.detector import preset
 from smallprop.evaluation import evaluate_dataset, report_text, score_image
 from smallprop.pipeline import run_tiled, run_whole
@@ -35,7 +37,8 @@ def main() -> int:
         for i in range(args.scenes)
     ]
     print(f"generated {len(scenes)} scenes, "
-          f"{sum(len(s.objects) for s in scenes)} annotated objects", file=sys.stderr)
+          f"{sum(np.count_nonzero(np.unique(s.instances.pixels)) for s in scenes)} annotated objects",
+          file=sys.stderr)
 
     systems = (
         ("tiled-attentionmask", partial(run_tiled, grid=TileGridSpec(320, 240, 160, 120)), "attentionmask"),

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .annotations import GroundTruthObject
-from .masks import BBox, BinaryMask, shift_mask
+from .masks import BBox, BinaryMask, _part
 from .prng import prng_next, randint, random, stream_seed
 
 ALLOWED_LEVELS = (4, 8, 16, 32, 64, 128)
@@ -105,17 +105,17 @@ def band_score(profile: DetectorProfile, side: float) -> float:
     return best
 
 
-def _decider(profile: DetectorProfile, region_w: int, region_h: int):
-    """The per-object decision of the simulated detector on regions of this size.
+def _emitter(profile: DetectorProfile, region_w: int, region_h: int):
+    """The emit step of the simulated detector on regions of this size.
 
-    The returned ``decide(box, origin, instance_id)`` takes an object's tight
-    box in the region (only its size is read) and the region's origin in the
-    image. It returns None if the box's longer side, rescaled by
-    min(input_w/region_w, input_h/region_h), lies outside the profile's
-    detectable range. Otherwise it returns the jitter (dx, dy) and the
-    objectness, drawn from a stream keyed by (seed, origin, instance_id) in
-    the order dx, dy, noise. The band score of each distinct rescaled side is
-    computed once.
+    ``emit(mask, box, x0, y0, key, instance_id)`` returns None if the longer
+    side of ``box``, the object's tight box in the region, rescaled by
+    min(input_w/region_w, input_h/region_h), lies outside the detectable
+    range. Otherwise it draws dx, dy and the noise from the (seed, key,
+    instance_id) stream and moves the object's pixels inside the region at
+    (x0, y0) of the mask's canvas by (dx, dy), dropping those that leave it:
+    the Proposal, or None if no pixel is left. Each distinct side's band
+    score is computed once.
     """
     if region_w < 1 or region_h < 1:
         raise ValueError("region must have positive area")
@@ -123,26 +123,32 @@ def _decider(profile: DetectorProfile, region_w: int, region_h: int):
     s_min, s_max = detectable_range(profile)
     jitter, noise = profile.jitter, profile.objectness_noise
     scores: dict[float, float] = {}
-    # stream_seed(seed, *origin) of each region: an object's stream is that one keyed by its id
+    # stream_seed(seed, *key) of each region: an object's stream is that one keyed by its id
     regions: dict[tuple[int, int], int] = {}
 
-    def decide(box: BBox, origin: tuple[int, int], instance_id: int) -> tuple[int, int, float] | None:
+    def emit(mask: BinaryMask, box: BBox, x0: int, y0: int, key: tuple[int, int],
+             instance_id: int) -> Proposal | None:
         eff = (box.w if box.w > box.h else box.h) * scale
         if eff < s_min or eff > s_max:
             return None
-        region = regions.get(origin)
+        region = regions.get(key)
         if region is None:
-            region = regions[origin] = stream_seed(profile.seed, *origin)
+            region = regions[key] = stream_seed(profile.seed, *key)
         draw_dx, state = prng_next(stream_seed(region, instance_id))
         draw_dy, state = prng_next(state)
         draw_noise, _ = prng_next(state)
+        dx, dy = randint(draw_dx, -jitter, jitter), randint(draw_dy, -jitter, jitter)
+        x1, y1 = x0 + region_w, y0 + region_h
+        moved = _part(mask, mask.width, mask.height, dx, dy,
+                      max(x0, x0 - dx), max(y0, y0 - dy), min(x1, x1 - dx), min(y1, y1 - dy))
+        if moved.area == 0:
+            return None
         score = scores.get(eff)
         if score is None:
             score = scores[eff] = band_score(profile, eff)
-        dx, dy = randint(draw_dx, -jitter, jitter), randint(draw_dy, -jitter, jitter)
-        return dx, dy, (1.0 - noise * random(draw_noise)) * score
+        return Proposal(moved, (1.0 - noise * random(draw_noise)) * score)
 
-    return decide
+    return emit
 
 
 def simulate(
@@ -154,21 +160,16 @@ def simulate(
 ) -> list[Proposal]:
     """Emit one proposal per ground-truth object inside the detectable band.
 
-    The region is virtually rescaled by min(input_w/region_w,
-    input_h/region_h); an object is emitted iff its rescaled bbox side lies in
-    the profile's detectable range. Each emitted mask is the ground-truth mask
-    shifted by a jitter drawn from a stream keyed by (seed, origin,
-    instance_id); draw order is dx, dy, noise. The whole function is a pure
+    The ``gt`` masks must lie on the region_w x region_h region canvas. The
+    region is virtually rescaled by min(input_w/region_w, input_h/region_h);
+    an object is emitted iff its rescaled bbox side lies in the profile's
+    detectable range. Each emitted mask is the ground-truth mask shifted by a
+    jitter drawn from a stream keyed by (seed, origin, instance_id), clipped
+    to the region; draw order is dx, dy, noise. The whole function is a pure
     function of its arguments.
     """
-    decide = _decider(profile, region_w, region_h)
-    out = []
-    for obj in gt:
-        emission = decide(obj.mask.bbox, origin, obj.instance_id)
-        if emission is None:
-            continue
-        dx, dy, score = emission
-        mask = shift_mask(obj.mask, dx, dy)
-        if mask.area:
-            out.append(Proposal(mask, score))
-    return out
+    if any((obj.mask.width, obj.mask.height) != (region_w, region_h) for obj in gt):
+        raise ValueError(f"ground-truth masks must lie on the {region_w}x{region_h} region canvas")
+    emit = _emitter(profile, region_w, region_h)
+    proposals = (emit(obj.mask, obj.mask.bbox, 0, 0, origin, obj.instance_id) for obj in gt)
+    return [p for p in proposals if p is not None]

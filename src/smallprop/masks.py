@@ -1,14 +1,15 @@
 """Binary pixel masks stored as a tight bounding box plus a bitmap of that box.
 
-Crop, shift, embed and IoU are box arithmetic plus slices of small arrays, so
-no operation touches pixels outside the object. The run-length encoding is the
-wire format of the proposal exchange files and is normative there: runs are
-listed in row-major scan order over the full canvas and alternate
+Moving a mask (a crop, a remap onto an image, a simulated jitter) and IoU
+are box arithmetic plus slices of small arrays, so no operation touches
+pixels outside the object. The run-length encoding is the wire format of
+the proposal exchange files and is normative there: runs are listed in
+row-major scan order over the full canvas and alternate
 background/foreground, with the first run counting background pixels
 (possibly zero). No other run may be zero. A mask read from runs takes its
 box and area from the runs when it is made and decodes its pixels on first
-use; a mask moved whole by crop, shift or embed shares its source's pixels,
-also decoded on first use. Any mask encodes its runs only when asked.
+use; a mask moved whole shares its source's pixels, also decoded on first
+use. Any mask encodes its runs only when asked.
 """
 
 from __future__ import annotations
@@ -79,14 +80,6 @@ class BinaryMask:
                 f"runs sum to {total}, expected {width}x{height}={width * height}"
             )
         _fill(self, width, height, *_measure(runs, width), runs=runs)  # valid runs are the canonical encoding
-
-    @classmethod
-    def from_bitmap(cls, width: int, height: int, x: int, y: int, bitmap) -> "BinaryMask":
-        """Mask whose pixels in the box at (x, y) are ``bitmap`` and empty elsewhere."""
-        grid = np.asarray(bitmap, dtype=bool)
-        if grid.ndim != 2 or x < 0 or y < 0 or x + grid.shape[1] > width or y + grid.shape[0] > height:
-            raise ValueError("bitmap does not fit inside the canvas")
-        return _trimmed(width, height, x, y, grid)
 
     @property
     def bitmap(self) -> np.ndarray:
@@ -308,14 +301,6 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def shift_mask(mask: BinaryMask, dx: int, dy: int) -> BinaryMask:
-    """Translate the foreground by (dx, dy), clipping pixels that leave the canvas."""
-    if dx == 0 and dy == 0:
-        return mask
-    w, h = mask.width, mask.height
-    return _part(mask, w, h, dx, dy, -dx, -dy, w - dx, h - dy)
-
-
 def crop_mask(mask: BinaryMask, x0: int, y0: int, width: int, height: int) -> BinaryMask:
     """Cut the window [x0, x0+width) x [y0, y0+height) into a new mask."""
     if x0 < 0 or y0 < 0 or x0 + width > mask.width or y0 + height > mask.height:
@@ -323,10 +308,3 @@ def crop_mask(mask: BinaryMask, x0: int, y0: int, width: int, height: int) -> Bi
     if width < 1 or height < 1:
         raise ValueError("crop window must be non-empty")
     return _part(mask, width, height, -x0, -y0, x0, y0, x0 + width, y0 + height)
-
-
-def embed_mask(mask: BinaryMask, x0: int, y0: int, width: int, height: int) -> BinaryMask:
-    """Place a mask at offset (x0, y0) on a larger width x height canvas."""
-    if x0 < 0 or y0 < 0 or x0 + mask.width > width or y0 + mask.height > height:
-        raise ValueError("embedded mask does not fit inside the target canvas")
-    return _part(mask, width, height, x0, y0, 0, 0, mask.width, mask.height)

@@ -12,9 +12,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .detector import DetectorProfile, Proposal, _decider
+from .detector import DetectorProfile, Proposal, _emitter
 from .exchange import ExchangeFormatError
-from .masks import BBox, _part, box_overlaps, crop_mask, mask_iou, require_same_canvas
+from .masks import BBox, box_overlaps, crop_mask, mask_iou, require_same_canvas
 from .synth import Scene
 from .tiling import Tile, TileGridSpec, plan_grid, remap_mask
 
@@ -65,34 +65,26 @@ def _simulated_proposals(
     """What ``simulate`` emits for each tile's ground truth, cropped to the
     tile, remapped to the image: tiles in order, each tile's objects by id.
 
-    The decision takes an object's box in the tile: its own box if it lies
-    inside the tile, else the box of its crop to the tile. Each proposal is
-    then built once, on the image canvas: the object's pixels inside
-    tile ∩ (tile - (dx, dy)), moved by (dx, dy), are those that crop, shift
-    and remap keep.
+    An object's box in the tile is its own box if it lies inside the tile,
+    else the box of its crop to the tile; an empty crop's box has side 0,
+    which no detectable band holds. The emit step then moves the object's
+    pixels inside the tile on the image canvas, which are the pixels that
+    crop, ``simulate`` and remap keep.
     """
     objects = scene.objects
     boxes = [o.mask.bbox for o in objects]
     visible = box_overlaps([BBox(t.x0, t.y0, t.w, t.h) for t in tiles], boxes)
-    decide = _decider(profile, tiles[0].w, tiles[0].h)  # every tile has the grid's size
+    emit = _emitter(profile, tiles[0].w, tiles[0].h)  # every tile has the grid's size
     out = []
     for tile, row in zip(tiles, visible):
         x0, y0, x1, y1 = tile.x0, tile.y0, tile.x0 + tile.w, tile.y0 + tile.h
         for i in np.flatnonzero(row).tolist():
             obj, box = objects[i], boxes[i]
             if box.x < x0 or box.y < y0 or box.x + box.w > x1 or box.y + box.h > y1:
-                local = crop_mask(obj.mask, x0, y0, tile.w, tile.h)
-                if local.area == 0:
-                    continue
-                box = local.bbox
-            emission = decide(box, (x0, y0), obj.instance_id)
-            if emission is None:
-                continue
-            dx, dy, score = emission
-            mask = _part(obj.mask, scene.width, scene.height, dx, dy,
-                         max(x0, x0 - dx), max(y0, y0 - dy), min(x1, x1 - dx), min(y1, y1 - dy))
-            if mask.area:
-                out.append(Proposal(mask, score))
+                box = crop_mask(obj.mask, x0, y0, tile.w, tile.h).bbox
+            proposal = emit(obj.mask, box, x0, y0, (x0, y0), obj.instance_id)
+            if proposal is not None:
+                out.append(proposal)
     return out
 
 

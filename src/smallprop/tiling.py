@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .masks import BinaryMask, embed_mask
+from .masks import BinaryMask, _part
 
 
 @dataclass(eq=True)
@@ -69,5 +69,7 @@ def remap_mask(tile: Tile, local: BinaryMask, img_w: int, img_h: int) -> BinaryM
         raise ValueError(
             f"local mask is {local.width}x{local.height}, tile is {tile.w}x{tile.h}"
         )
-    return embed_mask(local, tile.x0, tile.y0, img_w, img_h)
+    if tile.x0 < 0 or tile.y0 < 0 or tile.x0 + tile.w > img_w or tile.y0 + tile.h > img_h:
+        raise ValueError(f"tile at ({tile.x0}, {tile.y0}) does not fit inside the {img_w}x{img_h} image")
+    return _part(local, img_w, img_h, tile.x0, tile.y0, 0, 0, tile.w, tile.h)
 

@@ -140,15 +140,12 @@ def grid_bbox(grid: np.ndarray) -> tuple[int, int, int, int]:
 
 
 def grid_runs(grid) -> tuple[int, ...]:
-    """Canonical run-length encoding of a row-major grid, counted pixel by pixel."""
-    runs, value = [0], False
-    for row in grid:
-        for px in row:
-            if bool(px) != value:
-                runs.append(0)
-                value = not value
-            runs[-1] += 1
-    return tuple(runs)
+    """Canonical run-length encoding of a row-major grid: the gaps between the
+    pixels of the flattened grid that differ from the one before, background first."""
+    flat = np.asarray(grid, dtype=bool).ravel()
+    cuts = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), flat.size]
+    runs = [b - a for a, b in zip(cuts, cuts[1:])]
+    return tuple([0, *runs] if flat[0] else runs)
 
 
 def mask_grid(mask) -> np.ndarray:
@@ -336,7 +333,7 @@ def make_random_instance(rng, with_oracle=True):
         gt_oracle = []
         for gid in sorted(int(g) for g in np.unique(labels) if g):
             grid = labels == gid
-            gt_pkg.append(GroundTruthObject.from_mask(gid, BinaryMask.from_bitmap(w, h, 0, 0, grid)))
+            gt_pkg.append(GroundTruthObject.from_mask(gid, BinaryMask(w, h, grid_runs(grid))))
             if with_oracle:
                 gt_oracle.append((gid, grid))
         props_pkg = []
@@ -348,7 +345,7 @@ def make_random_instance(rng, with_oracle=True):
                 grid = shifted(labels == gid, int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
                 if not grid.any():
                     continue
-                m = BinaryMask.from_bitmap(w, h, 0, 0, grid)
+                m = BinaryMask(w, h, grid_runs(grid))
             else:
                 rw = int(rng.integers(2, max(3, w // 2)))
                 rh = int(rng.integers(2, max(3, h // 2)))

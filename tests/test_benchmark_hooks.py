@@ -42,8 +42,8 @@ def test_benchmark_hooks_resolve():
                if not callable(getattr(importlib.import_module(m), attr, None))]
     missing += [f"exchange_setup.{attr}" for _, attr, _, _ in tracing.SETUP_HOOKS
                 if not callable(getattr(exchange_setup, attr, None))]
-    # the tiled pipeline decides through detector._decider and no longer calls
-    # simulate, so the tracer reports this hook missing until it hooks the decision
+    # the tiled pipeline emits through the function detector._emitter returns and no
+    # longer calls simulate, so the tracer reports this hook missing until it hooks that
     assert missing == [PIPELINE_SIMULATE]
     assert callable(exchange_setup.write_exchange)
 

@@ -300,6 +300,11 @@ _BAD_FLAG_VALUES = [
     ("overlay", "--top-k", "-1"),
     ("overlay", "--top-k", "0"),
     ("synth", "--count", "-3"),
+    # values that do not parse at all
+    ("run", "--top-k", "abc"),
+    ("run", "--tile", "3x"),
+    ("run", "--levels", "4,x"),
+    ("synth", "--count", "two"),
     # range checks held by DetectorProfile, TileGridSpec and SceneSpec
     ("run", "--jitter", "-1"),
     ("run", "--fill-min", "2"),

@@ -11,7 +11,8 @@ from smallprop.detector import (
     simulate,
 )
 from smallprop.masks import mask_iou
-from oracles import rect_mask
+from smallprop.prng import prng_next, randint, stream_seed
+from oracles import mask_grid, rect_mask, shifted
 
 
 def gt_square(w, h, x0, y0, side, instance_id=1):
@@ -48,6 +49,11 @@ def test_simulate_empty_gt():
     assert simulate(preset("attentionmask"), 320, 240, []) == []
 
 
+def test_simulate_takes_masks_on_the_region_canvas():
+    with pytest.raises(ValueError, match="must lie on the 32x24 region canvas"):
+        simulate(preset("attentionmask"), 32, 24, [gt_square(64, 48, 40, 10, 12)])
+
+
 def test_fastmask_blind_below_its_band():
     # whole 1280x720 region at input 1280x960 keeps scale 1.0; sides < 60 < 64
     gt = [gt_square(1280, 720, 40 * i + 10, 50, 55, instance_id=i + 1) for i in range(5)]
@@ -78,6 +84,21 @@ def test_jitter_translates_within_bound():
     box = out[0].mask.bbox
     assert abs(box.x - 100) <= 3 and abs(box.y - 100) <= 3
     assert out[0].mask.area == gt[0].mask.area
+
+
+def test_jitter_over_the_region_edge_drops_the_pixels_that_leave():
+    # squares in two opposite corners of the region: most jitters carry part of one out
+    gt = [gt_square(64, 48, 0, 0, 12, instance_id=4), gt_square(64, 48, 52, 36, 12, instance_id=5)]
+    clipped = 0
+    for seed in range(6):
+        out = simulate(preset("attentionmask", jitter=5, seed=seed), 64, 48, gt, origin=(32, 24))
+        assert len(out) == 2
+        for obj, p in zip(gt, out):
+            draw_dx, state = prng_next(stream_seed(seed, 32, 24, obj.instance_id))
+            dx, dy = randint(draw_dx, -5, 5), randint(prng_next(state)[0], -5, 5)
+            assert np.array_equal(mask_grid(p.mask), shifted(mask_grid(obj.mask), dx, dy))
+            clipped += p.mask.area < obj.mask.area
+    assert clipped >= 6
 
 
 def test_simulate_is_deterministic():

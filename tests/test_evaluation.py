@@ -19,12 +19,12 @@ from smallprop.evaluation import (
     report_json,
     report_text,
 )
-from smallprop.masks import BinaryMask, shift_mask
+from smallprop.masks import BinaryMask
 from smallprop.pipeline import run_whole
 from smallprop.raster import RasterImage
 from smallprop.synth import SceneSpec, generate_scene
 from oracles import (average_recall, greedy_assign, grid_runs, label_grid, make_random_instance, mask_grid,
-                     oracle_report, rect_mask, ref_pairs)
+                     oracle_report, rect_mask, ref_pairs, shifted)
 
 
 def interval_mask(width, start, stop):
@@ -161,6 +161,17 @@ def test_fastmask_sim_gives_all_zero_report():
     report = evaluate_dataset(scored, system="fastmask")
     for cell in (report.ar_at_10, report.ar_at_100, report.ar_xs_at_100, report.ar_s_at_100, report.ar_m_at_100):
         assert cell == 0.0
+
+
+def test_ar_at_100_counts_the_100th_proposal_and_not_the_101st():
+    # the object's only match ranks after proposals over background only
+    labels = np.zeros((8, 20), np.int32)
+    labels[1:5, 1:5] = 7
+    only_match = Proposal(BinaryMask(20, 8, grid_runs(labels == 7)), 0.5)
+    decoy = Proposal(rect_mask(20, 8, 12, 2, 3, 3), 0.9)
+    for decoys, recall in ((99, 1.0), (100, 0.0)):
+        report = evaluate_dataset([score_image(labels, [decoy] * decoys + [only_match])])
+        assert (report.ar_at_10, report.ar_at_100) == (0.0, recall)
 
 
 def test_budget_monotonicity_random():
@@ -313,9 +324,9 @@ def test_overlay_matches_full_canvas_drawing_at_edges_and_holes():
     holed[17, 20] = False
     props = [
         Proposal(BinaryMask(24, 20, grid_runs(labels == 3)), 0.9),
-        Proposal(BinaryMask.from_bitmap(24, 20, 0, 0, holed), 0.8),
-        Proposal(shift_mask(BinaryMask.from_bitmap(24, 20, 0, 0, labels == 9), 1, 1), 0.7),
-        Proposal(shift_mask(BinaryMask(24, 20, grid_runs(labels == 14)), -1, 0), 0.6),
+        Proposal(BinaryMask(24, 20, grid_runs(holed)), 0.8),
+        Proposal(BinaryMask(24, 20, grid_runs(shifted(labels == 9, 1, 1))), 0.7),
+        Proposal(BinaryMask(24, 20, grid_runs(shifted(labels == 14, -1, 0))), 0.6),
         Proposal(rect_mask(24, 20, 20, 6, 4, 4), 0.5),  # right edge, over background only
     ]
     image = RasterImage(rng.integers(0, 256, (20, 24, 3), dtype=np.uint8))
@@ -436,7 +447,8 @@ def test_match_and_overlay_take_no_mask_iou(monkeypatch):
     labels = scene.instances.pixels
     objs = scene.objects
     # three matches, three misses and a proposal over background only
-    props = [Proposal(shift_mask(o.mask, 1, -1), 0.9) for o in objs[::2]]
+    props = [Proposal(BinaryMask(160, 120, grid_runs(shifted(labels == o.instance_id, 1, -1))), 0.9)
+             for o in objs[::2]]
     props.append(Proposal(rect_mask(160, 120, 70, 50, 30, 20), 0.4))
     monkeypatch.setattr(evaluation, "mask_iou", _forbidden)
     got = match(labels, props)

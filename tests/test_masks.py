@@ -6,27 +6,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from smallprop.masks import (
-    BBox,
-    BinaryMask,
-    MaskFormatError,
-    box_overlaps,
-    crop_mask,
-    embed_mask,
-    encode_runs,
-    mask_iou,
-    shift_mask,
-)
+from smallprop.annotations import extract_instances
+from smallprop.masks import BBox, BinaryMask, MaskFormatError, box_overlaps, crop_mask, encode_runs, mask_iou
+from smallprop.tiling import Tile, remap_mask
 import oracles
-from oracles import grid_bbox, grid_iou, grid_runs, mask_grid, rect_mask, shifted
+from oracles import grid_bbox, grid_iou, grid_runs, mask_grid, rect_mask
 
 grids = hnp.arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24)))
 
 
 def _from_grid(grid) -> BinaryMask:
-    """The mask of a full-canvas row-major grid."""
+    """The mask of a full-canvas row-major grid made from its pixels, as
+    extraction makes it: a tight bitmap and no runs (an empty grid's mask is
+    an empty crop, which has no runs either)."""
     grid = np.asarray(grid, dtype=bool)
-    return BinaryMask.from_bitmap(grid.shape[1], grid.shape[0], 0, 0, grid)
+    h, w = grid.shape
+    found = extract_instances(grid.astype(np.uint8))
+    return found[0].mask if found else crop_mask(BinaryMask(w, h, (w * h,)), 0, 0, w, h)
 
 
 def test_encode_all_background():
@@ -98,38 +94,29 @@ def test_area_example():
     assert BinaryMask(2, 2, (0, 4)).area == 4
 
 
-def test_shift_identity():
-    m = rect_mask(10, 10, 2, 3, 4, 4)
-    assert shift_mask(m, 0, 0) == m
-
-
-def test_shift_clips_at_border():
-    m = rect_mask(20, 20, 0, 0, 10, 10)
-    shifted = shift_mask(m, -5, 0)
-    grid = np.zeros((20, 20), bool)
-    grid[:10, :10] = True
-    ref = np.zeros_like(grid)
-    ref[:, :15] = grid[:, 5:]
-    assert shifted.area == 50
-    assert np.array_equal(mask_grid(shifted), ref)
-
-
 def test_bbox_examples():
     assert rect_mask(10, 8, 2, 1, 3, 4).bbox == BBox(2, 1, 3, 4)
     assert BinaryMask(5, 5, (25,)).bbox == BBox(0, 0, 0, 0)
     assert BinaryMask(3, 3, (0, 9)).bbox == BBox(0, 0, 3, 3)
 
 
-def test_crop_and_embed_roundtrip():
+def test_crop_and_remap_roundtrip():
     m = rect_mask(16, 12, 5, 4, 6, 5)
     part = crop_mask(m, 4, 2, 8, 8)
     assert part.area == int(mask_grid(m)[2:10, 4:12].sum())
-    back = embed_mask(part, 4, 2, 16, 12)
+    back = remap_mask(Tile(0, 4, 2, 8, 8), part, 16, 12)
     assert back.area == part.area
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="crop window outside the mask"):
         crop_mask(m, 10, 10, 8, 8)
-    with pytest.raises(ValueError):
-        embed_mask(m, 5, 5, 16, 12)
+    for w, h in ((0, 3), (3, 0), (-1, 3)):
+        with pytest.raises(ValueError, match="crop window must be non-empty"):
+            crop_mask(m, 5, 5, w, h)
+    with pytest.raises(ValueError, match="local mask is 16x12, tile is 8x8"):
+        remap_mask(Tile(0, 4, 2, 8, 8), m, 16, 12)
+    # a tile of the local mask's size that leaves the image, on each side
+    for x0, y0 in ((5, 0), (0, 5), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="does not fit inside the 16x12 image"):
+            remap_mask(Tile(0, x0, y0, 16, 12), m, 16, 12)
 
 
 def test_runs_merge_across_row_end():
@@ -137,6 +124,18 @@ def test_runs_merge_across_row_end():
     assert _from_grid([[0, 0, 0], [1, 1, 1], [1, 1, 1]]).runs == (3, 6)
     assert _from_grid([[0, 1, 1], [1, 1, 0]]).runs == (1, 4, 1)
     assert crop_mask(_from_grid(np.ones((3, 5), bool)), 1, 0, 3, 3).runs == (0, 9)
+
+
+@given(grids)
+def test_grid_runs_is_the_pixel_by_pixel_count(grid):
+    # the oracle finds the change points with numpy; here they are counted one pixel at a time
+    runs, value = [0], False
+    for px in grid.ravel().tolist():
+        if px != value:
+            runs.append(0)
+            value = px
+        runs[-1] += 1
+    assert grid_runs(grid) == tuple(runs)
 
 
 @given(grids)
@@ -156,20 +155,6 @@ def test_iou_matches_bruteforce_and_symmetry(pair):
 def test_iou_self_is_one_when_nonempty(grid):
     m = _from_grid(grid)
     assert mask_iou(m, m) == (1.0 if m.area else 0.0)
-
-
-@given(grids, st.integers(-10, 10), st.integers(-10, 10))
-def test_shift_never_grows(grid, dx, dy):
-    m = _from_grid(grid)
-    s = shift_mask(m, dx, dy)
-    assert s.area <= m.area
-    ref = np.zeros_like(grid)
-    h, w = grid.shape
-    ys, xs = np.nonzero(grid)
-    ys, xs = ys + dy, xs + dx
-    keep = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-    ref[ys[keep], xs[keep]] = True
-    assert np.array_equal(mask_grid(s), ref)
 
 
 @given(grids)
@@ -238,27 +223,19 @@ def test_mask_ops_match_grid_oracles(grid, data):
     x0, y0 = data.draw(st.integers(0, w - cw)), data.draw(st.integers(0, h - ch))
     _assert_matches(crop_mask(mask, x0, y0, cw, ch), grid[y0 : y0 + ch, x0 : x0 + cw])
 
-    # shifts up to a full canvas side leave the canvas entirely
-    dx, dy = data.draw(st.integers(-w, w)), data.draw(st.integers(-h, h))
-    ys, xs = np.nonzero(grid)
-    ys, xs = ys + dy, xs + dx
-    keep = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-    shifted = np.zeros_like(grid)
-    shifted[ys[keep], xs[keep]] = True
-    _assert_matches(shift_mask(mask, dx, dy), shifted)
-
+    # the mask as the tile at (ex, ey) of a larger image: its remap there
     big_w, big_h = w + data.draw(st.integers(0, 4)), h + data.draw(st.integers(0, 4))
     ex, ey = data.draw(st.integers(0, big_w - w)), data.draw(st.integers(0, big_h - h))
     embedded = np.zeros((big_h, big_w), bool)
     embedded[ey : ey + h, ex : ex + w] = grid
-    _assert_matches(embed_mask(mask, ex, ey, big_w, big_h), embedded)
+    _assert_matches(remap_mask(Tile(0, ex, ey, w, h), mask, big_w, big_h), embedded)
 
     other = data.draw(hnp.arrays(np.bool_, grid.shape) | st.just(grid))
     assert mask_iou(mask, _from_grid(other)) == grid_iou(grid, other)
 
     # equality compares canvas size, box and pixels
     if (big_w, big_h) != (w, h):
-        assert embed_mask(mask, 0, 0, big_w, big_h) != mask
+        assert remap_mask(Tile(0, 0, 0, w, h), mask, big_w, big_h) != mask
     flipped = grid.copy()
     flipped[data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] ^= True
     assert _from_grid(flipped) != mask
@@ -275,19 +252,20 @@ def test_every_route_measures_when_made_and_moves_share_one_bitmap(grid, ex, ey)
     box = grid_bbox(grid)
     embedded = np.zeros((h + ey, w + ex), bool)
     embedded[ey:, ex:] = grid
-    moved = [embed_mask(mask, ex, ey, w + ex, h + ey), crop_mask(mask, 0, 0, w, h)]
-    if mask.area:  # a box inside the canvas moves whole, here a second time
-        moved.append(shift_mask(moved[0], -box[0] - ex, -box[1] - ey))
-    drawn = BinaryMask.from_bitmap(w + ex, h + ey, ex, ey, grid)
+    moved = [remap_mask(Tile(0, ex, ey, w, h), mask, w + ex, h + ey), crop_mask(mask, 0, 0, w, h)]
+    if mask.area:  # a crop to the box moves it whole, here a second time
+        moved.append(crop_mask(moved[0], box[0] + ex, box[1] + ey, box[2], box[3]))
+    # a mask made from a tight bitmap, as extraction makes one (none for an empty grid)
+    drawn = [o.mask for o in extract_instances(embedded.astype(np.uint8))]
     # no hook fills a field on first read: the box and area are plain slots set when made
     assert not hasattr(BinaryMask, "__getattr__")
     assert (mask.bbox.x, mask.bbox.y, mask.bbox.w, mask.bbox.h) == box
     assert (moved[0].bbox.x, moved[0].bbox.y, moved[0].bbox.w, moved[0].bbox.h) == grid_bbox(embedded)
-    assert (drawn.bbox.x, drawn.bbox.y, drawn.bbox.w, drawn.bbox.h) == grid_bbox(embedded)
-    for m in [mask, *moved, drawn]:
+    assert [(m.bbox.x, m.bbox.y, m.bbox.w, m.bbox.h) for m in drawn] == [grid_bbox(embedded)] * bool(mask.area)
+    for m in [mask, *moved, *drawn]:
         assert m.area == int(grid.sum())
     assert not any(map(_decoded, [mask, *moved] if mask.area else [mask]))  # empty ones share no pixels
-    assert drawn._runs is None  # and a mask drawn from a bitmap encodes no runs
+    assert all(m._runs is None for m in drawn)  # and a mask made from a bitmap encodes no runs
 
     # the mask moved twice is decoded first: its sources get the same bitmap and it lets go of them
     first = moved[-1].bitmap
@@ -297,8 +275,9 @@ def test_every_route_measures_when_made_and_moves_share_one_bitmap(grid, ex, ey)
     _assert_matches(moved[0], embedded)
     _assert_matches(moved[1], grid)
     if mask.area:
-        _assert_matches(moved[2], shifted(embedded, -box[0] - ex, -box[1] - ey))
-    _assert_matches(drawn, embedded)
+        _assert_matches(moved[2], grid[box[1] : box[1] + box[3], box[0] : box[0] + box[2]])
+    for m in drawn:
+        _assert_matches(m, embedded)
 
 
 def test_oracles_take_only_the_mask_type_from_the_mask_module():

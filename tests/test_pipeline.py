@@ -4,14 +4,14 @@ import pytest
 from smallprop import pipeline
 from smallprop.annotations import GroundTruthObject
 from smallprop.detector import PRESET_LEVELS, Proposal, band_score, detectable_range, preset, simulate
-from smallprop.masks import BBox, BinaryMask, crop_mask, mask_iou, shift_mask
+from smallprop.masks import BBox, BinaryMask, crop_mask, mask_iou
 from smallprop.prng import prng_next, randint, random, stream_seed
 from smallprop.exchange import ExchangeFormatError
 from smallprop.pipeline import nms, place_proposal, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
 from smallprop.tiling import TileGridSpec, plan_grid, remap_mask
 from smallprop.raster import RasterImage
-from oracles import grid_iou, mask_grid, rect_mask
+from oracles import grid_iou, grid_runs, mask_grid, rect_mask, shifted
 
 
 def proposal(mask, score):
@@ -209,7 +209,9 @@ def test_config_validation():
 def _region_decision(profile, region_w, region_h, obj, origin):
     """The simulated detector's emission for one object of a region, written
     out from its definition: the band filter on the rescaled longer side, then
-    dx, dy and noise drawn from the (seed, x0, y0, id) stream, then the score."""
+    dx, dy and noise drawn from the (seed, x0, y0, id) stream, the mask moved
+    by (dx, dy) on the grid of the region with the pixels that leave it
+    dropped, then the score."""
     box = obj.mask.bbox
     eff = max(box.w, box.h) * min(profile.input_w / region_w, profile.input_h / region_h)
     s_min, s_max = detectable_range(profile)
@@ -218,11 +220,12 @@ def _region_decision(profile, region_w, region_h, obj, origin):
     draw_dx, state = prng_next(stream_seed(profile.seed, origin[0], origin[1], obj.instance_id))
     draw_dy, state = prng_next(state)
     draw_noise, _ = prng_next(state)
-    mask = shift_mask(obj.mask, randint(draw_dx, -profile.jitter, profile.jitter),
-                      randint(draw_dy, -profile.jitter, profile.jitter))
-    if mask.area == 0:
+    grid = shifted(mask_grid(obj.mask), randint(draw_dx, -profile.jitter, profile.jitter),
+                   randint(draw_dy, -profile.jitter, profile.jitter))
+    if not grid.any():
         return None
-    return Proposal(mask, (1.0 - profile.objectness_noise * random(draw_noise)) * band_score(profile, eff))
+    score = (1.0 - profile.objectness_noise * random(draw_noise)) * band_score(profile, eff)
+    return Proposal(BinaryMask(region_w, region_h, grid_runs(grid)), score)
 
 
 def _per_region_reference(scene, tiles, profile):

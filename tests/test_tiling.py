@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from smallprop.masks import BinaryMask, crop_mask, mask_iou
 from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
-from oracles import mask_grid, rect_mask, verify_coverage
+from oracles import grid_runs, mask_grid, rect_mask, verify_coverage
 
 
 def test_grid_1280x720_non_overlapping():
@@ -99,7 +99,7 @@ def test_remap_roundtrip_recovers_tile_region(img_w, img_h, data):
     y0 = data.draw(st.integers(0, img_h - th))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     grid = rng.random((img_h, img_w)) < 0.4
-    global_mask = BinaryMask.from_bitmap(img_w, img_h, 0, 0, grid)
+    global_mask = BinaryMask(img_w, img_h, grid_runs(grid))
     tile = Tile(0, x0, y0, tw, th)
     back = remap_mask(tile, crop_mask(global_mask, x0, y0, tw, th), img_w, img_h)
     ref = np.zeros_like(grid)
