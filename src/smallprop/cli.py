@@ -21,10 +21,10 @@ from pathlib import Path
 
 from . import __version__
 from .detector import DetectorProfile, preset, PRESET_LEVELS
-from .exchange import ExchangeFormatError, ProposalRecord, read_proposals, write_proposals
+from .exchange import ExchangeFormatError, ProposalBatch, ProposalRecord, read_proposals, write_proposals
 from .evaluation import evaluate_dataset, render_overlay, report_csv, report_json, report_text, score_image
 from .masks import encode_runs
-from .pipeline import place_proposal, run_tiled, run_whole
+from .pipeline import place, run_tiled, run_whole
 from .raster import PnmFormatError, read_pnm, write_pnm
 from .synth import (SceneSpec, generate_scene, list_scene_stems, load_scene, read_instances, save_scene,
                     scene_seed, scene_stem)
@@ -147,13 +147,14 @@ def _resolve_profile(args) -> DetectorProfile | None:
     return _usage(given, replace, preset(args.detector or "attentionmask"), **overrides)
 
 
-def _whole_image_proposals(path: Path, width: int, height: int) -> list:
-    """The proposals of a file of whole-image records for a width x height image."""
-    lines = read_proposals(path)
+def _whole_image_proposals(path: Path, width: int, height: int) -> ProposalBatch:
+    """The records of a file of whole-image records for a width x height image."""
+    batch = read_proposals(path)
     try:
-        return [place_proposal(*line, width, height) for line in lines]
+        place(batch, width, height)  # checks that each record is a whole-image one of the image's size
     except ExchangeFormatError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    return batch
 
 
 def _usable_cpus() -> int:
@@ -250,7 +251,7 @@ def cmd_synth(args) -> int:
 def _run_one(stem: str, args, grid, profile, out: Path) -> None:
     scene = load_scene(args.scenes, stem)
     path = Path(args.exchange) / f"{stem}.jsonl" if args.exchange else None
-    lines = read_proposals(path) if path and path.exists() else []
+    lines = read_proposals(path) if path and path.exists() else ProposalBatch.of(())
     try:
         if args.mode == "tiled":
             proposals = run_tiled(scene, profile or lines, grid, args.nms_iou, args.top_k)
@@ -357,8 +358,7 @@ def cmd_overlay(args) -> int:
         raise ValueError(f"{args.image} is {image.width}x{image.height}, "
                          f"{args.instances} is {imap.width}x{imap.height}")
     proposals = _whole_image_proposals(Path(args.proposals), imap.width, imap.height)
-    ranked = sorted(proposals, key=lambda p: -p.objectness)[: args.top_k]
-    overlay = render_overlay(image, imap.pixels, ranked)
+    overlay = render_overlay(image, imap.pixels, proposals.top(args.top_k))
     write_pnm(overlay, args.out)
     _write_manifest(
         manifest, "overlay", {**inputs, "top_k": args.top_k}, inputs,

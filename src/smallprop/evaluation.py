@@ -19,7 +19,8 @@ import numpy as np
 
 from .annotations import SizeCategory, size_category
 from .detector import Proposal
-from .masks import BinaryMask, require_same_canvas
+from .exchange import ProposalBatch
+from .masks import _foreground, require_same_canvas
 from .masks import mask_iou  # noqa: F401 - unused here; perfbench/tracing.py hooks this name
 from .raster import RasterImage
 
@@ -67,42 +68,40 @@ def _objects(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(labels[labels != 0], return_counts=True)
 
 
-def _pairs_under(labels, ids, areas, proposals) -> list[tuple[float, int, int]]:
+def _pairs_under(labels, ids, areas, batch: ProposalBatch) -> list[tuple[float, int, int]]:
     """All positive-IoU (iou, id, proposal index) pairs of an instance grid's
-    objects ``ids`` of pixel counts ``areas``, sorted by IoU desc, id, index.
+    objects ``ids`` of pixel counts ``areas`` and the records of ``batch``,
+    sorted by IoU desc, id, index.
 
-    One histogram of the ids under the proposals' foreground pixels, taken from
+    One histogram of the ids under the records' foreground pixels, taken from
     their runs, so no bitmap is decoded; ids are compressed to the objects
     present, so memory follows the pixels and the objects, not the largest id.
     IoU is the correctly rounded quotient of integer intersection and union.
     """
-    if not (ids.size and proposals):
+    if not (ids.size and len(batch)):
         return []
     height, width = labels.shape
-    masks = [p.mask for p in proposals]
-    require_same_canvas([BinaryMask(width, height, (width * height,)), *masks])
-    runs = []
-    for m in masks:  # an even count per mask, so the foreground runs are the odd ones
-        runs.extend(m.runs)
-        if len(m.runs) % 2:
-            runs.append(0)
-    runs = np.array(runs, dtype=np.int64)
-    # each mask's runs sum to its canvas, so one cumsum places the canvases end to end
-    starts, lengths = np.cumsum(runs)[0::2], runs[1::2]
-    mask_areas = np.array([m.area for m in masks])
-    owner = np.repeat(np.arange(len(masks)), mask_areas)
+    require_same_canvas([(width, height), *zip(batch.widths.tolist(), batch.heights.tolist())])
+    owner, starts, lengths = _foreground(batch.runs, batch.offsets)
+    owner = np.repeat(owner, lengths)
     pixel = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(owner.size)
-    pixel -= owner * (width * height)
     # ids compressed to the objects present: background is column 0, ids[k] column k + 1
     n = ids.size + 1
     key = owner * n + np.searchsorted(ids, labels.ravel()[pixel], side="right")
-    inter = np.bincount(key, minlength=len(masks) * n).reshape(len(masks), n)[:, 1:]
+    inter = np.bincount(key, minlength=len(batch) * n).reshape(len(batch), n)[:, 1:]
     pi, gi = np.nonzero(inter)
     shared = inter[pi, gi]
-    iou = shared / (mask_areas[pi] + areas[gi] - shared)
+    iou = shared / (batch.areas[pi] + areas[gi] - shared)
     gid = ids[gi]
     order = np.lexsort((pi, gid, -iou))
     return list(zip(iou[order].tolist(), gid[order].tolist(), pi[order].tolist()))
+
+
+def _as_batch(proposals) -> ProposalBatch:
+    """A batch as it is, or the batch of a sequence of proposals."""
+    if isinstance(proposals, ProposalBatch):
+        return proposals
+    return ProposalBatch.of((k, None, p) for k, p in enumerate(proposals, start=1))
 
 
 def _greedy(pairs) -> list[tuple[int, int, float]]:
@@ -118,14 +117,14 @@ def _greedy(pairs) -> list[tuple[int, int, float]]:
     return out
 
 
-def match(labels: np.ndarray, proposals: Sequence[Proposal]) -> tuple[tuple[int, int, float], ...]:
-    """Greedily assign proposals to the objects of an instance grid; zero-IoU
-    pairs never match.
+def match(labels: np.ndarray, proposals: Sequence[Proposal] | ProposalBatch) -> tuple[tuple[int, int, float], ...]:
+    """Greedily assign proposals, or the records of a batch, to the objects of
+    an instance grid; zero-IoU pairs never match.
 
     Returns the one-to-one pairs (gt id, proposal index, iou). Proposals are
     expected to be truncated to the evaluation budget already.
     """
-    return tuple(_greedy(_pairs_under(labels, *_objects(labels), proposals)))
+    return tuple(_greedy(_pairs_under(labels, *_objects(labels), _as_batch(proposals))))
 
 
 def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[float | None, int]:
@@ -148,15 +147,15 @@ def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[f
 
 
 def score_image(
-    labels: np.ndarray, proposals: Sequence[Proposal]
+    labels: np.ndarray, proposals: Sequence[Proposal] | ProposalBatch
 ) -> tuple[dict[int, SizeCategory], list[tuple[float, int, int]]]:
     """One image's share of a dataset report: the size category of each object
     of the instance grid ``labels`` ({id: category}, the ground truth as
     ``extract_instances`` finds it), and the positive-IoU (iou, id, proposal
-    index) pairs of the proposals ranked by objectness descending (stable) and
-    truncated to the largest budget.
+    index) pairs of the proposals, or a batch's records, ranked by objectness
+    descending (stable) and truncated to the largest budget.
     """
-    ranked = sorted(proposals, key=lambda p: -p.objectness)[: max(BUDGETS)]
+    ranked = _as_batch(proposals).top(max(BUDGETS))
     ids, areas = _objects(labels)
     sizes = {g: size_category(a) for g, a in zip(ids.tolist(), areas.tolist())}
     return sizes, _pairs_under(labels, ids, areas, ranked)
@@ -237,8 +236,9 @@ def _contour(grid: np.ndarray) -> np.ndarray:
     return grid & ~interior
 
 
-def render_overlay(image: RasterImage, labels: np.ndarray, proposals: Sequence[Proposal]) -> RasterImage:
-    """Draw matched proposals filled with a colored contour, misses in red.
+def render_overlay(image: RasterImage, labels: np.ndarray, proposals: Sequence[Proposal] | ProposalBatch) -> RasterImage:
+    """Draw matched proposals, or records of a batch, filled with a colored
+    contour, misses in red.
 
     Objects of the instance grid ``labels`` are drawn by id ascending. Each
     shows only its assigned (best-IoU) proposal; an unmatched one is drawn as
@@ -246,12 +246,13 @@ def render_overlay(image: RasterImage, labels: np.ndarray, proposals: Sequence[P
     """
     if image.channels != 3:
         raise ValueError("overlay rendering needs an RGB image")
-    by_gt = {gid: pi for gid, pi, _ in match(labels, proposals)}
+    batch = _as_batch(proposals)
+    by_gt = {gid: pi for gid, pi, _ in match(labels, batch)}
     canvas = image.pixels.astype(np.int16)
     for gid in _objects(labels)[0].tolist():
         if gid in by_gt:
             color = np.array(_PALETTE[gid % len(_PALETTE)], dtype=np.int16)
-            m = proposals[by_gt[gid]].mask
+            m = batch.mask(by_gt[gid])
             b = m.bbox  # tight, so a foreground pixel on its edge is contour as on the canvas
             window = canvas[b.y : b.y + b.h, b.x : b.x + b.w]
             window[m.bitmap] = (window[m.bitmap] + color) // 2

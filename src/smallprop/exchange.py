@@ -10,14 +10,18 @@ to 0), so quantizing at the two ends makes read/write a byte-stable round trip.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .detector import Proposal
-from .masks import BinaryMask
+from .masks import BBox, BinaryMask, _fill, _measure, _valid, box_rows
 
 _REQUIRED_KEYS = ("image_id", "width", "height", "objectness", "runs")
-_ALL_KEYS = frozenset(_REQUIRED_KEYS) | {"tile_index"}
+_REQUIRED = frozenset(_REQUIRED_KEYS)
+_ALL_KEYS = _REQUIRED | {"tile_index"}
 
 
 class ExchangeFormatError(ValueError):
@@ -66,42 +70,163 @@ def write_proposals(records, path) -> None:
     Path(path).write_bytes(payload.encode("ascii"))
 
 
-def _parse_record(doc, stem: str, path, lineno: int) -> tuple[int, int | None, Proposal]:
+class ProposalBatch:
+    """The records of a proposal file as columns, in file order.
+
+    ``lines`` holds each record's line number and ``tiles`` its tile index, -1
+    for a whole-image record; ``widths``, ``heights`` and ``objectness`` are
+    arrays; ``runs`` holds every record's runs end to end, record k's at
+    ``runs[offsets[k]:offsets[k + 1]]``; ``boxes`` holds the (x, y, w, h) row
+    and ``areas`` the area of each record's mask on its own canvas. As a
+    sequence, item k is record k's ``(line, tile_index or None, Proposal)``,
+    whose mask is made when asked for and decodes its pixels on first use.
+    """
+
+    __slots__ = ("lines", "tiles", "widths", "heights", "objectness", "runs", "offsets", "boxes", "areas")
+
+    def __init__(self, lines, tiles, widths, heights, objectness, runs, offsets, boxes, areas) -> None:
+        self.lines, self.tiles, self.widths, self.heights = lines, tiles, widths, heights
+        self.objectness, self.runs, self.offsets, self.boxes, self.areas = objectness, runs, offsets, boxes, areas
+
+    @classmethod
+    def of(cls, records) -> "ProposalBatch":
+        """The batch of ``(line, tile_index or None, Proposal)`` triples."""
+        records = list(records)
+        masks = [p.mask for _, _, p in records]
+        runs = [m.runs for m in masks]
+        return cls(
+            np.array([n for n, _, _ in records], dtype=np.int64),
+            np.array([-1 if t is None else t for _, t, _ in records], dtype=np.int64),
+            np.array([m.width for m in masks], dtype=np.int64),
+            np.array([m.height for m in masks], dtype=np.int64),
+            np.array([p.objectness for _, _, p in records], dtype=float),
+            np.fromiter(chain.from_iterable(runs), np.int64, sum(map(len, runs))),
+            _offsets(map(len, runs), len(runs)),
+            box_rows([m.bbox for m in masks]),
+            np.array([m.area for m in masks], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def mask(self, k: int) -> BinaryMask:
+        """Record k's mask on its own canvas."""
+        runs = tuple(self.runs[self.offsets.item(k) : self.offsets.item(k + 1)].tolist())
+        return _fill(object.__new__(BinaryMask), self.widths.item(k), self.heights.item(k),
+                     BBox(*self.boxes[k].tolist()), self.areas.item(k), runs=runs)
+
+    def __getitem__(self, k: int) -> tuple[int, int | None, Proposal]:
+        k = range(len(self))[k]  # an IndexError past either end
+        tile = self.tiles.item(k)
+        return self.lines.item(k), None if tile < 0 else tile, Proposal(self.mask(k), self.objectness.item(k))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (ProposalBatch, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def take(self, index) -> "ProposalBatch":
+        """The records at ``index``, an integer array, in its order."""
+        counts = np.diff(self.offsets)[index]
+        offsets = _offsets(counts, len(counts))
+        where = np.repeat(self.offsets[:-1][index] - offsets[:-1], counts) + np.arange(offsets[-1])
+        return ProposalBatch(self.lines[index], self.tiles[index], self.widths[index], self.heights[index],
+                             self.objectness[index], self.runs[where], offsets, self.boxes[index], self.areas[index])
+
+    def top(self, k: int) -> "ProposalBatch":
+        """The ``k`` records of highest objectness, ranked; ties keep file order."""
+        return self.take(np.argsort(-self.objectness, kind="stable")[:k])
+
+
+def _offsets(counts, n: int) -> np.ndarray:
+    """The n + 1 offsets, from 0, of segments of ``counts`` (n of them) laid end to end."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(counts, np.int64, n), out=offsets[1:])
+    return offsets
+
+
+def _record(line: str, stem: str, path, lineno: int) -> tuple:
+    """The record on line ``lineno``, decoded and its fields' types checked,
+    as (line, tile_index or None, width, height, objectness, runs)."""
+    try:
+        doc = _DECODER.decode(line)
+    except (RecursionError, ValueError) as exc:  # a repeated key or too many digits has no msg
+        why = "nested too deeply" if isinstance(exc, RecursionError) else getattr(exc, "msg", exc)
+        raise ExchangeFormatError(f"{path}: line {lineno}: invalid JSON ({why})") from None
     if not isinstance(doc, dict):
         raise ExchangeFormatError(f"{path}: line {lineno}: record is not an object")
-    keys = set(doc)
-    missing = [k for k in _REQUIRED_KEYS if k not in keys]
-    if missing:
+    keys = doc.keys()
+    if not keys >= _REQUIRED:
+        missing = [k for k in _REQUIRED_KEYS if k not in keys]
         raise ExchangeFormatError(f"{path}: line {lineno}: missing fields {missing}")
-    unknown = sorted(keys - _ALL_KEYS)
-    if unknown:
-        raise ExchangeFormatError(f"{path}: line {lineno}: unknown fields {unknown}")
+    if not keys <= _ALL_KEYS:
+        raise ExchangeFormatError(f"{path}: line {lineno}: unknown fields {sorted(keys - _ALL_KEYS)}")
     image_id = doc["image_id"]
     if not isinstance(image_id, str):
         raise ExchangeFormatError(f"{path}: line {lineno}: image_id must be a string")
     if image_id != stem:
         raise ExchangeFormatError(f"{path}: line {lineno}: record image_id {image_id!r} does not match {stem!r}")
     tile_index = doc.get("tile_index")
+    # exact types, of decoded JSON values: a bool is an int instance
     for name in ("width", "height") + (("tile_index",) if tile_index is not None else ()):
-        v = doc[name]
-        if not isinstance(v, int) or isinstance(v, bool):
+        if type(doc[name]) is not int:
             raise ExchangeFormatError(f"{path}: line {lineno}: {name} must be an integer")
+    if tile_index is not None and not 0 <= tile_index < 2**63:  # a column of int64
+        raise ExchangeFormatError(f"{path}: line {lineno}: tile_index must be a non-negative 64-bit integer")
     objectness = doc["objectness"]
-    if isinstance(objectness, bool) or not isinstance(objectness, (int, float)):
+    if type(objectness) is not float and type(objectness) is not int:
         raise ExchangeFormatError(f"{path}: line {lineno}: objectness must be a number")
     runs = doc["runs"]
-    if not isinstance(runs, list):
+    if type(runs) is not list:
         raise ExchangeFormatError(f"{path}: line {lineno}: runs must be a list of integers")
+    record = (lineno, tile_index, doc["width"], doc["height"], objectness, runs)
+    if not set(map(type, runs)) <= {int}:
+        _check(record, path)  # raises, with the mask's first complaint
+    return record
+
+
+def _check(record, path) -> None:
+    """Raise the error of the first rule of ``BinaryMask`` and ``Proposal`` that
+    a record of ``_record`` breaks, naming its line."""
+    lineno, _, width, height, objectness, runs = record
     try:  # BinaryMask checks the run elements, Proposal the range and a non-empty mask
-        mask = BinaryMask(doc["width"], doc["height"], runs)
-        return lineno, tile_index, Proposal(mask, round(objectness, 6) + 0.0)  # + 0.0 turns -0.0 into 0.0
+        Proposal(BinaryMask(width, height, runs), round(objectness, 6) + 0.0)
     except (ValueError, OverflowError) as exc:  # an integer objectness past float range overflows
         raise ExchangeFormatError(f"{path}: line {lineno}: {exc}") from exc
 
 
-def read_proposals(path) -> list[tuple[int, int | None, Proposal]]:
-    """``(line number, tile_index, proposal)`` per record of a JSONL proposal
-    file, in file order; every record's image_id must be the file's stem."""
+def _batch(records: list[tuple], path) -> ProposalBatch:
+    """The batch of the records of ``_record``, every record's values checked
+    at once; if one breaks a rule, the records are checked one by one in file
+    order, which raises the error of the first one that does."""
+    lines, tiles, widths, heights, objectness, runs = zip(*records) if records else ((),) * 6
+    try:
+        objectness = np.array([round(o, 6) + 0.0 for o in objectness], dtype=float)  # + 0.0 turns -0.0 into 0.0
+        widths, heights = np.array(widths, dtype=np.int64), np.array(heights, dtype=np.int64)
+        offsets = _offsets(map(len, runs), len(runs))
+        flat = np.fromiter(chain.from_iterable(runs), np.int64, offsets[-1])
+    except OverflowError:  # a value past int64, or an integer objectness past float range
+        valid = False
+    else:
+        valid = _valid(flat, offsets, widths, heights)
+    if valid:
+        boxes, areas = _measure(flat, offsets, widths)
+        valid = areas.all() and ((objectness >= 0.0) & (objectness <= 1.0)).all()
+    if not valid:
+        for record in records:
+            _check(record, path)
+        raise AssertionError(f"{path}: the batch rejects a record that passes every check")
+    tiles = np.array([-1 if t is None else t for t in tiles], dtype=np.int64)
+    return ProposalBatch(np.array(lines, dtype=np.int64), tiles, widths, heights, objectness, flat, offsets,
+                         boxes, areas)
+
+
+def read_proposals(path) -> ProposalBatch:
+    """The records of a JSONL proposal file as one batch, in file order; every
+    record's image_id must be the file's stem. The first line that breaks a
+    rule, in file order, raises an ``ExchangeFormatError`` naming it."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("ascii")
@@ -109,15 +234,14 @@ def read_proposals(path) -> list[tuple[int, int | None, Proposal]]:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ExchangeFormatError(f"{path}: line {line}: non-ASCII byte {data[exc.start]:#x}") from None
     stem = Path(path).stem
-    out = []
+    records = []
     # only "\n" ends a line, as counted above; a blank line holds only JSON whitespace
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip(" \t\r"):
             continue
         try:
-            doc = _DECODER.decode(line)
-        except (RecursionError, ValueError) as exc:  # a repeated key or too many digits has no msg
-            why = "nested too deeply" if isinstance(exc, RecursionError) else getattr(exc, "msg", exc)
-            raise ExchangeFormatError(f"{path}: line {lineno}: invalid JSON ({why})") from None
-        out.append(_parse_record(doc, stem, path, lineno))
-    return out
+            records.append(_record(line, stem, path, lineno))
+        except ExchangeFormatError:
+            _batch(records, path)  # a record on an earlier line may break a rule checked only there
+            raise
+    return _batch(records, path)

@@ -23,6 +23,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+MAX_PIXELS = 2**63 - 1  # a canvas's pixel positions are int64
+
+
 class MaskFormatError(ValueError):
     """Run-length data that violates the mask format."""
 
@@ -65,6 +68,8 @@ class BinaryMask:
     def __init__(self, width: int, height: int, runs: Sequence[int]) -> None:
         if width < 1 or height < 1:
             raise ValueError(f"mask dimensions must be positive, got {width}x{height}")
+        if width * height > MAX_PIXELS:
+            raise ValueError(f"mask of {width}x{height} has more than 2**63 - 1 pixels")
         runs = tuple(runs)
         if not set(map(type, runs)) <= {int}:  # exact types: a bool is an int instance
             raise MaskFormatError("runs must be integers")
@@ -79,7 +84,8 @@ class BinaryMask:
             raise MaskFormatError(
                 f"runs sum to {total}, expected {width}x{height}={width * height}"
             )
-        _fill(self, width, height, *_measure(runs, width), runs=runs)  # valid runs are the canonical encoding
+        (box,), (area,) = _measure(np.array(runs, dtype=np.int64), np.array([0, len(runs)]), np.array([width]))
+        _fill(self, width, height, BBox(*box.tolist()), int(area), runs=runs)  # valid runs are the canonical encoding
 
     @property
     def bitmap(self) -> np.ndarray:
@@ -133,19 +139,66 @@ def _fill(mask, width, height, bbox, area, runs=None, pixels=None) -> BinaryMask
     return mask
 
 
-def _measure(runs: tuple[int, ...], width: int) -> tuple[BBox, int]:
-    """The box and area of valid runs on a canvas ``width`` wide, from the runs alone."""
-    n = len(runs) - len(runs) % 2  # runs up to the last foreground run
-    if n == 0:
-        return _NO_BOX, 0
-    starts = list(accumulate(runs[:n]))[0::2]  # of the foreground runs
-    lens = runs[1:n:2]
-    cols = [p % width for p in starts]
-    x0, x1 = min(cols), max(map(operator.add, cols, lens))
-    if x1 > width:  # a run goes on past a row end, so the box spans every column
-        x0, x1 = 0, width
-    y0, y1 = starts[0] // width, (starts[-1] + lens[-1] - 1) // width + 1
-    return BBox(x0, y0, x1 - x0, y1 - y0), sum(lens)
+def _stops(runs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Where each run stops on its own mask's canvas, for masks whose runs are
+    laid end to end, mask k's at ``runs[offsets[k]:offsets[k + 1]]``. One cumsum
+    places every run; taking off the sum of the runs before a mask gives its
+    own positions, and a wrapped int64 sum wraps back."""
+    first = offsets[:-1]
+    stops = np.cumsum(runs)
+    stops -= np.repeat(stops[first] - runs[first], np.diff(offsets))
+    return stops
+
+
+def _foreground(runs: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mask, start, length) of each foreground run of valid runs laid out as
+    for ``_stops``; a start is a position on the mask's own canvas."""
+    counts = np.diff(offsets)
+    fg = np.flatnonzero((np.arange(len(runs)) - np.repeat(offsets[:-1], counts)) % 2)  # odd places
+    lengths = runs[fg]
+    return np.repeat(np.arange(len(counts)), counts // 2), _stops(runs, offsets)[fg] - lengths, lengths
+
+
+def _valid(runs: np.ndarray, offsets: np.ndarray, widths: np.ndarray, heights: np.ndarray) -> bool:
+    """True iff the runs of every mask, laid out as for ``_stops``, on its
+    width x height canvas pass the checks of ``BinaryMask(width, height, runs)``
+    (beyond the element types): all masks at once, on int64 values."""
+    if not (np.diff(offsets).all() and (widths >= 1).all() and (heights >= 1).all()):
+        return False
+    if (widths > MAX_PIXELS // heights).any():
+        return False
+    later = np.ones(len(runs), dtype=bool)
+    later[offsets[:-1]] = False
+    stops = _stops(runs, offsets)
+    # with no run negative, a stop below 0 is a sum that wrapped past int64
+    bad = (runs < 0) | later & (runs == 0) | (stops < 0)
+    return not bad.any() and np.array_equal(stops[offsets[1:] - 1], widths * heights)
+
+
+def _measure(runs: np.ndarray, offsets: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y, w, h) box rows and the areas of masks given by valid runs,
+    laid out as for ``_foreground``, on canvases ``widths`` wide, from the runs
+    alone: one pass over all masks' foreground runs. An empty mask's row is 0s."""
+    owner, starts, lengths = _foreground(runs, offsets)
+    boxes = np.zeros((len(widths), 4), dtype=np.int64)
+    areas = np.zeros(len(widths), dtype=np.int64)
+    if not len(owner):
+        return boxes, areas
+    per_mask = np.diff(offsets) // 2  # foreground runs
+    has = np.flatnonzero(per_mask)
+    last = np.cumsum(per_mask)[has] - 1  # each such mask's last foreground run
+    seg = last + 1 - per_mask[has]
+    width = widths[has]
+    cols = starts % widths[owner]
+    x0 = np.minimum.reduceat(cols, seg)
+    x1 = np.maximum.reduceat(cols + lengths, seg)
+    wide = x1 > width  # a run goes on past a row end, so the box spans every column
+    x0[wide], x1[wide] = 0, width[wide]
+    y0 = starts[seg] // width
+    y1 = (starts[last] + lengths[last] - 1) // width + 1
+    boxes[has] = np.stack((x0, y0, x1 - x0, y1 - y0), axis=1)
+    areas[has] = np.add.reduceat(lengths, seg)
+    return boxes, areas
 
 
 def _decode(runs: tuple[int, ...], width: int, b: BBox) -> np.ndarray:
@@ -199,7 +252,7 @@ def encode_runs(masks: Sequence[BinaryMask]) -> list[tuple[int, ...]]:
     """The canonical runs of each of ``masks``, all on one canvas, made in one
     pass over their pixels; each mask keeps its runs, so none is encoded twice."""
     todo = [m for m in masks if m._runs is None]
-    require_same_canvas(todo)
+    require_same_canvas((m.width, m.height) for m in todo)
     if todo:
         _encode(todo, todo[0].width, todo[0].height)
     return [m._runs for m in masks]
@@ -253,26 +306,31 @@ def _encode(masks: list[BinaryMask], width: int, height: int) -> None:
         _set(m, "_runs", tuple(runs))
 
 
-def box_overlaps(a: Sequence[BBox], b: Sequence[BBox]) -> np.ndarray:
-    """Boolean matrix whose [i, j] entry is ``a[i].intersects(b[j])``.
+def box_rows(boxes: Sequence[BBox]) -> np.ndarray:
+    """The (x, y, w, h) rows of ``boxes`` as an (n, 4) int64 array."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.int64).reshape(-1, 4)
+
+
+def box_overlaps(a, b) -> np.ndarray:
+    """Boolean matrix whose [i, j] entry is ``a[i].intersects(b[j])``, for
+    sequences of boxes or arrays of their ``box_rows``.
 
     Masks whose boxes do not intersect share no pixel, so their IoU is 0.0;
     callers use this to skip ``mask_iou`` on such pairs.
     """
-    ea = np.array([(q.x, q.y, q.x + q.w, q.y + q.h) for q in a], dtype=np.int64).reshape(-1, 4)
-    eb = np.array([(q.x, q.y, q.x + q.w, q.y + q.h) for q in b], dtype=np.int64).reshape(-1, 4)
+    ea, eb = (q if isinstance(q, np.ndarray) else box_rows(q) for q in (a, b))
     ea, eb = ea[:, None, :], eb[None, :, :]
     return (
-        (ea[..., 0] < eb[..., 2])
-        & (eb[..., 0] < ea[..., 2])
-        & (ea[..., 1] < eb[..., 3])
-        & (eb[..., 1] < ea[..., 3])
+        (ea[..., 0] < eb[..., 0] + eb[..., 2])
+        & (eb[..., 0] < ea[..., 0] + ea[..., 2])
+        & (ea[..., 1] < eb[..., 1] + eb[..., 3])
+        & (eb[..., 1] < ea[..., 1] + ea[..., 3])
     )
 
 
-def require_same_canvas(masks: Iterable[BinaryMask]) -> None:
-    """Raise the ValueError of ``mask_iou`` unless all masks share one canvas size."""
-    sizes = sorted({(m.width, m.height) for m in masks})
+def require_same_canvas(sizes: Iterable[tuple[int, int]]) -> None:
+    """Raise the ValueError of ``mask_iou`` unless all (width, height) ``sizes`` are one."""
+    sizes = sorted(set(sizes))
     if len(sizes) > 1:
         raise ValueError(
             "mask dimensions differ: " + " vs ".join(f"{w}x{h}" for w, h in sizes)

@@ -13,13 +13,61 @@ from typing import Sequence, Union
 import numpy as np
 
 from .detector import DetectorProfile, Proposal, _emitter
-from .exchange import ExchangeFormatError
-from .masks import BBox, box_overlaps, crop_mask, mask_iou, require_same_canvas
+from .exchange import ExchangeFormatError, ProposalBatch
+from .masks import BBox, box_overlaps, box_rows, crop_mask, mask_iou, require_same_canvas
 from .synth import Scene
 from .tiling import Tile, TileGridSpec, plan_grid, remap_mask
 
-# a simulated detector, or the (line number, tile_index, proposal) records of one scene's exchange file
-ProposalSource = Union[DetectorProfile, Sequence[tuple[int, int | None, Proposal]]]
+# a simulated detector, or the records of one scene's exchange file
+ProposalSource = Union[DetectorProfile, ProposalBatch]
+
+
+class Placed:
+    """The records of an exchange batch on a width x height image, as ``place``
+    checked them: the columns NMS ranks and compares boxes by (``objectness``,
+    ``areas``, and ``boxes``, (x, y, w, h) rows on the image), and, as a
+    sequence, each record's proposal on the image, made only when asked for."""
+
+    def __init__(self, batch: ProposalBatch, width: int, height: int, tiles: Sequence[Tile], boxes) -> None:
+        self.batch, self.width, self.height, self.tiles = batch, width, height, tiles
+        self.objectness, self.areas, self.boxes = batch.objectness, batch.areas, boxes
+
+    def __len__(self) -> int:
+        return len(self.batch)
+
+    def __getitem__(self, k: int) -> Proposal:
+        mask, tile = self.batch.mask(k), self.batch.tiles.item(k)
+        if tile >= 0:
+            mask = remap_mask(self.tiles[tile], mask, self.width, self.height)
+        return Proposal(mask, self.objectness.item(k))
+
+
+def place(batch: ProposalBatch, width: int, height: int, tiles: Sequence[Tile] = ()) -> Placed:
+    """The records of ``batch`` placed on a width x height image by box
+    arithmetic. Every record's fit is checked at once, by the rules of
+    ``place_proposal``, which raises the error of the first that breaks one."""
+    # each record's frame: its tile, or the image itself, the last row
+    frames = np.array([(t.x0, t.y0, t.w, t.h) for t in tiles] + [(0, 0, width, height)], dtype=np.int64)
+    whole = batch.tiles < 0
+    known = whole | (batch.tiles < len(tiles))
+    frame = frames[np.where(whole | ~known, len(tiles), batch.tiles)]
+    inside = (frame[:, :2] >= 0).all(axis=1) & (frame[:, :2] + frame[:, 2:] <= (width, height)).all(axis=1)
+    fits = known & inside & (batch.widths == frame[:, 2]) & (batch.heights == frame[:, 3])
+    if not fits.all():
+        place_proposal(*batch[int(np.argmin(fits))], width, height, tiles)
+    boxes = batch.boxes.copy()
+    boxes[:, :2] += frame[:, :2]
+    return Placed(batch, width, height, tiles, boxes)
+
+
+def _columns(proposals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The objectness, areas and (x, y, w, h) box rows of placed records or of proposals on one canvas."""
+    if isinstance(proposals, Placed):
+        return proposals.objectness, proposals.areas, proposals.boxes
+    masks = [p.mask for p in proposals]
+    require_same_canvas((m.width, m.height) for m in masks)
+    return (np.array([p.objectness for p in proposals], dtype=float),
+            np.array([m.area for m in masks], dtype=np.int64), box_rows([m.bbox for m in masks]))
 
 
 def nms(
@@ -35,28 +83,25 @@ def nms(
     A candidate is compared only with kept proposals whose bounding boxes
     intersect its own: any other pair shares no pixel, so its IoU is 0.0,
     below every threshold in (0, 1], and skipping it cannot change the output.
+    The visit orders and compares boxes by the proposals' columns, so of
+    ``Placed`` records it makes only the proposals it visits, each of which
+    it compares or keeps.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError("nms_iou must lie in (0, 1]")
-    masks = [p.mask for p in proposals]
-    require_same_canvas(masks)
-    order = sorted(
-        range(len(proposals)),
-        key=lambda i: (-proposals[i].objectness, -proposals[i].mask.area, i),
-    )
-    boxes = [m.bbox for m in masks]
+    objectness, areas, boxes = _columns(proposals)
     overlaps = box_overlaps(boxes, boxes)
-    is_kept = np.zeros(len(proposals), dtype=bool)
-    kept: list[Proposal] = []
-    for i in order:
+    is_kept = np.zeros(len(areas), dtype=bool)
+    kept: dict[int, Proposal] = {}  # by index, in visit order
+    for i in np.lexsort((-areas, -objectness)).tolist():  # a stable sort: ties keep insertion order
         if len(kept) == top_k:
             break
-        cand = masks[i]
-        rivals = np.flatnonzero(overlaps[i] & is_kept)
-        if all(mask_iou(cand, masks[j]) < iou_threshold for j in rivals):
+        cand = proposals[i]
+        rivals = np.flatnonzero(overlaps[i] & is_kept).tolist()
+        if all(mask_iou(cand.mask, kept[j].mask) < iou_threshold for j in rivals):
             is_kept[i] = True
-            kept.append(proposals[i])
-    return kept
+            kept[i] = cand
+    return list(kept.values())
 
 
 def _simulated_proposals(
@@ -121,7 +166,7 @@ def run_tiled(
     if isinstance(source, DetectorProfile):
         raw = _simulated_proposals(scene, tiles, source)
     else:
-        raw = [place_proposal(*line, scene.width, scene.height, tiles) for line in source]
+        raw = place(source, scene.width, scene.height, tiles)
     return nms(raw, nms_iou, top_k)
 
 

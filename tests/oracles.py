@@ -6,6 +6,7 @@ code path with the run-length implementations under test.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -360,3 +361,23 @@ def make_random_instance(rng, with_oracle=True):
         per_pkg.append((labels, props_pkg))
         per_oracle.append((gt_oracle, props_oracle))
     return per_pkg, per_oracle
+
+
+def ref_read_records(path) -> list[tuple[int, int, tuple[int, int, int, int], int]]:
+    """(line, tile index or -1, (x, y, w, h) box, area) of each record of a
+    valid proposal file: every line parsed on its own, its runs decoded onto
+    a grid, the box taken from that grid's foreground pixels."""
+    out = []
+    for lineno, line in enumerate(open(path).read().split("\n"), start=1):
+        if not line.strip():
+            continue
+        doc = json.loads(line)
+        w, h = doc["width"], doc["height"]
+        grid = np.zeros(w * h, dtype=bool)
+        pos = 0
+        for k, run in enumerate(doc["runs"]):
+            grid[pos : pos + run] = k % 2 == 1
+            pos += run
+        grid = grid.reshape(h, w)
+        out.append((lineno, doc.get("tile_index", -1), grid_bbox(grid), int(grid.sum())))
+    return out

@@ -343,7 +343,7 @@ def test_overlay_matches_full_canvas_drawing_at_edges_and_holes():
 
 def kernel_pairs(labels, props):
     """The full pair list of the pair kernel that eval, match and overlay share."""
-    return evaluation._pairs_under(labels, *evaluation._objects(labels), props)
+    return evaluation._pairs_under(labels, *evaluation._objects(labels), evaluation._as_batch(props))
 
 
 def test_label_pairs_equal_reference_pairs_random():

@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from smallprop.exchange import (
     write_proposals,
 )
 from smallprop.masks import BinaryMask
-from oracles import rect_mask
+from oracles import grid_runs, rect_mask, ref_read_records
 
 LINE = '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [0, 4]}'
 
@@ -208,3 +210,122 @@ def test_large_roundtrip_bytes(tmp_path):
     write_proposals(records, p1)
     write_proposals([as_record("img", *line) for line in read_proposals(p1)], p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad_runs, bad_width, line",
+    [(2, 3, 2), (3, 2, 2)],
+    ids=["numeric-fault-first", "type-fault-first"],
+)
+def test_first_offending_line_wins_whatever_its_kind(tmp_path, bad_runs, bad_width, line):
+    # a negative run is found when the whole file's runs are checked at once,
+    # a string width as its line is decoded; the earlier line is reported either way
+    lines = [LINE] * 4
+    lines[bad_runs - 1] = LINE.replace("[0, 4]", "[5, -1]")
+    lines[bad_width - 1] = LINE.replace('"width": 2', '"width": "8"')
+    path = tmp_path / "x.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ExchangeFormatError) as exc:
+        read_proposals(path)
+    want = "negative run length" if bad_runs == line else "width must be an integer"
+    assert str(exc.value) == f"{path}: line {line}: {want}"
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [('"runs": [0, 2, 0, 2]', "zero-length run after the first"),
+     ('"runs": [5, -1]', "negative run length"),
+     ('"runs": []', "runs must be non-empty"),
+     ('"runs": [0, 3]', "runs sum to 3, expected 2x2=4"),
+     ('"runs": [4]', "proposal mask is empty"),
+     ('"width": 0', "mask dimensions must be positive, got 0x2"),
+     ('"height": -2', "mask dimensions must be positive, got 2x-2"),
+     ('"objectness": 1.0000005', "objectness 1.000001 outside [0, 1]")],
+)
+def test_value_rules_name_their_line(tmp_path, fault, message):
+    # the values of a whole file are checked at once; a fault is then re-checked record by record
+    key = fault.split(":")[0]
+    start = LINE.index(key)
+    stop = LINE.index(",", start) if key != '"runs"' else len(LINE) - 1
+    path = tmp_path / "x.jsonl"
+    path.write_text(LINE + "\n" + LINE[:start] + fault + LINE[stop:] + "\n" + LINE + "\n")
+    with pytest.raises(ExchangeFormatError) as exc:
+        read_proposals(path)
+    assert str(exc.value) == f"{path}: line 2: {message}"
+
+
+@pytest.mark.parametrize(
+    "runs",
+    ["[4611686018427387904, 4611686018427387904, 4611686018427387904]",  # 3 * 2**62 wraps past int64
+     "[0, 18446744073709551616]",  # 2**64 is no int64
+     "[0, 4611686018427387904, 4611686018427387904, 4611686018427387904, 4611686018427387908]"],  # wraps to 4
+)
+def test_run_sums_past_int64_keep_their_message(tmp_path, runs):
+    path = tmp_path / "x.jsonl"
+    path.write_text(LINE + "\n" + LINE.replace("[0, 4]", runs) + "\n")
+    with pytest.raises(ExchangeFormatError) as exc:
+        read_proposals(path)
+    total = sum(json.loads(runs))
+    assert str(exc.value) == f"{path}: line 2: runs sum to {total}, expected 2x2=4"
+
+
+def test_integer_objectness_past_float_range_keeps_its_message(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_text(LINE + "\n" + LINE.replace("0.5", "1" + "0" * 400) + "\n")
+    with pytest.raises(ExchangeFormatError) as exc:
+        read_proposals(path)
+    assert str(exc.value) == f"{path}: line 2: int too large to convert to float"
+
+
+_TILED = LINE.replace('{"image_id": "x", ', '{"image_id": "x", "tile_index": %d, ')
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [(_TILED % -1, "tile_index must be a non-negative 64-bit integer"),
+     (_TILED % 2**63, "tile_index must be a non-negative 64-bit integer"),
+     (LINE.replace('"width": 2, "height": 2', '"width": 4294967296, "height": 4294967296')
+      .replace("[0, 4]", "[0, 18446744073709551616]"), "mask of 4294967296x4294967296 has more than 2**63 - 1 pixels"),
+     # 2**33 * (2**31 + 1) wraps to 2**33 in int64, which the runs sum to
+     (LINE.replace('"width": 2, "height": 2', '"width": 8589934592, "height": 2147483649')
+      .replace("[0, 4]", "[0, 8589934592]"), "mask of 8589934592x2147483649 has more than 2**63 - 1 pixels")],
+    ids=["negative-tile", "tile-past-int64", "canvas-past-int64", "canvas-wrapping-to-the-run-sum"],
+)
+def test_values_past_the_int64_columns_are_rejected(tmp_path, line, message):
+    # the batch holds tile indices and pixel positions as int64, -1 for a whole-image record
+    path = tmp_path / "x.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ExchangeFormatError) as exc:
+        read_proposals(path)
+    assert str(exc.value) == f"{path}: line 1: {message}"
+
+
+@st.composite
+def exchange_files(draw):
+    """Valid records of random masks, boxes as wide as the canvas and runs across row ends
+    included, with blank lines between some of them."""
+    records, blanks = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        w, h = draw(st.integers(1, 9)), draw(st.integers(1, 6))
+        flat = np.array(draw(st.lists(st.booleans(), min_size=w * h, max_size=w * h)))
+        if draw(st.booleans()):  # one run from the end of a row into the next
+            y = draw(st.integers(0, h - 1))
+            flat[y * w + draw(st.integers(0, w - 1)) : (y + 1) * w + draw(st.integers(0, w))] = True
+        if not flat.any():
+            flat[draw(st.integers(0, w * h - 1))] = True
+        tile = draw(st.one_of(st.none(), st.integers(0, 2**63 - 1)))
+        records.append(ProposalRecord("f", w, h, draw(st.floats(0, 1)), grid_runs(flat), tile))
+        blanks.append(draw(st.integers(0, 2)))
+    return records, blanks
+
+
+@settings(max_examples=200, deadline=None)
+@given(exchange_files())
+def test_batch_columns_match_the_grid_oracle(tmp_path_factory, file):
+    records, blanks = file
+    path = tmp_path_factory.mktemp("b") / "f.jsonl"
+    path.write_text("".join("\n" * b + format_record(r) + "\n" for r, b in zip(records, blanks)))
+    batch = read_proposals(path)
+    got = list(zip(batch.lines.tolist(), batch.tiles.tolist(), map(tuple, batch.boxes.tolist()), batch.areas.tolist()))
+    assert len(batch) == len(records)
+    assert got == ref_read_records(path)

@@ -6,7 +6,7 @@ from smallprop.annotations import GroundTruthObject
 from smallprop.detector import PRESET_LEVELS, Proposal, band_score, detectable_range, preset, simulate
 from smallprop.masks import BBox, BinaryMask, crop_mask, mask_iou
 from smallprop.prng import prng_next, randint, random, stream_seed
-from smallprop.exchange import ExchangeFormatError
+from smallprop.exchange import ExchangeFormatError, ProposalBatch
 from smallprop.pipeline import nms, place_proposal, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
 from smallprop.tiling import TileGridSpec, plan_grid, remap_mask
@@ -75,6 +75,18 @@ def test_nms_tie_breaks_by_area_then_order():
     assert kept[0].mask == big
 
 
+def test_nms_suppresses_at_exactly_the_threshold():
+    # IoU 2 / 4 = 0.5 exactly: kept only below the threshold, so 0.5 suppresses
+    a = rect_mask(8, 2, 0, 0, 4, 1)
+    b = rect_mask(8, 2, 0, 0, 2, 1)
+    assert mask_iou(a, b) == 0.5
+    props = [proposal(a, 0.9), proposal(b, 0.8)]
+    placed = pipeline.place(ProposalBatch.of((n, None, p) for n, p in enumerate(props, 1)), 8, 2)
+    for candidates in (props, placed):
+        assert nms(candidates, 0.5) == props[:1]
+        assert nms(candidates, 0.5000001) == props
+
+
 def test_nms_rejects_threshold_outside_unit_interval():
     # two disjoint proposals: a zero threshold used to suppress the second
     a = rect_mask(16, 16, 0, 0, 4, 4)
@@ -133,7 +145,7 @@ def test_whole_image_records_pass_through():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     m = rect_mask(64, 48, 10, 10, 12, 12)
     lines = [(1, None, Proposal(m, 0.75))]
-    out = run_whole(scene, lines)
+    out = run_whole(scene, ProposalBatch.of(lines))
     assert len(out) == 1
     assert out[0].mask == m and out[0].objectness == 0.75
 
@@ -143,7 +155,7 @@ def test_tile_records_are_remapped():
     grid = TileGridSpec(32, 24, 16, 12)
     local = rect_mask(32, 24, 2, 3, 5, 5)
     lines = [(1, 1, Proposal(local, 0.5))]
-    out = run_tiled(scene, lines, grid)
+    out = run_tiled(scene, ProposalBatch.of(lines), grid)
     assert len(out) == 1
     # tile 1 sits at (16, 0) in a row-major 3x3 grid
     assert out[0].mask.bbox.x == 18 and out[0].mask.bbox.y == 3
@@ -153,15 +165,24 @@ def test_unknown_tile_index_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     lines = [(7, 99, Proposal(BinaryMask(32, 24, (0, 768)), 0.5))]
     with pytest.raises(ExchangeFormatError) as exc:
-        run_tiled(scene, lines, TileGridSpec(32, 24, 16, 12))
+        run_tiled(scene, ProposalBatch.of(lines), TileGridSpec(32, 24, 16, 12))
     assert str(exc.value) == "line 7: unknown tile_index 99; grid has 9 tiles"
+
+
+def test_tile_index_one_past_the_grid_is_not_the_whole_image():
+    # the image's own frame follows the tiles' frames where records are placed
+    scene = disk_scene(64, 48, [(20, 20, 8)])
+    lines = [(1, 9, Proposal(BinaryMask(64, 48, (0, 64 * 48)), 0.5))]
+    with pytest.raises(ExchangeFormatError) as exc:
+        run_tiled(scene, ProposalBatch.of(lines), TileGridSpec(32, 24, 16, 12))
+    assert str(exc.value) == "line 1: unknown tile_index 9; grid has 9 tiles"
 
 
 def test_tile_record_size_mismatch_rejected():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     lines = [(1, 0, Proposal(BinaryMask(32, 24, (0, 768)), 0.5)), (3, 1, Proposal(BinaryMask(16, 24, (0, 384)), 0.5))]
     with pytest.raises(ExchangeFormatError) as exc:
-        run_tiled(scene, lines, TileGridSpec(32, 24, 16, 12))
+        run_tiled(scene, ProposalBatch.of(lines), TileGridSpec(32, 24, 16, 12))
     assert str(exc.value) == "line 3: local mask is 16x24, tile is 32x24"
 
 
@@ -171,7 +192,7 @@ def test_record_dimension_mismatch_rejected():
     for width, height in ((32, 24), (10**12, 1)):
         lines = [(2, None, Proposal(BinaryMask(width, height, (0, width * height)), 0.5))]
         with pytest.raises(ExchangeFormatError) as exc:
-            run_whole(scene, lines)
+            run_whole(scene, ProposalBatch.of(lines))
         assert str(exc.value) == f"line 2: whole-image record is {width}x{height}, image is 64x48"
 
 
