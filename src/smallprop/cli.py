@@ -251,7 +251,7 @@ def cmd_synth(args) -> int:
 def _run_one(stem: str, args, grid, profile, out: Path) -> None:
     scene = load_scene(args.scenes, stem)
     path = Path(args.exchange) / f"{stem}.jsonl" if args.exchange else None
-    lines = read_proposals(path) if path and path.exists() else ProposalBatch.of(())
+    lines = read_proposals(path) if path and path.exists() else ProposalBatch.of([])
     try:
         if args.mode == "tiled":
             proposals = run_tiled(scene, profile or lines, grid, args.nms_iou, args.top_k)

@@ -101,7 +101,7 @@ def _as_batch(proposals) -> ProposalBatch:
     """A batch as it is, or the batch of a sequence of proposals."""
     if isinstance(proposals, ProposalBatch):
         return proposals
-    return ProposalBatch.of((k, None, p) for k, p in enumerate(proposals, start=1))
+    return ProposalBatch.of(proposals)
 
 
 def _greedy(pairs) -> list[tuple[int, int, float]]:

@@ -77,9 +77,7 @@ class ProposalBatch:
     for a whole-image record; ``widths``, ``heights`` and ``objectness`` are
     arrays; ``runs`` holds every record's runs end to end, record k's at
     ``runs[offsets[k]:offsets[k + 1]]``; ``boxes`` holds the (x, y, w, h) row
-    and ``areas`` the area of each record's mask on its own canvas. As a
-    sequence, item k is record k's ``(line, tile_index or None, Proposal)``,
-    whose mask is made when asked for and decodes its pixels on first use.
+    and ``areas`` the area of each record's mask on its own canvas.
     """
 
     __slots__ = ("lines", "tiles", "widths", "heights", "objectness", "runs", "offsets", "boxes", "areas")
@@ -89,17 +87,16 @@ class ProposalBatch:
         self.objectness, self.runs, self.offsets, self.boxes, self.areas = objectness, runs, offsets, boxes, areas
 
     @classmethod
-    def of(cls, records) -> "ProposalBatch":
-        """The batch of ``(line, tile_index or None, Proposal)`` triples."""
-        records = list(records)
-        masks = [p.mask for _, _, p in records]
+    def of(cls, proposals) -> "ProposalBatch":
+        """The batch of a sequence of ``proposals`` as whole-image records on lines 1 to n."""
+        masks = [p.mask for p in proposals]
         runs = [m.runs for m in masks]
         return cls(
-            np.array([n for n, _, _ in records], dtype=np.int64),
-            np.array([-1 if t is None else t for _, t, _ in records], dtype=np.int64),
+            np.arange(1, len(masks) + 1, dtype=np.int64),
+            np.full(len(masks), -1, dtype=np.int64),
             np.array([m.width for m in masks], dtype=np.int64),
             np.array([m.height for m in masks], dtype=np.int64),
-            np.array([p.objectness for _, _, p in records], dtype=float),
+            np.array([p.objectness for p in proposals], dtype=float),
             np.fromiter(chain.from_iterable(runs), np.int64, sum(map(len, runs))),
             _offsets(map(len, runs), len(runs)),
             box_rows([m.bbox for m in masks]),
@@ -114,18 +111,6 @@ class ProposalBatch:
         runs = tuple(self.runs[self.offsets.item(k) : self.offsets.item(k + 1)].tolist())
         return _fill(object.__new__(BinaryMask), self.widths.item(k), self.heights.item(k),
                      BBox(*self.boxes[k].tolist()), self.areas.item(k), runs=runs)
-
-    def __getitem__(self, k: int) -> tuple[int, int | None, Proposal]:
-        k = range(len(self))[k]  # an IndexError past either end
-        tile = self.tiles.item(k)
-        return self.lines.item(k), None if tile < 0 else tile, Proposal(self.mask(k), self.objectness.item(k))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (ProposalBatch, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
 
     def take(self, index) -> "ProposalBatch":
         """The records at ``index``, an integer array, in its order."""
@@ -149,7 +134,7 @@ def _offsets(counts, n: int) -> np.ndarray:
 
 def _record(line: str, stem: str, path, lineno: int) -> tuple:
     """The record on line ``lineno``, decoded and its fields' types checked,
-    as (line, tile_index or None, width, height, objectness, runs)."""
+    as (line, tile_index or -1, width, height, objectness, runs)."""
     try:
         doc = _DECODER.decode(line)
     except (RecursionError, ValueError) as exc:  # a repeated key or too many digits has no msg
@@ -168,12 +153,13 @@ def _record(line: str, stem: str, path, lineno: int) -> tuple:
         raise ExchangeFormatError(f"{path}: line {lineno}: image_id must be a string")
     if image_id != stem:
         raise ExchangeFormatError(f"{path}: line {lineno}: record image_id {image_id!r} does not match {stem!r}")
-    tile_index = doc.get("tile_index")
+    tiled = "tile_index" in keys
     # exact types, of decoded JSON values: a bool is an int instance
-    for name in ("width", "height") + (("tile_index",) if tile_index is not None else ()):
+    for name in ("width", "height", "tile_index") if tiled else ("width", "height"):
         if type(doc[name]) is not int:
             raise ExchangeFormatError(f"{path}: line {lineno}: {name} must be an integer")
-    if tile_index is not None and not 0 <= tile_index < 2**63:  # a column of int64
+    tile_index = doc["tile_index"] if tiled else -1  # -1: a whole-image record
+    if tiled and not 0 <= tile_index < 2**63:  # a column of int64
         raise ExchangeFormatError(f"{path}: line {lineno}: tile_index must be a non-negative 64-bit integer")
     objectness = doc["objectness"]
     if type(objectness) is not float and type(objectness) is not int:
@@ -218,9 +204,8 @@ def _batch(records: list[tuple], path) -> ProposalBatch:
         for record in records:
             _check(record, path)
         raise AssertionError(f"{path}: the batch rejects a record that passes every check")
-    tiles = np.array([-1 if t is None else t for t in tiles], dtype=np.int64)
-    return ProposalBatch(np.array(lines, dtype=np.int64), tiles, widths, heights, objectness, flat, offsets,
-                         boxes, areas)
+    return ProposalBatch(np.array(lines, dtype=np.int64), np.array(tiles, dtype=np.int64), widths, heights,
+                         objectness, flat, offsets, boxes, areas)
 
 
 def read_proposals(path) -> ProposalBatch:

@@ -311,15 +311,14 @@ def box_rows(boxes: Sequence[BBox]) -> np.ndarray:
     return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.int64).reshape(-1, 4)
 
 
-def box_overlaps(a, b) -> np.ndarray:
+def box_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean matrix whose [i, j] entry is ``a[i].intersects(b[j])``, for
-    sequences of boxes or arrays of their ``box_rows``.
+    arrays of the ``box_rows`` of boxes.
 
     Masks whose boxes do not intersect share no pixel, so their IoU is 0.0;
     callers use this to skip ``mask_iou`` on such pairs.
     """
-    ea, eb = (q if isinstance(q, np.ndarray) else box_rows(q) for q in (a, b))
-    ea, eb = ea[:, None, :], eb[None, :, :]
+    ea, eb = a[:, None, :], b[None, :, :]
     return (
         (ea[..., 0] < eb[..., 0] + eb[..., 2])
         & (eb[..., 0] < ea[..., 0] + ea[..., 2])

@@ -44,17 +44,34 @@ class Placed:
 
 def place(batch: ProposalBatch, width: int, height: int, tiles: Sequence[Tile] = ()) -> Placed:
     """The records of ``batch`` placed on a width x height image by box
-    arithmetic. Every record's fit is checked at once, by the rules of
-    ``place_proposal``, which raises the error of the first that breaks one."""
+    arithmetic, every record's fit checked at once: a whole-image record
+    (tile index -1) must match the image size; a tile record must name a tile
+    of ``tiles`` that lies inside the image, and match the tile's size.
+    Without ``tiles`` only whole-image records are accepted. The first record
+    that does not fit is an ``ExchangeFormatError`` naming its line."""
     # each record's frame: its tile, or the image itself, the last row
     frames = np.array([(t.x0, t.y0, t.w, t.h) for t in tiles] + [(0, 0, width, height)], dtype=np.int64)
     whole = batch.tiles < 0
     known = whole | (batch.tiles < len(tiles))
     frame = frames[np.where(whole | ~known, len(tiles), batch.tiles)]
+    sized = (batch.widths == frame[:, 2]) & (batch.heights == frame[:, 3])
     inside = (frame[:, :2] >= 0).all(axis=1) & (frame[:, :2] + frame[:, 2:] <= (width, height)).all(axis=1)
-    fits = known & inside & (batch.widths == frame[:, 2]) & (batch.heights == frame[:, 3])
+    fits = known & sized & inside
     if not fits.all():
-        place_proposal(*batch[int(np.argmin(fits))], width, height, tiles)
+        k = int(np.argmin(fits))
+        w, h, tile = batch.widths.item(k), batch.heights.item(k), batch.tiles.item(k)
+        x0, y0, tile_w, tile_h = frame[k].tolist()
+        if tile < 0:
+            why = f"whole-image record is {w}x{h}, image is {width}x{height}"
+        elif not tiles:
+            why = f"tile_index {tile}: only whole-image records are accepted"
+        elif not known[k]:
+            why = f"unknown tile_index {tile}; grid has {len(tiles)} tiles"
+        elif not sized[k]:
+            why = f"local mask is {w}x{h}, tile is {tile_w}x{tile_h}"
+        else:
+            why = f"tile at ({x0}, {y0}) does not fit inside the {width}x{height} image"
+        raise ExchangeFormatError(f"line {batch.lines.item(k)}: {why}")
     boxes = batch.boxes.copy()
     boxes[:, :2] += frame[:, :2]
     return Placed(batch, width, height, tiles, boxes)
@@ -118,7 +135,7 @@ def _simulated_proposals(
     """
     objects = scene.objects
     boxes = [o.mask.bbox for o in objects]
-    visible = box_overlaps([BBox(t.x0, t.y0, t.w, t.h) for t in tiles], boxes)
+    visible = box_overlaps(box_rows([BBox(t.x0, t.y0, t.w, t.h) for t in tiles]), box_rows(boxes))
     emit = _emitter(profile, tiles[0].w, tiles[0].h)  # every tile has the grid's size
     out = []
     for tile, row in zip(tiles, visible):
@@ -131,29 +148,6 @@ def _simulated_proposals(
             if proposal is not None:
                 out.append(proposal)
     return out
-
-
-def place_proposal(
-    lineno: int, tile_index: int | None, proposal: Proposal, width: int, height: int, tiles: Sequence[Tile] = ()
-) -> Proposal:
-    """The image-coordinate proposal of the exchange record on line ``lineno``:
-    a whole-image one (``tile_index`` None) must match the image size; a tile
-    one must name a tile of ``tiles`` and is remapped from it, which checks the
-    tile size. Without ``tiles`` only whole-image records are accepted. A record
-    that does not fit is an ``ExchangeFormatError`` naming the line."""
-    m = proposal.mask
-    try:
-        if tile_index is None:
-            if m.width != width or m.height != height:
-                raise ValueError(f"whole-image record is {m.width}x{m.height}, image is {width}x{height}")
-            return proposal
-        if not tiles:
-            raise ValueError(f"tile_index {tile_index}: only whole-image records are accepted")
-        if not 0 <= tile_index < len(tiles):
-            raise ValueError(f"unknown tile_index {tile_index}; grid has {len(tiles)} tiles")
-        return Proposal(remap_mask(tiles[tile_index], m, width, height), proposal.objectness)
-    except ValueError as exc:
-        raise ExchangeFormatError(f"line {lineno}: {exc}") from None
 
 
 def run_tiled(

@@ -9,6 +9,7 @@ which makes generation a pure function of the spec.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -46,10 +47,13 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError("scene canvas must have positive area")
-        if self.radius_min < 2:
+        # negated, so that NaN, which fails every comparison, fails each check
+        if not self.radius_min >= 2:
             raise ValueError("radius_min must be at least 2")
-        if self.radius_max < self.radius_min:
+        if not self.radius_max >= self.radius_min:
             raise ValueError("radius_max must be >= radius_min")
+        if not math.isfinite(self.radius_max):
+            raise ValueError("radius_max must be finite")
         if not 0.0 <= self.xs_fraction <= 1.0:
             raise ValueError("xs_fraction must lie in [0, 1]")
         if self.n_apples < 0 or self.n_leaves < 0 or self.min_visible < 0:

@@ -235,7 +235,7 @@ def test_exchange_records_feed_run(tmp_path):
     routed = read_proposals(out / f"{stem}.jsonl")
     assert len(routed) == len(scene.objects)
     # a scene without its own exchange file gets no proposals
-    assert read_proposals(out / f"{other}.jsonl") == []
+    assert len(read_proposals(out / f"{other}.jsonl")) == 0
 
 
 @pytest.mark.parametrize("objectness", ["-0.0000001", "-0.0"])
@@ -310,6 +310,11 @@ _BAD_FLAG_VALUES = [
     ("run", "--fill-min", "2"),
     ("run", "--stride", "400x100"),
     ("synth", "--width", "0"),
+    # NaN fails every comparison, so each check must be written to fail on it
+    ("synth", "--radius-min", "nan"),
+    ("synth", "--radius-max", "nan"),
+    ("synth", "--radius-max", "inf"),
+    ("synth", "--radius-min", "inf"),
     # the exchange files replace the detector, so its flags would be ignored
     ("exchange", "--detector", "fastmask"),
     *[("exchange", flag, value) for flag, value, _ in _OVERRIDES],

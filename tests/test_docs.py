@@ -1,14 +1,20 @@
 """The README names every CLI option, its Python API table only what the modules
-define, and its exchange examples are records the reader and writer agree on."""
+define, its exchange examples are records the reader and writer agree on, and
+its placement errors are the text that ``place`` raises."""
 
 import argparse
+import functools
 import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 from smallprop.cli import build_parser
-from smallprop.exchange import ProposalRecord, read_proposals, write_proposals
+from smallprop.exchange import ExchangeFormatError, ProposalRecord, read_proposals, write_proposals
 from smallprop.masks import BBox
+from smallprop.pipeline import place
+from smallprop.tiling import Tile
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,7 +36,9 @@ def test_python_api_table_names_exist():
     missing = []
     for modules, names in rows:
         loaded = [importlib.import_module(m) for m in modules]
-        missing += [f"{'/'.join(modules)}.{n}" for n in names if not any(hasattr(m, n) for m in loaded)]
+        # a dotted name is an attribute of a module's attribute, such as a method of a class
+        missing += [f"{'/'.join(modules)}.{n}" for n in names
+                    if not any(functools.reduce(lambda o, a: getattr(o, a, None), n.split("."), m) for m in loaded)]
     assert missing == []
 
 
@@ -48,12 +56,42 @@ def test_exchange_examples_read_and_write_back(tmp_path):
     assert len(examples) == 2
     path = tmp_path / "scene_42_0000.jsonl"
     path.write_text("\n".join(examples) + "\n")
-    lines = read_proposals(path)
-    write_proposals([ProposalRecord("scene_42_0000", p.mask.width, p.mask.height, p.objectness, p.mask.runs, t)
-                     for _, t, p in lines], tmp_path / "again.jsonl")
+    batch = read_proposals(path)
+    columns = (c.tolist() for c in (batch.tiles, batch.widths, batch.heights, batch.objectness))
+    write_proposals([ProposalRecord("scene_42_0000", w, h, o, batch.mask(k).runs, None if t < 0 else t)
+                     for k, (t, w, h, o) in enumerate(zip(*columns))], tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
-    (_, tile_index, tile_local), (_, whole_index, whole) = lines
+    tile_local, whole = batch.mask(0), batch.mask(1)
     # "foreground at flat positions 1 and 2" of tile 3's 4x3 frame
-    assert tile_index == 3 and tile_local.mask.bbox == BBox(1, 0, 2, 1)
+    assert batch.tiles.tolist() == [3, -1] and tile_local.bbox == BBox(1, 0, 2, 1)
     # "a 4x2 block whose top-left corner is at (100, 165)"
-    assert whole_index is None and whole.mask.bbox == BBox(100, 165, 4, 2) and whole.mask.area == 8
+    assert whole.bbox == BBox(100, 165, 4, 2) and whole.area == 8
+
+
+# each kind of placement error, and the (record width, height, tile_index, image
+# width, height, tiles) that raise it, from the numbers of its message
+_PLACEMENT_ERRORS = {
+    r"whole-image record is (\d+)x(\d+), image is (\d+)x(\d+)":
+        lambda w, h, iw, ih: (w, h, None, iw, ih, []),
+    r"unknown tile_index (\d+); grid has (\d+) tiles":
+        lambda t, n: (8, 8, t, 64, 48, [Tile(i, 0, 0, 8, 8) for i in range(n)]),
+    r"local mask is (\d+)x(\d+), tile is (\d+)x(\d+)":
+        lambda w, h, tw, th: (w, h, 0, tw, th, [Tile(0, 0, 0, tw, th)]),
+    r"tile_index (\d+): only whole-image records are accepted":
+        lambda t: (8, 8, t, 64, 48, []),
+}
+
+
+def test_placement_error_examples_are_what_place_raises(tmp_path):
+    section = README.read_text().split("Records are placed on their scene", 1)[1].split("\n\n", 2)[1]
+    examples = re.findall(r"`(?:\S+: )?line (\d+): ([^`]+)`", section)
+    assert len(examples) == 4
+    for line, message in examples:
+        ((pattern, build),) = [(p, b) for p, b in _PLACEMENT_ERRORS.items() if re.fullmatch(p, message)]
+        w, h, tile, width, height, tiles = build(*map(int, re.fullmatch(pattern, message).groups()))
+        fits = ProposalRecord("x", width, height, 0.5, (0, width * height))  # a whole-image record
+        path = tmp_path / "x.jsonl"
+        write_proposals([fits] * (int(line) - 1) + [ProposalRecord("x", w, h, 0.5, (0, w * h), tile)], path)
+        with pytest.raises(ExchangeFormatError) as exc:
+            place(read_proposals(path), width, height, tiles)
+        assert str(exc.value) == f"line {line}: {message}"

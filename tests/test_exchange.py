@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallprop.detector import Proposal
 from smallprop.exchange import (
     ExchangeFormatError,
     ProposalRecord,
@@ -13,7 +12,6 @@ from smallprop.exchange import (
     read_proposals,
     write_proposals,
 )
-from smallprop.masks import BinaryMask
 from oracles import grid_runs, rect_mask, ref_read_records
 
 LINE = '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [0, 4]}'
@@ -27,23 +25,18 @@ def sample_records(image_id="img"):
     ]
 
 
-def read_back(records, linenos=None):
-    """What the reader yields for each record: its line number (one record a
-    line unless ``linenos`` says otherwise), tile index and proposal."""
-    return [(n, r.tile_index, Proposal(BinaryMask(r.width, r.height, r.runs), r.objectness))
-            for n, r in zip(linenos or range(1, len(records) + 1), records)]
-
-
-def as_record(image_id, lineno, tile_index, proposal):
-    m = proposal.mask
-    return ProposalRecord(image_id, m.width, m.height, proposal.objectness, m.runs, tile_index)
+def records_of(batch, image_id="img"):
+    """The records of a batch as the writer takes them, from its columns and ``mask(k)``."""
+    columns = (c.tolist() for c in (batch.tiles, batch.widths, batch.heights, batch.objectness))
+    return [ProposalRecord(image_id, w, h, o, batch.mask(k).runs, None if t < 0 else t)
+            for k, (t, w, h, o) in enumerate(zip(*columns))]
 
 
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     write_proposals([], path)
     assert path.read_bytes() == b""
-    assert read_proposals(path) == []
+    assert len(read_proposals(path)) == 0
 
 
 def test_roundtrip_identity_and_byte_stability(tmp_path):
@@ -54,15 +47,17 @@ def test_roundtrip_identity_and_byte_stability(tmp_path):
     p2 = tmp_path / "b" / "img.jsonl"
     write_proposals(records, p1)
     again = read_proposals(p1)
-    assert again == read_back(records)
-    write_proposals([as_record("img", *line) for line in again], p2)
+    assert again.lines.tolist() == [1, 2, 3] and records_of(again) == records
+    write_proposals(records_of(again), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_file_order_preserved(tmp_path):
     path = tmp_path / "img.jsonl"
     write_proposals(sample_records(), path)
-    assert [(n, t, p.objectness) for n, t, p in read_proposals(path)] == [(1, None, 0.9), (2, 3, 0.25), (3, None, 1.0)]
+    batch = read_proposals(path)
+    assert [batch.lines.tolist(), batch.tiles.tolist(), batch.objectness.tolist()] == [
+        [1, 2, 3], [-1, 3, -1], [0.9, 0.25, 1.0]]
 
 
 def test_canonical_line_format():
@@ -79,7 +74,7 @@ def test_objectness_quantized_to_wire_precision(tmp_path):
     path = tmp_path / "s.jsonl"
     write_proposals([ProposalRecord("s", 2, 2, 0.12345678, (0, 4)), ProposalRecord("s", 2, 2, 1 / 3, (0, 4))], path)
     assert '"objectness": 0.123457' in path.read_text() and '"objectness": 0.333333' in path.read_text()
-    assert [p.objectness for _, _, p in read_proposals(path)] == [0.123457, 0.333333]
+    assert read_proposals(path).objectness.tolist() == [0.123457, 0.333333]
 
 
 @settings(max_examples=300, deadline=None)
@@ -89,16 +84,15 @@ def test_writer_and_reader_quantize_alike(tmp_path_factory, x):
     path = tmp_path_factory.mktemp("q") / "q.jsonl"
     write_proposals([ProposalRecord("q", 1, 1, x, (0, 1))], path)
     assert path.read_text() == f'{{"image_id": "q", "width": 1, "height": 1, "objectness": {round(x, 6):.6f}, "runs": [0, 1]}}\n'
-    ((_, _, proposal),) = read_proposals(path)
-    assert proposal.objectness == round(x, 6)
+    assert read_proposals(path).objectness.tolist() == [round(x, 6)]
 
 
 @pytest.mark.parametrize("objectness", ["-0.0", "-0.0000001", "-0"])
 def test_negative_zero_objectness_reads_as_zero(tmp_path, objectness):
     path = tmp_path / "x.jsonl"
     path.write_text(LINE.replace("0.5", objectness) + "\n")
-    ((_, _, proposal),) = read_proposals(path)
-    assert proposal.objectness == 0.0 and math.copysign(1.0, proposal.objectness) == 1.0
+    (objectness,) = read_proposals(path).objectness.tolist()
+    assert objectness == 0.0 and math.copysign(1.0, objectness) == 1.0
 
 
 def test_objectness_out_of_range(tmp_path):
@@ -153,6 +147,8 @@ def test_empty_mask_names_line(tmp_path):
         '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [[4]]}',
         '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [null]}',
         '[1, 2]',
+        # a whole-image record omits tile_index; null is no integer
+        '{"image_id": "x", "tile_index": null, "width": 2, "height": 2, "objectness": 0.5, "runs": [0, 4]}',
         # only "\n" ends a line; the other breaks of str.splitlines() stay inside it
         LINE + '\x0c' + LINE,
         LINE + '\x0b' + LINE,
@@ -186,15 +182,15 @@ def test_non_ascii_byte_names_file_and_line(tmp_path):
 def test_blank_lines_skipped(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text("\n" + LINE + "\n\n")
-    ((lineno, _, _),) = read_proposals(path)
-    assert lineno == 2  # blank lines are skipped but still counted
+    assert read_proposals(path).lines.tolist() == [2]  # blank lines are skipped but still counted
 
 
 def test_crlf_lines_parse(tmp_path):
     path = tmp_path / "img.jsonl"
     lines = [format_record(r) for r in sample_records()]
     path.write_bytes(("\r\n".join(lines[:2]) + "\r\n \t\r\n" + lines[2] + "\r\n").encode())
-    assert read_proposals(path) == read_back(sample_records(), linenos=(1, 2, 4))
+    batch = read_proposals(path)
+    assert batch.lines.tolist() == [1, 2, 4] and records_of(batch) == sample_records()
 
 
 def test_large_roundtrip_bytes(tmp_path):
@@ -208,7 +204,7 @@ def test_large_roundtrip_bytes(tmp_path):
     p1 = tmp_path / "a" / "img.jsonl"
     p2 = tmp_path / "b" / "img.jsonl"
     write_proposals(records, p1)
-    write_proposals([as_record("img", *line) for line in read_proposals(p1)], p2)
+    write_proposals(records_of(read_proposals(p1)), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 

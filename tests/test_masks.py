@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from smallprop.annotations import extract_instances
-from smallprop.masks import BBox, BinaryMask, MaskFormatError, box_overlaps, crop_mask, encode_runs, mask_iou
+from smallprop.masks import BBox, BinaryMask, MaskFormatError, box_overlaps, box_rows, crop_mask, encode_runs, mask_iou
 from smallprop.tiling import Tile, remap_mask
 import oracles
 from oracles import grid_bbox, grid_iou, grid_runs, mask_grid, rect_mask
@@ -85,7 +85,7 @@ boxes = st.builds(BBox, st.integers(-5, 20), st.integers(-5, 20), st.integers(0,
 @example([], [BBox(0, 0, 4, 4)])
 def test_box_overlaps_matches_intersects(a, b):
     # edge-adjacent boxes and zero-size boxes never intersect
-    got = box_overlaps(a, b)
+    got = box_overlaps(box_rows(a), box_rows(b))
     assert got.shape == (len(a), len(b)) and got.dtype == bool
     assert got.tolist() == [[p.intersects(q) for q in b] for p in a]
 

@@ -6,10 +6,10 @@ from smallprop.annotations import GroundTruthObject
 from smallprop.detector import PRESET_LEVELS, Proposal, band_score, detectable_range, preset, simulate
 from smallprop.masks import BBox, BinaryMask, crop_mask, mask_iou
 from smallprop.prng import prng_next, randint, random, stream_seed
-from smallprop.exchange import ExchangeFormatError, ProposalBatch
-from smallprop.pipeline import nms, place_proposal, run_tiled, run_whole
+from smallprop.exchange import ExchangeFormatError, ProposalBatch, ProposalRecord, read_proposals, write_proposals
+from smallprop.pipeline import nms, place, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
-from smallprop.tiling import TileGridSpec, plan_grid, remap_mask
+from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
 from smallprop.raster import RasterImage
 from oracles import grid_iou, grid_runs, mask_grid, rect_mask, shifted
 
@@ -21,6 +21,14 @@ def proposal(mask, score):
 def scene_from_labels(labels):
     labels = np.asarray(labels, dtype=np.uint16)
     return Scene(None, RasterImage(labels))
+
+
+def exchange_batch(tmp_path, records):
+    """The batch ``run --exchange`` reads from a file of ``records``, (tile_index
+    or None, mask) pairs, one a line, each of objectness 0.5."""
+    path = tmp_path / "x.jsonl"
+    write_proposals([ProposalRecord("x", m.width, m.height, 0.5, m.runs, t) for t, m in records], path)
+    return read_proposals(path)
 
 
 def disk_scene(w, h, centers_radii, min_visible=1):
@@ -81,7 +89,7 @@ def test_nms_suppresses_at_exactly_the_threshold():
     b = rect_mask(8, 2, 0, 0, 2, 1)
     assert mask_iou(a, b) == 0.5
     props = [proposal(a, 0.9), proposal(b, 0.8)]
-    placed = pipeline.place(ProposalBatch.of((n, None, p) for n, p in enumerate(props, 1)), 8, 2)
+    placed = place(ProposalBatch.of(props), 8, 2)
     for candidates in (props, placed):
         assert nms(candidates, 0.5) == props[:1]
         assert nms(candidates, 0.5000001) == props
@@ -144,64 +152,99 @@ def test_top_k_truncation():
 def test_whole_image_records_pass_through():
     scene = disk_scene(64, 48, [(20, 20, 8)])
     m = rect_mask(64, 48, 10, 10, 12, 12)
-    lines = [(1, None, Proposal(m, 0.75))]
-    out = run_whole(scene, ProposalBatch.of(lines))
+    out = run_whole(scene, ProposalBatch.of([Proposal(m, 0.75)]))
     assert len(out) == 1
     assert out[0].mask == m and out[0].objectness == 0.75
 
 
-def test_tile_records_are_remapped():
+def test_tile_records_are_remapped(tmp_path):
     scene = disk_scene(64, 48, [(20, 20, 8)])
     grid = TileGridSpec(32, 24, 16, 12)
     local = rect_mask(32, 24, 2, 3, 5, 5)
-    lines = [(1, 1, Proposal(local, 0.5))]
-    out = run_tiled(scene, ProposalBatch.of(lines), grid)
+    out = run_tiled(scene, exchange_batch(tmp_path, [(1, local)]), grid)
     assert len(out) == 1
     # tile 1 sits at (16, 0) in a row-major 3x3 grid
     assert out[0].mask.bbox.x == 18 and out[0].mask.bbox.y == 3
 
 
-def test_unknown_tile_index_rejected():
+TILE = BinaryMask(32, 24, (0, 768))  # a record filling a tile of the 32x24 grid
+
+
+def test_unknown_tile_index_rejected(tmp_path):
     scene = disk_scene(64, 48, [(20, 20, 8)])
-    lines = [(7, 99, Proposal(BinaryMask(32, 24, (0, 768)), 0.5))]
+    batch = exchange_batch(tmp_path, [(t, TILE) for t in range(6)] + [(99, TILE)])
     with pytest.raises(ExchangeFormatError) as exc:
-        run_tiled(scene, ProposalBatch.of(lines), TileGridSpec(32, 24, 16, 12))
+        run_tiled(scene, batch, TileGridSpec(32, 24, 16, 12))
     assert str(exc.value) == "line 7: unknown tile_index 99; grid has 9 tiles"
 
 
-def test_tile_index_one_past_the_grid_is_not_the_whole_image():
+def test_tile_index_one_past_the_grid_is_not_the_whole_image(tmp_path):
     # the image's own frame follows the tiles' frames where records are placed
     scene = disk_scene(64, 48, [(20, 20, 8)])
-    lines = [(1, 9, Proposal(BinaryMask(64, 48, (0, 64 * 48)), 0.5))]
+    batch = exchange_batch(tmp_path, [(9, BinaryMask(64, 48, (0, 64 * 48)))])
     with pytest.raises(ExchangeFormatError) as exc:
-        run_tiled(scene, ProposalBatch.of(lines), TileGridSpec(32, 24, 16, 12))
+        run_tiled(scene, batch, TileGridSpec(32, 24, 16, 12))
     assert str(exc.value) == "line 1: unknown tile_index 9; grid has 9 tiles"
 
 
-def test_tile_record_size_mismatch_rejected():
+def test_tile_record_size_mismatch_rejected(tmp_path):
     scene = disk_scene(64, 48, [(20, 20, 8)])
-    lines = [(1, 0, Proposal(BinaryMask(32, 24, (0, 768)), 0.5)), (3, 1, Proposal(BinaryMask(16, 24, (0, 384)), 0.5))]
+    batch = exchange_batch(tmp_path, [(0, TILE), (2, TILE), (1, BinaryMask(16, 24, (0, 384)))])
     with pytest.raises(ExchangeFormatError) as exc:
-        run_tiled(scene, ProposalBatch.of(lines), TileGridSpec(32, 24, 16, 12))
+        run_tiled(scene, batch, TileGridSpec(32, 24, 16, 12))
     assert str(exc.value) == "line 3: local mask is 16x24, tile is 32x24"
 
 
-def test_record_dimension_mismatch_rejected():
+def test_record_dimension_mismatch_rejected(tmp_path):
     scene = disk_scene(64, 48, [(20, 20, 8)])
     # a huge declared canvas is rejected by its size, before any pixel is decoded
     for width, height in ((32, 24), (10**12, 1)):
-        lines = [(2, None, Proposal(BinaryMask(width, height, (0, width * height)), 0.5))]
+        batch = exchange_batch(tmp_path, [(None, BinaryMask(64, 48, (0, 64 * 48))),
+                                          (None, BinaryMask(width, height, (0, width * height)))])
         with pytest.raises(ExchangeFormatError) as exc:
-            run_whole(scene, ProposalBatch.of(lines))
+            run_whole(scene, batch)
         assert str(exc.value) == f"line 2: whole-image record is {width}x{height}, image is 64x48"
 
 
-def test_tile_record_without_tiles_rejected():
+def test_tile_record_without_tiles_rejected(tmp_path):
     # eval and overlay place records without a grid
-    proposal = Proposal(BinaryMask(32, 24, (0, 768)), 0.5)
+    batch = exchange_batch(tmp_path, [(None, BinaryMask(64, 48, (0, 64 * 48)))] * 3 + [(0, TILE)])
     with pytest.raises(ExchangeFormatError) as exc:
-        place_proposal(4, 0, proposal, 64, 48)
+        place(batch, 64, 48)
     assert str(exc.value) == "line 4: tile_index 0: only whole-image records are accepted"
+
+
+# each record that does not fit, as (tile_index or None, mask); the tiles of place; the error it raises
+_MISFITS = {
+    "whole-image-size": ((None, TILE), [Tile(0, 0, 0, 32, 24)], "whole-image record is 32x24, image is 64x48"),
+    "tile-without-tiles": ((0, TILE), [], "tile_index 0: only whole-image records are accepted"),
+    "unknown-tile": ((3, TILE), [Tile(0, 0, 0, 32, 24)], "unknown tile_index 3; grid has 1 tiles"),
+    "tile-size": ((0, BinaryMask(16, 24, (0, 384))), [Tile(0, 0, 0, 32, 24)], "local mask is 16x24, tile is 32x24"),
+    "tile-right-of-image": ((0, TILE), [Tile(0, 40, 0, 32, 24)], "tile at (40, 0) does not fit inside the 64x48 image"),
+    "tile-above-image": ((0, TILE), [Tile(0, 0, -1, 32, 24)], "tile at (0, -1) does not fit inside the 64x48 image"),
+    # the size is checked before the tile's place, as remap_mask checks them
+    "tile-size-outside": ((0, BinaryMask(8, 8, (0, 64))), [Tile(0, 40, 0, 32, 24)], "local mask is 8x8, tile is 32x24"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MISFITS))
+def test_each_misfit_names_its_line(tmp_path, name):
+    # hand-made tiles reach the rule that a tile lies inside the image, which no grid of plan_grid breaks
+    misfit, tiles, message = _MISFITS[name]
+    whole = (None, BinaryMask(64, 48, (0, 64 * 48)))
+    batch = exchange_batch(tmp_path, [whole, misfit, whole])
+    with pytest.raises(ExchangeFormatError) as exc:
+        place(batch, 64, 48, tiles)
+    assert str(exc.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("first, second", [("unknown-tile", "whole-image-size"), ("whole-image-size", "unknown-tile")])
+def test_first_misfit_in_file_order_wins_whatever_its_kind(tmp_path, first, second):
+    whole = (None, BinaryMask(64, 48, (0, 64 * 48)))
+    batch = exchange_batch(tmp_path, [whole, _MISFITS[first][0], whole, _MISFITS[second][0], whole])
+    with pytest.raises(ExchangeFormatError) as exc:
+        place(batch, 64, 48, [Tile(0, 0, 0, 32, 24)])
+    assert str(exc.value) == f"line 2: {_MISFITS[first][2]}"
 
 
 def test_empty_record_mask_rejected():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -121,6 +122,13 @@ def test_invalid_specs_rejected():
         SceneSpec(radius_min=10, radius_max=5)
     with pytest.raises(ValueError):
         SceneSpec(xs_fraction=1.5)
+    # NaN fails every comparison; each radius is named by the check it fails
+    with pytest.raises(ValueError, match="radius_min must be at least 2"):
+        SceneSpec(radius_min=math.nan)
+    with pytest.raises(ValueError, match="radius_max must be >= radius_min"):
+        SceneSpec(radius_max=math.nan)
+    with pytest.raises(ValueError, match="radius_max must be finite"):
+        SceneSpec(radius_min=math.inf, radius_max=math.inf)
 
 
 def test_apple_count_fits_16_bit_instance_ids():
