@@ -11,7 +11,7 @@ from pathlib import Path
 
 from smallprop.detector import preset
 from smallprop.evaluation import evaluate_dataset, render_overlay, report_text, score_image
-from smallprop.exchange import ProposalRecord, write_proposals
+from smallprop.exchange import write_proposals
 from smallprop.pipeline import run_tiled
 from smallprop.raster import write_pnm
 from smallprop.synth import SceneSpec, generate_scene, save_scene
@@ -32,10 +32,7 @@ def main() -> int:
 
     profile = preset("attentionmask", jitter=args.jitter, objectness_noise=0.1)
     proposals = run_tiled(scene, profile, TileGridSpec(320, 240, 160, 120))
-    write_proposals(
-        [ProposalRecord("scene_demo", p.mask.width, p.mask.height, p.objectness, p.mask.runs) for p in proposals],
-        out / "scene_demo.jsonl",
-    )
+    write_proposals(proposals.records("scene_demo"), out / "scene_demo.jsonl")
 
     overlay = render_overlay(scene.image, scene.instances.pixels, proposals)
     write_pnm(overlay, out / "scene_demo_overlay.ppm")

@@ -21,10 +21,9 @@ from pathlib import Path
 
 from . import __version__
 from .detector import DetectorProfile, preset, PRESET_LEVELS
-from .exchange import ExchangeFormatError, ProposalBatch, ProposalRecord, read_proposals, write_proposals
+from .exchange import ExchangeFormatError, ProposalBatch, read_proposals, write_proposals
 from .evaluation import evaluate_dataset, render_overlay, report_csv, report_json, report_text, score_image
-from .masks import encode_runs
-from .pipeline import place, run_tiled, run_whole
+from .pipeline import fit, run_tiled, run_whole
 from .raster import PnmFormatError, read_pnm, write_pnm
 from .synth import (SceneSpec, generate_scene, list_scene_stems, load_scene, read_instances, save_scene,
                     scene_seed, scene_stem)
@@ -151,7 +150,7 @@ def _whole_image_proposals(path: Path, width: int, height: int) -> ProposalBatch
     """The records of a file of whole-image records for a width x height image."""
     batch = read_proposals(path)
     try:
-        place(batch, width, height)  # checks that each record is a whole-image one of the image's size
+        fit(batch, width, height)  # checks that each record is a whole-image one of the image's size
     except ExchangeFormatError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return batch
@@ -254,18 +253,16 @@ def _run_one(stem: str, args, grid, profile, out: Path) -> None:
     lines = read_proposals(path) if path and path.exists() else ProposalBatch.of([])
     try:
         if args.mode == "tiled":
-            proposals = run_tiled(scene, profile or lines, grid, args.nms_iou, args.top_k)
+            kept = run_tiled(scene, profile or lines, grid, args.nms_iou, args.top_k)
         else:
-            proposals = run_whole(scene, profile or lines, args.nms_iou, args.top_k)
+            kept = run_whole(scene, profile or lines, args.nms_iou, args.top_k)
     except ExchangeFormatError as exc:  # a record that does not fit
         raise ValueError(f"{path}: {exc}") from None
     except PnmFormatError:  # the instance map, read on first use, names itself
         raise
     except ValueError as exc:  # a grid that does not fit the scene
         raise ValueError(f"{scene.path}: {exc}") from None
-    runs = encode_runs([p.mask for p in proposals])
-    records = [ProposalRecord(stem, p.mask.width, p.mask.height, p.objectness, r) for p, r in zip(proposals, runs)]
-    write_proposals(records, out / f"{stem}.jsonl")
+    write_proposals(kept.records(stem), out / f"{stem}.jsonl")
 
 
 def cmd_run(args) -> int:

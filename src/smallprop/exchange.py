@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .detector import Proposal
-from .masks import BBox, BinaryMask, _fill, _measure, _valid, box_rows
+from .masks import BBox, BinaryMask, _fill, _measure, _offsets_of, _segments, _valid, box_rows
 
 _REQUIRED_KEYS = ("image_id", "width", "height", "objectness", "runs")
 _REQUIRED = frozenset(_REQUIRED_KEYS)
@@ -98,7 +98,7 @@ class ProposalBatch:
             np.array([m.height for m in masks], dtype=np.int64),
             np.array([p.objectness for p in proposals], dtype=float),
             np.fromiter(chain.from_iterable(runs), np.int64, sum(map(len, runs))),
-            _offsets(map(len, runs), len(runs)),
+            _offsets_of([len(r) for r in runs]),
             box_rows([m.bbox for m in masks]),
             np.array([m.area for m in masks], dtype=np.int64),
         )
@@ -114,22 +114,20 @@ class ProposalBatch:
 
     def take(self, index) -> "ProposalBatch":
         """The records at ``index``, an integer array, in its order."""
-        counts = np.diff(self.offsets)[index]
-        offsets = _offsets(counts, len(counts))
-        where = np.repeat(self.offsets[:-1][index] - offsets[:-1], counts) + np.arange(offsets[-1])
+        offsets, where = _segments(self.offsets, index)
         return ProposalBatch(self.lines[index], self.tiles[index], self.widths[index], self.heights[index],
                              self.objectness[index], self.runs[where], offsets, self.boxes[index], self.areas[index])
+
+    def records(self, image_id: str) -> list[ProposalRecord]:
+        """The wire records of the batch, in order, for image ``image_id``."""
+        runs, cuts = self.runs.tolist(), self.offsets.tolist()
+        return [ProposalRecord(image_id, w, h, o, tuple(runs[i:j]), None if t < 0 else t)
+                for w, h, o, i, j, t in zip(self.widths.tolist(), self.heights.tolist(), self.objectness.tolist(),
+                                            cuts, cuts[1:], self.tiles.tolist())]
 
     def top(self, k: int) -> "ProposalBatch":
         """The ``k`` records of highest objectness, ranked; ties keep file order."""
         return self.take(np.argsort(-self.objectness, kind="stable")[:k])
-
-
-def _offsets(counts, n: int) -> np.ndarray:
-    """The n + 1 offsets, from 0, of segments of ``counts`` (n of them) laid end to end."""
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(counts, np.int64, n), out=offsets[1:])
-    return offsets
 
 
 def _record(line: str, stem: str, path, lineno: int) -> tuple:
@@ -191,7 +189,7 @@ def _batch(records: list[tuple], path) -> ProposalBatch:
     try:
         objectness = np.array([round(o, 6) + 0.0 for o in objectness], dtype=float)  # + 0.0 turns -0.0 into 0.0
         widths, heights = np.array(widths, dtype=np.int64), np.array(heights, dtype=np.int64)
-        offsets = _offsets(map(len, runs), len(runs))
+        offsets = _offsets_of([len(r) for r in runs])
         flat = np.fromiter(chain.from_iterable(runs), np.int64, offsets[-1])
     except OverflowError:  # a value past int64, or an integer objectness past float range
         valid = False

@@ -15,7 +15,6 @@ use. Any mask encodes its runs only when asked.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, cycle
 from typing import Iterable, Sequence
@@ -100,7 +99,7 @@ class BinaryMask:
     def runs(self) -> tuple[int, ...]:
         """Canonical run-length encoding over the full canvas."""
         if self._runs is None:
-            _encode([self], self.width, self.height)
+            _set(self, "_runs", _encode(self))
         return self._runs
 
     def __setattr__(self, name, value):
@@ -125,6 +124,7 @@ class BinaryMask:
 _NO_PIXELS = np.zeros((0, 0), dtype=bool)
 _NO_PIXELS.flags.writeable = False
 _NO_BOX = BBox(0, 0, 0, 0)
+_BACKGROUND = np.zeros(1, dtype=bool)
 
 
 def _fill(mask, width, height, bbox, area, runs=None, pixels=None) -> BinaryMask:
@@ -248,62 +248,99 @@ def _part(mask, width, height, dx, dy, x0, y0, x1, y1) -> BinaryMask:
     return _trimmed(width, height, cx0 + dx, cy0 + dy, sub)
 
 
-def encode_runs(masks: Sequence[BinaryMask]) -> list[tuple[int, ...]]:
-    """The canonical runs of each of ``masks``, all on one canvas, made in one
-    pass over their pixels; each mask keeps its runs, so none is encoded twice."""
-    todo = [m for m in masks if m._runs is None]
-    require_same_canvas((m.width, m.height) for m in todo)
-    if todo:
-        _encode(todo, todo[0].width, todo[0].height)
-    return [m._runs for m in masks]
+def _encode(m: BinaryMask) -> tuple[int, ...]:
+    """The canonical runs of mask ``m``.
 
-
-def _encode(masks: list[BinaryMask], width: int, height: int) -> None:
-    """Set the runs of masks on a width x height canvas.
-
-    The masks' bitmaps are laid end to end, each between two background
-    pixels, with a background pixel after each row unless the box is as wide
-    as the canvas: then its rows follow each other as on the canvas, and a
-    run goes on into the next row. So one diff finds every run's start and
-    stop. Mask k is placed on the k-th of canvases stacked one row apart,
-    which keeps the masks' positions apart.
+    The bitmap is laid out between two background pixels, with a background
+    pixel after each row unless the box is as wide as the canvas: then its
+    rows follow each other as on the canvas, and a run goes on into the next
+    row. So one diff finds every run's start and stop.
     """
-    for m in masks:
-        if m.area == 0:
-            _set(m, "_runs", (width * height,))
-    masks = [m for m in masks if m.area]
-    if not masks:
-        return
-    stride = width * (height + 1)
+    width, size, b = m.width, m.width * m.height, m.bbox
+    if m.area == 0:
+        return (size,)
+    padded = b.w + (b.w < width)
+    rows = np.zeros(b.h * padded + 2, dtype=np.int8)
+    rows[1 : 1 + b.h * padded].reshape(-1, padded)[:, : b.w] = m.bitmap
+    flips = np.flatnonzero(rows[1:] != rows[:-1])  # before pixel f + 1, the f-th of the laid-out bitmap
+    bounds = flips + flips // padded * (width - padded) + (b.y * width + b.x)  # start, stop, start, ...
+    runs = [bounds[0].item(), *(bounds[1:] - bounds[:-1]).tolist()]
+    tail = size - bounds[-1].item()
+    return tuple(runs + [tail] if tail else runs)
+
+
+def _spans(masks: Sequence[BinaryMask], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, starts, stops) of the foreground row spans of ``masks`` on
+    one canvas ``width`` wide: span i covers canvas positions [starts[i],
+    stops[i]) of one row, and mask k's spans, in scan order, are those from
+    offsets[k] to offsets[k + 1].
+
+    The bitmaps are laid end to end, each after a background pixel, so one
+    diff finds the foreground runs of every bitmap, which ``_row_spans`` cuts
+    at the bitmap's row ends."""
     boxes = [m.bbox for m in masks]
-    pads = [b.w + (b.w < width) for b in boxes]
-    starts = list(accumulate((b.h * p + 2 for b, p in zip(boxes, pads)), initial=0))
-    rows = np.zeros(starts[-1], dtype=np.int8)
-    for m, b, p, start in zip(masks, boxes, pads, starts):
-        rows[start + 1 : start + 1 + b.h * p].reshape(-1, p)[:, : b.w] = m.bitmap
-    flips = np.flatnonzero(rows[1:] != rows[:-1])  # before pixel f + 1, the f - start-th of its bitmap
-    # per flip: its mask's first laid-out pixel, laid-out row width, and
-    # canvas position less that pixel's index; one mask needs no lookup,
-    # which would make BinaryMask.runs about 1.5 times as slow
-    if len(masks) == 1:
-        start, padded, offset = 0, pads[0], boxes[0].y * width + boxes[0].x
-    else:
-        table = np.array(
-            [(start, p, k * stride + b.y * width + b.x - start)
-             for k, (b, p, start) in enumerate(zip(boxes, pads, starts))],
-            dtype=np.int64,
-        )
-        start, padded, offset = table[np.searchsorted(starts[1:], flips, side="right")].T
-    bounds = flips + (flips - start) // padded * (width - padded) + offset  # start, stop, start, stop, ...
-    gaps = (bounds[1:] - bounds[:-1]).tolist()
-    bounds = bounds.tolist()
-    cuts = [0, *(bisect_left(bounds, k * stride) for k in range(1, len(masks))), len(bounds)]
-    for k, (m, i, j) in enumerate(zip(masks, cuts, cuts[1:])):
-        tail = k * stride + width * height - bounds[j - 1]
-        runs = [bounds[i] - k * stride, *gaps[i : j - 1]]
-        if tail:
-            runs.append(tail)
-        _set(m, "_runs", tuple(runs))
+    parts = [_BACKGROUND]
+    for m in masks:
+        parts += (m.bitmap.ravel(), _BACKGROUND)
+    laid = np.concatenate(parts)
+    flips = np.flatnonzero(laid[1:] != laid[:-1]) + 1  # start, stop, start, ...
+    firsts = np.fromiter(accumulate((b.w * b.h + 1 for b in boxes), initial=1), np.int64, len(boxes) + 1)
+    owner = np.searchsorted(firsts, flips[0::2], side="right") - 1
+    box = box_rows(boxes).T
+    return _row_spans(owner, flips[0::2] - firsts[owner], flips[1::2] - flips[0::2], box[2], box[0], box[1], width)
+
+
+def _row_spans(owner, starts, lengths, widths, xs, ys, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (offsets, starts, stops) of ``_spans`` of masks given by their
+    foreground runs, as ``_foreground`` yields them, on canvases ``widths``
+    wide whose top-left corners sit at (``xs``, ``ys``) on a canvas ``width``
+    wide: each run cut at the row ends it crosses, then moved."""
+    w = widths[owner]
+    row = starts // w
+    pieces = (starts + lengths - 1) // w - row + 1
+    run = np.repeat(np.arange(len(starts)), pieces)
+    row = row[run] + np.arange(len(run)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    owner, w = owner[run], w[run]
+    lo = np.maximum(starts[run], row * w)
+    hi = np.minimum(starts[run] + lengths[run], row * w + w)
+    shift = (ys[owner] + row) * width + xs[owner] - row * w  # a position on its canvas to one on the big one
+    return _offsets_of(np.bincount(owner, minlength=len(widths))), lo + shift, hi + shift
+
+
+def _span_runs(offsets, starts, stops, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical runs, laid out as for ``_stops``, of masks on a canvas of
+    ``size`` pixels given by the (offsets, starts, stops) of ``_spans``. A span
+    that ends at a row end and one that starts the next row at x = 0 are one
+    run, so where a stop is the next start of the same mask both go."""
+    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    goes_on = np.zeros(len(starts) + 1, dtype=bool)  # span i goes on span i - 1's run
+    goes_on[1:-1] = (stops[:-1] == starts[1:]) & (owner[:-1] == owner[1:])
+    opens, closes = ~goes_on[:-1], ~goes_on[1:]
+    bounds = np.stack((starts[opens], stops[closes]), axis=1).ravel()  # start, stop, start, ... of each run
+    pairs = np.bincount(owner[opens], minlength=len(offsets) - 1)
+    ends = 2 * np.cumsum(pairs)  # where each mask's bounds end
+    has = pairs > 0
+    firsts, lasts = ends[has] - 2 * pairs[has], ends[has] - 1
+    runs = np.diff(bounds, prepend=0)
+    runs[firsts] = bounds[firsts]  # a mask's first run is its first start
+    tail = np.full(len(pairs), size, dtype=np.int64)
+    tail[has] -= bounds[lasts]
+    runs = np.insert(runs, ends[tail > 0], tail[tail > 0])
+    return runs, _offsets_of(2 * pairs + (tail > 0))
+
+
+def _offsets_of(counts: np.ndarray) -> np.ndarray:
+    """The offsets, from 0, of segments of ``counts`` laid end to end."""
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+
+
+def _segments(offsets: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, where) of segments ``index`` of an array laid out by
+    ``offsets``, taken end to end in ``index``'s order: the new segments'
+    offsets, and the positions in the array of their elements."""
+    counts = np.diff(offsets)[index]
+    taken = _offsets_of(counts)
+    return taken, np.repeat(offsets[:-1][index] - taken[:-1], counts) + np.arange(taken[-1])
 
 
 def box_rows(boxes: Sequence[BBox]) -> np.ndarray:

@@ -14,41 +14,58 @@ import numpy as np
 
 from .detector import DetectorProfile, Proposal, _emitter
 from .exchange import ExchangeFormatError, ProposalBatch
-from .masks import BBox, box_overlaps, box_rows, crop_mask, mask_iou, require_same_canvas
+from .masks import (BBox, _foreground, _measure, _row_spans, _segments, _span_runs, _spans, box_overlaps, box_rows,
+                    crop_mask, require_same_canvas)
 from .synth import Scene
-from .tiling import Tile, TileGridSpec, plan_grid, remap_mask
+from .tiling import Tile, TileGridSpec, plan_grid
 
 # a simulated detector, or the records of one scene's exchange file
 ProposalSource = Union[DetectorProfile, ProposalBatch]
 
 
-class Placed:
-    """The records of an exchange batch on a width x height image, as ``place``
-    checked them: the columns NMS ranks and compares boxes by (``objectness``,
-    ``areas``, and ``boxes``, (x, y, w, h) rows on the image), and, as a
-    sequence, each record's proposal on the image, made only when asked for."""
+class Spans:
+    """A scene's candidate proposals on a width x height image as columns:
+    ``objectness`` and ``areas``, which rank them, and the foreground row
+    spans of each, by which they are compared and written. Candidate k's
+    spans, in scan order, are ``starts[i]`` to ``stops[i]`` (image positions,
+    y * width + x, one row each) for i from ``offsets[k]`` to ``offsets[k + 1]``."""
 
-    def __init__(self, batch: ProposalBatch, width: int, height: int, tiles: Sequence[Tile], boxes) -> None:
-        self.batch, self.width, self.height, self.tiles = batch, width, height, tiles
-        self.objectness, self.areas, self.boxes = batch.objectness, batch.areas, boxes
+    __slots__ = ("width", "height", "objectness", "areas", "offsets", "starts", "stops")
+
+    def __init__(self, width, height, objectness, areas, offsets, starts, stops) -> None:
+        self.width, self.height, self.objectness, self.areas = width, height, objectness, areas
+        self.offsets, self.starts, self.stops = offsets, starts, stops
+
+    @classmethod
+    def of(cls, proposals: Sequence[Proposal], width: int, height: int) -> "Spans":
+        """The spans of ``proposals`` on a width x height image, from their bitmaps in one pass."""
+        masks = [p.mask for p in proposals]
+        require_same_canvas([(width, height), *((m.width, m.height) for m in masks)])
+        return cls(width, height, np.array([p.objectness for p in proposals], dtype=float),
+                   np.array([m.area for m in masks], dtype=np.int64), *_spans(masks, width))
 
     def __len__(self) -> int:
-        return len(self.batch)
+        return len(self.areas)
 
-    def __getitem__(self, k: int) -> Proposal:
-        mask, tile = self.batch.mask(k), self.batch.tiles.item(k)
-        if tile >= 0:
-            mask = remap_mask(self.tiles[tile], mask, self.width, self.height)
-        return Proposal(mask, self.objectness.item(k))
+    def batch(self, index) -> ProposalBatch:
+        """The candidates at ``index``, an integer array, in its order, as
+        whole-image records on lines 1 to n, their runs made from their spans."""
+        offsets, where = _segments(self.offsets, index)
+        runs, offsets = _span_runs(offsets, self.starts[where], self.stops[where], self.width * self.height)
+        n = len(offsets) - 1
+        widths = np.full(n, self.width)
+        boxes, areas = _measure(runs, offsets, widths)
+        return ProposalBatch(np.arange(1, n + 1), np.full(n, -1), widths, np.full(n, self.height),
+                             self.objectness[index], runs, offsets, boxes, areas)
 
 
-def place(batch: ProposalBatch, width: int, height: int, tiles: Sequence[Tile] = ()) -> Placed:
-    """The records of ``batch`` placed on a width x height image by box
-    arithmetic, every record's fit checked at once: a whole-image record
-    (tile index -1) must match the image size; a tile record must name a tile
-    of ``tiles`` that lies inside the image, and match the tile's size.
-    Without ``tiles`` only whole-image records are accepted. The first record
-    that does not fit is an ``ExchangeFormatError`` naming its line."""
+def fit(batch: ProposalBatch, width: int, height: int, tiles: Sequence[Tile] = ()) -> np.ndarray:
+    """The (x, y, w, h) row of each record's frame on a width x height image,
+    every record's fit checked at once: a whole-image record (tile index -1)
+    must match the image size; a tile record must name a tile of ``tiles``
+    that lies inside the image, and match the tile's size. Without ``tiles``
+    only whole-image records are accepted. The first record that does not
+    fit is an ``ExchangeFormatError`` naming its line."""
     # each record's frame: its tile, or the image itself, the last row
     frames = np.array([(t.x0, t.y0, t.w, t.h) for t in tiles] + [(0, 0, width, height)], dtype=np.int64)
     whole = batch.tiles < 0
@@ -72,53 +89,69 @@ def place(batch: ProposalBatch, width: int, height: int, tiles: Sequence[Tile] =
         else:
             why = f"tile at ({x0}, {y0}) does not fit inside the {width}x{height} image"
         raise ExchangeFormatError(f"line {batch.lines.item(k)}: {why}")
-    boxes = batch.boxes.copy()
-    boxes[:, :2] += frame[:, :2]
-    return Placed(batch, width, height, tiles, boxes)
+    return frame
 
 
-def _columns(proposals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The objectness, areas and (x, y, w, h) box rows of placed records or of proposals on one canvas."""
-    if isinstance(proposals, Placed):
-        return proposals.objectness, proposals.areas, proposals.boxes
-    masks = [p.mask for p in proposals]
-    require_same_canvas((m.width, m.height) for m in masks)
-    return (np.array([p.objectness for p in proposals], dtype=float),
-            np.array([m.area for m in masks], dtype=np.int64), box_rows([m.bbox for m in masks]))
+def place(batch: ProposalBatch, width: int, height: int, tiles: Sequence[Tile] = ()) -> Spans:
+    """The records of ``batch`` that ``fit`` the image, as their row spans on
+    it: each foreground run cut at its frame's row ends, then moved by the
+    frame's origin."""
+    frame = fit(batch, width, height, tiles)
+    spans = _row_spans(*_foreground(batch.runs, batch.offsets), batch.widths, frame[:, 0], frame[:, 1], width)
+    return Spans(width, height, batch.objectness, batch.areas, *spans)
 
 
-def nms(
-    proposals: Sequence[Proposal], iou_threshold: float, top_k: int | None = None
-) -> list[Proposal]:
-    """Greedy suppression: keep a proposal iff IoU < threshold with all kept.
+def _overlaps(candidates: Spans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, inter): every pair of candidates a < b that share pixels, and
+    how many. The spans are sorted by image position; each is compared with
+    the spans after it that start before it stops, which lie on its row, and
+    the overlaps are summed per pair. A span that stops where another starts
+    shares no pixel with it."""
+    n = len(candidates)
+    owner = np.repeat(np.arange(n), np.diff(candidates.offsets))
+    order = np.argsort(candidates.starts, kind="stable")
+    starts, stops, owner = candidates.starts[order], candidates.stops[order], owner[order]
+    later = np.searchsorted(starts, stops) - np.arange(len(starts)) - 1  # spans after i that start before it stops
+    i = np.repeat(np.arange(len(starts)), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    pair, slot = np.unique(np.minimum(owner[i], owner[j]) * n + np.maximum(owner[i], owner[j]), return_inverse=True)
+    inter = np.bincount(slot, weights=np.minimum(stops[i], stops[j]) - starts[j]).astype(np.int64)
+    return pair // n, pair % n, inter
+
+
+def nms(candidates: Spans, iou_threshold: float, top_k: int | None = None) -> np.ndarray:
+    """Greedy suppression: the indices of the candidates kept, in visit order.
+    A candidate is kept iff its IoU with every kept one is below the threshold.
 
     Candidates are visited by objectness descending, ties broken by mask area
-    descending, then insertion order; output retains that order. Given
-    ``top_k``, the visit stops once that many are kept: the kept list only
-    grows at its end, so they are the first ``top_k`` of the full output.
+    descending, then index. Given ``top_k``, the visit stops once that many
+    are kept: the kept list only grows at its end, so they are the first
+    ``top_k`` of the full output.
 
-    A candidate is compared only with kept proposals whose bounding boxes
-    intersect its own: any other pair shares no pixel, so its IoU is 0.0,
-    below every threshold in (0, 1], and skipping it cannot change the output.
-    The visit orders and compares boxes by the proposals' columns, so of
-    ``Placed`` records it makes only the proposals it visits, each of which
-    it compares or keeps.
+    IoU is computed only for the pairs that share pixels, found in one sweep
+    over the spans (``_overlaps``); any other pair's IoU is 0.0, below every
+    threshold in (0, 1]. A kept candidate suppresses each one whose IoU with
+    it reaches the threshold.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError("nms_iou must lie in (0, 1]")
-    objectness, areas, boxes = _columns(proposals)
-    overlaps = box_overlaps(boxes, boxes)
-    is_kept = np.zeros(len(areas), dtype=bool)
-    kept: dict[int, Proposal] = {}  # by index, in visit order
-    for i in np.lexsort((-areas, -objectness)).tolist():  # a stable sort: ties keep insertion order
+    areas = candidates.areas
+    a, b, inter = _overlaps(candidates)
+    close = inter / (areas[a] + areas[b] - inter) >= iou_threshold
+    a, b = np.concatenate((a[close], b[close])), np.concatenate((b[close], a[close]))
+    by = np.argsort(a, kind="stable")
+    rivals = b[by].tolist()  # candidate i's: rivals[cuts[i] : cuts[i + 1]]
+    cuts = np.searchsorted(a[by], np.arange(len(areas) + 1)).tolist()
+    suppressed = bytearray(len(areas))
+    kept = []
+    for i in np.lexsort((-areas, -candidates.objectness)).tolist():  # a stable sort: ties keep index order
         if len(kept) == top_k:
             break
-        cand = proposals[i]
-        rivals = np.flatnonzero(overlaps[i] & is_kept).tolist()
-        if all(mask_iou(cand.mask, kept[j].mask) < iou_threshold for j in rivals):
-            is_kept[i] = True
-            kept[i] = cand
-    return list(kept.values())
+        if not suppressed[i]:
+            kept.append(i)
+            for j in rivals[cuts[i] : cuts[i + 1]]:
+                suppressed[j] = 1
+    return np.array(kept, dtype=np.int64)
 
 
 def _simulated_proposals(
@@ -152,21 +185,22 @@ def _simulated_proposals(
 
 def run_tiled(
     scene: Scene, source: ProposalSource, grid: TileGridSpec, nms_iou: float = 0.7, top_k: int = 100
-) -> list[Proposal]:
-    """Tile the scene, collect per-tile proposals, merge, suppress, truncate."""
+) -> ProposalBatch:
+    """Tile the scene, collect per-tile proposals, merge, suppress, truncate:
+    the kept proposals as whole-image records, in rank order."""
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     tiles = plan_grid(scene.width, scene.height, grid)
     if isinstance(source, DetectorProfile):
-        raw = _simulated_proposals(scene, tiles, source)
+        candidates = Spans.of(_simulated_proposals(scene, tiles, source), scene.width, scene.height)
     else:
-        raw = place(source, scene.width, scene.height, tiles)
-    return nms(raw, nms_iou, top_k)
+        candidates = place(source, scene.width, scene.height, tiles)
+    return candidates.batch(nms(candidates, nms_iou, top_k))
 
 
 def run_whole(
     scene: Scene, source: ProposalSource, nms_iou: float = 0.7, top_k: int = 100
-) -> list[Proposal]:
+) -> ProposalBatch:
     """Single-region run: the degenerate one-tile grid over the full image."""
     whole = TileGridSpec(scene.width, scene.height, scene.width, scene.height)
     return run_tiled(scene, source, whole, nms_iou, top_k)

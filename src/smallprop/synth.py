@@ -52,8 +52,8 @@ class SceneSpec:
             raise ValueError("radius_min must be at least 2")
         if not self.radius_max >= self.radius_min:
             raise ValueError("radius_max must be >= radius_min")
-        if not math.isfinite(self.radius_max):
-            raise ValueError("radius_max must be finite")
+        if not math.isfinite(self.radius_max * self.radius_max):  # the rasterizer squares the radius
+            raise ValueError("radius_max must be finite and have a finite square")
         if not 0.0 <= self.xs_fraction <= 1.0:
             raise ValueError("xs_fraction must lie in [0, 1]")
         if self.n_apples < 0 or self.n_leaves < 0 or self.min_visible < 0:

@@ -15,8 +15,8 @@ from pathlib import Path
 from smallprop import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-# the one hooked name the package no longer has (see test_benchmark_hooks_resolve)
-PIPELINE_SIMULATE = "smallprop.pipeline.simulate"
+# the hooked names the package no longer has, in hook order (see test_benchmark_hooks_resolve)
+PIPELINE_GONE = ["smallprop.pipeline.remap_mask", "smallprop.pipeline.simulate", "smallprop.pipeline.mask_iou"]
 
 # SHA-256 of each file exchange_setup.write_exchange(..., 42) writes for the
 # scenes of `synth --count 2 --width 320 --height 240` (seed 42): the
@@ -43,8 +43,9 @@ def test_benchmark_hooks_resolve():
     missing += [f"exchange_setup.{attr}" for _, attr, _, _ in tracing.SETUP_HOOKS
                 if not callable(getattr(exchange_setup, attr, None))]
     # the tiled pipeline emits through the function detector._emitter returns and no
-    # longer calls simulate, so the tracer reports this hook missing until it hooks that
-    assert missing == [PIPELINE_SIMULATE]
+    # longer calls simulate; NMS compares and writes records from their row spans, so
+    # it neither remaps a mask nor calls mask_iou. The tracer reports these missing.
+    assert missing == PIPELINE_GONE
     assert callable(exchange_setup.write_exchange)
 
 
@@ -64,7 +65,7 @@ def test_traced_run_and_eval_count_every_record(tmp_path, monkeypatch):
         assert cli.main(["run", "--scenes", "scenes", "--out", "props", "--exchange", "exchange"]) == 0
         tracer.phase = "eval"
         assert cli.main(["eval", "--scenes", "scenes", "--proposals", "props", "--out", "report"]) == 0
-    assert tracer.missing == [PIPELINE_SIMULATE] and tracer.unavailable == set()
+    assert tracer.missing == PIPELINE_GONE and tracer.unavailable == set()
     in_files = sum(len(p.read_text().splitlines()) for p in (tmp_path / "exchange").glob("*.jsonl"))
     assert tracer.phase_counters[("run", "exchange.records_read")] == in_files > 0
     written = tracer.phase_counters[("run", "exchange.records_written")]

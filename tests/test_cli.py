@@ -13,14 +13,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from smallprop import cli
+from smallprop import cli, masks
 from smallprop.cli import main
 from smallprop.exchange import ProposalRecord, read_proposals, write_proposals
-from smallprop.detector import preset
+from smallprop.detector import Proposal, preset
 from smallprop.masks import crop_mask
 from smallprop.raster import read_pnm
 from smallprop.synth import list_scene_stems, load_scene
-from smallprop.tiling import TileGridSpec, plan_grid
+from smallprop.tiling import TileGridSpec, plan_grid, remap_mask
+from oracles import grid_runs, mask_grid, ref_nms
 
 
 def run_cli(*argv):
@@ -166,6 +167,32 @@ def test_exchange_jobs_do_not_change_outputs(tmp_path):
         outs[jobs] = dir_bytes(tmp_path / f"j{jobs}")  # manifests included
     assert outs[1] == outs[2] == outs[8]
     assert len(outs[1]) == 5 and all(outs[1].values())
+
+
+def test_exchange_run_makes_no_mask(tmp_path, monkeypatch):
+    # run --exchange places, compares and writes records from their runs and
+    # spans: with no mask made from runs and no bitmap decoded, it still keeps
+    # what brute-force NMS keeps of the records remapped to the image
+    synth_small(tmp_path / "s", count=2)
+    grid = TileGridSpec(80, 60, 40, 30)
+    _write_tile_records(tmp_path / "s", tmp_path / "ex", grid)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run --exchange made a mask")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(masks, "_decode", forbidden)
+        patch.setattr(masks.BinaryMask, "__init__", forbidden)
+        assert run_cli("run", "--scenes", tmp_path / "s", "--exchange", tmp_path / "ex", "--out", tmp_path / "o",
+                       "--tile", "80x60", "--stride", "40x30", "--nms-iou", 0.5, "--top-k", 5) == 0
+    for stem in list_scene_stems(tmp_path / "s"):
+        scene, records = load_scene(tmp_path / "s", stem), read_proposals(tmp_path / "ex" / f"{stem}.jsonl")
+        tiles = plan_grid(scene.width, scene.height, grid)
+        props = [Proposal(remap_mask(tiles[records.tiles.item(k)], records.mask(k), scene.width, scene.height),
+                          records.objectness.item(k)) for k in range(len(records))]
+        want = [(p.objectness, grid_runs(mask_grid(p.mask))) for p in ref_nms(props, 0.5)[:5]]
+        got = read_proposals(tmp_path / "o" / f"{stem}.jsonl").records(stem)
+        assert [(r.objectness, r.runs) for r in got] == want and len(props) > len(want) > 0
 
 
 def test_run_then_eval_perfect_proposals(tmp_path):
@@ -315,6 +342,7 @@ _BAD_FLAG_VALUES = [
     ("synth", "--radius-max", "nan"),
     ("synth", "--radius-max", "inf"),
     ("synth", "--radius-min", "inf"),
+    ("synth", "--radius-max", "1e301"),  # finite, but its square is not
     # the exchange files replace the detector, so its flags would be ignored
     ("exchange", "--detector", "fastmask"),
     *[("exchange", flag, value) for flag, value, _ in _OVERRIDES],
@@ -335,6 +363,22 @@ def test_invalid_flag_values_are_usage_errors(tmp_path, capsys, command, flag, v
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
     assert flag in lines[0] and not out.exists()
+
+
+def test_radius_whose_square_overflows_is_a_usage_error(tmp_path):
+    # exited 0 with numpy's overflow warnings on stderr; now one JSON line and no --out
+    out = tmp_path / "o"
+    argv = ["synth", "--out", str(out), "--radius-min", "1e300", "--radius-max", "1e301",
+            "--width", "64", "--height", "48", "--leaves", "0"]
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "smallprop.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert json.loads(line) == {"error": "usage", "message": "--width, --height, --leaves, --radius-min, --radius-max: "
+                                                             "radius_max must be finite and have a finite square"}
+    assert not out.exists()
 
 
 def test_data_error_exit_code(tmp_path, capsys):

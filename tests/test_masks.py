@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from smallprop.annotations import extract_instances
-from smallprop.masks import BBox, BinaryMask, MaskFormatError, box_overlaps, box_rows, crop_mask, encode_runs, mask_iou
+from smallprop.masks import (BBox, BinaryMask, MaskFormatError, _foreground, _row_spans, _span_runs, _spans,
+                             box_overlaps, box_rows, crop_mask, mask_iou)
 from smallprop.tiling import Tile, remap_mask
 import oracles
 from oracles import grid_bbox, grid_iou, grid_runs, mask_grid, rect_mask
@@ -316,7 +317,12 @@ def _mask_set(rng, width, height):
     return grids
 
 
-def test_encode_runs_matches_the_pixel_oracle():
+def _records(runs, offsets):
+    """Each mask's runs, from runs laid out end to end."""
+    return [tuple(runs[i:j].tolist()) for i, j in zip(offsets.tolist(), offsets[1:].tolist())]
+
+
+def test_span_runs_match_the_pixel_oracle():
     rng = np.random.default_rng(20)
     for trial in range(400):
         width, height = int(rng.integers(1, 14)), int(rng.integers(1, 9))
@@ -324,16 +330,45 @@ def test_encode_runs_matches_the_pixel_oracle():
             height = 1  # a W x 1 canvas: every mask is full-height
         grids = _mask_set(rng, width, height)
         want = [grid_runs(g) for g in grids]
-        assert encode_runs([_from_grid(g) for g in grids]) == want
-        # a mask encoded alone has the same runs, and a mask made from runs keeps them
+        # spans from bitmaps (boxes as wide as the canvas join their rows' spans into one run)
+        assert _records(*_span_runs(*_spans([_from_grid(g) for g in grids], width), width * height)) == want
+        # spans from runs, on the canvas itself
+        runs = np.array([r for rs in want for r in rs], dtype=np.int64)
+        offsets = np.cumsum([0] + [len(rs) for rs in want])
+        n = len(want)
+        spans = _row_spans(*_foreground(runs, offsets), np.full(n, width), np.zeros(n, int), np.zeros(n, int), width)
+        assert _records(*_span_runs(*spans, width * height)) == want
+        # a mask encoded alone has the same runs
         assert [_from_grid(g).runs for g in grids] == want
-        made = [BinaryMask(width, height, r) for r in want]
-        assert encode_runs(made) == want and all(m.runs is r for m, r in zip(made, want))
 
 
-def test_encode_runs_of_no_masks_and_of_mixed_canvases():
-    assert encode_runs([]) == []
-    full = _from_grid(np.ones((2, 3), bool))
-    assert encode_runs([full, full]) == [(0, 6), (0, 6)]
-    with pytest.raises(ValueError, match="mask dimensions differ: 3x2 vs 3x3"):
-        encode_runs([_from_grid(np.ones((2, 3), bool)), _from_grid(np.ones((3, 3), bool))])
+def test_row_spans_place_tile_masks_on_the_image():
+    # each mask of a w x h canvas placed at (x, y) on a bigger canvas, a tile's
+    # records on the image: the runs of the grid embedded there
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        width, height = int(rng.integers(1, 10)), int(rng.integers(1, 8))
+        big_w, big_h = width + int(rng.integers(0, 6)), height + int(rng.integers(0, 6))
+        grids = [g for g in _mask_set(rng, width, height) if g.any()]
+        xs = rng.integers(0, big_w - width + 1, len(grids))
+        ys = rng.integers(0, big_h - height + 1, len(grids))
+        runs = np.array([r for g in grids for r in grid_runs(g)], dtype=np.int64)
+        offsets = np.cumsum([0] + [len(grid_runs(g)) for g in grids])
+        spans = _row_spans(*_foreground(runs, offsets), np.full(len(grids), width), xs, ys, big_w)
+        want = []
+        for g, x, y in zip(grids, xs.tolist(), ys.tolist()):
+            embedded = np.zeros((big_h, big_w), bool)
+            embedded[y : y + height, x : x + width] = g
+            want.append(grid_runs(embedded))
+        assert _records(*_span_runs(*spans, big_w * big_h)) == want
+
+
+def test_spans_that_touch_are_one_run_only_across_a_row_end():
+    # on a 4-wide canvas: [2, 4) of row 0 and [0, 1) of row 1 are one run, but
+    # two masks whose spans touch stay apart
+    offsets, starts, stops = np.array([0, 2, 3]), np.array([2, 4, 5]), np.array([4, 5, 6])
+    runs, cuts = _span_runs(offsets, starts, stops, 8)
+    assert _records(runs, cuts) == [(2, 3, 3), (5, 1, 2)]
+    assert _records(*_span_runs(np.array([0, 0]), np.zeros(0, int), np.zeros(0, int), 8)) == [(8,)]
+
+

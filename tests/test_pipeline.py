@@ -7,15 +7,21 @@ from smallprop.detector import PRESET_LEVELS, Proposal, band_score, detectable_r
 from smallprop.masks import BBox, BinaryMask, crop_mask, mask_iou
 from smallprop.prng import prng_next, randint, random, stream_seed
 from smallprop.exchange import ExchangeFormatError, ProposalBatch, ProposalRecord, read_proposals, write_proposals
-from smallprop.pipeline import nms, place, run_tiled, run_whole
+from smallprop.pipeline import Spans, _overlaps, nms, place, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
 from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
 from smallprop.raster import RasterImage
-from oracles import grid_iou, grid_runs, mask_grid, rect_mask, shifted
+from oracles import grid_iou, grid_runs, mask_grid, rect_mask, ref_nms, shifted
 
 
 def proposal(mask, score):
     return Proposal(mask, score)
+
+
+def nms_of(props, iou_threshold, top_k=None):
+    """The proposals ``nms`` keeps of ``props``, on the first one's canvas, in its order."""
+    width, height = (props[0].mask.width, props[0].mask.height) if props else (1, 1)
+    return [props[i] for i in nms(Spans.of(props, width, height), iou_threshold, top_k).tolist()]
 
 
 def scene_from_labels(labels):
@@ -41,14 +47,14 @@ def disk_scene(w, h, centers_radii, min_visible=1):
 
 def test_nms_suppresses_duplicate():
     m = rect_mask(16, 16, 2, 2, 6, 6)
-    kept = nms([proposal(m, 0.9), proposal(m, 0.8)], 0.7)
+    kept = nms_of([proposal(m, 0.9), proposal(m, 0.8)], 0.7)
     assert [p.objectness for p in kept] == [0.9]
 
 
 def test_nms_keeps_disjoint_sorted():
     a = rect_mask(16, 16, 0, 0, 4, 4)
     b = rect_mask(16, 16, 10, 10, 4, 4)
-    kept = nms([proposal(a, 0.4), proposal(b, 0.8)], 0.5)
+    kept = nms_of([proposal(a, 0.4), proposal(b, 0.8)], 0.5)
     assert [p.objectness for p in kept] == [0.8, 0.4]
 
 
@@ -59,7 +65,7 @@ def test_nms_three_offset_squares():
     # brute-force pairwise IoUs justify the expected survivor set
     assert grid_iou(mask_grid(a), mask_grid(b)) == pytest.approx(1 / 3)
     assert grid_iou(mask_grid(a), mask_grid(c)) == 0.0
-    kept = nms([proposal(a, 0.9), proposal(b, 0.8), proposal(c, 0.7)], 0.3)
+    kept = nms_of([proposal(a, 0.9), proposal(b, 0.8), proposal(c, 0.7)], 0.3)
     assert [p.objectness for p in kept] == [0.9, 0.7]
 
 
@@ -69,8 +75,8 @@ def test_nms_idempotent_and_bounded():
     for i in range(12):
         x0, y0 = rng.integers(0, 20, 2)
         props.append(proposal(rect_mask(32, 32, int(x0), int(y0), 8, 8), float(rng.random())))
-    kept = nms(props, 0.4)
-    assert nms(kept, 0.4) == kept
+    kept = nms_of(props, 0.4)
+    assert nms_of(kept, 0.4) == kept
     for i, p in enumerate(kept):
         for q in kept[:i]:
             assert mask_iou(p.mask, q.mask) < 0.4
@@ -79,7 +85,7 @@ def test_nms_idempotent_and_bounded():
 def test_nms_tie_breaks_by_area_then_order():
     big = rect_mask(20, 20, 0, 0, 6, 6)
     small = rect_mask(20, 20, 10, 10, 3, 3)
-    kept = nms([proposal(small, 0.5), proposal(big, 0.5)], 0.9)
+    kept = nms_of([proposal(small, 0.5), proposal(big, 0.5)], 0.9)
     assert kept[0].mask == big
 
 
@@ -89,10 +95,108 @@ def test_nms_suppresses_at_exactly_the_threshold():
     b = rect_mask(8, 2, 0, 0, 2, 1)
     assert mask_iou(a, b) == 0.5
     props = [proposal(a, 0.9), proposal(b, 0.8)]
-    placed = place(ProposalBatch.of(props), 8, 2)
-    for candidates in (props, placed):
-        assert nms(candidates, 0.5) == props[:1]
-        assert nms(candidates, 0.5000001) == props
+    for candidates in (Spans.of(props, 8, 2), place(ProposalBatch.of(props), 8, 2)):
+        assert nms(candidates, 0.5).tolist() == [0]
+        assert nms(candidates, 0.5000001).tolist() == [0, 1]
+
+
+def _random_grid(rng, width, height):
+    """A random mask grid: a box of random fill, a band as wide as the canvas
+    (its runs go on across row ends), a box on the canvas's right edge, or one pixel."""
+    grid = np.zeros((height, width), bool)
+    kind = int(rng.integers(0, 4))
+    x0, y0 = int(rng.integers(0, width)), int(rng.integers(0, height))
+    x1, y1 = int(rng.integers(x0 + 1, width + 1)), int(rng.integers(y0 + 1, height + 1))
+    if kind == 0:
+        grid[y0:y1, x0:x1] = rng.random((y1 - y0, x1 - x0)) < 0.8
+    elif kind == 1:
+        grid[y0:y1] = True
+        grid[y0, : int(rng.integers(0, width))] = False  # the band may start and end mid-row
+        grid[y1 - 1, int(rng.integers(1, width + 1)) :] = False
+    elif kind == 2:
+        grid[y0:y1, x0:] = True
+    grid[y0, x0] = True  # never empty
+    return grid
+
+
+def _kept_records(props, iou_threshold, top_k):
+    """(objectness, runs) of what brute-force NMS keeps of ``props``, truncated to ``top_k``."""
+    return [(p.objectness, grid_runs(mask_grid(p.mask))) for p in ref_nms(props, iou_threshold)[:top_k]]
+
+
+def _written(batch):
+    return [(r.objectness, r.runs) for r in batch.records("x")]
+
+
+def test_span_nms_equals_brute_force_on_full_width_masks():
+    # many masks as wide as the canvas, so their runs join across row ends,
+    # from bitmaps and from runs; objectness on a coarse lattice, so ties are common
+    rng = np.random.default_rng(24)
+    for _ in range(150):
+        width, height = int(rng.integers(1, 12)), int(rng.integers(1, 10))
+        props = [Proposal(BinaryMask(width, height, grid_runs(_random_grid(rng, width, height))),
+                          int(rng.integers(0, 5)) / 4) for _ in range(int(rng.integers(0, 9)))]
+        t, k = int(rng.integers(1, 11)) / 10, int(rng.integers(1, 10))
+        want = _kept_records(props, t, k)
+        scene = scene_from_labels(np.zeros((height, width)))
+        assert _written(Spans.of(props, width, height).batch(nms(Spans.of(props, width, height), t, k))) == want
+        assert _written(run_whole(scene, ProposalBatch.of(props), t, k)) == want
+
+
+def test_span_nms_equals_brute_force_on_tile_records(tmp_path):
+    # tile records on random grids, the last column and row of tiles clamped to
+    # the image's edge, and tiles as wide as the image; each record remapped
+    # to the image is the reference's proposal
+    rng = np.random.default_rng(25)
+    clamped = 0
+    for trial in range(150):
+        width, height = int(rng.integers(2, 24)), int(rng.integers(2, 18))
+        tile_w = width if trial % 3 == 0 else int(rng.integers(1, width + 1))
+        tile_h = int(rng.integers(1, height + 1))
+        grid = TileGridSpec(tile_w, tile_h, int(rng.integers(1, tile_w + 1)), int(rng.integers(1, tile_h + 1)))
+        tiles = plan_grid(width, height, grid)
+        last = [t for t in tiles if t.x0 + t.w == width or t.y0 + t.h == height]
+        records, props = [], []
+        for _ in range(int(rng.integers(1, 9))):
+            pool = last if rng.random() < 0.5 else tiles
+            tile = pool[int(rng.integers(0, len(pool)))]
+            clamped += tile.x0 % grid.stride_x != 0 or tile.y0 % grid.stride_y != 0
+            local = BinaryMask(tile.w, tile.h, grid_runs(_random_grid(rng, tile.w, tile.h)))
+            objectness = int(rng.integers(0, 5)) / 4
+            records.append(ProposalRecord("x", tile.w, tile.h, objectness, local.runs, tile.index))
+            props.append(Proposal(remap_mask(tile, local, width, height), objectness))
+        write_proposals(records, tmp_path / "x.jsonl")
+        t, k = int(rng.integers(1, 11)) / 10, int(rng.integers(1, 10))
+        got = run_tiled(scene_from_labels(np.zeros((height, width))), read_proposals(tmp_path / "x.jsonl"), grid, t, k)
+        assert _written(got) == _kept_records(props, t, k)
+    assert clamped > 50
+
+
+def test_spans_that_touch_share_no_pixel():
+    # on an 8x2 canvas: a ends where b starts on row 0, and c ends at row 0's
+    # end where d starts row 1; none of them overlaps another
+    a, b = rect_mask(8, 2, 0, 0, 3, 1), rect_mask(8, 2, 3, 0, 2, 1)
+    c, d = rect_mask(8, 2, 5, 0, 3, 1), rect_mask(8, 2, 0, 1, 4, 1)
+    props = [proposal(m, 0.5) for m in (a, b, c, d)]
+    for spans in (Spans.of(props, 8, 2), place(ProposalBatch.of(props), 8, 2)):
+        assert all(len(column) == 0 for column in _overlaps(spans))
+        assert nms(spans, 1e-9).tolist() == [3, 0, 2, 1]  # by area, then index
+
+
+def test_tile_records_at_exactly_the_threshold(tmp_path):
+    # IoU 2 / 4 = 0.5 exactly, between records on the clamped last tile of a
+    # 70x50 image under a 32x24 grid at stride 16x12, placed at (38, 26)
+    tile = plan_grid(70, 50, TileGridSpec(32, 24, 16, 12))[-1]
+    assert (tile.x0, tile.y0) == (38, 26)
+    a, b = rect_mask(32, 24, 28, 23, 4, 1), rect_mask(32, 24, 30, 23, 2, 1)
+    path = tmp_path / "x.jsonl"
+    write_proposals([ProposalRecord("x", 32, 24, o, m.runs, tile.index) for m, o in ((a, 0.9), (b, 0.8))], path)
+    scene = scene_from_labels(np.zeros((50, 70)))
+    grid = TileGridSpec(32, 24, 16, 12)
+    assert run_tiled(scene, read_proposals(path), grid, 0.5).objectness.tolist() == [0.9]
+    kept = run_tiled(scene, read_proposals(path), grid, 0.5000001)
+    assert kept.objectness.tolist() == [0.9, 0.8]
+    assert [r.runs for r in kept.records("x")] == [(49 * 70 + 66, 4), (49 * 70 + 68, 2)]
 
 
 def test_nms_rejects_threshold_outside_unit_interval():
@@ -102,8 +206,8 @@ def test_nms_rejects_threshold_outside_unit_interval():
     props = [proposal(a, 0.9), proposal(b, 0.8)]
     for t in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError, match=r"nms_iou must lie in \(0, 1\]"):
-            nms(props, t)
-    assert len(nms(props, 1.0)) == 2
+            nms_of(props, t)
+    assert len(nms_of(props, 1.0)) == 2
 
 
 def test_nms_rejects_mixed_canvases():
@@ -111,12 +215,12 @@ def test_nms_rejects_mixed_canvases():
     a = rect_mask(16, 16, 0, 0, 4, 4)
     b = rect_mask(16, 20, 10, 10, 4, 4)
     with pytest.raises(ValueError, match="mask dimensions differ"):
-        nms([proposal(a, 0.9), proposal(b, 0.8)], 0.7)
+        nms_of([proposal(a, 0.9), proposal(b, 0.8)], 0.7)
 
 
 def test_whole_run_empty_ground_truth():
     scene = scene_from_labels(np.zeros((240, 320)))
-    assert run_whole(scene, preset("attentionmask")) == []
+    assert len(run_whole(scene, preset("attentionmask"))) == 0
 
 
 def test_single_tile_grid_equals_whole():
@@ -125,7 +229,7 @@ def test_single_tile_grid_equals_whole():
     grid = TileGridSpec(320, 240, 320, 240)
     tiled = run_tiled(scene, prof, grid)
     whole = run_whole(scene, prof)
-    assert tiled == whole
+    assert len(tiled) > 0 and tiled.records("x") == whole.records("x")
 
 
 def test_duplicate_across_tiles_collapses_to_one():
@@ -134,7 +238,7 @@ def test_duplicate_across_tiles_collapses_to_one():
     prof = preset("attentionmask", jitter=0)
     out = run_tiled(scene, prof, TileGridSpec(320, 240, 160, 240))
     assert len(out) == 1
-    assert out[0].mask == scene.objects[0].mask
+    assert out.mask(0) == scene.objects[0].mask
 
 
 def test_top_k_truncation():
@@ -142,11 +246,11 @@ def test_top_k_truncation():
     prof = preset("attentionmask", objectness_noise=0.5, seed=3)
     out = run_tiled(scene, prof, TileGridSpec(320, 240, 320, 240), top_k=7)
     assert len(out) == 7
-    scores = [p.objectness for p in out]
+    scores = out.objectness.tolist()
     assert scores == sorted(scores, reverse=True)
     # the 7 highest of the full ranking survive
     full = run_tiled(scene, prof, TileGridSpec(320, 240, 320, 240), top_k=10**6)
-    assert scores == [p.objectness for p in full[:7]]
+    assert out.records("x") == full.records("x")[:7]
 
 
 def test_whole_image_records_pass_through():
@@ -154,7 +258,7 @@ def test_whole_image_records_pass_through():
     m = rect_mask(64, 48, 10, 10, 12, 12)
     out = run_whole(scene, ProposalBatch.of([Proposal(m, 0.75)]))
     assert len(out) == 1
-    assert out[0].mask == m and out[0].objectness == 0.75
+    assert out.mask(0) == m and out.objectness.tolist() == [0.75]
 
 
 def test_tile_records_are_remapped(tmp_path):
@@ -164,7 +268,7 @@ def test_tile_records_are_remapped(tmp_path):
     out = run_tiled(scene, exchange_batch(tmp_path, [(1, local)]), grid)
     assert len(out) == 1
     # tile 1 sits at (16, 0) in a row-major 3x3 grid
-    assert out[0].mask.bbox.x == 18 and out[0].mask.bbox.y == 3
+    assert out.mask(0).bbox == BBox(18, 3, 5, 5)
 
 
 TILE = BinaryMask(32, 24, (0, 768))  # a record filling a tile of the 32x24 grid
@@ -257,9 +361,9 @@ def test_output_scores_non_increasing():
     scene = generate_scene(SceneSpec(width=320, height=240, n_apples=25, n_leaves=10, seed=21))
     prof = preset("attentionmask", jitter=1, objectness_noise=0.4, seed=2)
     out = run_tiled(scene, prof, TileGridSpec(160, 120, 80, 60))
-    scores = [p.objectness for p in out]
+    scores = out.objectness.tolist()
     assert scores == sorted(scores, reverse=True)
-    assert len(out) <= 100
+    assert 0 < len(out) <= 100
 
 
 def test_config_validation():
@@ -325,8 +429,8 @@ def _per_region_reference(scene, tiles, profile):
 @pytest.mark.parametrize("name", sorted(PRESET_LEVELS))
 def test_tiled_simulation_is_the_per_region_composition(name, monkeypatch):
     # small scenes under a 32x24 grid at stride 16x12: most objects cut a tile edge
-    raw_of_run = []
-    monkeypatch.setattr(pipeline, "nms", lambda raw, iou, top_k: raw_of_run.append(raw) or [])
+    raw_of_run, simulated = [], pipeline._simulated_proposals
+    monkeypatch.setattr(pipeline, "_simulated_proposals", lambda *args: raw_of_run.append(simulated(*args)) or [])
     grid = TileGridSpec(32, 24, 16, 12)
     emitted = empty_crops = pushed_out = 0
     for seed in range(4):

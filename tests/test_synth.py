@@ -129,6 +129,10 @@ def test_invalid_specs_rejected():
         SceneSpec(radius_max=math.nan)
     with pytest.raises(ValueError, match="radius_max must be finite"):
         SceneSpec(radius_min=math.inf, radius_max=math.inf)
+    # a finite radius whose square overflows: the disk rasterizer squares it
+    with pytest.raises(ValueError, match="radius_max must be finite and have a finite square"):
+        SceneSpec(radius_min=1e300, radius_max=1e301)
+    SceneSpec(radius_min=1e150, radius_max=1.3e154)  # its square is finite
 
 
 def test_apple_count_fits_16_bit_instance_ids():
