@@ -352,8 +352,8 @@ def box_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean matrix whose [i, j] entry is ``a[i].intersects(b[j])``, for
     arrays of the ``box_rows`` of boxes.
 
-    Masks whose boxes do not intersect share no pixel, so their IoU is 0.0;
-    callers use this to skip ``mask_iou`` on such pairs.
+    ``pipeline._simulated_proposals`` uses it to find the objects whose
+    boxes meet each tile.
     """
     ea, eb = a[:, None, :], b[None, :, :]
     return (
@@ -365,7 +365,7 @@ def box_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def require_same_canvas(sizes: Iterable[tuple[int, int]]) -> None:
-    """Raise the ValueError of ``mask_iou`` unless all (width, height) ``sizes`` are one."""
+    """Raise a ValueError naming the sizes unless all (width, height) ``sizes`` are one."""
     sizes = sorted(set(sizes))
     if len(sizes) > 1:
         raise ValueError(

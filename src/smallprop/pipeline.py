@@ -101,22 +101,41 @@ def place(batch: ProposalBatch, width: int, height: int, tiles: Sequence[Tile] =
     return Spans(width, height, batch.objectness, batch.areas, *spans)
 
 
-def _overlaps(candidates: Spans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, inter): every pair of candidates a < b that share pixels, and
-    how many. The spans are sorted by image position; each is compared with
-    the spans after it that start before it stops, which lie on its row, and
-    the overlaps are summed per pair. A span that stops where another starts
-    shares no pixel with it."""
-    n = len(candidates)
-    owner = np.repeat(np.arange(n), np.diff(candidates.offsets))
-    order = np.argsort(candidates.starts, kind="stable")
-    starts, stops, owner = candidates.starts[order], candidates.stops[order], owner[order]
-    later = np.searchsorted(starts, stops) - np.arange(len(starts)) - 1  # spans after i that start before it stops
-    i = np.repeat(np.arange(len(starts)), later)
-    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
-    pair, slot = np.unique(np.minimum(owner[i], owner[j]) * n + np.maximum(owner[i], owner[j]), return_inverse=True)
-    inter = np.bincount(slot, weights=np.minimum(stops[i], stops[j]) - starts[j]).astype(np.int64)
-    return pair // n, pair % n, inter
+_PAIRS = 1 << 18  # how many span pairs nms compares at once, unless one candidate has more
+
+
+def _sweeps(starts: np.ndarray, stops: np.ndarray, c: np.ndarray, k: np.ndarray | None = None) -> tuple:
+    """The sweeps that find every pair of spans that share pixels: two spans
+    of ``c``, or given ``k`` one span of ``c`` and one of ``k``. Both are
+    indices into ``starts`` and ``stops``, sorted by start. Each sweep is
+    (xs, ys, lo, hi): span xs[i] overlaps spans ys[lo[i]:hi[i]], which start
+    inside it, at or after its start, so each pair shares min(stops) - start
+    of the ys span pixels. A span that stops where another starts shares no
+    pixel with it."""
+    cs, ce = starts[c], stops[c]
+    if k is None:
+        return ((c, c, np.arange(1, len(c) + 1), np.searchsorted(cs, ce)),)  # later spans of c
+    ks, ke = starts[k], stops[k]
+    return (
+        (c, k, np.searchsorted(ks, cs), np.searchsorted(ks, ce)),  # spans of k from each start of c on
+        (k, c, np.searchsorted(cs, ks, "right"), np.searchsorted(cs, ke)),  # spans of c after each start of k
+    )
+
+
+def _overlaps(sweeps: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y): the pairs of spans that ``sweeps`` find, y starting inside x."""
+    x, y = [], []
+    for xs, ys, lo, hi in sweeps:
+        counts = hi - lo
+        i = np.repeat(np.arange(len(lo)), counts)
+        x.append(xs[i])
+        y.append(ys[np.arange(len(i)) + np.repeat(lo - np.cumsum(counts) + counts, counts)])
+    return np.concatenate(x), np.concatenate(y)
+
+
+def _found(sweeps: tuple) -> int:
+    """How many pairs of spans ``sweeps`` find."""
+    return sum(int((hi - lo).sum()) for *_, lo, hi in sweeps)
 
 
 def nms(candidates: Spans, iou_threshold: float, top_k: int | None = None) -> np.ndarray:
@@ -128,29 +147,71 @@ def nms(candidates: Spans, iou_threshold: float, top_k: int | None = None) -> np
     are kept: the kept list only grows at its end, so they are the first
     ``top_k`` of the full output.
 
-    IoU is computed only for the pairs that share pixels, found in one sweep
-    over the spans (``_overlaps``); any other pair's IoU is 0.0, below every
-    threshold in (0, 1]. A kept candidate suppresses each one whose IoU with
-    it reaches the threshold.
+    IoU is computed only for the pairs that share pixels, found by sweeping
+    the spans sorted by position (``_sweeps``); any other pair's IoU is 0.0,
+    below every threshold in (0, 1]. The visit goes in chunks, the first
+    holding every candidate. A chunk's candidates are compared with the ones
+    kept before it, which suppress some, then those left with each other,
+    never with a later chunk's. A chunk of more than one candidate whose
+    sweep would find more than ``_PAIRS`` span pairs is cut, before those
+    pairs are made, to at most half, in proportion to the pairs found; one
+    whose sweeps find under a quarter of that lets the next chunk double.
+    So a sweep makes at most ``_PAIRS`` span pairs, or one candidate's with
+    the kept ones, however many masks pile up on a row; a sparse scene is
+    one chunk.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError("nms_iou must lie in (0, 1]")
-    areas = candidates.areas
-    a, b, inter = _overlaps(candidates)
-    close = inter / (areas[a] + areas[b] - inter) >= iou_threshold
-    a, b = np.concatenate((a[close], b[close])), np.concatenate((b[close], a[close]))
-    by = np.argsort(a, kind="stable")
-    rivals = b[by].tolist()  # candidate i's: rivals[cuts[i] : cuts[i + 1]]
-    cuts = np.searchsorted(a[by], np.arange(len(areas) + 1)).tolist()
-    suppressed = bytearray(len(areas))
-    kept = []
-    for i in np.lexsort((-areas, -candidates.objectness)).tolist():  # a stable sort: ties keep index order
-        if len(kept) == top_k:
-            break
-        if not suppressed[i]:
-            kept.append(i)
-            for j in rivals[cuts[i] : cuts[i + 1]]:
-                suppressed[j] = 1
+    n, areas, offsets = len(candidates), candidates.areas, candidates.offsets
+    starts, stops = candidates.starts, candidates.stops
+    owner = np.repeat(np.arange(n), np.diff(offsets))
+
+    def spans(index):  # the spans of candidates ``index``, sorted by start
+        where = _segments(offsets, np.sort(index))[1]
+        return where[np.argsort(starts[where], kind="stable")]
+
+    def close(sweeps):  # the candidate pairs of the sweeps' span pairs whose IoU reaches the threshold
+        x, y = _overlaps(sweeps)
+        a, b = owner[x], owner[y]
+        pair, slot = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+        inter = np.bincount(slot, weights=np.minimum(stops[x], stops[y]) - starts[y]).astype(np.int64)
+        a, b = pair // n, pair % n
+        hit = inter / (areas[a] + areas[b] - inter) >= iou_threshold
+        return a[hit], b[hit]
+
+    visit = np.lexsort((-areas, -candidates.objectness))  # a stable sort: ties keep index order
+    suppressed = bytearray(n)
+    flags = np.frombuffer(suppressed, dtype=np.uint8)
+    kept, done, size = [], 0, n
+    while done < n and len(kept) != top_k:
+        chunk = visit[done : done + size]
+        found = 0
+        if kept:  # the candidates close to a kept one are suppressed
+            cross = _sweeps(starts, stops, spans(chunk), spans(np.array(kept)))
+            found = _found(cross)
+            if found > _PAIRS and len(chunk) > 1:
+                size = max(1, min(len(chunk) // 2, len(chunk) * _PAIRS // found))
+                continue
+            flags[np.concatenate(close(cross))] = 1  # the kept ones too, which are visited
+        left = chunk[flags[chunk] == 0]
+        inner = _sweeps(starts, stops, spans(left))
+        found = max(found, _found(inner))
+        if found > _PAIRS and len(chunk) > 1:
+            size = max(1, min(len(chunk) // 2, len(chunk) * _PAIRS // found))
+            continue
+        done, size = done + len(chunk), size * 2 if 4 * found < _PAIRS else size
+        a, b = close(inner)
+        a, b = np.concatenate((a, b)), np.concatenate((b, a))
+        by = np.argsort(a, kind="stable")
+        a, rivals = a[by], b[by].tolist()
+        first, last = np.searchsorted(a, left).tolist(), np.searchsorted(a, left, "right").tolist()
+        for i, lo, hi in zip(left.tolist(), first, last):
+            if len(kept) == top_k:
+                break
+            if not suppressed[i]:
+                kept.append(i)
+                for j in rivals[lo:hi]:
+                    suppressed[j] = 1
     return np.array(kept, dtype=np.int64)
 
 

@@ -7,7 +7,7 @@ from smallprop.detector import PRESET_LEVELS, Proposal, band_score, detectable_r
 from smallprop.masks import BBox, BinaryMask, crop_mask, mask_iou
 from smallprop.prng import prng_next, randint, random, stream_seed
 from smallprop.exchange import ExchangeFormatError, ProposalBatch, ProposalRecord, read_proposals, write_proposals
-from smallprop.pipeline import Spans, _overlaps, nms, place, run_tiled, run_whole
+from smallprop.pipeline import Spans, _overlaps, _sweeps, nms, place, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
 from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
 from smallprop.raster import RasterImage
@@ -179,8 +179,53 @@ def test_spans_that_touch_share_no_pixel():
     c, d = rect_mask(8, 2, 5, 0, 3, 1), rect_mask(8, 2, 0, 1, 4, 1)
     props = [proposal(m, 0.5) for m in (a, b, c, d)]
     for spans in (Spans.of(props, 8, 2), place(ProposalBatch.of(props), 8, 2)):
-        assert all(len(column) == 0 for column in _overlaps(spans))
+        order = np.argsort(spans.starts, kind="stable")
+        starts, stops, every = spans.starts[order], spans.stops[order], np.arange(len(order))
+        # all spans in one chunk; and each span against its neighbours as kept ones
+        for c, k in ((every, None), (every[::2], every[1::2]), (every[1::2], every[::2])):
+            assert all(len(column) == 0 for column in _overlaps(_sweeps(starts, stops, c, k)))
         assert nms(spans, 1e-9).tolist() == [3, 0, 2, 1]  # by area, then index
+
+
+def test_chunked_visit_equals_brute_force(monkeypatch):
+    # chunks of one candidate, of a few, and of all: the same kept list as
+    # brute force, on random masks that are often as wide as the canvas
+    rng = np.random.default_rng(26)
+    for pairs in (1, 6, 40, 1 << 18):
+        monkeypatch.setattr(pipeline, "_PAIRS", pairs)
+        for _ in range(60):
+            width, height = int(rng.integers(1, 12)), int(rng.integers(1, 10))
+            props = [Proposal(BinaryMask(width, height, grid_runs(_random_grid(rng, width, height))),
+                              int(rng.integers(0, 5)) / 4) for _ in range(int(rng.integers(0, 12)))]
+            t, k = int(rng.integers(1, 11)) / 10, int(rng.integers(1, 13))
+            spans = Spans.of(props, width, height)
+            assert _written(spans.batch(nms(spans, t, k))) == _kept_records(props, t, k)
+
+
+def test_near_duplicates_are_compared_a_chunk_at_a_time(monkeypatch):
+    # 40 near-duplicate rectangles that each fill most of a 48x36 canvas, and
+    # a small square inside them all, ranked first: one sweep of every pair
+    # would hold 780 span pairs on most rows. Each chunk's sweep holds at most
+    # about _PAIRS span pairs, or the pairs of the one candidate it visits
+    rng = np.random.default_rng(27)
+    rects = [(int(rng.integers(0, 4)), int(rng.integers(0, 4)), 44 - int(rng.integers(0, 3)), 32) for _ in range(40)]
+    rects.append((10, 10, 8, 8))
+    props = [proposal(rect_mask(48, 36, *r), 0.99 if r[2] == 8 else float(rng.random())) for r in rects]
+
+    def rows_shared(p, q):  # one span per row each: the rows on which they overlap
+        x_overlap = p[0] < q[0] + q[2] and q[0] < p[0] + p[2]
+        return x_overlap * max(0, min(p[1] + p[3], q[1] + q[3]) - max(p[1], q[1]))
+
+    load = [sum(rows_shared(p, q) for q in rects if q is not p) for p in rects]
+    assert sum(load) // 2 > 20000
+    sweep, sizes = pipeline._overlaps, []
+    monkeypatch.setattr(pipeline, "_overlaps", lambda *a: sizes.append(len((pairs := sweep(*a))[0])) or pairs)
+    for pairs in (1, 3000):
+        monkeypatch.setattr(pipeline, "_PAIRS", pairs)
+        sizes.clear()
+        kept = nms(Spans.of(props, 48, 36), 0.7)
+        assert [props[i] for i in kept.tolist()] == ref_nms(props, 0.7)
+        assert len(sizes) > 5 and max(sizes) <= max(pairs, max(load))
 
 
 def test_tile_records_at_exactly_the_threshold(tmp_path):
