@@ -305,8 +305,8 @@ def cmd_run(args) -> int:
 def _score_one(stem: str, scenes: str, proposals_dir: Path):
     scene = load_scene(scenes, stem)
     path = proposals_dir / f"{stem}.jsonl"
-    proposals = _whole_image_proposals(path, scene.width, scene.height) if path.exists() else []
-    return score_image(scene.instances.pixels, proposals)
+    batch = _whole_image_proposals(path, scene.width, scene.height) if path.exists() else ProposalBatch.of([])
+    return score_image(scene.instances.pixels, batch)
 
 
 def cmd_eval(args) -> int:

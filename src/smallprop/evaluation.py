@@ -18,10 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .annotations import SizeCategory, size_category
-from .detector import Proposal
 from .exchange import ProposalBatch
 from .masks import _foreground, require_same_canvas
-from .masks import mask_iou  # noqa: F401 - unused here; perfbench/tracing.py hooks this name
 from .raster import RasterImage
 
 IOU_THRESHOLDS = tuple(t / 100 for t in range(50, 100, 5))
@@ -97,13 +95,6 @@ def _pairs_under(labels, ids, areas, batch: ProposalBatch) -> list[tuple[float, 
     return list(zip(iou[order].tolist(), gid[order].tolist(), pi[order].tolist()))
 
 
-def _as_batch(proposals) -> ProposalBatch:
-    """A batch as it is, or the batch of a sequence of proposals."""
-    if isinstance(proposals, ProposalBatch):
-        return proposals
-    return ProposalBatch.of(proposals)
-
-
 def _greedy(pairs) -> list[tuple[int, int, float]]:
     taken_gt: set[int] = set()
     taken_prop: set[int] = set()
@@ -117,14 +108,14 @@ def _greedy(pairs) -> list[tuple[int, int, float]]:
     return out
 
 
-def match(labels: np.ndarray, proposals: Sequence[Proposal] | ProposalBatch) -> tuple[tuple[int, int, float], ...]:
-    """Greedily assign proposals, or the records of a batch, to the objects of
-    an instance grid; zero-IoU pairs never match.
+def match(labels: np.ndarray, batch: ProposalBatch) -> tuple[tuple[int, int, float], ...]:
+    """Greedily assign the records of a batch to the objects of an instance
+    grid; zero-IoU pairs never match.
 
-    Returns the one-to-one pairs (gt id, proposal index, iou). Proposals are
+    Returns the one-to-one pairs (gt id, record index, iou). The batch is
     expected to be truncated to the evaluation budget already.
     """
-    return tuple(_greedy(_pairs_under(labels, *_objects(labels), _as_batch(proposals))))
+    return tuple(_greedy(_pairs_under(labels, *_objects(labels), batch)))
 
 
 def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[float | None, int]:
@@ -147,15 +138,15 @@ def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[f
 
 
 def score_image(
-    labels: np.ndarray, proposals: Sequence[Proposal] | ProposalBatch
+    labels: np.ndarray, batch: ProposalBatch
 ) -> tuple[dict[int, SizeCategory], list[tuple[float, int, int]]]:
     """One image's share of a dataset report: the size category of each object
     of the instance grid ``labels`` ({id: category}, the ground truth as
     ``extract_instances`` finds it), and the positive-IoU (iou, id, proposal
-    index) pairs of the proposals, or a batch's records, ranked by objectness
-    descending (stable) and truncated to the largest budget.
+    index) pairs of a batch's records ranked by objectness descending
+    (stable) and truncated to the largest budget.
     """
-    ranked = _as_batch(proposals).top(max(BUDGETS))
+    ranked = batch.top(max(BUDGETS))
     ids, areas = _objects(labels)
     sizes = {g: size_category(a) for g, a in zip(ids.tolist(), areas.tolist())}
     return sizes, _pairs_under(labels, ids, areas, ranked)
@@ -236,17 +227,16 @@ def _contour(grid: np.ndarray) -> np.ndarray:
     return grid & ~interior
 
 
-def render_overlay(image: RasterImage, labels: np.ndarray, proposals: Sequence[Proposal] | ProposalBatch) -> RasterImage:
-    """Draw matched proposals, or records of a batch, filled with a colored
-    contour, misses in red.
+def render_overlay(image: RasterImage, labels: np.ndarray, batch: ProposalBatch) -> RasterImage:
+    """Draw the matched records of a batch filled with a colored contour,
+    misses in red.
 
     Objects of the instance grid ``labels`` are drawn by id ascending. Each
-    shows only its assigned (best-IoU) proposal; an unmatched one is drawn as
+    shows only its assigned (best-IoU) record; an unmatched one is drawn as
     an unfilled red contour of its pixels.
     """
     if image.channels != 3:
         raise ValueError("overlay rendering needs an RGB image")
-    batch = _as_batch(proposals)
     by_gt = {gid: pi for gid, pi, _ in match(labels, batch)}
     canvas = image.pixels.astype(np.int16)
     for gid in _objects(labels)[0].tolist():

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .detector import Proposal
-from .masks import BBox, BinaryMask, _fill, _measure, _offsets_of, _segments, _valid, box_rows
+from .masks import BinaryMask, _measure, _offsets_of, _segments, _valid
 
 _REQUIRED_KEYS = ("image_id", "width", "height", "objectness", "runs")
 _REQUIRED = frozenset(_REQUIRED_KEYS)
@@ -76,15 +76,15 @@ class ProposalBatch:
     ``lines`` holds each record's line number and ``tiles`` its tile index, -1
     for a whole-image record; ``widths``, ``heights`` and ``objectness`` are
     arrays; ``runs`` holds every record's runs end to end, record k's at
-    ``runs[offsets[k]:offsets[k + 1]]``; ``boxes`` holds the (x, y, w, h) row
-    and ``areas`` the area of each record's mask on its own canvas.
+    ``runs[offsets[k]:offsets[k + 1]]``; ``areas`` holds the area of each
+    record's mask.
     """
 
-    __slots__ = ("lines", "tiles", "widths", "heights", "objectness", "runs", "offsets", "boxes", "areas")
+    __slots__ = ("lines", "tiles", "widths", "heights", "objectness", "runs", "offsets", "areas")
 
-    def __init__(self, lines, tiles, widths, heights, objectness, runs, offsets, boxes, areas) -> None:
+    def __init__(self, lines, tiles, widths, heights, objectness, runs, offsets, areas) -> None:
         self.lines, self.tiles, self.widths, self.heights = lines, tiles, widths, heights
-        self.objectness, self.runs, self.offsets, self.boxes, self.areas = objectness, runs, offsets, boxes, areas
+        self.objectness, self.runs, self.offsets, self.areas = objectness, runs, offsets, areas
 
     @classmethod
     def of(cls, proposals) -> "ProposalBatch":
@@ -99,7 +99,6 @@ class ProposalBatch:
             np.array([p.objectness for p in proposals], dtype=float),
             np.fromiter(chain.from_iterable(runs), np.int64, sum(map(len, runs))),
             _offsets_of([len(r) for r in runs]),
-            box_rows([m.bbox for m in masks]),
             np.array([m.area for m in masks], dtype=np.int64),
         )
 
@@ -107,16 +106,15 @@ class ProposalBatch:
         return len(self.lines)
 
     def mask(self, k: int) -> BinaryMask:
-        """Record k's mask on its own canvas."""
-        runs = tuple(self.runs[self.offsets.item(k) : self.offsets.item(k + 1)].tolist())
-        return _fill(object.__new__(BinaryMask), self.widths.item(k), self.heights.item(k),
-                     BBox(*self.boxes[k].tolist()), self.areas.item(k), runs=runs)
+        """Record k's mask on its own canvas, its runs checked and its box measured."""
+        runs = self.runs[self.offsets.item(k) : self.offsets.item(k + 1)].tolist()
+        return BinaryMask(self.widths.item(k), self.heights.item(k), runs)
 
     def take(self, index) -> "ProposalBatch":
         """The records at ``index``, an integer array, in its order."""
         offsets, where = _segments(self.offsets, index)
         return ProposalBatch(self.lines[index], self.tiles[index], self.widths[index], self.heights[index],
-                             self.objectness[index], self.runs[where], offsets, self.boxes[index], self.areas[index])
+                             self.objectness[index], self.runs[where], offsets, self.areas[index])
 
     def records(self, image_id: str) -> list[ProposalRecord]:
         """The wire records of the batch, in order, for image ``image_id``."""
@@ -196,14 +194,14 @@ def _batch(records: list[tuple], path) -> ProposalBatch:
     else:
         valid = _valid(flat, offsets, widths, heights)
     if valid:
-        boxes, areas = _measure(flat, offsets, widths)
+        areas = _measure(flat, offsets, widths)[1]
         valid = areas.all() and ((objectness >= 0.0) & (objectness <= 1.0)).all()
     if not valid:
         for record in records:
             _check(record, path)
         raise AssertionError(f"{path}: the batch rejects a record that passes every check")
     return ProposalBatch(np.array(lines, dtype=np.int64), np.array(tiles, dtype=np.int64), widths, heights,
-                         objectness, flat, offsets, boxes, areas)
+                         objectness, flat, offsets, areas)
 
 
 def read_proposals(path) -> ProposalBatch:

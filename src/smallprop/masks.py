@@ -1,15 +1,14 @@
 """Binary pixel masks stored as a tight bounding box plus a bitmap of that box.
 
-Moving a mask (a crop, a remap onto an image, a simulated jitter) and IoU
-are box arithmetic plus slices of small arrays, so no operation touches
-pixels outside the object. The run-length encoding is the wire format of
-the proposal exchange files and is normative there: runs are listed in
-row-major scan order over the full canvas and alternate
-background/foreground, with the first run counting background pixels
-(possibly zero). No other run may be zero. A mask read from runs takes its
-box and area from the runs when it is made and decodes its pixels on first
-use; a mask moved whole shares its source's pixels, also decoded on first
-use. Any mask encodes its runs only when asked.
+Moving a mask (a crop, a simulated jitter) is box arithmetic plus slices of
+small arrays, so no operation touches pixels outside the object. The
+run-length encoding is the wire format of the proposal exchange files and is
+normative there: runs are listed in row-major scan order over the full canvas
+and alternate background/foreground, with the first run counting background
+pixels (possibly zero). No other run may be zero. A mask read from runs takes
+its box and area from the runs when it is made and decodes its pixels on
+first use; a mask moved whole shares its source's bitmap, decoded for the move
+if need be. Any mask encodes its runs only when asked.
 """
 
 from __future__ import annotations
@@ -60,8 +59,7 @@ class BinaryMask:
     grid of the box, is decoded on its first use, only over the rows of the box.
     """
 
-    # _pixels: the bitmap once made; before that None for a mask built from
-    # runs, or the mask this one was moved from, whose bitmap it shares
+    # _pixels: the bitmap once made, None before that
     __slots__ = ("width", "height", "bbox", "area", "_runs", "_pixels")
 
     def __init__(self, width: int, height: int, runs: Sequence[int]) -> None:
@@ -89,11 +87,9 @@ class BinaryMask:
     @property
     def bitmap(self) -> np.ndarray:
         """Read-only boolean grid of the box, made on first use."""
-        pixels = self._pixels
-        if not isinstance(pixels, np.ndarray):
-            pixels = _decode(self._runs, self.width, self.bbox) if pixels is None else pixels.bitmap
-            _set(self, "_pixels", pixels)  # and so lets go of the mask it was moved from
-        return pixels
+        if self._pixels is None:
+            _set(self, "_pixels", _decode(self._runs, self.width, self.bbox))
+        return self._pixels
 
     @property
     def runs(self) -> tuple[int, ...]:
@@ -129,7 +125,7 @@ _BACKGROUND = np.zeros(1, dtype=bool)
 
 def _fill(mask, width, height, bbox, area, runs=None, pixels=None) -> BinaryMask:
     """Set every slot of ``mask``; ``pixels`` is a read-only bitmap of the box,
-    the mask it was moved from, or None to decode ``runs``."""
+    or None to decode ``runs``."""
     _set(mask, "width", width)
     _set(mask, "height", height)
     _set(mask, "bbox", bbox)
@@ -243,7 +239,7 @@ def _part(mask, width, height, dx, dy, x0, y0, x1, y1) -> BinaryMask:
         return _trimmed(width, height, 0, 0, _NO_PIXELS)
     if cx1 - cx0 == b.w and cy1 - cy0 == b.h:  # all of it: the same pixels, moved
         box = BBox(b.x + dx, b.y + dy, b.w, b.h)
-        return _fill(object.__new__(BinaryMask), width, height, box, mask.area, pixels=mask)
+        return _fill(object.__new__(BinaryMask), width, height, box, mask.area, pixels=mask.bitmap)
     sub = mask.bitmap[cy0 - b.y : cy1 - b.y, cx0 - b.x : cx1 - b.x]
     return _trimmed(width, height, cx0 + dx, cy0 + dy, sub)
 
@@ -371,28 +367,6 @@ def require_same_canvas(sizes: Iterable[tuple[int, int]]) -> None:
         raise ValueError(
             "mask dimensions differ: " + " vs ".join(f"{w}x{h}" for w, h in sizes)
         )
-
-
-def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
-    """Intersection over union; 0.0 when either mask is empty."""
-    if a.width != b.width or a.height != b.height:
-        raise ValueError(
-            f"mask dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-    if a.area == 0 or b.area == 0:
-        return 0.0
-    p, q = a.bbox, b.bbox
-    x0, y0 = max(p.x, q.x), max(p.y, q.y)
-    x1, y1 = min(p.x + p.w, q.x + q.w), min(p.y + p.h, q.y + q.h)
-    if x0 >= x1 or y0 >= y1:
-        return 0.0
-    inter = int(np.count_nonzero(
-        a.bitmap[y0 - p.y : y1 - p.y, x0 - p.x : x1 - p.x]
-        & b.bitmap[y0 - q.y : y1 - q.y, x0 - q.x : x1 - q.x]
-    ))
-    if inter == 0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
 
 
 def crop_mask(mask: BinaryMask, x0: int, y0: int, width: int, height: int) -> BinaryMask:

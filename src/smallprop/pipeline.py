@@ -14,7 +14,7 @@ import numpy as np
 
 from .detector import DetectorProfile, Proposal, _emitter
 from .exchange import ExchangeFormatError, ProposalBatch
-from .masks import (BBox, _foreground, _measure, _row_spans, _segments, _span_runs, _spans, box_overlaps, box_rows,
+from .masks import (BBox, _foreground, _row_spans, _segments, _span_runs, _spans, box_overlaps, box_rows,
                     crop_mask, require_same_canvas)
 from .synth import Scene
 from .tiling import Tile, TileGridSpec, plan_grid
@@ -53,10 +53,8 @@ class Spans:
         offsets, where = _segments(self.offsets, index)
         runs, offsets = _span_runs(offsets, self.starts[where], self.stops[where], self.width * self.height)
         n = len(offsets) - 1
-        widths = np.full(n, self.width)
-        boxes, areas = _measure(runs, offsets, widths)
-        return ProposalBatch(np.arange(1, n + 1), np.full(n, -1), widths, np.full(n, self.height),
-                             self.objectness[index], runs, offsets, boxes, areas)
+        return ProposalBatch(np.arange(1, n + 1), np.full(n, -1), np.full(n, self.width), np.full(n, self.height),
+                             self.objectness[index], runs, offsets, self.areas[index])
 
 
 def fit(batch: ProposalBatch, width: int, height: int, tiles: Sequence[Tile] = ()) -> np.ndarray:

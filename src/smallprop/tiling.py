@@ -1,4 +1,4 @@
-"""Overlapping tile grids: planning and coordinate remapping.
+"""Overlapping tile grids: planning.
 
 Grids place tile origins every stride pixels starting at 0; the final row and
 column are clamped so the last tile ends exactly at the image border, which
@@ -8,8 +8,6 @@ guarantees full coverage without padding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .masks import BinaryMask, _part
 
 
 @dataclass(eq=True)
@@ -61,15 +59,3 @@ def plan_grid(img_w: int, img_h: int, spec: TileGridSpec) -> list[Tile]:
             tiles.append(Tile(index, x, y, spec.tile_w, spec.tile_h))
             index += 1
     return tiles
-
-
-def remap_mask(tile: Tile, local: BinaryMask, img_w: int, img_h: int) -> BinaryMask:
-    """Translate a tile-local mask onto the full image canvas."""
-    if local.width != tile.w or local.height != tile.h:
-        raise ValueError(
-            f"local mask is {local.width}x{local.height}, tile is {tile.w}x{tile.h}"
-        )
-    if tile.x0 < 0 or tile.y0 < 0 or tile.x0 + tile.w > img_w or tile.y0 + tile.h > img_h:
-        raise ValueError(f"tile at ({tile.x0}, {tile.y0}) does not fit inside the {img_w}x{img_h} image")
-    return _part(local, img_w, img_h, tile.x0, tile.y0, 0, 0, tile.w, tile.h)
-

@@ -295,6 +295,14 @@ def average_recall(gt, pairs) -> float:
     return sum(recalls) / len(THRESHOLDS)
 
 
+def embedded(grid: np.ndarray, tile, width: int, height: int) -> np.ndarray:
+    """The width x height grid holding ``grid``, a tile's local grid, at the
+    tile's origin (x0, y0), background elsewhere."""
+    out = np.zeros((height, width), dtype=bool)
+    out[tile.y0 : tile.y0 + tile.h, tile.x0 : tile.x0 + tile.w] = grid
+    return out
+
+
 def shifted(grid: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """``grid`` moved by (dx, dy), pixels that leave it dropped."""
     h, w = grid.shape

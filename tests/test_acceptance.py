@@ -22,15 +22,15 @@ from smallprop.evaluation import (
     score_image,
     match,
 )
-from smallprop.exchange import ProposalRecord, read_proposals, write_proposals
-from smallprop.masks import BinaryMask, mask_iou
+from smallprop.exchange import ProposalBatch, ProposalRecord, read_proposals, write_proposals
+from smallprop.masks import BinaryMask
 from smallprop.pipeline import Spans, nms
 from smallprop.prng import stream_seed
 from smallprop.synth import SceneSpec, generate_scene, save_scene, scene_stem
-from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
+from smallprop.tiling import TileGridSpec, plan_grid
 from smallprop.masks import crop_mask
-from oracles import (grid_iou, grid_runs, label_grid, make_random_instance, mask_grid, oracle_report, rect_mask,
-                     ref_nms, verify_coverage)
+from oracles import (embedded, grid_iou, grid_runs, label_grid, make_random_instance, mask_grid, oracle_report,
+                     rect_mask, ref_nms, verify_coverage)
 
 
 def _cli(*argv) -> int:
@@ -63,16 +63,16 @@ def test_criterion_1_metric_exactness():
     # single-image AR through the dataset evaluator, one proposal of IoU 1.0, 0.6, 0.49
     for width, expected in ((100, 1.0), (60, 0.3), (49, 0.0)):
         proposal = Proposal(rect_mask(200, 1, 0, 0, width, 1), 0.5)
-        report = evaluate_dataset([score_image(label_grid(gt, 200, 1), [proposal])])
+        report = evaluate_dataset([score_image(label_grid(gt, 200, 1), ProposalBatch.of([proposal]))])
         assert abs(report.ar_at_100 - expected) <= 1e-9
     # the stated IoUs are realizable exactly with sub-rectangle proposals
-    assert mask_iou(gt[0].mask, rect_mask(200, 1, 0, 0, 60, 1)) == 0.6
-    assert mask_iou(gt[0].mask, rect_mask(200, 1, 0, 0, 49, 1)) == 0.49
+    assert grid_iou(mask_grid(gt[0].mask), mask_grid(rect_mask(200, 1, 0, 0, 60, 1))) == 0.6
+    assert grid_iou(mask_grid(gt[0].mask), mask_grid(rect_mask(200, 1, 0, 0, 49, 1))) == 0.49
 
     rng = np.random.default_rng(2024)
     for _ in range(200):
         per_pkg, per_oracle = make_random_instance(rng)
-        got = evaluate_dataset(score_image(*image) for image in per_pkg)
+        got = evaluate_dataset(score_image(labels, ProposalBatch.of(props)) for labels, props in per_pkg)
         ref = oracle_report(per_oracle)
         assert got.ar_at_10 == ref["ar_at_10"]
         assert got.ar_at_100 == ref["ar_at_100"]
@@ -147,13 +147,18 @@ def _suite_rle_roundtrip(rng, cases):
 
 
 def _suite_iou(rng, cases):
+    # the IoU that matching reports, one grid as the object and the other as
+    # the proposal, either way round, is the exact float of the grid oracle
     for _ in range(cases):
         h = int(rng.integers(1, 65))
         w = int(rng.integers(1, 65))
         ga = rng.random((h, w)) < rng.random()
         gb = rng.random((h, w)) < rng.random()
-        a, b = BinaryMask(w, h, grid_runs(ga)), BinaryMask(w, h, grid_runs(gb))
-        assert mask_iou(a, b) == mask_iou(b, a) == grid_iou(ga, gb)
+        iou = grid_iou(ga, gb)
+        for obj, prop in ((ga, gb), (gb, ga)):
+            if prop.any():
+                got = match(obj.astype(np.int32), ProposalBatch.of([Proposal(BinaryMask(w, h, grid_runs(prop)), 0.5)]))
+                assert got == (((1, 0, iou),) if iou else ())
 
 
 def _suite_nms(rng, cases):
@@ -176,7 +181,7 @@ def _suite_nms(rng, cases):
         assert nms(Spans.of(kept, 30, 30), t).tolist() == list(range(len(kept)))
         for i, p in enumerate(kept):
             for q in kept[:i]:
-                assert mask_iou(p.mask, q.mask) < t
+                assert grid_iou(mask_grid(p.mask), mask_grid(q.mask)) < t
 
 
 def _suite_grid(rng, cases):
@@ -191,18 +196,18 @@ def _suite_grid(rng, cases):
         grid = rng.random((img_h, img_w)) < 0.4
         mask = BinaryMask(img_w, img_h, grid_runs(grid))
         tile = tiles[int(rng.integers(0, len(tiles)))]
-        back = remap_mask(tile, crop_mask(mask, tile.x0, tile.y0, tile.w, tile.h), img_w, img_h)
+        back = embedded(mask_grid(crop_mask(mask, tile.x0, tile.y0, tile.w, tile.h)), tile, img_w, img_h)
         ref = np.zeros_like(grid)
         ref[tile.y0 : tile.y0 + tile.h, tile.x0 : tile.x0 + tile.w] = (
             grid[tile.y0 : tile.y0 + tile.h, tile.x0 : tile.x0 + tile.w]
         )
-        assert np.array_equal(mask_grid(back), ref)
+        assert np.array_equal(back, ref)
 
 
 def _suite_ar_monotone(rng, cases):
     for _ in range(cases):
         per_pkg, _ = make_random_instance(rng, with_oracle=False)
-        report = evaluate_dataset(score_image(*image) for image in per_pkg)
+        report = evaluate_dataset(score_image(labels, ProposalBatch.of(props)) for labels, props in per_pkg)
         if report.ar_at_10 is not None:
             assert report.ar_at_10 <= report.ar_at_100
         # pooled recall curve is non-increasing in the threshold
@@ -211,7 +216,7 @@ def _suite_ar_monotone(rng, cases):
             ious = []
             for labels, props in per_pkg:
                 ranked = sorted(props, key=lambda p: -p.objectness)[:100]
-                ious.extend(iou for _, _, iou in match(labels, ranked))
+                ious.extend(iou for _, _, iou in match(labels, ProposalBatch.of(ranked)))
             curve = [sum(1 for v in ious if v >= t) / total for t in IOU_THRESHOLDS]
             assert all(a >= b for a, b in zip(curve, curve[1:]))
 

@@ -16,7 +16,8 @@ from smallprop import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the hooked names the package no longer has, in hook order (see test_benchmark_hooks_resolve)
-PIPELINE_GONE = ["smallprop.pipeline.remap_mask", "smallprop.pipeline.simulate", "smallprop.pipeline.mask_iou"]
+PIPELINE_GONE = ["smallprop.pipeline.remap_mask", "smallprop.pipeline.simulate", "smallprop.pipeline.mask_iou",
+                 "smallprop.evaluation.mask_iou"]
 
 # SHA-256 of each file exchange_setup.write_exchange(..., 42) writes for the
 # scenes of `synth --count 2 --width 320 --height 240` (seed 42): the
@@ -44,7 +45,8 @@ def test_benchmark_hooks_resolve():
                 if not callable(getattr(exchange_setup, attr, None))]
     # the tiled pipeline emits through the function detector._emitter returns and no
     # longer calls simulate; NMS compares and writes records from their row spans, so
-    # it neither remaps a mask nor calls mask_iou. The tracer reports these missing.
+    # it neither remaps a mask nor calls mask_iou; eval scores the ids under each
+    # record's runs, so it has no mask_iou either. The tracer reports these missing.
     assert missing == PIPELINE_GONE
     assert callable(exchange_setup.write_exchange)
 

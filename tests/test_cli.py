@@ -20,8 +20,9 @@ from smallprop.detector import Proposal, preset
 from smallprop.masks import crop_mask
 from smallprop.raster import read_pnm
 from smallprop.synth import list_scene_stems, load_scene
-from smallprop.tiling import TileGridSpec, plan_grid, remap_mask
-from oracles import grid_runs, mask_grid, ref_nms
+from smallprop.masks import BinaryMask
+from smallprop.tiling import TileGridSpec, plan_grid
+from oracles import embedded, grid_runs, mask_grid, ref_nms
 
 
 def run_cli(*argv):
@@ -188,8 +189,10 @@ def test_exchange_run_makes_no_mask(tmp_path, monkeypatch):
     for stem in list_scene_stems(tmp_path / "s"):
         scene, records = load_scene(tmp_path / "s", stem), read_proposals(tmp_path / "ex" / f"{stem}.jsonl")
         tiles = plan_grid(scene.width, scene.height, grid)
-        props = [Proposal(remap_mask(tiles[records.tiles.item(k)], records.mask(k), scene.width, scene.height),
-                          records.objectness.item(k)) for k in range(len(records))]
+        grids = [embedded(mask_grid(records.mask(k)), tiles[records.tiles.item(k)], scene.width, scene.height)
+                 for k in range(len(records))]
+        props = [Proposal(BinaryMask(scene.width, scene.height, grid_runs(g)), records.objectness.item(k))
+                 for k, g in enumerate(grids)]
         want = [(p.objectness, grid_runs(mask_grid(p.mask))) for p in ref_nms(props, 0.5)[:5]]
         got = read_proposals(tmp_path / "o" / f"{stem}.jsonl").records(stem)
         assert [(r.objectness, r.runs) for r in got] == want and len(props) > len(want) > 0

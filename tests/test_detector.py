@@ -10,9 +10,8 @@ from smallprop.detector import (
     preset,
     simulate,
 )
-from smallprop.masks import mask_iou
 from smallprop.prng import prng_next, randint, stream_seed
-from oracles import mask_grid, rect_mask, shifted
+from oracles import grid_iou, mask_grid, rect_mask, shifted
 
 
 def gt_square(w, h, x0, y0, side, instance_id=1):
@@ -75,7 +74,7 @@ def test_zero_jitter_reproduces_gt_masks():
     out = simulate(preset("attentionmask", jitter=0), 320, 240, gt)
     assert len(out) == 1
     assert out[0].mask == gt[0].mask
-    assert mask_iou(out[0].mask, gt[0].mask) == 1.0
+    assert grid_iou(mask_grid(out[0].mask), mask_grid(gt[0].mask)) == 1.0
 
 
 def test_jitter_translates_within_bound():

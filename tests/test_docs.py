@@ -1,8 +1,9 @@
 """The README names every CLI option, its Python API table only what the modules
-define, its exchange examples are records the reader and writer agree on, and
-its placement errors are the text that ``place`` raises."""
+define and the program uses, its exchange examples are records the reader and
+writer agree on, and its placement errors are the text that ``place`` raises."""
 
 import argparse
+import ast
 import functools
 import importlib
 import re
@@ -17,6 +18,8 @@ from smallprop.pipeline import place
 from smallprop.tiling import Tile
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# the code that is not a test: the package, its scripts and the benchmark
+PROGRAM = [README.parent / d for d in ("src", "scripts", "perfbench")]
 
 
 def api_rows():
@@ -40,6 +43,36 @@ def test_python_api_table_names_exist():
         missing += [f"{'/'.join(modules)}.{n}" for n in names
                     if not any(functools.reduce(lambda o, a: getattr(o, a, None), n.split("."), m) for m in loaded)]
     assert missing == []
+
+
+def program_reads() -> set[str]:
+    """The names that the program's code reads, as a variable or as an
+    attribute, outside a definition of that name. An import, a string or a
+    docstring does not read a name, nor does a function calling itself."""
+    read = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in inside:
+                read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in sorted(p for d in PROGRAM for p in d.rglob("*.py")):
+        visit(ast.parse(path.read_text()), frozenset())
+    return read
+
+
+def test_python_api_table_names_only_what_the_program_uses():
+    # API that only tests reach goes, or moves to the tests. A dotted name such
+    # as ``Spans.of`` counts as read wherever its last part is read as an attribute.
+    read = program_reads()
+    names = sorted({n for _, row in api_rows() for n in row})
+    assert len(names) > 30
+    assert [n for n in names if n.split(".")[-1] not in read] == []
 
 
 def test_readme_names_every_cli_option():

@@ -19,6 +19,7 @@ from smallprop.evaluation import (
     report_json,
     report_text,
 )
+from smallprop.exchange import ProposalBatch
 from smallprop.masks import BinaryMask
 from smallprop.pipeline import run_whole
 from smallprop.raster import RasterImage
@@ -36,6 +37,11 @@ def gt_from(mask, gid=1):
     return GroundTruthObject.from_mask(gid, mask)
 
 
+def batch(props):
+    """The whole-image records of ``props``, as eval reads them from a file."""
+    return ProposalBatch.of(props)
+
+
 def grid_of(gt):
     """The instance grid of non-overlapping ground truth on its canvas."""
     return label_grid(gt, gt[0].mask.width, gt[0].mask.height)
@@ -43,18 +49,18 @@ def grid_of(gt):
 
 def test_match_perfect_single_pair():
     m = rect_mask(16, 16, 2, 2, 5, 5)
-    assert match(grid_of([gt_from(m)]), [Proposal(m, 0.9)]) == ((1, 0, 1.0),)
+    assert match(grid_of([gt_from(m)]), batch([Proposal(m, 0.9)])) == ((1, 0, 1.0),)
 
 
 def test_match_without_proposals():
     m = rect_mask(16, 16, 2, 2, 5, 5)
-    assert match(grid_of([gt_from(m)]), []) == ()
+    assert match(grid_of([gt_from(m)]), batch([])) == ()
 
 
 def test_match_zero_iou_never_assigned():
     a = rect_mask(16, 16, 0, 0, 4, 4)
     b = rect_mask(16, 16, 10, 10, 4, 4)
-    assert match(grid_of([gt_from(a)]), [Proposal(b, 0.9)]) == ()
+    assert match(grid_of([gt_from(a)]), batch([Proposal(b, 0.9)])) == ()
 
 
 def test_match_rejects_mixed_canvases():
@@ -62,7 +68,7 @@ def test_match_rejects_mixed_canvases():
     labels = grid_of([gt_from(rect_mask(16, 16, 0, 0, 4, 4))])
     props = [Proposal(rect_mask(16, 20, 10, 10, 4, 4), 0.5)]
     with pytest.raises(ValueError) as exc:
-        match(labels, props)
+        match(labels, batch(props))
     assert str(exc.value) == "mask dimensions differ: 16x16 vs 16x20"
 
 
@@ -74,7 +80,7 @@ def test_match_greedy_two_by_two():
     p2 = Proposal(interval_mask(width, 50, 125), 0.8)
     ious = {(g, pi): iou for iou, g, pi in ref_pairs(labels, [p1, p2])}
     assert ious == {(1, 0): 0.8, (1, 1): 0.4, (2, 1): 25 / 75, (2, 0): 0.2}
-    got = match(labels, [p1, p2])
+    got = match(labels, batch([p1, p2]))
     assert got == ((1, 0, 0.8), (2, 1, 25 / 75))
     # exhaustive check: greedy differs from the optimal assignment only in
     # total IoU, never in cardinality
@@ -93,7 +99,7 @@ def test_match_tie_breaks_deterministic():
     labels = np.zeros((16, 16), np.int32)
     labels[2:7, 2:7], labels[2:7, 7:12] = 4, 2
     m = rect_mask(16, 16, 2, 2, 10, 5)
-    got = match(labels, [Proposal(m, 0.5), Proposal(m, 0.5)])
+    got = match(labels, batch([Proposal(m, 0.5), Proposal(m, 0.5)]))
     assert got == ((2, 0, 0.5), (4, 1, 0.5))
 
 
@@ -101,8 +107,8 @@ def test_average_recall_examples():
     gt = [gt_from(interval_mask(200, 0, 100))]
     for stop, expected in ((100, 1.0), (60, 0.3), (49, 0.0), (0, 0.0)):
         props = [Proposal(interval_mask(200, 0, stop), 0.5)] if stop else []
-        assert evaluate_dataset([score_image(grid_of(gt), props)]).ar_at_100 == expected
-        assert average_recall(gt, match(grid_of(gt), props)) == expected
+        assert evaluate_dataset([score_image(grid_of(gt), batch(props))]).ar_at_100 == expected
+        assert average_recall(gt, match(grid_of(gt), batch(props))) == expected
 
 
 def test_recall_curve_non_increasing():
@@ -128,7 +134,7 @@ def make_three_category_image(width=120):
 def test_evaluate_perfect_proposals():
     gt = make_three_category_image()
     props = [Proposal(g.mask, 1.0) for g in gt]
-    report = evaluate_dataset([score_image(grid_of(gt), props)], system="perfect")
+    report = evaluate_dataset([score_image(grid_of(gt), batch(props))], system="perfect")
     assert report.ar_at_10 == 1.0
     assert report.ar_at_100 == 1.0
     assert report.ar_xs_at_100 == 1.0
@@ -141,7 +147,7 @@ def test_evaluate_mixed_categories():
     xs = gt_from(rect_mask(120, 60, 0, 0, 10, 10), 1)
     m = gt_from(rect_mask(120, 60, 40, 0, 40, 30), 2)
     props = [Proposal(m.mask, 0.9)]
-    report = evaluate_dataset([score_image(grid_of([xs, m]), props)])
+    report = evaluate_dataset([score_image(grid_of([xs, m]), batch(props))])
     assert report.ar_at_100 == 0.5
     assert report.ar_xs_at_100 == 0.0
     assert report.ar_m_at_100 == 1.0
@@ -151,7 +157,7 @@ def test_evaluate_mixed_categories():
 
 def test_evaluate_no_ground_truth_at_all():
     props = [Proposal(rect_mask(32, 32, 0, 0, 4, 4), 0.5)]
-    report = evaluate_dataset([score_image(np.zeros((32, 32), np.int32), props)])
+    report = evaluate_dataset([score_image(np.zeros((32, 32), np.int32), batch(props))])
     assert report.ar_at_10 is None and report.ar_at_100 is None
 
 
@@ -170,7 +176,7 @@ def test_ar_at_100_counts_the_100th_proposal_and_not_the_101st():
     only_match = Proposal(BinaryMask(20, 8, grid_runs(labels == 7)), 0.5)
     decoy = Proposal(rect_mask(20, 8, 12, 2, 3, 3), 0.9)
     for decoys, recall in ((99, 1.0), (100, 0.0)):
-        report = evaluate_dataset([score_image(labels, [decoy] * decoys + [only_match])])
+        report = evaluate_dataset([score_image(labels, batch([decoy] * decoys + [only_match]))])
         assert (report.ar_at_10, report.ar_at_100) == (0.0, recall)
 
 
@@ -178,7 +184,7 @@ def test_budget_monotonicity_random():
     rng = np.random.default_rng(7)
     for _ in range(30):
         per_pkg, _ = make_random_instance(rng)
-        report = evaluate_dataset(score_image(*image) for image in per_pkg)
+        report = evaluate_dataset(score_image(labels, batch(props)) for labels, props in per_pkg)
         if report.ar_at_10 is not None:
             assert report.ar_at_10 <= report.ar_at_100
 
@@ -187,7 +193,7 @@ def test_matches_bruteforce_oracle():
     rng = np.random.default_rng(11)
     for _ in range(40):
         per_pkg, per_oracle = make_random_instance(rng)
-        got = evaluate_dataset(score_image(*image) for image in per_pkg)
+        got = evaluate_dataset(score_image(labels, batch(props)) for labels, props in per_pkg)
         ref = oracle_report(per_oracle)
         assert got.ar_at_10 == ref["ar_at_10"]
         assert got.ar_at_100 == ref["ar_at_100"]
@@ -200,8 +206,8 @@ def test_matches_bruteforce_oracle():
 def test_raising_assigned_iou_never_lowers_ar():
     gt = [gt_from(interval_mask(200, 0, 100), 1), gt_from(interval_mask(200, 100, 200), 2)]
     second = Proposal(interval_mask(200, 100, 170), 0.5)  # IoU 0.7
-    low = evaluate_dataset([score_image(grid_of(gt), [Proposal(interval_mask(200, 0, 55), 0.5), second])]).ar_at_100
-    high = evaluate_dataset([score_image(grid_of(gt), [Proposal(interval_mask(200, 0, 80), 0.5), second])]).ar_at_100
+    first = [Proposal(interval_mask(200, 0, stop), 0.5) for stop in (55, 80)]
+    low, high = (evaluate_dataset([score_image(grid_of(gt), batch([p, second]))]).ar_at_100 for p in first)
     assert high >= low
     assert low == average_recall(gt, ((1, 0, 0.55), (2, 1, 0.7)))
 
@@ -211,18 +217,18 @@ def test_category_restriction_partitions_matches():
     # matched counts sum to the unrestricted matched count
     gt = make_three_category_image()
     props = [Proposal(g.mask, 0.5 + 0.1 * i) for i, g in enumerate(gt)]
-    full = match(grid_of(gt), props)
+    full = match(grid_of(gt), batch(props))
     per_cat = 0
     for cat in SizeCategory:
         sub = [g for g in gt if size_category(g.mask.area) is cat]
-        per_cat += len(match(grid_of(sub), props))
+        per_cat += len(match(grid_of(sub), batch(props)))
     assert per_cat == len(full)
 
 
 def test_report_formats():
     gt = make_three_category_image()
     props = [Proposal(g.mask, 1.0) for g in gt]
-    report = evaluate_dataset([score_image(grid_of(gt), props)], system="sys1")
+    report = evaluate_dataset([score_image(grid_of(gt), batch(props))], system="sys1")
     text = report_text([report])
     header = text.splitlines()[0]
     assert header.split() == ["System", "AR@10", "AR@100", "AR^XS@100", "AR^S@100", "AR^M@100"]
@@ -239,14 +245,14 @@ def test_report_formats():
 
 @pytest.mark.parametrize("system", ["tiled,v2", 'say "hi"', "a\nb"])
 def test_csv_quotes_system_name(system):
-    report = evaluate_dataset([score_image(grid_of(make_three_category_image()), [])], system=system)
+    report = evaluate_dataset([score_image(grid_of(make_three_category_image()), batch([]))], system=system)
     header, row = csv.reader(io.StringIO(report_csv([report])))
     assert len(header) == len(row) == 9 and row[0] == system
 
 
 def test_absent_cells_render_as_dash_and_null():
     xs = gt_from(rect_mask(64, 64, 0, 0, 5, 5), 1)
-    report = evaluate_dataset([score_image(grid_of([xs]), [])], system="empty")
+    report = evaluate_dataset([score_image(grid_of([xs]), batch([]))], system="empty")
     assert "-" in report_text([report])
     import json
 
@@ -264,7 +270,7 @@ def _overlay_scene():
 
 def test_overlay_marks_misses_red():
     scene = _overlay_scene()
-    out = render_overlay(scene.image, scene.instances.pixels, [])
+    out = render_overlay(scene.image, scene.instances.pixels, batch([]))
     changed = np.any(out.pixels != scene.image.pixels, axis=2)
     red = np.all(out.pixels == (255, 0, 0), axis=2)
     assert changed.any()
@@ -274,7 +280,7 @@ def test_overlay_marks_misses_red():
 def test_overlay_perfect_has_no_red_and_fills_centroid():
     scene = _overlay_scene()
     props = [Proposal(o.mask, 1.0) for o in scene.objects]
-    out = render_overlay(scene.image, scene.instances.pixels, props)
+    out = render_overlay(scene.image, scene.instances.pixels, batch(props))
     red = np.all(out.pixels == (255, 0, 0), axis=2)
     assert not red.any()
     for obj in scene.objects:
@@ -288,7 +294,7 @@ def test_overlay_perfect_has_no_red_and_fills_centroid():
 def test_overlay_requires_rgb():
     gray = RasterImage(np.zeros((8, 8), np.uint16))
     with pytest.raises(ValueError):
-        render_overlay(gray, np.zeros((8, 8), np.int32), [])
+        render_overlay(gray, np.zeros((8, 8), np.int32), batch([]))
 
 
 def _ref_overlay(pixels, labels, proposals):
@@ -330,20 +336,20 @@ def test_overlay_matches_full_canvas_drawing_at_edges_and_holes():
         Proposal(rect_mask(24, 20, 20, 6, 4, 4), 0.5),  # right edge, over background only
     ]
     image = RasterImage(rng.integers(0, 256, (20, 24, 3), dtype=np.uint8))
-    assert [g for g, _, _ in match(labels, props)] == [3, 5, 14, 9]
-    assert np.array_equal(render_overlay(image, labels, props).pixels, _ref_overlay(image.pixels, labels, props))
+    assert [g for g, _, _ in match(labels, batch(props))] == [3, 5, 14, 9]
+    assert np.array_equal(render_overlay(image, labels, batch(props)).pixels, _ref_overlay(image.pixels, labels, props))
 
     for _ in range(40):  # objects cut by others, shifted and clipped at the edges, and rectangles
         per_pkg, _ = make_random_instance(rng)
         for labels, props in per_pkg:
             image = RasterImage(rng.integers(0, 256, (*labels.shape, 3), dtype=np.uint8))
-            got = render_overlay(image, labels, props).pixels
+            got = render_overlay(image, labels, batch(props)).pixels
             assert np.array_equal(got, _ref_overlay(image.pixels, labels, props))
 
 
 def kernel_pairs(labels, props):
     """The full pair list of the pair kernel that eval, match and overlay share."""
-    return evaluation._pairs_under(labels, *evaluation._objects(labels), evaluation._as_batch(props))
+    return evaluation._pairs_under(labels, *evaluation._objects(labels), batch(props))
 
 
 def test_label_pairs_equal_reference_pairs_random():
@@ -358,7 +364,7 @@ def test_label_pairs_equal_reference_pairs_random():
             got = kernel_pairs(labels, ranked)
             assert got == ref_pairs(labels, ranked)
             assert all(type(v) is t for pair in got for v, t in zip(pair, (float, int, int)))
-            assert match(labels, ranked) == tuple(greedy_assign(got))
+            assert match(labels, batch(ranked)) == tuple(greedy_assign(got))
     # rectangles and shifted objects, some of these cut by other objects
     assert full_boxes and others
 
@@ -420,18 +426,17 @@ def test_label_pairs_reject_mixed_canvases():
 
 
 def _forbidden(*args):
-    raise AssertionError("a mask was decoded or a mask IoU taken")
+    raise AssertionError("a mask was made or decoded")
 
 
 def test_evaluate_dataset_reads_ids_not_masks(monkeypatch):
     rng = np.random.default_rng(5)
     per_pkg, per_oracle = make_random_instance(rng)
-    # masks read from runs, as eval reads them: their pixels are decoded on first use only
-    per_runs = [(labels, [Proposal(BinaryMask(p.mask.width, p.mask.height, p.mask.runs), p.objectness)
-                          for p in props]) for labels, props in per_pkg]
-    monkeypatch.setattr(evaluation, "mask_iou", _forbidden)
+    # records as eval reads them: runs, which the pair kernel reads without making a mask
+    per_batch = [(labels, batch(props)) for labels, props in per_pkg]
     monkeypatch.setattr(masks, "_decode", _forbidden)
-    got = evaluate_dataset(score_image(*image) for image in per_runs)  # read once
+    monkeypatch.setattr(masks.BinaryMask, "__init__", _forbidden)
+    got = evaluate_dataset(score_image(*image) for image in per_batch)  # read once
     ref = oracle_report(per_oracle)
     assert [getattr(got, f) for _, f, *_ in evaluation.CELLS] == [ref[f] for _, f, *_ in evaluation.CELLS]
     assert got.gt_counts == ref["gt_counts"]
@@ -442,7 +447,7 @@ def test_evaluate_dataset_reads_ids_not_masks(monkeypatch):
 OVERLAY_DIGEST = "b8aab4c4b7ea8305cb0b808bb4642b4646e39f294966924da5f859268ece58bb"
 
 
-def test_match_and_overlay_take_no_mask_iou(monkeypatch):
+def test_match_makes_no_mask_and_overlay_one_per_match(monkeypatch):
     scene = _overlay_scene()
     labels = scene.instances.pixels
     objs = scene.objects
@@ -450,9 +455,17 @@ def test_match_and_overlay_take_no_mask_iou(monkeypatch):
     props = [Proposal(BinaryMask(160, 120, grid_runs(shifted(labels == o.instance_id, 1, -1))), 0.9)
              for o in objs[::2]]
     props.append(Proposal(rect_mask(160, 120, 70, 50, 30, 20), 0.4))
-    monkeypatch.setattr(evaluation, "mask_iou", _forbidden)
-    got = match(labels, props)
+    records = batch(props)
+    with monkeypatch.context() as patch:
+        patch.setattr(masks, "_decode", _forbidden)
+        patch.setattr(masks.BinaryMask, "__init__", _forbidden)
+        got = match(labels, records)
+        assert score_image(labels, records)[1] == ref_pairs(labels, props)
     assert got == tuple(greedy_assign(ref_pairs(labels, props)))
     assert [g for g, _, _ in got] == [3, 5, 1]
-    out = render_overlay(scene.image, labels, props)
+    made, init = [], masks.BinaryMask.__init__
+    monkeypatch.setattr(masks.BinaryMask, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    out = render_overlay(scene.image, labels, records)
     assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == OVERLAY_DIGEST
+    # a mask for each matched record, drawn by object id, and for no other record
+    assert [a[2] for a in made] == [list(props[pi].mask.runs) for _, pi, _ in sorted(got)]

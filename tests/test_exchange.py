@@ -322,6 +322,7 @@ def test_batch_columns_match_the_grid_oracle(tmp_path_factory, file):
     path = tmp_path_factory.mktemp("b") / "f.jsonl"
     path.write_text("".join("\n" * b + format_record(r) + "\n" for r, b in zip(records, blanks)))
     batch = read_proposals(path)
-    got = list(zip(batch.lines.tolist(), batch.tiles.tolist(), map(tuple, batch.boxes.tolist()), batch.areas.tolist()))
+    boxes = [(b.x, b.y, b.w, b.h) for b in (batch.mask(k).bbox for k in range(len(batch)))]
+    got = list(zip(batch.lines.tolist(), batch.tiles.tolist(), boxes, batch.areas.tolist()))
     assert len(batch) == len(records)
     assert got == ref_read_records(path)

@@ -8,10 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from smallprop.annotations import extract_instances
 from smallprop.masks import (BBox, BinaryMask, MaskFormatError, _foreground, _row_spans, _span_runs, _spans,
-                             box_overlaps, box_rows, crop_mask, mask_iou)
-from smallprop.tiling import Tile, remap_mask
+                             box_overlaps, box_rows, crop_mask)
+from smallprop.tiling import Tile
 import oracles
-from oracles import grid_bbox, grid_iou, grid_runs, mask_grid, rect_mask
+from oracles import embedded, grid_bbox, grid_runs, mask_grid, rect_mask
 
 grids = hnp.arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24)))
 
@@ -53,31 +53,6 @@ def test_corrupt_runs_rejected():
         BinaryMask(2, 2, (-1, 5))
 
 
-def test_iou_identity_and_disjoint():
-    a = rect_mask(8, 8, 0, 0, 3, 3)
-    b = rect_mask(8, 8, 5, 5, 3, 3)
-    assert mask_iou(a, a) == 1.0
-    assert mask_iou(a, b) == 0.0
-
-
-def test_iou_offset_squares():
-    a = rect_mask(20, 20, 0, 0, 10, 10)
-    b = rect_mask(20, 20, 5, 0, 10, 10)
-    expected = grid_iou(mask_grid(a), mask_grid(b))
-    assert expected == 50 / 150
-    assert mask_iou(a, b) == expected
-
-
-def test_iou_both_empty_is_zero():
-    e = BinaryMask(3, 3, (9,))
-    assert mask_iou(e, e) == 0.0
-
-
-def test_iou_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mask_iou(BinaryMask(2, 2, (4,)), BinaryMask(2, 3, (6,)))
-
-
 boxes = st.builds(BBox, st.integers(-5, 20), st.integers(-5, 20), st.integers(0, 10), st.integers(0, 10))
 
 
@@ -101,23 +76,15 @@ def test_bbox_examples():
     assert BinaryMask(3, 3, (0, 9)).bbox == BBox(0, 0, 3, 3)
 
 
-def test_crop_and_remap_roundtrip():
+def test_crop_keeps_the_window_and_rejects_bad_ones():
     m = rect_mask(16, 12, 5, 4, 6, 5)
     part = crop_mask(m, 4, 2, 8, 8)
     assert part.area == int(mask_grid(m)[2:10, 4:12].sum())
-    back = remap_mask(Tile(0, 4, 2, 8, 8), part, 16, 12)
-    assert back.area == part.area
     with pytest.raises(ValueError, match="crop window outside the mask"):
         crop_mask(m, 10, 10, 8, 8)
     for w, h in ((0, 3), (3, 0), (-1, 3)):
         with pytest.raises(ValueError, match="crop window must be non-empty"):
             crop_mask(m, 5, 5, w, h)
-    with pytest.raises(ValueError, match="local mask is 16x12, tile is 8x8"):
-        remap_mask(Tile(0, 4, 2, 8, 8), m, 16, 12)
-    # a tile of the local mask's size that leaves the image, on each side
-    for x0, y0 in ((5, 0), (0, 5), (-1, 0), (0, -1)):
-        with pytest.raises(ValueError, match="does not fit inside the 16x12 image"):
-            remap_mask(Tile(0, x0, y0, 16, 12), m, 16, 12)
 
 
 def test_runs_merge_across_row_end():
@@ -144,20 +111,6 @@ def test_roundtrip(grid):
     assert np.array_equal(mask_grid(_from_grid(grid)), grid)
 
 
-@given(grids.flatmap(lambda g: st.tuples(st.just(g), hnp.arrays(np.bool_, g.shape))))
-def test_iou_matches_bruteforce_and_symmetry(pair):
-    ga, gb = pair
-    a, b = _from_grid(ga), _from_grid(gb)
-    assert mask_iou(a, b) == grid_iou(ga, gb)
-    assert mask_iou(a, b) == mask_iou(b, a)
-
-
-@given(grids)
-def test_iou_self_is_one_when_nonempty(grid):
-    m = _from_grid(grid)
-    assert mask_iou(m, m) == (1.0 if m.area else 0.0)
-
-
 @given(grids)
 def test_bbox_matches_bruteforce(grid):
     m = _from_grid(grid)
@@ -174,11 +127,6 @@ def test_crop_matches_bruteforce(grid, data):
     y0 = data.draw(st.integers(0, h - ch))
     part = crop_mask(_from_grid(grid), x0, y0, cw, ch)
     assert np.array_equal(mask_grid(part), grid[y0 : y0 + ch, x0 : x0 + cw])
-
-
-def _decoded(mask):
-    """True once ``mask`` holds its pixels rather than runs or the mask it was moved from."""
-    return isinstance(mask._pixels, np.ndarray)
 
 
 def _assert_matches(mask, grid):
@@ -224,19 +172,15 @@ def test_mask_ops_match_grid_oracles(grid, data):
     x0, y0 = data.draw(st.integers(0, w - cw)), data.draw(st.integers(0, h - ch))
     _assert_matches(crop_mask(mask, x0, y0, cw, ch), grid[y0 : y0 + ch, x0 : x0 + cw])
 
-    # the mask as the tile at (ex, ey) of a larger image: its remap there
+    # the mask as the tile at (ex, ey) of a larger image: the crop of that tile is the mask
     big_w, big_h = w + data.draw(st.integers(0, 4)), h + data.draw(st.integers(0, 4))
     ex, ey = data.draw(st.integers(0, big_w - w)), data.draw(st.integers(0, big_h - h))
-    embedded = np.zeros((big_h, big_w), bool)
-    embedded[ey : ey + h, ex : ex + w] = grid
-    _assert_matches(remap_mask(Tile(0, ex, ey, w, h), mask, big_w, big_h), embedded)
-
-    other = data.draw(hnp.arrays(np.bool_, grid.shape) | st.just(grid))
-    assert mask_iou(mask, _from_grid(other)) == grid_iou(grid, other)
+    big = embedded(grid, Tile(0, ex, ey, w, h), big_w, big_h)
+    _assert_matches(crop_mask(BinaryMask(big_w, big_h, grid_runs(big)), ex, ey, w, h), grid)
 
     # equality compares canvas size, box and pixels
     if (big_w, big_h) != (w, h):
-        assert remap_mask(Tile(0, 0, 0, w, h), mask, big_w, big_h) != mask
+        assert BinaryMask(big_w, big_h, grid_runs(embedded(grid, Tile(0, 0, 0, w, h), big_w, big_h))) != mask
     flipped = grid.copy()
     flipped[data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] ^= True
     assert _from_grid(flipped) != mask
@@ -251,34 +195,37 @@ def test_every_route_measures_when_made_and_moves_share_one_bitmap(grid, ex, ey)
     h, w = grid.shape
     mask = BinaryMask(w, h, grid_runs(grid))
     box = grid_bbox(grid)
-    embedded = np.zeros((h + ey, w + ex), bool)
-    embedded[ey:, ex:] = grid
-    moved = [remap_mask(Tile(0, ex, ey, w, h), mask, w + ex, h + ey), crop_mask(mask, 0, 0, w, h)]
-    if mask.area:  # a crop to the box moves it whole, here a second time
-        moved.append(crop_mask(moved[0], box[0] + ex, box[1] + ey, box[2], box[3]))
-    # a mask made from a tight bitmap, as extraction makes one (none for an empty grid)
-    drawn = [o.mask for o in extract_instances(embedded.astype(np.uint8))]
-    # no hook fills a field on first read: the box and area are plain slots set when made
+    big = embedded(grid, Tile(0, ex, ey, w, h), w + ex, h + ey)
+    large = BinaryMask(w + ex, h + ey, grid_runs(big))
+    # no hook fills a field on first read: the box and area are plain slots set when made,
+    # and a mask made from runs holds no pixels before they are used
     assert not hasattr(BinaryMask, "__getattr__")
+    assert mask._pixels is None and large._pixels is None
+    moved = [crop_mask(large, ex, ey, w, h), crop_mask(mask, 0, 0, w, h)]  # each moves the mask whole
+    if mask.area:  # so does a crop to the box, here a second time
+        moved.append(crop_mask(moved[0], *box))
+    # a mask made from a tight bitmap, as extraction makes one (none for an empty grid)
+    drawn = [o.mask for o in extract_instances(big.astype(np.uint8))]
     assert (mask.bbox.x, mask.bbox.y, mask.bbox.w, mask.bbox.h) == box
-    assert (moved[0].bbox.x, moved[0].bbox.y, moved[0].bbox.w, moved[0].bbox.h) == grid_bbox(embedded)
-    assert [(m.bbox.x, m.bbox.y, m.bbox.w, m.bbox.h) for m in drawn] == [grid_bbox(embedded)] * bool(mask.area)
-    for m in [mask, *moved, *drawn]:
+    assert (large.bbox.x, large.bbox.y, large.bbox.w, large.bbox.h) == grid_bbox(big)
+    assert [(m.bbox.x, m.bbox.y, m.bbox.w, m.bbox.h) for m in drawn] == [grid_bbox(big)] * bool(mask.area)
+    for m in [mask, large, *moved, *drawn]:
         assert m.area == int(grid.sum())
-    assert not any(map(_decoded, [mask, *moved] if mask.area else [mask]))  # empty ones share no pixels
     assert all(m._runs is None for m in drawn)  # and a mask made from a bitmap encodes no runs
 
-    # the mask moved twice is decoded first: its sources get the same bitmap and it lets go of them
-    first = moved[-1].bitmap
-    assert all(m.bitmap is first for m in [mask, *moved])
-    assert all(map(_decoded, moved))
+    # a move decodes its source's bitmap and shares that array; a mask holds a bitmap or None
+    if mask.area:
+        assert moved[0]._pixels is moved[2]._pixels is large._pixels is not None
+        assert moved[1]._pixels is mask._pixels is not None
+    assert all(m._pixels is None or type(m._pixels) is np.ndarray for m in [mask, large, *moved, *drawn])
     _assert_matches(mask, grid)
-    _assert_matches(moved[0], embedded)
+    _assert_matches(large, big)
+    _assert_matches(moved[0], grid)
     _assert_matches(moved[1], grid)
     if mask.area:
         _assert_matches(moved[2], grid[box[1] : box[1] + box[3], box[0] : box[0] + box[2]])
     for m in drawn:
-        _assert_matches(m, embedded)
+        _assert_matches(m, big)
 
 
 def test_oracles_take_only_the_mask_type_from_the_mask_module():

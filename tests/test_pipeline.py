@@ -4,14 +4,14 @@ import pytest
 from smallprop import pipeline
 from smallprop.annotations import GroundTruthObject
 from smallprop.detector import PRESET_LEVELS, Proposal, band_score, detectable_range, preset, simulate
-from smallprop.masks import BBox, BinaryMask, crop_mask, mask_iou
+from smallprop.masks import BBox, BinaryMask, crop_mask
 from smallprop.prng import prng_next, randint, random, stream_seed
 from smallprop.exchange import ExchangeFormatError, ProposalBatch, ProposalRecord, read_proposals, write_proposals
 from smallprop.pipeline import Spans, _overlaps, _sweeps, nms, place, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
-from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
+from smallprop.tiling import Tile, TileGridSpec, plan_grid
 from smallprop.raster import RasterImage
-from oracles import grid_iou, grid_runs, mask_grid, rect_mask, ref_nms, shifted
+from oracles import embedded, grid_iou, grid_runs, mask_grid, rect_mask, ref_nms, shifted
 
 
 def proposal(mask, score):
@@ -79,7 +79,7 @@ def test_nms_idempotent_and_bounded():
     assert nms_of(kept, 0.4) == kept
     for i, p in enumerate(kept):
         for q in kept[:i]:
-            assert mask_iou(p.mask, q.mask) < 0.4
+            assert grid_iou(mask_grid(p.mask), mask_grid(q.mask)) < 0.4
 
 
 def test_nms_tie_breaks_by_area_then_order():
@@ -93,7 +93,7 @@ def test_nms_suppresses_at_exactly_the_threshold():
     # IoU 2 / 4 = 0.5 exactly: kept only below the threshold, so 0.5 suppresses
     a = rect_mask(8, 2, 0, 0, 4, 1)
     b = rect_mask(8, 2, 0, 0, 2, 1)
-    assert mask_iou(a, b) == 0.5
+    assert grid_iou(mask_grid(a), mask_grid(b)) == 0.5
     props = [proposal(a, 0.9), proposal(b, 0.8)]
     for candidates in (Spans.of(props, 8, 2), place(ProposalBatch.of(props), 8, 2)):
         assert nms(candidates, 0.5).tolist() == [0]
@@ -145,8 +145,8 @@ def test_span_nms_equals_brute_force_on_full_width_masks():
 
 def test_span_nms_equals_brute_force_on_tile_records(tmp_path):
     # tile records on random grids, the last column and row of tiles clamped to
-    # the image's edge, and tiles as wide as the image; each record remapped
-    # to the image is the reference's proposal
+    # the image's edge, and tiles as wide as the image; each record's grid
+    # embedded in the image's is the reference's proposal
     rng = np.random.default_rng(25)
     clamped = 0
     for trial in range(150):
@@ -161,10 +161,11 @@ def test_span_nms_equals_brute_force_on_tile_records(tmp_path):
             pool = last if rng.random() < 0.5 else tiles
             tile = pool[int(rng.integers(0, len(pool)))]
             clamped += tile.x0 % grid.stride_x != 0 or tile.y0 % grid.stride_y != 0
-            local = BinaryMask(tile.w, tile.h, grid_runs(_random_grid(rng, tile.w, tile.h)))
+            local = _random_grid(rng, tile.w, tile.h)
             objectness = int(rng.integers(0, 5)) / 4
-            records.append(ProposalRecord("x", tile.w, tile.h, objectness, local.runs, tile.index))
-            props.append(Proposal(remap_mask(tile, local, width, height), objectness))
+            records.append(ProposalRecord("x", tile.w, tile.h, objectness, grid_runs(local), tile.index))
+            placed = embedded(local, tile, width, height)
+            props.append(Proposal(BinaryMask(width, height, grid_runs(placed)), objectness))
         write_proposals(records, tmp_path / "x.jsonl")
         t, k = int(rng.integers(1, 11)) / 10, int(rng.integers(1, 10))
         got = run_tiled(scene_from_labels(np.zeros((height, width))), read_proposals(tmp_path / "x.jsonl"), grid, t, k)
@@ -371,7 +372,7 @@ _MISFITS = {
     "tile-size": ((0, BinaryMask(16, 24, (0, 384))), [Tile(0, 0, 0, 32, 24)], "local mask is 16x24, tile is 32x24"),
     "tile-right-of-image": ((0, TILE), [Tile(0, 40, 0, 32, 24)], "tile at (40, 0) does not fit inside the 64x48 image"),
     "tile-above-image": ((0, TILE), [Tile(0, 0, -1, 32, 24)], "tile at (0, -1) does not fit inside the 64x48 image"),
-    # the size is checked before the tile's place, as remap_mask checks them
+    # the size is checked before the tile's place
     "tile-size-outside": ((0, BinaryMask(8, 8, (0, 64))), [Tile(0, 40, 0, 32, 24)], "local mask is 8x8, tile is 32x24"),
 }
 
@@ -444,7 +445,7 @@ def _region_decision(profile, region_w, region_h, obj, origin):
 def _per_region_reference(scene, tiles, profile):
     """The raw proposals of a tiled run, composed from the public per-region
     API: each tile's ground truth cropped to it, ``simulate`` on the tile, each
-    proposal remapped to the image. ``simulate`` must agree with the decision
+    proposal's grid embedded in the image's. ``simulate`` must agree with the decision
     written out in ``_region_decision``. Also counts the objects whose box
     meets a tile but whose crop to it is empty, and the proposals of objects
     wholly inside a tile that the jitter carried partly out of it."""
@@ -464,7 +465,8 @@ def _per_region_reference(scene, tiles, profile):
         simulated = simulate(profile, tile.w, tile.h, gt, origin)
         assert [(p.mask, p.objectness) for p in simulated] == [(p.mask, p.objectness) for p in decided if p]
         for p in simulated:
-            raw.append(Proposal(remap_mask(tile, p.mask, scene.width, scene.height), p.objectness))
+            grid = embedded(mask_grid(p.mask), tile, scene.width, scene.height)
+            raw.append(Proposal(BinaryMask(scene.width, scene.height, grid_runs(grid)), p.objectness))
         for g, p in zip(gt, decided):
             if p and g.mask.area == areas[g.instance_id] and p.mask.area < g.mask.area:
                 pushed_out += 1

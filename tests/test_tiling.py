@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallprop.masks import BinaryMask, crop_mask, mask_iou
-from smallprop.tiling import Tile, TileGridSpec, plan_grid, remap_mask
-from oracles import grid_runs, mask_grid, rect_mask, verify_coverage
+from smallprop.masks import BinaryMask, crop_mask
+from smallprop.tiling import Tile, TileGridSpec, plan_grid
+from oracles import embedded, grid_runs, mask_grid, verify_coverage
 
 
 def test_grid_1280x720_non_overlapping():
@@ -39,33 +39,6 @@ def test_spec_rejects_stride_beyond_tile():
         TileGridSpec(320, 240, 400, 120)
 
 
-def test_remap_origin_tile_zero_pads():
-    local = rect_mask(16, 12, 2, 3, 4, 4)
-    out = remap_mask(Tile(0, 0, 0, 16, 12), local, 32, 24)
-    ref = np.zeros((24, 32), bool)
-    ref[:12, :16] = mask_grid(local)
-    assert np.array_equal(mask_grid(out), ref)
-
-
-def test_remap_translates_by_origin():
-    local = rect_mask(320, 240, 5, 5, 10, 10)
-    out = remap_mask(Tile(0, 160, 120, 320, 240), local, 1280, 720)
-    assert out.area == 100
-    assert out.bbox.x == 165 and out.bbox.y == 125
-
-
-def test_remap_empty_mask():
-    from smallprop.masks import BinaryMask
-
-    out = remap_mask(Tile(0, 4, 4, 8, 8), BinaryMask(8, 8, (64,)), 16, 16)
-    assert out.area == 0
-
-
-def test_remap_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        remap_mask(Tile(0, 0, 0, 8, 8), rect_mask(4, 4, 0, 0, 2, 2), 16, 16)
-
-
 def test_coverage_examples():
     tiles = plan_grid(1280, 720, TileGridSpec(320, 240, 320, 240))
     assert verify_coverage(1280, 720, tiles)
@@ -92,7 +65,7 @@ def test_plan_grid_properties(img_w, img_h, data):
 
 @settings(max_examples=60)
 @given(st.integers(2, 30), st.integers(2, 30), st.data())
-def test_remap_roundtrip_recovers_tile_region(img_w, img_h, data):
+def test_crop_to_a_tile_recovers_tile_region(img_w, img_h, data):
     tw = data.draw(st.integers(1, img_w))
     th = data.draw(st.integers(1, img_h))
     x0 = data.draw(st.integers(0, img_w - tw))
@@ -101,10 +74,10 @@ def test_remap_roundtrip_recovers_tile_region(img_w, img_h, data):
     grid = rng.random((img_h, img_w)) < 0.4
     global_mask = BinaryMask(img_w, img_h, grid_runs(grid))
     tile = Tile(0, x0, y0, tw, th)
-    back = remap_mask(tile, crop_mask(global_mask, x0, y0, tw, th), img_w, img_h)
+    back = embedded(mask_grid(crop_mask(global_mask, x0, y0, tw, th)), tile, img_w, img_h)
     ref = np.zeros_like(grid)
     ref[y0 : y0 + th, x0 : x0 + tw] = grid[y0 : y0 + th, x0 : x0 + tw]
-    assert np.array_equal(mask_grid(back), ref)
+    assert np.array_equal(back, ref)
 
 
 def test_even_partition_when_stride_equals_tile():
