@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from smallprop import evaluation, masks
 from smallprop.annotations import GroundTruthObject, SizeCategory, size_category
@@ -24,8 +26,8 @@ from smallprop.masks import BinaryMask
 from smallprop.pipeline import run_whole
 from smallprop.raster import RasterImage
 from smallprop.synth import SceneSpec, generate_scene
-from oracles import (average_recall, greedy_assign, grid_runs, label_grid, make_random_instance, mask_grid,
-                     oracle_report, rect_mask, ref_pairs, shifted)
+from oracles import (average_recall, greedy_assign, grid_iou, grid_runs, label_grid, make_random_instance,
+                     mask_grid, oracle_report, rect_mask, ref_pairs, shifted)
 
 
 def interval_mask(width, start, stop):
@@ -350,6 +352,48 @@ def test_overlay_matches_full_canvas_drawing_at_edges_and_holes():
 def kernel_pairs(labels, props):
     """The full pair list of the pair kernel that eval, match and overlay share."""
     return evaluation._pairs_under(labels, *evaluation._objects(labels), batch(props))
+
+
+def grid_pairs(obj, record):
+    """The kernel's pairs of one object, the foreground of grid ``obj``, and one
+    record whose mask is grid ``record``."""
+    height, width = record.shape
+    return kernel_pairs(obj.astype(np.int32), [Proposal(BinaryMask(width, height, grid_runs(record)), 0.5)])
+
+
+def test_pair_iou_identity_and_disjoint():
+    a = rect_mask(8, 8, 0, 0, 3, 3)
+    b = rect_mask(8, 8, 5, 5, 3, 3)
+    assert grid_pairs(mask_grid(a), mask_grid(a)) == [(1.0, 1, 0)]
+    assert grid_pairs(mask_grid(a), mask_grid(b)) == []
+
+
+def test_pair_iou_offset_squares():
+    a, b = mask_grid(rect_mask(20, 20, 0, 0, 10, 10)), mask_grid(rect_mask(20, 20, 5, 0, 10, 10))
+    assert grid_iou(a, b) == 50 / 150
+    assert grid_pairs(a, b) == grid_pairs(b, a) == [(50 / 150, 1, 0)]
+
+
+def test_pair_iou_of_interleaved_masks_whose_boxes_overlap():
+    # two checkerboards on one box share no pixel, so they make no pair
+    checker = np.indices((6, 6)).sum(axis=0) % 2 == 0
+    assert grid_pairs(checker, ~checker) == []
+    assert grid_pairs(checker, checker | np.fliplr(np.eye(6, dtype=bool))) == [(18 / 24, 1, 0)]
+
+
+nonempty_grids = hnp.arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24))).filter(np.any)
+
+
+@given(nonempty_grids.flatmap(lambda g: st.tuples(st.just(g), hnp.arrays(np.bool_, g.shape).filter(np.any))))
+def test_pair_iou_is_grid_iou_either_way_round(pair):
+    a, b = pair
+    expected = [(grid_iou(a, b), 1, 0)] if (a & b).any() else []
+    assert grid_pairs(a, b) == grid_pairs(b, a) == expected
+
+
+@given(nonempty_grids)
+def test_pair_iou_of_a_record_on_its_own_object_is_one(grid):
+    assert grid_pairs(grid, grid) == [(1.0, 1, 0)]
 
 
 def test_label_pairs_equal_reference_pairs_random():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from smallprop import pipeline
 from smallprop.annotations import GroundTruthObject
@@ -98,6 +100,21 @@ def test_nms_suppresses_at_exactly_the_threshold():
     for candidates in (Spans.of(props, 8, 2), place(ProposalBatch.of(props), 8, 2)):
         assert nms(candidates, 0.5).tolist() == [0]
         assert nms(candidates, 0.5000001).tolist() == [0, 1]
+
+
+nonempty_pairs = hnp.arrays(np.bool_, st.tuples(st.integers(1, 16), st.integers(1, 16))).filter(np.any).flatmap(
+    lambda g: st.tuples(st.just(g), hnp.arrays(np.bool_, g.shape).filter(np.any)))
+
+
+@settings(max_examples=60)
+@given(nonempty_pairs, st.floats(0.0, 1.0, exclude_min=True))
+def test_nms_pair_decision_follows_grid_iou_either_way_round(pair, threshold):
+    height, width = pair[0].shape
+    iou = grid_iou(*pair)
+    for ga, gb in (pair, pair[::-1]):
+        first, second = (proposal(BinaryMask(width, height, grid_runs(g)), s) for g, s in ((ga, 0.9), (gb, 0.5)))
+        for t in (threshold, iou) if iou else (threshold,):
+            assert nms_of([first, second], t) == ([first] if iou >= t else [first, second])
 
 
 def _random_grid(rng, width, height):
@@ -315,6 +332,54 @@ def test_tile_records_are_remapped(tmp_path):
     assert len(out) == 1
     # tile 1 sits at (16, 0) in a row-major 3x3 grid
     assert out.mask(0).bbox == BBox(18, 3, 5, 5)
+
+
+def on_tile(local, tile, width, height):
+    """The spans ``place`` makes on a width x height image of one record, ``local``, on ``tile``."""
+    records = ProposalBatch.of([Proposal(local, 0.5)])
+    records.tiles = np.zeros(1, dtype=np.int64)
+    return place(records, width, height, [tile])
+
+
+def placed(local, tile, width, height):
+    """The grid on a width x height image of one record, ``local``, on ``tile``."""
+    return mask_grid(on_tile(local, tile, width, height).batch(np.arange(1)).mask(0))
+
+
+def test_place_at_the_origin_tile_zero_pads():
+    local = rect_mask(16, 12, 2, 3, 4, 4)
+    tile = Tile(0, 0, 0, 16, 12)
+    assert np.array_equal(placed(local, tile, 32, 24), embedded(mask_grid(local), tile, 32, 24))
+
+
+def test_place_translates_by_the_tile_origin():
+    grid = placed(rect_mask(320, 240, 5, 5, 10, 10), Tile(0, 160, 120, 320, 240), 1280, 720)
+    assert int(grid.sum()) == 100
+    assert np.array_equal(np.argwhere(grid).min(axis=0), (125, 165))
+
+
+def test_place_cuts_runs_at_the_tile_row_ends():
+    # one local run of 4 wraps from the tile's first row to its second: two spans on the image
+    local, tile = BinaryMask(8, 4, (6, 4, 22)), Tile(0, 5, 3, 8, 4)
+    spans = on_tile(local, tile, 20, 10)
+    assert spans.starts.tolist() == [3 * 20 + 11, 4 * 20 + 5] and spans.stops.tolist() == [3 * 20 + 13, 4 * 20 + 7]
+    assert np.array_equal(placed(local, tile, 20, 10), embedded(mask_grid(local), tile, 20, 10))
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 30), st.integers(2, 30), st.data())
+def test_place_puts_a_crop_back_where_it_was_cut(img_w, img_h, data):
+    tw = data.draw(st.integers(1, img_w))
+    th = data.draw(st.integers(1, img_h))
+    x0 = data.draw(st.integers(0, img_w - tw))
+    y0 = data.draw(st.integers(0, img_h - th))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    grid = rng.random((img_h, img_w)) < 0.4
+    grid[y0, x0] = True  # no record is empty
+    local = crop_mask(BinaryMask(img_w, img_h, grid_runs(grid)), x0, y0, tw, th)
+    ref = np.zeros_like(grid)
+    ref[y0 : y0 + th, x0 : x0 + tw] = grid[y0 : y0 + th, x0 : x0 + tw]
+    assert np.array_equal(placed(local, Tile(0, x0, y0, tw, th), img_w, img_h), ref)
 
 
 TILE = BinaryMask(32, 24, (0, 768))  # a record filling a tile of the 32x24 grid
