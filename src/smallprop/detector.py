@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .annotations import GroundTruthObject
-from .masks import BBox, BinaryMask, _part
+from .masks import BinaryMask, _part
 from .prng import prng_next, randint, random, stream_seed
 
 ALLOWED_LEVELS = (4, 8, 16, 32, 64, 128)
@@ -105,50 +105,16 @@ def band_score(profile: DetectorProfile, side: float) -> float:
     return best
 
 
-def _emitter(profile: DetectorProfile, region_w: int, region_h: int):
-    """The emit step of the simulated detector on regions of this size.
-
-    ``emit(mask, box, x0, y0, key, instance_id)`` returns None if the longer
-    side of ``box``, the object's tight box in the region, rescaled by
-    min(input_w/region_w, input_h/region_h), lies outside the detectable
-    range. Otherwise it draws dx, dy and the noise from the (seed, key,
-    instance_id) stream and moves the object's pixels inside the region at
-    (x0, y0) of the mask's canvas by (dx, dy), dropping those that leave it:
-    the Proposal, or None if no pixel is left. Each distinct side's band
-    score is computed once.
-    """
-    if region_w < 1 or region_h < 1:
-        raise ValueError("region must have positive area")
-    scale = min(profile.input_w / region_w, profile.input_h / region_h)
-    s_min, s_max = detectable_range(profile)
-    jitter, noise = profile.jitter, profile.objectness_noise
-    scores: dict[float, float] = {}
-    # stream_seed(seed, *key) of each region: an object's stream is that one keyed by its id
-    regions: dict[tuple[int, int], int] = {}
-
-    def emit(mask: BinaryMask, box: BBox, x0: int, y0: int, key: tuple[int, int],
-             instance_id: int) -> Proposal | None:
-        eff = (box.w if box.w > box.h else box.h) * scale
-        if eff < s_min or eff > s_max:
-            return None
-        region = regions.get(key)
-        if region is None:
-            region = regions[key] = stream_seed(profile.seed, *key)
-        draw_dx, state = prng_next(stream_seed(region, instance_id))
-        draw_dy, state = prng_next(state)
-        draw_noise, _ = prng_next(state)
-        dx, dy = randint(draw_dx, -jitter, jitter), randint(draw_dy, -jitter, jitter)
-        x1, y1 = x0 + region_w, y0 + region_h
-        moved = _part(mask, mask.width, mask.height, dx, dy,
-                      max(x0, x0 - dx), max(y0, y0 - dy), min(x1, x1 - dx), min(y1, y1 - dy))
-        if moved.area == 0:
-            return None
-        score = scores.get(eff)
-        if score is None:
-            score = scores[eff] = band_score(profile, eff)
-        return Proposal(moved, (1.0 - noise * random(draw_noise)) * score)
-
-    return emit
+def _draws(profile: DetectorProfile, region: int, instance_id: int) -> tuple[int, int, float]:
+    """An object's jitter dx, dy and the factor that damps its score: the
+    first three draws, in that order, of the stream keyed by its id from its
+    region's stream ``region``, which is stream_seed(seed, x0, y0)."""
+    draw_dx, state = prng_next(stream_seed(region, instance_id))
+    draw_dy, state = prng_next(state)
+    draw_noise, _ = prng_next(state)
+    jitter = profile.jitter
+    return (randint(draw_dx, -jitter, jitter), randint(draw_dy, -jitter, jitter),
+            1.0 - profile.objectness_noise * random(draw_noise))
 
 
 def simulate(
@@ -170,6 +136,20 @@ def simulate(
     """
     if any((obj.mask.width, obj.mask.height) != (region_w, region_h) for obj in gt):
         raise ValueError(f"ground-truth masks must lie on the {region_w}x{region_h} region canvas")
-    emit = _emitter(profile, region_w, region_h)
-    proposals = (emit(obj.mask, obj.mask.bbox, 0, 0, origin, obj.instance_id) for obj in gt)
-    return [p for p in proposals if p is not None]
+    if region_w < 1 or region_h < 1:
+        raise ValueError("region must have positive area")
+    scale = min(profile.input_w / region_w, profile.input_h / region_h)
+    s_min, s_max = detectable_range(profile)
+    region = stream_seed(profile.seed, *origin)
+    out = []
+    for obj in gt:
+        box = obj.mask.bbox
+        eff = (box.w if box.w > box.h else box.h) * scale
+        if eff < s_min or eff > s_max:
+            continue
+        dx, dy, damping = _draws(profile, region, obj.instance_id)
+        moved = _part(obj.mask, region_w, region_h, dx, dy,
+                      max(0, -dx), max(0, -dy), min(region_w, region_w - dx), min(region_h, region_h - dy))
+        if moved.area:
+            out.append(Proposal(moved, damping * band_score(profile, eff)))
+    return out

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .detector import Proposal
-from .masks import BinaryMask, _measure, _offsets_of, _segments, _valid
+from .masks import BinaryMask, _foreground, _offsets_of, _segments, _sums, _valid
 
 _REQUIRED_KEYS = ("image_id", "width", "height", "objectness", "runs")
 _REQUIRED = frozenset(_REQUIRED_KEYS)
@@ -194,7 +194,7 @@ def _batch(records: list[tuple], path) -> ProposalBatch:
     else:
         valid = _valid(flat, offsets, widths, heights)
     if valid:
-        areas = _measure(flat, offsets, widths)[1]
+        areas = _sums(_foreground(flat, offsets)[2], _offsets_of(np.diff(offsets) // 2))  # foreground runs
         valid = areas.all() and ((objectness >= 0.0) & (objectness <= 1.0)).all()
     if not valid:
         for record in records:

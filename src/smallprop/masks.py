@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, cycle
+from itertools import cycle
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -120,7 +120,6 @@ class BinaryMask:
 _NO_PIXELS = np.zeros((0, 0), dtype=bool)
 _NO_PIXELS.flags.writeable = False
 _NO_BOX = BBox(0, 0, 0, 0)
-_BACKGROUND = np.zeros(1, dtype=bool)
 
 
 def _fill(mask, width, height, bbox, area, runs=None, pixels=None) -> BinaryMask:
@@ -265,32 +264,13 @@ def _encode(m: BinaryMask) -> tuple[int, ...]:
     return tuple(runs + [tail] if tail else runs)
 
 
-def _spans(masks: Sequence[BinaryMask], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(offsets, starts, stops) of the foreground row spans of ``masks`` on
-    one canvas ``width`` wide: span i covers canvas positions [starts[i],
-    stops[i]) of one row, and mask k's spans, in scan order, are those from
-    offsets[k] to offsets[k + 1].
-
-    The bitmaps are laid end to end, each after a background pixel, so one
-    diff finds the foreground runs of every bitmap, which ``_row_spans`` cuts
-    at the bitmap's row ends."""
-    boxes = [m.bbox for m in masks]
-    parts = [_BACKGROUND]
-    for m in masks:
-        parts += (m.bitmap.ravel(), _BACKGROUND)
-    laid = np.concatenate(parts)
-    flips = np.flatnonzero(laid[1:] != laid[:-1]) + 1  # start, stop, start, ...
-    firsts = np.fromiter(accumulate((b.w * b.h + 1 for b in boxes), initial=1), np.int64, len(boxes) + 1)
-    owner = np.searchsorted(firsts, flips[0::2], side="right") - 1
-    box = box_rows(boxes).T
-    return _row_spans(owner, flips[0::2] - firsts[owner], flips[1::2] - flips[0::2], box[2], box[0], box[1], width)
-
-
 def _row_spans(owner, starts, lengths, widths, xs, ys, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (offsets, starts, stops) of ``_spans`` of masks given by their
-    foreground runs, as ``_foreground`` yields them, on canvases ``widths``
-    wide whose top-left corners sit at (``xs``, ``ys``) on a canvas ``width``
-    wide: each run cut at the row ends it crosses, then moved."""
+    """(offsets, starts, stops) of the foreground row spans of masks given by
+    their foreground runs, as ``_foreground`` yields them, on canvases
+    ``widths`` wide whose top-left corners sit at (``xs``, ``ys``) on a canvas
+    ``width`` wide: span i covers positions [starts[i], stops[i]) of one row of
+    that canvas, and mask k's spans, in scan order, are those from offsets[k]
+    to offsets[k + 1]. Each run is cut at the row ends it crosses, then moved."""
     w = widths[owner]
     row = starts // w
     pieces = (starts + lengths - 1) // w - row + 1
@@ -305,7 +285,7 @@ def _row_spans(owner, starts, lengths, widths, xs, ys, width: int) -> tuple[np.n
 
 def _span_runs(offsets, starts, stops, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The canonical runs, laid out as for ``_stops``, of masks on a canvas of
-    ``size`` pixels given by the (offsets, starts, stops) of ``_spans``. A span
+    ``size`` pixels given by the (offsets, starts, stops) of ``_row_spans``. A span
     that ends at a row end and one that starts the next row at x = 0 are one
     run, so where a stop is the next start of the same mask both go."""
     owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
@@ -330,6 +310,12 @@ def _offsets_of(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
 
+def _sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The sum of each segment of integer ``values`` laid out by ``offsets``, in
+    exact int64: differences of one cumsum, and a wrapped sum wraps back."""
+    return np.diff(np.concatenate(([0], np.cumsum(values, dtype=np.int64)))[offsets])
+
+
 def _segments(offsets: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
     """(offsets, where) of segments ``index`` of an array laid out by
     ``offsets``, taken end to end in ``index``'s order: the new segments'
@@ -337,27 +323,6 @@ def _segments(offsets: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
     counts = np.diff(offsets)[index]
     taken = _offsets_of(counts)
     return taken, np.repeat(offsets[:-1][index] - taken[:-1], counts) + np.arange(taken[-1])
-
-
-def box_rows(boxes: Sequence[BBox]) -> np.ndarray:
-    """The (x, y, w, h) rows of ``boxes`` as an (n, 4) int64 array."""
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.int64).reshape(-1, 4)
-
-
-def box_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix whose [i, j] entry is ``a[i].intersects(b[j])``, for
-    arrays of the ``box_rows`` of boxes.
-
-    ``pipeline._simulated_proposals`` uses it to find the objects whose
-    boxes meet each tile.
-    """
-    ea, eb = a[:, None, :], b[None, :, :]
-    return (
-        (ea[..., 0] < eb[..., 0] + eb[..., 2])
-        & (eb[..., 0] < ea[..., 0] + ea[..., 2])
-        & (ea[..., 1] < eb[..., 1] + eb[..., 3])
-        & (eb[..., 1] < ea[..., 1] + ea[..., 3])
-    )
 
 
 def require_same_canvas(sizes: Iterable[tuple[int, int]]) -> None:

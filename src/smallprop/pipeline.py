@@ -12,10 +12,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .detector import DetectorProfile, Proposal, _emitter
+from .detector import DetectorProfile, _draws, band_score, detectable_range
 from .exchange import ExchangeFormatError, ProposalBatch
-from .masks import (BBox, _foreground, _row_spans, _segments, _span_runs, _spans, box_overlaps, box_rows,
-                    crop_mask, require_same_canvas)
+from .masks import _foreground, _offsets_of, _row_spans, _segments, _span_runs, _sums
+from .prng import stream_seed
 from .synth import Scene
 from .tiling import Tile, TileGridSpec, plan_grid
 
@@ -35,14 +35,6 @@ class Spans:
     def __init__(self, width, height, objectness, areas, offsets, starts, stops) -> None:
         self.width, self.height, self.objectness, self.areas = width, height, objectness, areas
         self.offsets, self.starts, self.stops = offsets, starts, stops
-
-    @classmethod
-    def of(cls, proposals: Sequence[Proposal], width: int, height: int) -> "Spans":
-        """The spans of ``proposals`` on a width x height image, from their bitmaps in one pass."""
-        masks = [p.mask for p in proposals]
-        require_same_canvas([(width, height), *((m.width, m.height) for m in masks)])
-        return cls(width, height, np.array([p.objectness for p in proposals], dtype=float),
-                   np.array([m.area for m in masks], dtype=np.int64), *_spans(masks, width))
 
     def __len__(self) -> int:
         return len(self.areas)
@@ -213,33 +205,73 @@ def nms(candidates: Spans, iou_threshold: float, top_k: int | None = None) -> np
     return np.array(kept, dtype=np.int64)
 
 
-def _simulated_proposals(
-    scene: Scene, tiles: list[Tile], profile: DetectorProfile
-) -> list[Proposal]:
-    """What ``simulate`` emits for each tile's ground truth, cropped to the
-    tile, remapped to the image: tiles in order, each tile's objects by id.
+def _simulated_spans(scene: Scene, tiles: list[Tile], profile: DetectorProfile) -> Spans:
+    """What the simulated detector emits for each tile, as ``Spans`` on the
+    image, made from the instance map's row runs: tiles in order, each tile's
+    objects by id.
 
-    An object's box in the tile is its own box if it lies inside the tile,
-    else the box of its crop to the tile; an empty crop's box has side 0,
-    which no detectable band holds. The emit step then moves the object's
-    pixels inside the tile on the image canvas, which are the pixels that
-    crop, ``simulate`` and remap keep.
+    A (tile, object) pair is tried if the object's box meets the tile. Its box
+    in the tile, the box of its runs clipped to the tile (side 0 if none is
+    left), takes ``simulate``'s band filter. A pair that passes draws dx, dy
+    and the noise from the (seed, x0, y0, id) stream. Its candidate is the
+    object's pixels in the tile that stay in it when moved by (dx, dy), so
+    moved: what a crop to the tile, ``simulate`` and a move back onto the
+    image keep. A candidate left with no pixel is dropped.
     """
-    objects = scene.objects
-    boxes = [o.mask.bbox for o in objects]
-    visible = box_overlaps(box_rows([BBox(t.x0, t.y0, t.w, t.h) for t in tiles]), box_rows(boxes))
-    emit = _emitter(profile, tiles[0].w, tiles[0].h)  # every tile has the grid's size
-    out = []
-    for tile, row in zip(tiles, visible):
-        x0, y0, x1, y1 = tile.x0, tile.y0, tile.x0 + tile.w, tile.y0 + tile.h
-        for i in np.flatnonzero(row).tolist():
-            obj, box = objects[i], boxes[i]
-            if box.x < x0 or box.y < y0 or box.x + box.w > x1 or box.y + box.h > y1:
-                box = crop_mask(obj.mask, x0, y0, tile.w, tile.h).bbox
-            proposal = emit(obj.mask, box, x0, y0, (x0, y0), obj.instance_id)
-            if proposal is not None:
-                out.append(proposal)
-    return out
+    width, height = scene.width, scene.height
+    flat = scene.instances.pixels.ravel()
+    cut = np.empty(flat.size, dtype=bool)  # where a run of one id starts: at a new id, and at each row start
+    np.not_equal(flat[1:], flat[:-1], out=cut[1:])
+    cut[::width] = True
+    starts = np.flatnonzero(cut)
+    ids = flat[starts].astype(np.int64)
+    order = np.flatnonzero(ids)
+    order = order[np.argsort(ids[order], kind="stable")]  # the objects' runs by id, each object's in scan order
+    ids, row = ids[order], starts[order] // width
+    xa, xb = starts[order] - row * width, np.append(starts[1:], flat.size)[order] - row * width
+    first = np.flatnonzero(np.diff(ids, prepend=0))
+    runs_of = np.append(first, len(ids))  # object k's runs are those from runs_of[k] to runs_of[k + 1]
+    frames = np.array([(t.x0, t.y0, t.x0 + t.w, t.y0 + t.h) for t in tiles], dtype=np.int64)
+    x0, y0, x1, y1 = frames.T[..., None]  # each tile's frame against each object's box
+    pair_tile, pair_obj = np.nonzero((x0 < np.maximum.reduceat(xb, first)) & (np.minimum.reduceat(xa, first) < x1)
+                                     & (y0 < row[runs_of[1:] - 1] + 1) & (row[first] < y1))
+
+    def clipped(objects, windows):  # the runs of each of ``objects`` clipped to its window
+        offsets, where = _segments(runs_of, objects)
+        x0, y0, x1, y1 = np.repeat(windows, np.diff(offsets), axis=0).T
+        r, lo, hi = row[where], np.maximum(xa[where], x0), np.minimum(xb[where], x1)
+        return offsets, r, lo, hi, (lo < hi) & (y0 <= r) & (r < y1)
+
+    offsets, r, lo, hi, inside = clipped(pair_obj, frames[pair_tile])
+    cuts = offsets[:-1]
+    w = np.maximum.reduceat(np.where(inside, hi, 0), cuts) - np.minimum.reduceat(np.where(inside, lo, width), cuts)
+    h = np.maximum.reduceat(np.where(inside, r + 1, 0), cuts) - np.minimum.reduceat(np.where(inside, r, height), cuts)
+    scale = min(profile.input_w / tiles[0].w, profile.input_h / tiles[0].h)  # every tile has the grid's size
+    eff = np.maximum(np.maximum(w, h), 0) * scale
+    s_min, s_max = detectable_range(profile)
+    tried = np.flatnonzero((eff >= s_min) & (eff <= s_max))
+    regions: dict[int, int] = {}  # stream_seed(seed, x0, y0) of each tile
+    scores: dict[float, float] = {}  # the band score of each distinct side
+    moves, objectness = [], []
+    for t, i, e in zip(pair_tile[tried].tolist(), ids[first][pair_obj[tried]].tolist(), eff[tried].tolist()):
+        region = regions.get(t)
+        if region is None:
+            region = regions[t] = stream_seed(profile.seed, tiles[t].x0, tiles[t].y0)
+        dx, dy, damping = _draws(profile, region, i)
+        moves.append((dx, dy))
+        score = scores.get(e)
+        if score is None:
+            score = scores[e] = band_score(profile, e)
+        objectness.append(damping * score)
+    moves = np.array(moves, dtype=np.int64).reshape(-1, 2)  # (dx, dy)
+    # the tile's pixels that stay in it when moved: x in [max(x0, x0 - dx), min(x1, x1 - dx)), y alike
+    windows = frames[pair_tile[tried]] + np.hstack((np.maximum(-moves, 0), np.minimum(-moves, 0)))
+    offsets, r, lo, hi, inside = clipped(pair_obj[tried], windows)
+    shift = r * width + np.repeat(moves @ (1, width), np.diff(offsets))
+    areas = _sums(np.where(inside, hi - lo, 0), offsets)
+    kept = areas > 0
+    return Spans(width, height, np.array(objectness, dtype=float)[kept], areas[kept],
+                 _offsets_of(_sums(inside, offsets)[kept]), (lo + shift)[inside], (hi + shift)[inside])
 
 
 def run_tiled(
@@ -251,7 +283,7 @@ def run_tiled(
         raise ValueError("top_k must be at least 1")
     tiles = plan_grid(scene.width, scene.height, grid)
     if isinstance(source, DetectorProfile):
-        candidates = Spans.of(_simulated_proposals(scene, tiles, source), scene.width, scene.height)
+        candidates = _simulated_spans(scene, tiles, source)
     else:
         candidates = place(source, scene.width, scene.height, tiles)
     return candidates.batch(nms(candidates, nms_iou, top_k))

@@ -307,9 +307,76 @@ def shifted(grid: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """``grid`` moved by (dx, dy), pixels that leave it dropped."""
     h, w = grid.shape
     out = np.zeros_like(grid)
-    out[max(dy, 0) : h + min(dy, 0), max(dx, 0) : w + min(dx, 0)] = grid[
-        max(-dy, 0) : h - max(dy, 0), max(-dx, 0) : w - max(dx, 0)
-    ]
+    if abs(dx) < w and abs(dy) < h:  # else every pixel leaves
+        out[max(dy, 0) : h + min(dy, 0), max(dx, 0) : w + min(dx, 0)] = grid[
+            max(-dy, 0) : h - max(dy, 0), max(-dx, 0) : w - max(dx, 0)
+        ]
+    return out
+
+
+def grid_spans(grid: np.ndarray) -> list[tuple[int, int]]:
+    """The [start, stop) flat positions of each row's runs of foreground pixels, in scan order."""
+    height, width = grid.shape
+    out = []
+    for y in range(height):
+        row = grid[y].tolist() + [False]
+        start = None
+        for x, on in enumerate(row):
+            if on and start is None:
+                start = x
+            elif not on and start is not None:
+                out.append((y * width + start, y * width + x))
+                start = None
+    return out
+
+
+def ref_band_score(profile, side: float) -> float:
+    """The detector's band score of a rescaled side, from its definition: 2 to
+    the minus (log distance of the side's fill of a window from the fill band's
+    geometric center, over the band's log half-width), best over the levels."""
+    center = math.sqrt(profile.fill_min * profile.fill_max)
+    half = math.log(profile.fill_max / profile.fill_min) / 2.0
+    return max(2.0 ** (-abs(math.log(side / (profile.window_cells * d) / center)) / half) for d in profile.levels)
+
+
+def region_decision(profile, grid: np.ndarray, instance_id: int, origin: tuple[int, int]):
+    """The simulated detector's emission for one object of a region, written
+    out from its definition: ``grid`` is the object's pixels on the region's
+    grid. The band filter on the longer side of its box, rescaled by the
+    region's input scale; then dx, dy and noise, the first three draws of the
+    stream keyed by (seed, x0, y0, id); the grid moved by (dx, dy) with the
+    pixels that leave it dropped; then the score. (objectness, moved grid), or
+    None if the object is out of band or no pixel is left."""
+    region_h, region_w = grid.shape
+    _, _, box_w, box_h = grid_bbox(grid)
+    eff = max(box_w, box_h) * min(profile.input_w / region_w, profile.input_h / region_h)
+    cells = profile.window_cells
+    if not profile.fill_min * cells * min(profile.levels) <= eff <= profile.fill_max * cells * max(profile.levels):
+        return None
+    stream = profile.seed & M64
+    for key in (*origin, instance_id):
+        stream = ref_splitmix64(stream ^ (key & M64), 1)[0]
+    draw_dx, draw_dy, draw_noise = ref_splitmix64(stream, 3)
+    span = 2 * profile.jitter + 1
+    moved = shifted(grid, draw_dx % span - profile.jitter, draw_dy % span - profile.jitter)
+    if not moved.any():
+        return None
+    return (1.0 - profile.objectness_noise * ((draw_noise >> 11) * 2.0**-53)) * ref_band_score(profile, eff), moved
+
+
+def ref_simulate(labels: np.ndarray, tiles, profile) -> list[tuple[float, np.ndarray]]:
+    """(objectness, image grid) of each candidate the simulated detector emits
+    on an instance grid, tiles in order and each tile's ids ascending: the id's
+    pixels in the tile, ``labels[tile] == id``, through ``region_decision``,
+    embedded back in the image's grid."""
+    height, width = labels.shape
+    out = []
+    for tile in tiles:
+        region = labels[tile.y0 : tile.y0 + tile.h, tile.x0 : tile.x0 + tile.w]
+        for gid in sorted(set(region.ravel().tolist()) - {0}):
+            decided = region_decision(profile, region == gid, gid, (tile.x0, tile.y0))
+            if decided:
+                out.append((decided[0], embedded(decided[1], tile, width, height)))
     return out
 
 

@@ -24,7 +24,7 @@ from smallprop.evaluation import (
 )
 from smallprop.exchange import ProposalBatch, ProposalRecord, read_proposals, write_proposals
 from smallprop.masks import BinaryMask
-from smallprop.pipeline import Spans, nms
+from smallprop.pipeline import nms, place
 from smallprop.prng import stream_seed
 from smallprop.synth import SceneSpec, generate_scene, save_scene, scene_stem
 from smallprop.tiling import TileGridSpec, plan_grid
@@ -173,12 +173,12 @@ def _suite_nms(rng, cases):
             props.append(Proposal(rect_mask(30, 30, x0, y0, rw, rh),
                                   float(rng.integers(0, 1001)) / 1000))
         t = float(rng.integers(2, 10)) / 10
-        spans = Spans.of(props, 30, 30)
+        spans = place(ProposalBatch.of(props), 30, 30)
         kept = [props[i] for i in nms(spans, t).tolist()]
         assert kept == ref_nms(props, t)
         k = int(rng.integers(1, n + 2))
         assert [props[i] for i in nms(spans, t, k).tolist()] == ref_nms(props, t)[:k]
-        assert nms(Spans.of(kept, 30, 30), t).tolist() == list(range(len(kept)))
+        assert nms(place(ProposalBatch.of(kept), 30, 30), t).tolist() == list(range(len(kept)))
         for i, p in enumerate(kept):
             for q in kept[:i]:
                 assert grid_iou(mask_grid(p.mask), mask_grid(q.mask)) < t

@@ -16,8 +16,8 @@ from smallprop import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the hooked names the package no longer has, in hook order (see test_benchmark_hooks_resolve)
-PIPELINE_GONE = ["smallprop.pipeline.remap_mask", "smallprop.pipeline.simulate", "smallprop.pipeline.mask_iou",
-                 "smallprop.evaluation.mask_iou"]
+PIPELINE_GONE = ["smallprop.pipeline.remap_mask", "smallprop.pipeline.crop_mask", "smallprop.pipeline.simulate",
+                 "smallprop.pipeline.mask_iou", "smallprop.evaluation.mask_iou"]
 
 # SHA-256 of each file exchange_setup.write_exchange(..., 42) writes for the
 # scenes of `synth --count 2 --width 320 --height 240` (seed 42): the
@@ -43,10 +43,11 @@ def test_benchmark_hooks_resolve():
                if not callable(getattr(importlib.import_module(m), attr, None))]
     missing += [f"exchange_setup.{attr}" for _, attr, _, _ in tracing.SETUP_HOOKS
                 if not callable(getattr(exchange_setup, attr, None))]
-    # the tiled pipeline emits through the function detector._emitter returns and no
-    # longer calls simulate; NMS compares and writes records from their row spans, so
-    # it neither remaps a mask nor calls mask_iou; eval scores the ids under each
-    # record's runs, so it has no mask_iou either. The tracer reports these missing.
+    # the tiled pipeline simulates on the instance map's row runs, so it neither
+    # crops a mask nor calls simulate; NMS compares and writes records from their
+    # row spans, so it neither remaps a mask nor calls mask_iou; eval scores the ids
+    # under each record's runs, so it has no mask_iou either. The tracer reports
+    # these missing.
     assert missing == PIPELINE_GONE
     assert callable(exchange_setup.write_exchange)
 
@@ -82,6 +83,24 @@ def test_traced_run_and_eval_count_every_record(tmp_path, monkeypatch):
     kept = [n for phase, n in tracer.nms_kept if phase == "run"]
     lines = [len(p.read_text().splitlines()) for p in sorted((tmp_path / "props").glob("*.jsonl"))]
     assert lines == [min(n, 100) for n in kept] and len(lines) == 2
+
+
+def test_traced_simulated_run_extracts_nothing(tmp_path, monkeypatch):
+    # a simulated run reads each instance map and simulates on its row runs: it
+    # extracts no object and crops no mask
+    tracing = _load("tracing")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_for_each", lambda work, items, workers: [work(i) for i in items])
+    with tracing.Tracer() as tracer:
+        tracer.phase = "synth"
+        assert cli.main(["synth", "--out", "scenes", "--count", "2", "--width", "320", "--height", "240"]) == 0
+        tracer.phase = "run"
+        assert cli.main(["run", "--scenes", "scenes", "--out", "props", "--jitter", "2"]) == 0
+    assert tracer.missing == PIPELINE_GONE
+    assert tracer.phase_counters[("run", "raster.bytes_read")] > 0
+    assert tracer.phase_counters[("run", "pipeline.nms_in")] > 0
+    assert tracer.phase_counters[("run", "annotations.instances")] == 0
+    assert tracer.phase_counters[("run", "masks.crops")] == 0
 
 
 def test_exchange_setup_bytes_are_pinned(tmp_path, monkeypatch):

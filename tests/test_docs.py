@@ -68,7 +68,7 @@ def program_reads() -> set[str]:
 
 def test_python_api_table_names_only_what_the_program_uses():
     # API that only tests reach goes, or moves to the tests. A dotted name such
-    # as ``Spans.of`` counts as read wherever its last part is read as an attribute.
+    # as ``Spans.batch`` counts as read wherever its last part is read as an attribute.
     read = program_reads()
     names = sorted({n for _, row in api_rows() for n in row})
     assert len(names) > 30

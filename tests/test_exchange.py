@@ -296,6 +296,16 @@ def test_values_past_the_int64_columns_are_rejected(tmp_path, line, message):
     assert str(exc.value) == f"{path}: line 1: {message}"
 
 
+def test_areas_past_2_to_the_53_are_exact(tmp_path):
+    # a 2**31 x 2**23 canvas whose foreground runs sum to the odd 2**53 + 3,
+    # which a sum in float64 rounds to 2**53 + 4; then a record of area 4
+    runs = [1, 2**53 + 1, 5, 2, 2**54 - (2**53 + 9)]
+    path = tmp_path / "x.jsonl"
+    path.write_text(LINE.replace('"width": 2, "height": 2', f'"width": {2**31}, "height": {2**23}')
+                    .replace("[0, 4]", json.dumps(runs)) + "\n" + LINE + "\n")
+    assert read_proposals(path).areas.tolist() == [2**53 + 3, 4]
+
+
 @st.composite
 def exchange_files(draw):
     """Valid records of random masks, boxes as wide as the canvas and runs across row ends

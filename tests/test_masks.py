@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from smallprop.annotations import extract_instances
-from smallprop.masks import (BBox, BinaryMask, MaskFormatError, _foreground, _row_spans, _span_runs, _spans,
-                             box_overlaps, box_rows, crop_mask)
+from smallprop.masks import BBox, BinaryMask, MaskFormatError, _foreground, _row_spans, _span_runs, crop_mask
 from smallprop.tiling import Tile
 import oracles
 from oracles import embedded, grid_bbox, grid_runs, mask_grid, rect_mask
@@ -51,19 +50,6 @@ def test_corrupt_runs_rejected():
         BinaryMask(2, 2, (0, 2, 0, 2))
     with pytest.raises(MaskFormatError):
         BinaryMask(2, 2, (-1, 5))
-
-
-boxes = st.builds(BBox, st.integers(-5, 20), st.integers(-5, 20), st.integers(0, 10), st.integers(0, 10))
-
-
-@given(st.lists(boxes, max_size=8), st.lists(boxes, max_size=8))
-@example([BBox(0, 0, 4, 4), BBox(0, 0, 0, 0)], [BBox(4, 0, 4, 4), BBox(3, 3, 2, 2), BBox(0, 0, 0, 0)])
-@example([], [BBox(0, 0, 4, 4)])
-def test_box_overlaps_matches_intersects(a, b):
-    # edge-adjacent boxes and zero-size boxes never intersect
-    got = box_overlaps(box_rows(a), box_rows(b))
-    assert got.shape == (len(a), len(b)) and got.dtype == bool
-    assert got.tolist() == [[p.intersects(q) for q in b] for p in a]
 
 
 def test_area_example():
@@ -277,9 +263,7 @@ def test_span_runs_match_the_pixel_oracle():
             height = 1  # a W x 1 canvas: every mask is full-height
         grids = _mask_set(rng, width, height)
         want = [grid_runs(g) for g in grids]
-        # spans from bitmaps (boxes as wide as the canvas join their rows' spans into one run)
-        assert _records(*_span_runs(*_spans([_from_grid(g) for g in grids], width), width * height)) == want
-        # spans from runs, on the canvas itself
+        # spans from runs, on the canvas itself (masks as wide as the canvas join their rows' spans into one run)
         runs = np.array([r for rs in want for r in rs], dtype=np.int64)
         offsets = np.cumsum([0] + [len(rs) for rs in want])
         n = len(want)

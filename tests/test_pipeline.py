@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from smallprop import pipeline
 from smallprop.annotations import GroundTruthObject
-from smallprop.detector import PRESET_LEVELS, Proposal, band_score, detectable_range, preset, simulate
+from smallprop.detector import PRESET_LEVELS, Proposal, preset, simulate
 from smallprop.masks import BBox, BinaryMask, crop_mask
-from smallprop.prng import prng_next, randint, random, stream_seed
 from smallprop.exchange import ExchangeFormatError, ProposalBatch, ProposalRecord, read_proposals, write_proposals
-from smallprop.pipeline import Spans, _overlaps, _sweeps, nms, place, run_tiled, run_whole
+from smallprop.pipeline import _overlaps, _simulated_spans, _sweeps, nms, place, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
 from smallprop.tiling import Tile, TileGridSpec, plan_grid
 from smallprop.raster import RasterImage
-from oracles import embedded, grid_iou, grid_runs, mask_grid, rect_mask, ref_nms, shifted
+from oracles import (embedded, grid_iou, grid_runs, grid_spans, mask_grid, rect_mask, ref_nms, ref_simulate,
+                     region_decision)
 
 
 def proposal(mask, score):
@@ -23,7 +23,12 @@ def proposal(mask, score):
 def nms_of(props, iou_threshold, top_k=None):
     """The proposals ``nms`` keeps of ``props``, on the first one's canvas, in its order."""
     width, height = (props[0].mask.width, props[0].mask.height) if props else (1, 1)
-    return [props[i] for i in nms(Spans.of(props, width, height), iou_threshold, top_k).tolist()]
+    return [props[i] for i in nms(candidates(props, width, height), iou_threshold, top_k).tolist()]
+
+
+def candidates(props, width, height):
+    """``props`` as whole-image records placed on a width x height image, as ``run`` places them."""
+    return place(ProposalBatch.of(props), width, height)
 
 
 def scene_from_labels(labels):
@@ -97,9 +102,9 @@ def test_nms_suppresses_at_exactly_the_threshold():
     b = rect_mask(8, 2, 0, 0, 2, 1)
     assert grid_iou(mask_grid(a), mask_grid(b)) == 0.5
     props = [proposal(a, 0.9), proposal(b, 0.8)]
-    for candidates in (Spans.of(props, 8, 2), place(ProposalBatch.of(props), 8, 2)):
-        assert nms(candidates, 0.5).tolist() == [0]
-        assert nms(candidates, 0.5000001).tolist() == [0, 1]
+    spans = candidates(props, 8, 2)
+    assert nms(spans, 0.5).tolist() == [0]
+    assert nms(spans, 0.5000001).tolist() == [0, 1]
 
 
 nonempty_pairs = hnp.arrays(np.bool_, st.tuples(st.integers(1, 16), st.integers(1, 16))).filter(np.any).flatmap(
@@ -156,7 +161,8 @@ def test_span_nms_equals_brute_force_on_full_width_masks():
         t, k = int(rng.integers(1, 11)) / 10, int(rng.integers(1, 10))
         want = _kept_records(props, t, k)
         scene = scene_from_labels(np.zeros((height, width)))
-        assert _written(Spans.of(props, width, height).batch(nms(Spans.of(props, width, height), t, k))) == want
+        spans = candidates(props, width, height)
+        assert _written(spans.batch(nms(spans, t, k))) == want
         assert _written(run_whole(scene, ProposalBatch.of(props), t, k)) == want
 
 
@@ -196,13 +202,13 @@ def test_spans_that_touch_share_no_pixel():
     a, b = rect_mask(8, 2, 0, 0, 3, 1), rect_mask(8, 2, 3, 0, 2, 1)
     c, d = rect_mask(8, 2, 5, 0, 3, 1), rect_mask(8, 2, 0, 1, 4, 1)
     props = [proposal(m, 0.5) for m in (a, b, c, d)]
-    for spans in (Spans.of(props, 8, 2), place(ProposalBatch.of(props), 8, 2)):
-        order = np.argsort(spans.starts, kind="stable")
-        starts, stops, every = spans.starts[order], spans.stops[order], np.arange(len(order))
-        # all spans in one chunk; and each span against its neighbours as kept ones
-        for c, k in ((every, None), (every[::2], every[1::2]), (every[1::2], every[::2])):
-            assert all(len(column) == 0 for column in _overlaps(_sweeps(starts, stops, c, k)))
-        assert nms(spans, 1e-9).tolist() == [3, 0, 2, 1]  # by area, then index
+    spans = candidates(props, 8, 2)
+    order = np.argsort(spans.starts, kind="stable")
+    starts, stops, every = spans.starts[order], spans.stops[order], np.arange(len(order))
+    # all spans in one chunk; and each span against its neighbours as kept ones
+    for c, k in ((every, None), (every[::2], every[1::2]), (every[1::2], every[::2])):
+        assert all(len(column) == 0 for column in _overlaps(_sweeps(starts, stops, c, k)))
+    assert nms(spans, 1e-9).tolist() == [3, 0, 2, 1]  # by area, then index
 
 
 def test_chunked_visit_equals_brute_force(monkeypatch):
@@ -216,7 +222,7 @@ def test_chunked_visit_equals_brute_force(monkeypatch):
             props = [Proposal(BinaryMask(width, height, grid_runs(_random_grid(rng, width, height))),
                               int(rng.integers(0, 5)) / 4) for _ in range(int(rng.integers(0, 12)))]
             t, k = int(rng.integers(1, 11)) / 10, int(rng.integers(1, 13))
-            spans = Spans.of(props, width, height)
+            spans = candidates(props, width, height)
             assert _written(spans.batch(nms(spans, t, k))) == _kept_records(props, t, k)
 
 
@@ -241,7 +247,7 @@ def test_near_duplicates_are_compared_a_chunk_at_a_time(monkeypatch):
     for pairs in (1, 3000):
         monkeypatch.setattr(pipeline, "_PAIRS", pairs)
         sizes.clear()
-        kept = nms(Spans.of(props, 48, 36), 0.7)
+        kept = nms(candidates(props, 48, 36), 0.7)
         assert [props[i] for i in kept.tolist()] == ref_nms(props, 0.7)
         assert len(sizes) > 5 and max(sizes) <= max(pairs, max(load))
 
@@ -274,10 +280,11 @@ def test_nms_rejects_threshold_outside_unit_interval():
 
 
 def test_nms_rejects_mixed_canvases():
-    # the boxes are disjoint, so only the canvas check can notice
+    # the boxes are disjoint, so only the canvas check can notice: placing the
+    # second record on the first one's image fails
     a = rect_mask(16, 16, 0, 0, 4, 4)
     b = rect_mask(16, 20, 10, 10, 4, 4)
-    with pytest.raises(ValueError, match="mask dimensions differ"):
+    with pytest.raises(ExchangeFormatError, match="line 2: whole-image record is 16x20, image is 16x16"):
         nms_of([proposal(a, 0.9), proposal(b, 0.8)], 0.7)
 
 
@@ -485,35 +492,24 @@ def test_config_validation():
         run_tiled(scene, preset("fastmask"), grid, top_k=0)
 
 
-def _region_decision(profile, region_w, region_h, obj, origin):
-    """The simulated detector's emission for one object of a region, written
-    out from its definition: the band filter on the rescaled longer side, then
-    dx, dy and noise drawn from the (seed, x0, y0, id) stream, the mask moved
-    by (dx, dy) on the grid of the region with the pixels that leave it
-    dropped, then the score."""
-    box = obj.mask.bbox
-    eff = max(box.w, box.h) * min(profile.input_w / region_w, profile.input_h / region_h)
-    s_min, s_max = detectable_range(profile)
-    if eff < s_min or eff > s_max:
-        return None
-    draw_dx, state = prng_next(stream_seed(profile.seed, origin[0], origin[1], obj.instance_id))
-    draw_dy, state = prng_next(state)
-    draw_noise, _ = prng_next(state)
-    grid = shifted(mask_grid(obj.mask), randint(draw_dx, -profile.jitter, profile.jitter),
-                   randint(draw_dy, -profile.jitter, profile.jitter))
-    if not grid.any():
-        return None
-    score = (1.0 - profile.objectness_noise * random(draw_noise)) * band_score(profile, eff)
-    return Proposal(BinaryMask(region_w, region_h, grid_runs(grid)), score)
+def _assert_spans_are(spans, want):
+    """``spans`` holds the candidates ``want``, (objectness, image grid) pairs,
+    in order: the same objectness, areas, and spans, each row's runs in scan order."""
+    assert spans.objectness.tolist() == [o for o, _ in want]
+    assert spans.areas.tolist() == [int(g.sum()) for _, g in want]
+    cuts, pairs = spans.offsets.tolist(), list(zip(spans.starts.tolist(), spans.stops.tolist()))
+    assert cuts[0] == 0 and len(cuts) == len(want) + 1
+    assert [pairs[i:j] for i, j in zip(cuts, cuts[1:])] == [grid_spans(g) for _, g in want]
 
 
 def _per_region_reference(scene, tiles, profile):
-    """The raw proposals of a tiled run, composed from the public per-region
-    API: each tile's ground truth cropped to it, ``simulate`` on the tile, each
-    proposal's grid embedded in the image's. ``simulate`` must agree with the decision
-    written out in ``_region_decision``. Also counts the objects whose box
-    meets a tile but whose crop to it is empty, and the proposals of objects
-    wholly inside a tile that the jitter carried partly out of it."""
+    """The raw candidates of a tiled run, (objectness, image grid) pairs,
+    composed from the public per-region API: each tile's ground truth cropped
+    to it, ``simulate`` on the tile, each proposal's grid embedded in the
+    image's. ``simulate`` must agree with ``oracles.region_decision``. Also
+    counts the objects whose box meets a tile but whose crop to it is empty,
+    and the proposals of objects wholly inside a tile that the jitter carried
+    partly out of it."""
     raw, empty_crops, pushed_out = [], 0, 0
     areas = {o.instance_id: o.mask.area for o in scene.objects}
     for tile in tiles:
@@ -526,14 +522,14 @@ def _per_region_reference(scene, tiles, profile):
                     gt.append(GroundTruthObject.from_mask(obj.instance_id, local))
                 else:
                     empty_crops += 1
-        decided = [_region_decision(profile, tile.w, tile.h, g, origin) for g in gt]
+        decided = [region_decision(profile, mask_grid(g.mask), g.instance_id, origin) for g in gt]
         simulated = simulate(profile, tile.w, tile.h, gt, origin)
-        assert [(p.mask, p.objectness) for p in simulated] == [(p.mask, p.objectness) for p in decided if p]
-        for p in simulated:
-            grid = embedded(mask_grid(p.mask), tile, scene.width, scene.height)
-            raw.append(Proposal(BinaryMask(scene.width, scene.height, grid_runs(grid)), p.objectness))
-        for g, p in zip(gt, decided):
-            if p and g.mask.area == areas[g.instance_id] and p.mask.area < g.mask.area:
+        emitted = [d for d in decided if d]
+        assert [p.objectness for p in simulated] == [o for o, _ in emitted]
+        assert all(np.array_equal(mask_grid(p.mask), grid) for p, (_, grid) in zip(simulated, emitted))
+        raw += [(p.objectness, embedded(mask_grid(p.mask), tile, scene.width, scene.height)) for p in simulated]
+        for g, d in zip(gt, decided):
+            if d and g.mask.area == areas[g.instance_id] and d[1].sum() < g.mask.area:
                 pushed_out += 1
     return raw, empty_crops, pushed_out
 
@@ -541,8 +537,13 @@ def _per_region_reference(scene, tiles, profile):
 @pytest.mark.parametrize("name", sorted(PRESET_LEVELS))
 def test_tiled_simulation_is_the_per_region_composition(name, monkeypatch):
     # small scenes under a 32x24 grid at stride 16x12: most objects cut a tile edge
-    raw_of_run, simulated = [], pipeline._simulated_proposals
-    monkeypatch.setattr(pipeline, "_simulated_proposals", lambda *args: raw_of_run.append(simulated(*args)) or [])
+    raw_of_run, simulated = [], pipeline._simulated_spans
+
+    def recorded(*args):  # the candidates of each run, kept for the check
+        raw_of_run.append(simulated(*args))
+        return raw_of_run[-1]
+
+    monkeypatch.setattr(pipeline, "_simulated_spans", recorded)
     grid = TileGridSpec(32, 24, 16, 12)
     emitted = empty_crops = pushed_out = 0
     for seed in range(4):
@@ -555,11 +556,44 @@ def test_tiled_simulation_is_the_per_region_composition(name, monkeypatch):
                 run_tiled(scene, profile, grid)
                 got = raw_of_run.pop()
                 want, empty, pushed = _per_region_reference(scene, tiles, profile)
-                assert [p.objectness for p in got] == [p.objectness for p in want]
-                for p, q in zip(got, want):
-                    assert p.mask == q.mask and p.mask.area == q.mask.area
+                _assert_spans_are(got, want)
                 emitted += len(got)
                 empty_crops += empty
                 pushed_out += pushed
     assert emitted > 100
     assert empty_crops > 0 and pushed_out > 0
+
+
+# instance grids of a few ids, far apart in value, scattered so that an id
+# often has several runs on one row
+label_grids = st.tuples(st.integers(1, 20), st.integers(1, 14)).flatmap(
+    lambda size: hnp.arrays(np.uint16, size, elements=st.sampled_from([0, 0, 0, 1, 2, 5, 300, 65535])))
+_SPLIT = np.array([[0, 7, 7, 0, 7, 0, 300, 300, 0, 0, 2],  # id 7 in two runs on rows 0 and 2
+                   [0, 7, 0, 0, 7, 0, 300, 300, 300, 0, 2],
+                   [7, 7, 0, 7, 7, 0, 0, 0, 0, 0, 2],
+                   [0, 0, 0, 0, 0, 0, 65535, 65535, 0, 0, 0],
+                   [9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9]], dtype=np.uint16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=label_grids, tile=st.tuples(st.integers(1, 20), st.integers(1, 14)),
+       stride=st.tuples(st.integers(1, 20), st.integers(1, 14)), name=st.sampled_from(sorted(PRESET_LEVELS)),
+       input_size=st.tuples(st.integers(1, 2000), st.integers(1, 2000)), jitter=st.integers(0, 25),
+       noise=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**64 - 1))
+# an empty instance map
+@example(np.zeros((6, 9), np.uint16), (4, 3), (2, 2), "attentionmask", (1280, 960), 2, 0.5, 1)
+# clamped last tiles (x0 = 7 after 0, 3, 6; y0 = 2), objects cut by a tile
+# edge, non-contiguous ids and an id in several runs on one row
+@example(_SPLIT, (4, 3), (3, 2), "attentionmask", (1280, 960), 0, 0.0, 3)
+# jitter past the tile's size
+@example(_SPLIT, (4, 3), (3, 2), "attentionmask-4-16", (1280, 960), 25, 0.5, 4)
+# no pair passes the band: every rescaled side is below s_min
+@example(_SPLIT, (4, 3), (3, 2), "fastmask", (1, 1), 2, 0.5, 5)
+def test_simulated_spans_equal_the_grid_oracle(labels, tile, stride, name, input_size, jitter, noise, seed):
+    height, width = labels.shape
+    tile_w, tile_h = min(tile[0], width), min(tile[1], height)
+    spec = TileGridSpec(tile_w, tile_h, min(stride[0], tile_w), min(stride[1], tile_h))
+    profile = preset(name, input_w=input_size[0], input_h=input_size[1], jitter=jitter, objectness_noise=noise,
+                     seed=seed)
+    tiles = plan_grid(width, height, spec)
+    _assert_spans_are(_simulated_spans(scene_from_labels(labels), tiles, profile), ref_simulate(labels, tiles, profile))
