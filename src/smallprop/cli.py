@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .detector import DetectorProfile, preset, PRESET_LEVELS
-from .exchange import ExchangeFormatError, ProposalBatch, read_proposals, write_proposals
+from .exchange import ExchangeFormatError, ProposalBatch, _batch, read_proposals, write_proposals
 from .evaluation import evaluate_dataset, render_overlay, report_csv, report_json, report_text, score_image
 from .pipeline import fit, run_tiled, run_whole
 from .raster import PnmFormatError, read_pnm, write_pnm
@@ -146,6 +146,17 @@ def _resolve_profile(args) -> DetectorProfile | None:
     return _usage(given, replace, preset(args.detector or "attentionmask"), **overrides)
 
 
+_NO_PROPOSALS = _batch([], None)  # the records of a scene without a proposal file
+
+
+def _no_stray_files(proposals_dir: Path, stems) -> None:
+    """Reject proposal files in ``proposals_dir`` whose stem names none of the scenes ``stems``."""
+    known = set(stems)
+    unknown = sorted(p.stem for p in proposals_dir.glob("*.jsonl") if p.stem not in known)
+    if unknown:
+        raise ValueError(f"proposal files without matching scenes: {', '.join(unknown)}")
+
+
 def _whole_image_proposals(path: Path, width: int, height: int) -> ProposalBatch:
     """The records of a file of whole-image records for a width x height image."""
     batch = read_proposals(path)
@@ -250,12 +261,12 @@ def cmd_synth(args) -> int:
 def _run_one(stem: str, args, grid, profile, out: Path) -> None:
     scene = load_scene(args.scenes, stem)
     path = Path(args.exchange) / f"{stem}.jsonl" if args.exchange else None
-    lines = read_proposals(path) if path and path.exists() else ProposalBatch.of([])
+    source = profile or (read_proposals(path) if path.exists() else _NO_PROPOSALS)
     try:
         if args.mode == "tiled":
-            kept = run_tiled(scene, profile or lines, grid, args.nms_iou, args.top_k)
+            kept = run_tiled(scene, source, grid, args.nms_iou, args.top_k)
         else:
-            kept = run_whole(scene, profile or lines, args.nms_iou, args.top_k)
+            kept = run_whole(scene, source, args.nms_iou, args.top_k)
     except ExchangeFormatError as exc:  # a record that does not fit
         raise ValueError(f"{path}: {exc}") from None
     except PnmFormatError:  # the instance map, read on first use, names itself
@@ -277,7 +288,7 @@ def cmd_run(args) -> int:
     _out_is_not_an_input(out, {"--scenes": args.scenes, "--exchange": args.exchange})
     stems = list_scene_stems(_existing_dir(args.scenes, "--scenes"))
     if args.exchange:
-        _existing_dir(args.exchange, "--exchange")
+        _no_stray_files(_existing_dir(args.exchange, "--exchange"), stems)
     out.mkdir(parents=True, exist_ok=True)
 
     _for_each(partial(_run_one, args=args, grid=grid, profile=profile, out=out), stems, args.jobs)
@@ -305,7 +316,7 @@ def cmd_run(args) -> int:
 def _score_one(stem: str, scenes: str, proposals_dir: Path):
     scene = load_scene(scenes, stem)
     path = proposals_dir / f"{stem}.jsonl"
-    batch = _whole_image_proposals(path, scene.width, scene.height) if path.exists() else ProposalBatch.of([])
+    batch = _whole_image_proposals(path, scene.width, scene.height) if path.exists() else _NO_PROPOSALS
     return score_image(scene.instances.pixels, batch)
 
 
@@ -313,11 +324,8 @@ def cmd_eval(args) -> int:
     prefix = Path(args.out)
     _out_is_not_an_input(prefix.parent, {"--scenes": args.scenes, "--proposals": args.proposals})
     stems = list_scene_stems(_existing_dir(args.scenes, "--scenes"))
-    known = set(stems)
     proposals_dir = _existing_dir(args.proposals, "--proposals")
-    unknown = sorted(p.stem for p in proposals_dir.glob("*.jsonl") if p.stem not in known)
-    if unknown:
-        raise ValueError(f"proposal files without matching scenes: {', '.join(unknown)}")
+    _no_stray_files(proposals_dir, stems)
 
     system = args.system or proposals_dir.name
     # scenes are scored independently; only their (sizes, pairs) come back to be pooled

@@ -12,7 +12,7 @@ per-object jitter, so localization quality is controllable and exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .annotations import GroundTruthObject
 from .masks import BinaryMask, _part
@@ -27,18 +27,12 @@ PRESET_LEVELS = {
 }
 
 
-@dataclass(eq=True)
+@dataclass
 class Proposal:
-    """A candidate object: non-empty mask plus objectness in [0, 1]."""
+    """A candidate object of ``simulate``: a non-empty mask plus objectness in [0, 1]."""
 
     mask: BinaryMask
     objectness: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.objectness <= 1.0:
-            raise ValueError(f"objectness {self.objectness} outside [0, 1]")
-        if self.mask.area == 0:
-            raise ValueError("proposal mask is empty")
 
 
 @dataclass(eq=True)

@@ -20,6 +20,7 @@ import numpy as np
 from .annotations import SizeCategory, size_category
 from .exchange import ProposalBatch
 from .masks import _foreground, require_same_canvas
+from .pipeline import place
 from .raster import RasterImage
 
 IOU_THRESHOLDS = tuple(t / 100 for t in range(50, 100, 5))
@@ -227,26 +228,43 @@ def _contour(grid: np.ndarray) -> np.ndarray:
     return grid & ~interior
 
 
+def _box_grid(starts: np.ndarray, stops: np.ndarray, width: int) -> tuple[int, int, np.ndarray]:
+    """(x, y, grid) of one mask's row spans on an image ``width`` wide, as
+    ``place`` makes them: the corner of the spans' tight box and the boolean
+    grid of that box."""
+    rows, xs = np.divmod(starts, width)
+    lengths = stops - starts
+    x, y = int(xs.min()), int(rows[0])
+    w, h = int((xs + lengths).max()) - x, int(rows[-1]) + 1 - y
+    firsts = (rows - y) * w + xs - x  # each span's first pixel in the grid
+    grid = np.zeros(h * w, dtype=bool)
+    grid[np.repeat(firsts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())] = True
+    return x, y, grid.reshape(h, w)
+
+
 def render_overlay(image: RasterImage, labels: np.ndarray, batch: ProposalBatch) -> RasterImage:
     """Draw the matched records of a batch filled with a colored contour,
     misses in red.
 
     Objects of the instance grid ``labels`` are drawn by id ascending. Each
-    shows only its assigned (best-IoU) record; an unmatched one is drawn as
-    an unfilled red contour of its pixels.
+    shows only its assigned (best-IoU) record, drawn from its row spans; an
+    unmatched one is drawn as an unfilled red contour of its pixels.
     """
     if image.channels != 3:
         raise ValueError("overlay rendering needs an RGB image")
     by_gt = {gid: pi for gid, pi, _ in match(labels, batch)}
+    height, width = labels.shape
+    spans = place(batch, width, height)
     canvas = image.pixels.astype(np.int16)
     for gid in _objects(labels)[0].tolist():
         if gid in by_gt:
             color = np.array(_PALETTE[gid % len(_PALETTE)], dtype=np.int16)
-            m = batch.mask(by_gt[gid])
-            b = m.bbox  # tight, so a foreground pixel on its edge is contour as on the canvas
-            window = canvas[b.y : b.y + b.h, b.x : b.x + b.w]
-            window[m.bitmap] = (window[m.bitmap] + color) // 2
-            window[_contour(m.bitmap)] = color
+            i, j = spans.offsets[by_gt[gid] : by_gt[gid] + 2].tolist()
+            x, y, grid = _box_grid(spans.starts[i:j], spans.stops[i:j], width)
+            # the box is tight, so a foreground pixel on its edge is contour as on the canvas
+            window = canvas[y : y + grid.shape[0], x : x + grid.shape[1]]
+            window[grid] = (window[grid] + color) // 2
+            window[_contour(grid)] = color
         else:
             canvas[_contour(labels == gid)] = np.array(_MISS_COLOR, dtype=np.int16)
     return RasterImage(canvas.astype(np.uint8))

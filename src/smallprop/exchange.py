@@ -16,8 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detector import Proposal
-from .masks import BinaryMask, _foreground, _offsets_of, _segments, _sums, _valid
+from .masks import MAX_PIXELS, _foreground, _offsets_of, _segments, _sums, _valid
 
 _REQUIRED_KEYS = ("image_id", "width", "height", "objectness", "runs")
 _REQUIRED = frozenset(_REQUIRED_KEYS)
@@ -86,29 +85,8 @@ class ProposalBatch:
         self.lines, self.tiles, self.widths, self.heights = lines, tiles, widths, heights
         self.objectness, self.runs, self.offsets, self.areas = objectness, runs, offsets, areas
 
-    @classmethod
-    def of(cls, proposals) -> "ProposalBatch":
-        """The batch of a sequence of ``proposals`` as whole-image records on lines 1 to n."""
-        masks = [p.mask for p in proposals]
-        runs = [m.runs for m in masks]
-        return cls(
-            np.arange(1, len(masks) + 1, dtype=np.int64),
-            np.full(len(masks), -1, dtype=np.int64),
-            np.array([m.width for m in masks], dtype=np.int64),
-            np.array([m.height for m in masks], dtype=np.int64),
-            np.array([p.objectness for p in proposals], dtype=float),
-            np.fromiter(chain.from_iterable(runs), np.int64, sum(map(len, runs))),
-            _offsets_of([len(r) for r in runs]),
-            np.array([m.area for m in masks], dtype=np.int64),
-        )
-
     def __len__(self) -> int:
         return len(self.lines)
-
-    def mask(self, k: int) -> BinaryMask:
-        """Record k's mask on its own canvas, its runs checked and its box measured."""
-        runs = self.runs[self.offsets.item(k) : self.offsets.item(k + 1)].tolist()
-        return BinaryMask(self.widths.item(k), self.heights.item(k), runs)
 
     def take(self, index) -> "ProposalBatch":
         """The records at ``index``, an integer array, in its order."""
@@ -165,18 +143,44 @@ def _record(line: str, stem: str, path, lineno: int) -> tuple:
         raise ExchangeFormatError(f"{path}: line {lineno}: runs must be a list of integers")
     record = (lineno, tile_index, doc["width"], doc["height"], objectness, runs)
     if not set(map(type, runs)) <= {int}:
-        _check(record, path)  # raises, with the mask's first complaint
+        _check(record, path)  # raises, with the record's first broken rule
     return record
 
 
+def _broken(width: int, height: int, objectness, runs: list) -> str | None:
+    """The first record rule that a record's values break, or None: the
+    rules of its runs on its canvas, then its objectness, then a non-empty
+    mask. ``_batch`` checks the same rules on every record at once."""
+    if width < 1 or height < 1:
+        return f"mask dimensions must be positive, got {width}x{height}"
+    if width * height > MAX_PIXELS:
+        return f"mask of {width}x{height} has more than 2**63 - 1 pixels"
+    if not set(map(type, runs)) <= {int}:  # exact types: a bool is an int instance
+        return "runs must be integers"
+    if not runs:
+        return "runs must be non-empty"
+    if min(runs) < 0:
+        return "negative run length"
+    if 0 in runs[1:]:
+        return "zero-length run after the first"
+    if sum(runs) != width * height:
+        return f"runs sum to {sum(runs)}, expected {width}x{height}={width * height}"
+    try:
+        objectness = round(objectness, 6) + 0.0
+    except OverflowError as exc:  # an integer objectness past float range
+        return str(exc)
+    if not 0.0 <= objectness <= 1.0:
+        return f"objectness {objectness} outside [0, 1]"
+    if len(runs) == 1:  # valid runs, so no foreground run
+        return "proposal mask is empty"
+    return None
+
+
 def _check(record, path) -> None:
-    """Raise the error of the first rule of ``BinaryMask`` and ``Proposal`` that
-    a record of ``_record`` breaks, naming its line."""
-    lineno, _, width, height, objectness, runs = record
-    try:  # BinaryMask checks the run elements, Proposal the range and a non-empty mask
-        Proposal(BinaryMask(width, height, runs), round(objectness, 6) + 0.0)
-    except (ValueError, OverflowError) as exc:  # an integer objectness past float range overflows
-        raise ExchangeFormatError(f"{path}: line {lineno}: {exc}") from exc
+    """Raise the error of the first rule that a record of ``_record`` breaks, naming its line."""
+    why = _broken(*record[2:])
+    if why:
+        raise ExchangeFormatError(f"{path}: line {record[0]}: {why}")
 
 
 def _batch(records: list[tuple], path) -> ProposalBatch:

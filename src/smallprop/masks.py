@@ -1,31 +1,25 @@
 """Binary pixel masks stored as a tight bounding box plus a bitmap of that box.
 
 Moving a mask (a crop, a simulated jitter) is box arithmetic plus slices of
-small arrays, so no operation touches pixels outside the object. The
-run-length encoding is the wire format of the proposal exchange files and is
-normative there: runs are listed in row-major scan order over the full canvas
-and alternate background/foreground, with the first run counting background
-pixels (possibly zero). No other run may be zero. A mask read from runs takes
-its box and area from the runs when it is made and decodes its pixels on
-first use; a mask moved whole shares its source's bitmap, decoded for the move
-if need be. Any mask encodes its runs only when asked.
+small arrays, so no operation touches pixels outside the object. A mask is
+made from a tight bitmap or by moving another mask, and encodes its runs only
+when asked. The run-length encoding is the wire format of the proposal
+exchange files and is normative there: runs are listed in row-major scan order
+over the full canvas and alternate background/foreground, with the first run
+counting background pixels (possibly zero). No other run may be zero. A
+file's records never become masks: the column functions below check, cut and
+move the runs of many records at once.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import cycle
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 
 MAX_PIXELS = 2**63 - 1  # a canvas's pixel positions are int64
-
-
-class MaskFormatError(ValueError):
-    """Run-length data that violates the mask format."""
 
 
 @dataclass(frozen=True)
@@ -50,46 +44,15 @@ _set = object.__setattr__
 
 
 class BinaryMask:
-    """Binary mask on a width x height canvas, immutable after construction.
+    """Binary mask on a width x height canvas, immutable once made.
 
     ``bbox`` is the tight box of the foreground (zero-size at the origin for
-    an empty mask) and ``area`` its pixel count, both set when the mask is
-    made. ``BinaryMask(width, height, runs)`` validates canonical runs and
-    measures the box and area from them; ``bitmap``, the read-only boolean
-    grid of the box, is decoded on its first use, only over the rows of the box.
+    an empty mask), ``area`` its pixel count and ``bitmap`` the read-only
+    boolean grid of the box. Masks are made only from a tight bitmap
+    (``extract_instances``) or by a move (``crop_mask``, ``simulate``).
     """
 
-    # _pixels: the bitmap once made, None before that
-    __slots__ = ("width", "height", "bbox", "area", "_runs", "_pixels")
-
-    def __init__(self, width: int, height: int, runs: Sequence[int]) -> None:
-        if width < 1 or height < 1:
-            raise ValueError(f"mask dimensions must be positive, got {width}x{height}")
-        if width * height > MAX_PIXELS:
-            raise ValueError(f"mask of {width}x{height} has more than 2**63 - 1 pixels")
-        runs = tuple(runs)
-        if not set(map(type, runs)) <= {int}:  # exact types: a bool is an int instance
-            raise MaskFormatError("runs must be integers")
-        if not runs:
-            raise MaskFormatError("runs must be non-empty")
-        if min(runs) < 0:
-            raise MaskFormatError("negative run length")
-        if 0 in runs[1:]:
-            raise MaskFormatError("zero-length run after the first")
-        total = sum(runs)
-        if total != width * height:
-            raise MaskFormatError(
-                f"runs sum to {total}, expected {width}x{height}={width * height}"
-            )
-        (box,), (area,) = _measure(np.array(runs, dtype=np.int64), np.array([0, len(runs)]), np.array([width]))
-        _fill(self, width, height, BBox(*box.tolist()), int(area), runs=runs)  # valid runs are the canonical encoding
-
-    @property
-    def bitmap(self) -> np.ndarray:
-        """Read-only boolean grid of the box, made on first use."""
-        if self._pixels is None:
-            _set(self, "_pixels", _decode(self._runs, self.width, self.bbox))
-        return self._pixels
+    __slots__ = ("width", "height", "bbox", "area", "bitmap", "_runs")
 
     @property
     def runs(self) -> tuple[int, ...]:
@@ -101,37 +64,8 @@ class BinaryMask:
     def __setattr__(self, name, value):
         raise AttributeError(f"BinaryMask is immutable; cannot set {name!r}")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryMask):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and self.bbox == other.bbox
-            and np.array_equal(self.bitmap, other.bitmap)
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"BinaryMask(width={self.width}, height={self.height}, bbox={self.bbox}, area={self.area})"
-
 
 _NO_PIXELS = np.zeros((0, 0), dtype=bool)
-_NO_PIXELS.flags.writeable = False
-_NO_BOX = BBox(0, 0, 0, 0)
-
-
-def _fill(mask, width, height, bbox, area, runs=None, pixels=None) -> BinaryMask:
-    """Set every slot of ``mask``; ``pixels`` is a read-only bitmap of the box,
-    or None to decode ``runs``."""
-    _set(mask, "width", width)
-    _set(mask, "height", height)
-    _set(mask, "bbox", bbox)
-    _set(mask, "area", area)
-    _set(mask, "_runs", runs)
-    _set(mask, "_pixels", pixels)
-    return mask
 
 
 def _stops(runs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -155,9 +89,11 @@ def _foreground(runs: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _valid(runs: np.ndarray, offsets: np.ndarray, widths: np.ndarray, heights: np.ndarray) -> bool:
-    """True iff the runs of every mask, laid out as for ``_stops``, on its
-    width x height canvas pass the checks of ``BinaryMask(width, height, runs)``
-    (beyond the element types): all masks at once, on int64 values."""
+    """True iff the runs of every mask, laid out as for ``_stops``, are valid
+    on its width x height canvas: a canvas of positive sides and at most
+    ``MAX_PIXELS`` pixels, at least one run, none negative, none zero after the
+    first, summing to width * height. All masks at once, on int64 values;
+    ``exchange._broken`` states the same rules for one record."""
     if not (np.diff(offsets).all() and (widths >= 1).all() and (heights >= 1).all()):
         return False
     if (widths > MAX_PIXELS // heights).any():
@@ -170,49 +106,24 @@ def _valid(runs: np.ndarray, offsets: np.ndarray, widths: np.ndarray, heights: n
     return not bad.any() and np.array_equal(stops[offsets[1:] - 1], widths * heights)
 
 
-def _measure(runs: np.ndarray, offsets: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (x, y, w, h) box rows and the areas of masks given by valid runs,
-    laid out as for ``_foreground``, on canvases ``widths`` wide, from the runs
-    alone: one pass over all masks' foreground runs. An empty mask's row is 0s."""
-    owner, starts, lengths = _foreground(runs, offsets)
-    boxes = np.zeros((len(widths), 4), dtype=np.int64)
-    areas = np.zeros(len(widths), dtype=np.int64)
-    if not len(owner):
-        return boxes, areas
-    per_mask = np.diff(offsets) // 2  # foreground runs
-    has = np.flatnonzero(per_mask)
-    last = np.cumsum(per_mask)[has] - 1  # each such mask's last foreground run
-    seg = last + 1 - per_mask[has]
-    width = widths[has]
-    cols = starts % widths[owner]
-    x0 = np.minimum.reduceat(cols, seg)
-    x1 = np.maximum.reduceat(cols + lengths, seg)
-    wide = x1 > width  # a run goes on past a row end, so the box spans every column
-    x0[wide], x1[wide] = 0, width[wide]
-    y0 = starts[seg] // width
-    y1 = (starts[last] + lengths[last] - 1) // width + 1
-    boxes[has] = np.stack((x0, y0, x1 - x0, y1 - y0), axis=1)
-    areas[has] = np.add.reduceat(lengths, seg)
-    return boxes, areas
-
-
-def _decode(runs: tuple[int, ...], width: int, b: BBox) -> np.ndarray:
-    """The bitmap of box ``b`` of valid runs: the box's rows decoded whole, then its columns kept."""
-    if b.h == 0:
-        return _NO_PIXELS
-    n = len(runs) - len(runs) % 2
-    local = (runs[0] - b.y * width,) + runs[1:n] + ((b.y + b.h) * width - sum(runs[:n]),)
-    rows = b"".join(map(operator.mul, cycle((b"\0", b"\1")), local))
-    bitmap = np.ascontiguousarray(np.frombuffer(rows, dtype=bool).reshape(b.h, width)[:, b.x : b.x + b.w])
-    bitmap.flags.writeable = False
-    return bitmap
+def _made(width, height, bbox, area, bitmap) -> BinaryMask:
+    """The mask whose read-only ``bitmap`` fills its tight box ``bbox`` with
+    ``area`` pixels; a whole move makes one on its source's bitmap."""
+    mask = object.__new__(BinaryMask)
+    _set(mask, "width", width)
+    _set(mask, "height", height)
+    _set(mask, "bbox", bbox)
+    _set(mask, "area", area)
+    _set(mask, "bitmap", bitmap)
+    _set(mask, "_runs", None)
+    return mask
 
 
 def _tight(width: int, height: int, x: int, y: int, bitmap: np.ndarray, area: int) -> BinaryMask:
     """Mask whose box at (x, y) is exactly ``bitmap``, a tight grid of ``area``
     pixels that the mask now owns and makes read-only."""
     bitmap.flags.writeable = False
-    return _fill(object.__new__(BinaryMask), width, height, BBox(x, y, *bitmap.shape[::-1]), area, pixels=bitmap)
+    return _made(width, height, BBox(x, y, *bitmap.shape[::-1]), area, bitmap)
 
 
 def _trimmed(width: int, height: int, x: int, y: int, bitmap: np.ndarray) -> BinaryMask:
@@ -220,7 +131,7 @@ def _trimmed(width: int, height: int, x: int, y: int, bitmap: np.ndarray) -> Bin
     pixels = bitmap.tobytes()
     first = pixels.find(1)
     if first < 0:
-        return _fill(object.__new__(BinaryMask), width, height, _NO_BOX, 0, pixels=_NO_PIXELS)
+        return _tight(width, height, 0, 0, _NO_PIXELS, 0)
     w = bitmap.shape[1]
     cols = bitmap.any(axis=0).tobytes()
     r0, r1 = first // w, pixels.rfind(1) // w + 1
@@ -237,8 +148,7 @@ def _part(mask, width, height, dx, dy, x0, y0, x1, y1) -> BinaryMask:
     if cx0 >= cx1 or cy0 >= cy1:
         return _trimmed(width, height, 0, 0, _NO_PIXELS)
     if cx1 - cx0 == b.w and cy1 - cy0 == b.h:  # all of it: the same pixels, moved
-        box = BBox(b.x + dx, b.y + dy, b.w, b.h)
-        return _fill(object.__new__(BinaryMask), width, height, box, mask.area, pixels=mask.bitmap)
+        return _made(width, height, BBox(b.x + dx, b.y + dy, b.w, b.h), mask.area, mask.bitmap)
     sub = mask.bitmap[cy0 - b.y : cy1 - b.y, cx0 - b.x : cx1 - b.x]
     return _trimmed(width, height, cx0 + dx, cy0 + dy, sub)
 

@@ -1,7 +1,9 @@
 """Brute-force reference implementations used to validate the package.
 
 Everything here works on decoded pixel grids and plain Python so it shares no
-code path with the run-length implementations under test.
+code path with the run-length implementations under test. Of the package it
+takes only the ``ProposalBatch`` container, to hand grids to that code as
+records (``grid_batch``).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from smallprop.masks import BinaryMask
+from smallprop.exchange import ProposalBatch
 
 M64 = (1 << 64) - 1
 
@@ -150,23 +152,34 @@ def grid_runs(grid) -> tuple[int, ...]:
 
 
 def mask_grid(mask) -> np.ndarray:
-    """The full-canvas boolean grid of a mask, decoded from its runs (the wire format)."""
+    """The full-canvas boolean grid of a mask or a ``ProposalRecord`` (its width,
+    height and runs), decoded from its runs (the wire format)."""
     runs = np.array(mask.runs)
     return np.repeat(np.arange(runs.size) % 2 == 1, runs).reshape(mask.height, mask.width)
 
 
-def rect_mask(w: int, h: int, x0: int, y0: int, rw: int, rh: int) -> BinaryMask:
-    """Filled rectangle clipped to the canvas, built from runs counted by hand."""
-    xa, xb = max(x0, 0), min(x0 + rw, w)
-    ya, yb = max(y0, 0), min(y0 + rh, h)
-    if xa >= xb or ya >= yb:
-        return BinaryMask(w, h, (w * h,))
-    if xb - xa == w:  # full rows join into one run
-        runs = [ya * w, (yb - ya) * w]
-    else:
-        runs = [ya * w + xa] + [xb - xa, w - (xb - xa)] * (yb - ya - 1) + [xb - xa]
-    tail = w * h - (yb - 1) * w - xb
-    return BinaryMask(w, h, tuple(runs + [tail] if tail else runs))
+def rect_grid(w: int, h: int, x0: int, y0: int, rw: int, rh: int) -> np.ndarray:
+    """The h x w grid of a filled rectangle clipped to the canvas."""
+    grid = np.zeros((h, w), dtype=bool)
+    grid[max(y0, 0) : max(y0 + rh, 0), max(x0, 0) : max(x0 + rw, 0)] = True
+    return grid
+
+
+def grid_batch(proposals) -> ProposalBatch:
+    """The whole-image records on lines 1 to n of ``proposals``, (grid,
+    objectness) pairs, as batch columns: each grid's runs by ``grid_runs`` and
+    its area by counting its pixels."""
+    runs = [grid_runs(grid) for grid, _ in proposals]
+    n = len(runs)
+    return ProposalBatch(
+        np.arange(1, n + 1), np.full(n, -1),
+        np.array([grid.shape[1] for grid, _ in proposals], dtype=np.int64),
+        np.array([grid.shape[0] for grid, _ in proposals], dtype=np.int64),
+        np.array([o for _, o in proposals], dtype=float),
+        np.array([r for rs in runs for r in rs], dtype=np.int64),
+        np.cumsum([0] + [len(rs) for rs in runs]),
+        np.array([int(grid.sum()) for grid, _ in proposals], dtype=np.int64),
+    )
 
 
 def verify_coverage(img_w: int, img_h: int, tiles) -> bool:
@@ -182,18 +195,15 @@ def verify_coverage(img_w: int, img_h: int, tiles) -> bool:
     return bool(covered.all())
 
 
-def ref_nms(proposals, iou_threshold):
-    """All-pairs greedy NMS over decoded grids: keep iff IoU < threshold with all kept."""
-    grids = [mask_grid(p.mask) for p in proposals]
-    order = sorted(
-        range(len(proposals)),
-        key=lambda i: (-proposals[i].objectness, -int(grids[i].sum()), i),
-    )
+def ref_nms(proposals, iou_threshold) -> list[int]:
+    """All-pairs greedy NMS over (grid, objectness) pairs: the indices kept,
+    in visit order; keep iff IoU < threshold with all kept."""
+    order = sorted(range(len(proposals)), key=lambda i: (-proposals[i][1], -int(proposals[i][0].sum()), i))
     kept = []
     for i in order:
-        if all(grid_iou(grids[i], grids[j]) < iou_threshold for j in kept):
+        if all(grid_iou(proposals[i][0], proposals[j][0]) < iou_threshold for j in kept):
             kept.append(i)
-    return [proposals[i] for i in kept]
+    return kept
 
 
 def greedy_assign(entries):
@@ -263,10 +273,9 @@ def oracle_report(per_image):
     return out
 
 
-def ref_pairs(labels, proposals):
-    """Every positive-IoU (iou, gt id, proposal index) pair of an instance grid,
-    from decoded grids, sorted by IoU desc, then id, then index."""
-    grids = [mask_grid(p.mask) for p in proposals]
+def ref_pairs(labels, grids):
+    """Every positive-IoU (iou, gt id, proposal index) pair of an instance grid
+    and proposal grids, sorted by IoU desc, then id, then index."""
     pairs = []
     for gid in sorted(set(labels.ravel().tolist()) - {0}):
         for pi, grid in enumerate(grids):
@@ -276,22 +285,13 @@ def ref_pairs(labels, proposals):
     return sorted(pairs, key=lambda t: (-t[0], t[1], t[2]))
 
 
-def label_grid(gt, width: int, height: int) -> np.ndarray:
-    """The int32 instance grid of ground-truth objects whose masks do not overlap."""
-    labels = np.zeros((height, width), np.int32)
-    for obj in gt:
-        grid = mask_grid(obj.mask)
-        assert not labels[grid].any(), "overlapping ground truth has no instance grid"
-        labels[grid] = obj.instance_id
-    return labels
-
-
-def average_recall(gt, pairs) -> float:
-    """Mean recall over the ten IoU thresholds for a single image's match() pairs."""
-    if not gt:
+def average_recall(gids, pairs) -> float:
+    """Mean recall over the ten IoU thresholds of ground-truth ids ``gids``
+    for a single image's match() pairs."""
+    if not gids:
         raise ValueError("average recall is undefined for empty ground truth")
     ious = {gid: iou for gid, _, iou in pairs}
-    recalls = [sum(1 for g in gt if ious.get(g.instance_id, 0.0) >= t) / len(gt) for t in THRESHOLDS]
+    recalls = [sum(1 for g in gids if ious.get(g, 0.0) >= t) / len(gids) for t in THRESHOLDS]
     return sum(recalls) / len(THRESHOLDS)
 
 
@@ -380,17 +380,15 @@ def ref_simulate(labels: np.ndarray, tiles, profile) -> list[tuple[float, np.nda
     return out
 
 
-def make_random_instance(rng, with_oracle=True):
+def make_random_instance(rng):
     """Random small dataset in both package and oracle representations.
 
     Returns (per_image_pkg, per_image_oracle): up to 5 images, 10 ground-truth
     objects, and 20 proposals per image, with areas spanning all three size
     categories. The package form of an image is (int32 instance grid,
-    proposals). with_oracle=False skips the decoded-grid representation.
+    proposals), the oracle form (ground truth, proposals), with ground truth
+    as (id, grid) pairs and proposals as (grid, objectness) pairs.
     """
-    from smallprop.annotations import GroundTruthObject
-    from smallprop.detector import Proposal
-
     per_pkg = []
     per_oracle = []
     for _ in range(int(rng.integers(1, 6))):
@@ -405,54 +403,83 @@ def make_random_instance(rng, with_oracle=True):
             x0 = int(rng.integers(0, w - rw + 1))
             y0 = int(rng.integers(0, h - rh + 1))
             labels[y0 : y0 + rh, x0 : x0 + rw] = gid
-        gt_pkg = []
-        gt_oracle = []
-        for gid in sorted(int(g) for g in np.unique(labels) if g):
-            grid = labels == gid
-            gt_pkg.append(GroundTruthObject.from_mask(gid, BinaryMask(w, h, grid_runs(grid))))
-            if with_oracle:
-                gt_oracle.append((gid, grid))
-        props_pkg = []
-        props_oracle = []
+        gt = [(gid, labels == gid) for gid in sorted(int(g) for g in np.unique(labels) if g)]
+        proposals = []
         for _ in range(int(rng.integers(0, 21))):
             score = float(rng.integers(0, 1000)) / 1000
-            if gt_pkg and rng.random() < 0.6:
-                gid = int(rng.choice([o.instance_id for o in gt_pkg]))
+            if gt and rng.random() < 0.6:
+                gid = int(rng.choice([g for g, _ in gt]))
                 grid = shifted(labels == gid, int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
                 if not grid.any():
                     continue
-                m = BinaryMask(w, h, grid_runs(grid))
             else:
                 rw = int(rng.integers(2, max(3, w // 2)))
                 rh = int(rng.integers(2, max(3, h // 2)))
                 x0 = int(rng.integers(0, w - rw + 1))
                 y0 = int(rng.integers(0, h - rh + 1))
-                m = rect_mask(w, h, x0, y0, rw, rh)
-                grid = np.zeros((h, w), bool)
-                grid[y0 : y0 + rh, x0 : x0 + rw] = True
-            props_pkg.append(Proposal(m, score))
-            if with_oracle:
-                props_oracle.append((grid, score))
-        per_pkg.append((labels, props_pkg))
-        per_oracle.append((gt_oracle, props_oracle))
+                grid = rect_grid(w, h, x0, y0, rw, rh)
+            proposals.append((grid, score))
+        per_pkg.append((labels, proposals))
+        per_oracle.append((gt, proposals))
     return per_pkg, per_oracle
 
 
-def ref_read_records(path) -> list[tuple[int, int, tuple[int, int, int, int], int]]:
-    """(line, tile index or -1, (x, y, w, h) box, area) of each record of a
-    valid proposal file: every line parsed on its own, its runs decoded onto
-    a grid, the box taken from that grid's foreground pixels."""
+def ref_read_records(path) -> list[tuple[int, int, tuple[int, ...], int]]:
+    """(line, tile index or -1, foreground pixel positions, area) of each
+    record of a valid proposal file: every line parsed on its own and its
+    runs decoded onto a grid."""
     out = []
     for lineno, line in enumerate(open(path).read().split("\n"), start=1):
         if not line.strip():
             continue
         doc = json.loads(line)
-        w, h = doc["width"], doc["height"]
-        grid = np.zeros(w * h, dtype=bool)
+        grid = np.zeros(doc["width"] * doc["height"], dtype=bool)
         pos = 0
         for k, run in enumerate(doc["runs"]):
             grid[pos : pos + run] = k % 2 == 1
             pos += run
-        grid = grid.reshape(h, w)
-        out.append((lineno, doc.get("tile_index", -1), grid_bbox(grid), int(grid.sum())))
+        out.append((lineno, doc.get("tile_index", -1), tuple(np.flatnonzero(grid).tolist()), int(grid.sum())))
     return out
+
+
+def ref_record_error(width, height, objectness, runs) -> str | None:
+    """The message of the first rule that a record's decoded width, height,
+    objectness and runs break, or None if they break none: the field types,
+    then the README's rules in its order. The canvas has positive sides and
+    at most 2**63 - 1 pixels; runs are non-empty integers, none negative, none
+    zero after the first, summing to width*height; objectness, kept to six
+    decimals, lies in [0, 1]; the mask has a foreground pixel."""
+    for name, value in (("width", width), ("height", height)):
+        if type(value) is not int:  # a bool is not an integer here
+            return f"{name} must be an integer"
+    if type(objectness) not in (int, float):
+        return "objectness must be a number"
+    if type(runs) is not list:
+        return "runs must be a list of integers"
+    if width <= 0 or height <= 0:
+        return f"mask dimensions must be positive, got {width}x{height}"
+    pixels = width * height
+    if pixels >= 2**63:
+        return f"mask of {width}x{height} has more than 2**63 - 1 pixels"
+    if any(type(r) is not int for r in runs):
+        return "runs must be integers"
+    if len(runs) == 0:
+        return "runs must be non-empty"
+    if any(r < 0 for r in runs):
+        return "negative run length"
+    if any(r == 0 for r in runs[1:]):
+        return "zero-length run after the first"
+    total = 0
+    for r in runs:
+        total += r
+    if total != pixels:
+        return f"runs sum to {total}, expected {width}x{height}={pixels}"
+    try:
+        value = round(float(objectness), 6)
+    except OverflowError:  # an integer past float range
+        return "int too large to convert to float"
+    if not (value >= 0.0 and value <= 1.0):  # NaN fails both
+        return f"objectness {value} outside [0, 1]"
+    if not any(runs[1::2]):
+        return "proposal mask is empty"
+    return None

@@ -13,24 +13,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smallprop.annotations import GroundTruthObject
+from smallprop.annotations import extract_instances
 from smallprop.cli import main as cli_main
-from smallprop.detector import Proposal, detectable_range, preset
+from smallprop.detector import detectable_range, preset
 from smallprop.evaluation import (
     IOU_THRESHOLDS,
     evaluate_dataset,
     score_image,
     match,
 )
-from smallprop.exchange import ProposalBatch, ProposalRecord, read_proposals, write_proposals
-from smallprop.masks import BinaryMask
+from smallprop.exchange import ProposalRecord, read_proposals, write_proposals
 from smallprop.pipeline import nms, place
 from smallprop.prng import stream_seed
 from smallprop.synth import SceneSpec, generate_scene, save_scene, scene_stem
 from smallprop.tiling import TileGridSpec, plan_grid
 from smallprop.masks import crop_mask
-from oracles import (embedded, grid_iou, grid_runs, label_grid, make_random_instance, mask_grid, oracle_report,
-                     rect_mask, ref_nms, verify_coverage)
+from oracles import (embedded, grid_batch, grid_iou, grid_runs, make_random_instance, mask_grid, oracle_report,
+                     rect_grid, ref_nms, verify_coverage)
 
 
 def _cli(*argv) -> int:
@@ -59,20 +58,20 @@ def _eval_cells(scenes, props, prefix, system):
 
 def test_criterion_1_metric_exactness():
     t0 = time.monotonic()
-    gt = [GroundTruthObject.from_mask(1, rect_mask(200, 1, 0, 0, 100, 1))]
+    gt = rect_grid(200, 1, 0, 0, 100, 1)
     # single-image AR through the dataset evaluator, one proposal of IoU 1.0, 0.6, 0.49
     for width, expected in ((100, 1.0), (60, 0.3), (49, 0.0)):
-        proposal = Proposal(rect_mask(200, 1, 0, 0, width, 1), 0.5)
-        report = evaluate_dataset([score_image(label_grid(gt, 200, 1), ProposalBatch.of([proposal]))])
+        proposal = (rect_grid(200, 1, 0, 0, width, 1), 0.5)
+        report = evaluate_dataset([score_image(gt.astype(np.int32), grid_batch([proposal]))])
         assert abs(report.ar_at_100 - expected) <= 1e-9
     # the stated IoUs are realizable exactly with sub-rectangle proposals
-    assert grid_iou(mask_grid(gt[0].mask), mask_grid(rect_mask(200, 1, 0, 0, 60, 1))) == 0.6
-    assert grid_iou(mask_grid(gt[0].mask), mask_grid(rect_mask(200, 1, 0, 0, 49, 1))) == 0.49
+    assert grid_iou(gt, rect_grid(200, 1, 0, 0, 60, 1)) == 0.6
+    assert grid_iou(gt, rect_grid(200, 1, 0, 0, 49, 1)) == 0.49
 
     rng = np.random.default_rng(2024)
     for _ in range(200):
         per_pkg, per_oracle = make_random_instance(rng)
-        got = evaluate_dataset(score_image(labels, ProposalBatch.of(props)) for labels, props in per_pkg)
+        got = evaluate_dataset(score_image(labels, grid_batch(props)) for labels, props in per_pkg)
         ref = oracle_report(per_oracle)
         assert got.ar_at_10 == ref["ar_at_10"]
         assert got.ar_at_100 == ref["ar_at_100"]
@@ -142,8 +141,12 @@ def _suite_rle_roundtrip(rng, cases):
         h = int(rng.integers(1, 48))
         w = int(rng.integers(1, 48))
         grid = rng.random((h, w)) < rng.random()
-        # a crop of the whole canvas has no runs of its own: it encodes the bitmap decoded from the runs
-        assert np.array_equal(mask_grid(crop_mask(BinaryMask(w, h, grid_runs(grid)), 0, 0, w, h)), grid)
+        # a mask drawn from the grid's pixels and its crop to the whole canvas each encode the grid's runs
+        objects = extract_instances(grid.astype(np.uint8))
+        assert len(objects) == grid.any()
+        for obj in objects:
+            assert np.array_equal(mask_grid(obj.mask), grid)
+            assert np.array_equal(mask_grid(crop_mask(obj.mask, 0, 0, w, h)), grid)
 
 
 def _suite_iou(rng, cases):
@@ -157,7 +160,7 @@ def _suite_iou(rng, cases):
         iou = grid_iou(ga, gb)
         for obj, prop in ((ga, gb), (gb, ga)):
             if prop.any():
-                got = match(obj.astype(np.int32), ProposalBatch.of([Proposal(BinaryMask(w, h, grid_runs(prop)), 0.5)]))
+                got = match(obj.astype(np.int32), grid_batch([(prop, 0.5)]))
                 assert got == (((1, 0, iou),) if iou else ())
 
 
@@ -170,18 +173,17 @@ def _suite_nms(rng, cases):
             # edge without overlapping; some are clipped at the canvas border
             x0, y0 = (2 * int(v) for v in rng.integers(0, 15, 2))
             rw, rh = (2 * int(v) for v in rng.integers(1, 7, 2))
-            props.append(Proposal(rect_mask(30, 30, x0, y0, rw, rh),
-                                  float(rng.integers(0, 1001)) / 1000))
+            props.append((rect_grid(30, 30, x0, y0, rw, rh), float(rng.integers(0, 1001)) / 1000))
         t = float(rng.integers(2, 10)) / 10
-        spans = place(ProposalBatch.of(props), 30, 30)
-        kept = [props[i] for i in nms(spans, t).tolist()]
-        assert kept == ref_nms(props, t)
+        spans = place(grid_batch(props), 30, 30)
+        assert nms(spans, t).tolist() == ref_nms(props, t)
         k = int(rng.integers(1, n + 2))
-        assert [props[i] for i in nms(spans, t, k).tolist()] == ref_nms(props, t)[:k]
-        assert nms(place(ProposalBatch.of(kept), 30, 30), t).tolist() == list(range(len(kept)))
-        for i, p in enumerate(kept):
-            for q in kept[:i]:
-                assert grid_iou(mask_grid(p.mask), mask_grid(q.mask)) < t
+        assert nms(spans, t, k).tolist() == ref_nms(props, t)[:k]
+        kept = [props[i] for i in ref_nms(props, t)]
+        assert nms(place(grid_batch(kept), 30, 30), t).tolist() == list(range(len(kept)))
+        for i, (p, _) in enumerate(kept):
+            for q, _ in kept[:i]:
+                assert grid_iou(p, q) < t
 
 
 def _suite_grid(rng, cases):
@@ -194,9 +196,11 @@ def _suite_grid(rng, cases):
         tiles = plan_grid(img_w, img_h, spec)
         assert verify_coverage(img_w, img_h, tiles)
         grid = rng.random((img_h, img_w)) < 0.4
-        mask = BinaryMask(img_w, img_h, grid_runs(grid))
         tile = tiles[int(rng.integers(0, len(tiles)))]
-        back = embedded(mask_grid(crop_mask(mask, tile.x0, tile.y0, tile.w, tile.h)), tile, img_w, img_h)
+        # the grid's pixels as one object (none if it has no pixel), cropped to the tile and put back
+        back = np.zeros_like(grid)
+        for obj in extract_instances(grid.astype(np.uint8)):
+            back = embedded(mask_grid(crop_mask(obj.mask, tile.x0, tile.y0, tile.w, tile.h)), tile, img_w, img_h)
         ref = np.zeros_like(grid)
         ref[tile.y0 : tile.y0 + tile.h, tile.x0 : tile.x0 + tile.w] = (
             grid[tile.y0 : tile.y0 + tile.h, tile.x0 : tile.x0 + tile.w]
@@ -206,8 +210,8 @@ def _suite_grid(rng, cases):
 
 def _suite_ar_monotone(rng, cases):
     for _ in range(cases):
-        per_pkg, _ = make_random_instance(rng, with_oracle=False)
-        report = evaluate_dataset(score_image(labels, ProposalBatch.of(props)) for labels, props in per_pkg)
+        per_pkg, _ = make_random_instance(rng)
+        report = evaluate_dataset(score_image(labels, grid_batch(props)) for labels, props in per_pkg)
         if report.ar_at_10 is not None:
             assert report.ar_at_10 <= report.ar_at_100
         # pooled recall curve is non-increasing in the threshold
@@ -215,8 +219,8 @@ def _suite_ar_monotone(rng, cases):
         if total:
             ious = []
             for labels, props in per_pkg:
-                ranked = sorted(props, key=lambda p: -p.objectness)[:100]
-                ious.extend(iou for _, _, iou in match(labels, ProposalBatch.of(ranked)))
+                ranked = sorted(props, key=lambda p: -p[1])[:100]
+                ious.extend(iou for _, _, iou in match(labels, grid_batch(ranked)))
             curve = [sum(1 for v in ious if v >= t) / total for t in IOU_THRESHOLDS]
             assert all(a >= b for a, b in zip(curve, curve[1:]))
 
@@ -284,8 +288,8 @@ def test_criterion_7_exchange_roundtrip(tmp_path):
         w, h = 64, 48
         x0 = int(rng.integers(0, 50))
         y0 = int(rng.integers(0, 36))
-        mask = rect_mask(w, h, x0, y0, int(rng.integers(1, 14)), int(rng.integers(1, 12)))
-        records.append(ProposalRecord("img", w, h, float(rng.integers(0, 10**6)) / 10**6, mask.runs,
+        grid = rect_grid(w, h, x0, y0, int(rng.integers(1, 14)), int(rng.integers(1, 12)))
+        records.append(ProposalRecord("img", w, h, float(rng.integers(0, 10**6)) / 10**6, grid_runs(grid),
                                       tile_index=int(rng.integers(0, 35)) if i % 3 else None))
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -293,10 +297,7 @@ def test_criterion_7_exchange_roundtrip(tmp_path):
     p2 = tmp_path / "b" / "img.jsonl"
     t0 = time.monotonic()
     write_proposals(records, p1)
-    again = read_proposals(p1)
-    columns = (c.tolist() for c in (again.tiles, again.widths, again.heights, again.objectness))
-    records_again = [ProposalRecord("img", w, h, o, again.mask(k).runs, None if t < 0 else t)
-                     for k, (t, w, h, o) in enumerate(zip(*columns))]
+    records_again = read_proposals(p1).records("img")
     write_proposals(records_again, p2)
     elapsed = time.monotonic() - t0
     assert p1.read_bytes() == p2.read_bytes()

@@ -13,14 +13,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from smallprop import cli, masks
+from smallprop import cli
 from smallprop.cli import main
 from smallprop.exchange import ProposalRecord, read_proposals, write_proposals
-from smallprop.detector import Proposal, preset
+from smallprop.detector import preset
 from smallprop.masks import crop_mask
 from smallprop.raster import read_pnm
 from smallprop.synth import list_scene_stems, load_scene
-from smallprop.masks import BinaryMask
 from smallprop.tiling import TileGridSpec, plan_grid
 from oracles import embedded, grid_runs, mask_grid, ref_nms
 
@@ -170,30 +169,21 @@ def test_exchange_jobs_do_not_change_outputs(tmp_path):
     assert len(outs[1]) == 5 and all(outs[1].values())
 
 
-def test_exchange_run_makes_no_mask(tmp_path, monkeypatch):
+def test_exchange_run_makes_no_mask(tmp_path):
     # run --exchange places, compares and writes records from their runs and
-    # spans: with no mask made from runs and no bitmap decoded, it still keeps
-    # what brute-force NMS keeps of the records remapped to the image
+    # spans (the package makes no mask from runs), and keeps what brute-force
+    # NMS keeps of the records remapped to the image
     synth_small(tmp_path / "s", count=2)
     grid = TileGridSpec(80, 60, 40, 30)
     _write_tile_records(tmp_path / "s", tmp_path / "ex", grid)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("run --exchange made a mask")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(masks, "_decode", forbidden)
-        patch.setattr(masks.BinaryMask, "__init__", forbidden)
-        assert run_cli("run", "--scenes", tmp_path / "s", "--exchange", tmp_path / "ex", "--out", tmp_path / "o",
-                       "--tile", "80x60", "--stride", "40x30", "--nms-iou", 0.5, "--top-k", 5) == 0
+    assert run_cli("run", "--scenes", tmp_path / "s", "--exchange", tmp_path / "ex", "--out", tmp_path / "o",
+                   "--tile", "80x60", "--stride", "40x30", "--nms-iou", 0.5, "--top-k", 5) == 0
     for stem in list_scene_stems(tmp_path / "s"):
         scene, records = load_scene(tmp_path / "s", stem), read_proposals(tmp_path / "ex" / f"{stem}.jsonl")
         tiles = plan_grid(scene.width, scene.height, grid)
-        grids = [embedded(mask_grid(records.mask(k)), tiles[records.tiles.item(k)], scene.width, scene.height)
-                 for k in range(len(records))]
-        props = [Proposal(BinaryMask(scene.width, scene.height, grid_runs(g)), records.objectness.item(k))
-                 for k, g in enumerate(grids)]
-        want = [(p.objectness, grid_runs(mask_grid(p.mask))) for p in ref_nms(props, 0.5)[:5]]
+        props = [(embedded(mask_grid(r), tiles[r.tile_index], scene.width, scene.height), r.objectness)
+                 for r in records.records(stem)]
+        want = [(props[i][1], grid_runs(props[i][0])) for i in ref_nms(props, 0.5)[:5]]
         got = read_proposals(tmp_path / "o" / f"{stem}.jsonl").records(stem)
         assert [(r.objectness, r.runs) for r in got] == want and len(props) > len(want) > 0
 
@@ -415,6 +405,22 @@ def test_run_rejects_missing_exchange_dir(tmp_path, capsys):
                    "--exchange", tmp_path / "nope") == 2
     assert "--exchange" in _data_error(capsys)
     assert not out.exists()
+
+
+def test_run_rejects_exchange_files_without_matching_scenes(tmp_path, capsys):
+    # as eval rejects the same file in its --proposals directory; run checks before it makes --out
+    synth_small(tmp_path / "s", count=2)
+    ex = tmp_path / "ex"
+    ex.mkdir()
+    (ex / f"{list_scene_stems(tmp_path / 's')[0]}.jsonl").write_text("")
+    (ex / "nosuch.jsonl").write_text("")
+    out = tmp_path / "o"
+    assert run_cli("run", "--scenes", tmp_path / "s", "--out", out, "--exchange", ex) == 2
+    assert _data_error(capsys) == "proposal files without matching scenes: nosuch"
+    assert not out.exists()
+    assert run_cli("eval", "--scenes", tmp_path / "s", "--proposals", ex, "--out", tmp_path / "r" / "report") == 2
+    assert _data_error(capsys) == "proposal files without matching scenes: nosuch"
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("missing", ["--scenes", "--proposals"])

@@ -13,9 +13,9 @@ import pytest
 
 from smallprop.cli import build_parser
 from smallprop.exchange import ExchangeFormatError, ProposalRecord, read_proposals, write_proposals
-from smallprop.masks import BBox
 from smallprop.pipeline import place
 from smallprop.tiling import Tile
+from oracles import grid_bbox, mask_grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # the code that is not a test: the package, its scripts and the benchmark
@@ -90,15 +90,13 @@ def test_exchange_examples_read_and_write_back(tmp_path):
     path = tmp_path / "scene_42_0000.jsonl"
     path.write_text("\n".join(examples) + "\n")
     batch = read_proposals(path)
-    columns = (c.tolist() for c in (batch.tiles, batch.widths, batch.heights, batch.objectness))
-    write_proposals([ProposalRecord("scene_42_0000", w, h, o, batch.mask(k).runs, None if t < 0 else t)
-                     for k, (t, w, h, o) in enumerate(zip(*columns))], tmp_path / "again.jsonl")
+    write_proposals(batch.records("scene_42_0000"), tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
-    tile_local, whole = batch.mask(0), batch.mask(1)
+    tile_local, whole = (mask_grid(r) for r in batch.records("scene_42_0000"))
     # "foreground at flat positions 1 and 2" of tile 3's 4x3 frame
-    assert batch.tiles.tolist() == [3, -1] and tile_local.bbox == BBox(1, 0, 2, 1)
+    assert batch.tiles.tolist() == [3, -1] and grid_bbox(tile_local) == (1, 0, 2, 1)
     # "a 4x2 block whose top-left corner is at (100, 165)"
-    assert whole.bbox == BBox(100, 165, 4, 2) and whole.area == 8
+    assert grid_bbox(whole) == (100, 165, 4, 2) and batch.areas.tolist() == [2, 8]
 
 
 # each kind of placement error, and the (record width, height, tile_index, image

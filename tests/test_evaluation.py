@@ -5,12 +5,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from smallprop import evaluation, masks
-from smallprop.annotations import GroundTruthObject, SizeCategory, size_category
-from smallprop.detector import Proposal, preset
+from smallprop import evaluation
+from smallprop.annotations import SizeCategory, size_category
+from smallprop.detector import preset
 from smallprop.evaluation import (
     IOU_THRESHOLDS,
     evaluate_dataset,
@@ -21,54 +21,52 @@ from smallprop.evaluation import (
     report_json,
     report_text,
 )
-from smallprop.exchange import ProposalBatch
-from smallprop.masks import BinaryMask
 from smallprop.pipeline import run_whole
 from smallprop.raster import RasterImage
 from smallprop.synth import SceneSpec, generate_scene
-from oracles import (average_recall, greedy_assign, grid_iou, grid_runs, label_grid, make_random_instance,
-                     mask_grid, oracle_report, rect_mask, ref_pairs, shifted)
+from oracles import (average_recall, greedy_assign, grid_batch, grid_iou, make_random_instance, oracle_report,
+                     rect_grid, ref_pairs, shifted)
 
 
-def interval_mask(width, start, stop):
-    """Single-row mask covering [start, stop); handy for exact IoUs."""
-    return rect_mask(width, 1, start, 0, stop - start, 1)
-
-
-def gt_from(mask, gid=1):
-    return GroundTruthObject.from_mask(gid, mask)
-
-
-def batch(props):
-    """The whole-image records of ``props``, as eval reads them from a file."""
-    return ProposalBatch.of(props)
+def interval_grid(width, start, stop):
+    """Single-row grid covering [start, stop); handy for exact IoUs."""
+    return rect_grid(width, 1, start, 0, stop - start, 1)
 
 
 def grid_of(gt):
-    """The instance grid of non-overlapping ground truth on its canvas."""
-    return label_grid(gt, gt[0].mask.width, gt[0].mask.height)
+    """The instance grid of non-overlapping ground truth, (id, grid) pairs on one canvas."""
+    labels = np.zeros(gt[0][1].shape, np.int32)
+    for gid, grid in gt:
+        assert not labels[grid].any(), "overlapping ground truth has no instance grid"
+        labels[grid] = gid
+    return labels
+
+
+def batch(props):
+    """The whole-image records of ``props``, (grid, objectness) pairs, as eval reads them from a file."""
+    return grid_batch(props)
 
 
 def test_match_perfect_single_pair():
-    m = rect_mask(16, 16, 2, 2, 5, 5)
-    assert match(grid_of([gt_from(m)]), batch([Proposal(m, 0.9)])) == ((1, 0, 1.0),)
+    m = rect_grid(16, 16, 2, 2, 5, 5)
+    assert match(grid_of([(1, m)]), batch([(m, 0.9)])) == ((1, 0, 1.0),)
 
 
 def test_match_without_proposals():
-    m = rect_mask(16, 16, 2, 2, 5, 5)
-    assert match(grid_of([gt_from(m)]), batch([])) == ()
+    m = rect_grid(16, 16, 2, 2, 5, 5)
+    assert match(grid_of([(1, m)]), batch([])) == ()
 
 
 def test_match_zero_iou_never_assigned():
-    a = rect_mask(16, 16, 0, 0, 4, 4)
-    b = rect_mask(16, 16, 10, 10, 4, 4)
-    assert match(grid_of([gt_from(a)]), batch([Proposal(b, 0.9)])) == ()
+    a = rect_grid(16, 16, 0, 0, 4, 4)
+    b = rect_grid(16, 16, 10, 10, 4, 4)
+    assert match(grid_of([(1, a)]), batch([(b, 0.9)])) == ()
 
 
 def test_match_rejects_mixed_canvases():
     # the proposal's box lies inside the grid, so only the canvas check can notice
-    labels = grid_of([gt_from(rect_mask(16, 16, 0, 0, 4, 4))])
-    props = [Proposal(rect_mask(16, 20, 10, 10, 4, 4), 0.5)]
+    labels = grid_of([(1, rect_grid(16, 16, 0, 0, 4, 4))])
+    props = [(rect_grid(16, 20, 10, 10, 4, 4), 0.5)]
     with pytest.raises(ValueError) as exc:
         match(labels, batch(props))
     assert str(exc.value) == "mask dimensions differ: 16x16 vs 16x20"
@@ -77,10 +75,10 @@ def test_match_rejects_mixed_canvases():
 def test_match_greedy_two_by_two():
     # objects [0, 100) and [100, 125) of one row; each proposal overlaps both
     width = 200
-    labels = grid_of([gt_from(interval_mask(width, 0, 100), gid=1), gt_from(interval_mask(width, 100, 125), gid=2)])
-    p1 = Proposal(interval_mask(width, 0, 125), 0.9)
-    p2 = Proposal(interval_mask(width, 50, 125), 0.8)
-    ious = {(g, pi): iou for iou, g, pi in ref_pairs(labels, [p1, p2])}
+    labels = grid_of([(1, interval_grid(width, 0, 100)), (2, interval_grid(width, 100, 125))])
+    p1 = (interval_grid(width, 0, 125), 0.9)
+    p2 = (interval_grid(width, 50, 125), 0.8)
+    ious = {(g, pi): iou for iou, g, pi in ref_pairs(labels, [p1[0], p2[0]])}
     assert ious == {(1, 0): 0.8, (1, 1): 0.4, (2, 1): 25 / 75, (2, 0): 0.2}
     got = match(labels, batch([p1, p2]))
     assert got == ((1, 0, 0.8), (2, 1, 25 / 75))
@@ -100,24 +98,24 @@ def test_match_tie_breaks_deterministic():
     # lower id takes the lower index
     labels = np.zeros((16, 16), np.int32)
     labels[2:7, 2:7], labels[2:7, 7:12] = 4, 2
-    m = rect_mask(16, 16, 2, 2, 10, 5)
-    got = match(labels, batch([Proposal(m, 0.5), Proposal(m, 0.5)]))
+    m = rect_grid(16, 16, 2, 2, 10, 5)
+    got = match(labels, batch([(m, 0.5), (m, 0.5)]))
     assert got == ((2, 0, 0.5), (4, 1, 0.5))
 
 
 def test_average_recall_examples():
-    gt = [gt_from(interval_mask(200, 0, 100))]
+    gt = [(1, interval_grid(200, 0, 100))]
     for stop, expected in ((100, 1.0), (60, 0.3), (49, 0.0), (0, 0.0)):
-        props = [Proposal(interval_mask(200, 0, stop), 0.5)] if stop else []
+        props = [(interval_grid(200, 0, stop), 0.5)] if stop else []
         assert evaluate_dataset([score_image(grid_of(gt), batch(props))]).ar_at_100 == expected
-        assert average_recall(gt, match(grid_of(gt), batch(props))) == expected
+        assert average_recall([1], match(grid_of(gt), batch(props))) == expected
 
 
 def test_recall_curve_non_increasing():
-    gt = [gt_from(interval_mask(200, 0, 100), gid=g) for g in (1, 2, 3)]
+    gids = [1, 2, 3]
     ious = {1: 0.55, 2: 0.8, 3: 0.95}
     curve = [
-        sum(1 for g in gt if ious[g.instance_id] >= t) / len(gt) for t in IOU_THRESHOLDS
+        sum(1 for g in gids if ious[g] >= t) / len(gids) for t in IOU_THRESHOLDS
     ]
     assert all(a >= b for a, b in zip(curve, curve[1:]))
 
@@ -125,17 +123,17 @@ def test_recall_curve_non_increasing():
 def make_three_category_image(width=120):
     # areas 100 (XS), 600 (S), 1200 (M) as 1-row-stacked rectangles
     gt = [
-        gt_from(rect_mask(width, 60, 0, 0, 10, 10), 1),
-        gt_from(rect_mask(width, 60, 20, 0, 30, 20), 2),
-        gt_from(rect_mask(width, 60, 60, 0, 40, 30), 3),
+        (1, rect_grid(width, 60, 0, 0, 10, 10)),
+        (2, rect_grid(width, 60, 20, 0, 30, 20)),
+        (3, rect_grid(width, 60, 60, 0, 40, 30)),
     ]
-    assert [size_category(g.mask.area) for g in gt] == [SizeCategory.XS, SizeCategory.S, SizeCategory.M]
+    assert [size_category(int(g.sum())) for _, g in gt] == [SizeCategory.XS, SizeCategory.S, SizeCategory.M]
     return gt
 
 
 def test_evaluate_perfect_proposals():
     gt = make_three_category_image()
-    props = [Proposal(g.mask, 1.0) for g in gt]
+    props = [(g, 1.0) for _, g in gt]
     report = evaluate_dataset([score_image(grid_of(gt), batch(props))], system="perfect")
     assert report.ar_at_10 == 1.0
     assert report.ar_at_100 == 1.0
@@ -146,9 +144,9 @@ def test_evaluate_perfect_proposals():
 
 
 def test_evaluate_mixed_categories():
-    xs = gt_from(rect_mask(120, 60, 0, 0, 10, 10), 1)
-    m = gt_from(rect_mask(120, 60, 40, 0, 40, 30), 2)
-    props = [Proposal(m.mask, 0.9)]
+    xs = (1, rect_grid(120, 60, 0, 0, 10, 10))
+    m = (2, rect_grid(120, 60, 40, 0, 40, 30))
+    props = [(m[1], 0.9)]
     report = evaluate_dataset([score_image(grid_of([xs, m]), batch(props))])
     assert report.ar_at_100 == 0.5
     assert report.ar_xs_at_100 == 0.0
@@ -158,7 +156,7 @@ def test_evaluate_mixed_categories():
 
 
 def test_evaluate_no_ground_truth_at_all():
-    props = [Proposal(rect_mask(32, 32, 0, 0, 4, 4), 0.5)]
+    props = [(rect_grid(32, 32, 0, 0, 4, 4), 0.5)]
     report = evaluate_dataset([score_image(np.zeros((32, 32), np.int32), batch(props))])
     assert report.ar_at_10 is None and report.ar_at_100 is None
 
@@ -175,8 +173,8 @@ def test_ar_at_100_counts_the_100th_proposal_and_not_the_101st():
     # the object's only match ranks after proposals over background only
     labels = np.zeros((8, 20), np.int32)
     labels[1:5, 1:5] = 7
-    only_match = Proposal(BinaryMask(20, 8, grid_runs(labels == 7)), 0.5)
-    decoy = Proposal(rect_mask(20, 8, 12, 2, 3, 3), 0.9)
+    only_match = (labels == 7, 0.5)
+    decoy = (rect_grid(20, 8, 12, 2, 3, 3), 0.9)
     for decoys, recall in ((99, 1.0), (100, 0.0)):
         report = evaluate_dataset([score_image(labels, batch([decoy] * decoys + [only_match]))])
         assert (report.ar_at_10, report.ar_at_100) == (0.0, recall)
@@ -206,30 +204,30 @@ def test_matches_bruteforce_oracle():
 
 
 def test_raising_assigned_iou_never_lowers_ar():
-    gt = [gt_from(interval_mask(200, 0, 100), 1), gt_from(interval_mask(200, 100, 200), 2)]
-    second = Proposal(interval_mask(200, 100, 170), 0.5)  # IoU 0.7
-    first = [Proposal(interval_mask(200, 0, stop), 0.5) for stop in (55, 80)]
+    gt = [(1, interval_grid(200, 0, 100)), (2, interval_grid(200, 100, 200))]
+    second = (interval_grid(200, 100, 170), 0.5)  # IoU 0.7
+    first = [(interval_grid(200, 0, stop), 0.5) for stop in (55, 80)]
     low, high = (evaluate_dataset([score_image(grid_of(gt), batch([p, second]))]).ar_at_100 for p in first)
     assert high >= low
-    assert low == average_recall(gt, ((1, 0, 0.55), (2, 1, 0.7)))
+    assert low == average_recall([1, 2], ((1, 0, 0.55), (2, 1, 0.7)))
 
 
 def test_category_restriction_partitions_matches():
     # disjoint gt of each category, proposals disjoint too: per-category
     # matched counts sum to the unrestricted matched count
     gt = make_three_category_image()
-    props = [Proposal(g.mask, 0.5 + 0.1 * i) for i, g in enumerate(gt)]
+    props = [(g, 0.5 + 0.1 * i) for i, (_, g) in enumerate(gt)]
     full = match(grid_of(gt), batch(props))
     per_cat = 0
     for cat in SizeCategory:
-        sub = [g for g in gt if size_category(g.mask.area) is cat]
+        sub = [(gid, g) for gid, g in gt if size_category(int(g.sum())) is cat]
         per_cat += len(match(grid_of(sub), batch(props)))
     assert per_cat == len(full)
 
 
 def test_report_formats():
     gt = make_three_category_image()
-    props = [Proposal(g.mask, 1.0) for g in gt]
+    props = [(g, 1.0) for _, g in gt]
     report = evaluate_dataset([score_image(grid_of(gt), batch(props))], system="sys1")
     text = report_text([report])
     header = text.splitlines()[0]
@@ -253,7 +251,7 @@ def test_csv_quotes_system_name(system):
 
 
 def test_absent_cells_render_as_dash_and_null():
-    xs = gt_from(rect_mask(64, 64, 0, 0, 5, 5), 1)
+    xs = (1, rect_grid(64, 64, 0, 0, 5, 5))
     report = evaluate_dataset([score_image(grid_of([xs]), batch([]))], system="empty")
     assert "-" in report_text([report])
     import json
@@ -266,8 +264,13 @@ def test_absent_cells_render_as_dash_and_null():
 
 def _overlay_scene():
     scene = generate_scene(SceneSpec(width=160, height=120, n_apples=6, n_leaves=0, seed=13))
-    assert scene.objects
+    assert scene.instances.pixels.any()
     return scene
+
+
+def _objects(labels):
+    """(id, grid) of each object of an instance grid, by id."""
+    return [(gid, labels == gid) for gid in sorted(set(labels.ravel().tolist()) - {0})]
 
 
 def test_overlay_marks_misses_red():
@@ -281,12 +284,11 @@ def test_overlay_marks_misses_red():
 
 def test_overlay_perfect_has_no_red_and_fills_centroid():
     scene = _overlay_scene()
-    props = [Proposal(o.mask, 1.0) for o in scene.objects]
-    out = render_overlay(scene.image, scene.instances.pixels, batch(props))
+    gt = _objects(scene.instances.pixels)
+    out = render_overlay(scene.image, scene.instances.pixels, batch([(g, 1.0) for _, g in gt]))
     red = np.all(out.pixels == (255, 0, 0), axis=2)
     assert not red.any()
-    for obj in scene.objects:
-        grid = mask_grid(obj.mask)
+    for _, grid in gt:
         ys, xs = np.nonzero(grid)
         cy, cx = int(np.mean(ys)), int(np.mean(xs))
         if grid[cy, cx]:  # centroid inside the mask for these blobs
@@ -299,19 +301,19 @@ def test_overlay_requires_rgb():
         render_overlay(gray, np.zeros((8, 8), np.int32), batch([]))
 
 
-def _ref_overlay(pixels, labels, proposals):
+def _ref_overlay(pixels, labels, grids):
     """The overlay drawn on the full canvas from the reference pairs: each matched
-    proposal's grid, decoded from its runs, blended and outlined; misses in red."""
+    proposal's grid blended and outlined; misses in red."""
     def contour(grid):  # foreground with a 4-neighbor outside the grid or off the canvas
         p = np.pad(grid, 1)
         return grid & ~(p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:])
 
-    by_gt = {g: pi for g, pi, _ in greedy_assign(ref_pairs(labels, proposals))}
+    by_gt = {g: pi for g, pi, _ in greedy_assign(ref_pairs(labels, grids))}
     canvas = pixels.astype(int)
     for gid in sorted(set(labels.ravel().tolist()) - {0}):
         if gid in by_gt:
             color = np.array(evaluation._PALETTE[gid % len(evaluation._PALETTE)])
-            grid = mask_grid(proposals[by_gt[gid]].mask)
+            grid = grids[by_gt[gid]]
             canvas[grid] = (canvas[grid] + color) // 2
             canvas[contour(grid)] = color
         else:
@@ -331,22 +333,71 @@ def test_overlay_matches_full_canvas_drawing_at_edges_and_holes():
     holed = labels == 5
     holed[17, 20] = False
     props = [
-        Proposal(BinaryMask(24, 20, grid_runs(labels == 3)), 0.9),
-        Proposal(BinaryMask(24, 20, grid_runs(holed)), 0.8),
-        Proposal(BinaryMask(24, 20, grid_runs(shifted(labels == 9, 1, 1))), 0.7),
-        Proposal(BinaryMask(24, 20, grid_runs(shifted(labels == 14, -1, 0))), 0.6),
-        Proposal(rect_mask(24, 20, 20, 6, 4, 4), 0.5),  # right edge, over background only
+        (labels == 3, 0.9),
+        (holed, 0.8),
+        (shifted(labels == 9, 1, 1), 0.7),
+        (shifted(labels == 14, -1, 0), 0.6),
+        (rect_grid(24, 20, 20, 6, 4, 4), 0.5),  # right edge, over background only
     ]
     image = RasterImage(rng.integers(0, 256, (20, 24, 3), dtype=np.uint8))
     assert [g for g, _, _ in match(labels, batch(props))] == [3, 5, 14, 9]
-    assert np.array_equal(render_overlay(image, labels, batch(props)).pixels, _ref_overlay(image.pixels, labels, props))
+    want = _ref_overlay(image.pixels, labels, [g for g, _ in props])
+    assert np.array_equal(render_overlay(image, labels, batch(props)).pixels, want)
 
     for _ in range(40):  # objects cut by others, shifted and clipped at the edges, and rectangles
         per_pkg, _ = make_random_instance(rng)
         for labels, props in per_pkg:
             image = RasterImage(rng.integers(0, 256, (*labels.shape, 3), dtype=np.uint8))
             got = render_overlay(image, labels, batch(props)).pixels
-            assert np.array_equal(got, _ref_overlay(image.pixels, labels, props))
+            assert np.array_equal(got, _ref_overlay(image.pixels, labels, [g for g, _ in props]))
+
+
+@st.composite
+def overlay_cases(draw):
+    """(labels, proposal grids, seed of the image's pixels): a random label
+    grid and up to six random records on its canvas, among them bands as wide
+    as the canvas whose runs wrap rows, records with holes, and records that
+    touch every edge."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 14))
+    labels = draw(hnp.arrays(np.int32, (h, w), elements=st.sampled_from([0, 0, 1, 2, 3, 7, 300])))
+    grids = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "band", "holed", "edges", "object"]))
+        if kind == "band":  # full rows, begun and ended mid-row: runs go on past row ends
+            y0 = draw(st.integers(0, h - 1))
+            y1 = draw(st.integers(y0 + 1, h))
+            grid = np.zeros((h, w), bool)
+            grid[y0:y1] = True
+            grid[y0, : draw(st.integers(0, w - 1))] = False
+            grid[y1 - 1, draw(st.integers(1, w)) :] = False
+        elif kind == "holed":  # a box with a pixel out of it
+            grid = rect_grid(w, h, draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)),
+                             draw(st.integers(1, w)), draw(st.integers(1, h)))
+            grid[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = False
+        elif kind == "edges":  # a pixel on each canvas edge
+            grid = draw(hnp.arrays(np.bool_, (h, w)))
+            grid[0, draw(st.integers(0, w - 1))] = grid[-1, draw(st.integers(0, w - 1))] = True
+            grid[draw(st.integers(0, h - 1)), 0] = grid[draw(st.integers(0, h - 1)), -1] = True
+        elif kind == "object":  # an object's pixels, moved
+            grid = shifted(labels == draw(st.sampled_from([1, 2, 3, 7, 300])),
+                           draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+        else:
+            grid = draw(hnp.arrays(np.bool_, (h, w)))
+        if grid.any():
+            grids.append(grid)
+    return labels, grids, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlay_cases())
+@example((np.ones((2, 3), np.int32), [np.array([[0, 1, 1], [1, 1, 0]], bool)], 0))  # a run across a row end
+@example((np.zeros((2, 2), np.int32), [np.ones((2, 2), bool)], 1))  # nothing to match
+def test_overlay_matches_the_full_canvas_drawing(case):
+    labels, grids, seed = case
+    image = RasterImage(np.random.default_rng(seed).integers(0, 256, (*labels.shape, 3), dtype=np.uint8))
+    props = [(g, (k % 5) / 4) for k, g in enumerate(grids)]
+    got = render_overlay(image, labels, batch(props)).pixels
+    assert np.array_equal(got, _ref_overlay(image.pixels, labels, grids))
 
 
 def kernel_pairs(labels, props):
@@ -357,19 +408,18 @@ def kernel_pairs(labels, props):
 def grid_pairs(obj, record):
     """The kernel's pairs of one object, the foreground of grid ``obj``, and one
     record whose mask is grid ``record``."""
-    height, width = record.shape
-    return kernel_pairs(obj.astype(np.int32), [Proposal(BinaryMask(width, height, grid_runs(record)), 0.5)])
+    return kernel_pairs(obj.astype(np.int32), [(record, 0.5)])
 
 
 def test_pair_iou_identity_and_disjoint():
-    a = rect_mask(8, 8, 0, 0, 3, 3)
-    b = rect_mask(8, 8, 5, 5, 3, 3)
-    assert grid_pairs(mask_grid(a), mask_grid(a)) == [(1.0, 1, 0)]
-    assert grid_pairs(mask_grid(a), mask_grid(b)) == []
+    a = rect_grid(8, 8, 0, 0, 3, 3)
+    b = rect_grid(8, 8, 5, 5, 3, 3)
+    assert grid_pairs(a, a) == [(1.0, 1, 0)]
+    assert grid_pairs(a, b) == []
 
 
 def test_pair_iou_offset_squares():
-    a, b = mask_grid(rect_mask(20, 20, 0, 0, 10, 10)), mask_grid(rect_mask(20, 20, 5, 0, 10, 10))
+    a, b = rect_grid(20, 20, 0, 0, 10, 10), rect_grid(20, 20, 5, 0, 10, 10)
     assert grid_iou(a, b) == 50 / 150
     assert grid_pairs(a, b) == grid_pairs(b, a) == [(50 / 150, 1, 0)]
 
@@ -400,13 +450,13 @@ def test_label_pairs_equal_reference_pairs_random():
     rng = np.random.default_rng(23)
     full_boxes = others = 0
     for _ in range(150):
-        per_pkg, _ = make_random_instance(rng, with_oracle=False)
+        per_pkg, _ = make_random_instance(rng)
         for labels, props in per_pkg:
-            full = sum(p.mask.area == p.mask.bbox.w * p.mask.bbox.h for p in props)
+            full = sum(g[tuple(slice(a.min(), a.max() + 1) for a in np.nonzero(g))].all() for g, _ in props)
             full_boxes, others = full_boxes + full, others + len(props) - full
-            ranked = sorted(props, key=lambda p: -p.objectness)[:100]
+            ranked = sorted(props, key=lambda p: -p[1])[:100]
             got = kernel_pairs(labels, ranked)
-            assert got == ref_pairs(labels, ranked)
+            assert got == ref_pairs(labels, [g for g, _ in ranked])
             assert all(type(v) is t for pair in got for v, t in zip(pair, (float, int, int)))
             assert match(labels, batch(ranked)) == tuple(greedy_assign(got))
     # rectangles and shifted objects, some of these cut by other objects
@@ -415,7 +465,7 @@ def test_label_pairs_equal_reference_pairs_random():
 
 def _pairs_both_ways(labels, props):
     got = kernel_pairs(labels, props)
-    assert got == ref_pairs(labels, props)
+    assert got == ref_pairs(labels, [g for g, _ in props])
     return got
 
 
@@ -423,7 +473,7 @@ def test_label_pairs_at_the_16_bit_id_limits():
     labels = np.zeros((20, 30), np.uint16)
     labels[2:8, 3:9] = 65535
     labels[10:14, 20:30] = 1
-    props = [Proposal(rect_mask(30, 20, 3, 2, 6, 3), 0.9), Proposal(rect_mask(30, 20, 15, 10, 15, 4), 0.5)]
+    props = [(rect_grid(30, 20, 3, 2, 6, 3), 0.9), (rect_grid(30, 20, 15, 10, 15, 4), 0.5)]
     assert _pairs_both_ways(labels, props) == [(40 / 60, 1, 1), (0.5, 65535, 0)]
 
 
@@ -433,7 +483,7 @@ def test_label_pairs_memory_does_not_follow_the_largest_id():
     labels = np.zeros((64, 64), np.int32)
     labels[4:20, 4:20] = 2**31 - 1
     labels[30:40, 30:50] = 7
-    props = [Proposal(rect_mask(64, 64, 4, 4, 16, 8), 0.9), Proposal(rect_mask(64, 64, 30, 30, 20, 10), 0.8)]
+    props = [(rect_grid(64, 64, 4, 4, 16, 8), 0.9), (rect_grid(64, 64, 30, 30, 20, 10), 0.8)]
     tracemalloc.start()
     try:
         got = kernel_pairs(labels, props)
@@ -441,13 +491,13 @@ def test_label_pairs_memory_does_not_follow_the_largest_id():
     finally:
         tracemalloc.stop()
     assert got == [(1.0, 7, 1), (0.5, 2**31 - 1, 0)]
-    assert got == ref_pairs(labels, props)
+    assert got == ref_pairs(labels, [g for g, _ in props])
     assert peak < 256 * 1024  # a histogram over ids up to 2**31 - 1 would take 16 GiB
 
 
 def test_label_pairs_without_objects_or_proposals():
     labels = np.zeros((16, 16), np.int32)
-    assert _pairs_both_ways(labels, [Proposal(rect_mask(16, 16, 2, 2, 4, 4), 0.5)]) == []
+    assert _pairs_both_ways(labels, [(rect_grid(16, 16, 2, 2, 4, 4), 0.5)]) == []
     labels[2:6, 2:6] = 3
     assert _pairs_both_ways(labels, []) == []
 
@@ -455,7 +505,7 @@ def test_label_pairs_without_objects_or_proposals():
 def test_label_pairs_skip_a_proposal_over_background():
     labels = np.zeros((16, 16), np.int32)
     labels[0:4, 0:4] = 5
-    props = [Proposal(rect_mask(16, 16, 8, 8, 6, 6), 0.9), Proposal(rect_mask(16, 16, 0, 0, 4, 2), 0.4)]
+    props = [(rect_grid(16, 16, 8, 8, 6, 6), 0.9), (rect_grid(16, 16, 0, 0, 4, 2), 0.4)]
     assert _pairs_both_ways(labels, props) == [(0.5, 5, 1)]
 
 
@@ -463,24 +513,18 @@ def test_label_pairs_reject_mixed_canvases():
     # the proposal's box lies inside the grid, so only the canvas check can notice
     labels = np.zeros((16, 16), np.int32)
     labels[0:4, 0:4] = 1
-    props = [Proposal(rect_mask(16, 20, 10, 10, 4, 4), 0.5)]
+    props = [(rect_grid(16, 20, 10, 10, 4, 4), 0.5)]
     with pytest.raises(ValueError) as exc:
         kernel_pairs(labels, props)
     assert str(exc.value) == "mask dimensions differ: 16x16 vs 16x20"
 
 
-def _forbidden(*args):
-    raise AssertionError("a mask was made or decoded")
-
-
-def test_evaluate_dataset_reads_ids_not_masks(monkeypatch):
+def test_evaluate_dataset_reads_ids_not_masks():
+    # records as eval reads them: runs, which the pair kernel reads without
+    # making a mask (the package makes none from runs)
     rng = np.random.default_rng(5)
     per_pkg, per_oracle = make_random_instance(rng)
-    # records as eval reads them: runs, which the pair kernel reads without making a mask
-    per_batch = [(labels, batch(props)) for labels, props in per_pkg]
-    monkeypatch.setattr(masks, "_decode", _forbidden)
-    monkeypatch.setattr(masks.BinaryMask, "__init__", _forbidden)
-    got = evaluate_dataset(score_image(*image) for image in per_batch)  # read once
+    got = evaluate_dataset(score_image(labels, batch(props)) for labels, props in per_pkg)  # read once
     ref = oracle_report(per_oracle)
     assert [getattr(got, f) for _, f, *_ in evaluation.CELLS] == [ref[f] for _, f, *_ in evaluation.CELLS]
     assert got.gt_counts == ref["gt_counts"]
@@ -491,25 +535,15 @@ def test_evaluate_dataset_reads_ids_not_masks(monkeypatch):
 OVERLAY_DIGEST = "b8aab4c4b7ea8305cb0b808bb4642b4646e39f294966924da5f859268ece58bb"
 
 
-def test_match_makes_no_mask_and_overlay_one_per_match(monkeypatch):
+def test_match_and_overlay_keep_their_pairs_and_pixels():
     scene = _overlay_scene()
     labels = scene.instances.pixels
-    objs = scene.objects
     # three matches, three misses and a proposal over background only
-    props = [Proposal(BinaryMask(160, 120, grid_runs(shifted(labels == o.instance_id, 1, -1))), 0.9)
-             for o in objs[::2]]
-    props.append(Proposal(rect_mask(160, 120, 70, 50, 30, 20), 0.4))
-    records = batch(props)
-    with monkeypatch.context() as patch:
-        patch.setattr(masks, "_decode", _forbidden)
-        patch.setattr(masks.BinaryMask, "__init__", _forbidden)
-        got = match(labels, records)
-        assert score_image(labels, records)[1] == ref_pairs(labels, props)
-    assert got == tuple(greedy_assign(ref_pairs(labels, props)))
+    grids = [shifted(g, 1, -1) for _, g in _objects(labels)[::2]] + [rect_grid(160, 120, 70, 50, 30, 20)]
+    records = batch([(g, 0.9) for g in grids[:-1]] + [(grids[-1], 0.4)])
+    got = match(labels, records)
+    assert score_image(labels, records)[1] == ref_pairs(labels, grids)
+    assert got == tuple(greedy_assign(ref_pairs(labels, grids)))
     assert [g for g, _, _ in got] == [3, 5, 1]
-    made, init = [], masks.BinaryMask.__init__
-    monkeypatch.setattr(masks.BinaryMask, "__init__", lambda self, *args: made.append(args) or init(self, *args))
     out = render_overlay(scene.image, labels, records)
     assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == OVERLAY_DIGEST
-    # a mask for each matched record, drawn by object id, and for no other record
-    assert [a[2] for a in made] == [list(props[pi].mask.runs) for _, pi, _ in sorted(got)]

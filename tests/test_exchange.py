@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smallprop.exchange import (
     ExchangeFormatError,
@@ -12,7 +12,8 @@ from smallprop.exchange import (
     read_proposals,
     write_proposals,
 )
-from oracles import grid_runs, rect_mask, ref_read_records
+from smallprop.masks import _foreground
+from oracles import grid_runs, rect_grid, ref_read_records, ref_record_error
 
 LINE = '{"image_id": "x", "width": 2, "height": 2, "objectness": 0.5, "runs": [0, 4]}'
 
@@ -23,13 +24,6 @@ def sample_records(image_id="img"):
         ProposalRecord(image_id, 4, 3, 0.25, (1, 2, 9), tile_index=3),
         ProposalRecord(image_id, 2, 2, 1.0, (0, 1, 2, 1)),
     ]
-
-
-def records_of(batch, image_id="img"):
-    """The records of a batch as the writer takes them, from its columns and ``mask(k)``."""
-    columns = (c.tolist() for c in (batch.tiles, batch.widths, batch.heights, batch.objectness))
-    return [ProposalRecord(image_id, w, h, o, batch.mask(k).runs, None if t < 0 else t)
-            for k, (t, w, h, o) in enumerate(zip(*columns))]
 
 
 def test_empty_file(tmp_path):
@@ -47,8 +41,8 @@ def test_roundtrip_identity_and_byte_stability(tmp_path):
     p2 = tmp_path / "b" / "img.jsonl"
     write_proposals(records, p1)
     again = read_proposals(p1)
-    assert again.lines.tolist() == [1, 2, 3] and records_of(again) == records
-    write_proposals(records_of(again), p2)
+    assert again.lines.tolist() == [1, 2, 3] and again.records("img") == records
+    write_proposals(again.records("img"), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -190,12 +184,12 @@ def test_crlf_lines_parse(tmp_path):
     lines = [format_record(r) for r in sample_records()]
     path.write_bytes(("\r\n".join(lines[:2]) + "\r\n \t\r\n" + lines[2] + "\r\n").encode())
     batch = read_proposals(path)
-    assert batch.lines.tolist() == [1, 2, 4] and records_of(batch) == sample_records()
+    assert batch.lines.tolist() == [1, 2, 4] and batch.records("img") == sample_records()
 
 
 def test_large_roundtrip_bytes(tmp_path):
     records = [
-        ProposalRecord("img", 32, 24, (i % 100) / 100, rect_mask(32, 24, i % 20, i % 12, 5, 5).runs,
+        ProposalRecord("img", 32, 24, (i % 100) / 100, grid_runs(rect_grid(32, 24, i % 20, i % 12, 5, 5)),
                        i % 7 if i % 3 else None)
         for i in range(500)
     ]
@@ -204,7 +198,7 @@ def test_large_roundtrip_bytes(tmp_path):
     p1 = tmp_path / "a" / "img.jsonl"
     p2 = tmp_path / "b" / "img.jsonl"
     write_proposals(records, p1)
-    write_proposals(records_of(read_proposals(p1)), p2)
+    write_proposals(read_proposals(p1).records("img"), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -332,7 +326,93 @@ def test_batch_columns_match_the_grid_oracle(tmp_path_factory, file):
     path = tmp_path_factory.mktemp("b") / "f.jsonl"
     path.write_text("".join("\n" * b + format_record(r) + "\n" for r, b in zip(records, blanks)))
     batch = read_proposals(path)
-    boxes = [(b.x, b.y, b.w, b.h) for b in (batch.mask(k).bbox for k in range(len(batch)))]
-    got = list(zip(batch.lines.tolist(), batch.tiles.tolist(), boxes, batch.areas.tolist()))
+    pixels = [[] for _ in range(len(batch))]
+    for k, start, length in zip(*(c.tolist() for c in _foreground(batch.runs, batch.offsets))):
+        pixels[k] += range(start, start + length)
+    got = list(zip(batch.lines.tolist(), batch.tiles.tolist(), map(tuple, pixels), batch.areas.tolist()))
     assert len(batch) == len(records)
     assert got == ref_read_records(path)
+
+
+# values that break the rules at the edges of the int64 and float columns
+_HUGE = [2**31, 2**32, 2**33, 2**31 + 1, 2**62, 2**63 - 1, 2**63, 2**64, 2**64 + 4, 10**30]
+
+
+def _mostly(draw, usual, rare):
+    """A value drawn from ``usual`` three times in four, else from ``rare``."""
+    return draw(rare if draw(st.integers(0, 3)) == 0 else usual)
+
+
+@st.composite
+def record_values(draw):
+    """The width, height, objectness and runs of one record: often a valid
+    record, maybe with one run swapped for a hostile value, dropped or added;
+    else values of every kind, bools and floats among them."""
+    sides = st.one_of(st.integers(-2, 0), st.sampled_from(_HUGE), st.booleans(), st.just(2.0))
+    width, height = _mostly(draw, st.integers(1, 6), sides), _mostly(draw, st.integers(1, 6), sides)
+    objectness = _mostly(draw, st.floats(0, 1), st.one_of(
+        st.floats(-0.5, 1.5), st.floats(allow_nan=True, allow_infinity=True), st.integers(-2, 2), st.booleans(),
+        st.sampled_from([-0.0, 1.0000004, 1.0000005, 1.0000006, -0.0000004, -0.0000006, 10**400, -10**400,
+                         2**1024, 2**1023]),
+    ))
+    values = st.one_of(st.integers(-2, 12), st.sampled_from(_HUGE), st.booleans(), st.floats(0, 4))
+    if type(width) is type(height) is int and 1 <= width <= 6 and 1 <= height <= 6 and draw(st.integers(0, 3)):
+        runs = list(grid_runs(draw(st.lists(st.booleans(), min_size=width * height, max_size=width * height))))
+        if draw(st.integers(0, 2)) == 0:  # one run swapped, dropped, or one more
+            k = draw(st.integers(0, len(runs)))
+            edit = draw(st.sampled_from(["swap", "drop", "add"]))
+            if edit == "add" or k == len(runs):
+                runs.insert(k, draw(values))
+            elif edit == "swap":
+                runs[k] = draw(values)
+            else:
+                del runs[k]
+    else:
+        runs = draw(st.lists(values, max_size=6))
+    return width, height, objectness, runs
+
+
+@settings(max_examples=600, deadline=None)
+@given(record_values())
+# a run sum that wraps past int64 to the canvas's pixel count, and a run past
+# int64 that wraps to it, alone and before an objectness past float range
+@example((2, 2, 0.5, [0, 2**62, 2**62, 2**62, 2**62 + 4]))
+@example((2, 2, 0.5, [2**64 + 4]))
+@example((2, 2, 10**400, [2**64 + 4]))
+# a canvas of more than 2**63 - 1 pixels whose int64 product wraps to the run sum
+@example((2**33, 2**31 + 1, 0.5, [0, 2**33]))
+# canvases of exactly 2**63 - 1 and 2**63 pixels
+@example((1, 2**63 - 1, 0.5, [0, 2**63 - 1]))
+@example((2, 2**62, 0.5, [0, 2**63]))
+# integers past float range, and the edges of six-decimal rounding
+@example((1, 1, 10**400, [0, 1]))
+@example((1, 1, 1.0000005, [0, 1]))
+@example((1, 1, -0.0, [0, 1]))
+@example((2, 2, True, [0, 4]))
+@example((2, 2, 0.5, [True, 3]))
+@example((2, 2, 0.5, [4]))
+@example((2, 2, 0.5, [5, -1]))
+@example((2, 2, 0.5, [0, 2, 0, 2]))
+@example((2, 2, 1, [0, 4]))
+def test_reader_rules_are_the_reference_rules(tmp_path_factory, values):
+    # read_proposals checks a file's values all at once (masks._valid) and
+    # then, on a fault, line by line (exchange._check); each gives the
+    # reference's verdict, and a fault always has its line's message
+    width, height, objectness, runs = values
+    path = tmp_path_factory.mktemp("r") / "r.jsonl"
+    doc = {"image_id": "r", "width": width, "height": height, "objectness": objectness, "runs": runs}
+    path.write_text(json.dumps(doc) + "\n")
+    want = ref_record_error(width, height, objectness, runs)
+    if want is None:
+        batch = read_proposals(path)
+        assert batch.records("r") == [ProposalRecord("r", width, height, round(float(objectness), 6), tuple(runs))]
+        assert batch.areas.tolist() == [sum(runs[1::2])]
+        # a broken line after it sends every record through the line-by-line check, which passes this one
+        path.write_text(json.dumps(doc) + "\n" + LINE.replace('"x"', '"r"').replace("[0, 4]", "[5]") + "\n")
+        with pytest.raises(ExchangeFormatError) as exc:
+            read_proposals(path)
+        assert str(exc.value) == f"{path}: line 2: runs sum to 5, expected 2x2=4"
+    else:
+        with pytest.raises(ExchangeFormatError) as exc:
+            read_proposals(path)
+        assert str(exc.value) == f"{path}: line 1: {want}"

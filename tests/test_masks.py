@@ -7,22 +7,26 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from smallprop.annotations import extract_instances
-from smallprop.masks import BBox, BinaryMask, MaskFormatError, _foreground, _row_spans, _span_runs, crop_mask
+from smallprop.masks import BBox, BinaryMask, _foreground, _row_spans, _span_runs, _valid, crop_mask
 from smallprop.tiling import Tile
 import oracles
-from oracles import embedded, grid_bbox, grid_runs, mask_grid, rect_mask
+from oracles import embedded, grid_bbox, grid_runs, mask_grid, rect_grid
 
 grids = hnp.arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24)))
 
 
 def _from_grid(grid) -> BinaryMask:
     """The mask of a full-canvas row-major grid made from its pixels, as
-    extraction makes it: a tight bitmap and no runs (an empty grid's mask is
-    an empty crop, which has no runs either)."""
+    extraction makes it: a tight bitmap and no runs. An empty grid's mask is
+    the crop of the grid's canvas from a mask one column wider, whose only
+    pixels lie in that column."""
     grid = np.asarray(grid, dtype=bool)
     h, w = grid.shape
-    found = extract_instances(grid.astype(np.uint8))
-    return found[0].mask if found else crop_mask(BinaryMask(w, h, (w * h,)), 0, 0, w, h)
+    if grid.any():
+        (obj,) = extract_instances(grid.astype(np.uint8))
+        return obj.mask
+    (beside,) = extract_instances(np.pad(grid, ((0, 0), (0, 1)), constant_values=True).astype(np.uint8))
+    return crop_mask(beside.mask, 0, 0, w, h)
 
 
 def test_encode_all_background():
@@ -37,33 +41,38 @@ def test_encode_checker():
     assert _from_grid([[1, 0], [0, 1]]).runs == (0, 1, 2, 1)
 
 
-def test_decode_examples():
-    assert BinaryMask(2, 2, (4,)).bitmap.shape == (0, 0)
-    assert BinaryMask(2, 2, (0, 4)).bitmap.all()
-    assert BinaryMask(2, 2, (0, 1, 2, 1)).bitmap.tolist() == [[True, False], [False, True]]
+def test_bitmap_examples():
+    assert _from_grid(np.zeros((2, 2), bool)).bitmap.shape == (0, 0)
+    assert _from_grid(np.ones((2, 2), bool)).bitmap.all()
+    assert _from_grid([[1, 0], [0, 1]]).bitmap.tolist() == [[True, False], [False, True]]
 
 
 def test_corrupt_runs_rejected():
-    with pytest.raises(MaskFormatError):
-        BinaryMask(2, 2, (3,))
-    with pytest.raises(MaskFormatError):
-        BinaryMask(2, 2, (0, 2, 0, 2))
-    with pytest.raises(MaskFormatError):
-        BinaryMask(2, 2, (-1, 5))
+    # the checks of a file's runs, all records at once: a wrong sum, a zero
+    # run after the first, a negative run, no run at all
+    def valid(*records, width=2, height=2):
+        runs = np.array([r for rs in records for r in rs], dtype=np.int64)
+        n = len(records)
+        return _valid(runs, np.cumsum([0] + [len(rs) for rs in records]), np.full(n, width), np.full(n, height))
+
+    assert valid((4,), (0, 4), (0, 1, 2, 1))
+    for bad in ((3,), (0, 2, 0, 2), (-1, 5), ()):
+        assert not valid((0, 4), bad)
+    assert not valid((0, 4), width=0) and not valid((2**32,), width=2**32, height=2**32)
 
 
 def test_area_example():
-    assert BinaryMask(2, 2, (0, 4)).area == 4
+    assert _from_grid(np.ones((2, 2), bool)).area == 4
 
 
 def test_bbox_examples():
-    assert rect_mask(10, 8, 2, 1, 3, 4).bbox == BBox(2, 1, 3, 4)
-    assert BinaryMask(5, 5, (25,)).bbox == BBox(0, 0, 0, 0)
-    assert BinaryMask(3, 3, (0, 9)).bbox == BBox(0, 0, 3, 3)
+    assert _from_grid(rect_grid(10, 8, 2, 1, 3, 4)).bbox == BBox(2, 1, 3, 4)
+    assert _from_grid(np.zeros((5, 5), bool)).bbox == BBox(0, 0, 0, 0)
+    assert _from_grid(np.ones((3, 3), bool)).bbox == BBox(0, 0, 3, 3)
 
 
 def test_crop_keeps_the_window_and_rejects_bad_ones():
-    m = rect_mask(16, 12, 5, 4, 6, 5)
+    m = _from_grid(rect_grid(16, 12, 5, 4, 6, 5))
     part = crop_mask(m, 4, 2, 8, 8)
     assert part.area == int(mask_grid(m)[2:10, 4:12].sum())
     with pytest.raises(ValueError, match="crop window outside the mask"):
@@ -124,8 +133,8 @@ def _assert_matches(mask, grid):
     assert (mask.bbox.x, mask.bbox.y, mask.bbox.w, mask.bbox.h) == grid_bbox(grid)
     b = mask.bbox
     assert np.array_equal(mask.bitmap, grid[b.y : b.y + b.h, b.x : b.x + b.w])
+    assert not mask.bitmap.flags.writeable
     assert mask.runs == grid_runs(grid)
-    assert BinaryMask(w, h, mask.runs) == mask
 
 
 @st.composite
@@ -148,9 +157,8 @@ def masked_grids(draw):
 @example(np.array([[0, 1, 1], [1, 1, 1], [1, 0, 0]], bool), None)
 def test_mask_ops_match_grid_oracles(grid, data):
     h, w = grid.shape
-    mask = BinaryMask(w, h, grid_runs(grid))
+    mask = _from_grid(grid)
     _assert_matches(mask, grid)
-    assert mask == _from_grid(grid)
     if data is None:
         return
 
@@ -162,14 +170,7 @@ def test_mask_ops_match_grid_oracles(grid, data):
     big_w, big_h = w + data.draw(st.integers(0, 4)), h + data.draw(st.integers(0, 4))
     ex, ey = data.draw(st.integers(0, big_w - w)), data.draw(st.integers(0, big_h - h))
     big = embedded(grid, Tile(0, ex, ey, w, h), big_w, big_h)
-    _assert_matches(crop_mask(BinaryMask(big_w, big_h, grid_runs(big)), ex, ey, w, h), grid)
-
-    # equality compares canvas size, box and pixels
-    if (big_w, big_h) != (w, h):
-        assert BinaryMask(big_w, big_h, grid_runs(embedded(grid, Tile(0, 0, 0, w, h), big_w, big_h))) != mask
-    flipped = grid.copy()
-    flipped[data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] ^= True
-    assert _from_grid(flipped) != mask
+    _assert_matches(crop_mask(_from_grid(big), ex, ey, w, h), grid)
 
 
 @settings(max_examples=200)
@@ -178,49 +179,38 @@ def test_mask_ops_match_grid_oracles(grid, data):
 @example(np.array([[0, 0, 1], [1, 0, 0]], bool), 0, 0)  # its pieces leave a column empty
 @example(np.zeros((2, 3), bool), 1, 0)
 def test_every_route_measures_when_made_and_moves_share_one_bitmap(grid, ex, ey):
+    # a mask is made from a tight bitmap, as extraction makes one, or by a
+    # move; no run makes a mask
     h, w = grid.shape
-    mask = BinaryMask(w, h, grid_runs(grid))
     box = grid_bbox(grid)
     big = embedded(grid, Tile(0, ex, ey, w, h), w + ex, h + ey)
-    large = BinaryMask(w + ex, h + ey, grid_runs(big))
-    # no hook fills a field on first read: the box and area are plain slots set when made,
-    # and a mask made from runs holds no pixels before they are used
+    drawn = [o.mask for o in extract_instances(big.astype(np.uint8))]  # none for an empty grid
+    with pytest.raises(TypeError):
+        BinaryMask(w, h, grid_runs(grid))
+    # the box and area are plain slots set when made, and a mask made from a bitmap encodes no runs
     assert not hasattr(BinaryMask, "__getattr__")
-    assert mask._pixels is None and large._pixels is None
-    moved = [crop_mask(large, ex, ey, w, h), crop_mask(mask, 0, 0, w, h)]  # each moves the mask whole
-    if mask.area:  # so does a crop to the box, here a second time
-        moved.append(crop_mask(moved[0], *box))
-    # a mask made from a tight bitmap, as extraction makes one (none for an empty grid)
-    drawn = [o.mask for o in extract_instances(big.astype(np.uint8))]
-    assert (mask.bbox.x, mask.bbox.y, mask.bbox.w, mask.bbox.h) == box
-    assert (large.bbox.x, large.bbox.y, large.bbox.w, large.bbox.h) == grid_bbox(big)
-    assert [(m.bbox.x, m.bbox.y, m.bbox.w, m.bbox.h) for m in drawn] == [grid_bbox(big)] * bool(mask.area)
-    for m in [mask, large, *moved, *drawn]:
-        assert m.area == int(grid.sum())
-    assert all(m._runs is None for m in drawn)  # and a mask made from a bitmap encodes no runs
-
-    # a move decodes its source's bitmap and shares that array; a mask holds a bitmap or None
-    if mask.area:
-        assert moved[0]._pixels is moved[2]._pixels is large._pixels is not None
-        assert moved[1]._pixels is mask._pixels is not None
-    assert all(m._pixels is None or type(m._pixels) is np.ndarray for m in [mask, large, *moved, *drawn])
-    _assert_matches(mask, grid)
-    _assert_matches(large, big)
-    _assert_matches(moved[0], grid)
-    _assert_matches(moved[1], grid)
-    if mask.area:
+    assert all(m._runs is None and not hasattr(m, "__dict__") for m in drawn)
+    assert [(m.bbox.x, m.bbox.y, m.bbox.w, m.bbox.h) for m in drawn] == [grid_bbox(big)] * bool(grid.any())
+    for large in drawn:
+        moved = [crop_mask(large, ex, ey, w, h), crop_mask(large, 0, 0, w + ex, h + ey)]  # each moves it whole
+        moved.append(crop_mask(moved[0], *box))  # so does a crop to the box, here a second time
+        # a move shares its source's bitmap array
+        assert all(m.bitmap is large.bitmap for m in moved)
+        assert all(m.area == large.area == int(grid.sum()) for m in moved)
+        _assert_matches(large, big)
+        _assert_matches(moved[0], grid)
+        _assert_matches(moved[1], big)
         _assert_matches(moved[2], grid[box[1] : box[1] + box[3], box[0] : box[0] + box[2]])
-    for m in drawn:
-        _assert_matches(m, big)
 
 
-def test_oracles_take_only_the_mask_type_from_the_mask_module():
-    # the references decode runs and move grids themselves, so they share no code with what they check
+def test_oracles_take_only_the_batch_type_from_the_package():
+    # the references decode runs and move grids themselves, so they share no
+    # code with what they check; they hand grids to it as a batch of records
     tree = ast.parse(Path(oracles.__file__).read_text())
     names = [(node.module, a.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
     modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
-    assert [n for m, n in names if m == "smallprop.masks"] == ["BinaryMask"]
-    assert ("smallprop", "masks") not in names and "smallprop.masks" not in modules
+    assert [(m, n) for m, n in names if m and m.startswith("smallprop")] == [("smallprop.exchange", "ProposalBatch")]
+    assert not [m for m in modules if m.startswith("smallprop")]
 
 
 def _mask_set(rng, width, height):

@@ -4,31 +4,28 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from smallprop import pipeline
-from smallprop.annotations import GroundTruthObject
-from smallprop.detector import PRESET_LEVELS, Proposal, preset, simulate
-from smallprop.masks import BBox, BinaryMask, crop_mask
-from smallprop.exchange import ExchangeFormatError, ProposalBatch, ProposalRecord, read_proposals, write_proposals
+from smallprop.annotations import GroundTruthObject, extract_instances
+from smallprop.detector import PRESET_LEVELS, preset, simulate
+from smallprop.masks import BBox, crop_mask
+from smallprop.exchange import ExchangeFormatError, ProposalRecord, read_proposals, write_proposals
 from smallprop.pipeline import _overlaps, _simulated_spans, _sweeps, nms, place, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
 from smallprop.tiling import Tile, TileGridSpec, plan_grid
 from smallprop.raster import RasterImage
-from oracles import (embedded, grid_iou, grid_runs, grid_spans, mask_grid, rect_mask, ref_nms, ref_simulate,
-                     region_decision)
-
-
-def proposal(mask, score):
-    return Proposal(mask, score)
+from oracles import (embedded, grid_batch, grid_bbox, grid_iou, grid_runs, grid_spans, mask_grid, rect_grid, ref_nms,
+                     ref_simulate, region_decision)
 
 
 def nms_of(props, iou_threshold, top_k=None):
-    """The proposals ``nms`` keeps of ``props``, on the first one's canvas, in its order."""
-    width, height = (props[0].mask.width, props[0].mask.height) if props else (1, 1)
-    return [props[i] for i in nms(candidates(props, width, height), iou_threshold, top_k).tolist()]
+    """The indices of the proposals, (grid, objectness) pairs, that ``nms``
+    keeps of ``props`` on the first one's canvas, in its order."""
+    height, width = props[0][0].shape if props else (1, 1)
+    return nms(candidates(props, width, height), iou_threshold, top_k).tolist()
 
 
 def candidates(props, width, height):
     """``props`` as whole-image records placed on a width x height image, as ``run`` places them."""
-    return place(ProposalBatch.of(props), width, height)
+    return place(grid_batch(props), width, height)
 
 
 def scene_from_labels(labels):
@@ -38,9 +35,9 @@ def scene_from_labels(labels):
 
 def exchange_batch(tmp_path, records):
     """The batch ``run --exchange`` reads from a file of ``records``, (tile_index
-    or None, mask) pairs, one a line, each of objectness 0.5."""
+    or None, grid) pairs, one a line, each of objectness 0.5."""
     path = tmp_path / "x.jsonl"
-    write_proposals([ProposalRecord("x", m.width, m.height, 0.5, m.runs, t) for t, m in records], path)
+    write_proposals([ProposalRecord("x", g.shape[1], g.shape[0], 0.5, grid_runs(g), t) for t, g in records], path)
     return read_proposals(path)
 
 
@@ -53,27 +50,24 @@ def disk_scene(w, h, centers_radii, min_visible=1):
 
 
 def test_nms_suppresses_duplicate():
-    m = rect_mask(16, 16, 2, 2, 6, 6)
-    kept = nms_of([proposal(m, 0.9), proposal(m, 0.8)], 0.7)
-    assert [p.objectness for p in kept] == [0.9]
+    m = rect_grid(16, 16, 2, 2, 6, 6)
+    assert nms_of([(m, 0.9), (m, 0.8)], 0.7) == [0]
 
 
 def test_nms_keeps_disjoint_sorted():
-    a = rect_mask(16, 16, 0, 0, 4, 4)
-    b = rect_mask(16, 16, 10, 10, 4, 4)
-    kept = nms_of([proposal(a, 0.4), proposal(b, 0.8)], 0.5)
-    assert [p.objectness for p in kept] == [0.8, 0.4]
+    a = rect_grid(16, 16, 0, 0, 4, 4)
+    b = rect_grid(16, 16, 10, 10, 4, 4)
+    assert nms_of([(a, 0.4), (b, 0.8)], 0.5) == [1, 0]
 
 
 def test_nms_three_offset_squares():
-    a = rect_mask(30, 10, 0, 0, 10, 10)
-    b = rect_mask(30, 10, 5, 0, 10, 10)
-    c = rect_mask(30, 10, 10, 0, 10, 10)
+    a = rect_grid(30, 10, 0, 0, 10, 10)
+    b = rect_grid(30, 10, 5, 0, 10, 10)
+    c = rect_grid(30, 10, 10, 0, 10, 10)
     # brute-force pairwise IoUs justify the expected survivor set
-    assert grid_iou(mask_grid(a), mask_grid(b)) == pytest.approx(1 / 3)
-    assert grid_iou(mask_grid(a), mask_grid(c)) == 0.0
-    kept = nms_of([proposal(a, 0.9), proposal(b, 0.8), proposal(c, 0.7)], 0.3)
-    assert [p.objectness for p in kept] == [0.9, 0.7]
+    assert grid_iou(a, b) == pytest.approx(1 / 3)
+    assert grid_iou(a, c) == 0.0
+    assert nms_of([(a, 0.9), (b, 0.8), (c, 0.7)], 0.3) == [0, 2]
 
 
 def test_nms_idempotent_and_bounded():
@@ -81,27 +75,26 @@ def test_nms_idempotent_and_bounded():
     props = []
     for i in range(12):
         x0, y0 = rng.integers(0, 20, 2)
-        props.append(proposal(rect_mask(32, 32, int(x0), int(y0), 8, 8), float(rng.random())))
-    kept = nms_of(props, 0.4)
-    assert nms_of(kept, 0.4) == kept
-    for i, p in enumerate(kept):
-        for q in kept[:i]:
-            assert grid_iou(mask_grid(p.mask), mask_grid(q.mask)) < 0.4
+        props.append((rect_grid(32, 32, int(x0), int(y0), 8, 8), float(rng.random())))
+    kept = [props[i] for i in nms_of(props, 0.4)]
+    assert nms_of(kept, 0.4) == list(range(len(kept)))
+    for i, (p, _) in enumerate(kept):
+        for q, _ in kept[:i]:
+            assert grid_iou(p, q) < 0.4
 
 
 def test_nms_tie_breaks_by_area_then_order():
-    big = rect_mask(20, 20, 0, 0, 6, 6)
-    small = rect_mask(20, 20, 10, 10, 3, 3)
-    kept = nms_of([proposal(small, 0.5), proposal(big, 0.5)], 0.9)
-    assert kept[0].mask == big
+    big = rect_grid(20, 20, 0, 0, 6, 6)
+    small = rect_grid(20, 20, 10, 10, 3, 3)
+    assert nms_of([(small, 0.5), (big, 0.5)], 0.9) == [1, 0]
 
 
 def test_nms_suppresses_at_exactly_the_threshold():
     # IoU 2 / 4 = 0.5 exactly: kept only below the threshold, so 0.5 suppresses
-    a = rect_mask(8, 2, 0, 0, 4, 1)
-    b = rect_mask(8, 2, 0, 0, 2, 1)
-    assert grid_iou(mask_grid(a), mask_grid(b)) == 0.5
-    props = [proposal(a, 0.9), proposal(b, 0.8)]
+    a = rect_grid(8, 2, 0, 0, 4, 1)
+    b = rect_grid(8, 2, 0, 0, 2, 1)
+    assert grid_iou(a, b) == 0.5
+    props = [(a, 0.9), (b, 0.8)]
     spans = candidates(props, 8, 2)
     assert nms(spans, 0.5).tolist() == [0]
     assert nms(spans, 0.5000001).tolist() == [0, 1]
@@ -117,9 +110,8 @@ def test_nms_pair_decision_follows_grid_iou_either_way_round(pair, threshold):
     height, width = pair[0].shape
     iou = grid_iou(*pair)
     for ga, gb in (pair, pair[::-1]):
-        first, second = (proposal(BinaryMask(width, height, grid_runs(g)), s) for g, s in ((ga, 0.9), (gb, 0.5)))
         for t in (threshold, iou) if iou else (threshold,):
-            assert nms_of([first, second], t) == ([first] if iou >= t else [first, second])
+            assert nms_of([(ga, 0.9), (gb, 0.5)], t) == ([0] if iou >= t else [0, 1])
 
 
 def _random_grid(rng, width, height):
@@ -142,8 +134,9 @@ def _random_grid(rng, width, height):
 
 
 def _kept_records(props, iou_threshold, top_k):
-    """(objectness, runs) of what brute-force NMS keeps of ``props``, truncated to ``top_k``."""
-    return [(p.objectness, grid_runs(mask_grid(p.mask))) for p in ref_nms(props, iou_threshold)[:top_k]]
+    """(objectness, runs) of what brute-force NMS keeps of ``props``, (grid,
+    objectness) pairs, truncated to ``top_k``."""
+    return [(props[i][1], grid_runs(props[i][0])) for i in ref_nms(props, iou_threshold)[:top_k]]
 
 
 def _written(batch):
@@ -151,19 +144,19 @@ def _written(batch):
 
 
 def test_span_nms_equals_brute_force_on_full_width_masks():
-    # many masks as wide as the canvas, so their runs join across row ends,
-    # from bitmaps and from runs; objectness on a coarse lattice, so ties are common
+    # many masks as wide as the canvas, so their runs join across row ends;
+    # objectness on a coarse lattice, so ties are common
     rng = np.random.default_rng(24)
     for _ in range(150):
         width, height = int(rng.integers(1, 12)), int(rng.integers(1, 10))
-        props = [Proposal(BinaryMask(width, height, grid_runs(_random_grid(rng, width, height))),
-                          int(rng.integers(0, 5)) / 4) for _ in range(int(rng.integers(0, 9)))]
+        props = [(_random_grid(rng, width, height), int(rng.integers(0, 5)) / 4)
+                 for _ in range(int(rng.integers(0, 9)))]
         t, k = int(rng.integers(1, 11)) / 10, int(rng.integers(1, 10))
         want = _kept_records(props, t, k)
         scene = scene_from_labels(np.zeros((height, width)))
         spans = candidates(props, width, height)
         assert _written(spans.batch(nms(spans, t, k))) == want
-        assert _written(run_whole(scene, ProposalBatch.of(props), t, k)) == want
+        assert _written(run_whole(scene, grid_batch(props), t, k)) == want
 
 
 def test_span_nms_equals_brute_force_on_tile_records(tmp_path):
@@ -187,8 +180,7 @@ def test_span_nms_equals_brute_force_on_tile_records(tmp_path):
             local = _random_grid(rng, tile.w, tile.h)
             objectness = int(rng.integers(0, 5)) / 4
             records.append(ProposalRecord("x", tile.w, tile.h, objectness, grid_runs(local), tile.index))
-            placed = embedded(local, tile, width, height)
-            props.append(Proposal(BinaryMask(width, height, grid_runs(placed)), objectness))
+            props.append((embedded(local, tile, width, height), objectness))
         write_proposals(records, tmp_path / "x.jsonl")
         t, k = int(rng.integers(1, 11)) / 10, int(rng.integers(1, 10))
         got = run_tiled(scene_from_labels(np.zeros((height, width))), read_proposals(tmp_path / "x.jsonl"), grid, t, k)
@@ -199,9 +191,9 @@ def test_span_nms_equals_brute_force_on_tile_records(tmp_path):
 def test_spans_that_touch_share_no_pixel():
     # on an 8x2 canvas: a ends where b starts on row 0, and c ends at row 0's
     # end where d starts row 1; none of them overlaps another
-    a, b = rect_mask(8, 2, 0, 0, 3, 1), rect_mask(8, 2, 3, 0, 2, 1)
-    c, d = rect_mask(8, 2, 5, 0, 3, 1), rect_mask(8, 2, 0, 1, 4, 1)
-    props = [proposal(m, 0.5) for m in (a, b, c, d)]
+    a, b = rect_grid(8, 2, 0, 0, 3, 1), rect_grid(8, 2, 3, 0, 2, 1)
+    c, d = rect_grid(8, 2, 5, 0, 3, 1), rect_grid(8, 2, 0, 1, 4, 1)
+    props = [(m, 0.5) for m in (a, b, c, d)]
     spans = candidates(props, 8, 2)
     order = np.argsort(spans.starts, kind="stable")
     starts, stops, every = spans.starts[order], spans.stops[order], np.arange(len(order))
@@ -219,8 +211,8 @@ def test_chunked_visit_equals_brute_force(monkeypatch):
         monkeypatch.setattr(pipeline, "_PAIRS", pairs)
         for _ in range(60):
             width, height = int(rng.integers(1, 12)), int(rng.integers(1, 10))
-            props = [Proposal(BinaryMask(width, height, grid_runs(_random_grid(rng, width, height))),
-                              int(rng.integers(0, 5)) / 4) for _ in range(int(rng.integers(0, 12)))]
+            props = [(_random_grid(rng, width, height), int(rng.integers(0, 5)) / 4)
+                     for _ in range(int(rng.integers(0, 12)))]
             t, k = int(rng.integers(1, 11)) / 10, int(rng.integers(1, 13))
             spans = candidates(props, width, height)
             assert _written(spans.batch(nms(spans, t, k))) == _kept_records(props, t, k)
@@ -234,7 +226,7 @@ def test_near_duplicates_are_compared_a_chunk_at_a_time(monkeypatch):
     rng = np.random.default_rng(27)
     rects = [(int(rng.integers(0, 4)), int(rng.integers(0, 4)), 44 - int(rng.integers(0, 3)), 32) for _ in range(40)]
     rects.append((10, 10, 8, 8))
-    props = [proposal(rect_mask(48, 36, *r), 0.99 if r[2] == 8 else float(rng.random())) for r in rects]
+    props = [(rect_grid(48, 36, *r), 0.99 if r[2] == 8 else float(rng.random())) for r in rects]
 
     def rows_shared(p, q):  # one span per row each: the rows on which they overlap
         x_overlap = p[0] < q[0] + q[2] and q[0] < p[0] + p[2]
@@ -247,8 +239,7 @@ def test_near_duplicates_are_compared_a_chunk_at_a_time(monkeypatch):
     for pairs in (1, 3000):
         monkeypatch.setattr(pipeline, "_PAIRS", pairs)
         sizes.clear()
-        kept = nms(candidates(props, 48, 36), 0.7)
-        assert [props[i] for i in kept.tolist()] == ref_nms(props, 0.7)
+        assert nms(candidates(props, 48, 36), 0.7).tolist() == ref_nms(props, 0.7)
         assert len(sizes) > 5 and max(sizes) <= max(pairs, max(load))
 
 
@@ -257,9 +248,9 @@ def test_tile_records_at_exactly_the_threshold(tmp_path):
     # 70x50 image under a 32x24 grid at stride 16x12, placed at (38, 26)
     tile = plan_grid(70, 50, TileGridSpec(32, 24, 16, 12))[-1]
     assert (tile.x0, tile.y0) == (38, 26)
-    a, b = rect_mask(32, 24, 28, 23, 4, 1), rect_mask(32, 24, 30, 23, 2, 1)
+    a, b = rect_grid(32, 24, 28, 23, 4, 1), rect_grid(32, 24, 30, 23, 2, 1)
     path = tmp_path / "x.jsonl"
-    write_proposals([ProposalRecord("x", 32, 24, o, m.runs, tile.index) for m, o in ((a, 0.9), (b, 0.8))], path)
+    write_proposals([ProposalRecord("x", 32, 24, o, grid_runs(g), tile.index) for g, o in ((a, 0.9), (b, 0.8))], path)
     scene = scene_from_labels(np.zeros((50, 70)))
     grid = TileGridSpec(32, 24, 16, 12)
     assert run_tiled(scene, read_proposals(path), grid, 0.5).objectness.tolist() == [0.9]
@@ -270,9 +261,9 @@ def test_tile_records_at_exactly_the_threshold(tmp_path):
 
 def test_nms_rejects_threshold_outside_unit_interval():
     # two disjoint proposals: a zero threshold used to suppress the second
-    a = rect_mask(16, 16, 0, 0, 4, 4)
-    b = rect_mask(16, 16, 10, 10, 4, 4)
-    props = [proposal(a, 0.9), proposal(b, 0.8)]
+    a = rect_grid(16, 16, 0, 0, 4, 4)
+    b = rect_grid(16, 16, 10, 10, 4, 4)
+    props = [(a, 0.9), (b, 0.8)]
     for t in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError, match=r"nms_iou must lie in \(0, 1\]"):
             nms_of(props, t)
@@ -282,10 +273,10 @@ def test_nms_rejects_threshold_outside_unit_interval():
 def test_nms_rejects_mixed_canvases():
     # the boxes are disjoint, so only the canvas check can notice: placing the
     # second record on the first one's image fails
-    a = rect_mask(16, 16, 0, 0, 4, 4)
-    b = rect_mask(16, 20, 10, 10, 4, 4)
+    a = rect_grid(16, 16, 0, 0, 4, 4)
+    b = rect_grid(16, 20, 10, 10, 4, 4)
     with pytest.raises(ExchangeFormatError, match="line 2: whole-image record is 16x20, image is 16x16"):
-        nms_of([proposal(a, 0.9), proposal(b, 0.8)], 0.7)
+        nms_of([(a, 0.9), (b, 0.8)], 0.7)
 
 
 def test_whole_run_empty_ground_truth():
@@ -308,7 +299,7 @@ def test_duplicate_across_tiles_collapses_to_one():
     prof = preset("attentionmask", jitter=0)
     out = run_tiled(scene, prof, TileGridSpec(320, 240, 160, 240))
     assert len(out) == 1
-    assert out.mask(0) == scene.objects[0].mask
+    assert np.array_equal(mask_grid(out.records("x")[0]), scene.instances.pixels == 1)
 
 
 def test_top_k_truncation():
@@ -325,52 +316,55 @@ def test_top_k_truncation():
 
 def test_whole_image_records_pass_through():
     scene = disk_scene(64, 48, [(20, 20, 8)])
-    m = rect_mask(64, 48, 10, 10, 12, 12)
-    out = run_whole(scene, ProposalBatch.of([Proposal(m, 0.75)]))
+    m = rect_grid(64, 48, 10, 10, 12, 12)
+    out = run_whole(scene, grid_batch([(m, 0.75)]))
     assert len(out) == 1
-    assert out.mask(0) == m and out.objectness.tolist() == [0.75]
+    assert out.records("x")[0].runs == grid_runs(m) and out.objectness.tolist() == [0.75]
 
 
 def test_tile_records_are_remapped(tmp_path):
     scene = disk_scene(64, 48, [(20, 20, 8)])
     grid = TileGridSpec(32, 24, 16, 12)
-    local = rect_mask(32, 24, 2, 3, 5, 5)
+    local = rect_grid(32, 24, 2, 3, 5, 5)
     out = run_tiled(scene, exchange_batch(tmp_path, [(1, local)]), grid)
     assert len(out) == 1
     # tile 1 sits at (16, 0) in a row-major 3x3 grid
-    assert out.mask(0).bbox == BBox(18, 3, 5, 5)
+    assert grid_bbox(mask_grid(out.records("x")[0])) == (18, 3, 5, 5)
 
 
 def on_tile(local, tile, width, height):
-    """The spans ``place`` makes on a width x height image of one record, ``local``, on ``tile``."""
-    records = ProposalBatch.of([Proposal(local, 0.5)])
+    """The spans ``place`` makes on a width x height image of one record, grid ``local``, on ``tile``."""
+    records = grid_batch([(local, 0.5)])
     records.tiles = np.zeros(1, dtype=np.int64)
     return place(records, width, height, [tile])
 
 
 def placed(local, tile, width, height):
-    """The grid on a width x height image of one record, ``local``, on ``tile``."""
-    return mask_grid(on_tile(local, tile, width, height).batch(np.arange(1)).mask(0))
+    """The grid on a width x height image of one record, grid ``local``, on ``tile``."""
+    return mask_grid(on_tile(local, tile, width, height).batch(np.arange(1)).records("x")[0])
 
 
 def test_place_at_the_origin_tile_zero_pads():
-    local = rect_mask(16, 12, 2, 3, 4, 4)
+    local = rect_grid(16, 12, 2, 3, 4, 4)
     tile = Tile(0, 0, 0, 16, 12)
-    assert np.array_equal(placed(local, tile, 32, 24), embedded(mask_grid(local), tile, 32, 24))
+    assert np.array_equal(placed(local, tile, 32, 24), embedded(local, tile, 32, 24))
 
 
 def test_place_translates_by_the_tile_origin():
-    grid = placed(rect_mask(320, 240, 5, 5, 10, 10), Tile(0, 160, 120, 320, 240), 1280, 720)
+    grid = placed(rect_grid(320, 240, 5, 5, 10, 10), Tile(0, 160, 120, 320, 240), 1280, 720)
     assert int(grid.sum()) == 100
     assert np.array_equal(np.argwhere(grid).min(axis=0), (125, 165))
 
 
 def test_place_cuts_runs_at_the_tile_row_ends():
     # one local run of 4 wraps from the tile's first row to its second: two spans on the image
-    local, tile = BinaryMask(8, 4, (6, 4, 22)), Tile(0, 5, 3, 8, 4)
+    local, tile = np.zeros(32, bool), Tile(0, 5, 3, 8, 4)
+    local[6:10] = True
+    local = local.reshape(4, 8)
+    assert grid_runs(local) == (6, 4, 22)
     spans = on_tile(local, tile, 20, 10)
     assert spans.starts.tolist() == [3 * 20 + 11, 4 * 20 + 5] and spans.stops.tolist() == [3 * 20 + 13, 4 * 20 + 7]
-    assert np.array_equal(placed(local, tile, 20, 10), embedded(mask_grid(local), tile, 20, 10))
+    assert np.array_equal(placed(local, tile, 20, 10), embedded(local, tile, 20, 10))
 
 
 @settings(max_examples=60)
@@ -383,13 +377,15 @@ def test_place_puts_a_crop_back_where_it_was_cut(img_w, img_h, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     grid = rng.random((img_h, img_w)) < 0.4
     grid[y0, x0] = True  # no record is empty
-    local = crop_mask(BinaryMask(img_w, img_h, grid_runs(grid)), x0, y0, tw, th)
+    (obj,) = extract_instances(grid.astype(np.uint8))
+    local = mask_grid(crop_mask(obj.mask, x0, y0, tw, th))
     ref = np.zeros_like(grid)
     ref[y0 : y0 + th, x0 : x0 + tw] = grid[y0 : y0 + th, x0 : x0 + tw]
     assert np.array_equal(placed(local, Tile(0, x0, y0, tw, th), img_w, img_h), ref)
 
 
-TILE = BinaryMask(32, 24, (0, 768))  # a record filling a tile of the 32x24 grid
+TILE = np.ones((24, 32), bool)  # a record filling a tile of the 32x24 grid
+WHOLE = np.ones((48, 64), bool)  # a whole-image record of the 64x48 scene
 
 
 def test_unknown_tile_index_rejected(tmp_path):
@@ -403,7 +399,7 @@ def test_unknown_tile_index_rejected(tmp_path):
 def test_tile_index_one_past_the_grid_is_not_the_whole_image(tmp_path):
     # the image's own frame follows the tiles' frames where records are placed
     scene = disk_scene(64, 48, [(20, 20, 8)])
-    batch = exchange_batch(tmp_path, [(9, BinaryMask(64, 48, (0, 64 * 48)))])
+    batch = exchange_batch(tmp_path, [(9, WHOLE)])
     with pytest.raises(ExchangeFormatError) as exc:
         run_tiled(scene, batch, TileGridSpec(32, 24, 16, 12))
     assert str(exc.value) == "line 1: unknown tile_index 9; grid has 9 tiles"
@@ -411,7 +407,7 @@ def test_tile_index_one_past_the_grid_is_not_the_whole_image(tmp_path):
 
 def test_tile_record_size_mismatch_rejected(tmp_path):
     scene = disk_scene(64, 48, [(20, 20, 8)])
-    batch = exchange_batch(tmp_path, [(0, TILE), (2, TILE), (1, BinaryMask(16, 24, (0, 384)))])
+    batch = exchange_batch(tmp_path, [(0, TILE), (2, TILE), (1, np.ones((24, 16), bool))])
     with pytest.raises(ExchangeFormatError) as exc:
         run_tiled(scene, batch, TileGridSpec(32, 24, 16, 12))
     assert str(exc.value) == "line 3: local mask is 16x24, tile is 32x24"
@@ -421,8 +417,10 @@ def test_record_dimension_mismatch_rejected(tmp_path):
     scene = disk_scene(64, 48, [(20, 20, 8)])
     # a huge declared canvas is rejected by its size, before any pixel is decoded
     for width, height in ((32, 24), (10**12, 1)):
-        batch = exchange_batch(tmp_path, [(None, BinaryMask(64, 48, (0, 64 * 48))),
-                                          (None, BinaryMask(width, height, (0, width * height)))])
+        path = tmp_path / "x.jsonl"
+        write_proposals([ProposalRecord("x", 64, 48, 0.5, (0, 64 * 48)),
+                         ProposalRecord("x", width, height, 0.5, (0, width * height))], path)
+        batch = read_proposals(path)
         with pytest.raises(ExchangeFormatError) as exc:
             run_whole(scene, batch)
         assert str(exc.value) == f"line 2: whole-image record is {width}x{height}, image is 64x48"
@@ -430,22 +428,22 @@ def test_record_dimension_mismatch_rejected(tmp_path):
 
 def test_tile_record_without_tiles_rejected(tmp_path):
     # eval and overlay place records without a grid
-    batch = exchange_batch(tmp_path, [(None, BinaryMask(64, 48, (0, 64 * 48)))] * 3 + [(0, TILE)])
+    batch = exchange_batch(tmp_path, [(None, WHOLE)] * 3 + [(0, TILE)])
     with pytest.raises(ExchangeFormatError) as exc:
         place(batch, 64, 48)
     assert str(exc.value) == "line 4: tile_index 0: only whole-image records are accepted"
 
 
-# each record that does not fit, as (tile_index or None, mask); the tiles of place; the error it raises
+# each record that does not fit, as (tile_index or None, grid); the tiles of place; the error it raises
 _MISFITS = {
     "whole-image-size": ((None, TILE), [Tile(0, 0, 0, 32, 24)], "whole-image record is 32x24, image is 64x48"),
     "tile-without-tiles": ((0, TILE), [], "tile_index 0: only whole-image records are accepted"),
     "unknown-tile": ((3, TILE), [Tile(0, 0, 0, 32, 24)], "unknown tile_index 3; grid has 1 tiles"),
-    "tile-size": ((0, BinaryMask(16, 24, (0, 384))), [Tile(0, 0, 0, 32, 24)], "local mask is 16x24, tile is 32x24"),
+    "tile-size": ((0, np.ones((24, 16), bool)), [Tile(0, 0, 0, 32, 24)], "local mask is 16x24, tile is 32x24"),
     "tile-right-of-image": ((0, TILE), [Tile(0, 40, 0, 32, 24)], "tile at (40, 0) does not fit inside the 64x48 image"),
     "tile-above-image": ((0, TILE), [Tile(0, 0, -1, 32, 24)], "tile at (0, -1) does not fit inside the 64x48 image"),
     # the size is checked before the tile's place
-    "tile-size-outside": ((0, BinaryMask(8, 8, (0, 64))), [Tile(0, 40, 0, 32, 24)], "local mask is 8x8, tile is 32x24"),
+    "tile-size-outside": ((0, np.ones((8, 8), bool)), [Tile(0, 40, 0, 32, 24)], "local mask is 8x8, tile is 32x24"),
 }
 
 
@@ -453,7 +451,7 @@ _MISFITS = {
 def test_each_misfit_names_its_line(tmp_path, name):
     # hand-made tiles reach the rule that a tile lies inside the image, which no grid of plan_grid breaks
     misfit, tiles, message = _MISFITS[name]
-    whole = (None, BinaryMask(64, 48, (0, 64 * 48)))
+    whole = (None, WHOLE)
     batch = exchange_batch(tmp_path, [whole, misfit, whole])
     with pytest.raises(ExchangeFormatError) as exc:
         place(batch, 64, 48, tiles)
@@ -462,17 +460,17 @@ def test_each_misfit_names_its_line(tmp_path, name):
 
 @pytest.mark.parametrize("first, second", [("unknown-tile", "whole-image-size"), ("whole-image-size", "unknown-tile")])
 def test_first_misfit_in_file_order_wins_whatever_its_kind(tmp_path, first, second):
-    whole = (None, BinaryMask(64, 48, (0, 64 * 48)))
+    whole = (None, WHOLE)
     batch = exchange_batch(tmp_path, [whole, _MISFITS[first][0], whole, _MISFITS[second][0], whole])
     with pytest.raises(ExchangeFormatError) as exc:
         place(batch, 64, 48, [Tile(0, 0, 0, 32, 24)])
     assert str(exc.value) == f"line 2: {_MISFITS[first][2]}"
 
 
-def test_empty_record_mask_rejected():
-    # no empty mask reaches the pipeline: the reader builds each line's Proposal, which rejects it
-    with pytest.raises(ValueError, match="empty"):
-        Proposal(BinaryMask(64, 48, (64 * 48,)), 0.5)
+def test_empty_record_mask_rejected(tmp_path):
+    # no empty mask reaches the pipeline: the reader rejects a record without a foreground pixel
+    with pytest.raises(ExchangeFormatError, match="line 2: proposal mask is empty"):
+        exchange_batch(tmp_path, [(None, WHOLE), (None, np.zeros((48, 64), bool))])
 
 
 def test_output_scores_non_increasing():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallprop.masks import BinaryMask, crop_mask
+from smallprop.annotations import extract_instances
+from smallprop.masks import crop_mask
 from smallprop.tiling import Tile, TileGridSpec, plan_grid
-from oracles import embedded, grid_runs, mask_grid, verify_coverage
+from oracles import embedded, mask_grid, verify_coverage
 
 
 def test_grid_1280x720_non_overlapping():
@@ -72,9 +73,11 @@ def test_crop_to_a_tile_recovers_tile_region(img_w, img_h, data):
     y0 = data.draw(st.integers(0, img_h - th))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     grid = rng.random((img_h, img_w)) < 0.4
-    global_mask = BinaryMask(img_w, img_h, grid_runs(grid))
     tile = Tile(0, x0, y0, tw, th)
-    back = embedded(mask_grid(crop_mask(global_mask, x0, y0, tw, th)), tile, img_w, img_h)
+    # the grid's pixels as one object (none if it has no pixel), cropped to the tile and put back
+    back = np.zeros_like(grid)
+    for obj in extract_instances(grid.astype(np.uint8)):
+        back = embedded(mask_grid(crop_mask(obj.mask, x0, y0, tw, th)), tile, img_w, img_h)
     ref = np.zeros_like(grid)
     ref[y0 : y0 + th, x0 : x0 + tw] = grid[y0 : y0 + th, x0 : x0 + tw]
     assert np.array_equal(back, ref)
