@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .masks import BinaryMask, _tight
+from .masks import BinaryMask, _masks
 
 XS_MAX_AREA = 22.5**2  # exclusive upper bound for XS
 S_MAX_AREA = 32**2  # inclusive upper bound for S
@@ -45,33 +45,31 @@ class GroundTruthObject:
         return cls(instance_id, mask)
 
 
+def _id_runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, offsets, rows): the distinct nonzero ids of a 2-D grid of
+    instance ids, ascending, and each one's row runs (y, x0, x1) in scan
+    order, rows[offsets[k]:offsets[k + 1]] for id k. One diff over the grid,
+    cut at each row start, finds every run of one id in a row; a stable sort
+    by id groups them."""
+    width = labels.shape[1]
+    flat = labels.ravel()
+    cut = np.empty(flat.size, dtype=bool)  # where a run of one id starts: at a new id, and at each row start
+    np.not_equal(flat[1:], flat[:-1], out=cut[1:])
+    cut[::max(width, 1)] = True  # a grid of width 0 has no row start, nor any pixel
+    starts = np.flatnonzero(cut)
+    ids = flat[starts].astype(np.int64)
+    order = np.flatnonzero(ids)
+    order = order[np.argsort(ids[order], kind="stable")]
+    ids, ys = ids[order], starts[order] // width
+    rows = np.column_stack((ys, starts[order] - ys * width, np.append(starts[1:], flat.size)[order] - ys * width))
+    first = np.flatnonzero(np.diff(ids, prepend=0))
+    return ids[first], np.append(first, len(ids)), rows
+
+
 def extract_instances(labels: np.ndarray) -> list[GroundTruthObject]:
     """One object per distinct nonzero id of a 2-D grid of instance ids (0 =
-    background, ids need not be contiguous), sorted by id ascending.
-
-    Each mask is ``labels[box] == id`` over the bounding box of the id, made
-    with the box and pixel count that sorting the ids gives.
-    """
+    background, ids need not be contiguous), sorted by id ascending, its mask
+    the id's row runs."""
     height, width = labels.shape
-    positions = np.flatnonzero(labels != 0)  # a bool scan is much faster than a uint16 one
-    if positions.size == 0:
-        return []
-    ids = labels.ravel()[positions]
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    ys, xs = np.divmod(positions[order], width)
-    starts = np.flatnonzero(np.diff(ids, prepend=0))
-    stops = np.append(starts[1:], ids.size) - 1
-    bounds = zip(
-        ids[starts].tolist(),
-        ys[starts].tolist(),
-        (ys[stops] + 1).tolist(),
-        np.minimum.reduceat(xs, starts).tolist(),
-        (np.maximum.reduceat(xs, starts) + 1).tolist(),
-        (stops - starts + 1).tolist(),
-    )
-    # the box of each id is tight and its pixel count is its area, so nothing is trimmed or counted again
-    return [
-        GroundTruthObject(i, _tight(width, height, x0, y0, labels[y0:y1, x0:x1] == i, area))
-        for i, y0, y1, x0, x1, area in bounds
-    ]
+    ids, offsets, rows = _id_runs(labels)
+    return [GroundTruthObject(i, m) for i, m in zip(ids.tolist(), _masks(width, height, offsets, rows))]

@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .annotations import GroundTruthObject
-from .masks import BinaryMask, _part
+from .masks import BinaryMask, _clipped, _masks, _offsets_of, _span_runs
 from .prng import prng_next, randint, random, stream_seed
 
 ALLOWED_LEVELS = (4, 8, 16, 32, 64, 128)
@@ -99,25 +101,40 @@ def band_score(profile: DetectorProfile, side: float) -> float:
     return best
 
 
-def _draws(profile: DetectorProfile, region: int, instance_id: int) -> tuple[int, int, float]:
-    """An object's jitter dx, dy and the factor that damps its score: the
-    first three draws, in that order, of the stream keyed by its id from its
-    region's stream ``region``, which is stream_seed(seed, x0, y0)."""
-    draw_dx, state = prng_next(stream_seed(region, instance_id))
-    draw_dy, state = prng_next(state)
-    draw_noise, _ = prng_next(state)
-    jitter = profile.jitter
-    return (randint(draw_dx, -jitter, jitter), randint(draw_dy, -jitter, jitter),
-            1.0 - profile.objectness_noise * random(draw_noise))
+def _emitted(profile: DetectorProfile, keys, sides, frames, offsets, rows) -> tuple:
+    """(objectness, areas, offsets, rows) of what the simulated detector emits
+    for (region, object) pairs that passed the band filter. Pair k is
+    ``keys[k]``, (its region's stream, stream_seed(seed, x0, y0), the object's
+    id), its rescaled side ``sides[k]``, its region's frame ``frames[k]``,
+    (x0, y0, x1, y1), and the object's row runs in the frame,
+    rows[offsets[k]:offsets[k + 1]], at least one. It draws dx, dy and the
+    noise, in that order, from the stream keyed by the id from its region's;
+    a move past the frame's side leaves no pixel, so it is cut to that side.
+    Its candidate is its runs moved, clipped to the frame, if any are left.
+    """
+    jitter, noise = profile.jitter, profile.objectness_noise
+    moves, objectness, scores = [], [], {}  # scores: the band score of each distinct side
+    for (region, instance_id), side, (x0, y0, x1, y1) in zip(keys, sides, frames):
+        draw_dx, state = prng_next(stream_seed(region, instance_id))
+        draw_dy, state = prng_next(state)
+        draw_noise, _ = prng_next(state)
+        dx = min(max(randint(draw_dx, -jitter, jitter), x0 - x1), x1 - x0)
+        dy = min(max(randint(draw_dy, -jitter, jitter), y0 - y1), y1 - y0)
+        moves.append((x0, y0, x1, y1, dy, dx, dx))  # the frame, and the move of a row run (y, x0, x1)
+        if side not in scores:
+            scores[side] = band_score(profile, side)
+        objectness.append((1.0 - noise * random(draw_noise)) * scores[side])
+    cuts = offsets[:-1]
+    moves = np.repeat(np.array(moves, dtype=np.int64).reshape(-1, 7), offsets[1:] - cuts, axis=0)
+    clipped, inside = _clipped(rows + moves[:, 4:], *moves[:, :4].T)
+    areas = np.add.reduceat(np.where(inside, clipped[:, 2] - clipped[:, 1], 0), cuts)
+    kept = areas > 0
+    return (np.array(objectness, dtype=float)[kept], areas[kept],
+            _offsets_of(np.add.reduceat(inside, cuts, dtype=np.int64)[kept]), clipped[inside])
 
 
-def simulate(
-    profile: DetectorProfile,
-    region_w: int,
-    region_h: int,
-    gt: list[GroundTruthObject],
-    origin: tuple[int, int] = (0, 0),
-) -> list[Proposal]:
+def simulate(profile: DetectorProfile, region_w: int, region_h: int, gt: list[GroundTruthObject],
+             origin: tuple[int, int] = (0, 0)) -> list[Proposal]:
     """Emit one proposal per ground-truth object inside the detectable band.
 
     The ``gt`` masks must lie on the region_w x region_h region canvas. The
@@ -125,8 +142,8 @@ def simulate(
     an object is emitted iff its rescaled bbox side lies in the profile's
     detectable range. Each emitted mask is the ground-truth mask shifted by a
     jitter drawn from a stream keyed by (seed, origin, instance_id), clipped
-    to the region; draw order is dx, dy, noise. The whole function is a pure
-    function of its arguments.
+    to the region (``_emitted``, the region its only frame); draw order is
+    dx, dy, noise. The whole function is a pure function of its arguments.
     """
     if any((obj.mask.width, obj.mask.height) != (region_w, region_h) for obj in gt):
         raise ValueError(f"ground-truth masks must lie on the {region_w}x{region_h} region canvas")
@@ -135,15 +152,15 @@ def simulate(
     scale = min(profile.input_w / region_w, profile.input_h / region_h)
     s_min, s_max = detectable_range(profile)
     region = stream_seed(profile.seed, *origin)
-    out = []
-    for obj in gt:
-        box = obj.mask.bbox
-        eff = (box.w if box.w > box.h else box.h) * scale
-        if eff < s_min or eff > s_max:
-            continue
-        dx, dy, damping = _draws(profile, region, obj.instance_id)
-        moved = _part(obj.mask, region_w, region_h, dx, dy,
-                      max(0, -dx), max(0, -dy), min(region_w, region_w - dx), min(region_h, region_h - dy))
-        if moved.area:
-            out.append(Proposal(moved, damping * band_score(profile, eff)))
-    return out
+    tried = [((region, obj.instance_id), eff, obj.mask.rows) for obj in gt
+             if s_min <= (eff := max(obj.mask.bbox.w, obj.mask.bbox.h) * scale) <= s_max]
+    if not tried:
+        return []
+    keys, sides, rows = zip(*tried)
+    objectness, _, offsets, rows = _emitted(profile, keys, sides, [(0, 0, region_w, region_h)] * len(keys),
+                                            np.cumsum([0, *map(len, rows)]), np.concatenate(rows))
+    starts = rows[:, 0] * region_w
+    runs, bounds = _span_runs(offsets, starts + rows[:, 1], starts + rows[:, 2], region_w * region_h)
+    runs, bounds = runs.tolist(), bounds.tolist()
+    masks = _masks(region_w, region_h, offsets, rows, [tuple(runs[a:b]) for a, b in zip(bounds, bounds[1:])])
+    return [Proposal(m, o) for m, o in zip(masks, objectness.tolist())]

@@ -1,14 +1,13 @@
-"""Binary pixel masks stored as a tight bounding box plus a bitmap of that box.
+"""Binary pixel masks stored as their foreground row runs.
 
-Moving a mask (a crop, a simulated jitter) is box arithmetic plus slices of
-small arrays, so no operation touches pixels outside the object. A mask is
-made from a tight bitmap or by moving another mask, and encodes its runs only
-when asked. The run-length encoding is the wire format of the proposal
-exchange files and is normative there: runs are listed in row-major scan order
-over the full canvas and alternate background/foreground, with the first run
-counting background pixels (possibly zero). No other run may be zero. A
-file's records never become masks: the column functions below check, cut and
-move the runs of many records at once.
+Each run of foreground on a row is one entry of a mask, its row and its
+[x0, x1) pixel range; a crop or a simulated jitter clips and shifts them. The
+run-length encoding is the wire format of the proposal exchange files and is
+normative there: runs are listed in row-major scan order over the full canvas
+and alternate background/foreground, with the first run counting background
+pixels (possibly zero). No other run may be zero. A file's records never
+become masks: the column functions below check, cut and move the runs of many
+records at once.
 """
 
 from __future__ import annotations
@@ -46,26 +45,58 @@ _set = object.__setattr__
 class BinaryMask:
     """Binary mask on a width x height canvas, immutable once made.
 
-    ``bbox`` is the tight box of the foreground (zero-size at the origin for
-    an empty mask), ``area`` its pixel count and ``bitmap`` the read-only
-    boolean grid of the box. Masks are made only from a tight bitmap
-    (``extract_instances``) or by a move (``crop_mask``, ``simulate``).
+    ``rows`` holds its foreground row runs, read-only, in scan order: entry i
+    is (y, x0, x1), pixels [x0, x1) of row y. ``bbox`` is the tight box of the
+    foreground (zero-size at the origin for an empty mask) and ``area`` its
+    pixel count.
     """
 
-    __slots__ = ("width", "height", "bbox", "area", "bitmap", "_runs")
+    __slots__ = ("width", "height", "bbox", "area", "rows", "_runs")
 
     @property
     def runs(self) -> tuple[int, ...]:
-        """Canonical run-length encoding over the full canvas."""
+        """Canonical run-length encoding over the full canvas, encoded when first asked."""
         if self._runs is None:
-            _set(self, "_runs", _encode(self))
+            ys, x0s, x1s = self.rows.T
+            starts = ys * self.width
+            runs, _ = _span_runs(np.array([0, len(ys)]), starts + x0s, starts + x1s, self.width * self.height)
+            _set(self, "_runs", tuple(runs.tolist()))
         return self._runs
 
     def __setattr__(self, name, value):
         raise AttributeError(f"BinaryMask is immutable; cannot set {name!r}")
 
 
-_NO_PIXELS = np.zeros((0, 0), dtype=bool)
+def _mask(width, height, bbox, area, rows, runs) -> BinaryMask:
+    """The mask of these slots (``runs`` None until asked), its rows made read-only."""
+    mask = object.__new__(BinaryMask)
+    for name, value in zip(BinaryMask.__slots__, (width, height, bbox, area, rows, runs)):
+        _set(mask, name, value)
+    mask.rows.flags.writeable = False
+    return mask
+
+
+def _masks(width: int, height: int, offsets, rows, runs=None) -> list[BinaryMask]:
+    """The non-empty masks on a width x height canvas whose row runs are laid
+    out by ``offsets``: mask k's are rows[offsets[k]:offsets[k + 1]], and its
+    encoding runs[k] if ``runs`` is given."""
+    cuts, ends = offsets[:-1], offsets[1:]
+    ys, x0s, x1s = rows.T
+    boxes = zip(np.minimum.reduceat(x0s, cuts).tolist(), ys[cuts].tolist(), np.maximum.reduceat(x1s, cuts).tolist(),
+                ys[ends - 1].tolist(), np.add.reduceat(x1s - x0s, cuts).tolist(), cuts.tolist(), ends.tolist(),
+                runs or [None] * len(cuts))
+    return [_mask(width, height, BBox(x0, y0, x1 - x0, y1 + 1 - y0), area, rows[a:b], encoding)
+            for x0, y0, x1, y1, area, a, b, encoding in boxes]
+
+
+def _clipped(rows, x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray]:
+    """(clipped, inside): row runs ``rows`` clipped to windows [x0, x1) x
+    [y0, y1), one for all runs or one per run. A clipped run's pixels lie in
+    its window iff ``inside``."""
+    clipped, ys = rows.copy(), rows[:, 0]
+    np.maximum(rows[:, 1], x0, out=clipped[:, 1])
+    np.minimum(rows[:, 2], x1, out=clipped[:, 2])
+    return clipped, (clipped[:, 1] < clipped[:, 2]) & (y0 <= ys) & (ys < y1)
 
 
 def _stops(runs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -106,74 +137,6 @@ def _valid(runs: np.ndarray, offsets: np.ndarray, widths: np.ndarray, heights: n
     return not bad.any() and np.array_equal(stops[offsets[1:] - 1], widths * heights)
 
 
-def _made(width, height, bbox, area, bitmap) -> BinaryMask:
-    """The mask whose read-only ``bitmap`` fills its tight box ``bbox`` with
-    ``area`` pixels; a whole move makes one on its source's bitmap."""
-    mask = object.__new__(BinaryMask)
-    _set(mask, "width", width)
-    _set(mask, "height", height)
-    _set(mask, "bbox", bbox)
-    _set(mask, "area", area)
-    _set(mask, "bitmap", bitmap)
-    _set(mask, "_runs", None)
-    return mask
-
-
-def _tight(width: int, height: int, x: int, y: int, bitmap: np.ndarray, area: int) -> BinaryMask:
-    """Mask whose box at (x, y) is exactly ``bitmap``, a tight grid of ``area``
-    pixels that the mask now owns and makes read-only."""
-    bitmap.flags.writeable = False
-    return _made(width, height, BBox(x, y, *bitmap.shape[::-1]), area, bitmap)
-
-
-def _trimmed(width: int, height: int, x: int, y: int, bitmap: np.ndarray) -> BinaryMask:
-    """Mask of ``bitmap`` placed at (x, y), its box shrunk to the foreground."""
-    pixels = bitmap.tobytes()
-    first = pixels.find(1)
-    if first < 0:
-        return _tight(width, height, 0, 0, _NO_PIXELS, 0)
-    w = bitmap.shape[1]
-    cols = bitmap.any(axis=0).tobytes()
-    r0, r1 = first // w, pixels.rfind(1) // w + 1
-    c0, c1 = cols.find(1), cols.rfind(1) + 1
-    tight = bitmap[r0:r1, c0:c1].copy()
-    return _tight(width, height, x + c0, y + r0, tight, int(np.count_nonzero(tight)))
-
-
-def _part(mask, width, height, dx, dy, x0, y0, x1, y1) -> BinaryMask:
-    """Pixels of ``mask`` inside [x0, x1) x [y0, y1), moved by (dx, dy) onto a new canvas."""
-    b = mask.bbox
-    cx0, cy0 = max(b.x, x0), max(b.y, y0)
-    cx1, cy1 = min(b.x + b.w, x1), min(b.y + b.h, y1)
-    if cx0 >= cx1 or cy0 >= cy1:
-        return _trimmed(width, height, 0, 0, _NO_PIXELS)
-    if cx1 - cx0 == b.w and cy1 - cy0 == b.h:  # all of it: the same pixels, moved
-        return _made(width, height, BBox(b.x + dx, b.y + dy, b.w, b.h), mask.area, mask.bitmap)
-    sub = mask.bitmap[cy0 - b.y : cy1 - b.y, cx0 - b.x : cx1 - b.x]
-    return _trimmed(width, height, cx0 + dx, cy0 + dy, sub)
-
-
-def _encode(m: BinaryMask) -> tuple[int, ...]:
-    """The canonical runs of mask ``m``.
-
-    The bitmap is laid out between two background pixels, with a background
-    pixel after each row unless the box is as wide as the canvas: then its
-    rows follow each other as on the canvas, and a run goes on into the next
-    row. So one diff finds every run's start and stop.
-    """
-    width, size, b = m.width, m.width * m.height, m.bbox
-    if m.area == 0:
-        return (size,)
-    padded = b.w + (b.w < width)
-    rows = np.zeros(b.h * padded + 2, dtype=np.int8)
-    rows[1 : 1 + b.h * padded].reshape(-1, padded)[:, : b.w] = m.bitmap
-    flips = np.flatnonzero(rows[1:] != rows[:-1])  # before pixel f + 1, the f-th of the laid-out bitmap
-    bounds = flips + flips // padded * (width - padded) + (b.y * width + b.x)  # start, stop, start, ...
-    runs = [bounds[0].item(), *(bounds[1:] - bounds[:-1]).tolist()]
-    tail = size - bounds[-1].item()
-    return tuple(runs + [tail] if tail else runs)
-
-
 def _row_spans(owner, starts, lengths, widths, xs, ys, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(offsets, starts, stops) of the foreground row spans of masks given by
     their foreground runs, as ``_foreground`` yields them, on canvases
@@ -197,22 +160,28 @@ def _span_runs(offsets, starts, stops, size: int) -> tuple[np.ndarray, np.ndarra
     """The canonical runs, laid out as for ``_stops``, of masks on a canvas of
     ``size`` pixels given by the (offsets, starts, stops) of ``_row_spans``. A span
     that ends at a row end and one that starts the next row at x = 0 are one
-    run, so where a stop is the next start of the same mask both go."""
-    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    goes_on = np.zeros(len(starts) + 1, dtype=bool)  # span i goes on span i - 1's run
-    goes_on[1:-1] = (stops[:-1] == starts[1:]) & (owner[:-1] == owner[1:])
-    opens, closes = ~goes_on[:-1], ~goes_on[1:]
-    bounds = np.stack((starts[opens], stops[closes]), axis=1).ravel()  # start, stop, start, ... of each run
-    pairs = np.bincount(owner[opens], minlength=len(offsets) - 1)
-    ends = 2 * np.cumsum(pairs)  # where each mask's bounds end
-    has = pairs > 0
-    firsts, lasts = ends[has] - 2 * pairs[has], ends[has] - 1
-    runs = np.diff(bounds, prepend=0)
-    runs[firsts] = bounds[firsts]  # a mask's first run is its first start
-    tail = np.full(len(pairs), size, dtype=np.int64)
-    tail[has] -= bounds[lasts]
-    runs = np.insert(runs, ends[tail > 0], tail[tail > 0])
-    return runs, _offsets_of(2 * pairs + (tail > 0))
+    run. Each mask's bounds are laid out as start, stop, ..., then ``size``, so
+    one difference of neighbours gives its runs; a last run of 0 goes."""
+    n = len(offsets) - 1
+    owner = np.repeat(np.arange(n), offsets[1:] - offsets[:-1])
+    opens = np.ones(len(starts) + 1, dtype=bool)  # span i opens a run unless it goes on span i - 1's,
+    opens[1:-1] = (stops[:-1] != starts[1:]) | (owner[:-1] != owner[1:])
+    opens, closes = opens[:-1], opens[1:]  # so it closes one where span i + 1 opens one, or it is the last
+    owner = owner[opens]  # of each run
+    pairs = np.bincount(owner, minlength=n)
+    at = 2 * np.arange(len(owner)) + owner  # where each run's start goes
+    bounds = np.empty(2 * len(owner) + n, dtype=np.int64)
+    bounds[at] = starts[opens]
+    bounds[at + 1] = stops[closes]
+    ends = 2 * np.cumsum(pairs) + np.arange(n)  # where each mask's size bound goes
+    bounds[ends] = size
+    firsts = ends - 2 * pairs
+    runs = bounds.copy()
+    runs[1:] -= bounds[:-1]
+    runs[firsts] = bounds[firsts]
+    keep = runs != 0  # no run but a first may be 0
+    keep[firsts] = True
+    return runs[keep], np.concatenate(([0], np.cumsum(keep)[ends]))
 
 
 def _offsets_of(counts: np.ndarray) -> np.ndarray:
@@ -250,4 +219,11 @@ def crop_mask(mask: BinaryMask, x0: int, y0: int, width: int, height: int) -> Bi
         raise ValueError("crop window outside the mask")
     if width < 1 or height < 1:
         raise ValueError("crop window must be non-empty")
-    return _part(mask, width, height, -x0, -y0, x0, y0, x0 + width, y0 + height)
+    b, x1, y1, shift = mask.bbox, x0 + width, y0 + height, (y0, x0, x0)
+    if x0 <= b.x and b.x + b.w <= x1 and y0 <= b.y and b.y + b.h <= y1:  # all of it: the same runs, moved
+        return _mask(width, height, BBox(b.x - x0, b.y - y0, b.w, b.h), mask.area, mask.rows - shift, None)
+    clipped, inside = _clipped(mask.rows, x0, y0, x1, y1)
+    rows = clipped[inside] - shift
+    if not len(rows):
+        return _mask(width, height, BBox(0, 0, 0, 0), 0, rows, None)
+    return _masks(width, height, np.array([0, len(rows)]), rows)[0]

@@ -12,9 +12,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .detector import DetectorProfile, _draws, band_score, detectable_range
+from .annotations import _id_runs
+from .detector import DetectorProfile, _emitted, detectable_range
 from .exchange import ExchangeFormatError, ProposalBatch
-from .masks import _foreground, _offsets_of, _row_spans, _segments, _span_runs, _sums
+from .masks import _clipped, _foreground, _offsets_of, _row_spans, _segments, _span_runs, _sums
 from .prng import stream_seed
 from .synth import Scene
 from .tiling import Tile, TileGridSpec, plan_grid
@@ -57,7 +58,7 @@ def fit(batch: ProposalBatch, width: int, height: int, tiles: Sequence[Tile] = (
     only whole-image records are accepted. The first record that does not
     fit is an ``ExchangeFormatError`` naming its line."""
     # each record's frame: its tile, or the image itself, the last row
-    frames = np.array([(t.x0, t.y0, t.w, t.h) for t in tiles] + [(0, 0, width, height)], dtype=np.int64)
+    frames = np.array([*tiles, (-1, 0, 0, width, height)], dtype=np.int64)[:, 1:]
     whole = batch.tiles < 0
     known = whole | (batch.tiles < len(tiles))
     frame = frames[np.where(whole | ~known, len(tiles), batch.tiles)]
@@ -208,41 +209,23 @@ def nms(candidates: Spans, iou_threshold: float, top_k: int | None = None) -> np
 def _simulated_spans(scene: Scene, tiles: list[Tile], profile: DetectorProfile) -> Spans:
     """What the simulated detector emits for each tile, as ``Spans`` on the
     image, made from the instance map's row runs: tiles in order, each tile's
-    objects by id.
-
-    A (tile, object) pair is tried if the object's box meets the tile. Its box
-    in the tile, the box of its runs clipped to the tile (side 0 if none is
-    left), takes ``simulate``'s band filter. A pair that passes draws dx, dy
-    and the noise from the (seed, x0, y0, id) stream. Its candidate is the
-    object's pixels in the tile that stay in it when moved by (dx, dy), so
-    moved: what a crop to the tile, ``simulate`` and a move back onto the
-    image keep. A candidate left with no pixel is dropped.
-    """
+    objects by id. A (tile, object) pair is tried if the object's box meets
+    the tile. Its box in the tile, the box of its runs clipped to the tile
+    (side 0 if none is left), takes ``simulate``'s band filter. A pair that
+    passes goes to ``_emitted`` with the tile as its frame: what a crop to the
+    tile, ``simulate`` and a move back onto the image keep."""
     width, height = scene.width, scene.height
-    flat = scene.instances.pixels.ravel()
-    cut = np.empty(flat.size, dtype=bool)  # where a run of one id starts: at a new id, and at each row start
-    np.not_equal(flat[1:], flat[:-1], out=cut[1:])
-    cut[::width] = True
-    starts = np.flatnonzero(cut)
-    ids = flat[starts].astype(np.int64)
-    order = np.flatnonzero(ids)
-    order = order[np.argsort(ids[order], kind="stable")]  # the objects' runs by id, each object's in scan order
-    ids, row = ids[order], starts[order] // width
-    xa, xb = starts[order] - row * width, np.append(starts[1:], flat.size)[order] - row * width
-    first = np.flatnonzero(np.diff(ids, prepend=0))
-    runs_of = np.append(first, len(ids))  # object k's runs are those from runs_of[k] to runs_of[k + 1]
-    frames = np.array([(t.x0, t.y0, t.x0 + t.w, t.y0 + t.h) for t in tiles], dtype=np.int64)
+    ids, runs_of, rows = _id_runs(scene.instances.pixels)
+    ys, x0s, x1s = rows.T
+    first = runs_of[:-1]
+    frames = np.array(tiles, dtype=np.int64)[:, 1:]  # x0, y0, w, h
+    frames[:, 2:] += frames[:, :2]  # x0, y0, x1, y1
     x0, y0, x1, y1 = frames.T[..., None]  # each tile's frame against each object's box
-    pair_tile, pair_obj = np.nonzero((x0 < np.maximum.reduceat(xb, first)) & (np.minimum.reduceat(xa, first) < x1)
-                                     & (y0 < row[runs_of[1:] - 1] + 1) & (row[first] < y1))
-
-    def clipped(objects, windows):  # the runs of each of ``objects`` clipped to its window
-        offsets, where = _segments(runs_of, objects)
-        x0, y0, x1, y1 = np.repeat(windows, np.diff(offsets), axis=0).T
-        r, lo, hi = row[where], np.maximum(xa[where], x0), np.minimum(xb[where], x1)
-        return offsets, r, lo, hi, (lo < hi) & (y0 <= r) & (r < y1)
-
-    offsets, r, lo, hi, inside = clipped(pair_obj, frames[pair_tile])
+    pair_tile, pair_obj = np.nonzero((x0 < np.maximum.reduceat(x1s, first)) & (np.minimum.reduceat(x0s, first) < x1)
+                                     & (y0 < ys[runs_of[1:] - 1] + 1) & (ys[first] < y1))
+    offsets, where = _segments(runs_of, pair_obj)
+    clipped, inside = _clipped(rows[where], *np.repeat(frames[pair_tile], np.diff(offsets), axis=0).T)
+    r, lo, hi = clipped.T
     cuts = offsets[:-1]
     w = np.maximum.reduceat(np.where(inside, hi, 0), cuts) - np.minimum.reduceat(np.where(inside, lo, width), cuts)
     h = np.maximum.reduceat(np.where(inside, r + 1, 0), cuts) - np.minimum.reduceat(np.where(inside, r, height), cuts)
@@ -250,28 +233,14 @@ def _simulated_spans(scene: Scene, tiles: list[Tile], profile: DetectorProfile) 
     eff = np.maximum(np.maximum(w, h), 0) * scale
     s_min, s_max = detectable_range(profile)
     tried = np.flatnonzero((eff >= s_min) & (eff <= s_max))
-    regions: dict[int, int] = {}  # stream_seed(seed, x0, y0) of each tile
-    scores: dict[float, float] = {}  # the band score of each distinct side
-    moves, objectness = [], []
-    for t, i, e in zip(pair_tile[tried].tolist(), ids[first][pair_obj[tried]].tolist(), eff[tried].tolist()):
-        region = regions.get(t)
-        if region is None:
-            region = regions[t] = stream_seed(profile.seed, tiles[t].x0, tiles[t].y0)
-        dx, dy, damping = _draws(profile, region, i)
-        moves.append((dx, dy))
-        score = scores.get(e)
-        if score is None:
-            score = scores[e] = band_score(profile, e)
-        objectness.append(damping * score)
-    moves = np.array(moves, dtype=np.int64).reshape(-1, 2)  # (dx, dy)
-    # the tile's pixels that stay in it when moved: x in [max(x0, x0 - dx), min(x1, x1 - dx)), y alike
-    windows = frames[pair_tile[tried]] + np.hstack((np.maximum(-moves, 0), np.minimum(-moves, 0)))
-    offsets, r, lo, hi, inside = clipped(pair_obj[tried], windows)
-    shift = r * width + np.repeat(moves @ (1, width), np.diff(offsets))
-    areas = _sums(np.where(inside, hi - lo, 0), offsets)
-    kept = areas > 0
-    return Spans(width, height, np.array(objectness, dtype=float)[kept], areas[kept],
-                 _offsets_of(_sums(inside, offsets)[kept]), (lo + shift)[inside], (hi + shift)[inside])
+    regions = [stream_seed(profile.seed, t.x0, t.y0) for t in tiles]
+    keys = [(regions[t], i) for t, i in zip(pair_tile[tried].tolist(), ids[pair_obj[tried]].tolist())]
+    offsets, where = _segments(offsets, tried)
+    inside = inside[where]  # the tried pairs' runs in their tiles
+    objectness, areas, offsets, rows = _emitted(profile, keys, eff[tried].tolist(), frames[pair_tile[tried]].tolist(),
+                                                _offsets_of(_sums(inside, offsets)), clipped[where[inside]])
+    starts = rows[:, 0] * width
+    return Spans(width, height, objectness, areas, offsets, starts + rows[:, 1], starts + rows[:, 2])
 
 
 def run_tiled(

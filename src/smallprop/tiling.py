@@ -8,6 +8,8 @@ guarantees full coverage without padding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import NamedTuple
 
 
 @dataclass(eq=True)
@@ -27,8 +29,7 @@ class TileGridSpec:
             raise ValueError("strides must not exceed the tile size")
 
 
-@dataclass(eq=True)
-class Tile:
+class Tile(NamedTuple):
     index: int
     x0: int
     y0: int
@@ -36,26 +37,10 @@ class Tile:
     h: int
 
 
-def _origins(extent: int, tile: int, stride: int) -> list[int]:
-    last = extent - tile
-    out = list(range(0, last + 1, stride))
-    if out[-1] != last:
-        out.append(last)
-    return out
-
-
 def plan_grid(img_w: int, img_h: int, spec: TileGridSpec) -> list[Tile]:
     """Row-major list of tiles covering every pixel of the image."""
     if spec.tile_w > img_w or spec.tile_h > img_h:
-        raise ValueError(
-            f"tile {spec.tile_w}x{spec.tile_h} larger than image {img_w}x{img_h}"
-        )
-    xs = _origins(img_w, spec.tile_w, spec.stride_x)
-    ys = _origins(img_h, spec.tile_h, spec.stride_y)
-    tiles = []
-    index = 0
-    for y in ys:
-        for x in xs:
-            tiles.append(Tile(index, x, y, spec.tile_w, spec.tile_h))
-            index += 1
-    return tiles
+        raise ValueError(f"tile {spec.tile_w}x{spec.tile_h} larger than image {img_w}x{img_h}")
+    xs = [*range(0, img_w - spec.tile_w, spec.stride_x), img_w - spec.tile_w]  # the last origin is clamped
+    ys = [*range(0, img_h - spec.tile_h, spec.stride_y), img_h - spec.tile_h]
+    return [Tile(index, x, y, spec.tile_w, spec.tile_h) for index, (y, x) in enumerate(product(ys, xs))]

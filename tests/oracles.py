@@ -158,6 +158,13 @@ def mask_grid(mask) -> np.ndarray:
     return np.repeat(np.arange(runs.size) % 2 == 1, runs).reshape(mask.height, mask.width)
 
 
+def mask_spans(mask) -> list[tuple[int, int]]:
+    """The [start, stop) flat positions of a mask's row runs, read off its
+    ``rows``, to compare with ``grid_spans``."""
+    w = mask.width
+    return [(y * w + a, y * w + b) for y, a, b in mask.rows.tolist()]
+
+
 def rect_grid(w: int, h: int, x0: int, y0: int, rw: int, rh: int) -> np.ndarray:
     """The h x w grid of a filled rectangle clipped to the canvas."""
     grid = np.zeros((h, w), dtype=bool)

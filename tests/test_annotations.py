@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from smallprop.annotations import SizeCategory, extract_instances, size_category
 from smallprop.raster import RasterImage, write_pnm
 from smallprop.synth import read_instances
-from oracles import grid_bbox, mask_grid
+from oracles import grid_bbox, grid_spans, mask_grid, mask_spans
 
 
 def test_boundary_areas():
@@ -27,7 +27,9 @@ def test_every_area_has_exactly_one_category(area):
 
 
 def test_extract_empty_map():
-    assert extract_instances(np.zeros((3, 3), np.uint16)) == []
+    # grids without a pixel too: a row of width 0 has no start to cut at
+    for shape in ((3, 3), (3, 0), (0, 3), (0, 0)):
+        assert extract_instances(np.zeros(shape, np.uint16)) == []
 
 
 def test_extract_single_block():
@@ -105,4 +107,5 @@ def test_extracted_masks_match_the_pixel_oracle():
             assert (o.mask.bbox.x, o.mask.bbox.y, o.mask.bbox.w, o.mask.bbox.h) == grid_bbox(grid)
             assert o.mask.area == int(grid.sum())
             assert np.array_equal(mask_grid(o.mask), grid)
-            assert not o.mask.bitmap.flags.writeable
+            assert mask_spans(o.mask) == grid_spans(grid)
+            assert not o.mask.rows.flags.writeable

@@ -374,6 +374,15 @@ def test_radius_whose_square_overflows_is_a_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_jitter_beyond_int64_runs(tmp_path, capsys):
+    # exited 2 with an internal OverflowError; a move that large empties every candidate
+    synth_small(tmp_path / "s", count=1, width=1280, height=720)
+    out = tmp_path / "props"
+    assert run_cli("run", "--scenes", tmp_path / "s", "--out", out, "--jitter", 10**20) == 0
+    assert capsys.readouterr().err == ""
+    assert [(out / f"{stem}.jsonl").read_bytes() for stem in list_scene_stems(tmp_path / "s")] == [b""]
+
+
 def test_data_error_exit_code(tmp_path, capsys):
     synth_small(tmp_path / "s", count=1)
     # tile larger than the image is a data/validation failure

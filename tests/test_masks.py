@@ -10,14 +10,14 @@ from smallprop.annotations import extract_instances
 from smallprop.masks import BBox, BinaryMask, _foreground, _row_spans, _span_runs, _valid, crop_mask
 from smallprop.tiling import Tile
 import oracles
-from oracles import embedded, grid_bbox, grid_runs, mask_grid, rect_grid
+from oracles import embedded, grid_bbox, grid_runs, grid_spans, mask_grid, mask_spans, rect_grid
 
 grids = hnp.arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24)))
 
 
 def _from_grid(grid) -> BinaryMask:
     """The mask of a full-canvas row-major grid made from its pixels, as
-    extraction makes it: a tight bitmap and no runs. An empty grid's mask is
+    extraction makes it: its row runs, none encoded. An empty grid's mask is
     the crop of the grid's canvas from a mask one column wider, whose only
     pixels lie in that column."""
     grid = np.asarray(grid, dtype=bool)
@@ -41,10 +41,13 @@ def test_encode_checker():
     assert _from_grid([[1, 0], [0, 1]]).runs == (0, 1, 2, 1)
 
 
-def test_bitmap_examples():
-    assert _from_grid(np.zeros((2, 2), bool)).bitmap.shape == (0, 0)
-    assert _from_grid(np.ones((2, 2), bool)).bitmap.all()
-    assert _from_grid([[1, 0], [0, 1]]).bitmap.tolist() == [[True, False], [False, True]]
+def test_row_run_examples():
+    # each run of foreground on a row is one entry: its row y and its [x0, x1)
+    assert _from_grid(np.zeros((2, 2), bool)).rows.tolist() == []
+    assert _from_grid(np.ones((2, 2), bool)).rows.tolist() == [[0, 0, 2], [1, 0, 2]]
+    assert _from_grid([[1, 0, 1], [0, 1, 1]]).rows.tolist() == [[0, 0, 1], [0, 2, 3], [1, 1, 3]]
+    for grid in ([[1, 0], [0, 1]], [[1, 0, 1], [0, 1, 1]]):
+        assert mask_spans(_from_grid(grid)) == grid_spans(np.array(grid, bool))
 
 
 def test_corrupt_runs_rejected():
@@ -131,9 +134,8 @@ def _assert_matches(mask, grid):
     assert np.array_equal(mask_grid(mask), grid)
     assert mask.area == int(grid.sum())
     assert (mask.bbox.x, mask.bbox.y, mask.bbox.w, mask.bbox.h) == grid_bbox(grid)
-    b = mask.bbox
-    assert np.array_equal(mask.bitmap, grid[b.y : b.y + b.h, b.x : b.x + b.w])
-    assert not mask.bitmap.flags.writeable
+    assert mask_spans(mask) == grid_spans(grid)
+    assert not mask.rows.flags.writeable
     assert mask.runs == grid_runs(grid)
 
 
@@ -178,24 +180,25 @@ def test_mask_ops_match_grid_oracles(grid, data):
 @example(np.array([[0, 1, 1], [1, 1, 0]], bool), 1, 2)  # a run that goes on past a row end
 @example(np.array([[0, 0, 1], [1, 0, 0]], bool), 0, 0)  # its pieces leave a column empty
 @example(np.zeros((2, 3), bool), 1, 0)
-def test_every_route_measures_when_made_and_moves_share_one_bitmap(grid, ex, ey):
-    # a mask is made from a tight bitmap, as extraction makes one, or by a
-    # move; no run makes a mask
+def test_every_route_measures_when_made_and_moves_shift_its_row_runs(grid, ex, ey):
+    # a mask is made from the instance map's row runs, as extraction makes
+    # one, or by a move; no encoded run makes a mask
     h, w = grid.shape
     box = grid_bbox(grid)
     big = embedded(grid, Tile(0, ex, ey, w, h), w + ex, h + ey)
     drawn = [o.mask for o in extract_instances(big.astype(np.uint8))]  # none for an empty grid
     with pytest.raises(TypeError):
         BinaryMask(w, h, grid_runs(grid))
-    # the box and area are plain slots set when made, and a mask made from a bitmap encodes no runs
+    # the box and area are plain slots set when made, and an extracted mask encodes no runs
     assert not hasattr(BinaryMask, "__getattr__")
     assert all(m._runs is None and not hasattr(m, "__dict__") for m in drawn)
     assert [(m.bbox.x, m.bbox.y, m.bbox.w, m.bbox.h) for m in drawn] == [grid_bbox(big)] * bool(grid.any())
     for large in drawn:
         moved = [crop_mask(large, ex, ey, w, h), crop_mask(large, 0, 0, w + ex, h + ey)]  # each moves it whole
         moved.append(crop_mask(moved[0], *box))  # so does a crop to the box, here a second time
-        # a move shares its source's bitmap array
-        assert all(m.bitmap is large.bitmap for m in moved)
+        # a move keeps every row run of its source, shifted by the window's origin
+        for m, (x, y) in zip(moved, ((ex, ey), (0, 0), (ex + box[0], ey + box[1]))):
+            assert m.rows.tolist() == [[r - y, a - x, b - x] for r, a, b in large.rows.tolist()]
         assert all(m.area == large.area == int(grid.sum()) for m in moved)
         _assert_matches(large, big)
         _assert_matches(moved[0], grid)
