@@ -9,6 +9,7 @@ validation or internal error. Errors are emitted on stderr as single-line JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import hashlib
 import json
@@ -18,6 +19,7 @@ import sys
 from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .detector import DetectorProfile, preset, PRESET_LEVELS
@@ -438,13 +440,17 @@ def _keep_freed_memory() -> None:
 def main(argv=None) -> int:
     _keep_freed_memory()
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # so a failed write to stdout is a data error like any other
+        return code
     except UsageError as exc:
         sys.stderr.write(json.dumps({"error": "usage", "message": str(exc)}) + "\n")
         return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
     except (ValueError, OSError) as exc:  # covers the mask/pnm/exchange errors
         sys.stderr.write(json.dumps({"error": "data", "message": str(exc)}) + "\n")
         return 2
@@ -453,5 +459,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> NoReturn:
+    """The process entry point, of ``python -m smallprop.cli`` and of the
+    ``smallprop`` script: ``main()``, then stdout and stderr flushed and the
+    process ended with its exit code by ``os._exit``, which skips interpreter
+    teardown, so ``atexit`` handlers do not run. Every output file is closed
+    before ``main`` returns, and ``main`` has flushed stdout or reported why
+    it could not."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(OSError):  # main has reported a failed write to stdout
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -18,7 +18,7 @@ import numpy as np
 
 from .annotations import GroundTruthObject
 from .masks import BinaryMask, _clipped, _masks, _offsets_of, _span_runs
-from .prng import prng_next, randint, random, stream_seed
+from .prng import MASK64, random, splitmix64_block, stream_seed
 
 ALLOWED_LEVELS = (4, 8, 16, 32, 64, 128)
 
@@ -101,35 +101,43 @@ def band_score(profile: DetectorProfile, side: float) -> float:
     return best
 
 
-def _emitted(profile: DetectorProfile, keys, sides, frames, offsets, rows) -> tuple:
+def _moves(u: np.ndarray, jitter: int, sides: np.ndarray) -> np.ndarray:
+    """randint(u, -jitter, jitter) of each draw u, cut to [-side, side] by its
+    ``sides`` entry, exact for any jitter >= 0."""
+    if jitter < 1 << 63:  # the span, 2 * jitter + 1, and every move fit in 64 bits
+        moves = (u % np.uint64(2 * jitter + 1) - np.uint64(jitter)).view(np.int64)
+    else:  # the span exceeds every draw, so a move is u - jitter, below 2**63
+        jitter = min(jitter, MASK64 + (1 << 63))  # a larger jitter moves every draw below -2**63 too
+        moves = np.where(u >= np.uint64(jitter - (1 << 63)), (u - np.uint64(jitter & MASK64)).view(np.int64), -1 << 63)
+    return np.minimum(np.maximum(moves, -sides), sides)
+
+
+def _emitted(profile: DetectorProfile, regions, ids, sides, frames, offsets, rows) -> tuple:
     """(objectness, areas, offsets, rows) of what the simulated detector emits
-    for (region, object) pairs that passed the band filter. Pair k is
-    ``keys[k]``, (its region's stream, stream_seed(seed, x0, y0), the object's
-    id), its rescaled side ``sides[k]``, its region's frame ``frames[k]``,
-    (x0, y0, x1, y1), and the object's row runs in the frame,
+    for (region, object) pairs that passed the band filter, all columns. Pair
+    k is keyed by its region's stream, ``regions[k]`` (stream_seed(seed, x0,
+    y0); one int if every pair shares it), and the object's id ``ids[k]``,
+    both uint64. It has the rescaled side ``sides[k]``, its region's frame
+    ``frames[k]``, (x0, y0, x1, y1), and the object's row runs in the frame,
     rows[offsets[k]:offsets[k + 1]], at least one. It draws dx, dy and the
     noise, in that order, from the stream keyed by the id from its region's;
-    a move past the frame's side leaves no pixel, so it is cut to that side.
-    Its candidate is its runs moved, clipped to the frame, if any are left.
+    every pair's draws are made at once, as uint64 columns. A move past the
+    frame's side leaves no pixel, so it is cut to that side. Its candidate is
+    its runs moved, clipped to the frame, if any are left. The band score is
+    taken once per distinct side.
     """
-    jitter, noise = profile.jitter, profile.objectness_noise
-    moves, objectness, scores = [], [], {}  # scores: the band score of each distinct side
-    for (region, instance_id), side, (x0, y0, x1, y1) in zip(keys, sides, frames):
-        draw_dx, state = prng_next(stream_seed(region, instance_id))
-        draw_dy, state = prng_next(state)
-        draw_noise, _ = prng_next(state)
-        dx = min(max(randint(draw_dx, -jitter, jitter), x0 - x1), x1 - x0)
-        dy = min(max(randint(draw_dy, -jitter, jitter), y0 - y1), y1 - y0)
-        moves.append((x0, y0, x1, y1, dy, dx, dx))  # the frame, and the move of a row run (y, x0, x1)
-        if side not in scores:
-            scores[side] = band_score(profile, side)
-        objectness.append((1.0 - noise * random(draw_noise)) * scores[side])
+    draws = splitmix64_block(stream_seed(regions, ids), 3)
+    dx, dy = _moves(draws[:, :2], profile.jitter, frames[:, 2:] - frames[:, :2]).T
+    distinct = sorted(set(sides.tolist()))
+    scores = np.array([band_score(profile, side) for side in distinct], dtype=float)[np.searchsorted(distinct, sides)]
+    objectness = (1.0 - profile.objectness_noise * random(draws[:, 2])) * scores
     cuts = offsets[:-1]
-    moves = np.repeat(np.array(moves, dtype=np.int64).reshape(-1, 7), offsets[1:] - cuts, axis=0)
+    # the frame, and the move of a row run (y, x0, x1), of each run
+    moves = np.repeat(np.column_stack((frames, dy, dx, dx)), offsets[1:] - cuts, axis=0)
     clipped, inside = _clipped(rows + moves[:, 4:], *moves[:, :4].T)
     areas = np.add.reduceat(np.where(inside, clipped[:, 2] - clipped[:, 1], 0), cuts)
     kept = areas > 0
-    return (np.array(objectness, dtype=float)[kept], areas[kept],
+    return (objectness[kept], areas[kept],
             _offsets_of(np.add.reduceat(inside, cuts, dtype=np.int64)[kept]), clipped[inside])
 
 
@@ -151,13 +159,13 @@ def simulate(profile: DetectorProfile, region_w: int, region_h: int, gt: list[Gr
         raise ValueError("region must have positive area")
     scale = min(profile.input_w / region_w, profile.input_h / region_h)
     s_min, s_max = detectable_range(profile)
-    region = stream_seed(profile.seed, *origin)
-    tried = [((region, obj.instance_id), eff, obj.mask.rows) for obj in gt
+    tried = [(int(obj.instance_id) & MASK64, eff, obj.mask.rows) for obj in gt
              if s_min <= (eff := max(obj.mask.bbox.w, obj.mask.bbox.h) * scale) <= s_max]
     if not tried:
         return []
-    keys, sides, rows = zip(*tried)
-    objectness, _, offsets, rows = _emitted(profile, keys, sides, [(0, 0, region_w, region_h)] * len(keys),
+    ids, sides, rows = zip(*tried)
+    objectness, _, offsets, rows = _emitted(profile, stream_seed(profile.seed, *origin), np.array(ids, dtype=np.uint64),
+                                            np.array(sides), np.array([(0, 0, region_w, region_h)] * len(ids)),
                                             np.cumsum([0, *map(len, rows)]), np.concatenate(rows))
     starts = rows[:, 0] * region_w
     runs, bounds = _span_runs(offsets, starts + rows[:, 1], starts + rows[:, 2], region_w * region_h)

@@ -233,11 +233,11 @@ def _simulated_spans(scene: Scene, tiles: list[Tile], profile: DetectorProfile) 
     eff = np.maximum(np.maximum(w, h), 0) * scale
     s_min, s_max = detectable_range(profile)
     tried = np.flatnonzero((eff >= s_min) & (eff <= s_max))
-    regions = [stream_seed(profile.seed, t.x0, t.y0) for t in tiles]
-    keys = [(regions[t], i) for t, i in zip(pair_tile[tried].tolist(), ids[pair_obj[tried]].tolist())]
+    tile = pair_tile[tried]
+    regions = stream_seed(profile.seed, frames[:, 0], frames[:, 1])  # each tile's stream
     offsets, where = _segments(offsets, tried)
     inside = inside[where]  # the tried pairs' runs in their tiles
-    objectness, areas, offsets, rows = _emitted(profile, keys, eff[tried].tolist(), frames[pair_tile[tried]].tolist(),
+    objectness, areas, offsets, rows = _emitted(profile, regions[tile], ids[pair_obj[tried]], eff[tried], frames[tile],
                                                 _offsets_of(_sums(inside, offsets)), clipped[where[inside]])
     starts = rows[:, 0] * width
     return Spans(width, height, objectness, areas, offsets, starts + rows[:, 1], starts + rows[:, 2])

@@ -337,6 +337,33 @@ def grid_spans(grid: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
+def ref_stream_seed(base: int, *keys: int) -> int:
+    """The seed of the stream keyed by ``keys`` from ``base``: for each key in
+    turn, the first draw of the stream from the seed so far xor the key."""
+    stream = base & M64
+    for key in keys:
+        stream = ref_splitmix64(stream ^ (key & M64), 1)[0]
+    return stream
+
+
+def ref_emitted(profile, region: int, instance_id: int, side: float, frame, runs):
+    """One (region, object) pair of the simulated detector's emit step, from
+    its definition: dx, dy and noise, the first three draws of the stream
+    keyed by the id from the region's; each move is a uniform integer in
+    [-jitter, jitter], cut to the frame's side; the runs (y, x0, x1) moved
+    and clipped to the frame (x0, y0, x1, y1); the objectness. Returns (dx,
+    dy, objectness, the runs left, their area)."""
+    draw_dx, draw_dy, draw_noise = ref_splitmix64(ref_stream_seed(region, instance_id), 3)
+    fx0, fy0, fx1, fy1 = frame
+    span = 2 * profile.jitter + 1
+    dx = min(max(draw_dx % span - profile.jitter, fx0 - fx1), fx1 - fx0)
+    dy = min(max(draw_dy % span - profile.jitter, fy0 - fy1), fy1 - fy0)
+    left = [(y + dy, max(x0 + dx, fx0), min(x1 + dx, fx1)) for y, x0, x1 in runs
+            if fy0 <= y + dy < fy1 and max(x0 + dx, fx0) < min(x1 + dx, fx1)]
+    objectness = (1.0 - profile.objectness_noise * ((draw_noise >> 11) * 2.0**-53)) * ref_band_score(profile, side)
+    return dx, dy, objectness, left, sum(x1 - x0 for _, x0, x1 in left)
+
+
 def ref_band_score(profile, side: float) -> float:
     """The detector's band score of a rescaled side, from its definition: 2 to
     the minus (log distance of the side's fill of a window from the fill band's
@@ -360,10 +387,7 @@ def region_decision(profile, grid: np.ndarray, instance_id: int, origin: tuple[i
     cells = profile.window_cells
     if not profile.fill_min * cells * min(profile.levels) <= eff <= profile.fill_max * cells * max(profile.levels):
         return None
-    stream = profile.seed & M64
-    for key in (*origin, instance_id):
-        stream = ref_splitmix64(stream ^ (key & M64), 1)[0]
-    draw_dx, draw_dy, draw_noise = ref_splitmix64(stream, 3)
+    draw_dx, draw_dy, draw_noise = ref_splitmix64(ref_stream_seed(profile.seed, *origin, instance_id), 3)
     span = 2 * profile.jitter + 1
     moved = shifted(grid, draw_dx % span - profile.jitter, draw_dy % span - profile.jitter)
     if not moved.any():

@@ -1,3 +1,4 @@
+import ast
 import ctypes
 import json
 import os
@@ -26,6 +27,20 @@ from oracles import embedded, grid_runs, mask_grid, ref_nms
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def child_env(drop=()):
+    """This environment less the names in ``drop``, the package's source on PYTHONPATH."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def cli_child(*argv, env=None, **kw):
+    """``python -m smallprop.cli`` with ``argv`` in a child process, in text mode."""
+    return subprocess.run([sys.executable, "-m", "smallprop.cli", *map(str, argv)], env=env or child_env(),
+                          text=True, timeout=60, **kw)
 
 
 def synth_small(out, count=2, seed=5, width=160, height=120, **kw):
@@ -363,15 +378,66 @@ def test_radius_whose_square_overflows_is_a_usage_error(tmp_path):
     out = tmp_path / "o"
     argv = ["synth", "--out", str(out), "--radius-min", "1e300", "--radius-max", "1e301",
             "--width", "64", "--height", "48", "--leaves", "0"]
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "smallprop.cli", *argv], capture_output=True, text=True,
-                          env=env, timeout=60)
+    done = cli_child(*argv, capture_output=True)
     assert done.returncode == 1 and done.stdout == ""
     (line,) = done.stderr.splitlines()
     assert json.loads(line) == {"error": "usage", "message": "--width, --height, --leaves, --radius-min, --radius-max: "
                                                              "radius_max must be finite and have a finite square"}
     assert not out.exists()
+
+
+def test_console_script_and_module_end_through_one_entry():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert project["project"]["scripts"] == {"smallprop": "smallprop.cli:entry"}
+    guards = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [[ast.unparse(line) for line in guard.body] for guard in guards] == [["entry()"]]
+
+
+def test_entry_ends_the_process_with_mains_code_and_no_teardown(tmp_path):
+    # an atexit handler would print at interpreter teardown, which os._exit skips
+    code = ("import atexit, sys; from smallprop import cli; atexit.register(print, 'teardown'); "
+            f"sys.argv[1:] = ['synth', '--out', {str(tmp_path / 'o')!r}, '--count', '0']; cli.entry()")
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(drop=("PYTHONUNBUFFERED",)),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_eval_child_prints_its_report(tmp_path):
+    # stdout is a pipe, so buffered without PYTHONUNBUFFERED; the report is flushed before the process ends
+    synth_small(tmp_path / "s", count=2)
+    assert run_cli("run", "--scenes", tmp_path / "s", "--out", tmp_path / "p", "--mode", "whole") == 0
+    done = cli_child("eval", "--scenes", tmp_path / "s", "--proposals", tmp_path / "p", "--out", tmp_path / "r",
+                     env=child_env(drop=("PYTHONUNBUFFERED",)), capture_output=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (tmp_path / "r.txt").read_text() != ""
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["synth", "--out", "{tmp}/o", "--width", "0"], 1, "usage"),
+    (["run", "--scenes", "{tmp}/missing", "--out", "{tmp}/o"], 2, "data"),
+])
+def test_child_errors_keep_their_exit_code(tmp_path, argv, code, error):
+    done = cli_child(*(a.format(tmp=tmp_path) for a in argv), capture_output=True)
+    assert (done.returncode, done.stdout) == (code, "")
+    (line,) = done.stderr.splitlines()
+    assert json.loads(line)["error"] == error
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+def test_failed_write_to_stdout_is_a_data_error(tmp_path):
+    # with stdout buffered, the report's write failed only at interpreter
+    # teardown: exit 120 and Python's two-line "Exception ignored" message
+    synth_small(tmp_path / "s", count=1)
+    assert run_cli("run", "--scenes", tmp_path / "s", "--out", tmp_path / "p", "--mode", "whole") == 0
+    with open("/dev/full", "w") as full:
+        done = cli_child("eval", "--scenes", tmp_path / "s", "--proposals", tmp_path / "p", "--out", tmp_path / "r",
+                         env=child_env(drop=("PYTHONUNBUFFERED",)), stdout=full, stderr=subprocess.PIPE)
+    assert done.returncode == 2
+    (line,) = done.stderr.splitlines()
+    assert json.loads(line)["error"] == "data"
 
 
 def test_jitter_beyond_int64_runs(tmp_path, capsys):
@@ -790,8 +856,7 @@ def test_serial_synth_faults_in_no_pages_per_scene(tmp_path):
     # another in one process. Each scene allocates about 10 MiB, which a heap
     # that handed it back to the OS faults in again: 2,677 pages a scene.
     cpu = min(os.sched_getaffinity(0))
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     faults = {}
     for count in (2, 10):
         err = tmp_path / f"err{count}"

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smallprop.annotations import extract_instances
 from smallprop.detector import (
     DetectorProfile,
+    _emitted,
+    _moves,
     band_score,
     detectable_range,
     preset,
     simulate,
 )
-from smallprop.prng import prng_next, randint, stream_seed
-from oracles import grid_iou, mask_grid, rect_grid, shifted
+from smallprop.prng import randint, stream_seed
+from oracles import grid_iou, mask_grid, rect_grid, ref_emitted, ref_splitmix64, ref_stream_seed, shifted
 
 
 def gt_square(w, h, x0, y0, side, instance_id=1):
@@ -99,8 +102,8 @@ def test_jitter_over_the_region_edge_drops_the_pixels_that_leave():
         out = simulate(preset("attentionmask", jitter=5, seed=seed), 64, 48, gt, origin=(32, 24))
         assert len(out) == 2
         for obj, p in zip(gt, out):
-            draw_dx, state = prng_next(stream_seed(seed, 32, 24, obj.instance_id))
-            dx, dy = randint(draw_dx, -5, 5), randint(prng_next(state)[0], -5, 5)
+            draw_dx, draw_dy = ref_splitmix64(stream_seed(seed, 32, 24, obj.instance_id), 2)
+            dx, dy = randint(draw_dx, -5, 5), randint(draw_dy, -5, 5)
             assert np.array_equal(mask_grid(p.mask), shifted(mask_grid(obj.mask), dx, dy))
             clipped += p.mask.area < obj.mask.area
     assert clipped >= 6
@@ -163,3 +166,58 @@ def test_simulate_emits_only_valid_proposals():
         dropped += len(gt) - len(out)
         assert all(p.mask.area > 0 and 0.0 <= p.objectness <= 1.0 for p in out)
     assert dropped > 0
+
+
+# jitters about the 64-bit edges of the span 2 * jitter + 1 and of a move
+JITTERS = [0, 1, 2, 7, 2**62 - 1, 2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 2**63, 10**20]
+
+
+@pytest.mark.parametrize("jitter", JITTERS)
+def test_moves_are_exact_for_every_jitter(jitter):
+    # draws next to each edge: where u % span - jitter changes sign or leaves 64 bits
+    near = {0, 1, 2**62, 2**63 - 1, 2**63, 2**64 - 1, jitter, 2 * jitter, jitter - 2**63, jitter - 2**64 + 1}
+    draws = sorted(u + d for u in near for d in (-2, -1, 0, 1, 2) if 0 <= u + d < 2**64)
+    for side in (1, 3, 2**62, 2**63 - 1):
+        got = _moves(np.array(draws, dtype=np.uint64), jitter, np.full(len(draws), side))
+        span = 2 * jitter + 1
+        assert got.tolist() == [min(max(u % span - jitter, -side), side) for u in draws]
+
+
+@st.composite
+def emit_pairs(draw):
+    """A (region origin, id, side, frame, runs) pair: a frame of side 1 and up, 1-4 runs inside it."""
+    x0, y0, w, h = draw(st.integers(0, 40)), draw(st.integers(0, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(x0, x0 + w - 1))
+        runs.append((draw(st.integers(y0, y0 + h - 1)), a, draw(st.integers(a + 1, x0 + w))))
+    origin = (draw(st.integers(0, 2**63 - 1)), draw(st.integers(0, 2**63 - 1)))
+    side = draw(st.sampled_from([16.0, 23.5, 40.0, 159.75]))  # few, so sides repeat
+    return origin, draw(st.integers(0, 2**63 - 1)), side, (x0, y0, x0 + w, y0 + h), runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), pairs=st.lists(emit_pairs(), max_size=6),
+       jitter=st.sampled_from(JITTERS) | st.integers(0, 30), noise=st.sampled_from([0.0, 0.5, 0.9]))
+@example(seed=0, pairs=[((0, 0), 1, 16.0, (0, 0, 1, 1), [(0, 0, 1)])], jitter=2**64, noise=0.5)
+def test_emitted_columns_equal_the_per_pair_definition(seed, pairs, jitter, noise):
+    profile = preset("attentionmask-4-16", jitter=jitter, objectness_noise=noise, seed=seed)
+    regions = [ref_stream_seed(seed, *origin) for origin, *_ in pairs]
+    ids, sides, frames = [p[1] for p in pairs], [p[2] for p in pairs], [p[3] for p in pairs]
+    expected = [ref_emitted(profile, r, i, side, frame, runs) for r, (_, i, side, frame, runs) in zip(regions, pairs)]
+    frames = np.array(frames, dtype=np.int64).reshape(-1, 4)
+    # dx and dy after the cut, from the stream's first two draws
+    streams = [ref_splitmix64(ref_stream_seed(r, i), 2) for r, i in zip(regions, ids)]
+    for k, axis in enumerate((0, 1)):
+        draws = np.array([s[k] for s in streams], dtype=np.uint64)
+        got = _moves(draws, jitter, frames[:, axis + 2] - frames[:, axis])
+        assert got.tolist() == [e[k] for e in expected]
+    runs = [run for *_, pair_runs in pairs for run in pair_runs]
+    objectness, areas, offsets, rows = _emitted(
+        profile, np.array(regions, dtype=np.uint64), np.array(ids, dtype=np.uint64), np.array(sides, dtype=float),
+        frames, np.cumsum([0, *(len(p[4]) for p in pairs)]), np.array(runs, dtype=np.int64).reshape(-1, 3))
+    kept = [e for e in expected if e[4]]
+    assert objectness.dtype == np.float64
+    assert objectness.view(np.uint64).tolist() == np.array([e[2] for e in kept], dtype=float).view(np.uint64).tolist()
+    assert areas.tolist() == [e[4] for e in kept]
+    assert [rows[a:b].tolist() for a, b in zip(offsets, offsets[1:])] == [[list(r) for r in e[3]] for e in kept]

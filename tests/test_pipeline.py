@@ -589,6 +589,8 @@ _SPLIT = np.array([[0, 7, 7, 0, 7, 0, 300, 300, 0, 0, 2],  # id 7 in two runs on
 @example(_SPLIT, (4, 3), (3, 2), "fastmask", (1, 1), 2, 0.5, 5)
 # a jitter past int64: each drawn move is cut to the tile's side
 @example(_SPLIT, (4, 3), (3, 2), "attentionmask-4-16", (40, 30), 2**64, 0.5, 6)
+@example(_SPLIT, (4, 3), (3, 2), "attentionmask-4-16", (40, 30), 2**63, 0.5, 7)
+@example(_SPLIT, (4, 3), (3, 2), "attentionmask-4-16", (40, 30), 10**20, 0.5, 8)
 def test_simulated_spans_equal_the_grid_oracle(labels, tile, stride, name, input_size, jitter, noise, seed):
     height, width = labels.shape
     tile_w, tile_h = min(tile[0], width), min(tile[1], height)

@@ -1,12 +1,13 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from smallprop.annotations import SizeCategory, size_category
-from smallprop.prng import prng_next, randint, random, splitmix64_block, stream_seed
+from smallprop.prng import randint, random, splitmix64_block, stream_seed
 from smallprop.raster import read_pnm
 from smallprop.synth import (
     Scene,
@@ -18,27 +19,19 @@ from smallprop.synth import (
     scene_seed,
     scene_stem,
 )
-from oracles import mask_grid, ref_scene, ref_splitmix64
+from oracles import mask_grid, ref_scene, ref_splitmix64, ref_stream_seed
 
 
 def test_splitmix64_reference_vectors():
-    value, state = prng_next(0)
-    assert value == 0xE220A8397B1DCDAF
-    value2, _ = prng_next(state)
-    assert value2 == 0x6E789E6AA1B965F4
-
-
-def prng_stream(seed, n):
-    """n draws, each prng_next step fed the state of the one before."""
-    draws, state = [], seed
-    for _ in range(n):
-        value, state = prng_next(state)
-        draws.append(value)
-    return draws
+    assert splitmix64_block(0, 2).tolist() == ref_splitmix64(0, 2) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
 
 
 def test_splitmix64_matches_reference_stream():
-    assert prng_stream(987654321, 50) == ref_splitmix64(987654321, 50)
+    # an array of seeds gives one row of draws per seed
+    seeds = [987654321, 0, 2**64 - 1, 2**63]
+    block = splitmix64_block(np.array(seeds, dtype=np.uint64), 50)
+    assert block.dtype == np.uint64 and block.shape == (4, 50)
+    assert block.tolist() == [ref_splitmix64(seed, 50) for seed in seeds]
 
 
 @pytest.mark.parametrize("seed", [0, 987654321, 2**64 - 1, -1, -(2**70) + 3])
@@ -50,7 +43,7 @@ def test_splitmix64_block_matches_reference_stream(seed, n):
 
 
 def test_distinct_seeds_distinct_outputs():
-    assert prng_next(1)[0] != prng_next(2)[0]
+    assert splitmix64_block(1, 1)[0] != splitmix64_block(2, 1)[0]
 
 
 def test_stream_seed_depends_on_every_key():
@@ -60,10 +53,31 @@ def test_stream_seed_depends_on_every_key():
     assert base != stream_seed(6, 1, 2, 3)
 
 
+@settings(max_examples=50, deadline=None)
+@given(base=st.integers(-(2**70), 2**70), keys=st.lists(st.integers(0, 2**64 - 1), max_size=3))
+def test_stream_seed_of_ints_is_an_int(base, keys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's scalars would warn when a product wraps
+        seed = stream_seed(base, *keys)
+    assert type(seed) is int and seed == ref_stream_seed(base, *keys)
+
+
+def test_stream_seed_of_arrays_is_each_elements(recwarn):
+    # arrays broadcast against each other and against ints, element by element
+    xs = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    ys = np.array([[7], [2**62]], dtype=np.int64)
+    seeds = stream_seed(2**64 + 5, xs, ys)
+    assert seeds.dtype == np.uint64 and seeds.shape == (2, 5)
+    assert seeds.tolist() == [[ref_stream_seed(5, x, y) for x in xs.tolist()] for y in (7, 2**62)]
+    assert not recwarn.list
+
+
 def test_random_draws_in_unit_interval():
-    draws = prng_stream(3, 200)
+    draws = ref_splitmix64(3, 200)
     assert all(0.0 <= random(u) < 1.0 for u in draws)
     assert {randint(u, -2, 2) for u in draws} == {-2, -1, 0, 1, 2}
+    # a uint64 array of draws gives each draw's float
+    assert random(np.array(draws, dtype=np.uint64)).tolist() == [random(u) for u in draws]
 
 
 def test_no_apples_gives_empty_scene():
