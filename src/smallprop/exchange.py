@@ -1,16 +1,19 @@
 """File exchange for proposals produced outside the pipeline.
 
-The wire format is JSON lines, one record per line, keys in fixed order
-(image_id, tile_index, width, height, objectness, runs). tile_index is
-omitted for whole-image records. objectness carries exactly six decimal
-digits; the writer formats six and the reader rounds to six (negative zero
-to 0), so quantizing at the two ends makes read/write a byte-stable round trip.
+The wire format is JSON lines, one record per line. The writer's lines are
+canonical: keys in fixed order (image_id, tile_index, width, height,
+objectness, runs), one space after each colon and comma, tile_index omitted
+for whole-image records; the reader takes any JSON object per line under the
+same rules. objectness carries exactly six decimal digits; the writer formats
+six and the reader rounds to six (negative zero to 0), so quantizing at the
+two ends makes read/write a byte-stable round trip.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+import re
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -150,7 +153,7 @@ def _record(line: str, stem: str, path, lineno: int) -> tuple:
 def _broken(width: int, height: int, objectness, runs: list) -> str | None:
     """The first record rule that a record's values break, or None: the
     rules of its runs on its canvas, then its objectness, then a non-empty
-    mask. ``_batch`` checks the same rules on every record at once."""
+    mask. ``_checked`` checks the same rules on every record at once."""
     if width < 1 or height < 1:
         return f"mask dimensions must be positive, got {width}x{height}"
     if width * height > MAX_PIXELS:
@@ -183,44 +186,73 @@ def _check(record, path) -> None:
         raise ExchangeFormatError(f"{path}: line {record[0]}: {why}")
 
 
+def _checked(lines, tiles, widths, heights, objectness, runs, offsets) -> ProposalBatch | None:
+    """The batch of these int64 columns and ``objectness``, numbers each kept as
+    round(o, 6) + 0.0, if every record keeps every rule, else None."""
+    objectness = np.array([round(o, 6) + 0.0 for o in objectness], dtype=float)  # + 0.0 turns -0.0 into 0.0
+    if not _valid(runs, offsets, widths, heights):
+        return None
+    areas = _sums(_foreground(runs, offsets)[2], _offsets_of(np.diff(offsets) // 2))  # foreground runs
+    if not (areas.all() and ((objectness >= 0.0) & (objectness <= 1.0)).all()):
+        return None
+    return ProposalBatch(lines, tiles, widths, heights, objectness, runs, offsets, areas)
+
+
 def _batch(records: list[tuple], path) -> ProposalBatch:
     """The batch of the records of ``_record``, every record's values checked
     at once; if one breaks a rule, the records are checked one by one in file
     order, which raises the error of the first one that does."""
     lines, tiles, widths, heights, objectness, runs = zip(*records) if records else ((),) * 6
+    offsets = _offsets_of([len(r) for r in runs])
     try:
-        objectness = np.array([round(o, 6) + 0.0 for o in objectness], dtype=float)  # + 0.0 turns -0.0 into 0.0
-        widths, heights = np.array(widths, dtype=np.int64), np.array(heights, dtype=np.int64)
-        offsets = _offsets_of([len(r) for r in runs])
-        flat = np.fromiter(chain.from_iterable(runs), np.int64, offsets[-1])
+        batch = _checked(np.array(lines, dtype=np.int64), np.array(tiles, dtype=np.int64),
+                         np.array(widths, dtype=np.int64), np.array(heights, dtype=np.int64), objectness,
+                         np.fromiter(chain.from_iterable(runs), np.int64, offsets[-1]), offsets)
     except OverflowError:  # a value past int64, or an integer objectness past float range
-        valid = False
-    else:
-        valid = _valid(flat, offsets, widths, heights)
-    if valid:
-        areas = _sums(_foreground(flat, offsets)[2], _offsets_of(np.diff(offsets) // 2))  # foreground runs
-        valid = areas.all() and ((objectness >= 0.0) & (objectness <= 1.0)).all()
-    if not valid:
+        batch = None
+    if batch is None:
         for record in records:
             _check(record, path)
         raise AssertionError(f"{path}: the batch rejects a record that passes every check")
-    return ProposalBatch(np.array(lines, dtype=np.int64), np.array(tiles, dtype=np.int64), widths, heights,
-                         objectness, flat, offsets, areas)
+    return batch
 
 
-def read_proposals(path) -> ProposalBatch:
-    """The records of a JSONL proposal file as one batch, in file order; every
-    record's image_id must be the file's stem. The first line that breaks a
-    rule, in file order, raises an ``ExchangeFormatError`` naming it."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ExchangeFormatError(f"{path}: line {line}: non-ASCII byte {data[exc.start]:#x}") from None
-    stem = Path(path).stem
+_POSITIVE = "[1-9][0-9]{0,17}"  # at most 18 digits: np.fromstring clamps an integer past int64
+_INT = f"0|{_POSITIVE}"
+# a line as format_record writes it, with its "\n", whose runs after the first are not 0;
+# it starts a line and holds no other "\n"
+_CANONICAL = re.compile(
+    rf'^\{{"image_id": ("[^"\\\n]*(?:\\.[^"\\\n]*)*"), (?:"tile_index": ({_INT}), )?"width": ({_INT}), '
+    rf'"height": ({_INT}), "objectness": ([01]\.[0-9]{{6}}), "runs": \[((?:{_INT})(?:, {_POSITIVE})*)\]\}}\n', re.M)
+
+
+def _ints(fields) -> np.ndarray:
+    """The integers written in ``fields``, strings that ``_INT`` matches or "-1", as int64."""
+    return np.fromstring(",".join(fields), dtype=np.int64, sep=",")
+
+
+def _canonical(text: str, stem: str) -> ProposalBatch | None:
+    """The batch of ``text``, parsed in one pass, if each line is what ``format_record``
+    writes, newline included, and every record keeps every rule; else None."""
+    found = _CANONICAL.findall(text)
+    # a match is a whole line: they are contiguous iff there is one per "\n" and none after the last
+    if len(found) != text.count("\n") or not text.endswith("\n"):
+        return None
+    ids, tiles, widths, heights, objectness, runs = zip(*found)
+    if set(ids) != {json.dumps(stem)}:
+        return None
+    offsets = _offsets_of(np.fromiter(map(str.count, runs, repeat(",")), np.int64, len(runs)) + 1)
+    flat = _ints(runs)
+    if len(flat) != offsets[-1]:  # np.fromstring reads "" as no integer and drops a last ","
+        return None
+    return _checked(np.arange(1, len(found) + 1, dtype=np.int64), _ints(t or "-1" for t in tiles), _ints(widths),
+                    _ints(heights), map(float, objectness), flat, offsets)
+
+
+def _decoded(text: str, stem: str, path) -> ProposalBatch:
+    """The batch of ``text`` decoded line by line as JSON: the format's definition and its errors."""
     records = []
-    # only "\n" ends a line, as counted above; a blank line holds only JSON whitespace
+    # only "\n" ends a line, as counted in read_proposals; a blank line holds only JSON whitespace
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip(" \t\r"):
             continue
@@ -230,3 +262,20 @@ def read_proposals(path) -> ProposalBatch:
             _batch(records, path)  # a record on an earlier line may break a rule checked only there
             raise
     return _batch(records, path)
+
+
+def read_proposals(path) -> ProposalBatch:
+    """The records of a JSONL proposal file as one batch, in file order; every
+    record's image_id must be the file's stem. A file whose every line is what
+    ``format_record`` writes is parsed in one pass; any other is decoded line
+    by line as JSON, with the same result. The first line that breaks a rule,
+    in file order, raises an ``ExchangeFormatError`` naming it."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ExchangeFormatError(f"{path}: line {line}: non-ASCII byte {data[exc.start]:#x}") from None
+    stem = Path(path).stem
+    batch = _canonical(text, stem)
+    return _decoded(text, stem, path) if batch is None else batch

@@ -1,12 +1,17 @@
+import importlib.util
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from smallprop import cli, exchange
 from smallprop.exchange import (
     ExchangeFormatError,
+    ProposalBatch,
     ProposalRecord,
     format_record,
     read_proposals,
@@ -416,3 +421,213 @@ def test_reader_rules_are_the_reference_rules(tmp_path_factory, values):
         with pytest.raises(ExchangeFormatError) as exc:
             read_proposals(path)
         assert str(exc.value) == f"{path}: line 1: {want}"
+
+
+def _columns(batch: ProposalBatch) -> list:
+    """Each column of a batch with its dtype and its bytes, so that -0.0 and 0.0 differ."""
+    return [(name, getattr(batch, name).dtype.str, getattr(batch, name).tobytes()) for name in ProposalBatch.__slots__]
+
+
+def _read(read, path):
+    """The columns that ``read`` gives for a proposal file, or the message of its error."""
+    try:
+        return _columns(read(path))
+    except ExchangeFormatError as exc:
+        return str(exc)
+
+
+def _by_json(path):
+    """The file read by the line-by-line JSON path alone, the definition of the format."""
+    return exchange._decoded(path.read_bytes().decode("ascii"), path.stem, path)
+
+
+_TOKEN = re.compile(r"(?<![.0-9])[0-9]+(?![.0-9])")  # an integer of a line: a tile index, a side or a run
+
+
+def _retoken(draw, line, new):
+    """``line`` with one of its integers, ``t``, written as ``new(t)``."""
+    a, b = draw(st.sampled_from([m.span() for m in _TOKEN.finditer(line)]))
+    return line[:a] + new(line[a:b]) + line[b:]
+
+
+def _resub(draw, line, pattern, repl):
+    """``line`` with one match of ``pattern`` replaced as ``re.sub`` would."""
+    m = draw(st.sampled_from(list(re.finditer(pattern, line))))
+    return line[: m.start()] + m.expand(repl) + line[m.end() :]
+
+
+def _runs_edit(edit):
+    """A line edit that changes the texts of a line's runs, split at ",", in place with ``edit(draw, runs)``."""
+    def edited(draw, line):
+        m = re.search(r"\[(.*)\]", line)
+        runs = m.group(1).split(",")
+        edit(draw, runs)
+        return line[: m.start(1)] + ",".join(runs) + line[m.end(1) :]
+    return edited
+
+
+def _zero_run(draw, runs):
+    runs.insert(draw(st.integers(1, len(runs))), " 0")
+
+
+def _sum_off_by_one(draw, runs):
+    runs[-1] = re.sub("[0-9]+", lambda m: str(int(m[0]) + draw(st.sampled_from([-1, 1]))), runs[-1], count=1)
+
+
+def _float_run(draw, runs):
+    runs[draw(st.integers(0, len(runs) - 1))] += ".0"
+
+
+# canvases of 2**63 - 1 pixels, one of them with sides of at most 11 digits, and
+# runs of 19 digits or more, whose values only the JSON path reads
+_BIG = '{"image_id": "f", "width": %d, "height": %d, "objectness": 0.500000, "runs": [%s]}'
+_CANVASES = [(1, 2**63 - 1), (153092023, 60247241209)]
+_BIG_RUNS = ["0, 9223372036854775807", "1, 9223372036854775806", "0, 9223372036854775808", "0, 18446744073709551617"]
+
+# hostile edits of one line written by format_record
+_LINE_EDITS = {
+    "leading zero": lambda draw, line: _retoken(draw, line, lambda t: "0" + t),
+    "19 digits": lambda draw, line: _retoken(
+        draw, line, lambda t: str(draw(st.sampled_from([10**18, 2**63 - 1, 2**63, 2**64 + 4])))),
+    "minus zero": lambda draw, line: _retoken(draw, line, lambda t: "-0"),
+    "big canvas": lambda draw, line: _BIG % (*draw(st.sampled_from(_CANVASES)), draw(st.sampled_from(_BIG_RUNS))),
+    "extra space": lambda draw, line: _resub(draw, line, r"(?<=[:,\[])|(?=[\]}])", " "),
+    "missing space": lambda draw, line: _resub(draw, line, r"(?<=[:,]) ", ""),
+    "reordered keys": lambda draw, line: re.sub(r'"width": ([0-9]+), "height": ([0-9]+)',
+                                                r'"height": \2, "width": \1', line),
+    "repeated key": lambda draw, line: _resub(draw, line, r'"height": [0-9]+, ', r"\g<0>\g<0>"),
+    "escaped image_id": lambda draw, line: line.replace('"image_id": "f"', r'"image_id": "\u0066"'),
+    "other image_id": lambda draw, line: line.replace('"image_id": "f"', '"image_id": "g"'),
+    "objectness": lambda draw, line: re.sub(r'(?<="objectness": )[0-9.]+', draw(st.sampled_from(
+        ["1.000001", "-0.000000", "1", "0", "0.5000004", "0.4999996", "1.0000004", "0.5e0"])), line),
+    "zero run after the first": _runs_edit(_zero_run),
+    "run sum off by one": _runs_edit(_sum_off_by_one),
+    "float run": _runs_edit(_float_run),
+}
+_FILE_EDITS = ["crlf", "blank line", "no final newline"]
+
+
+@st.composite
+def hostile_files(draw):
+    """(text, edited): the lines that format_record writes for valid records,
+    then maybe edited with hostile edits of lines and of line ends."""
+    records, _ = draw(exchange_files())
+    lines, ends = [format_record(r) for r in records], ["\n"] * len(records)
+    edits = draw(st.lists(st.sampled_from(sorted(_LINE_EDITS) + _FILE_EDITS), max_size=3)) if records else []
+    for edit in edits:
+        k = draw(st.sampled_from([i for i, line in enumerate(lines) if line.strip()]))
+        if edit == "crlf":
+            ends[k] = "\r\n"
+        elif edit == "blank line":
+            lines.insert(k, draw(st.sampled_from(["", " \t"])))
+            ends.insert(k, "\n")
+        elif edit == "no final newline":
+            ends[-1] = ""
+        else:
+            lines[k] = _LINE_EDITS[edit](draw, lines[k])
+    return "".join(line + end for line, end in zip(lines, ends)), bool(edits)
+
+
+_LINE_F = format_record(ProposalRecord("f", 2, 2, 0.5, (0, 4), tile_index=3)) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(hostile_files())
+# a run past int64 that numpy's parser would clamp to one that fits the canvas
+@example((_BIG % (1, 2**63 - 1, "0, 9223372036854775808") + "\n", True))
+@example((_BIG % (153092023, 60247241209, "0, 9223372036854775808") + "\n", True))
+@example((_BIG % (1, 2**63 - 1, "0, 9223372036854775807") + "\n", True))
+@example((_LINE_F + "\n" + _LINE_F, True))  # a blank line: the line numbers move
+@example((_LINE_F + _LINE_F.rstrip("\n"), True))
+@example((_LINE_F + _LINE_F.replace("\n", "\r\n") + _LINE_F, True))
+@example((_LINE_F.replace("[0, 4]", "[0, 04]"), True))
+@example((_LINE_F.replace('"width": 2', '"width": 02'), True))
+@example((_LINE_F.replace('"tile_index": 3', f'"tile_index": {2**63}'), True))
+@example((_LINE_F + _LINE_F.replace('"f"', '"g"'), True))
+@example((_LINE_F.replace("0.500000", "0.5000004"), True))
+@example((_LINE_F.replace("0.500000", "-0.000000"), True))
+def test_one_pass_reader_matches_the_json_reader(tmp_path_factory, file):
+    # read_proposals parses a canonical file in one pass and reads any other by
+    # the JSON path: its columns, dtypes and bytes included, or its error message
+    text, edited = file
+    path = tmp_path_factory.mktemp("d") / "f.jsonl"
+    path.write_bytes(text.encode("ascii"))
+    want = _read(_by_json, path)
+    assert _read(read_proposals, path) == want
+    # format_record's lines of valid records, no value past 18 digits: no JSON decoding
+    if text and not edited and not re.search("[0-9]{19}", text):
+        assert exchange._canonical(text, "f") is not None
+    if not isinstance(want, str):  # the rounding rule, from lines decoded here on their own
+        docs = [json.loads(line) for line in text.split("\n") if line.strip(" \t\r")]
+        objectness = np.array([round(float(doc["objectness"]), 6) + 0.0 for doc in docs])
+        assert read_proposals(path).objectness.tobytes() == objectness.tobytes()
+
+
+def _no_json(line):
+    raise AssertionError(f"a line decoded as JSON: {line}")
+
+
+def test_run_and_setup_files_read_without_json(tmp_path, monkeypatch):
+    # every line that run and the exchange set-up write is canonical, so with
+    # JSON decoding broken, run reads the exchange files and eval reads run's
+    # outputs; a reader that fell back to JSON would fail here
+    spec = importlib.util.spec_from_file_location(
+        "exchange_setup", Path(__file__).resolve().parents[1] / "perfbench" / "exchange_setup.py")
+    exchange_setup = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(exchange_setup)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--out", "scenes", "--count", "2", "--width", "320", "--height", "240"]) == 0
+    exchange_setup.write_exchange("scenes", "exchange", 42)
+    with monkeypatch.context() as patch:
+        patch.setattr(exchange._DECODER, "decode", _no_json)
+        for out, flags in (("tiled", []), ("whole", ["--mode", "whole"]), ("ex", ["--exchange", "exchange"])):
+            assert cli.main(["run", "--scenes", "scenes", "--out", f"props_{out}", *flags]) == 0
+            assert cli.main(["eval", "--scenes", "scenes", "--proposals", f"props_{out}", "--out", f"r_{out}"]) == 0
+        files = sorted(tmp_path.glob("*/*.jsonl"))
+        assert len(files) == 8 and all(len(read_proposals(path)) for path in files)
+    for path in files:
+        assert _columns(read_proposals(path)) == _columns(_by_json(path))
+
+
+@pytest.mark.parametrize("line, fault", [
+    (2, None),
+    (2, "runs sum to 13, expected 4x3=12"),
+    (3, "zero-length run after the first"),
+])
+@pytest.mark.parametrize("non_canonical", [
+    lambda line: line.replace('"runs": [', '"runs":['),
+    lambda line: line.replace(", ", ",\t"),
+    lambda line: json.dumps(dict(reversed(json.loads(line).items()))),
+])
+def test_one_non_canonical_line_sends_the_file_to_json(tmp_path, line, fault, non_canonical):
+    # one line that format_record would not write, valid or the first faulty line
+    path = tmp_path / "img.jsonl"
+    write_proposals(sample_records(), path)
+    canonical = read_proposals(path)
+    lines = path.read_text().split("\n")
+    if fault == "zero-length run after the first":
+        lines[line - 1] = lines[line - 1].replace("[0, 1, 2, 1]", "[0, 1, 0, 2, 1]")
+    elif fault:
+        lines[line - 1] = lines[line - 1].replace("[1, 2, 9]", "[1, 2, 10]")
+    lines[line - 1] = non_canonical(lines[line - 1])
+    path.write_text("\n".join(lines))
+    if fault is None:
+        assert _columns(read_proposals(path)) == _columns(canonical)
+    else:
+        with pytest.raises(ExchangeFormatError) as exc:
+            read_proposals(path)
+        assert str(exc.value) == f"{path}: line {line}: {fault}"
+
+
+def test_one_pass_counts_runs_apart_from_the_pattern(tmp_path, monkeypatch):
+    # np.fromstring reads "0, 4," as two integers: were the pattern to admit an
+    # empty runs list, the count of commas would still send the file to JSON
+    pattern = exchange._CANONICAL.pattern
+    assert pattern.count(r"\[(") == pattern.count(r")*)\]") == 1
+    pattern = pattern.replace(r"\[(", r"\[((?:").replace(r")*)\]", r")*)?)\]")
+    monkeypatch.setattr(exchange, "_CANONICAL", re.compile(pattern, re.M))
+    path = tmp_path / "f.jsonl"
+    path.write_text(_LINE_F + _LINE_F.replace("[0, 4]", "[]"))
+    with pytest.raises(ExchangeFormatError) as exc:
+        read_proposals(path)
+    assert str(exc.value) == f"{path}: line 2: runs must be non-empty"
