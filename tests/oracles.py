@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -409,6 +411,46 @@ def ref_simulate(labels: np.ndarray, tiles, profile) -> list[tuple[float, np.nda
             if decided:
                 out.append((decided[0], embedded(decided[1], tile, width, height)))
     return out
+
+
+class RefTile(NamedTuple):
+    """A tile's origin and size, as ``ref_simulate`` and ``embedded`` read them."""
+
+    x0: int
+    y0: int
+    w: int
+    h: int
+
+
+def ref_loop(spec, count: int, seed: int, profile, nms_iou: float, top_k: int, grid=None):
+    """What ``synth --count count --seed seed`` with the fields of scene spec
+    ``spec``, then ``run`` with detector ``profile``, ``--nms-iou`` and
+    ``--top-k``, then ``eval`` make, composed from the stage references:
+    (records, report). ``grid`` is (tile_w, tile_h, stride_x, stride_y) in
+    tiled mode and None in whole mode, one tile over the image.
+
+    Scene k is ``ref_scene`` of the spec seeded by the stream keyed by k from
+    ``seed``; its tiles go row by row from the origin in steps of the stride,
+    the last of each row and column moved back to end at the image's edge.
+    ``ref_simulate``'s candidates go through ``ref_nms``, then the first
+    ``top_k`` kept are written with objectness kept to six decimals. records[k]
+    holds the (objectness, runs) of scene k's lines, in order, and the report
+    is ``oracle_report`` of every scene's ground truth and written records."""
+    records, per_image = [], []
+    for index in range(count):
+        _, labels = ref_scene(replace(spec, seed=ref_stream_seed(seed, index)))
+        height, width = labels.shape
+        tile_w, tile_h, stride_x, stride_y = grid or (width, height, width, height)
+        xs = [*range(0, width - tile_w, stride_x), width - tile_w]
+        ys = [*range(0, height - tile_h, stride_y), height - tile_h]
+        candidates = [(g, o) for o, g in ref_simulate(labels, [RefTile(x, y, tile_w, tile_h) for y in ys for x in xs],
+                                                      profile)]
+        written = [(candidates[i][0], round(candidates[i][1], 6) + 0.0)
+                   for i in ref_nms(candidates, nms_iou)[:top_k]]
+        records.append([(o, grid_runs(g)) for g, o in written])
+        gt = [(gid, labels == gid) for gid in sorted(set(labels.ravel().tolist()) - {0})]
+        per_image.append((gt, written))
+    return records, oracle_report(per_image)
 
 
 def make_random_instance(rng):
