@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotations import SizeCategory, size_category
+from .annotations import SizeCategory, _id_runs, size_category
 from .exchange import ProposalBatch
-from .masks import _foreground, require_same_canvas
-from .pipeline import place
+from .masks import _sums
+from .pipeline import Spans, _shared, _sweeps, place
 from .raster import RasterImage
 
 IOU_THRESHOLDS = tuple(t / 100 for t in range(50, 100, 5))
@@ -62,35 +62,34 @@ CELLS = (
 _SIZES = tuple(c.value for *_, c in CELLS if c is not None)  # keys of gt_counts, in table order
 
 
-def _objects(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct nonzero ids of an instance grid, ascending, and their pixel counts."""
-    return np.unique(labels[labels != 0], return_counts=True)
-
-
-def _pairs_under(labels, ids, areas, batch: ProposalBatch) -> list[tuple[float, int, int]]:
-    """All positive-IoU (iou, id, proposal index) pairs of an instance grid's
-    objects ``ids`` of pixel counts ``areas`` and the records of ``batch``,
-    sorted by IoU desc, id, index.
-
-    One histogram of the ids under the records' foreground pixels, taken from
-    their runs, so no bitmap is decoded; ids are compressed to the objects
-    present, so memory follows the pixels and the objects, not the largest id.
-    IoU is the correctly rounded quotient of integer intersection and union.
-    """
-    if not (ids.size and len(batch)):
-        return []
+def _truth(labels: np.ndarray) -> tuple[np.ndarray, Spans]:
+    """(ids, objects): the distinct nonzero ids of an instance grid, ascending,
+    and its objects as ``Spans`` without objectness, each id's row runs as its
+    spans and their pixel count as its area."""
     height, width = labels.shape
-    require_same_canvas([(width, height), *zip(batch.widths.tolist(), batch.heights.tolist())])
-    owner, starts, lengths = _foreground(batch.runs, batch.offsets)
-    owner = np.repeat(owner, lengths)
-    pixel = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(owner.size)
-    # ids compressed to the objects present: background is column 0, ids[k] column k + 1
-    n = ids.size + 1
-    key = owner * n + np.searchsorted(ids, labels.ravel()[pixel], side="right")
-    inter = np.bincount(key, minlength=len(batch) * n).reshape(len(batch), n)[:, 1:]
-    pi, gi = np.nonzero(inter)
-    shared = inter[pi, gi]
-    iou = shared / (batch.areas[pi] + areas[gi] - shared)
+    ids, offsets, rows = _id_runs(labels)
+    ys, x0s, x1s = rows.T
+    return ids, Spans(width, height, None, _sums(x1s - x0s, offsets), offsets, ys * width + x0s, ys * width + x1s)
+
+
+def _pairs(ids: np.ndarray, objects: Spans, records: Spans) -> list[tuple[float, int, int]]:
+    """All positive-IoU (iou, id, record index) pairs of the objects ``ids``
+    of ``_truth`` and the records that ``place`` put on their image, sorted
+    by IoU desc, id, index.
+
+    One cross sweep over the two span sets laid end to end, records numbered
+    first, feeds ``_shared``, the kernel of ``nms``. An object's runs on a row
+    are disjoint, so a record's span meets at most as many runs as it has
+    pixels. IoU is the correctly rounded quotient of integer intersection and
+    union.
+    """
+    n, m = len(records), len(records.starts)
+    starts, stops = np.concatenate((records.starts, objects.starts)), np.concatenate((records.stops, objects.stops))
+    owner = np.repeat(np.arange(n + len(ids)), np.concatenate((np.diff(records.offsets), np.diff(objects.offsets))))
+    sweeps = _sweeps(starts, stops, np.argsort(records.starts), m + np.argsort(objects.starts))
+    pi, gi, shared = _shared(owner, starts, stops, sweeps)
+    gi -= n  # objects are numbered after the records
+    iou = shared / (records.areas[pi] + objects.areas[gi] - shared)
     gid = ids[gi]
     order = np.lexsort((pi, gid, -iou))
     return list(zip(iou[order].tolist(), gid[order].tolist(), pi[order].tolist()))
@@ -116,7 +115,8 @@ def match(labels: np.ndarray, batch: ProposalBatch) -> tuple[tuple[int, int, flo
     Returns the one-to-one pairs (gt id, record index, iou). The batch is
     expected to be truncated to the evaluation budget already.
     """
-    return tuple(_greedy(_pairs_under(labels, *_objects(labels), batch)))
+    ids, objects = _truth(labels)
+    return tuple(_greedy(_pairs(ids, objects, place(batch, objects.width, objects.height))))
 
 
 def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[float | None, int]:
@@ -142,15 +142,14 @@ def score_image(
     labels: np.ndarray, batch: ProposalBatch
 ) -> tuple[dict[int, SizeCategory], list[tuple[float, int, int]]]:
     """One image's share of a dataset report: the size category of each object
-    of the instance grid ``labels`` ({id: category}, the ground truth as
-    ``extract_instances`` finds it), and the positive-IoU (iou, id, proposal
-    index) pairs of a batch's records ranked by objectness descending
-    (stable) and truncated to the largest budget.
+    of the instance grid ``labels`` ({id: category}, an object being all the
+    pixels of one nonzero id), and the positive-IoU (iou, id, proposal index)
+    pairs of a batch's records ranked by objectness descending (stable) and
+    truncated to the largest budget.
     """
-    ranked = batch.top(max(BUDGETS))
-    ids, areas = _objects(labels)
-    sizes = {g: size_category(a) for g, a in zip(ids.tolist(), areas.tolist())}
-    return sizes, _pairs_under(labels, ids, areas, ranked)
+    ids, objects = _truth(labels)
+    sizes = {g: size_category(a) for g, a in zip(ids.tolist(), objects.areas.tolist())}
+    return sizes, _pairs(ids, objects, place(batch.top(max(BUDGETS)), objects.width, objects.height))
 
 
 def evaluate_dataset(scored, system: str = "run") -> ARReport:
@@ -229,9 +228,9 @@ def _contour(grid: np.ndarray) -> np.ndarray:
 
 
 def _box_grid(starts: np.ndarray, stops: np.ndarray, width: int) -> tuple[int, int, np.ndarray]:
-    """(x, y, grid) of one mask's row spans on an image ``width`` wide, as
-    ``place`` makes them: the corner of the spans' tight box and the boolean
-    grid of that box."""
+    """(x, y, grid) of one mask's row spans on an image ``width`` wide, one
+    row each and in scan order, as ``Spans`` hold them: the corner of the
+    spans' tight box and the boolean grid of that box."""
     rows, xs = np.divmod(starts, width)
     lengths = stops - starts
     x, y = int(xs.min()), int(rows[0])
@@ -248,23 +247,23 @@ def render_overlay(image: RasterImage, labels: np.ndarray, batch: ProposalBatch)
 
     Objects of the instance grid ``labels`` are drawn by id ascending. Each
     shows only its assigned (best-IoU) record, drawn from its row spans; an
-    unmatched one is drawn as an unfilled red contour of its pixels.
+    unmatched one is drawn as an unfilled red contour of its own row runs.
     """
     if image.channels != 3:
         raise ValueError("overlay rendering needs an RGB image")
     by_gt = {gid: pi for gid, pi, _ in match(labels, batch)}
-    height, width = labels.shape
-    spans = place(batch, width, height)
+    ids, objects = _truth(labels)
+    records = place(batch, objects.width, objects.height)
     canvas = image.pixels.astype(np.int16)
-    for gid in _objects(labels)[0].tolist():
-        if gid in by_gt:
-            color = np.array(_PALETTE[gid % len(_PALETTE)], dtype=np.int16)
-            i, j = spans.offsets[by_gt[gid] : by_gt[gid] + 2].tolist()
-            x, y, grid = _box_grid(spans.starts[i:j], spans.stops[i:j], width)
-            # the box is tight, so a foreground pixel on its edge is contour as on the canvas
-            window = canvas[y : y + grid.shape[0], x : x + grid.shape[1]]
+    for k, gid in enumerate(ids.tolist()):
+        matched = gid in by_gt
+        spans, at = (records, by_gt[gid]) if matched else (objects, k)
+        i, j = spans.offsets[at : at + 2].tolist()
+        x, y, grid = _box_grid(spans.starts[i:j], spans.stops[i:j], spans.width)
+        # the box is tight, so a foreground pixel on its edge is contour as on the canvas
+        window = canvas[y : y + grid.shape[0], x : x + grid.shape[1]]
+        color = np.array(_PALETTE[gid % len(_PALETTE)] if matched else _MISS_COLOR, dtype=np.int16)
+        if matched:
             window[grid] = (window[grid] + color) // 2
-            window[_contour(grid)] = color
-        else:
-            canvas[_contour(labels == gid)] = np.array(_MISS_COLOR, dtype=np.int16)
+        window[_contour(grid)] = color
     return RasterImage(canvas.astype(np.uint8))

@@ -187,9 +187,8 @@ def _check(record, path) -> None:
 
 
 def _checked(lines, tiles, widths, heights, objectness, runs, offsets) -> ProposalBatch | None:
-    """The batch of these int64 columns and ``objectness``, numbers each kept as
-    round(o, 6) + 0.0, if every record keeps every rule, else None."""
-    objectness = np.array([round(o, 6) + 0.0 for o in objectness], dtype=float)  # + 0.0 turns -0.0 into 0.0
+    """The batch of these int64 columns and float ``objectness`` if every
+    record keeps every rule, else None."""
     if not _valid(runs, offsets, widths, heights):
         return None
     areas = _sums(_foreground(runs, offsets)[2], _offsets_of(np.diff(offsets) // 2))  # foreground runs
@@ -199,14 +198,16 @@ def _checked(lines, tiles, widths, heights, objectness, runs, offsets) -> Propos
 
 
 def _batch(records: list[tuple], path) -> ProposalBatch:
-    """The batch of the records of ``_record``, every record's values checked
-    at once; if one breaks a rule, the records are checked one by one in file
-    order, which raises the error of the first one that does."""
+    """The batch of the records of ``_record``, each objectness o kept as
+    round(o, 6) + 0.0, every record's values checked at once; if one breaks a
+    rule, the records are checked one by one in file order, which raises the
+    error of the first one that does."""
     lines, tiles, widths, heights, objectness, runs = zip(*records) if records else ((),) * 6
     offsets = _offsets_of([len(r) for r in runs])
     try:
         batch = _checked(np.array(lines, dtype=np.int64), np.array(tiles, dtype=np.int64),
-                         np.array(widths, dtype=np.int64), np.array(heights, dtype=np.int64), objectness,
+                         np.array(widths, dtype=np.int64), np.array(heights, dtype=np.int64),
+                         np.array([round(o, 6) + 0.0 for o in objectness], dtype=float),  # + 0.0 turns -0.0 to 0.0
                          np.fromiter(chain.from_iterable(runs), np.int64, offsets[-1]), offsets)
     except OverflowError:  # a value past int64, or an integer objectness past float range
         batch = None
@@ -245,8 +246,9 @@ def _canonical(text: str, stem: str) -> ProposalBatch | None:
     flat = _ints(runs)
     if len(flat) != offsets[-1]:  # np.fromstring reads "" as no integer and drops a last ","
         return None
+    # each objectness is written with six decimals, which the JSON path's round(o, 6) + 0.0 keeps as they are
     return _checked(np.arange(1, len(found) + 1, dtype=np.int64), _ints(t or "-1" for t in tiles), _ints(widths),
-                    _ints(heights), map(float, objectness), flat, offsets)
+                    _ints(heights), np.fromiter(map(float, objectness), float, len(found)), flat, offsets)
 
 
 def _decoded(text: str, stem: str, path) -> ProposalBatch:

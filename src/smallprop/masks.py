@@ -13,7 +13,6 @@ records at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -202,15 +201,6 @@ def _segments(offsets: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
     counts = np.diff(offsets)[index]
     taken = _offsets_of(counts)
     return taken, np.repeat(offsets[:-1][index] - taken[:-1], counts) + np.arange(taken[-1])
-
-
-def require_same_canvas(sizes: Iterable[tuple[int, int]]) -> None:
-    """Raise a ValueError naming the sizes unless all (width, height) ``sizes`` are one."""
-    sizes = sorted(set(sizes))
-    if len(sizes) > 1:
-        raise ValueError(
-            "mask dimensions differ: " + " vs ".join(f"{w}x{h}" for w, h in sizes)
-        )
 
 
 def crop_mask(mask: BinaryMask, x0: int, y0: int, width: int, height: int) -> BinaryMask:

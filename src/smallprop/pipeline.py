@@ -124,6 +124,18 @@ def _overlaps(sweeps: tuple) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(x), np.concatenate(y)
 
 
+def _shared(owner: np.ndarray, starts: np.ndarray, stops: np.ndarray, sweeps: tuple) -> tuple:
+    """(a, b, shared): the pairs a < b of masks whose spans ``sweeps`` find
+    sharing pixels, ascending, and how many pixels each pair shares, as
+    int64. Span i covers [starts[i], stops[i]) and belongs to mask owner[i]."""
+    x, y = _overlaps(sweeps)
+    a, b = owner[x], owner[y]
+    n = int(max(a.max(initial=0), b.max(initial=0))) + 1
+    pair, slot = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    shared = np.bincount(slot, weights=np.minimum(stops[x], stops[y]) - starts[y]).astype(np.int64)
+    return pair // n, pair % n, shared
+
+
 def _found(sweeps: tuple) -> int:
     """How many pairs of spans ``sweeps`` find."""
     return sum(int((hi - lo).sum()) for *_, lo, hi in sweeps)
@@ -161,12 +173,8 @@ def nms(candidates: Spans, iou_threshold: float, top_k: int | None = None) -> np
         where = _segments(offsets, np.sort(index))[1]
         return where[np.argsort(starts[where], kind="stable")]
 
-    def close(sweeps):  # the candidate pairs of the sweeps' span pairs whose IoU reaches the threshold
-        x, y = _overlaps(sweeps)
-        a, b = owner[x], owner[y]
-        pair, slot = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
-        inter = np.bincount(slot, weights=np.minimum(stops[x], stops[y]) - starts[y]).astype(np.int64)
-        a, b = pair // n, pair % n
+    def close(sweeps):  # the candidate pairs that the sweeps find whose IoU reaches the threshold
+        a, b, inter = _shared(owner, starts, stops, sweeps)
         hit = inter / (areas[a] + areas[b] - inter) >= iou_threshold
         return a[hit], b[hit]
 

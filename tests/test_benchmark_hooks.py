@@ -45,9 +45,9 @@ def test_benchmark_hooks_resolve():
                 if not callable(getattr(exchange_setup, attr, None))]
     # the tiled pipeline simulates on the instance map's row runs, so it neither
     # crops a mask nor calls simulate; NMS compares and writes records from their
-    # row spans, so it neither remaps a mask nor calls mask_iou; eval scores the ids
-    # under each record's runs, so it has no mask_iou either. The tracer reports
-    # these missing.
+    # row spans, so it neither remaps a mask nor calls mask_iou; eval counts the
+    # pixels each record's spans share with the instance map's row runs, so it has
+    # no mask_iou either. The tracer reports these missing.
     assert missing == PIPELINE_GONE
     assert callable(exchange_setup.write_exchange)
 
@@ -74,8 +74,8 @@ def test_traced_run_and_eval_count_every_record(tmp_path, monkeypatch):
     written = tracer.phase_counters[("run", "exchange.records_written")]
     assert tracer.phase_counters[("eval", "exchange.records_read")] == written > 0
     # run needs only each scene's size: it reads no pixels and extracts nothing;
-    # eval reads each instance map and scores the ids under the proposals, so it
-    # extracts nothing either
+    # eval reads each instance map and compares its row runs with the proposals'
+    # spans, so it extracts nothing either
     assert tracer.phase_counters[("run", "raster.bytes_read")] == 0
     assert tracer.phase_counters[("run", "annotations.instances")] == 0
     assert tracer.phase_counters[("eval", "raster.bytes_read")] > 0

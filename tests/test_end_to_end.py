@@ -66,7 +66,9 @@ def test_cli_loop_equals_the_composed_references(case):
     spec, count, seed, grid, detector, nms_iou, top_k = case
     records, report = ref_loop(spec, count, seed, _profile(detector), nms_iou, top_k, grid)
     synth = ["--width", spec.width, "--height", spec.height, "--apples", spec.n_apples, "--leaves", spec.n_leaves]
-    run = ["--mode", "whole"] if grid is None else ["--tile", f"{grid[0]}x{grid[1]}", "--stride", f"{grid[2]}x{grid[3]}"]
+    run = ["--mode", "whole"]
+    if grid:
+        run = ["--tile", "{}x{}".format(*grid[:2]), "--stride", "{}x{}".format(*grid[2:])]
     run += [v for flag_value in detector.items() for v in flag_value] + ["--nms-iou", nms_iou, "--top-k", top_k]
     # the scenes go one after another in this process: the workers' split is tested elsewhere
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_for_each",

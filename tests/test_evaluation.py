@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from smallprop import evaluation
 from smallprop.annotations import SizeCategory, size_category
 from smallprop.detector import preset
+from smallprop.exchange import ExchangeFormatError
 from smallprop.evaluation import (
     IOU_THRESHOLDS,
     evaluate_dataset,
@@ -21,7 +22,7 @@ from smallprop.evaluation import (
     report_json,
     report_text,
 )
-from smallprop.pipeline import run_whole
+from smallprop.pipeline import place, run_whole
 from smallprop.raster import RasterImage
 from smallprop.synth import SceneSpec, generate_scene
 from oracles import (average_recall, greedy_assign, grid_batch, grid_iou, make_random_instance, oracle_report,
@@ -67,9 +68,9 @@ def test_match_rejects_mixed_canvases():
     # the proposal's box lies inside the grid, so only the canvas check can notice
     labels = grid_of([(1, rect_grid(16, 16, 0, 0, 4, 4))])
     props = [(rect_grid(16, 20, 10, 10, 4, 4), 0.5)]
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(ExchangeFormatError) as exc:  # a ValueError
         match(labels, batch(props))
-    assert str(exc.value) == "mask dimensions differ: 16x16 vs 16x20"
+    assert str(exc.value) == "line 1: whole-image record is 16x20, image is 16x16"
 
 
 def test_match_greedy_two_by_two():
@@ -392,6 +393,12 @@ def overlay_cases(draw):
 @given(overlay_cases())
 @example((np.ones((2, 3), np.int32), [np.array([[0, 1, 1], [1, 1, 0]], bool)], 0))  # a run across a row end
 @example((np.zeros((2, 2), np.int32), [np.ones((2, 2), bool)], 1))  # nothing to match
+# a missed ring, the hole in it
+@example((np.array([[0, 0, 0, 0, 0], [0, 3, 3, 3, 0], [0, 3, 0, 3, 0], [0, 3, 3, 3, 0], [0, 0, 0, 0, 0]], np.int32),
+          [], 2))
+# a missed id in two pieces on the left and right edges, beside a matched one
+@example((np.array([[7, 0, 0, 0, 0, 7], [7, 0, 2, 2, 0, 7], [0, 0, 2, 2, 0, 0]], np.int32),
+          [np.array([[0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 1, 1, 0, 0]], bool)], 3))
 def test_overlay_matches_the_full_canvas_drawing(case):
     labels, grids, seed = case
     image = RasterImage(np.random.default_rng(seed).integers(0, 256, (*labels.shape, 3), dtype=np.uint8))
@@ -401,8 +408,9 @@ def test_overlay_matches_the_full_canvas_drawing(case):
 
 
 def kernel_pairs(labels, props):
-    """The full pair list of the pair kernel that eval, match and overlay share."""
-    return evaluation._pairs_under(labels, *evaluation._objects(labels), batch(props))
+    """The full pair list of the pair path that eval, match and overlay share."""
+    ids, objects = evaluation._truth(labels)
+    return evaluation._pairs(ids, objects, place(batch(props), objects.width, objects.height))
 
 
 def grid_pairs(obj, record):
@@ -514,9 +522,9 @@ def test_label_pairs_reject_mixed_canvases():
     labels = np.zeros((16, 16), np.int32)
     labels[0:4, 0:4] = 1
     props = [(rect_grid(16, 20, 10, 10, 4, 4), 0.5)]
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(ExchangeFormatError) as exc:  # a ValueError
         kernel_pairs(labels, props)
-    assert str(exc.value) == "mask dimensions differ: 16x16 vs 16x20"
+    assert str(exc.value) == "line 1: whole-image record is 16x20, image is 16x16"
 
 
 def test_evaluate_dataset_reads_ids_not_masks():

@@ -8,7 +8,7 @@ from smallprop.annotations import GroundTruthObject, extract_instances
 from smallprop.detector import PRESET_LEVELS, preset, simulate
 from smallprop.masks import BBox, crop_mask
 from smallprop.exchange import ExchangeFormatError, ProposalRecord, read_proposals, write_proposals
-from smallprop.pipeline import _overlaps, _simulated_spans, _sweeps, nms, place, run_tiled, run_whole
+from smallprop.pipeline import _overlaps, _shared, _simulated_spans, _sweeps, nms, place, run_tiled, run_whole
 from smallprop.synth import Scene, SceneSpec, generate_scene
 from smallprop.tiling import Tile, TileGridSpec, plan_grid
 from smallprop.raster import RasterImage
@@ -201,6 +201,30 @@ def test_spans_that_touch_share_no_pixel():
     for c, k in ((every, None), (every[::2], every[1::2]), (every[1::2], every[::2])):
         assert all(len(column) == 0 for column in _overlaps(_sweeps(starts, stops, c, k)))
     assert nms(spans, 1e-9).tolist() == [3, 0, 2, 1]  # by area, then index
+
+
+def test_shared_pixels_equal_grid_intersections():
+    # the kernel of nms and eval: every pair of masks that shares pixels, with
+    # the count, from one sweep over all spans and from one across two halves
+    rng = np.random.default_rng(28)
+    found = 0
+    for _ in range(100):
+        width, height = int(rng.integers(1, 12)), int(rng.integers(1, 10))
+        grids = [_random_grid(rng, width, height) for _ in range(int(rng.integers(0, 10)))]
+        spans = candidates([(g, 0.5) for g in grids], width, height)
+        owner = np.repeat(np.arange(len(grids)), np.diff(spans.offsets))
+        starts, stops = spans.starts, spans.stops
+        want = [(a, b, int((grids[a] & grids[b]).sum())) for a in range(len(grids)) for b in range(a + 1, len(grids))
+                if (grids[a] & grids[b]).any()]
+        every = np.argsort(starts, kind="stable")
+        assert list(zip(*(c.tolist() for c in _shared(owner, starts, stops, _sweeps(starts, stops, every))))) == want
+        half = len(grids) // 2  # masks below half against the others
+        low, high = every[owner[every] < half], every[owner[every] >= half]
+        across = [pair for pair in want if pair[0] < half <= pair[1]]
+        got = _shared(owner, starts, stops, _sweeps(starts, stops, low, high))
+        assert list(zip(*(c.tolist() for c in got))) == across
+        found += len(across)
+    assert found > 100
 
 
 def test_chunked_visit_equals_brute_force(monkeypatch):
