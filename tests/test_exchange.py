@@ -451,8 +451,13 @@ def _retoken(draw, line, new):
 
 
 def _resub(draw, line, pattern, repl):
-    """``line`` with one match of ``pattern`` replaced as ``re.sub`` would."""
-    m = draw(st.sampled_from(list(re.finditer(pattern, line))))
+    """``line`` with one match of ``pattern`` replaced as ``re.sub`` would, or
+    as it is if an earlier edit left no match (a height of -0 or with two
+    spaces before it has no "height": [0-9]+, to repeat)."""
+    matches = list(re.finditer(pattern, line))
+    if not matches:
+        return line
+    m = draw(st.sampled_from(matches))
     return line[: m.start()] + m.expand(repl) + line[m.end() :]
 
 
