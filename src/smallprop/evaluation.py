@@ -72,10 +72,10 @@ def _truth(labels: np.ndarray) -> tuple[np.ndarray, Spans]:
     return ids, Spans(width, height, None, _sums(x1s - x0s, offsets), offsets, ys * width + x0s, ys * width + x1s)
 
 
-def _pairs(ids: np.ndarray, objects: Spans, records: Spans) -> list[tuple[float, int, int]]:
+def _pairs(ids: np.ndarray, objects: Spans, batch: ProposalBatch) -> list[tuple[float, int, int]]:
     """All positive-IoU (iou, id, record index) pairs of the objects ``ids``
-    of ``_truth`` and the records that ``place`` put on their image, sorted
-    by IoU desc, id, index.
+    of ``_truth`` and the records of ``batch``, which ``place`` puts on their
+    image and checks, sorted by IoU desc, id, index.
 
     One cross sweep over the two span sets laid end to end, records numbered
     first, feeds ``_shared``, the kernel of ``nms``. An object's runs on a row
@@ -83,10 +83,11 @@ def _pairs(ids: np.ndarray, objects: Spans, records: Spans) -> list[tuple[float,
     pixels. IoU is the correctly rounded quotient of integer intersection and
     union.
     """
-    n, m = len(records), len(records.starts)
+    records = place(batch, objects.width, objects.height)
+    n = len(records)
     starts, stops = np.concatenate((records.starts, objects.starts)), np.concatenate((records.stops, objects.stops))
     owner = np.repeat(np.arange(n + len(ids)), np.concatenate((np.diff(records.offsets), np.diff(objects.offsets))))
-    sweeps = _sweeps(starts, stops, np.argsort(records.starts), m + np.argsort(objects.starts))
+    sweeps = _sweeps(starts, stops, np.argsort(records.starts), len(records.starts) + np.argsort(objects.starts))
     pi, gi, shared = _shared(owner, starts, stops, sweeps)
     gi -= n  # objects are numbered after the records
     iou = shared / (records.areas[pi] + objects.areas[gi] - shared)
@@ -116,7 +117,7 @@ def match(labels: np.ndarray, batch: ProposalBatch) -> tuple[tuple[int, int, flo
     expected to be truncated to the evaluation budget already.
     """
     ids, objects = _truth(labels)
-    return tuple(_greedy(_pairs(ids, objects, place(batch, objects.width, objects.height))))
+    return tuple(_greedy(_pairs(ids, objects, batch)))
 
 
 def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[float | None, int]:
@@ -149,7 +150,7 @@ def score_image(
     """
     ids, objects = _truth(labels)
     sizes = {g: size_category(a) for g, a in zip(ids.tolist(), objects.areas.tolist())}
-    return sizes, _pairs(ids, objects, place(batch.top(max(BUDGETS)), objects.width, objects.height))
+    return sizes, _pairs(ids, objects, batch.top(max(BUDGETS)))
 
 
 def evaluate_dataset(scored, system: str = "run") -> ARReport:

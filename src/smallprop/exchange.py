@@ -198,10 +198,9 @@ def _checked(lines, tiles, widths, heights, objectness, runs, offsets) -> Propos
 
 
 def _batch(records: list[tuple], path) -> ProposalBatch:
-    """The batch of the records of ``_record``, each objectness o kept as
-    round(o, 6) + 0.0, every record's values checked at once; if one breaks a
-    rule, the records are checked one by one in file order, which raises the
-    error of the first one that does."""
+    """The batch of the records of ``_record``, objectness o kept as round(o, 6) + 0.0,
+    every value checked at once; if a record breaks a rule, the records are checked
+    one by one in file order, which raises the error of the first one that does."""
     lines, tiles, widths, heights, objectness, runs = zip(*records) if records else ((),) * 6
     offsets = _offsets_of([len(r) for r in runs])
     try:

@@ -22,7 +22,7 @@ from smallprop.evaluation import (
     report_json,
     report_text,
 )
-from smallprop.pipeline import place, run_whole
+from smallprop.pipeline import run_whole
 from smallprop.raster import RasterImage
 from smallprop.synth import SceneSpec, generate_scene
 from oracles import (average_recall, greedy_assign, grid_batch, grid_iou, make_random_instance, oracle_report,
@@ -409,8 +409,7 @@ def test_overlay_matches_the_full_canvas_drawing(case):
 
 def kernel_pairs(labels, props):
     """The full pair list of the pair path that eval, match and overlay share."""
-    ids, objects = evaluation._truth(labels)
-    return evaluation._pairs(ids, objects, place(batch(props), objects.width, objects.height))
+    return evaluation._pairs(*evaluation._truth(labels), batch(props))
 
 
 def grid_pairs(obj, record):
