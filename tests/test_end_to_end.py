@@ -46,7 +46,7 @@ def _profile(detector: dict):
 
 @settings(max_examples=100, deadline=None)
 @given(loops())
-# tiled, with a clamped last tile in each direction and a kept record cut to three
+# tiled, with a clamped last tile in each direction, and top-k 3
 @example((SceneSpec(width=90, height=60, n_apples=6, n_leaves=2, seed=0), 2, 42, (40, 30, 25, 20),
           {"--detector": "attentionmask", "--input-size": "1280x960", "--jitter": 2, "--objectness-noise": 0.3,
            "--detector-seed": 7}, 0.5, 3))
