@@ -235,6 +235,11 @@ scene_specs = st.builds(
 @example(SceneSpec(width=40, height=30, n_apples=6, n_leaves=0, xs_fraction=1.0, radius_max=120.0, seed=2))
 @example(SceneSpec(width=40, height=30, n_apples=6, n_leaves=1, xs_fraction=0.0, radius_min=14.0,
                    radius_max=14.0, min_visible=0, seed=2**64 - 1))
+# 256 or more shapes select a uint16 owner grid: 239 labels with ids up to 300,
+# leaves over such apples, and every apple under min_visible
+@example(SceneSpec(width=64, height=48, n_apples=300, n_leaves=0, radius_min=2, radius_max=3, min_visible=1, seed=5))
+@example(SceneSpec(width=90, height=70, n_apples=260, n_leaves=6, radius_min=2, radius_max=6, min_visible=3, seed=6))
+@example(SceneSpec(width=50, height=40, n_apples=280, n_leaves=4, radius_min=2, radius_max=3, min_visible=50, seed=7))
 def test_generate_scene_matches_row_loop_oracle(spec):
     scene = generate_scene(spec)
     pixels, labels = ref_scene(spec)
