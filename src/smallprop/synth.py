@@ -110,11 +110,10 @@ def generate_scene(spec: SceneSpec) -> Scene:
     w, h, n = spec.width, spec.height, spec.n_apples
     u = splitmix64_block(spec.seed, h + 7 * (n + spec.n_leaves))
     apple, leaf = u[h : h + 7 * n].reshape(n, 7).T, u[h + 7 * n :].reshape(-1, 7).T
-    shade = randint(u[:h], 0, 18).astype(np.uint8)[:, None]
     img = np.empty((h, w, 3), dtype=np.uint8)
-    img[:, :, 0] = 30 + shade
-    img[:, :, 1] = 66 + shade
-    img[:, :, 2] = 36 + shade // 2
+    s = np.arange(19, dtype=np.uint8)  # each row has one of 19 shades: gather whole shaded rows
+    rows = np.tile(np.column_stack([30 + s, 66 + s, 36 + s // 2]), w)
+    np.take(rows, randint(u[:h], 0, 18), axis=0, out=img.reshape(h, w * 3))
     labels = np.zeros((h, w), dtype=np.uint16)  # outputs before temporaries: a smaller heap peak
 
     xs_hi = max(min(XS_RADIUS_MAX, spec.radius_max), spec.radius_min)
@@ -145,16 +144,16 @@ def generate_scene(spec: SceneSpec) -> Scene:
     np.maximum.at(grid, pix, index)
     won = grid[pix] == index
     pix, owner = pix[won], index[won]
-    label = np.where(owner > n, 0, owner)  # leaves hide apples but carry no label
-    weak = np.bincount(label, minlength=n + 1) < spec.min_visible
-    label[weak[label]] = 0
-    labels.reshape(-1)[pix] = label
-    flat = img.reshape(-1)
-    pix *= 3  # the first sample of each painted pixel, then the next channel's
+    # the winners keep shape order, so apples' pixels come first; leaves hide
+    # apples but carry no label, and apples under min_visible lose theirs
+    m = np.searchsorted(owner, n, "right")
+    ids = np.arange(n + 1, dtype=np.uint16)
+    ids[np.bincount(owner[:m], minlength=n + 1) < spec.min_visible] = 0
+    labels.reshape(-1)[pix[:m]] = ids[owner[:m]]
+    rgb, color = img.reshape(-1, 3), np.zeros(len(cx) + 1, dtype=np.uint8)  # shape i's colour at i
     for c, (apple_rgb, leaf_rgb) in enumerate(zip(_APPLE_RGB, _LEAF_RGB)):
-        color = np.concatenate([randint(apple[4 + c], *apple_rgb), randint(leaf[4 + c], *leaf_rgb)])
-        flat[pix] = color.astype(np.uint8)[owner - 1]
-        pix += 1
+        color[1:] = np.concatenate([randint(apple[4 + c], *apple_rgb), randint(leaf[4 + c], *leaf_rgb)])
+        rgb[:, c][pix] = color[owner]
 
     return Scene(RasterImage(img), RasterImage(labels))
 

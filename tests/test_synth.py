@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -100,6 +101,20 @@ def test_generation_is_deterministic():
     assert [(o.instance_id, o.mask.runs) for o in a.objects] == [
         (o.instance_id, o.mask.runs) for o in b.objects
     ]
+
+
+def test_default_scene_heap_peak_is_bounded():
+    # A default scene peaks at about 8.7 MiB of live arrays. The bound catches a
+    # new scene-sized temporary: a uint16 owner grid or one more copy of the
+    # painted pixels' indices each lift the peak to about 9.8 MiB.
+    generate_scene(SceneSpec(width=8, height=8))  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        generate_scene(SceneSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5 * 2**20
 
 
 def test_xs_fraction_near_target():
