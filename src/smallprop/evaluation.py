@@ -72,10 +72,10 @@ def _truth(labels: np.ndarray) -> tuple[np.ndarray, Spans]:
     return ids, Spans(width, height, None, _sums(x1s - x0s, offsets), offsets, ys * width + x0s, ys * width + x1s)
 
 
-def _pairs(ids: np.ndarray, objects: Spans, batch: ProposalBatch) -> list[tuple[float, int, int]]:
+def _pairs(ids: np.ndarray, objects: Spans, records: Spans) -> list[tuple[float, int, int]]:
     """All positive-IoU (iou, id, record index) pairs of the objects ``ids``
-    of ``_truth`` and the records of ``batch``, which ``place`` puts on their
-    image and checks, sorted by IoU desc, id, index.
+    of ``_truth`` and ``records``, which ``place`` put on their image,
+    sorted by IoU desc, id, index.
 
     One cross sweep over the two span sets laid end to end, records numbered
     first, feeds ``_shared``, the kernel of ``nms``. An object's runs on a row
@@ -83,7 +83,6 @@ def _pairs(ids: np.ndarray, objects: Spans, batch: ProposalBatch) -> list[tuple[
     pixels. IoU is the correctly rounded quotient of integer intersection and
     union.
     """
-    records = place(batch, objects.width, objects.height)
     n = len(records)
     starts, stops = np.concatenate((records.starts, objects.starts)), np.concatenate((records.stops, objects.stops))
     owner = np.repeat(np.arange(n + len(ids)), np.concatenate((np.diff(records.offsets), np.diff(objects.offsets))))
@@ -109,15 +108,16 @@ def _greedy(pairs) -> list[tuple[int, int, float]]:
     return out
 
 
-def match(labels: np.ndarray, batch: ProposalBatch) -> tuple[tuple[int, int, float], ...]:
-    """Greedily assign the records of a batch to the objects of an instance
-    grid; zero-IoU pairs never match.
-
-    Returns the one-to-one pairs (gt id, record index, iou). The batch is
-    expected to be truncated to the evaluation budget already.
+def _assign(labels: np.ndarray, batch: ProposalBatch) -> tuple[np.ndarray, Spans, Spans, list[tuple[int, int, float]]]:
+    """(ids, objects, records, assigned): the objects of an instance grid as
+    ``_truth`` gives them, the records of a batch placed on that grid, and the
+    one-to-one (gt id, record index, iou) pairs that greedily assign the
+    records to the objects; zero-IoU pairs never match. The batch is expected
+    to be truncated to the evaluation budget already.
     """
     ids, objects = _truth(labels)
-    return tuple(_greedy(_pairs(ids, objects, batch)))
+    records = place(batch, objects.width, objects.height)
+    return ids, objects, records, _greedy(_pairs(ids, objects, records))
 
 
 def _pooled_ar(per_image, budget: int, category: SizeCategory | None) -> tuple[float | None, int]:
@@ -150,7 +150,7 @@ def score_image(
     """
     ids, objects = _truth(labels)
     sizes = {g: size_category(a) for g, a in zip(ids.tolist(), objects.areas.tolist())}
-    return sizes, _pairs(ids, objects, batch.top(max(BUDGETS)))
+    return sizes, _pairs(ids, objects, place(batch.top(max(BUDGETS)), objects.width, objects.height))
 
 
 def evaluate_dataset(scored, system: str = "run") -> ARReport:
@@ -252,9 +252,8 @@ def render_overlay(image: RasterImage, labels: np.ndarray, batch: ProposalBatch)
     """
     if image.channels != 3:
         raise ValueError("overlay rendering needs an RGB image")
-    by_gt = {gid: pi for gid, pi, _ in match(labels, batch)}
-    ids, objects = _truth(labels)
-    records = place(batch, objects.width, objects.height)
+    ids, objects, records, assigned = _assign(labels, batch)
+    by_gt = {gid: pi for gid, pi, _ in assigned}
     canvas = image.pixels.astype(np.int16)
     for k, gid in enumerate(ids.tolist()):
         matched = gid in by_gt

@@ -20,7 +20,6 @@ from smallprop.evaluation import (
     IOU_THRESHOLDS,
     evaluate_dataset,
     score_image,
-    match,
 )
 from smallprop.exchange import ProposalRecord, read_proposals, write_proposals
 from smallprop.pipeline import nms, place
@@ -30,6 +29,7 @@ from smallprop.tiling import TileGridSpec, plan_grid
 from smallprop.masks import crop_mask
 from oracles import (embedded, grid_batch, grid_iou, grid_runs, make_random_instance, mask_grid, oracle_report,
                      rect_grid, ref_nms, verify_coverage)
+from test_evaluation import match
 
 
 def _cli(*argv) -> int:

@@ -16,13 +16,12 @@ from smallprop.evaluation import (
     IOU_THRESHOLDS,
     evaluate_dataset,
     score_image,
-    match,
     render_overlay,
     report_csv,
     report_json,
     report_text,
 )
-from smallprop.pipeline import run_whole
+from smallprop.pipeline import place, run_whole
 from smallprop.raster import RasterImage
 from smallprop.synth import SceneSpec, generate_scene
 from oracles import (average_recall, greedy_assign, grid_batch, grid_iou, make_random_instance, oracle_report,
@@ -46,6 +45,12 @@ def grid_of(gt):
 def batch(props):
     """The whole-image records of ``props``, (grid, objectness) pairs, as eval reads them from a file."""
     return grid_batch(props)
+
+
+def match(labels, batch):
+    """The one-to-one (gt id, record index, iou) pairs that greedily assign a
+    batch's records to an instance grid's objects, as ``overlay`` draws them."""
+    return tuple(evaluation._assign(labels, batch)[-1])
 
 
 def test_match_perfect_single_pair():
@@ -408,8 +413,9 @@ def test_overlay_matches_the_full_canvas_drawing(case):
 
 
 def kernel_pairs(labels, props):
-    """The full pair list of the pair path that eval, match and overlay share."""
-    return evaluation._pairs(*evaluation._truth(labels), batch(props))
+    """The full pair list of the pair path that eval and overlay share."""
+    ids, objects = evaluation._truth(labels)
+    return evaluation._pairs(ids, objects, place(batch(props), objects.width, objects.height))
 
 
 def grid_pairs(obj, record):
