@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from smallprop import evaluation
 from smallprop.annotations import SizeCategory, size_category
-from smallprop.detector import preset
+from smallprop.detector import ALLOWED_LEVELS, PRESET_LEVELS, DetectorProfile, detectable_range, preset
 from smallprop.exchange import ExchangeFormatError
 from smallprop.evaluation import (
     IOU_THRESHOLDS,
@@ -173,6 +173,37 @@ def test_fastmask_sim_gives_all_zero_report():
     report = evaluate_dataset(scored, system="fastmask")
     for cell in (report.ar_at_10, report.ar_at_100, report.ar_xs_at_100, report.ar_s_at_100, report.ar_m_at_100):
         assert cell == 0.0
+
+
+@st.composite
+def band_profiles(draw):
+    """A preset, or levels, fill band and input size drawn at random; jitter and noise stay 0."""
+    name = draw(st.sampled_from([*PRESET_LEVELS, None]))
+    if name is not None:
+        return preset(name)
+    fill_min, fill_max = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=2, unique=True)))
+    return DetectorProfile("drawn", draw(st.sets(st.sampled_from(ALLOWED_LEVELS), min_size=1)),
+                           input_w=draw(st.integers(8, 2000)), input_h=draw(st.integers(8, 2000)),
+                           window_cells=draw(st.integers(1, 12)), fill_min=fill_min, fill_max=fill_max,
+                           seed=draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.builds(SceneSpec, width=st.integers(1, 200), height=st.integers(1, 150), n_apples=st.integers(0, 60),
+                      radius_min=st.sampled_from([2.0, 5.0]), radius_max=st.sampled_from([12.0, 24.0, 40.0]),
+                      n_leaves=st.integers(0, 10), min_visible=st.integers(1, 20), seed=st.integers(0, 2**64 - 1)),
+       profile=band_profiles(), spare=st.integers(0, 40))
+def test_whole_image_recall_at_half_iou_is_the_detectable_band(spec, profile, spare):
+    # Without jitter or noise a proposal is its object's visible mask, and the
+    # masks are disjoint, so NMS keeps them all and top-k cuts none: an object
+    # is recalled exactly when its side, as the detector rescales it, is in band.
+    scene = generate_scene(spec)
+    top_k = min(len(scene.objects) + spare, 100) or 1
+    recalled = {g for g, _, iou in match(scene.instances.pixels, run_whole(scene, profile, top_k=top_k)) if iou >= 0.5}
+    scale = min(profile.input_w / scene.width, profile.input_h / scene.height)  # simulate's expression
+    s_min, s_max = detectable_range(profile)
+    assert recalled == {o.instance_id for o in scene.objects
+                        if s_min <= max(o.mask.bbox.w, o.mask.bbox.h) * scale <= s_max}
 
 
 def test_ar_at_100_counts_the_100th_proposal_and_not_the_101st():
