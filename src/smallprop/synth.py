@@ -112,8 +112,8 @@ def generate_scene(spec: SceneSpec) -> Scene:
     apple, leaf = u[h : h + 7 * n].reshape(n, 7).T, u[h + 7 * n :].reshape(-1, 7).T
     img = np.empty((h, w, 3), dtype=np.uint8)
     s = np.arange(19, dtype=np.uint8)  # each row has one of 19 shades: gather whole shaded rows
-    rows = np.tile(np.column_stack([30 + s, 66 + s, 36 + s // 2]), w)
-    np.take(rows, randint(u[:h], 0, 18), axis=0, out=img.reshape(h, w * 3))
+    np.take(np.tile(np.column_stack([30 + s, 66 + s, 36 + s // 2]), w), randint(u[:h], 0, 18), axis=0,
+            out=img.reshape(h, w * 3))
     labels = np.zeros((h, w), dtype=np.uint16)  # outputs before temporaries: a smaller heap peak
 
     xs_hi = max(min(XS_RADIUS_MAX, spec.radius_max), spec.radius_min)
