@@ -47,10 +47,10 @@ def batch(props):
     return grid_batch(props)
 
 
-def match(labels, batch):
+def match(labels, records):
     """The one-to-one (gt id, record index, iou) pairs that greedily assign a
     batch's records to an instance grid's objects, as ``overlay`` draws them."""
-    return tuple(evaluation._assign(labels, batch)[-1])
+    return tuple(evaluation._assign(labels, records)[-1])
 
 
 def test_match_perfect_single_pair():
@@ -198,7 +198,7 @@ def test_whole_image_recall_at_half_iou_is_the_detectable_band(spec, profile, sp
     # masks are disjoint, so NMS keeps them all and top-k cuts none: an object
     # is recalled exactly when its side, as the detector rescales it, is in band.
     scene = generate_scene(spec)
-    top_k = min(len(scene.objects) + spare, 100) or 1
+    top_k = max(1, min(len(scene.objects) + spare, 100))
     recalled = {g for g, _, iou in match(scene.instances.pixels, run_whole(scene, profile, top_k=top_k)) if iou >= 0.5}
     scale = min(profile.input_w / scene.width, profile.input_h / scene.height)  # simulate's expression
     s_min, s_max = detectable_range(profile)
